@@ -539,18 +539,6 @@ RunResult run_fleet(const Options& opt) {
   return result;
 }
 
-// Minimal flat-JSON number lookup for the committed baseline file:
-// finds "key": <number> anywhere in the file.
-bool baseline_value(const std::string& text, const char* key, double* out) {
-  const std::string needle = "\"" + std::string(key) + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -643,42 +631,37 @@ int main(int argc, char** argv) {
   // Committed-baseline gate (CI): absolute bounds from the repo.
   const char* baseline_path = bench::flag_value(argc, argv, "--baseline", "");
   if (baseline_path[0] != '\0') {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::printf("baseline %s: cannot open\n", baseline_path);
+    const auto baseline = bench::Baseline::load(baseline_path);
+    if (!baseline) {
       shape = false;
     } else {
-      std::string text((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      double v = 0;
-      if (baseline_value(text, "p99_ms_max", &v)) {
-        const double worst =
-            std::max_element(runs.begin(), runs.end(),
-                             [](const RunResult& a, const RunResult& b) {
-                               return a.p99_ms < b.p99_ms;
-                             })
-                ->p99_ms;
-        const bool ok = worst <= v;
-        std::printf("baseline p99: %.1f ms (max %.1f ms): %s\n", worst, v,
-                    ok ? "OK" : "REGRESSED");
-        shape = shape && ok;
-      }
-      if (baseline_value(text, "batch_ratio_min", &v)) {
-        const double worst =
-            std::min_element(runs.begin(), runs.end(),
-                             [](const RunResult& a, const RunResult& b) {
-                               return a.batch_ratio < b.batch_ratio;
-                             })
-                ->batch_ratio;
-        const bool ok = worst >= v;
-        std::printf("baseline batch ratio: %.1f (min %.1f): %s\n", worst, v,
-                    ok ? "OK" : "REGRESSED");
-        shape = shape && ok;
-      }
-      if (baseline_value(text, "curve_p99_ratio_max", &v) && runs.size() > 1) {
-        const bool ok = p99_ratio <= v;
+      const double p99_max = (*baseline)["p99_ms_max"];
+      const double batch_min = (*baseline)["batch_ratio_min"];
+      const double ratio_max = (*baseline)["curve_p99_ratio_max"];
+      const double worst_p99 =
+          std::max_element(runs.begin(), runs.end(),
+                           [](const RunResult& a, const RunResult& b) {
+                             return a.p99_ms < b.p99_ms;
+                           })
+              ->p99_ms;
+      bool ok = worst_p99 <= p99_max;
+      std::printf("baseline p99: %.1f ms (max %.1f ms): %s\n", worst_p99,
+                  p99_max, ok ? "OK" : "REGRESSED");
+      shape = shape && ok;
+      const double worst_batch =
+          std::min_element(runs.begin(), runs.end(),
+                           [](const RunResult& a, const RunResult& b) {
+                             return a.batch_ratio < b.batch_ratio;
+                           })
+              ->batch_ratio;
+      ok = worst_batch >= batch_min;
+      std::printf("baseline batch ratio: %.1f (min %.1f): %s\n", worst_batch,
+                  batch_min, ok ? "OK" : "REGRESSED");
+      shape = shape && ok;
+      if (runs.size() > 1) {
+        ok = p99_ratio <= ratio_max;
         std::printf("baseline curve p99 ratio: %.2f (max %.2f): %s\n",
-                    p99_ratio, v, ok ? "OK" : "REGRESSED");
+                    p99_ratio, ratio_max, ok ? "OK" : "REGRESSED");
         shape = shape && ok;
       }
     }

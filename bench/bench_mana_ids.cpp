@@ -29,9 +29,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "attack/attacker.hpp"
 #include "bench_util.hpp"
@@ -64,16 +62,6 @@ struct Gates {
   double ip_spoof_burst_latency_s_max = 2.0;
   double rogue_probe_latency_s_max = 1.5;
 };
-
-bool baseline_value(const std::string& text, const char* key, double* out) {
-  const std::string needle = "\"" + std::string(key) + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
 
 // ---- Phase 1: line-rate soak ------------------------------------------------
 
@@ -506,35 +494,23 @@ int main(int argc, char** argv) {
       bench::flag_value(argc, argv, "--baseline", "");
   const bool fail_below = bench::has_flag(argc, argv, "--fail-below");
   if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::printf("baseline %s: cannot open\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    baseline_value(text, "soak_mframes_per_sec_min",
-                   &gates.soak_mframes_per_sec_min);
-    baseline_value(text, "precision_min", &gates.precision_min);
-    baseline_value(text, "recall_min", &gates.recall_min);
-    baseline_value(text, "unaccounted_frames_max",
-                   &gates.unaccounted_frames_max);
-    baseline_value(text, "port_scan_fast_latency_s_max",
-                   &gates.port_scan_fast_latency_s_max);
-    baseline_value(text, "port_scan_slow_latency_s_max",
-                   &gates.port_scan_slow_latency_s_max);
-    baseline_value(text, "arp_poison_latency_s_max",
-                   &gates.arp_poison_latency_s_max);
-    baseline_value(text, "mitm_latency_s_max", &gates.mitm_latency_s_max);
-    baseline_value(text, "dos_flood_latency_s_max",
-                   &gates.dos_flood_latency_s_max);
-    baseline_value(text, "dos_low_latency_s_max",
-                   &gates.dos_low_latency_s_max);
-    baseline_value(text, "ip_spoof_burst_latency_s_max",
-                   &gates.ip_spoof_burst_latency_s_max);
-    baseline_value(text, "rogue_probe_latency_s_max",
-                   &gates.rogue_probe_latency_s_max);
+    const auto baseline = bench::Baseline::load(baseline_path);
+    if (!baseline) return 1;
+    gates.soak_mframes_per_sec_min = (*baseline)["soak_mframes_per_sec_min"];
+    gates.precision_min = (*baseline)["precision_min"];
+    gates.recall_min = (*baseline)["recall_min"];
+    gates.unaccounted_frames_max = (*baseline)["unaccounted_frames_max"];
+    gates.port_scan_fast_latency_s_max =
+        (*baseline)["port_scan_fast_latency_s_max"];
+    gates.port_scan_slow_latency_s_max =
+        (*baseline)["port_scan_slow_latency_s_max"];
+    gates.arp_poison_latency_s_max = (*baseline)["arp_poison_latency_s_max"];
+    gates.mitm_latency_s_max = (*baseline)["mitm_latency_s_max"];
+    gates.dos_flood_latency_s_max = (*baseline)["dos_flood_latency_s_max"];
+    gates.dos_low_latency_s_max = (*baseline)["dos_low_latency_s_max"];
+    gates.ip_spoof_burst_latency_s_max =
+        (*baseline)["ip_spoof_burst_latency_s_max"];
+    gates.rogue_probe_latency_s_max = (*baseline)["rogue_probe_latency_s_max"];
   }
 
   std::printf("phase 1: 10k-device line-rate soak...\n");

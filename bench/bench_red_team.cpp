@@ -33,8 +33,6 @@
 //
 // Run:  bench_red_team [--json=PATH] [--baseline=PATH] [--fail-below]
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "attack/attacker.hpp"
 #include "bench_util.hpp"
@@ -529,16 +527,6 @@ ScenarioResult run_frontdoor_dos(const Gates&) {
   return r;
 }
 
-bool baseline_value(const std::string& text, const char* key, double* out) {
-  const std::string needle = "\"" + std::string(key) + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -554,25 +542,18 @@ int main(int argc, char** argv) {
       bench::flag_value(argc, argv, "--baseline", "");
   const bool fail_below = bench::has_flag(argc, argv, "--fail-below");
   if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::printf("baseline %s: cannot open\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    baseline_value(text, "delay_under_p99_ms_max",
-                   &gates.delay_under_p99_ms_max);
-    baseline_value(text, "leader_delay_over_reaction_ms_max",
-                   &gates.leader_delay_over_reaction_ms_max);
-    baseline_value(text, "equivocation_reaction_ms_max",
-                   &gates.equivocation_reaction_ms_max);
-    baseline_value(text, "withheld_aru_reaction_ms_max",
-                   &gates.withheld_aru_reaction_ms_max);
-    baseline_value(text, "compromise_reaction_ms_max",
-                   &gates.compromise_reaction_ms_max);
-    baseline_value(text, "missed_updates_max", &gates.missed_updates_max);
+    const auto baseline = bench::Baseline::load(baseline_path);
+    if (!baseline) return 1;
+    gates.delay_under_p99_ms_max = (*baseline)["delay_under_p99_ms_max"];
+    gates.leader_delay_over_reaction_ms_max =
+        (*baseline)["leader_delay_over_reaction_ms_max"];
+    gates.equivocation_reaction_ms_max =
+        (*baseline)["equivocation_reaction_ms_max"];
+    gates.withheld_aru_reaction_ms_max =
+        (*baseline)["withheld_aru_reaction_ms_max"];
+    gates.compromise_reaction_ms_max =
+        (*baseline)["compromise_reaction_ms_max"];
+    gates.missed_updates_max = (*baseline)["missed_updates_max"];
   }
 
   std::vector<ScenarioResult> results;

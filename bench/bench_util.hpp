@@ -7,6 +7,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -138,6 +141,45 @@ inline const char* flag_value(int argc, char** argv, const char* flag,
   }
   return fallback;
 }
+
+/// Committed gate bounds (bench/baseline_*.json): a "key": number
+/// lookup anywhere in the file. A key the file lacks fails the run,
+/// naming the key, so a renamed bound can never silently fall back to
+/// a compiled-in default.
+class Baseline {
+ public:
+  /// Reads `path`; nullopt (with a message) if it cannot be opened.
+  static std::optional<Baseline> load(const std::string& path) {
+    std::ifstream in(path);
+    if (!in) {
+      std::printf("baseline %s: cannot open\n", path.c_str());
+      return std::nullopt;
+    }
+    return Baseline(path, std::string(std::istreambuf_iterator<char>(in),
+                                      std::istreambuf_iterator<char>()));
+  }
+
+  /// The number stored under `key`; exits with status 1 if absent.
+  [[nodiscard]] double operator[](const char* key) const {
+    const std::string needle = "\"" + std::string(key) + "\"";
+    const std::size_t at = text_.find(needle);
+    const std::size_t colon = at == std::string::npos
+                                  ? std::string::npos
+                                  : text_.find(':', at + needle.size());
+    if (colon == std::string::npos) {
+      std::printf("baseline %s: missing key \"%s\"\n", path_.c_str(), key);
+      std::exit(1);
+    }
+    return std::strtod(text_.c_str() + colon + 1, nullptr);
+  }
+
+ private:
+  Baseline(std::string path, std::string text)
+      : path_(std::move(path)), text_(std::move(text)) {}
+
+  std::string path_;
+  std::string text_;
+};
 
 /// Shared latency reporter: named sample series in, one aligned text
 /// table (min/p50/p90/p99/max/mean/samples) and optionally one JSON

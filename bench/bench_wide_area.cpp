@@ -34,7 +34,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -314,16 +313,6 @@ DeploymentResult run_deployment(sim::Time wan_latency) {
   return result;
 }
 
-bool baseline_value(const std::string& text, const char* key, double* out) {
-  const std::string needle = "\"" + std::string(key) + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -423,17 +412,11 @@ int main(int argc, char** argv) {
   double full_share_max = 0.1;
   double cross_site_ms_max = 200.0;
   if (!opt.baseline_path.empty()) {
-    std::ifstream in(opt.baseline_path);
-    if (!in) {
-      std::printf("baseline %s: cannot open\n", opt.baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    baseline_value(text, "wan_byte_ratio_min", &byte_ratio_min);
-    baseline_value(text, "full_share_max", &full_share_max);
-    baseline_value(text, "cross_site_median_ms_max", &cross_site_ms_max);
+    const auto baseline = bench::Baseline::load(opt.baseline_path);
+    if (!baseline) return 1;
+    byte_ratio_min = (*baseline)["wan_byte_ratio_min"];
+    full_share_max = (*baseline)["full_share_max"];
+    cross_site_ms_max = (*baseline)["cross_site_median_ms_max"];
   }
 
   bool ok = true;

@@ -11,7 +11,8 @@
 // masters.
 //
 // Every emitted report is handed to the sink (normally
-// FleetProxy::ingest); reports that carry a breaker flip are flagged
+// FleetProxy::ingest, with each fleet device registered as a pushed
+// device of the proxy); reports that carry a breaker flip are flagged
 // critical so the front door sheds them last. The fleet records its
 // own ground truth — per-device flip counts and final breaker images —
 // which benches compare against what the HMIs actually rendered: the

@@ -333,10 +333,8 @@ void SpireDeployment::build_clients() {
   }
 
   for (const auto& device : config_.scenario.devices) {
-    ProxyConfig pc;
+    FleetProxyConfig pc;
     pc.identity = proxy_identity(device.name);
-    pc.device = device.name;
-    pc.breaker_count = device.breaker_names.size();
     pc.f = config_.f;
     pc.poll_interval = config_.proxy_poll_interval;
 
@@ -360,14 +358,16 @@ void SpireDeployment::build_clients() {
     auto submit = [this, node](const util::Bytes& envelope) {
       submit_to_replicas(external_->daemon(node), envelope);
     };
-    proxies_[device.name] = std::make_unique<PlcProxy>(
-        sim_, std::move(pc), keyring_, replica_verifier, submit,
-        std::move(field));
+    FieldClient* field_client = field.get();
+    auto proxy = std::make_unique<FleetProxy>(sim_, std::move(pc), keyring_,
+                                              replica_verifier, submit);
+    proxy->register_polled_device(device.name, std::move(field));
+    proxies_[device.name] = std::move(proxy);
 
-    PlcProxy* proxy = proxies_[device.name].get();
-    proxy_host->bind_udp(kProxyModbusPort, [proxy](const net::Datagram& d) {
-      proxy->field().on_data(d.payload);
-    });
+    proxy_host->bind_udp(kProxyModbusPort,
+                         [field_client](const net::Datagram& d) {
+                           field_client->on_data(d.payload);
+                         });
   }
 
   for (std::size_t j = 0; j < config_.hmi_count; ++j) {
@@ -461,7 +461,7 @@ void SpireDeployment::start() {
   }
 
   for (const auto& device : config_.scenario.devices) {
-    PlcProxy* proxy = proxies_[device.name].get();
+    FleetProxy* proxy = proxies_[device.name].get();
     external_->daemon(proxy_node(device.name))
         .open_session(kReplicaToClient, [proxy](const spines::DataBody& d) {
           proxy->on_master_output(d.payload);
@@ -483,7 +483,7 @@ void SpireDeployment::start() {
   }
 }
 
-PlcProxy& SpireDeployment::proxy(const std::string& device) {
+FleetProxy& SpireDeployment::proxy(const std::string& device) {
   const auto it = proxies_.find(device);
   if (it == proxies_.end()) throw std::out_of_range("no proxy for " + device);
   return *it->second;

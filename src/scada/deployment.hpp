@@ -21,9 +21,9 @@
 #include "prime/recovery.hpp"
 #include "prime/replica.hpp"
 #include "scada/cycler.hpp"
+#include "scada/fleet_proxy.hpp"
 #include "scada/hmi.hpp"
 #include "scada/master.hpp"
-#include "scada/proxy.hpp"
 #include "sim/chaos.hpp"
 #include "spines/overlay.hpp"
 
@@ -107,7 +107,7 @@ class SpireDeployment {
   [[nodiscard]] prime::Replica& replica(std::size_t i) { return *replicas_[i]; }
   [[nodiscard]] ScadaMaster& master(std::size_t i) { return *masters_[i]; }
   [[nodiscard]] Hmi& hmi(std::size_t j) { return *hmis_[j]; }
-  [[nodiscard]] PlcProxy& proxy(const std::string& device);
+  [[nodiscard]] FleetProxy& proxy(const std::string& device);
   /// Ground-truth access to a field device (Modbus PLC or DNP3 RTU).
   [[nodiscard]] plc::FieldDevice& plc(const std::string& device);
   [[nodiscard]] AutoCycler* cycler() { return cycler_.get(); }
@@ -216,7 +216,7 @@ class SpireDeployment {
   std::unique_ptr<spines::Overlay> external_;
 
   std::map<std::string, std::unique_ptr<plc::FieldDevice>> plcs_;
-  std::map<std::string, std::unique_ptr<PlcProxy>> proxies_;
+  std::map<std::string, std::unique_ptr<FleetProxy>> proxies_;
   std::vector<std::unique_ptr<ScadaMaster>> masters_;
   std::vector<std::unique_ptr<prime::Replica>> replicas_;
   std::vector<std::unique_ptr<Hmi>> hmis_;

@@ -1,6 +1,7 @@
-// Protocol adapters between a PLC proxy and its field device. The
-// proxy's job (poll state, forward voted commands) is identical for a
-// Modbus PLC and a DNP3 RTU; only the wire conversation differs
+// Protocol adapters between the SCADA proxy (scada::FleetProxy) and a
+// field device it polls. The proxy's job (poll state, forward voted
+// commands) is identical for a Modbus PLC and a DNP3 RTU; only the wire
+// conversation differs
 // (paper §II: "their typical, insecure industrial communication
 // protocols, such as Modbus or DNP3, are used only on the direct
 // connection between the PLC or RTU and its proxy").

@@ -4,13 +4,19 @@
 
 namespace spire::scada {
 
+namespace {
+/// How long a field poll (Modbus request pair or DNP3 integrity poll)
+/// may take before it counts as a poll failure.
+constexpr sim::Time kFieldPollTimeout = 100 * sim::kMillisecond;
+}  // namespace
+
 FleetProxy::FleetProxy(sim::Simulator& sim, FleetProxyConfig config,
                        const crypto::Keyring& keyring,
                        crypto::Verifier replica_verifier,
                        ScadaClient::SubmitFn submit)
     : sim_(sim),
       config_(std::move(config)),
-      log_("scada.fleet." + config_.identity),
+      log_("scada.proxy." + config_.identity),
       replica_verifier_(std::move(replica_verifier)),
       client_(config_.identity, keyring, std::move(submit)),
       door_(config_.front_door),
@@ -18,10 +24,12 @@ FleetProxy::FleetProxy(sim::Simulator& sim, FleetProxyConfig config,
                [this](std::vector<StatusReport>&& reports) {
                  send_batch(std::move(reports));
                }),
-      metrics_("scada.fleet." + config_.identity),
+      metrics_("scada.proxy." + config_.identity),
       batch_fill_(obs::MetricsRegistry::current().histogram(
-          "scada.fleet." + config_.identity + ".batch_fill")) {
+          "scada.proxy." + config_.identity + ".batch_fill")) {
   metrics_.counter("deltas_offered", &stats_.deltas_offered);
+  metrics_.counter("polls", &stats_.polls);
+  metrics_.counter("poll_failures", &stats_.poll_failures);
   metrics_.counter("reports_sent", &stats_.reports_sent);
   metrics_.counter("batches_sent", &stats_.batches_sent);
   metrics_.counter("orders_received", &stats_.orders_received);
@@ -34,6 +42,57 @@ void FleetProxy::register_device(const std::string& device,
                                  CommandFn on_command) {
   auto& entry = devices_[device];
   if (on_command) entry.on_command = std::move(on_command);
+}
+
+void FleetProxy::register_polled_device(const std::string& device,
+                                        std::unique_ptr<FieldClient> field) {
+  FieldClient* client = field.get();
+  register_device(device, [client](std::uint16_t breaker, bool close) {
+    client->command(breaker, close);
+  });
+  polled_.push_back(PolledDevice{device, std::move(field), {}});
+}
+
+void FleetProxy::start() {
+  if (running_) return;
+  running_ = true;
+  // Stagger polls across devices (deterministically, by device name) so
+  // a substation's proxies do not all hit the network in the same instant.
+  for (std::size_t i = 0; i < polled_.size(); ++i) {
+    const auto jitter = static_cast<sim::Time>(
+        crypto::digest_prefix64(crypto::sha256(polled_[i].name)) %
+        config_.poll_interval);
+    sim_.schedule_after(jitter, [this, i] { poll_tick(i); });
+  }
+}
+
+void FleetProxy::poll_tick(std::size_t index) {
+  if (!running_) return;
+  ++stats_.polls;
+
+  polled_[index].field->poll(
+      [this, index](std::optional<FieldClient::FieldState> state) {
+        if (!running_) return;
+        if (!state) {
+          ++stats_.poll_failures;
+          return;
+        }
+        PolledDevice& device = polled_[index];
+        // A report carrying breaker movement is protection-critical:
+        // the front door must never shed it before plain telemetry.
+        const DeltaPriority priority =
+            (state->breakers != device.last_breakers)
+                ? DeltaPriority::kCritical
+                : DeltaPriority::kTelemetry;
+        if (ingest(device.name, state->breakers, std::move(state->readings),
+                   priority)) {
+          device.last_breakers = std::move(state->breakers);
+        }
+      },
+      kFieldPollTimeout);
+
+  sim_.schedule_after(config_.poll_interval,
+                      [this, index] { poll_tick(index); });
 }
 
 bool FleetProxy::ingest(const std::string& device, std::vector<bool> breakers,
@@ -62,6 +121,8 @@ void FleetProxy::send_batch(std::vector<StatusReport>&& reports) {
     const std::uint64_t seq =
         client_.send(ScadaMsgType::kStatusReport, report.encode());
     if (auto* tracer = obs::Tracer::current()) {
+      // Links any pending field-side breaker changes to this
+      // report's span (the PLC→HMI end-to-end leg).
       tracer->proxy_report(report.device, client_.identity(), seq,
                            report.breakers);
     }
@@ -117,6 +178,9 @@ void FleetProxy::handle_order(const CommandOrder& order) {
   executed_orders_.insert(key);
   order_votes_.erase(key);
   ++stats_.commands_forwarded;
+  log_.debug("forwarding command to ", order.command.device, ": breaker ",
+             order.command.breaker, " <- ",
+             order.command.close ? "CLOSE" : "OPEN");
   if (device->second.on_command) {
     device->second.on_command(order.command.breaker, order.command.close);
   }

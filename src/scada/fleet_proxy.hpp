@@ -1,21 +1,29 @@
-// Fleet proxy: one front door for thousands of field devices.
+// SCADA proxy (paper §II, §III-B): the one place where the untrusted
+// field wire meets the intrusion-tolerant system. Field devices reach
+// the replicated masters only through a proxy's authenticated
+// SCADA-level interface, and a supervisory command reaches a device
+// only after f+1 distinct replicas sent an identical order.
 //
-// The classic PlcProxy owns exactly one PLC over a direct cable — the
-// right trust boundary for a substation, but one Prime client identity
-// and one ordering round per device report does not scale to a
-// fleet-wide deployment. The FleetProxy fronts many emulated
-// PLCs/RTUs behind a single client identity: device deltas are pushed
-// in (rather than polled), pass the same admission front door
+// A proxy fronts one or more field devices behind a single client
+// identity, and each device is either:
+//  * polled — the per-PLC proxy of paper §II: the proxy owns the
+//    device's FieldClient (Modbus PLC or DNP3 RTU over a direct cable),
+//    polls it every poll_interval, and forwards voted commands to it;
+//  * pushed — the fleet case: thousands of emulated PLCs/RTUs hand
+//    their deltas to ingest() and receive voted commands through a
+//    registered callback.
+//
+// Either way every report passes the same admission front door
 // (token-bucket rate limit, shed watermark, hard queue bound with
-// priority-aware shedding), and coalesce in the delta batcher so one
+// priority-aware shedding) and coalesces in the delta batcher, so one
 // signed ClientUpdate carries every device change that arrived inside
-// the batch window. Supervisory commands still flow per device: the
-// proxy collects replica-signed CommandOrders, votes f+1, and hands
-// the command to the device's registered callback.
+// the batch window. With the default config (unlimited rate, zero
+// batch window) each report is its own kStatusReport update.
 #pragma once
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -24,6 +32,7 @@
 #include "crypto/keyring.hpp"
 #include "obs/metrics.hpp"
 #include "scada/client.hpp"
+#include "scada/field_client.hpp"
 #include "scada/front_door.hpp"
 #include "scada/wire.hpp"
 #include "sim/simulator.hpp"
@@ -34,12 +43,15 @@ namespace spire::scada {
 struct FleetProxyConfig {
   std::string identity;  ///< client identity, e.g. "client/proxy-fleet0"
   std::uint32_t f = 1;   ///< orders need f+1 matching replicas
+  sim::Time poll_interval = 200 * sim::kMillisecond;  ///< polled devices
   FrontDoorConfig front_door;
   BatcherConfig batch;
 };
 
 struct FleetProxyStats {
   std::uint64_t deltas_offered = 0;  ///< ingest() calls (pre-admission)
+  std::uint64_t polls = 0;           ///< field polls issued
+  std::uint64_t poll_failures = 0;   ///< polls that timed out or failed
   std::uint64_t reports_sent = 0;    ///< device reports that left the proxy
   std::uint64_t batches_sent = 0;    ///< kBatchReport updates submitted
   std::uint64_t orders_received = 0;
@@ -57,9 +69,18 @@ class FleetProxy {
              const crypto::Keyring& keyring, crypto::Verifier replica_verifier,
              ScadaClient::SubmitFn submit);
 
-  /// Registers a fronted device; its per-device report sequence starts
+  /// Registers a pushed device; its per-device report sequence starts
   /// at 1. `on_command` may be empty for report-only devices.
   void register_device(const std::string& device, CommandFn on_command = {});
+
+  /// Registers a device the proxy polls itself through `field`. Bytes
+  /// the device sends must be fed to field->on_data; voted commands go
+  /// to field->command.
+  void register_polled_device(const std::string& device,
+                              std::unique_ptr<FieldClient> field);
+
+  /// Starts each polled device's poll loop, staggered by device name.
+  void start();
 
   /// Offers one device delta to the front door. Returns true if it was
   /// admitted into the batcher, false if it was shed.
@@ -67,8 +88,12 @@ class FleetProxy {
               std::vector<std::uint16_t> readings,
               DeltaPriority priority = DeltaPriority::kTelemetry);
 
-  /// Flushes anything still coalescing; nothing admitted is dropped.
-  void stop() { batcher_.stop(); }
+  /// Stops polling and flushes anything still coalescing; nothing
+  /// admitted is dropped.
+  void stop() {
+    running_ = false;
+    batcher_.stop();
+  }
 
   /// Feed for replica->proxy traffic from the external network.
   void on_master_output(std::span<const std::uint8_t> data);
@@ -87,7 +112,15 @@ class FleetProxy {
     std::uint64_t next_seq = 1;
     CommandFn on_command;
   };
+  /// Poll state, kept only for polled devices so a 10k-device pushed
+  /// fleet carries none of it.
+  struct PolledDevice {
+    std::string name;
+    std::unique_ptr<FieldClient> field;
+    std::vector<bool> last_breakers;  ///< to classify report priority
+  };
 
+  void poll_tick(std::size_t index);
   void send_batch(std::vector<StatusReport>&& reports);
   void handle_order(const CommandOrder& order);
 
@@ -99,6 +132,8 @@ class FleetProxy {
   FrontDoor door_;
   DeltaBatcher batcher_;
   std::unordered_map<std::string, DeviceEntry> devices_;
+  std::vector<PolledDevice> polled_;
+  bool running_ = false;
 
   /// (issuer, command_id) -> replicas that sent a matching order.
   std::map<std::pair<std::string, std::uint64_t>,

@@ -4,13 +4,14 @@
 // primary-backup baseline.
 #include <gtest/gtest.h>
 
+#include "modbus/endpoint.hpp"
 #include "net/network.hpp"
 #include "plc/plc.hpp"
 #include "scada/commercial.hpp"
 #include "scada/cycler.hpp"
 #include "scada/hmi.hpp"
 #include "scada/master.hpp"
-#include "scada/proxy.hpp"
+#include "scada/fleet_proxy.hpp"
 
 namespace spire::scada {
 namespace {
@@ -351,34 +352,47 @@ TEST(HmiVoting, RejectsBadSignatures) {
   EXPECT_EQ(hmi.displayed_version(), 0u);
 }
 
+// A proxy with one polled Modbus device. The device end is a bare
+// Modbus server over a 1 ms loopback; its discrete inputs are the
+// breaker positions the proxy reads.
 struct ProxyFixture : ::testing::Test {
   sim::Simulator sim;
   crypto::Keyring keyring{"scada-test"};
   std::vector<util::Bytes> submitted;
   std::vector<util::Bytes> modbus_out;
-  std::unique_ptr<PlcProxy> proxy;
+  modbus::DataModel plc_model{7, 7, 7, 7};
+  modbus::Server plc_server{plc_model};
+  FieldClient* field = nullptr;  // owned by the proxy
+  std::unique_ptr<FleetProxy> proxy;
 
-  void SetUp() override {
-    ProxyConfig config;
+  void SetUp() override { build(FleetProxyConfig{}); }
+
+  void build(FleetProxyConfig config) {
     config.identity = "client/proxy-plc-phys";
-    config.device = "plc-phys";
-    config.breaker_count = 7;
     config.f = 1;
-    auto field = std::make_unique<ModbusFieldClient>(
-        sim, config.device, config.breaker_count,
-        [this](const util::Bytes& b) { modbus_out.push_back(b); });
-    proxy = std::make_unique<PlcProxy>(
+    auto client = std::make_unique<ModbusFieldClient>(
+        sim, "plc-phys", 7, [this](const util::Bytes& b) {
+          modbus_out.push_back(b);
+          if (auto response = plc_server.handle(b)) {
+            sim.schedule_after(sim::kMillisecond, [this, r = *response] {
+              field->on_data(r);
+            });
+          }
+        });
+    field = client.get();
+    proxy = std::make_unique<FleetProxy>(
         sim, config, keyring, replica_verifier(keyring, 4),
-        [this](const util::Bytes& b) { submitted.push_back(b); },
-        std::move(field));
+        [this](const util::Bytes& b) { submitted.push_back(b); });
+    proxy->register_polled_device("plc-phys", std::move(client));
   }
 
   util::Bytes make_order(std::uint32_t replica, std::uint64_t command_id,
-                         bool close = true) {
+                         bool close = true,
+                         const std::string& device = "plc-phys") {
     CommandOrder order;
     order.replica = replica;
     order.issuer = "client/hmi-0";
-    order.command = SupervisoryCommand{"plc-phys", 1, close, command_id};
+    order.command = SupervisoryCommand{device, 1, close, command_id};
     crypto::Signer signer(prime::replica_identity(replica),
                           keyring.identity_key(prime::replica_identity(replica)));
     order.sign(signer);
@@ -438,6 +452,82 @@ TEST_F(ProxyFixture, RejectsForgedOrders) {
   out.body = order.encode();
   proxy->on_master_output(out.encode());
   EXPECT_EQ(proxy->stats().orders_rejected_sig, 1u);
+}
+
+TEST_F(ProxyFixture, VotedOrderReachesOnlyItsOwnDevice) {
+  std::vector<std::pair<std::uint16_t, bool>> other_commands;
+  proxy->register_device("plc-other", [&](std::uint16_t breaker, bool close) {
+    other_commands.emplace_back(breaker, close);
+  });
+
+  proxy->on_master_output(make_order(0, 1));
+  proxy->on_master_output(make_order(1, 1));
+  EXPECT_EQ(modbus_out.size(), 1u);  // the polled device's coil write
+  EXPECT_TRUE(other_commands.empty());
+
+  proxy->on_master_output(make_order(0, 2, false, "plc-other"));
+  proxy->on_master_output(make_order(1, 2, false, "plc-other"));
+  ASSERT_EQ(other_commands.size(), 1u);
+  EXPECT_EQ(other_commands[0], std::make_pair(std::uint16_t{1}, false));
+  EXPECT_EQ(modbus_out.size(), 1u);
+  EXPECT_EQ(proxy->stats().commands_forwarded, 2u);
+}
+
+TEST_F(ProxyFixture, BreakerChangeIsCriticalWhenBucketIsEmpty) {
+  FleetProxyConfig config;
+  config.poll_interval = 10 * sim::kMillisecond;
+  config.front_door.rate_per_sec = 1;  // one telemetry token per second
+  config.front_door.burst = 1;
+  build(config);
+  proxy->start();
+
+  // The first poll is critical (no previous image), the second takes
+  // the only telemetry token, and every later unchanged poll is shed.
+  sim.run_until(200 * sim::kMillisecond);
+  const FrontDoorStats& door = proxy->front_door_stats();
+  EXPECT_GE(proxy->stats().polls, 19u);
+  EXPECT_EQ(proxy->stats().poll_failures, 0u);
+  EXPECT_EQ(door.admitted, 2u);
+  EXPECT_EQ(door.admitted_critical, 1u);
+  EXPECT_GE(door.shed_rate, 15u);
+  EXPECT_EQ(proxy->stats().reports_sent, 2u);
+
+  // A breaker moves at the device: the next poll carries the change
+  // and passes the door although the bucket is still empty.
+  plc_model.set_discrete_input(3, true);
+  sim.run_until(250 * sim::kMillisecond);
+  EXPECT_EQ(door.admitted, 3u);
+  EXPECT_EQ(door.admitted_critical, 2u);
+  EXPECT_EQ(door.shed_critical, 0u);
+  EXPECT_EQ(proxy->stats().reports_sent, 3u);
+  EXPECT_EQ(submitted.size(), 3u);
+}
+
+TEST_F(ProxyFixture, StopEndsPollingAndFlushesEveryAdmittedReport) {
+  FleetProxyConfig config;
+  config.poll_interval = 10 * sim::kMillisecond;
+  config.batch.window = sim::kSecond;  // keep every report coalescing
+  build(config);
+  proxy->start();
+
+  sim.run_until(100 * sim::kMillisecond);
+  const std::uint64_t admitted = proxy->front_door_stats().admitted;
+  EXPECT_GE(admitted, 8u);
+  EXPECT_TRUE(submitted.empty());
+
+  proxy->stop();
+  EXPECT_EQ(submitted.size(), 1u);  // one batch carrying every report
+  EXPECT_EQ(proxy->stats().batches_sent, 1u);
+  EXPECT_EQ(proxy->stats().reports_sent, admitted);
+
+  const std::uint64_t polls = proxy->stats().polls;
+  sim.run_until(110 * sim::kMillisecond);  // an in-flight poll completes
+  const std::size_t requests = modbus_out.size();
+  sim.run_until(2 * sim::kSecond);
+  EXPECT_EQ(proxy->stats().polls, polls);
+  EXPECT_EQ(modbus_out.size(), requests);
+  EXPECT_EQ(proxy->front_door_stats().admitted, admitted);
+  EXPECT_EQ(submitted.size(), 1u);
 }
 
 TEST(Cycler, FlipsBreakersInPredeterminedOrder) {
