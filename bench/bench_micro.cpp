@@ -16,6 +16,9 @@
 //                          bit-identical results asserted)
 //   envelope_verify        verifies/sec of signed Prime envelopes
 //                          through crypto::Verifier
+//   spines_link_seal_open  seal+open round trips/sec through
+//                          crypto::SecureChannel's in-place forms, over
+//                          the plant workload's sealed-datagram sizes
 //   prime_update_ordering  end-to-end updates/sec executed by an f=1
 //                          Prime cluster on the loopback fabric
 //   overlay_forward        msgs/sec routed end-to-end through a 6-node
@@ -44,6 +47,7 @@
 // non-zero if any speedup falls below R (CI's regression gate).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdlib>
@@ -398,6 +402,39 @@ MicroResult run_scheduler_parallel() {
                          o.wall > 0 ? base.wall / o.wall : 0.0);
   }
   return r;
+}
+
+/// Spines link crypto as the daemon runs it: seal into one reused buffer,
+/// open into another. The plaintext lengths are the 5% quantiles p0, p5,
+/// ..., p95 of the 994k sealed datagrams of one perfbench `plant` run
+/// (seed 1; median 144 B). One item is one seal plus one open.
+MicroResult run_spines_link_seal_open() {
+  constexpr std::array<std::size_t, 20> kLengths = {
+      21,  21,  21,  118, 119, 119, 144, 144, 144, 144,
+      144, 168, 188, 188, 216, 225, 225, 253, 319, 379};
+  constexpr std::size_t kLongest =
+      *std::max_element(kLengths.begin(), kLengths.end());
+  crypto::Keyring keyring("bench-link");
+  crypto::SecureChannel sender(keyring.link_key("a", "b"));
+  crypto::SecureChannel receiver(keyring.link_key("a", "b"));
+  const util::Bytes plain = make_payload(kLongest);
+  util::Bytes sealed(kLongest + crypto::SecureChannel::kOverhead);
+  util::Bytes opened(kLongest);
+
+  constexpr std::uint64_t kTarget = 400'000;
+  std::uint64_t done = 0;
+  const auto start = Clock::now();
+  while (done < kTarget) {
+    for (const std::size_t n : kLengths) {
+      const std::span<std::uint8_t> wire(sealed.data(),
+                                         n + crypto::SecureChannel::kOverhead);
+      sender.seal_into(std::span<const std::uint8_t>(plain.data(), n), wire);
+      if (!receiver.open_into(wire, opened)) std::abort();  // bench integrity
+      ++done;
+    }
+  }
+  const double wall = seconds_since(start);
+  return MicroResult{done, wall, {}};
 }
 
 /// Envelope verification: decode-once, verify-many over a working set of
@@ -1208,6 +1245,7 @@ int run_json_mode(const std::string& out_path, const std::string& baseline_path,
       {"scheduler_churn", "events_per_sec", run_scheduler_churn},
       {"scheduler_parallel", "events_per_sec", run_scheduler_parallel},
       {"envelope_verify", "verifies_per_sec", run_envelope_verify},
+      {"spines_link_seal_open", "seal_opens_per_sec", run_spines_link_seal_open},
       {"prime_update_ordering", "updates_per_sec", run_prime_update_ordering},
       {"prime_preprepare_encode", "encodes_per_sec", run_prime_preprepare_encode},
       {"prime_merkle_batch", "units_per_sec", run_prime_merkle_batch},

@@ -15,12 +15,22 @@ namespace spire::crypto {
 using ChaChaKey = std::array<std::uint8_t, 32>;
 using ChaChaNonce = std::array<std::uint8_t, 12>;
 
-/// Computes one 64-byte ChaCha20 keystream block (RFC 8439 §2.3).
+/// Computes one 64-byte ChaCha20 keystream block (RFC 8439 §2.3). The
+/// scalar reference the multi-block kernel is tested against.
 [[nodiscard]] std::array<std::uint8_t, 64> chacha20_block(
     const ChaChaKey& key, std::uint32_t counter, const ChaChaNonce& nonce);
 
-/// XORs `data` with the keystream starting at block `counter`.
-/// Encryption and decryption are the same operation.
+/// XORs `in` with the keystream starting at block `counter` and writes
+/// the result to `out`, which must be the same size (std::length_error
+/// otherwise) and either be `in` itself or not overlap it. Generates
+/// four blocks per pass (SSE2 on x86-64). Encryption and decryption are
+/// the same operation.
+void chacha20_xor_into(const ChaChaKey& key, const ChaChaNonce& nonce,
+                       std::uint32_t counter,
+                       std::span<const std::uint8_t> in,
+                       std::span<std::uint8_t> out);
+
+/// Allocating form of chacha20_xor_into().
 [[nodiscard]] util::Bytes chacha20_xor(const ChaChaKey& key,
                                        const ChaChaNonce& nonce,
                                        std::uint32_t counter,

@@ -1,6 +1,7 @@
 #include "crypto/keyring.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace spire::crypto {
 
@@ -60,52 +61,62 @@ bool Verifier::verify(std::string_view identity,
   return digest_equal(expected, sig.mac);
 }
 
-SecureChannel::SecureChannel(SymmetricKey key) {
-  // Domain-separate the encryption and MAC keys from the link key.
-  enc_key_ = digest_to_key(hmac_sha256(key, util::to_bytes("enc")));
-  mac_key_ = digest_to_key(hmac_sha256(key, util::to_bytes("mac")));
+SecureChannel::SecureChannel(SymmetricKey key)
+    // Domain-separate the encryption and MAC keys from the link key.
+    : enc_key_(digest_to_key(hmac_sha256(key, util::to_bytes("enc")))),
+      mac_(digest_to_key(hmac_sha256(key, util::to_bytes("mac")))) {}
+
+void SecureChannel::seal_into(std::span<const std::uint8_t> plaintext,
+                              std::span<std::uint8_t> out) {
+  const std::size_t body_len = kNonceSize + plaintext.size();
+  if (out.size() < body_len + kTagSize) {
+    throw std::length_error("SecureChannel::seal_into: output too short");
+  }
+  const std::uint64_t nonce_counter = next_nonce_++;
+  ChaChaNonce nonce{};
+  for (std::size_t i = 0; i < kNonceSize; ++i) {
+    nonce[i] = static_cast<std::uint8_t>(nonce_counter >> (56 - 8 * i));
+  }
+  std::copy_n(nonce.begin(), kNonceSize, out.begin());
+  chacha20_xor_into(enc_key_, nonce, 1, plaintext,
+                    out.subspan(kNonceSize, plaintext.size()));
+  const Digest tag = mac_.mac(out.first(body_len));
+  std::copy(tag.begin(), tag.end(), out.subspan(body_len, kTagSize).begin());
+}
+
+bool SecureChannel::open_into(std::span<const std::uint8_t> sealed,
+                              std::span<std::uint8_t> out) const {
+  if (sealed.size() < kOverhead) return false;
+  const std::size_t body_len = sealed.size() - kTagSize;
+  const std::size_t plain_len = body_len - kNonceSize;
+  if (out.size() < plain_len) {
+    throw std::length_error("SecureChannel::open_into: output too short");
+  }
+  // Encrypt-then-MAC: nothing is decrypted until the tag verifies.
+  const Digest tag = mac_.mac(sealed.first(body_len));
+  Digest provided{};
+  std::copy_n(sealed.subspan(body_len).begin(), kTagSize, provided.begin());
+  if (!digest_equal(tag, provided)) return false;
+
+  ChaChaNonce nonce{};
+  std::copy_n(sealed.begin(), kNonceSize, nonce.begin());
+  chacha20_xor_into(enc_key_, nonce, 1, sealed.subspan(kNonceSize, plain_len),
+                    out.first(plain_len));
+  return true;
 }
 
 util::Bytes SecureChannel::seal(std::span<const std::uint8_t> plaintext) {
-  const std::uint64_t nonce_counter = next_nonce_++;
-  ChaChaNonce nonce{};
-  for (int i = 0; i < 8; ++i) {
-    nonce[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(nonce_counter >> (56 - 8 * i));
-  }
-  ChaChaKey ck{};
-  std::copy(enc_key_.begin(), enc_key_.end(), ck.begin());
-  util::Bytes ciphertext = chacha20_xor(ck, nonce, 1, plaintext);
-
-  util::ByteWriter w;
-  w.u64(nonce_counter);
-  w.raw(ciphertext);
-  const Digest tag = hmac_sha256(mac_key_, w.bytes());
-  w.raw(std::span<const std::uint8_t>(tag.data(), tag.size()));
-  return w.take();
+  util::Bytes out(plaintext.size() + kOverhead);
+  seal_into(plaintext, out);
+  return out;
 }
 
 std::optional<util::Bytes> SecureChannel::open(
     std::span<const std::uint8_t> sealed) const {
   if (sealed.size() < kOverhead) return std::nullopt;
-  const std::size_t body_len = sealed.size() - 32;
-  const Digest tag = hmac_sha256(mac_key_, sealed.subspan(0, body_len));
-  Digest provided{};
-  std::copy(sealed.begin() + static_cast<std::ptrdiff_t>(body_len),
-            sealed.end(), provided.begin());
-  if (!digest_equal(tag, provided)) return std::nullopt;
-
-  util::ByteReader r(sealed.subspan(0, body_len));
-  const std::uint64_t nonce_counter = r.u64();
-  ChaChaNonce nonce{};
-  for (int i = 0; i < 8; ++i) {
-    nonce[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(nonce_counter >> (56 - 8 * i));
-  }
-  ChaChaKey ck{};
-  std::copy(enc_key_.begin(), enc_key_.end(), ck.begin());
-  const auto ct = r.rest();
-  return chacha20_xor(ck, nonce, 1, ct);
+  util::Bytes out(sealed.size() - kOverhead);
+  if (!open_into(sealed, out)) return std::nullopt;
+  return out;
 }
 
 }  // namespace spire::crypto

@@ -97,23 +97,42 @@ class Verifier {
 
 /// Authenticated encryption for overlay links:
 /// wire format = u64 nonce-counter || ciphertext || 32-byte HMAC tag.
-/// The tag covers the nonce and the ciphertext (encrypt-then-MAC).
+/// The tag covers the nonce and the ciphertext (encrypt-then-MAC). The
+/// ChaCha key and the HMAC key schedule are derived once, at
+/// construction, not per packet.
 class SecureChannel {
  public:
   explicit SecureChannel(SymmetricKey key);
 
-  /// Encrypts and authenticates. Each call consumes one nonce.
+  static constexpr std::size_t kNonceSize = 8;
+  static constexpr std::size_t kTagSize = 32;
+  static constexpr std::size_t kOverhead = kNonceSize + kTagSize;
+
+  /// Encrypts and authenticates `plaintext` into the first
+  /// plaintext.size() + kOverhead bytes of `out`, which must not overlap
+  /// it. Each call consumes one nonce. Throws std::length_error if `out`
+  /// is too short.
+  void seal_into(std::span<const std::uint8_t> plaintext,
+                 std::span<std::uint8_t> out);
+
+  /// Verifies `sealed` and, only if its tag is genuine, decrypts it into
+  /// the first sealed.size() - kOverhead bytes of `out`, which must not
+  /// overlap it. Returns false on any tampering or truncation, leaving
+  /// `out` untouched. Throws std::length_error if `out` is too short for
+  /// the plaintext.
+  [[nodiscard]] bool open_into(std::span<const std::uint8_t> sealed,
+                               std::span<std::uint8_t> out) const;
+
+  /// Allocating form of seal_into().
   [[nodiscard]] util::Bytes seal(std::span<const std::uint8_t> plaintext);
 
-  /// Verifies and decrypts; nullopt on any tampering or truncation.
+  /// Allocating form of open_into(); nullopt on tampering or truncation.
   [[nodiscard]] std::optional<util::Bytes> open(
       std::span<const std::uint8_t> sealed) const;
 
-  static constexpr std::size_t kOverhead = 8 + 32;
-
  private:
-  SymmetricKey enc_key_{};
-  SymmetricKey mac_key_{};
+  ChaChaKey enc_key_{};
+  HmacState mac_;
   std::uint64_t next_nonce_ = 1;
 };
 

@@ -1,5 +1,6 @@
 #include "crypto/sha256.hpp"
 
+#include <bit>
 #include <cstring>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -277,25 +278,30 @@ void Sha256::update(std::span<const std::uint8_t> data) {
 }
 
 Digest Sha256::finish() {
-  // Padding: 0x80, zeros, 64-bit big-endian bit length.
-  std::array<std::uint8_t, 72> pad{};
-  pad[0] = 0x80;
-  const std::uint64_t bits = total_bits_;
-  std::size_t pad_len = (buffered_ < 56) ? (56 - buffered_) : (120 - buffered_);
-  update(std::span<const std::uint8_t>(pad.data(), pad_len));
-  std::array<std::uint8_t, 8> len_bytes{};
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  // Padding, written straight into the block buffer: 0x80, zeros, then
+  // the 64-bit big-endian bit length in the last 8 bytes. update()
+  // flushes a full buffer, so there is always room for the 0x80.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
-  update(len_bytes);
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(total_bits_ >> (56 - 8 * i));
+  }
+  process_block(buffer_.data());
 
+  // One byte swap and store per word; the equivalent shift-and-store
+  // loop is vectorised by GCC into a long shuffle sequence.
   Digest out{};
   for (std::size_t i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
+    std::uint32_t word = state_[i];
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap32(word);
+    }
+    std::memcpy(out.data() + 4 * i, &word, sizeof(word));
   }
   return out;
 }

@@ -37,7 +37,7 @@ constexpr Time kFallbackWindow = kSecond;
 
 }  // namespace
 
-thread_local Simulator::ExecContext Simulator::tls_exec_;
+constinit thread_local Simulator::ExecContext Simulator::tls_exec_;
 
 Simulator::Simulator() {
   auto s = std::make_unique<Shard>();
@@ -104,7 +104,7 @@ void Simulator::Shard::maybe_trim_slots() {
 // ---- scheduling ---------------------------------------------------------
 
 Simulator::Shard& Simulator::scheduling_shard() const {
-  const ExecContext& ctx = tls_exec_;
+  const ExecContext ctx = tls_exec_;
   if (ctx.sim == this) return *ctx.shard;
   return *shards_[ambient_shard_];
 }
@@ -149,7 +149,7 @@ const std::string& Simulator::shard_name(ShardId shard) const {
 }
 
 ShardId Simulator::current_shard() const {
-  const ExecContext& ctx = tls_exec_;
+  const ExecContext ctx = tls_exec_;
   return ctx.sim == this ? ctx.shard->id : ambient_shard_;
 }
 
@@ -165,13 +165,13 @@ void Simulator::set_workers(unsigned workers) {
 }
 
 void Simulator::send_to(ShardId dst, Time delay, std::function<void()> fn) {
-  const ExecContext& ctx = tls_exec_;
+  const ExecContext ctx = tls_exec_;
   const Time base = ctx.sim == this ? ctx.shard->now : now_;
   post_at(dst, sat_add(base, delay), std::move(fn));
 }
 
 void Simulator::post_at(ShardId dst, Time at, std::function<void()> fn) {
-  const ExecContext& ctx = tls_exec_;
+  const ExecContext ctx = tls_exec_;
   Shard& d = *shards_.at(dst);
   if (ctx.sim != this) {
     // Driver context: the queues are quiescent, insert directly.

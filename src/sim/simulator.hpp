@@ -106,7 +106,7 @@ class Simulator {
   /// Current simulated time: the executing event's timestamp on this
   /// event's shard, or the global clock from driver context.
   [[nodiscard]] Time now() const {
-    const ExecContext& ctx = tls_exec_;
+    const ExecContext ctx = tls_exec_;
     return ctx.sim == this ? shard_now(*ctx.shard) : now_;
   }
 
@@ -249,7 +249,13 @@ class Simulator {
     const Simulator* sim = nullptr;
     Shard* shard = nullptr;
   };
-  static thread_local ExecContext tls_exec_;
+  // constinit: every translation unit knows the variable needs no
+  // dynamic initialization, so an access reads the TLS slot directly
+  // instead of calling a lazy-init wrapper. Read it by value, never
+  // bind a reference: the linker may relax the initial-exec address
+  // computation to a flag-preserving `lea`, so UBSan's null check on
+  // the computed address then tests stale flags and misfires.
+  static constinit thread_local ExecContext tls_exec_;
 
   static Time shard_now(const Shard& s) { return s.now; }
 

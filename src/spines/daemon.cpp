@@ -277,20 +277,21 @@ void Daemon::transmit_inner(NodeHandle neighbor,
   Neighbor* n = neighbor_slot(neighbor);
   if (n == nullptr || !running_) return;
   // Link envelope [sender str][sealed bool][body blob], built in the
-  // second scratch so sealing (which reads inner_bytes) and enveloping
-  // never collide.
+  // second scratch; in sealed mode the body is sealed straight into it
+  // (inner_bytes never aliases env_scratch_).
   const bool sealed = config_.intrusion_tolerant;
-  util::Bytes sealed_body;
-  std::span<const std::uint8_t> body = inner_bytes;
-  if (sealed) {
-    sealed_body = n->send_channel->seal(inner_bytes);
-    body = sealed_body;
-  }
+  const std::size_t body_len =
+      inner_bytes.size() + (sealed ? crypto::SecureChannel::kOverhead : 0);
   env_scratch_.clear();
-  env_scratch_.reserve(4 + config_.id.size() + 1 + 4 + body.size());
+  env_scratch_.reserve(4 + config_.id.size() + 1 + 4 + body_len);
   env_scratch_.str(config_.id);
   env_scratch_.boolean(sealed);
-  env_scratch_.blob(body);
+  if (sealed) {
+    env_scratch_.u32(static_cast<std::uint32_t>(body_len));
+    n->send_channel->seal_into(inner_bytes, env_scratch_.extend(body_len));
+  } else {
+    env_scratch_.blob(inner_bytes);
+  }
   host_.send_udp(n->address.ip, n->address.port, config_.udp_port,
                  std::span<const std::uint8_t>(env_scratch_.bytes()));
 }
@@ -357,20 +358,22 @@ void Daemon::handle_udp(const net::Datagram& dgram) {
     return;  // unknown daemons are not neighbors; drop.
   }
 
-  util::Bytes opened;  // owns the plaintext in sealed mode
   std::span<const std::uint8_t> inner_bytes = env_body;
   if (config_.intrusion_tolerant) {
     if (!env_sealed) {
       ++stats_.dropped_auth;
       return;
     }
-    auto plain = n->recv_channel->open(env_body);
-    if (!plain) {
+    // A plaintext is never longer than its sealed body.
+    if (open_scratch_.size() < env_body.size()) {
+      open_scratch_.resize(env_body.size());
+    }
+    if (!n->recv_channel->open_into(env_body, open_scratch_)) {
       ++stats_.dropped_auth;
       return;  // wrong keys, tampering, or a non-member impersonating.
     }
-    opened = std::move(*plain);
-    inner_bytes = opened;
+    inner_bytes = std::span<const std::uint8_t>(open_scratch_)
+                      .first(env_body.size() - crypto::SecureChannel::kOverhead);
   }
 
   std::uint8_t raw_type = 0;

@@ -354,10 +354,15 @@ class Daemon {
 
   DedupRing dedup_;
 
-  // Reusable serialization scratch: the send path encodes into these
-  // instead of allocating per packet.
+  // Reusable serialization scratch: the send path encodes (and seals)
+  // into these instead of allocating per packet.
   util::ByteWriter inner_scratch_;
   util::ByteWriter env_scratch_;
+  /// Plaintext of the datagram handle_udp is processing in sealed mode.
+  /// Only grows. Safe to reuse because a send never re-enters
+  /// handle_udp synchronously: frames leave through the NIC and the
+  /// switch with link latency.
+  util::Bytes open_scratch_;
 
   DaemonStats stats_;
   obs::Binder metrics_;  ///< exposes stats_ in the metrics registry

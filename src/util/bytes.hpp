@@ -87,6 +87,15 @@ class ByteWriter {
     raw(data);
   }
 
+  /// Appends `n` zero bytes and returns a view of them, so a caller can
+  /// fill a field in place (the Spines daemon seals into it). The view
+  /// is invalidated by the next append.
+  std::span<std::uint8_t> extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return std::span<std::uint8_t>(buf_).subspan(at);
+  }
+
   /// u32 length prefix followed by UTF-8 bytes.
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));

@@ -3,6 +3,9 @@
 // authenticator, and sealed-channel behaviour the overlay depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "crypto/chacha20.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/keyring.hpp"
@@ -147,6 +150,41 @@ TEST(ChaCha20, XorIsItsOwnInverse) {
   EXPECT_EQ(chacha20_xor(key, nonce, 7, ct), msg);
 }
 
+TEST(ChaCha20, MultiBlockKernelMatchesScalarReference) {
+  // Lengths 0..1100 cover empty input, partial tails, one to four blocks
+  // in a pass and several passes; counter 0xFFFFFFFD wraps the 32-bit
+  // block counter mid-pass.
+  ChaChaKey key{};
+  for (std::uint8_t i = 0; i < 32; ++i) key[i] = static_cast<std::uint8_t>(3 * i + 1);
+  const ChaChaNonce nonce = {0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                             0x00, 0x2a, 0x00, 0x00, 0x00, 0x07};
+  Bytes data(1100);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  for (const std::uint32_t counter : {0u, 1u, 7u, 0xFFFFFFFDu}) {
+    Bytes expected(data);
+    std::uint32_t block_counter = counter;
+    for (std::size_t offset = 0; offset < expected.size(); offset += 64) {
+      const auto ks = chacha20_block(key, block_counter++, nonce);
+      for (std::size_t i = offset; i < std::min(offset + 64, expected.size()); ++i) {
+        expected[i] ^= ks[i - offset];
+      }
+    }
+    for (std::size_t len = 0; len <= data.size(); ++len) {
+      const std::span<const std::uint8_t> in(data.data(), len);
+      const std::span<const std::uint8_t> want(expected.data(), len);
+      Bytes out(len);
+      chacha20_xor_into(key, nonce, counter, in, out);
+      ASSERT_TRUE(std::equal(out.begin(), out.end(), want.begin()))
+          << "counter " << counter << " length " << len;
+      Bytes in_place(in.begin(), in.end());
+      chacha20_xor_into(key, nonce, counter, in_place, in_place);
+      ASSERT_EQ(in_place, out) << "in place, counter " << counter << " length " << len;
+    }
+  }
+}
+
 // ---- keyring / authenticators --------------------------------------------------
 
 TEST(Keyring, DerivationIsDeterministicAndDomainSeparated) {
@@ -237,6 +275,105 @@ TEST(SecureChannel, EmptyPayload) {
   const auto opened = channel.open(sealed);
   ASSERT_TRUE(opened.has_value());
   EXPECT_TRUE(opened->empty());
+}
+
+TEST(SecureChannel, WireBytesMatchGoldenVectors) {
+  // Sealed bytes for a fixed raw key, with nonces 1..8 consumed in
+  // order. Recorded before the multi-block kernel and the cached MAC
+  // state replaced the one-block-at-a-time path; any change to the
+  // link wire format or its crypto fails here. The two shortest are
+  // given whole, the rest as SHA-256 of the sealed bytes.
+  SymmetricKey key{};
+  for (std::uint8_t i = 0; i < key.size(); ++i) key[i] = i;
+  SecureChannel channel(key);
+  struct Golden {
+    std::size_t length;
+    const char* sealed_sha256;
+  };
+  const Golden golden[] = {
+      {0, "a58f847294802fc7643153c91a8467cefc7df8eb1d6f9ac1f33f0eec94e8708d"},
+      {1, "a014dae8a835dd84004d0d12a3619403350f1ab0d088b1fa04076d0f4b00d4a2"},
+      {63, "9e72386d57f86d64b1b8906abe52282dec0c5a521383f3fdc9270ab9d6f66f3a"},
+      {64, "fb7d03f95f0c7a590076fc8c4232922d8c1c6b8b264cc62e1e72103f01782fcd"},
+      {65, "35a29e82bea28a8267ed80c99a8892350382988a9770891e82e41e5fc1f305e9"},
+      {144, "a233014578e929a077edad441b13df6cbe592492022dd4d4777fda7e6c8da940"},
+      {186, "c50572d5005777a665a1b4312f64a0b2e8a4be7c98e72df50ee2b00f9fe07dee"},
+      {1400, "c0c500fdba376ee5408c00a4c3dbd6a568326a9309278cc89fcb185166351faf"},
+  };
+  for (const Golden& g : golden) {
+    Bytes plaintext(g.length);
+    for (std::size_t i = 0; i < g.length; ++i) {
+      plaintext[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    }
+    const Bytes sealed = channel.seal(plaintext);
+    ASSERT_EQ(sealed.size(), g.length + SecureChannel::kOverhead);
+    EXPECT_EQ(digest_hex(sha256(sealed)), g.sealed_sha256) << "length " << g.length;
+    if (g.length == 0) {
+      EXPECT_EQ(to_hex(sealed),
+                "0000000000000001793f535955c708b46d2a09a4acb24c9c"
+                "e613e8654a3522fa9d02212e2607db8f");
+    } else if (g.length == 1) {
+      EXPECT_EQ(to_hex(sealed),
+                "0000000000000002be70af1a1b78782f07e1e0deddb35013a7"
+                "715590ea45e57b5cd1047f47be37fe30");
+    }
+  }
+}
+
+TEST(SecureChannel, InPlaceFormsMatchAllocatingForms) {
+  Keyring kr("seed");
+  SecureChannel a(kr.link_key("a", "b"));
+  SecureChannel b(kr.link_key("a", "b"));
+  const Bytes msg = util::to_bytes("in place seal and open");
+  Bytes sealed(msg.size() + SecureChannel::kOverhead + 5, 0xEE);
+  a.seal_into(msg, sealed);
+  EXPECT_EQ(sealed[msg.size() + SecureChannel::kOverhead], 0xEE);  // untouched
+  sealed.resize(msg.size() + SecureChannel::kOverhead);
+  EXPECT_EQ(sealed, b.seal(msg));  // same key, same nonce, same bytes
+
+  Bytes plain(msg.size() + 3, 0xEE);
+  ASSERT_TRUE(a.open_into(sealed, plain));
+  EXPECT_TRUE(std::equal(msg.begin(), msg.end(), plain.begin()));
+  EXPECT_EQ(plain[msg.size()], 0xEE);
+
+  Bytes short_out(msg.size() - 1);
+  EXPECT_THROW(a.seal_into(msg, short_out), std::length_error);
+  EXPECT_THROW((void)a.open_into(sealed, short_out), std::length_error);
+}
+
+TEST(SecureChannel, OpenIntoRejectsEveryForgery) {
+  Keyring kr("seed");
+  SecureChannel sender(kr.link_key("a", "b"));
+  SecureChannel receiver(kr.link_key("a", "b"));
+  SecureChannel stranger(kr.link_key("a", "c"));
+  const Bytes msg = util::to_bytes("open breaker B57 at feeder 3");
+  const Bytes sealed = sender.seal(msg);
+  const Bytes untouched(msg.size(), 0xEE);
+
+  auto rejected = [&](const SecureChannel& channel,
+                      std::span<const std::uint8_t> input) {
+    Bytes out(untouched);
+    const bool opened = channel.open_into(input, out);
+    // A rejected input leaves the output buffer exactly as it was.
+    return !opened && out == untouched;
+  };
+  const std::size_t tag_at = sealed.size() - SecureChannel::kTagSize;
+  for (const std::size_t flip : {std::size_t{0}, std::size_t{7},   // nonce
+                                 std::size_t{8}, tag_at - 1,       // ciphertext
+                                 tag_at, sealed.size() - 1}) {     // tag
+    Bytes forged(sealed);
+    forged[flip] ^= 0x01;
+    EXPECT_TRUE(rejected(receiver, forged)) << "flipped byte " << flip;
+  }
+  for (std::size_t len = 0; len < SecureChannel::kOverhead; ++len) {
+    EXPECT_TRUE(rejected(receiver, std::span<const std::uint8_t>(sealed.data(), len)))
+        << "truncated to " << len;
+  }
+  EXPECT_TRUE(rejected(stranger, sealed));
+
+  Bytes out(msg.size());
+  ASSERT_TRUE(receiver.open_into(sealed, out));
+  EXPECT_EQ(out, msg);
 }
 
 TEST(Merkle, SingleLeafRootIsLeaf) {

@@ -1,7 +1,8 @@
 // Tests for the observability subsystem (DESIGN.md §7): histogram
 // quantile accuracy against an exact reference, snapshot determinism
 // across identical sim runs, end-to-end trace-span completeness, and
-// the zero-allocation guarantee on the metric hot path.
+// the zero-allocation guarantee on the metric hot path (and on the
+// sealed Spines link path).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,12 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scada/deployment.hpp"
 #include "scada/front_door.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "spines/overlay.hpp"
 
 using namespace spire;
 
@@ -257,13 +260,15 @@ std::vector<std::string> sharded_snapshots(unsigned workers) {
     sim::ShardScope scope(sim, so.shard);
     const sim::Time period = static_cast<sim::Time>(i + 3) * sim::kMillisecond;
     auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&sim, &so, tick, period] {
+    // The closure holds itself weakly (a strong self-capture is a cycle
+    // that leaks); the pending event's strong copy keeps it alive.
+    *tick = [&sim, &so, self = std::weak_ptr(tick), period] {
       ++*so.events;
       so.gap->record(static_cast<std::uint64_t>(sim.now() % 97));
       obs::Tracer* t = obs::Tracer::current();
       t->client_submit("client/x", *so.events);
       t->executed("client/x", *so.events, sim.now(), sim.now());
-      sim.schedule_after(period, [tick] { (*tick)(); });
+      sim.schedule_after(period, [tick = self.lock()] { (*tick)(); });
     };
     sim.schedule_after(period, [tick] { (*tick)(); });
   }
@@ -414,6 +419,64 @@ TEST(MetricsHotPath, FrontDoorAdmitIsAllocationFreeAndSnapshotDeterministic) {
   EXPECT_NE(snap_a.find("scada.proxy.fd0.fd_admitted"), std::string::npos);
   EXPECT_NE(snap_a.find("scada.proxy.fd0.fd_queued_high_water"),
             std::string::npos);
+}
+
+TEST(MetricsHotPath, SealedOverlayLinksAllocateLikeUnsealedOnes) {
+  // The same routed 3-node chain and traffic, with link crypto on and
+  // off. Once the daemons' scratch buffers have grown, sealing and
+  // opening write into them, so the sealed run allocates exactly as
+  // often as the unsealed one.
+  struct Run {
+    std::uint64_t allocations = 0;
+    std::uint64_t delivered = 0;
+  };
+  auto run = [](bool sealed) {
+    sim::Simulator sim;
+    net::Network network{sim};
+    crypto::Keyring keyring{"alloc-test"};
+    net::Switch& sw = network.add_switch(net::SwitchConfig{});
+    spines::DaemonConfig config;
+    config.intrusion_tolerant = sealed;
+    config.mode = spines::ForwardingMode::kRouted;
+    config.reliable_data_links = false;
+    spines::Overlay overlay(sim, keyring, config);
+    for (std::uint8_t i = 0; i < 3; ++i) {
+      net::Host& host = network.add_host("h" + std::to_string(i));
+      host.add_interface(net::MacAddress::from_id(i + 1u),
+                         net::IpAddress::make(10, 0, 0, i + 1), 24);
+      network.connect(host, 0, sw);
+      overlay.add_node("n" + std::to_string(i), host);
+    }
+    overlay.add_link("n0", "n1");
+    overlay.add_link("n1", "n2");
+    overlay.build();
+    overlay.start_all();
+    sim.run_until(3 * sim::kSecond);
+
+    Run r;
+    overlay.daemon("n2").open_session(
+        40, [&r](const spines::DataBody&) { ++r.delivered; });
+    auto burst = [&] {
+      for (int round = 0; round < 50; ++round) {
+        for (const std::size_t size : {40, 144, 186, 400}) {
+          overlay.daemon("n0").session_send(40, "n2", 40, util::Bytes(size, 0xAB));
+        }
+        sim.run_until(sim.now() + 10 * sim::kMillisecond);
+      }
+      sim.run_until(sim.now() + 100 * sim::kMillisecond);
+    };
+    burst();  // warm-up: scratch buffers reach their high-water mark
+    const std::uint64_t before = g_alloc_count.load();
+    burst();
+    r.allocations = g_alloc_count.load() - before;
+    return r;
+  };
+  const Run unsealed = run(false);
+  const Run sealed = run(true);
+  EXPECT_EQ(unsealed.delivered, 400u);
+  EXPECT_EQ(sealed.delivered, 400u);
+  EXPECT_EQ(sealed.allocations, unsealed.allocations)
+      << "sealed links allocate per packet beyond the unsealed path";
 }
 
 TEST(Tracer, BatchedDeltasFanStagesToMemberSpans) {

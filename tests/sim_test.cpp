@@ -335,13 +335,17 @@ TEST(SimulatorParallel, DeterministicAcrossWorkerCounts) {
       const auto next_idx = static_cast<std::size_t>((i + 1) % kShards);
       auto* trace = &traces[idx];
       const ShardId next = shards[next_idx];
-      (*hops)[idx] = [&sim, trace, i, next, next_idx, hops](int count) {
+      // Stored hops hold the table weakly (a strong capture is a cycle
+      // that leaks); the in-flight token's strong copy keeps it alive.
+      (*hops)[idx] = [&sim, trace, i, next, next_idx,
+                      table = std::weak_ptr(hops)](int count) {
         trace->push_back((static_cast<std::uint64_t>(i) << 48) |
                          (static_cast<std::uint64_t>(count) << 32) |
                          sim.now());
         if (count > 0) {
-          sim.send_to(next, 45,
-                      [hops, next_idx, count] { (*hops)[next_idx](count - 1); });
+          sim.send_to(next, 45, [hops = table.lock(), next_idx, count] {
+            (*hops)[next_idx](count - 1);
+          });
         }
       };
     }
@@ -352,11 +356,11 @@ TEST(SimulatorParallel, DeterministicAcrossWorkerCounts) {
       auto tick = std::make_shared<std::function<void()>>();
       const Time period = 7 + static_cast<Time>(i);
       auto* trace = &traces[idx];
-      *tick = [&sim, trace, i, period, tick] {
+      *tick = [&sim, trace, i, period, self = std::weak_ptr(tick)] {
         trace->push_back((static_cast<std::uint64_t>(i) << 32) | sim.now());
-        sim.schedule_after(period, *tick);
+        sim.schedule_after(period, [tick = self.lock()] { (*tick)(); });
       };
-      sim.schedule_after(period, *tick);
+      sim.schedule_after(period, [tick] { (*tick)(); });
       // Kick the token into the ring from each shard.
       const auto next_idx = static_cast<std::size_t>((i + 1) % kShards);
       const ShardId next = shards[next_idx];
