@@ -32,6 +32,9 @@
 //                          route recomputes/sec through SpfEngine under
 //                          single-link churn on a 256-node graph, plus
 //                          the share served incrementally (vs full BFS)
+//   hmi_state_update       StateUpdates/sec fed into one HMI by four
+//                          replicas sending signed 256-record deltas
+//                          (HMAC verify, f+1 byte-matched vote, apply)
 //   mana_score             frames/sec through MANA's full capture
 //                          pipeline (CaptureTap ring → flat feature
 //                          accumulators → rules → trained ensemble)
@@ -76,6 +79,7 @@
 #include "prime/replica.hpp"
 #include "prime/transport.hpp"
 #include "scada/front_door.hpp"
+#include "scada/hmi.hpp"
 #include "scada/topology.hpp"
 #include "scada/wire.hpp"
 #include "sim/rng.hpp"
@@ -1105,6 +1109,81 @@ MicroResult run_fleet_batch_encode() {
   return r;
 }
 
+// ---- hmi_state_update -------------------------------------------------------
+// The HMI's output vote at fleet scale: four replicas' signed 256-record
+// deltas per version into one HMI, which verifies, votes, and applies
+// each version once f+1 = 2 copies match. Items are StateUpdates fed.
+// Each round starts a fresh HMI on an untimed full image, then times 64
+// consecutive delta versions, so the prebuilt messages can be replayed.
+
+MicroResult run_hmi_state_update() {
+  constexpr std::size_t kDevices = 256;
+  constexpr std::uint32_t kReplicas = 4;
+  constexpr std::uint64_t kVersions = 64;
+  crypto::Keyring keyring("bench-hmi");
+  crypto::Verifier verifier;
+  std::vector<std::unique_ptr<crypto::Signer>> signers;
+  for (std::uint32_t r = 0; r < kReplicas; ++r) {
+    const std::string id = prime::replica_identity(r);
+    verifier.add_identity(id, keyring.identity_key(id));
+    signers.push_back(
+        std::make_unique<crypto::Signer>(id, keyring.identity_key(id)));
+  }
+  auto output = [&](std::uint32_t replica, std::uint64_t version,
+                    std::uint8_t kind, const util::Bytes& state) {
+    scada::StateUpdate su;
+    su.replica = replica;
+    su.version = version;
+    su.kind = kind;
+    su.base_version = version - 1;
+    su.state = state;
+    su.sign(*signers[replica]);
+    scada::MasterOutput out;
+    out.type = scada::ScadaMsgType::kStateUpdate;
+    out.body = su.encode();
+    return out.encode();
+  };
+
+  scada::TopologyState state(scada::ScenarioSpec::fleet(kDevices, 2));
+  const util::Bytes full = state.serialize();
+  std::vector<util::Bytes> first = {
+      output(0, 1, scada::StateUpdate::kFull, full),
+      output(1, 1, scada::StateUpdate::kFull, full)};
+  std::vector<util::Bytes> wires;  // version-major, replica-minor
+  for (std::uint64_t v = 2; v < 2 + kVersions; ++v) {
+    state.clear_changes();
+    for (std::size_t d = 0; d < kDevices; ++d) {
+      state.apply_report("fd" + std::to_string(d), v, {(v + d) % 2 == 0, true},
+                         {static_cast<std::uint16_t>(v),
+                          static_cast<std::uint16_t>(d)});
+    }
+    const util::Bytes delta = state.serialize_changes();
+    for (std::uint32_t r = 0; r < kReplicas; ++r) {
+      wires.push_back(output(r, v, scada::StateUpdate::kDelta, delta));
+    }
+  }
+
+  constexpr std::uint64_t kTargetUpdates = 40'000;
+  std::uint64_t fed = 0;
+  double wall = 0;
+  while (fed < kTargetUpdates) {
+    sim::Simulator sim;
+    scada::HmiConfig config;
+    config.identity = "client/hmi-bench";
+    config.f = 1;
+    scada::Hmi hmi(sim, config, keyring, verifier, [](const util::Bytes&) {});
+    for (const util::Bytes& wire : first) hmi.on_master_output(wire);
+    const auto start = Clock::now();
+    for (const util::Bytes& wire : wires) hmi.on_master_output(wire);
+    wall += seconds_since(start);
+    if (hmi.displayed_version() != 1 + kVersions) std::abort();
+    fed += wires.size();
+  }
+  MicroResult r{fed, wall, {}};
+  r.extra.emplace_back("update_bytes", static_cast<double>(wires[0].size()));
+  return r;
+}
+
 // ---- proxy_front_door -------------------------------------------------------
 // Admission hot path: token-bucket refill + priority classification +
 // stats, no allocation (obs_test asserts the zero-alloc property; this
@@ -1256,6 +1335,7 @@ int run_json_mode(const std::string& out_path, const std::string& baseline_path,
       {"overlay_incremental_spf", "recomputes_per_sec",
        run_overlay_spf_incremental},
       {"fleet_batch_encode", "reports_per_sec", run_fleet_batch_encode},
+      {"hmi_state_update", "updates_per_sec", run_hmi_state_update},
       {"proxy_front_door", "admits_per_sec", run_proxy_front_door},
       {"mana_score", "frames_per_sec", run_mana_score},
       {"obs_overhead", "retained_pct", run_obs_overhead},

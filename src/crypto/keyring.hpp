@@ -39,7 +39,7 @@ struct Signature {
   }
   static Signature decode(util::ByteReader& r) {
     Signature s;
-    const auto raw = r.raw(s.mac.size());
+    const auto raw = r.raw_span(s.mac.size());
     std::copy(raw.begin(), raw.end(), s.mac.begin());
     return s;
   }

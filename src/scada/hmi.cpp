@@ -1,5 +1,8 @@
 #include "scada/hmi.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "prime/messages.hpp"
 
 namespace spire::scada {
@@ -21,37 +24,28 @@ Hmi::Hmi(sim::Simulator& sim, HmiConfig config, const crypto::Keyring& keyring,
 }
 
 void Hmi::on_master_output(std::span<const std::uint8_t> data) {
-  const auto output = MasterOutput::decode(data);
-  if (!output || output->type != ScadaMsgType::kStateUpdate) return;
-  const auto update = StateUpdate::decode(output->body);
+  const auto update = StateUpdateView::parse_output(data);
   if (!update) return;
 
   ++stats_.updates_received;
-  const std::string identity = prime::replica_identity(update->replica);
-  if (!update->verify(replica_verifier_, identity)) {
+  if (update->version <= version_) {
+    // Cannot change the display whether genuine or not, so skip the
+    // HMAC. The tracer keeps the earliest time per stage, so reporting
+    // a stale arrival never moves a timestamp.
+    if (auto* tracer = obs::Tracer::current()) {
+      tracer->hmi_recv(update->version);
+    }
+    return;
+  }
+  if (!update->verify(replica_verifier_,
+                      prime::replica_identity(update->replica))) {
     ++stats_.updates_rejected_sig;
     return;
   }
   if (auto* tracer = obs::Tracer::current()) {
     tracer->hmi_recv(update->version);
   }
-  if (update->version <= version_) return;
-
-  // The vote digest covers kind and base_version along with the state
-  // bytes, so f+1 agreement is agreement on the whole update content.
-  util::ByteWriter key;
-  key.u8(update->kind);
-  key.u64(update->base_version);
-  key.blob(update->state);
-  const crypto::Digest digest = crypto::sha256(key.take());
-
-  Vote& vote = votes_[update->version][digest];
-  if (vote.replicas.empty()) {
-    vote.kind = update->kind;
-    vote.base_version = update->base_version;
-    vote.state = update->state;
-  }
-  vote.replicas.insert(update->replica);
+  vote(*update);
 
   if (votes_.size() > kMaxPendingVotes) {
     // Far behind the stream; stop buffering and ask for a snapshot.
@@ -59,6 +53,45 @@ void Hmi::on_master_output(std::span<const std::uint8_t> data) {
     request_resync();
   }
   try_adopt();
+}
+
+bool Hmi::Content::matches(const StateUpdateView& update) const {
+  return kind == update.kind && base_version == update.base_version &&
+         state.size() == update.state.size() &&
+         std::memcmp(state.data(), update.state.data(), state.size()) == 0;
+}
+
+bool Hmi::Content::has(std::uint32_t replica) const {
+  return std::find(replicas.begin(), replicas.end(), replica) !=
+         replicas.end();
+}
+
+void Hmi::vote(const StateUpdateView& update) {
+  std::vector<Content>& contents = votes_[update.version];
+  Content* match = nullptr;
+  for (Content& content : contents) {
+    if (content.matches(update)) {
+      match = &content;
+    } else if (content.kind == update.kind && content.has(update.replica)) {
+      // A replica already voted for different content of this kind at
+      // this version: keep its first vote and drop the newcomer, so a
+      // Byzantine replica cannot make the HMI buffer without limit.
+      return;
+    }
+  }
+  if (match == nullptr) {
+    match = &contents.emplace_back();
+    match->kind = update.kind;
+    match->base_version = update.base_version;
+    match->state.assign(update.state.begin(), update.state.end());
+  }
+  if (!match->has(update.replica)) match->replicas.push_back(update.replica);
+}
+
+std::size_t Hmi::pending_contents() const {
+  std::size_t n = 0;
+  for (const auto& [version, contents] : votes_) n += contents.size();
+  return n;
 }
 
 void Hmi::try_adopt() {
@@ -71,21 +104,22 @@ void Hmi::try_adopt() {
         continue;
       }
       bool adopted = false;
-      for (const auto& [digest, vote] : it->second) {
-        if (vote.replicas.size() < config_.f + 1) continue;
-        if (vote.kind == StateUpdate::kFull) {
+      bool stuck = false;  // a delta reached f+1 but cannot apply
+      for (const Content& content : it->second) {
+        if (content.replicas.size() < config_.f + 1) continue;
+        if (content.kind == StateUpdate::kFull) {
           try {
-            adopt_full(it->first, TopologyState::deserialize(vote.state));
+            adopt_full(it->first, TopologyState::deserialize(content.state));
             adopted = true;
           } catch (const util::SerializationError&) {
           }
-        } else if (vote.base_version <= version_ && version_ > 0) {
-          adopted = adopt_delta(it->first, vote.state);
-          if (!adopted) request_resync();
+        } else if (content.base_version <= version_ && version_ > 0) {
+          adopted = adopt_delta(it->first, content.state);
+          stuck = !adopted;
         } else {
           // Missed the delta's base publication; keep the vote — it
           // may become applicable once a resync snapshot lands.
-          request_resync();
+          stuck = true;
         }
         if (adopted) break;
       }
@@ -95,6 +129,7 @@ void Hmi::try_adopt() {
         progress = true;
         break;
       }
+      if (stuck) request_resync();
       ++it;
     }
   }

@@ -19,8 +19,8 @@
 
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "crypto/keyring.hpp"
 #include "obs/metrics.hpp"
@@ -58,7 +58,10 @@ class Hmi {
   Hmi(sim::Simulator& sim, HmiConfig config, const crypto::Keyring& keyring,
       crypto::Verifier replica_verifier, ScadaClient::SubmitFn submit);
 
-  /// Feed for replica->HMI traffic.
+  /// Feed for replica->HMI traffic. Parses in place; an update at or
+  /// below the displayed version is dropped before its HMAC is checked,
+  /// every other update is verified over the exact bytes its replica
+  /// signed before it votes.
   void on_master_output(std::span<const std::uint8_t> data);
 
   /// Operator action: command a breaker.
@@ -69,6 +72,8 @@ class Hmi {
   [[nodiscard]] std::uint64_t displayed_version() const { return version_; }
   [[nodiscard]] sim::Time last_display_change() const { return last_change_; }
   [[nodiscard]] const HmiStats& stats() const { return stats_; }
+  /// Distinct contents buffered across all pending versions.
+  [[nodiscard]] std::size_t pending_contents() const;
 
   /// Replaces all display observers with `obs`.
   void set_display_observer(DisplayObserver obs) {
@@ -87,17 +92,23 @@ class Hmi {
   void reset_display();
 
  private:
-  /// One (version, content) vote bucket. The state bytes are stored
-  /// once per distinct content, not once per replica — at fleet scale
-  /// an update is KBs and f+1 copies per version would dominate HMI
-  /// memory.
-  struct Vote {
+  /// One distinct content voted for at a version. The state bytes are
+  /// stored once per distinct content, not once per replica — at fleet
+  /// scale an update is KBs and f+1 copies per version would dominate
+  /// HMI memory. Votes pool only on byte-identical (kind, base_version,
+  /// state); a replica holds at most one content per (version, kind).
+  struct Content {
     std::uint8_t kind = StateUpdate::kFull;
     std::uint64_t base_version = 0;
     util::Bytes state;
-    std::set<std::uint32_t> replicas;
+    std::vector<std::uint32_t> replicas;  ///< distinct voters
+
+    [[nodiscard]] bool matches(const StateUpdateView& update) const;
+    [[nodiscard]] bool has(std::uint32_t replica) const;
   };
 
+  /// Records a verified update's vote for its content.
+  void vote(const StateUpdateView& update);
   void try_adopt();
   void adopt_full(std::uint64_t version, const TopologyState& state);
   bool adopt_delta(std::uint64_t version, const util::Bytes& payload);
@@ -121,8 +132,8 @@ class Hmi {
   bool resync_requested_ = false;
   std::uint64_t next_command_id_ = 1;
 
-  /// version -> content digest (over kind+base+state) -> vote.
-  std::map<std::uint64_t, std::map<crypto::Digest, Vote>> votes_;
+  /// version -> distinct contents voted for at that version.
+  std::map<std::uint64_t, std::vector<Content>> votes_;
 
   HmiStats stats_;
   obs::Binder metrics_;  ///< exposes stats_ in the metrics registry

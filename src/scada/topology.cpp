@@ -13,19 +13,42 @@ void put_device_record(util::ByteWriter& w, const DeviceState& state) {
   for (const auto v : state.readings) w.u16(v);
 }
 
-DeviceState get_device_record(util::ByteReader& r) {
-  DeviceState d;
-  d.last_report_seq = r.u64();
-  d.online = r.boolean();
+/// A device record parsed in place: the breaker bytes and big-endian
+/// readings alias the input. Reading one validates the whole record, so
+/// a caller can check it before writing anything.
+struct RecordView {
+  std::uint64_t last_report_seq = 0;
+  bool online = false;
+  std::span<const std::uint8_t> breakers;  ///< one byte per breaker
+  std::span<const std::uint8_t> readings;  ///< two bytes per reading
+};
+
+RecordView read_device_record(util::ByteReader& r) {
+  RecordView v;
+  v.last_report_seq = r.u64();
+  v.online = r.boolean();
   const std::uint32_t nb = r.u32();
   if (nb > 65536) throw util::SerializationError("absurd breaker count");
-  d.breakers.resize(nb);
-  for (std::uint32_t b = 0; b < nb; ++b) d.breakers[b] = r.boolean();
+  v.breakers = r.raw_span(nb);
   const std::uint32_t nr = r.u32();
   if (nr > 65536) throw util::SerializationError("absurd reading count");
-  d.readings.resize(nr);
-  for (std::uint32_t v = 0; v < nr; ++v) d.readings[v] = r.u16();
-  return d;
+  v.readings = r.raw_span(std::size_t{nr} * 2);
+  return v;
+}
+
+/// Overwrites `d` with `v`; allocates only when a vector must grow.
+void store_device_record(DeviceState& d, const RecordView& v) {
+  d.last_report_seq = v.last_report_seq;
+  d.online = v.online;
+  d.breakers.resize(v.breakers.size());
+  for (std::size_t b = 0; b < v.breakers.size(); ++b) {
+    d.breakers[b] = v.breakers[b] != 0;
+  }
+  d.readings.resize(v.readings.size() / 2);
+  for (std::size_t i = 0; i < d.readings.size(); ++i) {
+    d.readings[i] = static_cast<std::uint16_t>((v.readings[2 * i] << 8) |
+                                               v.readings[2 * i + 1]);
+  }
 }
 
 }  // namespace
@@ -194,7 +217,7 @@ TopologyState TopologyState::deserialize(std::span<const std::uint8_t> data) {
     const std::string name = r.str();
     const std::uint32_t h = state.register_device(name, 0);
     if (h != i) throw util::SerializationError("duplicate device name");
-    state.states_[h] = get_device_record(r);
+    store_device_record(state.states_[h], read_device_record(r));
   }
   r.expect_done();
   return state;
@@ -274,16 +297,17 @@ void TopologyState::apply_delta(std::span<const std::uint8_t> data,
     if (h >= states_.size()) {
       throw util::SerializationError("unknown device handle in delta");
     }
-    DeviceState next = get_device_record(r);
+    // A malformed record throws here, before its device is touched.
+    const RecordView next = read_device_record(r);
     DeviceState& cur = states_[h];
     if (on_breaker_change) {
-      const std::size_t n = next.breakers.size();
-      for (std::size_t b = 0; b < n; ++b) {
+      for (std::size_t b = 0; b < next.breakers.size(); ++b) {
         const bool was = b < cur.breakers.size() && cur.breakers[b];
-        if (was != next.breakers[b]) on_breaker_change(h, b, next.breakers[b]);
+        const bool now = next.breakers[b] != 0;
+        if (was != now) on_breaker_change(h, b, now);
       }
     }
-    cur = std::move(next);
+    store_device_record(cur, next);
     changed_[h >> kShardBits] |= std::uint64_t{1} << (h & (kShardSize - 1));
   }
   r.expect_done();

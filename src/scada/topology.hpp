@@ -157,6 +157,9 @@ class TopologyState {
   /// already-covered delta is idempotent). Throws SerializationError on
   /// malformed input or a device handle this state doesn't know — the
   /// HMI treats that as "my base is stale, request a resync".
+  /// Each record is validated whole before it is written, in place, into
+  /// its DeviceState: a malformed record changes nothing and fires no
+  /// observer, while the records before it stay applied.
   void apply_delta(std::span<const std::uint8_t> data,
                    const BreakerChangeFn& on_breaker_change = {});
 

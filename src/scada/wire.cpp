@@ -30,6 +30,40 @@ std::vector<bool> get_bools(util::ByteReader& r) {
   return bits;
 }
 
+/// The one MasterOutput parser; the body aliases the input.
+struct OutputFrame {
+  ScadaMsgType type = ScadaMsgType::kStateUpdate;
+  std::span<const std::uint8_t> body;
+};
+
+OutputFrame read_output_frame(util::ByteReader& r) {
+  OutputFrame m;
+  const std::uint8_t t = r.u8();
+  if (t < 1 || t > 6) throw util::SerializationError("bad output type");
+  m.type = static_cast<ScadaMsgType>(t);
+  m.body = r.blob_span();
+  return m;
+}
+
+/// The one StateUpdate parser; decode() copies out of its view.
+std::optional<StateUpdateView> parse_state_update(
+    std::span<const std::uint8_t> data) {
+  return guarded<StateUpdateView>(data, [](util::ByteReader& r) {
+    StateUpdateView s;
+    s.replica = r.u32();
+    s.version = r.u64();
+    s.kind = r.u8();
+    if (s.kind > StateUpdate::kDelta) {
+      throw util::SerializationError("bad state-update kind");
+    }
+    s.base_version = r.u64();
+    s.state = r.blob_span();
+    s.signed_prefix = r.since(0);
+    s.sig = crypto::Signature::decode(r);
+    return s;
+  });
+}
+
 }  // namespace
 
 util::Bytes StatusReport::encode() const {
@@ -202,19 +236,28 @@ util::Bytes StateUpdate::encode() const {
 
 std::optional<StateUpdate> StateUpdate::decode(
     std::span<const std::uint8_t> data) {
-  return guarded<StateUpdate>(data, [](util::ByteReader& r) {
-    StateUpdate s;
-    s.replica = r.u32();
-    s.version = r.u64();
-    s.kind = r.u8();
-    if (s.kind > StateUpdate::kDelta) {
-      throw util::SerializationError("bad state-update kind");
-    }
-    s.base_version = r.u64();
-    s.state = r.blob();
-    s.sig = crypto::Signature::decode(r);
-    return s;
-  });
+  const auto view = parse_state_update(data);
+  if (!view) return std::nullopt;
+  StateUpdate s;
+  s.replica = view->replica;
+  s.version = view->version;
+  s.kind = view->kind;
+  s.base_version = view->base_version;
+  s.state.assign(view->state.begin(), view->state.end());
+  s.sig = view->sig;
+  return s;
+}
+
+bool StateUpdateView::verify(const crypto::Verifier& verifier,
+                             std::string_view identity) const {
+  return verifier.verify(identity, signed_prefix, sig);
+}
+
+std::optional<StateUpdateView> StateUpdateView::parse_output(
+    std::span<const std::uint8_t> data) {
+  const auto frame = guarded<OutputFrame>(data, read_output_frame);
+  if (!frame || frame->type != ScadaMsgType::kStateUpdate) return std::nullopt;
+  return parse_state_update(frame->body);
 }
 
 util::Bytes MasterOutput::encode() const {
@@ -226,14 +269,12 @@ util::Bytes MasterOutput::encode() const {
 
 std::optional<MasterOutput> MasterOutput::decode(
     std::span<const std::uint8_t> data) {
-  return guarded<MasterOutput>(data, [](util::ByteReader& r) {
-    MasterOutput m;
-    const std::uint8_t t = r.u8();
-    if (t < 1 || t > 6) throw util::SerializationError("bad output type");
-    m.type = static_cast<ScadaMsgType>(t);
-    m.body = r.blob();
-    return m;
-  });
+  const auto frame = guarded<OutputFrame>(data, read_output_frame);
+  if (!frame) return std::nullopt;
+  MasterOutput m;
+  m.type = frame->type;
+  m.body.assign(frame->body.begin(), frame->body.end());
+  return m;
 }
 
 }  // namespace spire::scada

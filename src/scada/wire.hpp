@@ -12,6 +12,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/keyring.hpp"
@@ -124,6 +125,32 @@ struct StateUpdate {
 
   [[nodiscard]] util::Bytes encode() const;
   static std::optional<StateUpdate> decode(std::span<const std::uint8_t> data);
+};
+
+/// Borrowed view of a StateUpdate: the HMI's receive path. Every span
+/// aliases the parsed buffer and must not outlive it.
+///
+/// `signed_prefix` is the received encoding minus its trailing
+/// signature. It is byte-for-byte what StateUpdate::signed_bytes()
+/// re-encodes: every field is fixed-width or length-prefixed and the
+/// parse rejects trailing bytes, so verifying over it checks exactly
+/// the bytes the replica signed without copying them.
+struct StateUpdateView {
+  std::uint32_t replica = 0;
+  std::uint64_t version = 0;
+  std::uint8_t kind = StateUpdate::kFull;
+  std::uint64_t base_version = 0;
+  std::span<const std::uint8_t> state;
+  std::span<const std::uint8_t> signed_prefix;
+  crypto::Signature sig;
+
+  [[nodiscard]] bool verify(const crypto::Verifier& verifier,
+                            std::string_view identity) const;
+
+  /// Parses a MasterOutput frame; nullopt unless it is well-formed and
+  /// carries a well-formed StateUpdate.
+  static std::optional<StateUpdateView> parse_output(
+      std::span<const std::uint8_t> data);
 };
 
 /// Outer framing for replica->client traffic: [type u8][body].

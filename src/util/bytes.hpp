@@ -166,6 +166,14 @@ class ByteReader {
     return out;
   }
 
+  /// Borrowed variant of raw(); same aliasing caveat as blob_span().
+  std::span<const std::uint8_t> raw_span(std::size_t n) {
+    need(n);
+    const auto out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
   Bytes blob() {
     std::uint32_t n = u32();
     if (n > remaining()) throw SerializationError("blob length exceeds input");
@@ -177,9 +185,7 @@ class ByteReader {
   std::span<const std::uint8_t> blob_span() {
     std::uint32_t n = u32();
     if (n > remaining()) throw SerializationError("blob length exceeds input");
-    const auto out = data_.subspan(pos_, n);
-    pos_ += n;
-    return out;
+    return raw_span(n);
   }
 
   std::string str() {

@@ -9,6 +9,7 @@
 #include "scada/front_door.hpp"
 #include "scada/hmi.hpp"
 #include "scada/master.hpp"
+#include "sim/rng.hpp"
 
 namespace spire::scada {
 namespace {
@@ -249,6 +250,77 @@ TEST(TopologyDelta, UnknownHandleInDeltaThrows) {
   const auto delta = big.serialize_changes();
   TopologyState small(ScenarioSpec::fleet(10, 1));
   EXPECT_THROW(small.apply_delta(delta, {}), util::SerializationError);
+}
+
+TEST(TopologyDelta, TruncatedFinalRecordThrowsAndLeavesItsDeviceUntouched) {
+  TopologyState source(ScenarioSpec::fleet(100, 2));
+  source.apply_report("fd1", 1, {true, false}, {11, 12});
+  source.apply_report("fd70", 1, {true, true}, {13, 14});
+  util::Bytes delta = source.serialize_changes();
+  delta.resize(delta.size() - 3);  // cut into fd70's readings
+
+  TopologyState mirror(ScenarioSpec::fleet(100, 2));
+  const DeviceState before = *mirror.device("fd70");
+  std::vector<std::uint32_t> fired;
+  EXPECT_THROW(mirror.apply_delta(delta,
+                                  [&](std::uint32_t handle, std::size_t, bool) {
+                                    fired.push_back(handle);
+                                  }),
+               util::SerializationError);
+  // The earlier record applied and fired; the malformed one did neither.
+  EXPECT_EQ(mirror.breaker("fd1", 0), true);
+  EXPECT_EQ(mirror.device("fd1")->readings,
+            (std::vector<std::uint16_t>{11, 12}));
+  EXPECT_EQ(fired, (std::vector<std::uint32_t>{1}));
+  const DeviceState& after = *mirror.device("fd70");
+  EXPECT_EQ(after.breakers, before.breakers);
+  EXPECT_EQ(after.readings, before.readings);
+  EXPECT_EQ(after.last_report_seq, before.last_report_seq);
+  EXPECT_EQ(after.online, before.online);
+  EXPECT_EQ(mirror.changed_masks()[0], std::uint64_t{1} << 1);
+  EXPECT_EQ(mirror.changed_masks()[1], 0u);
+}
+
+TEST(TopologyDelta, InPlaceApplyMatchesFullRoundTripOverRandomRounds) {
+  // Seeded property: deltas applied in place on a mirror reproduce the
+  // source image record for record, through breaker and reading counts
+  // that grow and shrink.
+  constexpr std::size_t kDevices = 150;
+  TopologyState source(ScenarioSpec::fleet(kDevices, 2));
+  TopologyState mirror(ScenarioSpec::fleet(kDevices, 2));
+  sim::Rng rng(2019);
+  std::vector<std::uint64_t> seq(kDevices, 0);
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t reports = rng.uniform(1, 12);
+    for (std::size_t k = 0; k < reports; ++k) {
+      const std::size_t d = rng.uniform(0, kDevices - 1);
+      std::vector<bool> breakers(rng.uniform(0, 4));
+      for (std::size_t b = 0; b < breakers.size(); ++b) {
+        breakers[b] = rng.chance(0.5);
+      }
+      std::vector<std::uint16_t> readings(rng.uniform(0, 4));
+      for (auto& v : readings) v = static_cast<std::uint16_t>(rng.next());
+      seq[d] += rng.uniform(1, 3);
+      source.apply_report("fd" + std::to_string(d), seq[d], breakers,
+                          readings);
+    }
+    mirror.apply_delta(source.serialize_changes());
+    source.clear_changes();
+    mirror.clear_changes();
+
+    const TopologyState expected =
+        TopologyState::deserialize(source.serialize());
+    ASSERT_EQ(mirror.device_count(), expected.device_count());
+    for (std::uint32_t h = 0; h < expected.device_count(); ++h) {
+      const DeviceState& want = *expected.device_by_handle(h);
+      const DeviceState& got = *mirror.device_by_handle(h);
+      ASSERT_EQ(got.breakers, want.breakers) << "round " << round;
+      ASSERT_EQ(got.readings, want.readings) << "round " << round;
+      ASSERT_EQ(got.last_report_seq, want.last_report_seq);
+      ASSERT_EQ(got.online, want.online);
+    }
+    ASSERT_EQ(mirror.serialize(), source.serialize());
+  }
 }
 
 // --- master: batched application and delta publication ---------------

@@ -13,6 +13,7 @@
 #include "prime/replica.hpp"
 #include "prime/transport.hpp"
 #include "scada/commercial.hpp"
+#include "scada/hmi.hpp"
 #include "scada/topology.hpp"
 #include "scada/wire.hpp"
 #include "sim/rng.hpp"
@@ -141,6 +142,47 @@ TEST(Fuzz, ScadaDecoders) {
       // rejection is the expected path
     }
   }, 28);
+}
+
+TEST(Fuzz, HmiSurvivesGarbageAndMutatedMasterOutputs) {
+  // The HMI parses replica output in place, so hostile bytes reach a
+  // borrowed-view decoder. Random and mutated frames must never crash
+  // it, and one replica's (mutated) outputs can never reach f+1.
+  sim::Simulator sim;
+  crypto::Keyring keyring("fuzz");
+  crypto::Verifier verifier;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    verifier.add_identity(prime::replica_identity(i),
+                          keyring.identity_key(prime::replica_identity(i)));
+  }
+  scada::HmiConfig config;
+  config.identity = "client/hmi-fuzz";
+  scada::Hmi hmi(sim, config, keyring, verifier, [](const util::Bytes&) {});
+
+  scada::TopologyState state(scada::ScenarioSpec::fleet(8, 2));
+  state.apply_report("fd3", 1, {true, false}, {7, 9});
+  auto output = [&](std::uint8_t kind, std::uint64_t base) {
+    scada::StateUpdate su;
+    su.replica = 0;
+    su.version = 1;
+    su.kind = kind;
+    su.base_version = base;
+    su.state = kind == scada::StateUpdate::kFull ? state.serialize()
+                                                 : state.serialize_changes();
+    su.sign(crypto::Signer(prime::replica_identity(0),
+                           keyring.identity_key(prime::replica_identity(0))));
+    scada::MasterOutput out;
+    out.type = scada::ScadaMsgType::kStateUpdate;
+    out.body = su.encode();
+    return out.encode();
+  };
+
+  auto feed = [&](const util::Bytes& b) { hmi.on_master_output(b); };
+  fuzz_random(feed, 29);
+  fuzz_mutations(output(scada::StateUpdate::kFull, 0), feed, 30);
+  fuzz_mutations(output(scada::StateUpdate::kDelta, 0), feed, 31);
+  EXPECT_EQ(hmi.displayed_version(), 0u);
+  EXPECT_LE(hmi.pending_contents(), 2u);
 }
 
 TEST(Fuzz, ReplicaSurvivesGarbageStream) {

@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "scada/deployment.hpp"
 #include "scada/front_door.hpp"
+#include "scada/hmi.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "spines/overlay.hpp"
@@ -477,6 +478,73 @@ TEST(MetricsHotPath, SealedOverlayLinksAllocateLikeUnsealedOnes) {
   EXPECT_EQ(sealed.delivered, 400u);
   EXPECT_EQ(sealed.allocations, unsealed.allocations)
       << "sealed links allocate per packet beyond the unsealed path";
+}
+
+TEST(MetricsHotPath, HmiDeltaAdoptionAllocatesAConstantNotPerRecord) {
+  // One 256-record delta from all four replicas: the first two verify,
+  // vote and adopt it in place, the last two are stale and dropped.
+  // What remains is the stored first-vote copy of the state and the
+  // vote bookkeeping. The previous receive path (decode copies plus
+  // two vectors per applied record) allocated 569 times here.
+  obs::ScopedRegistry scope;
+  sim::Simulator sim;
+  crypto::Keyring keyring{"alloc-test"};
+  crypto::Verifier verifier;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    verifier.add_identity(prime::replica_identity(i),
+                          keyring.identity_key(prime::replica_identity(i)));
+  }
+  scada::HmiConfig config;
+  config.identity = "client/hmi-0";
+  config.f = 1;
+  scada::Hmi hmi(sim, config, keyring, verifier, [](const util::Bytes&) {});
+  std::uint64_t redraws = 0;
+  hmi.set_display_observer(
+      [&redraws](const std::string&, std::size_t, bool, sim::Time) {
+        ++redraws;
+      });
+
+  constexpr std::size_t kRecords = 256;
+  scada::TopologyState state(scada::ScenarioSpec::fleet(kRecords, 2));
+  auto output = [&](std::uint32_t replica, std::uint64_t version,
+                    std::uint8_t kind, util::Bytes bytes) {
+    scada::StateUpdate su;
+    su.replica = replica;
+    su.version = version;
+    su.kind = kind;
+    su.base_version = version - 1;
+    su.state = std::move(bytes);
+    su.sign(crypto::Signer(
+        prime::replica_identity(replica),
+        keyring.identity_key(prime::replica_identity(replica))));
+    scada::MasterOutput out;
+    out.type = scada::ScadaMsgType::kStateUpdate;
+    out.body = su.encode();
+    return out.encode();
+  };
+  const util::Bytes full = state.serialize();
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    hmi.on_master_output(output(r, 1, scada::StateUpdate::kFull, full));
+  }
+  ASSERT_EQ(hmi.displayed_version(), 1u);
+
+  for (std::size_t d = 0; d < kRecords; ++d) {
+    state.apply_report("fd" + std::to_string(d), 1, {true, d % 2 == 0},
+                       {7, 9});
+  }
+  const util::Bytes delta = state.serialize_changes();
+  std::vector<util::Bytes> wires;
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    wires.push_back(output(r, 2, scada::StateUpdate::kDelta, delta));
+  }
+
+  const std::uint64_t before = g_alloc_count.load();
+  for (const util::Bytes& wire : wires) hmi.on_master_output(wire);
+  const std::uint64_t allocations = g_alloc_count.load() - before;
+
+  EXPECT_EQ(hmi.displayed_version(), 2u);
+  EXPECT_EQ(redraws, kRecords + kRecords / 2);
+  EXPECT_LE(allocations, 8u) << "HMI receive path allocates per record";
 }
 
 TEST(Tracer, BatchedDeltasFanStagesToMemberSpans) {

@@ -352,6 +352,201 @@ TEST(HmiVoting, RejectsBadSignatures) {
   EXPECT_EQ(hmi.displayed_version(), 0u);
 }
 
+// --- HMI receive path: stale drop, byte-matched vote, vote bound ------
+
+struct HmiReceiveFixture : ::testing::Test {
+  sim::Simulator sim;
+  crypto::Keyring keyring{"scada-test"};
+  std::unique_ptr<Hmi> hmi;
+
+  void SetUp() override {
+    HmiConfig config;
+    config.identity = "client/hmi-0";
+    config.f = 1;
+    hmi = std::make_unique<Hmi>(sim, config, keyring,
+                                replica_verifier(keyring, 4),
+                                [](const util::Bytes&) {});
+  }
+
+  /// A MasterOutput frame carrying `su`, signed as `signer_identity`.
+  util::Bytes frame(StateUpdate su, const std::string& signer_identity) {
+    su.sign(crypto::Signer(signer_identity,
+                           keyring.identity_key(signer_identity)));
+    MasterOutput out;
+    out.type = ScadaMsgType::kStateUpdate;
+    out.body = su.encode();
+    return out.encode();
+  }
+
+  util::Bytes make(std::uint32_t replica, std::uint64_t version,
+                   std::uint8_t kind, std::uint64_t base, util::Bytes state) {
+    StateUpdate su;
+    su.replica = replica;
+    su.version = version;
+    su.kind = kind;
+    su.base_version = base;
+    su.state = std::move(state);
+    return frame(std::move(su), prime::replica_identity(replica));
+  }
+
+  util::Bytes full(std::uint32_t replica, std::uint64_t version,
+                   const TopologyState& state) {
+    return make(replica, version, StateUpdate::kFull, 0, state.serialize());
+  }
+};
+
+TEST_F(HmiReceiveFixture, StaleGenuineAndForgedUpdatesLeaveDisplayUnchanged) {
+  TopologyState truth(ScenarioSpec::red_team());
+  truth.apply_report("plc-phys", 1, {1, 0, 0, 0, 0, 0, 0}, {});
+  TopologyState lie(ScenarioSpec::red_team());
+  lie.apply_report("plc-phys", 9, {0, 1, 1, 1, 1, 1, 1}, {});
+  hmi->on_master_output(full(0, 1, truth));
+  hmi->on_master_output(full(1, 1, truth));
+  ASSERT_EQ(hmi->displayed_version(), 1u);
+  const util::Bytes shown = hmi->display().serialize();
+
+  // A genuine but different update at the displayed version.
+  hmi->on_master_output(full(2, 1, lie));
+  hmi->on_master_output(full(3, 1, lie));
+  // A forged one, claiming replica 3 under a key it does not hold.
+  StateUpdate forged;
+  forged.replica = 3;
+  forged.version = 1;
+  forged.state = lie.serialize();
+  hmi->on_master_output(frame(forged, "mallory"));
+  EXPECT_EQ(hmi->displayed_version(), 1u);
+  EXPECT_EQ(hmi->display().serialize(), shown);
+  EXPECT_EQ(hmi->pending_contents(), 0u);
+  // Dropped before the HMAC check: counted as received, not as rejected.
+  EXPECT_EQ(hmi->stats().updates_received, 5u);
+  EXPECT_EQ(hmi->stats().updates_rejected_sig, 0u);
+
+  // The same forgery at a version that could display is still rejected.
+  forged.version = 2;
+  hmi->on_master_output(frame(forged, "mallory"));
+  EXPECT_EQ(hmi->stats().updates_rejected_sig, 1u);
+  EXPECT_EQ(hmi->pending_contents(), 0u);
+}
+
+TEST_F(HmiReceiveFixture, ContentsDifferingOnlyInKindOrBaseNeverPool) {
+  TopologyState state(ScenarioSpec::red_team());
+  hmi->on_master_output(full(0, 1, state));
+  hmi->on_master_output(full(1, 1, state));
+  ASSERT_EQ(hmi->displayed_version(), 1u);
+
+  // Four zero bytes parse both as an empty full image and as an empty
+  // delta, and either would apply at v2 — so only pooling could adopt.
+  const util::Bytes empty = TopologyState{}.serialize();
+  hmi->on_master_output(make(0, 2, StateUpdate::kFull, 0, empty));
+  hmi->on_master_output(make(1, 2, StateUpdate::kDelta, 0, empty));
+  EXPECT_EQ(hmi->displayed_version(), 1u);
+
+  // Same delta bytes and kind, different base versions.
+  state.apply_report("dist0", 1, {1, 1, 0, 0}, {});
+  const util::Bytes delta = state.serialize_changes();
+  hmi->on_master_output(make(0, 3, StateUpdate::kDelta, 1, delta));
+  hmi->on_master_output(make(1, 3, StateUpdate::kDelta, 0, delta));
+  EXPECT_EQ(hmi->displayed_version(), 1u);
+  EXPECT_EQ(hmi->pending_contents(), 4u);
+
+  // A second replica matching every field does adopt.
+  hmi->on_master_output(make(2, 3, StateUpdate::kDelta, 1, delta));
+  EXPECT_EQ(hmi->displayed_version(), 3u);
+  EXPECT_EQ(hmi->display().breaker("dist0", 1), true);
+}
+
+TEST_F(HmiReceiveFixture, TruncationAroundTheSignatureIsDropped) {
+  TopologyState state(ScenarioSpec::red_team());
+  state.apply_report("plc-phys", 1, {1, 1, 0, 0, 0, 0, 0}, {});
+  StateUpdate su;
+  su.version = 1;
+  su.state = state.serialize();
+  std::vector<util::Bytes> bodies;
+  for (std::uint32_t replica = 0; replica < 2; ++replica) {
+    su.replica = replica;
+    const auto body = MasterOutput::decode(
+        frame(su, prime::replica_identity(replica)));
+    ASSERT_TRUE(body);
+    bodies.push_back(body->body);
+  }
+  const std::size_t sig_at = bodies[0].size() - 32;
+  for (std::size_t cut = sig_at - 8; cut < bodies[0].size(); ++cut) {
+    for (const util::Bytes& body : bodies) {
+      MasterOutput out;
+      out.type = ScadaMsgType::kStateUpdate;
+      out.body.assign(body.begin(),
+                      body.begin() + static_cast<std::ptrdiff_t>(cut));
+      const util::Bytes wire = out.encode();
+      hmi->on_master_output(wire);  // a well-framed, truncated update
+      hmi->on_master_output(std::span(wire).first(wire.size() - 1));
+    }
+  }
+  // One trailing byte past the signature is rejected as well.
+  for (util::Bytes body : bodies) {
+    body.push_back(0);
+    MasterOutput out;
+    out.type = ScadaMsgType::kStateUpdate;
+    out.body = std::move(body);
+    hmi->on_master_output(out.encode());
+  }
+  EXPECT_EQ(hmi->displayed_version(), 0u);
+  EXPECT_EQ(hmi->stats().updates_received, 0u);
+
+  for (const util::Bytes& body : bodies) {
+    MasterOutput out;
+    out.type = ScadaMsgType::kStateUpdate;
+    out.body = body;
+    hmi->on_master_output(out.encode());
+  }
+  EXPECT_EQ(hmi->displayed_version(), 1u);
+  EXPECT_EQ(hmi->display().breaker("plc-phys", 1), true);
+}
+
+TEST_F(HmiReceiveFixture, ByzantineReplicaHoldsOneContentPerVersionAndKind) {
+  TopologyState truth(ScenarioSpec::red_team());
+  hmi->on_master_output(full(0, 1, truth));
+  hmi->on_master_output(full(1, 1, truth));
+  ASSERT_EQ(hmi->displayed_version(), 1u);
+
+  // Replica 3 holds its real key and floods distinct signed contents
+  // for version 2, of both kinds.
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    util::ByteWriter junk;
+    junk.u32(i);
+    hmi->on_master_output(make(3, 2, StateUpdate::kDelta, 1, junk.bytes()));
+    hmi->on_master_output(make(3, 2, StateUpdate::kFull, 0, junk.bytes()));
+  }
+  EXPECT_LE(hmi->pending_contents(), 2u);
+  EXPECT_EQ(hmi->displayed_version(), 1u);
+
+  // f+1 correct replicas still display the true content.
+  truth.apply_report("dist3", 1, {0, 0, 1, 0}, {});
+  const util::Bytes delta = truth.serialize_changes();
+  hmi->on_master_output(make(0, 2, StateUpdate::kDelta, 1, delta));
+  hmi->on_master_output(make(1, 2, StateUpdate::kDelta, 1, delta));
+  EXPECT_EQ(hmi->displayed_version(), 2u);
+  EXPECT_EQ(hmi->display().breaker("dist3", 2), true);
+  EXPECT_EQ(hmi->pending_contents(), 0u);
+}
+
+TEST_F(HmiReceiveFixture, DeltaThenFullFromTheSameReplicasStillAdopts) {
+  // The resync path: a delta whose base this HMI never saw reaches
+  // f+1, then the same replicas answer the resync with a full image at
+  // that version. Each replica votes once per kind, so the full counts.
+  TopologyState state(ScenarioSpec::red_team());
+  state.apply_report("dist1", 1, {1, 0, 0, 1}, {});
+  const util::Bytes delta = state.serialize_changes();
+  hmi->on_master_output(make(0, 5, StateUpdate::kDelta, 4, delta));
+  hmi->on_master_output(make(1, 5, StateUpdate::kDelta, 4, delta));
+  EXPECT_EQ(hmi->displayed_version(), 0u);
+  EXPECT_EQ(hmi->stats().resyncs_requested, 1u);
+
+  hmi->on_master_output(full(0, 5, state));
+  hmi->on_master_output(full(1, 5, state));
+  EXPECT_EQ(hmi->displayed_version(), 5u);
+  EXPECT_EQ(hmi->display().breaker("dist1", 3), true);
+}
+
 // A proxy with one polled Modbus device. The device end is a bare
 // Modbus server over a 1 ms loopback; its discrete inputs are the
 // breaker positions the proxy reads.

@@ -112,6 +112,9 @@ TEST(ByteReader, BorrowedReadsAreBoundsChecked) {
   EXPECT_THROW(r.blob_span(), SerializationError);
   ByteReader r2(encoded);
   EXPECT_THROW(r2.str_view(), SerializationError);
+  ByteReader r3(encoded);
+  EXPECT_EQ(r3.raw_span(5).data(), encoded.data());
+  EXPECT_THROW(r3.raw_span(1), SerializationError);
 }
 
 TEST(StringInterner, AssignsDenseHandlesInInsertionOrder) {
