@@ -33,10 +33,8 @@ struct Rig {
     deployment->start();
     sim.run_until(3 * sim::kSecond);
 
-    rogue = &deployment->network().add_host("redteam");
-    rogue->add_interface(net::MacAddress::from_id(0xBAD),
-                         net::IpAddress::make(10, 2, 0, 66), 24);
-    deployment->network().connect(*rogue, 0, deployment->external_switch());
+    rogue = &bench::add_rogue_host(*deployment, "redteam", 0xBAD,
+                                   net::IpAddress::make(10, 2, 0, 66));
     attacker = std::make_unique<attack::Attacker>(sim, *rogue);
   }
 };

@@ -23,27 +23,6 @@
 
 using namespace spire;
 
-namespace {
-
-bool command_round_trip(sim::Simulator& sim, scada::SpireDeployment& spire_sys,
-                        std::uint16_t breaker,
-                        sim::Time budget = 6 * sim::kSecond) {
-  scada::Hmi& hmi = spire_sys.hmi(0);
-  auto& plc = spire_sys.plc("plc-phys");
-  const bool want = !plc.breakers().closed(breaker);
-  hmi.command_breaker("plc-phys", breaker, want);
-  const sim::Time deadline = sim.now() + budget;
-  while (sim.now() < deadline &&
-         (plc.breakers().closed(breaker) != want ||
-          hmi.display().breaker("plc-phys", breaker) != want)) {
-    sim.run_until(sim.now() + 5 * sim::kMillisecond);
-  }
-  return plc.breakers().closed(breaker) == want &&
-         hmi.display().breaker("plc-phys", breaker) == want;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bench::init_logging(argc, argv);
   bench::print_header(
@@ -71,7 +50,7 @@ int main(int argc, char** argv) {
   spire_sys.internal_overlay().daemon("int1").stop();
   spire_sys.external_overlay().daemon("ext1").stop();
   sim.run_until(sim.now() + 2 * sim::kSecond);
-  bool ok = command_round_trip(sim, spire_sys, 0);
+  bool ok = bench::command_round_trip(sim, spire_sys, 0, 6 * sim::kSecond);
   all_ok &= ok;
   table.row({"1", "stop Spines daemons on replica 1 (user level)",
              ok ? "none: system tolerates loss of any one replica"
@@ -85,7 +64,8 @@ int main(int argc, char** argv) {
   sim.run_until(sim.now() + 2 * sim::kSecond);
   const bool rejected =
       !spire_sys.internal_overlay().daemon("int0").link_up("int1");
-  ok = command_round_trip(sim, spire_sys, 1) && rejected;
+  ok = bench::command_round_trip(sim, spire_sys, 1, 6 * sim::kSecond) &&
+       rejected;
   all_ok &= ok;
   table.row({"2", "run rebuilt open-source daemon lacking the new keys",
              ok ? "none: encryption keeps the modified daemon out"
@@ -136,7 +116,7 @@ int main(int argc, char** argv) {
   const auto& int0_stats = spire_sys.internal_overlay().daemon("int0").stats();
   ok = int0_stats.debug_packets_ignored >= 1 &&
        int0_stats.debug_packets_honoured == 0 &&
-       command_round_trip(sim, spire_sys, 2);
+       bench::command_round_trip(sim, spire_sys, 2, 6 * sim::kSecond);
   all_ok &= ok;
   table.row({"4", "patched binary triggers legacy debug exploit path",
              ok ? "none: code path disabled in intrusion-tolerant mode"
@@ -153,7 +133,7 @@ int main(int argc, char** argv) {
         spines::Priority::kHigh);
   }
   sim.run_until(sim.now() + 3 * sim::kSecond);
-  ok = command_round_trip(sim, spire_sys, 3, 8 * sim::kSecond);
+  ok = bench::command_round_trip(sim, spire_sys, 3, 8 * sim::kSecond);
   all_ok &= ok;
   table.row({"5", "root + source: Byzantine replica, insider traffic blast",
              ok ? "none: fairness + BFT absorb the insider" : "DISRUPTED",

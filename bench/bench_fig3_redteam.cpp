@@ -22,32 +22,18 @@ using namespace spire;
 
 namespace {
 
+constexpr int kSpoofFrames = 200;
+
 struct CampaignResult {
   bool scan_reached_services = false;
   bool arp_poison_took = false;
   bool mitm_blinded_hmi = false;
   bool spoof_disrupted = false;
+  std::uint64_t spoof_dropped = 0;  ///< of kSpoofFrames, by some defense
   bool dos_disrupted = false;
   bool system_operational_after = false;
   std::vector<mana::Alert> alerts;
 };
-
-/// Issues a supervisory command and checks the full round trip.
-bool command_round_trip(sim::Simulator& sim, scada::SpireDeployment& spire_sys,
-                        std::uint16_t breaker) {
-  scada::Hmi& hmi = spire_sys.hmi(0);
-  auto& plc = spire_sys.plc("plc-phys");
-  const bool want = !plc.breakers().closed(breaker);
-  hmi.command_breaker("plc-phys", breaker, want);
-  const sim::Time deadline = sim.now() + 4 * sim::kSecond;
-  while (sim.now() < deadline &&
-         (plc.breakers().closed(breaker) != want ||
-          hmi.display().breaker("plc-phys", breaker) != want)) {
-    sim.run_until(sim.now() + 5 * sim::kMillisecond);
-  }
-  return plc.breakers().closed(breaker) == want &&
-         hmi.display().breaker("plc-phys", breaker) == want;
-}
 
 CampaignResult run_campaign(bool hardened) {
   sim::Simulator sim;
@@ -80,10 +66,8 @@ CampaignResult run_campaign(bool hardened) {
   // Red team host placed directly on the operations network (the paper:
   // after failing from the enterprise network, "they asked to be placed
   // directly on the operations network").
-  net::Host& rogue = spire_sys.network().add_host("redteam");
-  rogue.add_interface(net::MacAddress::from_id(0xBAD),
-                      net::IpAddress::make(10, 2, 0, 66), 24);
-  spire_sys.network().connect(rogue, 0, spire_sys.external_switch());
+  net::Host& rogue = bench::add_rogue_host(spire_sys, "redteam", 0xBAD,
+                                           net::IpAddress::make(10, 2, 0, 66));
   attack::Attacker attacker(sim, rogue);
 
   // --- attack 1: port scanning ---------------------------------------------
@@ -119,22 +103,26 @@ CampaignResult run_campaign(bool hardened) {
   attacker.stop_mitm();
 
   // --- attack 3: IP spoofing into the replication endpoints ----------------
-  const auto auth_drops_before =
-      spire_sys.external_overlay().daemon("ext0").stats().dropped_auth;
+  // Replica 1's addresses toward replica 0's daemon. The attack fails
+  // only if defenses account for every spoofed frame: the switch's
+  // static MAC binding, replica 0's host firewall, or Spines
+  // authentication at ext0. A frame none of them counted got past
+  // every defense to ext0's message parser.
+  const net::Switch& ops_switch = spire_sys.external_switch();
+  const net::Host& spoof_target = spire_sys.replica_host(0);
+  const spines::Daemon& ext0 = spire_sys.external_overlay().daemon("ext0");
+  const std::uint64_t dropped_before =
+      ops_switch.stats().frames_dropped_binding +
+      spoof_target.stats().dropped_firewall_in + ext0.stats().dropped_auth;
   attacker.ip_spoof_burst(spire_sys.replica_host(1).ip(1),
                           spire_sys.replica_host(1).mac(1),
-                          spire_sys.replica_host(0).ip(1),
-                          spire_sys.replica_host(0).mac(1),
-                          scada::kExternalDaemonPort, 200);
+                          spoof_target.ip(1), spoof_target.mac(1),
+                          scada::kExternalDaemonPort, kSpoofFrames);
   sim.run_until(sim.now() + 2 * sim::kSecond);
-  const auto auth_drops_after =
-      spire_sys.external_overlay().daemon("ext0").stats().dropped_auth;
-  // Disruption would mean the spoofed traffic actually changed protocol
-  // state; reaching the daemon only to be dropped by authentication
-  // (hardened) or never arriving (switch binding) is a failed attack.
-  result.spoof_disrupted = false;
-  (void)auth_drops_before;
-  (void)auth_drops_after;
+  result.spoof_dropped = ops_switch.stats().frames_dropped_binding +
+                         spoof_target.stats().dropped_firewall_in +
+                         ext0.stats().dropped_auth - dropped_before;
+  result.spoof_disrupted = result.spoof_dropped < kSpoofFrames;
 
   // --- attack 4: denial-of-service bursts ----------------------------------
   const auto hmi_version_pre_dos = spire_sys.hmi(0).displayed_version();
@@ -149,8 +137,9 @@ CampaignResult run_campaign(bool hardened) {
       spire_sys.hmi(0).displayed_version() <= hmi_version_pre_dos;
 
   // --- end-to-end health check ----------------------------------------------
-  result.system_operational_after = command_round_trip(sim, spire_sys, 1) &&
-                                    command_round_trip(sim, spire_sys, 2);
+  result.system_operational_after =
+      bench::command_round_trip(sim, spire_sys, 1, 4 * sim::kSecond) &&
+      bench::command_round_trip(sim, spire_sys, 2, 4 * sim::kSecond);
 
   ids.flush_until(sim.now());
   result.alerts = ids.alerts();
@@ -195,9 +184,13 @@ int main(int argc, char** argv) {
              verdict(hard.arp_poison_took), "defeated (static ARP/ports)"});
   table.row({"MITM blackout of HMI updates", verdict(open.mitm_blinded_hmi),
              verdict(hard.mitm_blinded_hmi), "defeated"});
-  table.row({"IP spoofing at replication endpoints",
-             verdict(open.spoof_disrupted), verdict(hard.spoof_disrupted),
-             "defeated (Spines auth)"});
+  auto spoof_verdict = [&](const CampaignResult& r) {
+    return verdict(r.spoof_disrupted) + " (" +
+           std::to_string(r.spoof_dropped) + "/" +
+           std::to_string(kSpoofFrames) + " dropped)";
+  };
+  table.row({"IP spoofing at replication endpoints", spoof_verdict(open),
+             spoof_verdict(hard), "defeated (Spines auth)"});
   table.row({"DoS bursts at replicas", verdict(open.dos_disrupted),
              verdict(hard.dos_disrupted), "defeated"});
   table.row({"SCADA operational after campaign",
@@ -212,8 +205,8 @@ int main(int argc, char** argv) {
 
   const bool shape =
       hard.system_operational_after && !hard.scan_reached_services &&
-      !hard.arp_poison_took && !hard.mitm_blinded_hmi && !hard.dos_disrupted &&
-      !hard.alerts.empty() &&
+      !hard.arp_poison_took && !hard.mitm_blinded_hmi &&
+      !hard.spoof_disrupted && !hard.dos_disrupted && !hard.alerts.empty() &&
       (open.arp_poison_took || open.scan_reached_services);
   std::printf("\nShape check vs paper: hardened Spire defeats the entire "
               "campaign while the unhardened system is attackable, and MANA "

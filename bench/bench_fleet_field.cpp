@@ -45,8 +45,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "plc/fleet.hpp"
-#include "prime/replica.hpp"
-#include "prime/transport.hpp"
+#include "prime/loopback_cluster.hpp"
 #include "scada/fleet_proxy.hpp"
 #include "scada/hmi.hpp"
 #include "scada/master.hpp"
@@ -104,9 +103,7 @@ struct Instance {
   std::unique_ptr<obs::ScopedRegistry> registry_scope;
   std::unique_ptr<obs::ScopedTracer> tracer_scope;
   std::unique_ptr<crypto::Keyring> keyring;
-  std::unique_ptr<prime::LoopbackFabric> fabric;
-  std::vector<std::unique_ptr<scada::ScadaMaster>> masters;
-  std::vector<std::unique_ptr<prime::Replica>> replicas;
+  std::unique_ptr<prime::LoopbackCluster<scada::ScadaMaster>> cluster;
   std::unique_ptr<scada::FleetProxy> proxy;
   std::vector<std::unique_ptr<scada::Hmi>> hmis;
   std::unique_ptr<plc::EmulatedFleet> fleet;
@@ -205,10 +202,8 @@ RunResult run_fleet(const Options& opt) {
       return -1;
     };
 
-    in->fabric = std::make_unique<prime::LoopbackFabric>(sim, kN);
     in->share.resize(kN);
-    sim::Rng rng(0x50524d'0 + i);
-    for (std::uint32_t r = 0; r < kN; ++r) {
+    auto make_master = [&](prime::ReplicaId r) {
       scada::MasterConfig mc;
       mc.replica_id = r;
       mc.scenario = scada::ScenarioSpec::fleet(per_devices);
@@ -236,24 +231,19 @@ RunResult run_fleet(const Options& opt) {
           }
         });
       };
-      in->masters.push_back(std::make_unique<scada::ScadaMaster>(
-          std::move(mc), *in->keyring, output));
-      in->replicas.push_back(std::make_unique<prime::Replica>(
-          sim, r, pc, *in->keyring, *in->masters.back(),
-          in->fabric->transport_for(r), rng.fork()));
-      prime::Replica* replica = in->replicas.back().get();
-      in->fabric->attach(r, [replica](const util::Bytes& bytes) {
-        replica->on_message(bytes);
-      });
-    }
-    for (auto& r : in->replicas) r->start();
+      return std::make_unique<scada::ScadaMaster>(std::move(mc), *in->keyring,
+                                                  output);
+    };
+    in->cluster = std::make_unique<prime::LoopbackCluster<scada::ScadaMaster>>(
+        sim, pc, *in->keyring, 0x50524d'0 + i, make_master);
+    in->cluster->start();
 
     // Clients submit to every replica with one shared payload copy.
     auto submit = [&inst, &sim](const util::Bytes& envelope) {
       auto shared = std::make_shared<const util::Bytes>(envelope);
-      for (std::size_t r = 0; r < inst.replicas.size(); ++r) {
+      for (prime::ReplicaId r = 0; r < inst.cluster->n(); ++r) {
         sim.schedule_after(kClientLatency, [&inst, shared, r] {
-          inst.replicas[r]->on_message(*shared);
+          inst.cluster->replica(r).on_message(*shared);
         });
       }
     };
@@ -381,7 +371,7 @@ RunResult run_fleet(const Options& opt) {
     const bool no_shed_ok = opt.rate != 0 || shed == 0;
     const bool sent_ok = ps.reports_sent == admitted;
     bool applied_ok = true;
-    for (const auto& master : inst.masters) {
+    for (const auto& master : inst.cluster->apps()) {
       applied_ok = applied_ok && master->reports_applied() == ps.reports_sent;
     }
     const bool critical_ok = door.shed_critical == 0;
@@ -389,8 +379,8 @@ RunResult run_fleet(const Options& opt) {
     result.reports_emitted += fleet_stats.reports_emitted;
     result.reports_sent += ps.reports_sent;
     result.reports_shed += shed;
-    reports_applied_total += inst.masters[0]->reports_applied();
-    versions_total += inst.masters[0]->version();
+    reports_applied_total += inst.cluster->app(0).reports_applied();
+    versions_total += inst.cluster->app(0).version();
     result.chaos_episodes += inst.chaos_episodes;
     for (const auto& hmi : inst.hmis) {
       result.resyncs += hmi->stats().resyncs_requested;
@@ -448,7 +438,8 @@ RunResult run_fleet(const Options& opt) {
          critical_ok);
     gate("batcher conservation", std::to_string(ps.reports_sent),
          "sent == admitted after stop()", sent_ok);
-    gate("masters applied", std::to_string(inst.masters[0]->reports_applied()),
+    gate("masters applied",
+         std::to_string(inst.cluster->app(0).reports_applied()),
          "every master applies every report", applied_ok);
     gate("per-delta chains",
          std::to_string(completeness.deltas_complete) + "/" +

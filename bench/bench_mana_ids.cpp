@@ -20,7 +20,7 @@
 //   (quiet gaps between scenarios count toward precision) and a
 //   per-scenario detection-latency SLO.
 //
-// Run:  bench_mana_ids [--json=PATH] [--baseline=PATH] [--fail-below]
+// Run:  bench_mana_ids [--json=PATH] [--baseline=PATH]
 //                      [--trace-out=PATH]
 //
 // --trace-out writes the obs::Tracer JSONL including attack-begin /
@@ -301,23 +301,15 @@ CampaignResult run_campaign(const Gates& gates, const std::string& trace_path) {
   out.quiet_alerts = ids.stats().alerts_total;
 
   // Attack hosts join after training: their MACs are not in baseline.
-  net::Host& rogue = spire_sys.network().add_host("redteam");
-  rogue.add_interface(net::MacAddress::from_id(0xBAD),
-                      net::IpAddress::make(10, 2, 0, 66), 24);
-  spire_sys.network().connect(rogue, 0, spire_sys.external_switch());
+  net::Host& rogue = bench::add_rogue_host(spire_sys, "redteam", 0xBAD,
+                                           net::IpAddress::make(10, 2, 0, 66));
   attack::Attacker attacker(sim, rogue);
-
-  net::Host& stray = spire_sys.network().add_host("stray");
-  stray.add_interface(net::MacAddress::from_id(0x57A4),
-                      net::IpAddress::make(10, 9, 9, 5), 24);
-  spire_sys.network().connect(stray, 0, spire_sys.external_switch());
-  attack::Attacker strayman(sim, stray);
-
-  net::Host& lurker = spire_sys.network().add_host("lurker");
-  lurker.add_interface(net::MacAddress::from_id(0xFEED),
-                       net::IpAddress::make(10, 2, 0, 77), 24);
-  spire_sys.network().connect(lurker, 0, spire_sys.external_switch());
-  attack::Attacker lurk(sim, lurker);
+  attack::Attacker strayman(
+      sim, bench::add_rogue_host(spire_sys, "stray", 0x57A4,
+                                 net::IpAddress::make(10, 9, 9, 5)));
+  attack::Attacker lurk(
+      sim, bench::add_rogue_host(spire_sys, "lurker", 0xFEED,
+                                 net::IpAddress::make(10, 2, 0, 77)));
 
   ScenarioGlue glue;
   glue.board = &board;
@@ -492,7 +484,6 @@ int main(int argc, char** argv) {
   Gates gates;
   const std::string baseline_path =
       bench::flag_value(argc, argv, "--baseline", "");
-  const bool fail_below = bench::has_flag(argc, argv, "--fail-below");
   if (!baseline_path.empty()) {
     const auto baseline = bench::Baseline::load(baseline_path);
     if (!baseline) return 1;
@@ -627,6 +618,5 @@ int main(int argc, char** argv) {
 
   std::printf("\nstreaming MANA: %s\n",
               all_pass ? "ALL GATES PASS" : "GATE FAILURES");
-  if (!all_pass && (fail_below || !baseline_path.empty())) return 1;
   return all_pass ? 0 : 1;
 }

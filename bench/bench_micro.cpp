@@ -74,10 +74,9 @@
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "prime/loopback_cluster.hpp"
 #include "prime/messages.hpp"
 #include "prime/recovery.hpp"
-#include "prime/replica.hpp"
-#include "prime/transport.hpp"
 #include "scada/front_door.hpp"
 #include "scada/hmi.hpp"
 #include "scada/topology.hpp"
@@ -507,59 +506,27 @@ MicroResult run_prime_update_ordering() {
   config.f = 1;
   config.k = 0;
   config.client_identities = {"client/a", "client/b"};
-  prime::LoopbackFabric fabric(sim, config.n());
-  std::vector<std::unique_ptr<CountingApp>> apps;
-  std::vector<std::unique_ptr<prime::Replica>> replicas;
-  sim::Rng rng(7);
-  for (prime::ReplicaId i = 0; i < config.n(); ++i) {
-    apps.push_back(std::make_unique<CountingApp>());
-    replicas.push_back(std::make_unique<prime::Replica>(
-        sim, i, config, keyring, *apps.back(), fabric.transport_for(i),
-        rng.fork()));
-    prime::Replica* replica = replicas.back().get();
-    fabric.attach(i, [replica](const util::Bytes& bytes) {
-      replica->on_message(bytes);
-    });
-  }
-
-  std::vector<std::unique_ptr<crypto::Signer>> client_signers;
-  for (const auto& client : config.client_identities) {
-    client_signers.push_back(std::make_unique<crypto::Signer>(
-        client, keyring.identity_key(client)));
-  }
-  std::uint64_t client_seq = 0;
-  const auto submit_round = [&] {
-    ++client_seq;
-    for (const auto& signer : client_signers) {
-      prime::ClientUpdate update;
-      update.client = signer->identity();
-      update.client_seq = client_seq;
-      update.payload = util::to_bytes("cmd");
-      update.sign(*signer);
-      util::ByteWriter w;
-      update.encode(w);
-      const prime::Envelope env = prime::Envelope::make(
-          prime::MsgType::kClientUpdate, *signer, w.take());
-      const util::Bytes bytes = env.encode();
-      for (auto& r : replicas) r->on_message(bytes);
-    }
-  };
+  prime::LoopbackCluster<CountingApp> cluster(sim, config, keyring, 7);
 
   constexpr int kRounds = 1500;
   const auto start = Clock::now();
-  for (auto& r : replicas) r->start();
+  cluster.start();
   sim.run_until(sim.now() + 300 * sim::kMillisecond);  // settle
   for (int round = 0; round < kRounds; ++round) {
-    submit_round();
+    for (const auto& client : config.client_identities) {
+      cluster.submit(client, "cmd");
+    }
     sim.run_until(sim.now() + 10 * sim::kMillisecond);
   }
   sim.run_until(sim.now() + 2 * sim::kSecond);  // drain
   const double wall = seconds_since(start);
 
   std::uint64_t updates = 0;
-  for (const auto& r : replicas) updates += r->stats().updates_executed;
+  for (const auto& r : cluster.replicas()) {
+    updates += r->stats().updates_executed;
+  }
 #ifdef SPIRE_BENCH_DEBUG_STATS
-  for (const auto& r : replicas) {
+  for (const auto& r : cluster.replicas()) {
     const auto& s = r->stats();
     std::fprintf(stderr,
                  "cache_hits=%llu short_circuits=%llu batches=%llu "
@@ -573,7 +540,7 @@ MicroResult run_prime_update_ordering() {
   }
 #endif
   const std::uint64_t expected =
-      static_cast<std::uint64_t>(kRounds) * client_signers.size() *
+      static_cast<std::uint64_t>(kRounds) * config.client_identities.size() *
       config.n();
   if (updates < expected) std::abort();  // ordering stalled: bench invalid
   return MicroResult{updates, wall, {}};
@@ -674,87 +641,33 @@ MicroResult run_prime_merkle_batch() {
 /// measured path spans shutdown bookkeeping, the rejoin handshake, the
 /// snapshot round trip, and the protocol catch-up that follows.
 MicroResult run_prime_recovery_cycle() {
-  class LogApp : public prime::Application {
-   public:
-    void apply(const prime::ClientUpdate& update,
-               const prime::ExecutionInfo&) override {
-      log_.push_back(update.client_seq);
-    }
-    [[nodiscard]] util::Bytes snapshot() const override {
-      util::ByteWriter w;
-      w.u32(static_cast<std::uint32_t>(log_.size()));
-      for (const std::uint64_t seq : log_) w.u64(seq);
-      return w.take();
-    }
-    void restore(std::span<const std::uint8_t> blob) override {
-      util::ByteReader r(blob);
-      log_.clear();
-      const std::uint32_t n = r.u32();
-      for (std::uint32_t i = 0; i < n; ++i) log_.push_back(r.u64());
-    }
-
-   private:
-    std::vector<std::uint64_t> log_;
-  };
-
   sim::Simulator sim;
   crypto::Keyring keyring("bench-recovery");
   prime::PrimeConfig config;
   config.f = 1;
   config.k = 1;
   config.client_identities = {"client/a"};
-  prime::LoopbackFabric fabric(sim, config.n());
-  std::vector<std::unique_ptr<LogApp>> apps;
-  std::vector<std::unique_ptr<prime::Replica>> replicas;
-  sim::Rng rng(11);
-  for (prime::ReplicaId i = 0; i < config.n(); ++i) {
-    apps.push_back(std::make_unique<LogApp>());
-    replicas.push_back(std::make_unique<prime::Replica>(
-        sim, i, config, keyring, *apps.back(), fabric.transport_for(i),
-        rng.fork()));
-    prime::Replica* replica = replicas.back().get();
-    fabric.attach(i, [replica](const util::Bytes& bytes) {
-      replica->on_message(bytes);
-    });
-  }
+  prime::LoopbackCluster<> cluster(sim, config, keyring, 11);
 
-  const crypto::Signer client("client/a", keyring.identity_key("client/a"));
-  std::uint64_t client_seq = 0;
-  const auto submit = [&] {
-    prime::ClientUpdate update;
-    update.client = "client/a";
-    update.client_seq = ++client_seq;
-    update.payload = util::to_bytes("cmd");
-    update.sign(client);
-    util::ByteWriter w;
-    update.encode(w);
-    const prime::Envelope env =
-        prime::Envelope::make(prime::MsgType::kClientUpdate, client, w.take());
-    const util::Bytes bytes = env.encode();
-    for (auto& r : replicas) r->on_message(bytes);
-  };
-
-  std::vector<prime::Replica*> targets;
-  for (auto& r : replicas) targets.push_back(r.get());
   prime::RecoveryConfig rc;
   rc.period = 250 * sim::kMillisecond;
   rc.downtime = 50 * sim::kMillisecond;
-  prime::ProactiveRecovery recovery(sim, targets, rc);
+  prime::ProactiveRecovery recovery(sim, cluster.replica_ptrs(), rc);
 
   constexpr std::uint64_t kTargetRecoveries = 60;
   const auto start = Clock::now();
-  for (auto& r : replicas) r->start();
+  cluster.start();
   sim.run_until(sim.now() + 300 * sim::kMillisecond);  // settle
   recovery.start();
   while (recovery.recoveries_completed() < kTargetRecoveries) {
-    submit();
+    cluster.submit("client/a", "cmd");
     sim.run_until(sim.now() + 50 * sim::kMillisecond);
   }
   recovery.stop();
   sim.run_until(sim.now() + 2 * sim::kSecond);  // drain the last rejoin
   const double wall = seconds_since(start);
 
-  for (const auto& r : replicas) {
+  for (const auto& r : cluster.replicas()) {
     if (!r->running() || r->recovering()) std::abort();  // bench integrity
   }
   MicroResult result{recovery.recoveries_completed(), wall, {}};

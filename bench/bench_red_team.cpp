@@ -31,13 +31,12 @@
 //   8. frontdoor_dos       — telemetry flood at a fleet front door;
 //      rate limiting sheds the flood while zero critical deltas drop.
 //
-// Run:  bench_red_team [--json=PATH] [--baseline=PATH] [--fail-below]
+// Run:  bench_red_team [--json=PATH] [--baseline=PATH]
 #include <cstring>
 
 #include "attack/attacker.hpp"
 #include "bench_util.hpp"
-#include "prime/replica.hpp"
-#include "prime/transport.hpp"
+#include "prime/loopback_cluster.hpp"
 #include "scada/deployment.hpp"
 #include "scada/front_door.hpp"
 
@@ -64,96 +63,42 @@ struct Gates {
 
 // ---- Prime-level harness (mirrors tests/prime_byzantine_test.cpp) ----------
 
-class LogApp : public prime::Application {
- public:
-  void apply(const prime::ClientUpdate& update,
-             const prime::ExecutionInfo&) override {
-    log_.push_back(update.client + "#" + std::to_string(update.client_seq));
-  }
-  [[nodiscard]] util::Bytes snapshot() const override {
-    util::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(log_.size()));
-    for (const auto& e : log_) w.str(e);
-    return w.take();
-  }
-  void restore(std::span<const std::uint8_t> blob) override {
-    util::ByteReader r(blob);
-    log_.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) log_.push_back(r.str());
-  }
-  [[nodiscard]] const std::vector<std::string>& log() const { return log_; }
-
- private:
-  std::vector<std::string> log_;
-};
-
-struct ByzCluster {
-  sim::Simulator sim;
-  crypto::Keyring keyring{"redteam-bench"};
-  prime::PrimeConfig config;
-  std::unique_ptr<prime::LoopbackFabric> fabric;
-  std::vector<std::unique_ptr<LogApp>> apps;
-  std::vector<std::unique_ptr<prime::Replica>> replicas;
-  std::uint64_t client_seq = 0;
-
-  void build(std::uint32_t f = 1, std::uint32_t k = 0) {
-    config.f = f;
-    config.k = k;
-    config.client_identities = {"client/a"};
-    fabric = std::make_unique<prime::LoopbackFabric>(sim, config.n());
-    sim::Rng rng(20170401);
-    for (prime::ReplicaId i = 0; i < config.n(); ++i) {
-      apps.push_back(std::make_unique<LogApp>());
-      replicas.push_back(std::make_unique<prime::Replica>(
-          sim, i, config, keyring, *apps.back(), fabric->transport_for(i),
-          rng.fork()));
-      prime::Replica* r = replicas.back().get();
-      fabric->attach(i, [r](const util::Bytes& b) { r->on_message(b); });
-    }
-    for (auto& r : replicas) r->start();
+/// Keyring "redteam-bench", one client, started and settled for 500 ms
+/// on creation.
+struct ByzCluster : prime::LoopbackCluster<> {
+  explicit ByzCluster(sim::Simulator& sim)
+      : LoopbackCluster(sim, make_config(), bench_keyring(), 20170401) {
+    start();
     sim.run_until(500 * sim::kMillisecond);
   }
 
-  void submit() {
-    crypto::Signer client("client/a", keyring.identity_key("client/a"));
-    prime::ClientUpdate update;
-    update.client = "client/a";
-    update.client_seq = ++client_seq;
-    update.payload = util::to_bytes("op");
-    update.sign(client);
-    util::ByteWriter w;
-    update.encode(w);
-    const prime::Envelope env =
-        prime::Envelope::make(prime::MsgType::kClientUpdate, client, w.take());
-    const util::Bytes bytes = env.encode();
-    for (auto& r : replicas) r->on_message(bytes);
+  static prime::PrimeConfig make_config() {
+    prime::PrimeConfig config;
+    config.f = 1;
+    config.k = 0;
+    config.client_identities = {"client/a"};
+    return config;
   }
+
+  static const crypto::Keyring& bench_keyring() {
+    static const crypto::Keyring keyring("redteam-bench");
+    return keyring;
+  }
+
+  void submit() { client_seq = LoopbackCluster::submit("client/a", "op"); }
+
+  std::uint64_t client_seq = 0;  ///< of the last submitted update
 
   /// Runs until every app executed `target` updates, or the deadline.
   bool executed_everywhere(std::size_t target, sim::Time deadline) {
-    while (sim.now() < deadline) {
+    while (sim().now() < deadline) {
       bool all = true;
-      for (const auto& app : apps) all = all && app->log().size() >= target;
+      for (const auto& app : apps()) all = all && app->log().size() >= target;
       if (all) return true;
-      sim.run_until(sim.now() + 10 * sim::kMillisecond);
+      run_for(10 * sim::kMillisecond);
     }
-    for (const auto& app : apps) {
+    for (const auto& app : apps()) {
       if (app->log().size() < target) return false;
-    }
-    return true;
-  }
-
-  [[nodiscard]] bool consistent() const {
-    const std::vector<std::string>* longest = &apps[0]->log();
-    for (const auto& app : apps) {
-      if (app->log().size() > longest->size()) longest = &app->log();
-    }
-    for (const auto& app : apps) {
-      const auto& log = app->log();
-      for (std::size_t j = 0; j < log.size(); ++j) {
-        if (log[j] != (*longest)[j]) return false;
-      }
     }
     return true;
   }
@@ -162,19 +107,19 @@ struct ByzCluster {
   /// (non-0) replica reaches `view` or the deadline passes. Returns
   /// elapsed ms, or a negative value on timeout.
   double react_until_view(std::uint64_t view, sim::Time deadline) {
-    const sim::Time start = sim.now();
-    sim::Time next_submit = start;
-    while (sim.now() < deadline) {
-      if (sim.now() >= next_submit) {
+    const sim::Time t0 = sim().now();
+    sim::Time next_submit = t0;
+    while (sim().now() < deadline) {
+      if (sim().now() >= next_submit) {
         submit();
-        next_submit = sim.now() + 100 * sim::kMillisecond;
+        next_submit = sim().now() + 100 * sim::kMillisecond;
       }
-      for (prime::ReplicaId i = 1; i < config.n(); ++i) {
-        if (replicas[i]->view() >= view) {
-          return static_cast<double>(sim.now() - start) / 1000.0;
+      for (prime::ReplicaId i = 1; i < n(); ++i) {
+        if (replica(i).view() >= view) {
+          return static_cast<double>(sim().now() - t0) / 1000.0;
         }
       }
-      sim.run_until(sim.now() + 10 * sim::kMillisecond);
+      run_for(10 * sim::kMillisecond);
     }
     return -1.0;
   }
@@ -185,34 +130,34 @@ struct ByzCluster {
 ScenarioResult run_leader_delay_under(const Gates& gates) {
   ScenarioResult r;
   r.name = "leader_delay_under";
-  ByzCluster cluster;
-  cluster.build();
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
   prime::ByzantineConfig byz;
   byz.preprepare_delay = 500 * sim::kMillisecond;
   byz.reorder_preprepares = true;
-  cluster.replicas[0]->set_byzantine(byz);
-  cluster.sim.run_until(cluster.sim.now() + 200 * sim::kMillisecond);
+  cluster.replica(0).set_byzantine(byz);
+  sim.run_until(sim.now() + 200 * sim::kMillisecond);
 
   std::vector<double> latency_ms;
   for (int i = 0; i < 10; ++i) {
-    const sim::Time t0 = cluster.sim.now();
+    const sim::Time t0 = sim.now();
     cluster.submit();
     if (!cluster.executed_everywhere(cluster.client_seq,
                                      t0 + 5 * sim::kSecond)) {
       r.missed_updates++;
       continue;
     }
-    latency_ms.push_back(static_cast<double>(cluster.sim.now() - t0) / 1000.0);
+    latency_ms.push_back(static_cast<double>(sim.now() - t0) / 1000.0);
   }
   const bench::LatencyStats stats = bench::latency_stats(latency_ms);
   bool view_stable = true;
-  for (const auto& replica : cluster.replicas) {
+  for (const auto& replica : cluster.replicas()) {
     view_stable = view_stable && replica->view() == 0;
   }
   r.reaction_ms = stats.p99_ms;
   r.pass = view_stable && r.missed_updates == 0 &&
            stats.p99_ms <= gates.delay_under_p99_ms_max &&
-           cluster.consistent();
+           !cluster.first_divergence();
   r.detail = view_stable ? "no false suspicion, p99 " + bench::fmt_ms(stats.p99_ms)
                          : "FALSELY EVICTED under-threshold leader";
   return r;
@@ -221,26 +166,26 @@ ScenarioResult run_leader_delay_under(const Gates& gates) {
 ScenarioResult run_leader_delay_over(const Gates& gates) {
   ScenarioResult r;
   r.name = "leader_delay_over";
-  ByzCluster cluster;
-  cluster.build();
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
   prime::ByzantineConfig byz;
   byz.preprepare_delay = 1200 * sim::kMillisecond;
-  cluster.replicas[0]->set_byzantine(byz);
+  cluster.replica(0).set_byzantine(byz);
   r.reaction_ms =
-      cluster.react_until_view(1, cluster.sim.now() + 10 * sim::kSecond);
+      cluster.react_until_view(1, sim.now() + 10 * sim::kSecond);
 
   const std::size_t before = cluster.client_seq;
   for (int i = 0; i < 5; ++i) {
     cluster.submit();
-    cluster.sim.run_until(cluster.sim.now() + 100 * sim::kMillisecond);
+    sim.run_until(sim.now() + 100 * sim::kMillisecond);
   }
   if (!cluster.executed_everywhere(before + 5,
-                                   cluster.sim.now() + 5 * sim::kSecond)) {
+                                   sim.now() + 5 * sim::kSecond)) {
     r.missed_updates = 1;
   }
   r.pass = r.reaction_ms >= 0 &&
            r.reaction_ms <= gates.leader_delay_over_reaction_ms_max &&
-           r.missed_updates == 0 && cluster.consistent();
+           r.missed_updates == 0 && !cluster.first_divergence();
   r.detail = r.reaction_ms < 0 ? "leader never evicted"
                                : "evicted via turnaround measurement";
   return r;
@@ -249,30 +194,31 @@ ScenarioResult run_leader_delay_over(const Gates& gates) {
 ScenarioResult run_equivocation(const Gates& gates) {
   ScenarioResult r;
   r.name = "equivocation";
-  ByzCluster cluster;
-  cluster.build();
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
   prime::ByzantineConfig byz;
   byz.equivocate = true;
-  cluster.replicas[0]->set_byzantine(byz);
+  cluster.replica(0).set_byzantine(byz);
   r.reaction_ms =
-      cluster.react_until_view(1, cluster.sim.now() + 10 * sim::kSecond);
+      cluster.react_until_view(1, sim.now() + 10 * sim::kSecond);
 
   std::uint64_t convictions = 0;
-  for (prime::ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    convictions += cluster.replicas[i]->stats().equivocation_suspects;
+  for (prime::ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    convictions += cluster.replica(i).stats().equivocation_suspects;
   }
   const std::size_t before = cluster.client_seq;
   for (int i = 0; i < 5; ++i) {
     cluster.submit();
-    cluster.sim.run_until(cluster.sim.now() + 100 * sim::kMillisecond);
+    sim.run_until(sim.now() + 100 * sim::kMillisecond);
   }
   if (!cluster.executed_everywhere(before + 5,
-                                   cluster.sim.now() + 5 * sim::kSecond)) {
+                                   sim.now() + 5 * sim::kSecond)) {
     r.missed_updates = 1;
   }
   r.pass = r.reaction_ms >= 0 &&
            r.reaction_ms <= gates.equivocation_reaction_ms_max &&
-           convictions >= 1 && r.missed_updates == 0 && cluster.consistent();
+           convictions >= 1 && r.missed_updates == 0 &&
+           !cluster.first_divergence();
   r.detail = convictions >= 1
                  ? "convicted by f+1 divergent Prepares"
                  : "view changed without an equivocation conviction";
@@ -282,21 +228,21 @@ ScenarioResult run_equivocation(const Gates& gates) {
 ScenarioResult run_withheld_aru(const Gates& gates) {
   ScenarioResult r;
   r.name = "withheld_aru";
-  ByzCluster cluster;
-  cluster.build();
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
   prime::ByzantineConfig byz;
   byz.withhold_victims = {2};
-  cluster.replicas[0]->set_byzantine(byz);
+  cluster.replica(0).set_byzantine(byz);
   r.reaction_ms =
-      cluster.react_until_view(1, cluster.sim.now() + 10 * sim::kSecond);
+      cluster.react_until_view(1, sim.now() + 10 * sim::kSecond);
 
   std::uint64_t aged = 0;
-  for (prime::ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    aged += cluster.replicas[i]->stats().withheld_aru_suspects;
+  for (prime::ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    aged += cluster.replica(i).stats().withheld_aru_suspects;
   }
   r.pass = r.reaction_ms >= 0 &&
            r.reaction_ms <= gates.withheld_aru_reaction_ms_max && aged >= 1 &&
-           cluster.consistent();
+           !cluster.first_divergence();
   r.detail = aged >= 1 ? "withheld rows aged into suspicion"
                        : "view changed without a withheld-ARU suspect";
   return r;
@@ -305,22 +251,22 @@ ScenarioResult run_withheld_aru(const Gates& gates) {
 ScenarioResult run_merkle_forger(const Gates&) {
   ScenarioResult r;
   r.name = "merkle_forger";
-  ByzCluster cluster;
-  cluster.build();
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
 
   // Forge from a non-leader replica that preorders for the client (the
   // only replicas that seal multi-unit, forgeable batches).
   std::vector<std::uint64_t> po_before;
-  for (const auto& replica : cluster.replicas) {
+  for (const auto& replica : cluster.replicas()) {
     po_before.push_back(replica->stats().po_requests_sent);
   }
   for (int i = 0; i < 3; ++i) {
     cluster.submit();
-    cluster.sim.run_until(cluster.sim.now() + 60 * sim::kMillisecond);
+    sim.run_until(sim.now() + 60 * sim::kMillisecond);
   }
   prime::ReplicaId forger = 0;
-  for (prime::ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    if (cluster.replicas[i]->stats().po_requests_sent > po_before[i]) {
+  for (prime::ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    if (cluster.replica(i).stats().po_requests_sent > po_before[i]) {
       forger = i;
     }
   }
@@ -330,30 +276,32 @@ ScenarioResult run_merkle_forger(const Gates&) {
   }
   prime::ByzantineConfig byz;
   byz.forge_merkle_rate = 1.0;
-  cluster.replicas[forger]->set_byzantine(byz);
+  cluster.replica(forger).set_byzantine(byz);
   for (int i = 0; i < 10; ++i) {
     // Land each submit just before a 20 ms boundary so the PO-Request
     // flush shares a (batch-signed) send with the PO-ARU tick.
     const sim::Time grid = 20 * sim::kMillisecond;
-    const sim::Time next = ((cluster.sim.now() / grid) + 2) * grid;
-    cluster.sim.run_until(next - 6 * sim::kMillisecond);
+    const sim::Time next = ((sim.now() / grid) + 2) * grid;
+    sim.run_until(next - 6 * sim::kMillisecond);
     cluster.submit();
   }
-  cluster.sim.run_until(cluster.sim.now() + 3 * sim::kSecond);
+  sim.run_until(sim.now() + 3 * sim::kSecond);
 
   const std::uint64_t forged =
-      cluster.replicas[forger]->stats().byz_merkle_paths_forged;
+      cluster.replica(forger).stats().byz_merkle_paths_forged;
   std::uint64_t dropped = 0;
   bool view_stable = true;
-  for (prime::ReplicaId i = 0; i < cluster.config.n(); ++i) {
-    if (i != forger) dropped += cluster.replicas[i]->stats().dropped_bad_signature;
-    view_stable = view_stable && cluster.replicas[i]->view() == 0;
+  for (prime::ReplicaId i = 0; i < cluster.config().n(); ++i) {
+    if (i != forger) {
+      dropped += cluster.replica(i).stats().dropped_bad_signature;
+    }
+    view_stable = view_stable && cluster.replica(i).view() == 0;
   }
-  for (const auto& app : cluster.apps) {
+  for (const auto& app : cluster.apps()) {
     if (app->log().size() < cluster.client_seq) r.missed_updates++;
   }
   r.pass = forged >= 1 && dropped >= 1 && view_stable &&
-           r.missed_updates == 0 && cluster.consistent();
+           r.missed_updates == 0 && !cluster.first_divergence();
   r.detail = "forged " + std::to_string(forged) + ", dropped " +
              std::to_string(dropped) +
              (view_stable ? ", no suspects" : ", SPURIOUS VIEW CHANGE");
@@ -421,23 +369,6 @@ ScenarioResult run_mid_soak_compromise(const Gates& gates) {
   return r;
 }
 
-/// Issues a supervisory command and checks the full round trip.
-bool command_round_trip(sim::Simulator& sim, scada::SpireDeployment& spire_sys,
-                        std::uint16_t breaker) {
-  scada::Hmi& hmi = spire_sys.hmi(0);
-  auto& plc = spire_sys.plc("plc-phys");
-  const bool want = !plc.breakers().closed(breaker);
-  hmi.command_breaker("plc-phys", breaker, want);
-  const sim::Time deadline = sim.now() + 4 * sim::kSecond;
-  while (sim.now() < deadline &&
-         (plc.breakers().closed(breaker) != want ||
-          hmi.display().breaker("plc-phys", breaker) != want)) {
-    sim.run_until(sim.now() + 5 * sim::kMillisecond);
-  }
-  return plc.breakers().closed(breaker) == want &&
-         hmi.display().breaker("plc-phys", breaker) == want;
-}
-
 ScenarioResult run_network_stage(const Gates&) {
   ScenarioResult r;
   r.name = "network_stage";
@@ -450,10 +381,8 @@ ScenarioResult run_network_stage(const Gates&) {
   spire_sys.start();
   sim.run_until(2 * sim::kSecond);
 
-  net::Host& rogue = spire_sys.network().add_host("redteam");
-  rogue.add_interface(net::MacAddress::from_id(0xBAD),
-                      net::IpAddress::make(10, 2, 0, 66), 24);
-  spire_sys.network().connect(rogue, 0, spire_sys.external_switch());
+  net::Host& rogue = bench::add_rogue_host(spire_sys, "redteam", 0xBAD,
+                                           net::IpAddress::make(10, 2, 0, 66));
   attack::Attacker attacker(sim, rogue);
 
   // Firewall probing: scans must die at the default-deny firewall, not
@@ -475,7 +404,8 @@ ScenarioResult run_network_stage(const Gates&) {
   const auto poisoned = hmi_host.arp_lookup(spire_sys.replica_host(0).ip(1));
   const bool arp_blocked = !poisoned || *poisoned != rogue.mac(0);
 
-  const bool operational = command_round_trip(sim, spire_sys, 1);
+  const bool operational =
+      bench::command_round_trip(sim, spire_sys, 1, 4 * sim::kSecond);
   r.pass = scan_blocked && arp_blocked && operational;
   r.detail = std::string(scan_blocked ? "scan blocked" : "SCAN REACHED") +
              ", " + (arp_blocked ? "ARP held" : "ARP POISONED") + ", " +
@@ -540,7 +470,6 @@ int main(int argc, char** argv) {
   Gates gates;
   const std::string baseline_path =
       bench::flag_value(argc, argv, "--baseline", "");
-  const bool fail_below = bench::has_flag(argc, argv, "--fail-below");
   if (!baseline_path.empty()) {
     const auto baseline = bench::Baseline::load(baseline_path);
     if (!baseline) return 1;
@@ -616,6 +545,5 @@ int main(int argc, char** argv) {
 
   std::printf("\nred-team campaign: %s\n",
               all_pass ? "ALL SCENARIOS PASS" : "SCENARIO FAILURES");
-  if (!all_pass && (fail_below || !baseline_path.empty())) return 1;
   return all_pass ? 0 : 1;
 }

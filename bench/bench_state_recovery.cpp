@@ -14,8 +14,8 @@
 //    using recovery-by-state-transfer stays blocked forever (no f+1
 //    matching StateResponses can exist).
 #include "bench_util.hpp"
+#include "prime/loopback_cluster.hpp"
 #include "prime/recovery.hpp"
-#include "prime/transport.hpp"
 #include "scada/deployment.hpp"
 
 using namespace spire;
@@ -147,37 +147,14 @@ int main(int argc, char** argv) {
     prime::PrimeConfig config;
     config.f = 1;
     config.client_identities = {"client/kv"};
-    prime::LoopbackFabric fabric(sim, config.n());
-    std::vector<std::unique_ptr<KvApp>> apps;
-    std::vector<std::unique_ptr<prime::Replica>> replicas;
-    sim::Rng rng(5);
-    for (prime::ReplicaId i = 0; i < config.n(); ++i) {
-      apps.push_back(std::make_unique<KvApp>());
-      replicas.push_back(std::make_unique<prime::Replica>(
-          sim, i, config, keyring, *apps.back(), fabric.transport_for(i),
-          rng.fork()));
-      prime::Replica* r = replicas.back().get();
-      fabric.attach(i, [r](const util::Bytes& b) { r->on_message(b); });
-    }
-    for (auto& r : replicas) r->start();
+    prime::LoopbackCluster<KvApp> cluster(sim, config, keyring, 5);
+    const auto& apps = cluster.apps();
+    const auto& replicas = cluster.replicas();
+    cluster.start();
     sim.run_until(1 * sim::kSecond);
 
-    crypto::Signer client("client/kv", keyring.identity_key("client/kv"));
-    std::uint64_t seq = 0;
-    auto submit = [&](const std::string& value) {
-      prime::ClientUpdate update;
-      update.client = "client/kv";
-      update.client_seq = ++seq;
-      update.payload = util::to_bytes(value);
-      update.sign(client);
-      util::ByteWriter w;
-      update.encode(w);
-      const auto env =
-          prime::Envelope::make(prime::MsgType::kClientUpdate, client, w.take());
-      for (auto& r : replicas) r->on_message(env.encode());
-    };
     for (int i = 0; i < 10; ++i) {
-      submit("value" + std::to_string(i));
+      cluster.submit("client/kv", "value" + std::to_string(i));
       sim.run_until(sim.now() + 50 * sim::kMillisecond);
     }
     sim.run_until(sim.now() + 1 * sim::kSecond);
@@ -193,7 +170,7 @@ int main(int argc, char** argv) {
     // Even new client traffic cannot be served.
     std::vector<std::uint64_t> applied_before_submit;
     for (auto& a : apps) applied_before_submit.push_back(a->applied());
-    submit("after-crash");
+    cluster.submit("client/kv", "after-crash");
     sim.run_until(sim.now() + 5 * sim::kSecond);
     for (std::size_t i = 0; i < apps.size(); ++i) {
       generic_applied_after = std::max(

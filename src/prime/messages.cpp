@@ -189,6 +189,18 @@ ClientUpdate ClientUpdate::decode(util::ByteReader& r) {
   return u;
 }
 
+util::Bytes seal_client_update(const crypto::Signer& client,
+                               std::uint64_t client_seq, util::Bytes payload) {
+  ClientUpdate update;
+  update.client = client.identity();
+  update.client_seq = client_seq;
+  update.payload = std::move(payload);
+  update.sign(client);
+  util::ByteWriter w;
+  update.encode(w);
+  return Envelope::seal(MsgType::kClientUpdate, client, w.bytes());
+}
+
 // ---- PoRequest -------------------------------------------------------------
 
 util::Bytes PoRequest::encode() const {

@@ -135,6 +135,14 @@ struct ClientUpdate {
   static ClientUpdate decode(util::ByteReader& r);
 };
 
+/// The client side of Prime: signs update `client_seq` carrying
+/// `payload` as `client` and seals it into a client-signed
+/// kClientUpdate envelope. Returns the wire bytes every replica
+/// accepts from that client.
+[[nodiscard]] util::Bytes seal_client_update(const crypto::Signer& client,
+                                             std::uint64_t client_seq,
+                                             util::Bytes payload);
+
 struct PoRequest {
   ReplicaId origin = 0;
   std::uint64_t po_seq = 0;

@@ -37,21 +37,14 @@ class ScadaClient {
     payload.type = type;
     payload.body = std::move(body);
 
-    prime::ClientUpdate update;
-    update.client = signer_.identity();
-    update.client_seq = next_seq_++;
-    update.payload = payload.encode();
-    update.sign(signer_);
-
-    util::ByteWriter w;
-    update.encode(w);
-    const prime::Envelope env =
-        prime::Envelope::make(prime::MsgType::kClientUpdate, signer_, w.take());
+    const std::uint64_t seq = next_seq_++;
+    const util::Bytes envelope =
+        prime::seal_client_update(signer_, seq, payload.encode());
     if (auto* tracer = obs::Tracer::current()) {
-      tracer->client_submit(update.client, update.client_seq);
+      tracer->client_submit(signer_.identity(), seq);
     }
-    submit_(env.encode());
-    return update.client_seq;
+    submit_(envelope);
+    return seq;
   }
 
  private:

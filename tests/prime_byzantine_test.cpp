@@ -6,122 +6,68 @@
 
 #include <memory>
 
-#include "prime/replica.hpp"
-#include "prime/transport.hpp"
+#include "prime/loopback_cluster.hpp"
 
 namespace spire::prime {
 namespace {
 
-class LogApp : public Application {
- public:
-  void apply(const ClientUpdate& update, const ExecutionInfo&) override {
-    log_.push_back(update.client + "#" + std::to_string(update.client_seq));
-  }
-  [[nodiscard]] util::Bytes snapshot() const override {
-    util::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(log_.size()));
-    for (const auto& e : log_) w.str(e);
-    return w.take();
-  }
-  void restore(std::span<const std::uint8_t> blob) override {
-    util::ByteReader r(blob);
-    log_.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) log_.push_back(r.str());
-  }
-  [[nodiscard]] const std::vector<std::string>& log() const { return log_; }
-
- private:
-  std::vector<std::string> log_;
-};
-
-struct ByzCluster {
-  sim::Simulator sim;
-  crypto::Keyring keyring{"byz-test"};
-  PrimeConfig config;
-  std::unique_ptr<LoopbackFabric> fabric;
-  std::vector<std::unique_ptr<LogApp>> apps;
-  std::vector<std::unique_ptr<Replica>> replicas;
-  std::uint64_t client_seq = 0;
-
-  void build(std::uint32_t f = 1, std::uint32_t k = 0) {
-    config.f = f;
-    config.k = k;
-    config.client_identities = {"client/a"};
-    fabric = std::make_unique<LoopbackFabric>(sim, config.n());
-    sim::Rng rng(9);
-    for (ReplicaId i = 0; i < config.n(); ++i) {
-      apps.push_back(std::make_unique<LogApp>());
-      replicas.push_back(std::make_unique<Replica>(
-          sim, i, config, keyring, *apps.back(), fabric->transport_for(i),
-          rng.fork()));
-      Replica* r = replicas.back().get();
-      fabric->attach(i, [r](const util::Bytes& b) { r->on_message(b); });
-    }
-    for (auto& r : replicas) r->start();
+/// The suite's Prime group: keyring "byz-test", one client, started and
+/// settled for 500 ms on creation.
+struct ByzCluster : LoopbackCluster<> {
+  explicit ByzCluster(sim::Simulator& sim, std::uint32_t f = 1,
+                      std::uint32_t k = 0)
+      : LoopbackCluster(sim, make_config(f, k), suite_keyring(), 9) {
+    start();
     sim.run_until(500 * sim::kMillisecond);
   }
 
-  void submit() {
-    crypto::Signer client("client/a", keyring.identity_key("client/a"));
-    ClientUpdate update;
-    update.client = "client/a";
-    update.client_seq = ++client_seq;
-    update.payload = util::to_bytes("op");
-    update.sign(client);
-    util::ByteWriter w;
-    update.encode(w);
-    const Envelope env =
-        Envelope::make(MsgType::kClientUpdate, client, w.take());
-    const util::Bytes bytes = env.encode();
-    for (auto& r : replicas) r->on_message(bytes);
+  static PrimeConfig make_config(std::uint32_t f, std::uint32_t k) {
+    PrimeConfig config;
+    config.f = f;
+    config.k = k;
+    config.client_identities = {"client/a"};
+    return config;
   }
+
+  static const crypto::Keyring& suite_keyring() {
+    static const crypto::Keyring keyring("byz-test");
+    return keyring;
+  }
+
+  void submit() { LoopbackCluster::submit("client/a", "op"); }
 
   crypto::Signer replica_signer(ReplicaId id) {
     return crypto::Signer(replica_identity(id),
-                          keyring.identity_key(replica_identity(id)));
+                          keyring().identity_key(replica_identity(id)));
   }
 
   void broadcast_raw(const util::Bytes& bytes) {
-    for (auto& r : replicas) r->on_message(bytes);
-  }
-
-  void expect_consistent() const {
-    const std::vector<std::string>* longest = &apps[0]->log();
-    for (const auto& app : apps) {
-      if (app->log().size() > longest->size()) longest = &app->log();
-    }
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-      const auto& log = apps[i]->log();
-      for (std::size_t j = 0; j < log.size(); ++j) {
-        ASSERT_EQ(log[j], (*longest)[j]) << "replica " << i << " diverges";
-      }
-    }
+    for (auto& r : replicas()) r->on_message(bytes);
   }
 };
 
 TEST(PrimeByzantine, EquivocatingLeaderIsEvicted) {
-  ByzCluster cluster;
-  cluster.build();
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
 
   // The compromised leader (replica 0) sends two conflicting
   // Pre-Prepares for the same slot, properly signed. Correct replicas
   // must detect the conflict, suspect, and move to a new view — and no
   // two replicas may execute differently.
   const auto signer = cluster.replica_signer(0);
-  cluster.replicas[0]->set_behavior(ReplicaBehavior::kSilentLeader);
-  cluster.sim.run_until(cluster.sim.now() + 100 * sim::kMillisecond);
+  cluster.replica(0).set_behavior(ReplicaBehavior::kSilentLeader);
+  sim.run_until(sim.now() + 100 * sim::kMillisecond);
 
   auto make_pp = [&](std::uint64_t aru_marker) {
     PrePrepare pp;
     pp.leader = 0;
     pp.view = 0;
     pp.order_seq = 1;
-    pp.rows.assign(cluster.config.n(), nullptr);
+    pp.rows.assign(cluster.config().n(), nullptr);
     auto row = std::make_shared<PoAru>();
     row->replica = 0;
     row->aru_seq = aru_marker;  // differs => different digest
-    row->aru.assign(cluster.config.n(), 0);
+    row->aru.assign(cluster.config().n(), 0);
     row->sign(signer);
     pp.rows[0] = std::move(row);
     return Envelope::make(MsgType::kPrePrepare, signer, pp.encode()).encode();
@@ -129,25 +75,25 @@ TEST(PrimeByzantine, EquivocatingLeaderIsEvicted) {
   cluster.broadcast_raw(make_pp(1));
   cluster.broadcast_raw(make_pp(2));  // the equivocation
 
-  cluster.sim.run_until(cluster.sim.now() + 5 * sim::kSecond);
-  EXPECT_GE(cluster.replicas[1]->view(), 1u) << "equivocation went unpunished";
+  sim.run_until(sim.now() + 5 * sim::kSecond);
+  EXPECT_GE(cluster.replica(1).view(), 1u) << "equivocation went unpunished";
 
   // Liveness restored under the new leader.
   for (int i = 0; i < 5; ++i) {
     cluster.submit();
-    cluster.sim.run_until(cluster.sim.now() + 100 * sim::kMillisecond);
+    sim.run_until(sim.now() + 100 * sim::kMillisecond);
   }
-  cluster.sim.run_until(cluster.sim.now() + 3 * sim::kSecond);
-  for (ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    EXPECT_EQ(cluster.apps[i]->log().size(), 5u) << "replica " << i;
+  sim.run_until(sim.now() + 3 * sim::kSecond);
+  for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    EXPECT_EQ(cluster.app(i).log().size(), 5u) << "replica " << i;
   }
-  cluster.expect_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(PrimeByzantine, PrePrepareWithForgedRowsRejected) {
-  ByzCluster cluster;
-  cluster.build();
-  cluster.replicas[0]->set_behavior(ReplicaBehavior::kSilentLeader);
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
+  cluster.replica(0).set_behavior(ReplicaBehavior::kSilentLeader);
 
   // Leader fabricates a matrix row claiming replica 2 acknowledged
   // thousands of PO-Requests — but signs the row itself. Verification
@@ -157,30 +103,30 @@ TEST(PrimeByzantine, PrePrepareWithForgedRowsRejected) {
   pp.leader = 0;
   pp.view = 0;
   pp.order_seq = 1;
-  pp.rows.assign(cluster.config.n(), nullptr);
+  pp.rows.assign(cluster.config().n(), nullptr);
   auto forged = std::make_shared<PoAru>();
   forged->replica = 2;
   forged->aru_seq = 99;
-  forged->aru.assign(cluster.config.n(), 5000);
+  forged->aru.assign(cluster.config().n(), 5000);
   forged->sign(leader);  // wrong key for identity "prime/2"
   pp.rows[2] = std::move(forged);
   cluster.broadcast_raw(
       Envelope::make(MsgType::kPrePrepare, leader, pp.encode()).encode());
 
-  cluster.sim.run_until(cluster.sim.now() + 2 * sim::kSecond);
-  for (const auto& app : cluster.apps) EXPECT_TRUE(app->log().empty());
+  sim.run_until(sim.now() + 2 * sim::kSecond);
+  for (const auto& app : cluster.apps()) EXPECT_TRUE(app->log().empty());
   // The malformed proposal itself is treated as misbehavior.
-  EXPECT_GE(cluster.replicas[1]->view(), 1u);
-  cluster.expect_consistent();
+  EXPECT_GE(cluster.replica(1).view(), 1u);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(PrimeByzantine, DeltaWithTamperedMatrixDigestTriggersSuspect) {
-  ByzCluster cluster;
-  cluster.build();
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
   // Take over the leader identity; its own protocol traffic stops so
   // the only Pre-Prepares in flight are the ones we inject.
-  cluster.replicas[0]->set_behavior(ReplicaBehavior::kSilentLeader);
-  cluster.sim.run_until(cluster.sim.now() + 100 * sim::kMillisecond);
+  cluster.replica(0).set_behavior(ReplicaBehavior::kSilentLeader);
+  sim.run_until(sim.now() + 100 * sim::kMillisecond);
   const auto signer = cluster.replica_signer(0);
 
   // A well-formed full proposal first, so followers hold the chained
@@ -188,17 +134,17 @@ TEST(PrimeByzantine, DeltaWithTamperedMatrixDigestTriggersSuspect) {
   auto row = std::make_shared<PoAru>();
   row->replica = 0;
   row->aru_seq = 1000;
-  row->aru.assign(cluster.config.n(), 0);
+  row->aru.assign(cluster.config().n(), 0);
   row->sign(signer);
   PrePrepare pp1;
   pp1.leader = 0;
   pp1.view = 0;
   pp1.order_seq = 100;  // past anything proposed during warm-up
-  pp1.rows.assign(cluster.config.n(), nullptr);
+  pp1.rows.assign(cluster.config().n(), nullptr);
   pp1.rows[0] = row;
   cluster.broadcast_raw(
       Envelope::make(MsgType::kPrePrepare, signer, pp1.encode()).encode());
-  cluster.sim.run_until(cluster.sim.now() + 50 * sim::kMillisecond);
+  sim.run_until(sim.now() + 50 * sim::kMillisecond);
 
   // Now a delta proposal whose leader-signed full-matrix digest is a
   // lie. Followers reconstruct the matrix from pp1, the digest check
@@ -216,17 +162,17 @@ TEST(PrimeByzantine, DeltaWithTamperedMatrixDigestTriggersSuspect) {
       Envelope::make(MsgType::kPrePrepare, signer, pp2.encode_delta(pp1.rows))
           .encode());
 
-  cluster.sim.run_until(cluster.sim.now() + 700 * sim::kMillisecond);
-  for (ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    EXPECT_GE(cluster.replicas[i]->view(), 1u)
+  sim.run_until(sim.now() + 700 * sim::kMillisecond);
+  for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    EXPECT_GE(cluster.replica(i).view(), 1u)
         << "replica " << i << " did not suspect the lying leader";
   }
-  cluster.expect_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(PrimeByzantine, ForgedMerkleInclusionPathRejected) {
-  ByzCluster cluster;
-  cluster.build();
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
   const auto mallory = cluster.replica_signer(3);
 
   // A genuine two-unit send batch: one root signature, each wire
@@ -254,20 +200,20 @@ TEST(PrimeByzantine, ForgedMerkleInclusionPathRejected) {
   util::Bytes forged = wires[1];
   forged[forged.size() - 40] ^= 0x01;
 
-  const auto before = cluster.replicas[1]->stats();
-  cluster.replicas[1]->on_message(wires[0]);  // verifies the root signature
-  cluster.replicas[1]->on_message(forged);    // folds to a wrong root: dropped
-  cluster.replicas[1]->on_message(wires[1]);  // genuine sibling: root memo hit
-  const auto after = cluster.replicas[1]->stats();
+  const auto before = cluster.replica(1).stats();
+  cluster.replica(1).on_message(wires[0]);  // verifies the root signature
+  cluster.replica(1).on_message(forged);    // folds to a wrong root: dropped
+  cluster.replica(1).on_message(wires[1]);  // genuine sibling: root memo hit
+  const auto after = cluster.replica(1).stats();
 
   EXPECT_EQ(after.dropped_bad_signature, before.dropped_bad_signature + 1);
   EXPECT_GE(after.verify_cache_hits, before.verify_cache_hits + 1);
-  EXPECT_EQ(cluster.replicas[1]->view(), 0u) << "forged proof caused a suspect";
+  EXPECT_EQ(cluster.replica(1).view(), 0u) << "forged proof caused a suspect";
 }
 
 TEST(PrimeByzantine, ForgedNewViewRejected) {
-  ByzCluster cluster;
-  cluster.build();
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
 
   // Replica 3 (not the leader of view 1) forges a NewView for view 1
   // with a huge start_seq and a justification quorum it invented by
@@ -277,7 +223,7 @@ TEST(PrimeByzantine, ForgedNewViewRejected) {
   nv.leader = 1;  // claims to be from the real leader of view 1
   nv.view = 1;
   nv.start_seq = 1000001;
-  for (ReplicaId r = 0; r < cluster.config.n(); ++r) {
+  for (ReplicaId r = 0; r < cluster.config().n(); ++r) {
     ViewState vs;
     vs.replica = r;
     vs.view = 1;
@@ -288,32 +234,32 @@ TEST(PrimeByzantine, ForgedNewViewRejected) {
   }
   cluster.broadcast_raw(
       Envelope::make(MsgType::kNewView, mallory, nv.encode()).encode());
-  cluster.sim.run_until(cluster.sim.now() + 1 * sim::kSecond);
+  sim.run_until(sim.now() + 1 * sim::kSecond);
 
   // Nobody moved views on the forgery (envelope sender mismatch and
   // embedded signatures both fail).
-  for (const auto& replica : cluster.replicas) {
+  for (const auto& replica : cluster.replicas()) {
     EXPECT_EQ(replica->view(), 0u);
   }
 
   // And the system still executes normally.
   for (int i = 0; i < 5; ++i) {
     cluster.submit();
-    cluster.sim.run_until(cluster.sim.now() + 100 * sim::kMillisecond);
+    sim.run_until(sim.now() + 100 * sim::kMillisecond);
   }
-  cluster.sim.run_until(cluster.sim.now() + 2 * sim::kSecond);
-  for (const auto& app : cluster.apps) EXPECT_EQ(app->log().size(), 5u);
+  sim.run_until(sim.now() + 2 * sim::kSecond);
+  for (const auto& app : cluster.apps()) EXPECT_EQ(app->log().size(), 5u);
 }
 
 TEST(PrimeByzantine, ForgedCheckpointCannotCorruptRecovery) {
-  ByzCluster cluster;
-  cluster.build(1, 1);  // n = 6 so recovery is supported
+  sim::Simulator sim;
+  ByzCluster cluster(sim, 1, 1);  // n = 6 so recovery is supported
 
   for (int i = 0; i < 20; ++i) {
     cluster.submit();
-    cluster.sim.run_until(cluster.sim.now() + 40 * sim::kMillisecond);
+    sim.run_until(sim.now() + 40 * sim::kMillisecond);
   }
-  cluster.sim.run_until(cluster.sim.now() + 2 * sim::kSecond);
+  sim.run_until(sim.now() + 2 * sim::kSecond);
 
   // Replica 5 floods forged checkpoints claiming a bogus state digest
   // at a far-future sequence, trying to poison a recovering replica's
@@ -330,144 +276,140 @@ TEST(PrimeByzantine, ForgedCheckpointCannotCorruptRecovery) {
         Envelope::make(MsgType::kCheckpoint, mallory, cp.encode()).encode());
   }
 
-  cluster.replicas[2]->shutdown();
-  cluster.sim.run_until(cluster.sim.now() + 500 * sim::kMillisecond);
-  cluster.replicas[2]->recover();
+  cluster.replica(2).shutdown();
+  sim.run_until(sim.now() + 500 * sim::kMillisecond);
+  cluster.replica(2).recover();
   // Mallory also answers the recovery solicitation with its bogus state.
-  cluster.sim.run_until(cluster.sim.now() + 5 * sim::kSecond);
+  sim.run_until(sim.now() + 5 * sim::kSecond);
 
-  EXPECT_FALSE(cluster.replicas[2]->recovering());
+  EXPECT_FALSE(cluster.replica(2).recovering());
   // The recovered replica converged on the honest history, not the
   // poisoned digest.
   for (int i = 0; i < 5; ++i) {
     cluster.submit();
-    cluster.sim.run_until(cluster.sim.now() + 100 * sim::kMillisecond);
+    sim.run_until(sim.now() + 100 * sim::kMillisecond);
   }
-  cluster.sim.run_until(cluster.sim.now() + 3 * sim::kSecond);
-  EXPECT_EQ(cluster.apps[2]->log().size(), 25u);
-  cluster.expect_consistent();
+  sim.run_until(sim.now() + 3 * sim::kSecond);
+  EXPECT_EQ(cluster.app(2).log().size(), 25u);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(PrimeByzantine, ReplayedEnvelopesAreIdempotent) {
-  ByzCluster cluster;
-  cluster.build();
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
 
   // Capture legitimate traffic by wiretap, then replay it heavily.
   std::vector<util::Bytes> captured;
-  for (ReplicaId i = 0; i < cluster.config.n(); ++i) {
-    Replica* r = cluster.replicas[i].get();
-    cluster.fabric->attach(i, [r, &captured](const util::Bytes& b) {
-      if (captured.size() < 500) captured.push_back(b);
-      r->on_message(b);
-    });
-  }
+  cluster.set_tap([&captured](ReplicaId, const util::Bytes& b) {
+    if (captured.size() < 500) captured.push_back(b);
+  });
   for (int i = 0; i < 10; ++i) {
     cluster.submit();
-    cluster.sim.run_until(cluster.sim.now() + 60 * sim::kMillisecond);
+    sim.run_until(sim.now() + 60 * sim::kMillisecond);
   }
-  cluster.sim.run_until(cluster.sim.now() + 2 * sim::kSecond);
-  ASSERT_EQ(cluster.apps[0]->log().size(), 10u);
+  sim.run_until(sim.now() + 2 * sim::kSecond);
+  ASSERT_EQ(cluster.app(0).log().size(), 10u);
 
   // Replay everything, twice, at every replica.
   for (int round = 0; round < 2; ++round) {
     for (const auto& bytes : captured) {
-      for (auto& r : cluster.replicas) r->on_message(bytes);
+      for (auto& r : cluster.replicas()) r->on_message(bytes);
     }
   }
-  cluster.sim.run_until(cluster.sim.now() + 3 * sim::kSecond);
+  sim.run_until(sim.now() + 3 * sim::kSecond);
 
-  for (const auto& app : cluster.apps) {
+  for (const auto& app : cluster.apps()) {
     EXPECT_EQ(app->log().size(), 10u) << "replay caused re-execution";
   }
-  cluster.expect_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 // ---- adversary v2: scripted Byzantine behaviors (PR 9) ---------------------
 
 TEST(PrimeByzantine, UnderThresholdDelayKeepsLeaderAndLiveness) {
-  ByzCluster cluster;
-  cluster.build();
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
 
   // Prime's signature performance attack, calibrated under the
   // turnaround bound (500 ms < 800 ms): the bounded-delay guarantee
   // means the damage is capped, not zero — the leader must NOT be
   // suspected, and every update must still execute everywhere.
-  cluster.replicas[0]->set_byzantine(
+  cluster.replica(0).set_byzantine(
       ByzantineConfig{.preprepare_delay = 500 * sim::kMillisecond});
-  cluster.sim.run_until(cluster.sim.now() + 2 * sim::kSecond);
+  sim.run_until(sim.now() + 2 * sim::kSecond);
   for (int i = 0; i < 10; ++i) {
     cluster.submit();
-    cluster.sim.run_until(cluster.sim.now() + 100 * sim::kMillisecond);
+    sim.run_until(sim.now() + 100 * sim::kMillisecond);
   }
-  cluster.sim.run_until(cluster.sim.now() + 3 * sim::kSecond);
+  sim.run_until(sim.now() + 3 * sim::kSecond);
 
-  EXPECT_GE(cluster.replicas[0]->stats().byz_preprepares_delayed, 1u);
-  for (const auto& replica : cluster.replicas) {
+  EXPECT_GE(cluster.replica(0).stats().byz_preprepares_delayed, 1u);
+  for (const auto& replica : cluster.replicas()) {
     EXPECT_EQ(replica->view(), 0u) << "under-threshold delay evicted leader";
   }
-  for (const auto& app : cluster.apps) EXPECT_EQ(app->log().size(), 10u);
-  cluster.expect_consistent();
+  for (const auto& app : cluster.apps()) EXPECT_EQ(app->log().size(), 10u);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(PrimeByzantine, OverThresholdDelayEvictedWithinSlo) {
-  ByzCluster cluster;
-  cluster.build();
-  cluster.sim.run_until(1 * sim::kSecond);
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
+  sim.run_until(1 * sim::kSecond);
 
-  const sim::Time t0 = cluster.sim.now();
-  cluster.replicas[0]->set_byzantine(
+  const sim::Time t0 = sim.now();
+  cluster.replica(0).set_byzantine(
       ByzantineConfig{.preprepare_delay = 1200 * sim::kMillisecond});
-  while (cluster.replicas[1]->view() == 0 &&
-         cluster.sim.now() < t0 + 5 * sim::kSecond) {
-    cluster.sim.run_until(cluster.sim.now() + 10 * sim::kMillisecond);
+  while (cluster.replica(1).view() == 0 &&
+         sim.now() < t0 + 5 * sim::kSecond) {
+    sim.run_until(sim.now() + 10 * sim::kMillisecond);
   }
-  const sim::Time reaction = cluster.sim.now() - t0;
-  EXPECT_GE(cluster.replicas[1]->view(), 1u) << "delay attack never detected";
+  const sim::Time reaction = sim.now() - t0;
+  EXPECT_GE(cluster.replica(1).view(), 1u) << "delay attack never detected";
   EXPECT_LE(reaction, 2500 * sim::kMillisecond) << "reaction SLO missed";
 
   // Zero missed updates after recovery: the new leader orders normally.
   for (int i = 0; i < 5; ++i) {
     cluster.submit();
-    cluster.sim.run_until(cluster.sim.now() + 100 * sim::kMillisecond);
+    sim.run_until(sim.now() + 100 * sim::kMillisecond);
   }
-  cluster.sim.run_until(cluster.sim.now() + 3 * sim::kSecond);
-  for (ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    EXPECT_EQ(cluster.apps[i]->log().size(), 5u) << "replica " << i;
+  sim.run_until(sim.now() + 3 * sim::kSecond);
+  for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    EXPECT_EQ(cluster.app(i).log().size(), 5u) << "replica " << i;
   }
-  cluster.expect_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 void run_equivocation_case(std::uint32_t f) {
-  ByzCluster cluster;
-  cluster.build(f);
-  cluster.sim.run_until(1 * sim::kSecond);
+  sim::Simulator sim;
+  ByzCluster cluster(sim, f);
+  sim.run_until(1 * sim::kSecond);
 
-  const sim::Time t0 = cluster.sim.now();
-  cluster.replicas[0]->set_byzantine(ByzantineConfig{.equivocate = true});
-  while (cluster.replicas[1]->view() == 0 &&
-         cluster.sim.now() < t0 + 4 * sim::kSecond) {
-    cluster.sim.run_until(cluster.sim.now() + 10 * sim::kMillisecond);
+  const sim::Time t0 = sim.now();
+  cluster.replica(0).set_byzantine(ByzantineConfig{.equivocate = true});
+  while (cluster.replica(1).view() == 0 &&
+         sim.now() < t0 + 4 * sim::kSecond) {
+    sim.run_until(sim.now() + 10 * sim::kMillisecond);
   }
-  EXPECT_GE(cluster.replicas[1]->view(), 1u) << "equivocation undetected";
-  EXPECT_LE(cluster.sim.now() - t0, 1500 * sim::kMillisecond)
+  EXPECT_GE(cluster.replica(1).view(), 1u) << "equivocation undetected";
+  EXPECT_LE(sim.now() - t0, 1500 * sim::kMillisecond)
       << "equivocation reaction SLO missed";
-  EXPECT_GE(cluster.replicas[0]->stats().byz_equivocations_sent, 1u);
+  EXPECT_GE(cluster.replica(0).stats().byz_equivocations_sent, 1u);
   std::uint64_t detections = 0;
-  for (ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    detections += cluster.replicas[i]->stats().equivocation_suspects;
+  for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    detections += cluster.replica(i).stats().equivocation_suspects;
   }
   EXPECT_GE(detections, 1u)
       << "view change happened but not via cross-replica digest exchange";
 
   for (int i = 0; i < 5; ++i) {
     cluster.submit();
-    cluster.sim.run_until(cluster.sim.now() + 100 * sim::kMillisecond);
+    sim.run_until(sim.now() + 100 * sim::kMillisecond);
   }
-  cluster.sim.run_until(cluster.sim.now() + 3 * sim::kSecond);
-  for (ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    EXPECT_EQ(cluster.apps[i]->log().size(), 5u) << "replica " << i;
+  sim.run_until(sim.now() + 3 * sim::kSecond);
+  for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    EXPECT_EQ(cluster.app(i).log().size(), 5u) << "replica " << i;
   }
-  cluster.expect_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(PrimeByzantine, EquivocationDetectedAtF1) { run_equivocation_case(1); }
@@ -475,59 +417,59 @@ TEST(PrimeByzantine, EquivocationDetectedAtF1) { run_equivocation_case(1); }
 TEST(PrimeByzantine, EquivocationDetectedAtF2) { run_equivocation_case(2); }
 
 TEST(PrimeByzantine, WithheldPoAruAgesIntoSuspect) {
-  ByzCluster cluster;
-  cluster.build();
-  cluster.sim.run_until(1 * sim::kSecond);
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
+  sim.run_until(1 * sim::kSecond);
 
   // The leader keeps proposing fresh matrices but silently drops
   // replica 2's rows. The victim trips its own turnaround bound; the
   // OTHER followers must independently notice the victim's broadcast
   // PO-ARUs aging un-included (2x relaxed bound) so the view change
   // reaches quorum even if the victim's votes are discounted.
-  const sim::Time t0 = cluster.sim.now();
-  cluster.replicas[0]->set_byzantine(ByzantineConfig{.withhold_victims = {2}});
-  while (cluster.replicas[1]->view() == 0 &&
-         cluster.sim.now() < t0 + 6 * sim::kSecond) {
-    cluster.sim.run_until(cluster.sim.now() + 10 * sim::kMillisecond);
+  const sim::Time t0 = sim.now();
+  cluster.replica(0).set_byzantine(ByzantineConfig{.withhold_victims = {2}});
+  while (cluster.replica(1).view() == 0 &&
+         sim.now() < t0 + 6 * sim::kSecond) {
+    sim.run_until(sim.now() + 10 * sim::kMillisecond);
   }
-  EXPECT_GE(cluster.replicas[1]->view(), 1u) << "withholding undetected";
-  EXPECT_LE(cluster.sim.now() - t0, 3 * sim::kSecond)
+  EXPECT_GE(cluster.replica(1).view(), 1u) << "withholding undetected";
+  EXPECT_LE(sim.now() - t0, 3 * sim::kSecond)
       << "withheld-ARU reaction SLO missed";
-  EXPECT_GE(cluster.replicas[0]->stats().byz_rows_withheld, 1u);
+  EXPECT_GE(cluster.replica(0).stats().byz_rows_withheld, 1u);
   const std::uint64_t aged =
-      cluster.replicas[1]->stats().withheld_aru_suspects +
-      cluster.replicas[3]->stats().withheld_aru_suspects;
+      cluster.replica(1).stats().withheld_aru_suspects +
+      cluster.replica(3).stats().withheld_aru_suspects;
   EXPECT_GE(aged, 1u) << "non-victims never aged the withheld rows";
 
   for (int i = 0; i < 5; ++i) {
     cluster.submit();
-    cluster.sim.run_until(cluster.sim.now() + 100 * sim::kMillisecond);
+    sim.run_until(sim.now() + 100 * sim::kMillisecond);
   }
-  cluster.sim.run_until(cluster.sim.now() + 3 * sim::kSecond);
-  for (ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    EXPECT_EQ(cluster.apps[i]->log().size(), 5u) << "replica " << i;
+  sim.run_until(sim.now() + 3 * sim::kSecond);
+  for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    EXPECT_EQ(cluster.app(i).log().size(), 5u) << "replica " << i;
   }
-  cluster.expect_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(PrimeByzantine, ForgedMerklePathsDroppedWithoutSuspects) {
-  ByzCluster cluster;
-  cluster.build();
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
 
   // Find a non-leader replica responsible for the client's preordering
   // (it emits PO-Requests, so it actually seals multi-unit batches —
   // the only wires a Merkle forger can corrupt).
   std::vector<std::uint64_t> po_before;
-  for (const auto& r : cluster.replicas) {
+  for (const auto& r : cluster.replicas()) {
     po_before.push_back(r->stats().po_requests_sent);
   }
   for (int i = 0; i < 3; ++i) {
     cluster.submit();
-    cluster.sim.run_until(cluster.sim.now() + 60 * sim::kMillisecond);
+    sim.run_until(sim.now() + 60 * sim::kMillisecond);
   }
   ReplicaId forger = 0;
-  for (ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    if (cluster.replicas[i]->stats().po_requests_sent > po_before[i]) {
+  for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    if (cluster.replica(i).stats().po_requests_sent > po_before[i]) {
       forger = i;
     }
   }
@@ -539,44 +481,46 @@ TEST(PrimeByzantine, ForgedMerklePathsDroppedWithoutSuspects) {
   // and the remaining correct replicas carry the quorums). Submits are
   // timed so the PO-Request shares a flush with the 20 ms PO-ARU tick,
   // guaranteeing batch-signed (forgeable) wires.
-  cluster.replicas[forger]->set_byzantine(
+  cluster.replica(forger).set_byzantine(
       ByzantineConfig{.forge_merkle_rate = 1.0});
   for (int i = 0; i < 10; ++i) {
     const sim::Time grid = 20 * sim::kMillisecond;
-    const sim::Time next = ((cluster.sim.now() / grid) + 2) * grid;
-    cluster.sim.run_until(next - 6 * sim::kMillisecond);
+    const sim::Time next = ((sim.now() / grid) + 2) * grid;
+    sim.run_until(next - 6 * sim::kMillisecond);
     cluster.submit();
   }
-  cluster.sim.run_until(cluster.sim.now() + 3 * sim::kSecond);
+  sim.run_until(sim.now() + 3 * sim::kSecond);
 
-  EXPECT_GE(cluster.replicas[forger]->stats().byz_merkle_paths_forged, 1u);
+  EXPECT_GE(cluster.replica(forger).stats().byz_merkle_paths_forged, 1u);
   std::uint64_t dropped = 0;
-  for (ReplicaId i = 0; i < cluster.config.n(); ++i) {
-    if (i != forger) dropped += cluster.replicas[i]->stats().dropped_bad_signature;
+  for (ReplicaId i = 0; i < cluster.config().n(); ++i) {
+    if (i != forger) {
+      dropped += cluster.replica(i).stats().dropped_bad_signature;
+    }
   }
   EXPECT_GE(dropped, 1u) << "no forged wire was ever dropped";
-  for (const auto& replica : cluster.replicas) {
+  for (const auto& replica : cluster.replicas()) {
     EXPECT_EQ(replica->view(), 0u) << "forged proofs caused a view change";
   }
-  for (const auto& app : cluster.apps) EXPECT_EQ(app->log().size(), 13u);
-  cluster.expect_consistent();
+  for (const auto& app : cluster.apps()) EXPECT_EQ(app->log().size(), 13u);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 // ---- PR 9 satellite regressions --------------------------------------------
 
 TEST(PrimeByzantine, TurnaroundRebaselinedOnViewInstall) {
-  ByzCluster cluster;
-  cluster.build();
-  cluster.sim.run_until(1 * sim::kSecond);
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
+  sim.run_until(1 * sim::kSecond);
 
   // Crash the leader of view 0 AND the leader of view 1, then push
   // replicas 2 and 3 into view 1 with a quorum of NewLeader votes. With
   // leader 1 dead they sit in view 1 accumulating turnaround samples
   // that nobody drains.
-  cluster.replicas[0]->set_behavior(ReplicaBehavior::kCrashed);
-  cluster.replicas[1]->set_behavior(ReplicaBehavior::kCrashed);
-  cluster.sim.run_until(cluster.sim.now() + 400 * sim::kMillisecond);
-  for (ReplicaId voter = 1; voter < cluster.config.n(); ++voter) {
+  cluster.replica(0).set_behavior(ReplicaBehavior::kCrashed);
+  cluster.replica(1).set_behavior(ReplicaBehavior::kCrashed);
+  sim.run_until(sim.now() + 400 * sim::kMillisecond);
+  for (ReplicaId voter = 1; voter < cluster.config().n(); ++voter) {
     NewLeader vote;
     vote.replica = voter;
     vote.proposed_view = 1;
@@ -584,25 +528,25 @@ TEST(PrimeByzantine, TurnaroundRebaselinedOnViewInstall) {
         Envelope::make(MsgType::kNewLeader, cluster.replica_signer(voter),
                        vote.encode())
             .encode();
-    cluster.replicas[2]->on_message(bytes);
-    cluster.replicas[3]->on_message(bytes);
+    cluster.replica(2).on_message(bytes);
+    cluster.replica(3).on_message(bytes);
   }
-  ASSERT_EQ(cluster.replicas[2]->view(), 1u);
-  ASSERT_EQ(cluster.replicas[3]->view(), 1u);
+  ASSERT_EQ(cluster.replica(2).view(), 1u);
+  ASSERT_EQ(cluster.replica(3).view(), 1u);
 
   // 500 ms into the stalled view change, the (crafted, validly signed)
   // NewView finally installs. The samples accumulated in the meantime
   // predate the new leader's tenure: aging them against it would evict
   // a leader that was never given a chance — the pre-fix behavior,
   // where the install-time clear only ran if the view number advanced.
-  cluster.sim.run_until(cluster.sim.now() + 500 * sim::kMillisecond);
-  const std::uint64_t applied = std::max(cluster.replicas[2]->applied_seq(),
-                                         cluster.replicas[3]->applied_seq());
+  sim.run_until(sim.now() + 500 * sim::kMillisecond);
+  const std::uint64_t applied = std::max(cluster.replica(2).applied_seq(),
+                                         cluster.replica(3).applied_seq());
   NewView nv;
   nv.leader = 1;
   nv.view = 1;
   nv.start_seq = applied + 1;
-  for (ReplicaId r = 1; r < cluster.config.n(); ++r) {
+  for (ReplicaId r = 1; r < cluster.config().n(); ++r) {
     ViewState vs;
     vs.replica = r;
     vs.view = 1;
@@ -614,66 +558,66 @@ TEST(PrimeByzantine, TurnaroundRebaselinedOnViewInstall) {
   const util::Bytes nv_bytes =
       Envelope::make(MsgType::kNewView, cluster.replica_signer(1), nv.encode())
           .encode();
-  cluster.replicas[2]->on_message(nv_bytes);
-  cluster.replicas[3]->on_message(nv_bytes);
+  cluster.replica(2).on_message(nv_bytes);
+  cluster.replica(3).on_message(nv_bytes);
 
   // Inside the window where only the stale samples could trip (new
   // samples are < 800 ms old, leader silence needs a full 1 s), the
   // fresh leader must not be blamed.
-  cluster.sim.run_until(cluster.sim.now() + 600 * sim::kMillisecond);
-  for (ReplicaId i = 2; i < cluster.config.n(); ++i) {
-    EXPECT_EQ(cluster.replicas[i]->stats().turnaround_suspects, 0u)
+  sim.run_until(sim.now() + 600 * sim::kMillisecond);
+  for (ReplicaId i = 2; i < cluster.config().n(); ++i) {
+    EXPECT_EQ(cluster.replica(i).stats().turnaround_suspects, 0u)
         << "replica " << i << " blamed the fresh leader for old backlog";
-    EXPECT_EQ(cluster.replicas[i]->stats().withheld_aru_suspects, 0u);
-    EXPECT_EQ(cluster.replicas[i]->view(), 1u);
+    EXPECT_EQ(cluster.replica(i).stats().withheld_aru_suspects, 0u);
+    EXPECT_EQ(cluster.replica(i).view(), 1u);
   }
 }
 
 TEST(PrimeByzantine, SuspectTickSurvivesStopStartWithoutDoubleChaining) {
-  ByzCluster cluster;
-  cluster.build();
-  cluster.sim.run_until(2 * sim::kSecond);
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
+  sim.run_until(2 * sim::kSecond);
 
   // Baseline cadence: one suspicion poll per suspect_timeout / 4.
-  const std::uint64_t s0 = cluster.replicas[3]->stats().suspect_ticks;
-  cluster.sim.run_until(cluster.sim.now() + 2 * sim::kSecond);
+  const std::uint64_t s0 = cluster.replica(3).stats().suspect_ticks;
+  sim.run_until(sim.now() + 2 * sim::kSecond);
   const std::uint64_t per_window =
-      cluster.replicas[3]->stats().suspect_ticks - s0;
+      cluster.replica(3).stats().suspect_ticks - s0;
   ASSERT_GE(per_window, 6u);
   ASSERT_LE(per_window, 9u);
 
   // No polls while stopped.
-  cluster.replicas[3]->shutdown();
-  const std::uint64_t down = cluster.replicas[3]->stats().suspect_ticks;
-  cluster.sim.run_until(cluster.sim.now() + 1 * sim::kSecond);
-  EXPECT_EQ(cluster.replicas[3]->stats().suspect_ticks, down);
+  cluster.replica(3).shutdown();
+  const std::uint64_t down = cluster.replica(3).stats().suspect_ticks;
+  sim.run_until(sim.now() + 1 * sim::kSecond);
+  EXPECT_EQ(cluster.replica(3).stats().suspect_ticks, down);
 
   // A stop/start cycle plus a redundant double start() must leave ONE
   // timer chain; without the epoch bump in start() each extra call
   // chains another timer and the poll rate multiplies — which halves
   // the effective suspicion threshold.
-  cluster.replicas[3]->start();
-  cluster.replicas[3]->start();
-  cluster.replicas[3]->shutdown();
-  cluster.replicas[3]->start();
-  const std::uint64_t s1 = cluster.replicas[3]->stats().suspect_ticks;
-  cluster.sim.run_until(cluster.sim.now() + 2 * sim::kSecond);
-  const std::uint64_t after = cluster.replicas[3]->stats().suspect_ticks - s1;
+  cluster.replica(3).start();
+  cluster.replica(3).start();
+  cluster.replica(3).shutdown();
+  cluster.replica(3).start();
+  const std::uint64_t s1 = cluster.replica(3).stats().suspect_ticks;
+  sim.run_until(sim.now() + 2 * sim::kSecond);
+  const std::uint64_t after = cluster.replica(3).stats().suspect_ticks - s1;
   EXPECT_LE(after, per_window + 2) << "suspect_tick double-chained";
   EXPECT_GE(after, per_window - 2);
 }
 
 TEST(PrimeByzantine, RowShortCircuitIsKeyedByView) {
-  ByzCluster cluster;
-  cluster.build();
-  Replica& follower = *cluster.replicas[3];
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
+  Replica& follower = cluster.replica(3);
 
   // A genuine signed PO-ARU from replica 2, delivered standalone, lands
   // in the follower's latest_aru_ (accepted in view 0).
   auto row = std::make_shared<PoAru>();
   row->replica = 2;
   row->aru_seq = 1000;  // far above anything the warmup produced
-  row->aru.assign(cluster.config.n(), 0);
+  row->aru.assign(cluster.config().n(), 0);
   row->sign(cluster.replica_signer(2));
   follower.on_message(
       Envelope::make(MsgType::kPoAru, cluster.replica_signer(2), row->raw)
@@ -686,7 +630,7 @@ TEST(PrimeByzantine, RowShortCircuitIsKeyedByView) {
     pp.leader = leader;
     pp.view = view;
     pp.order_seq = seq;
-    pp.rows.assign(cluster.config.n(), nullptr);
+    pp.rows.assign(cluster.config().n(), nullptr);
     pp.rows[2] = row;
     return Envelope::make(MsgType::kPrePrepare, cluster.replica_signer(leader),
                           pp.encode())
@@ -698,7 +642,7 @@ TEST(PrimeByzantine, RowShortCircuitIsKeyedByView) {
             before_v0.row_verify_short_circuits + 1);
 
   // Move the follower to view 1 with a quorum of NewLeader votes.
-  for (ReplicaId voter = 1; voter < cluster.config.n(); ++voter) {
+  for (ReplicaId voter = 1; voter < cluster.config().n(); ++voter) {
     NewLeader vote;
     vote.replica = voter;
     vote.proposed_view = 1;

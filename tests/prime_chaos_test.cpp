@@ -14,34 +14,10 @@
 #include <sstream>
 
 #include "crypto/sha256.hpp"
-#include "prime/replica.hpp"
-#include "prime/transport.hpp"
+#include "prime/loopback_cluster.hpp"
 
 namespace spire::prime {
 namespace {
-
-class LogApp : public Application {
- public:
-  void apply(const ClientUpdate& update, const ExecutionInfo&) override {
-    log_.push_back(update.client + "#" + std::to_string(update.client_seq));
-  }
-  [[nodiscard]] util::Bytes snapshot() const override {
-    util::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(log_.size()));
-    for (const auto& e : log_) w.str(e);
-    return w.take();
-  }
-  void restore(std::span<const std::uint8_t> blob) override {
-    util::ByteReader r(blob);
-    log_.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) log_.push_back(r.str());
-  }
-  [[nodiscard]] const std::vector<std::string>& log() const { return log_; }
-
- private:
-  std::vector<std::string> log_;
-};
 
 class ChaosSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -54,7 +30,8 @@ TEST_P(ChaosSweep, InvariantsHoldThroughRandomFaultSchedule) {
   config.k = 1;  // n = 6
   config.client_identities = {"client/a", "client/b"};
 
-  LoopbackFabric fabric(sim, config.n());
+  LoopbackCluster<> cluster(sim, config, keyring, seed);
+  LoopbackFabric& fabric = cluster.fabric();
   fabric.set_fault_injection(0.03, 1 * sim::kMillisecond, seed * 101 + 3);
 
   // The oracle works on the application logs: LogApp appends in
@@ -63,37 +40,15 @@ TEST_P(ChaosSweep, InvariantsHoldThroughRandomFaultSchedule) {
   // reflects. (Raw execute-observer streams would also contain the
   // legitimate rollback-replay that follows a checkpoint restore.)
   // Replica 0 is exempt from chaos and serves as the reference order.
-  std::vector<std::unique_ptr<LogApp>> apps;
-  std::vector<std::unique_ptr<Replica>> replicas;
-  sim::Rng rng(seed);
-  for (ReplicaId i = 0; i < config.n(); ++i) {
-    apps.push_back(std::make_unique<LogApp>());
-    replicas.push_back(std::make_unique<Replica>(sim, i, config, keyring,
-                                                 *apps.back(),
-                                                 fabric.transport_for(i),
-                                                 rng.fork()));
-    Replica* r = replicas.back().get();
-    fabric.attach(i, [r](const util::Bytes& b) { r->on_message(b); });
-  }
-  for (auto& r : replicas) r->start();
+  const auto& apps = cluster.apps();
+  const auto& replicas = cluster.replicas();
+  cluster.start();
   sim.run_until(500 * sim::kMillisecond);
 
   // --- continuous client load ------------------------------------------------
-  std::map<std::string, std::uint64_t> seqs;
   std::uint64_t submitted = 0;
   auto submit = [&](const std::string& client) {
-    crypto::Signer signer(client, keyring.identity_key(client));
-    ClientUpdate update;
-    update.client = client;
-    update.client_seq = ++seqs[client];
-    update.payload = util::to_bytes("op");
-    update.sign(signer);
-    util::ByteWriter w;
-    update.encode(w);
-    const Envelope env =
-        Envelope::make(MsgType::kClientUpdate, signer, w.take());
-    const util::Bytes bytes = env.encode();
-    for (auto& r : replicas) r->on_message(bytes);
+    cluster.submit(client, "op");
     ++submitted;
   };
 

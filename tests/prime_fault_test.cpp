@@ -8,34 +8,10 @@
 #include <memory>
 #include <sstream>
 
-#include "prime/replica.hpp"
-#include "prime/transport.hpp"
+#include "prime/loopback_cluster.hpp"
 
 namespace spire::prime {
 namespace {
-
-class LogApp : public Application {
- public:
-  void apply(const ClientUpdate& update, const ExecutionInfo&) override {
-    log_.push_back(update.client + "#" + std::to_string(update.client_seq));
-  }
-  [[nodiscard]] util::Bytes snapshot() const override {
-    util::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(log_.size()));
-    for (const auto& entry : log_) w.str(entry);
-    return w.take();
-  }
-  void restore(std::span<const std::uint8_t> blob) override {
-    util::ByteReader r(blob);
-    log_.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) log_.push_back(r.str());
-  }
-  [[nodiscard]] const std::vector<std::string>& log() const { return log_; }
-
- private:
-  std::vector<std::string> log_;
-};
 
 struct FaultParam {
   double loss = 0;
@@ -55,49 +31,21 @@ TEST_P(PrimeFaultSweep, SafetyAlwaysLivenessEventually) {
   config.k = 1;  // n = 6
   config.client_identities = {"client/a"};
 
-  LoopbackFabric fabric(sim, config.n());
-  fabric.set_fault_injection(param.loss, param.jitter, param.seed * 31 + 7);
-
-  std::vector<std::unique_ptr<LogApp>> apps;
-  std::vector<std::unique_ptr<Replica>> replicas;
-  sim::Rng rng(param.seed);
-  for (ReplicaId i = 0; i < config.n(); ++i) {
-    apps.push_back(std::make_unique<LogApp>());
-    replicas.push_back(std::make_unique<Replica>(sim, i, config, keyring,
-                                                 *apps.back(),
-                                                 fabric.transport_for(i),
-                                                 rng.fork()));
-    Replica* r = replicas.back().get();
-    fabric.attach(i, [r](const util::Bytes& b) { r->on_message(b); });
-  }
-  for (auto& r : replicas) r->start();
+  LoopbackCluster<> cluster(sim, config, keyring, param.seed);
+  cluster.fabric().set_fault_injection(param.loss, param.jitter,
+                                       param.seed * 31 + 7);
+  cluster.start();
   sim.run_until(500 * sim::kMillisecond);
 
   for (std::uint32_t c = 0; c < param.crashes; ++c) {
-    replicas[config.n() - 1 - c]->set_behavior(ReplicaBehavior::kCrashed);
+    cluster.replica(config.n() - 1 - c).set_behavior(ReplicaBehavior::kCrashed);
   }
 
   // Client updates are injected directly at every replica (clients are
   // not behind the lossy fabric; real Spire clients retransmit).
-  crypto::Signer client("client/a", keyring.identity_key("client/a"));
-  std::uint64_t seq = 0;
-  auto submit = [&] {
-    ClientUpdate update;
-    update.client = "client/a";
-    update.client_seq = ++seq;
-    update.payload = util::to_bytes("op" + std::to_string(seq));
-    update.sign(client);
-    util::ByteWriter w;
-    update.encode(w);
-    const Envelope env =
-        Envelope::make(MsgType::kClientUpdate, client, w.take());
-    const util::Bytes bytes = env.encode();
-    for (auto& r : replicas) r->on_message(bytes);
-  };
-
   sim::Rng workload(param.seed * 13 + 1);
   for (int i = 0; i < 25; ++i) {
-    submit();
+    cluster.submit("client/a", "op" + std::to_string(i + 1));
     sim.run_until(sim.now() + 30 * sim::kMillisecond +
                   workload.uniform(0, 80) * sim::kMillisecond);
   }
@@ -105,28 +53,19 @@ TEST_P(PrimeFaultSweep, SafetyAlwaysLivenessEventually) {
   sim.run_until(sim.now() + 20 * sim::kSecond);
 
   if (param.loss > 0) {
-    EXPECT_GT(fabric.messages_dropped(), 0u);  // injection actually bit
+    // Injection actually bit.
+    EXPECT_GT(cluster.fabric().messages_dropped(), 0u);
   }
 
   // Liveness: every non-crashed replica executed all 25 updates.
   for (ReplicaId i = 0; i < config.n(); ++i) {
-    if (replicas[i]->behavior() == ReplicaBehavior::kCrashed) continue;
-    EXPECT_EQ(apps[i]->log().size(), 25u)
+    if (cluster.replica(i).behavior() == ReplicaBehavior::kCrashed) continue;
+    EXPECT_EQ(cluster.app(i).log().size(), 25u)
         << "replica " << i << " under loss=" << param.loss;
   }
 
   // Safety: identical execution order everywhere (prefix rule).
-  const std::vector<std::string>* longest = &apps[0]->log();
-  for (const auto& app : apps) {
-    if (app->log().size() > longest->size()) longest = &app->log();
-  }
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    const auto& log = apps[i]->log();
-    for (std::size_t j = 0; j < log.size(); ++j) {
-      ASSERT_EQ(log[j], (*longest)[j]) << "divergence at replica " << i
-                                       << " index " << j;
-    }
-  }
+  ASSERT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -155,58 +94,31 @@ TEST(PrimeFault, RecoveryCompletesUnderMessageLoss) {
   config.f = 1;
   config.k = 1;
   config.client_identities = {"client/a"};
-  LoopbackFabric fabric(sim, config.n());
-  fabric.set_fault_injection(0.10, 1 * sim::kMillisecond, 99);
-
-  std::vector<std::unique_ptr<LogApp>> apps;
-  std::vector<std::unique_ptr<Replica>> replicas;
-  sim::Rng rng(4);
-  for (ReplicaId i = 0; i < config.n(); ++i) {
-    apps.push_back(std::make_unique<LogApp>());
-    replicas.push_back(std::make_unique<Replica>(sim, i, config, keyring,
-                                                 *apps.back(),
-                                                 fabric.transport_for(i),
-                                                 rng.fork()));
-    Replica* r = replicas.back().get();
-    fabric.attach(i, [r](const util::Bytes& b) { r->on_message(b); });
-  }
-  for (auto& r : replicas) r->start();
+  LoopbackCluster<> cluster(sim, config, keyring, 4);
+  cluster.fabric().set_fault_injection(0.10, 1 * sim::kMillisecond, 99);
+  cluster.start();
   sim.run_until(500 * sim::kMillisecond);
-
-  crypto::Signer client("client/a", keyring.identity_key("client/a"));
-  std::uint64_t seq = 0;
-  auto submit = [&] {
-    ClientUpdate update;
-    update.client = "client/a";
-    update.client_seq = ++seq;
-    update.payload = util::to_bytes("x");
-    update.sign(client);
-    util::ByteWriter w;
-    update.encode(w);
-    const Envelope env =
-        Envelope::make(MsgType::kClientUpdate, client, w.take());
-    const util::Bytes bytes = env.encode();
-    for (auto& r : replicas) r->on_message(bytes);
-  };
+  Replica& victim = cluster.replica(3);
+  const auto submit = [&cluster] { cluster.submit("client/a", "x"); };
 
   for (int i = 0; i < 20; ++i) {
     submit();
     sim.run_until(sim.now() + 50 * sim::kMillisecond);
   }
-  replicas[3]->shutdown();
+  victim.shutdown();
   sim.run_until(sim.now() + 500 * sim::kMillisecond);
-  replicas[3]->recover();
+  victim.recover();
   // Recovery protocol itself runs over the lossy fabric; retries must
   // carry it through.
   sim.run_until(sim.now() + 15 * sim::kSecond);
-  EXPECT_FALSE(replicas[3]->recovering());
+  EXPECT_FALSE(victim.recovering());
 
   for (int i = 0; i < 5; ++i) {
     submit();
     sim.run_until(sim.now() + 100 * sim::kMillisecond);
   }
   sim.run_until(sim.now() + 10 * sim::kSecond);
-  EXPECT_EQ(apps[3]->log().size(), 25u);
+  EXPECT_EQ(cluster.app(3).log().size(), 25u);
 }
 
 }  // namespace

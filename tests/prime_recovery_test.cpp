@@ -7,115 +7,52 @@
 
 #include <memory>
 
+#include "prime/loopback_cluster.hpp"
 #include "prime/recovery.hpp"
-#include "prime/replica.hpp"
-#include "prime/transport.hpp"
 #include "sim/chaos.hpp"
 
 namespace spire::prime {
 namespace {
 
-class TestApp : public Application {
- public:
-  void apply(const ClientUpdate& update, const ExecutionInfo&) override {
-    log_.push_back(update.client + "#" + std::to_string(update.client_seq));
+/// The suite's Prime group: keyring "prime-recovery-test", one client,
+/// started on creation.
+struct Cluster : LoopbackCluster<> {
+  Cluster(sim::Simulator& sim, std::uint32_t f, std::uint32_t k,
+          std::uint64_t seed = 1)
+      : LoopbackCluster(sim, make_config(f, k), suite_keyring(), seed) {
+    start();
   }
-  [[nodiscard]] util::Bytes snapshot() const override {
-    util::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(log_.size()));
-    for (const auto& entry : log_) w.str(entry);
-    return w.take();
-  }
-  void restore(std::span<const std::uint8_t> blob) override {
-    util::ByteReader r(blob);
-    log_.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) log_.push_back(r.str());
-  }
-  [[nodiscard]] const std::vector<std::string>& log() const { return log_; }
 
- private:
-  std::vector<std::string> log_;
-};
-
-struct Cluster {
-  sim::Simulator sim;
-  crypto::Keyring keyring{"prime-recovery-test"};
-  std::unique_ptr<LoopbackFabric> fabric;
-  std::vector<std::unique_ptr<TestApp>> apps;
-  std::vector<std::unique_ptr<Replica>> replicas;
-  PrimeConfig config;
-  std::map<std::string, std::uint64_t> client_seqs;
-
-  void build(std::uint32_t f, std::uint32_t k, std::uint64_t seed = 1) {
+  static PrimeConfig make_config(std::uint32_t f, std::uint32_t k) {
+    PrimeConfig config;
     config.f = f;
     config.k = k;
     config.client_identities = {"client/a"};
-    fabric = std::make_unique<LoopbackFabric>(sim, config.n());
-    sim::Rng rng(seed);
-    for (ReplicaId i = 0; i < config.n(); ++i) {
-      apps.push_back(std::make_unique<TestApp>());
-      replicas.push_back(std::make_unique<Replica>(
-          sim, i, config, keyring, *apps.back(), fabric->transport_for(i),
-          rng.fork()));
-      Replica* replica = replicas.back().get();
-      fabric->attach(i, [replica](const util::Bytes& bytes) {
-        replica->on_message(bytes);
-      });
-    }
-    for (auto& r : replicas) r->start();
+    return config;
   }
 
-  [[nodiscard]] std::vector<Replica*> targets() const {
-    std::vector<Replica*> list;
-    for (const auto& r : replicas) list.push_back(r.get());
-    return list;
+  static const crypto::Keyring& suite_keyring() {
+    static const crypto::Keyring keyring("prime-recovery-test");
+    return keyring;
   }
 
   void submit(const std::string& op) {
-    ClientUpdate update;
-    update.client = "client/a";
-    update.client_seq = ++client_seqs["client/a"];
-    update.payload = util::to_bytes(op);
-    crypto::Signer signer("client/a", keyring.identity_key("client/a"));
-    update.sign(signer);
-    util::ByteWriter w;
-    update.encode(w);
-    const Envelope env =
-        Envelope::make(MsgType::kClientUpdate, signer, w.take());
-    const util::Bytes bytes = env.encode();
-    for (auto& r : replicas) r->on_message(bytes);
+    LoopbackCluster::submit("client/a", op);
   }
-
-  void run_for(sim::Time t) { sim.run_until(sim.now() + t); }
 
   /// Replicas currently down or recovering, scheduler-tracked or not.
   [[nodiscard]] std::uint32_t down_or_recovering() const {
     std::uint32_t n = 0;
-    for (const auto& r : replicas) {
+    for (const auto& r : replicas()) {
       if (!r->running() || r->recovering()) ++n;
     }
     return n;
   }
 
-  void expect_logs_consistent() const {
-    const std::vector<std::string>* longest = &apps[0]->log();
-    for (const auto& app : apps) {
-      if (app->log().size() > longest->size()) longest = &app->log();
-    }
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-      const auto& log = apps[i]->log();
-      for (std::size_t j = 0; j < log.size(); ++j) {
-        ASSERT_EQ(log[j], (*longest)[j])
-            << "replica " << i << " diverges at index " << j;
-      }
-    }
-  }
-
   void expect_all_up() const {
-    for (std::size_t i = 0; i < replicas.size(); ++i) {
-      EXPECT_TRUE(replicas[i]->running()) << "replica " << i << " left down";
-      EXPECT_FALSE(replicas[i]->recovering())
+    for (std::size_t i = 0; i < replicas().size(); ++i) {
+      EXPECT_TRUE(replicas()[i]->running()) << "replica " << i << " left down";
+      EXPECT_FALSE(replicas()[i]->recovering())
           << "replica " << i << " stuck recovering";
     }
   }
@@ -126,14 +63,14 @@ struct Cluster {
 // double-rate takedowns. After stop()+start() the only takedown may
 // come from the restarted chain's own period.
 TEST(ProactiveRecoveryTest, StopThenStartDoesNotLeakOldTickChain) {
-  Cluster cluster;
-  cluster.build(1, 1);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);
   cluster.run_for(500 * sim::kMillisecond);
 
   RecoveryConfig rc;
   rc.period = 2 * sim::kSecond;
   rc.downtime = 200 * sim::kMillisecond;
-  ProactiveRecovery recovery(cluster.sim, cluster.targets(), rc);
+  ProactiveRecovery recovery(sim, cluster.replica_ptrs(), rc);
 
   recovery.start();  // first tick due at +2 s
   cluster.run_for(1 * sim::kSecond);
@@ -159,14 +96,14 @@ TEST(ProactiveRecoveryTest, StopThenStartDoesNotLeakOldTickChain) {
 // is inside its downtime window — after shutdown(), before the
 // bring-up lambda — must still bring the replica back.
 TEST(ProactiveRecoveryTest, StopDuringDowntimeLeavesNoReplicaDown) {
-  Cluster cluster;
-  cluster.build(1, 1);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);
   cluster.run_for(500 * sim::kMillisecond);
 
   RecoveryConfig rc;
   rc.period = 1 * sim::kSecond;
   rc.downtime = 5 * sim::kSecond;  // long window to stop() inside
-  ProactiveRecovery recovery(cluster.sim, cluster.targets(), rc);
+  ProactiveRecovery recovery(sim, cluster.replica_ptrs(), rc);
   recovery.start();
 
   cluster.run_for(1100 * sim::kMillisecond);  // tick fired, target is down
@@ -178,7 +115,7 @@ TEST(ProactiveRecoveryTest, StopDuringDowntimeLeavesNoReplicaDown) {
 
   cluster.expect_all_up();
   EXPECT_EQ(recovery.recoveries_completed(), 1u);
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 // Regression (completion accounting): recoveries_completed() counts
@@ -187,8 +124,8 @@ TEST(ProactiveRecoveryTest, StopDuringDowntimeLeavesNoReplicaDown) {
 // counter must hold at zero; after healing, the deadline/retry path
 // completes it.
 TEST(ProactiveRecoveryTest, CompletionCountsAtTransferCompletion) {
-  Cluster cluster;
-  cluster.build(1, 1);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);
   cluster.run_for(500 * sim::kMillisecond);
 
   RecoveryConfig rc;
@@ -196,31 +133,31 @@ TEST(ProactiveRecoveryTest, CompletionCountsAtTransferCompletion) {
   rc.downtime = 500 * sim::kMillisecond;
   rc.transfer_deadline = 1 * sim::kSecond;
   rc.retry_backoff = 200 * sim::kMillisecond;
-  ProactiveRecovery recovery(cluster.sim, cluster.targets(), rc);
+  ProactiveRecovery recovery(sim, cluster.replica_ptrs(), rc);
   recovery.start();
 
   // Catch the target inside its downtime window and cut it off before
   // recover() issues its StateReq.
   cluster.run_for(1100 * sim::kMillisecond);
   ReplicaId target = 0;
-  for (ReplicaId i = 0; i < cluster.config.n(); ++i) {
-    if (!cluster.replicas[i]->running()) target = i;
+  for (ReplicaId i = 0; i < cluster.config().n(); ++i) {
+    if (!cluster.replica(i).running()) target = i;
   }
   EXPECT_EQ(cluster.down_or_recovering(), 1u);
-  cluster.fabric->isolate(target, true);
+  cluster.fabric().isolate(target, true);
 
   // Transfer blocked: takedown happened, completion must not be
   // claimed. (The old code counted at recover() time.)
   cluster.run_for(3 * sim::kSecond);
   EXPECT_EQ(recovery.stats().takedowns, 1u);
   EXPECT_EQ(recovery.recoveries_completed(), 0u);
-  EXPECT_TRUE(cluster.replicas[target]->recovering());
+  EXPECT_TRUE(cluster.replica(target).recovering());
 
   // Heal and stop scheduling in the same instant: no new takedowns may
   // start, but the stalled recovery must still be driven to completion
   // (stop() keeps the deadline/retry chain armed for mid-transfer
   // targets). Exactly the one transfer finishes.
-  cluster.fabric->isolate(target, false);
+  cluster.fabric().isolate(target, false);
   recovery.stop();
   cluster.run_for(4 * sim::kSecond);
   EXPECT_EQ(recovery.recoveries_completed(), 1u);
@@ -232,8 +169,8 @@ TEST(ProactiveRecoveryTest, CompletionCountsAtTransferCompletion) {
 // must pause (deferred ticks), never exceeding max_concurrent = k
 // simultaneously down/recovering replicas, and resume on completion.
 TEST(ProactiveRecoveryTest, TransferOutlastingPeriodNeverExceedsK) {
-  Cluster cluster;
-  cluster.build(1, 1);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);
   cluster.run_for(500 * sim::kMillisecond);
 
   RecoveryConfig rc;
@@ -241,17 +178,17 @@ TEST(ProactiveRecoveryTest, TransferOutlastingPeriodNeverExceedsK) {
   rc.downtime = 100 * sim::kMillisecond;
   rc.transfer_deadline = 2 * sim::kSecond;
   rc.retry_backoff = 200 * sim::kMillisecond;
-  ProactiveRecovery recovery(cluster.sim, cluster.targets(), rc);
+  ProactiveRecovery recovery(sim, cluster.replica_ptrs(), rc);
   recovery.start();
 
   // First takedown at +500 ms; cut the target off while it is still in
   // its downtime window so the transfer stalls across many periods.
   cluster.run_for(550 * sim::kMillisecond);
   ReplicaId target = 0;
-  for (ReplicaId i = 0; i < cluster.config.n(); ++i) {
-    if (!cluster.replicas[i]->running()) target = i;
+  for (ReplicaId i = 0; i < cluster.config().n(); ++i) {
+    if (!cluster.replica(i).running()) target = i;
   }
-  cluster.fabric->isolate(target, true);
+  cluster.fabric().isolate(target, true);
 
   // Sample the disturbed count through ~7 more periods: with the
   // transfer inflated past the period the scheduler must gate, not
@@ -266,7 +203,7 @@ TEST(ProactiveRecoveryTest, TransferOutlastingPeriodNeverExceedsK) {
   EXPECT_EQ(recovery.stats().in_flight_high_water, 1u);
 
   // Heal; the stalled recovery completes and the cycle resumes.
-  cluster.fabric->isolate(target, false);
+  cluster.fabric().isolate(target, false);
   cluster.run_for(4 * sim::kSecond);
   EXPECT_GE(recovery.recoveries_completed(), 1u);
   EXPECT_GE(recovery.stats().takedowns, 2u);
@@ -280,22 +217,22 @@ TEST(ProactiveRecoveryTest, TransferOutlastingPeriodNeverExceedsK) {
 // Rejuvenating the current leader forces a view change; the recovery
 // must complete through it and ordering must continue in the new view.
 TEST(ProactiveRecoveryTest, LeaderRecoveryCompletesThroughViewChange) {
-  Cluster cluster;
-  cluster.build(1, 1);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);
   cluster.run_for(500 * sim::kMillisecond);
 
   // Order the target list so the view-0 leader (replica 0) is
   // rejuvenated first (pick_target starts from the back).
   std::vector<Replica*> order;
-  for (ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    order.push_back(cluster.replicas[i].get());
+  for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    order.push_back(cluster.replicas()[i].get());
   }
-  order.push_back(cluster.replicas[0].get());
+  order.push_back(cluster.replicas()[0].get());
 
   RecoveryConfig rc;
   rc.period = 500 * sim::kMillisecond;
   rc.downtime = 2 * sim::kSecond;  // long enough for the view change
-  ProactiveRecovery recovery(cluster.sim, order, rc);
+  ProactiveRecovery recovery(sim, order, rc);
   recovery.start();
 
   int submitted = 0;
@@ -307,7 +244,7 @@ TEST(ProactiveRecoveryTest, LeaderRecoveryCompletesThroughViewChange) {
   EXPECT_GE(recovery.recoveries_completed(), 1u);
   // The leader's takedown forced a view change on the survivors.
   std::uint64_t max_view = 0;
-  for (const auto& r : cluster.replicas) {
+  for (const auto& r : cluster.replicas()) {
     max_view = std::max(max_view, r->view());
   }
   EXPECT_GE(max_view, 1u);
@@ -315,9 +252,9 @@ TEST(ProactiveRecoveryTest, LeaderRecoveryCompletesThroughViewChange) {
   recovery.stop();
   cluster.run_for(5 * sim::kSecond);
   cluster.expect_all_up();
-  cluster.expect_logs_consistent();
-  for (ReplicaId i = 0; i < cluster.config.n(); ++i) {
-    EXPECT_EQ(cluster.apps[i]->log().size(),
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+  for (ReplicaId i = 0; i < cluster.config().n(); ++i) {
+    EXPECT_EQ(cluster.app(i).log().size(),
               static_cast<std::size_t>(submitted))
         << "replica " << i;
   }
@@ -326,16 +263,16 @@ TEST(ProactiveRecoveryTest, LeaderRecoveryCompletesThroughViewChange) {
 // k=2 staggering on the f=2,k=2 configuration (n = 3f+2k+1 = 11): two
 // recoveries may overlap, a third may not.
 TEST(ProactiveRecoveryTest, KEqualsTwoStaggersWithoutExceedingCap) {
-  Cluster cluster;
-  cluster.build(2, 2);
+  sim::Simulator sim;
+  Cluster cluster(sim, 2, 2);
   cluster.run_for(500 * sim::kMillisecond);
-  ASSERT_EQ(cluster.config.n(), 11u);
+  ASSERT_EQ(cluster.config().n(), 11u);
 
   RecoveryConfig rc;
   rc.period = 300 * sim::kMillisecond;
   rc.downtime = 1 * sim::kSecond;  // > period: windows overlap
   rc.max_concurrent = 2;
-  ProactiveRecovery recovery(cluster.sim, cluster.targets(), rc);
+  ProactiveRecovery recovery(sim, cluster.replica_ptrs(), rc);
   recovery.start();
 
   std::uint32_t observed_high_water = 0;
@@ -356,37 +293,37 @@ TEST(ProactiveRecoveryTest, KEqualsTwoStaggersWithoutExceedingCap) {
   recovery.stop();
   cluster.run_for(5 * sim::kSecond);
   cluster.expect_all_up();
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 // Chaos partition cutting a replica off mid-state-transfer: the
 // scheduler's deadline/retry/backoff path completes the recovery once
 // the injector heals the partition.
 TEST(ProactiveRecoveryTest, ChaosPartitionMidTransferHealsViaRetry) {
-  Cluster cluster;
-  cluster.build(1, 1);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);
   cluster.run_for(500 * sim::kMillisecond);
 
   sim::ChaosHooks hooks;
   hooks.set_partitioned = [&](std::uint32_t node, bool cut) {
-    cluster.fabric->isolate(static_cast<ReplicaId>(node), cut);
+    cluster.fabric().isolate(static_cast<ReplicaId>(node), cut);
   };
-  sim::ChaosInjector chaos(cluster.sim, std::move(hooks));
+  sim::ChaosInjector chaos(sim, std::move(hooks));
 
   RecoveryConfig rc;
   rc.period = 1 * sim::kSecond;
   rc.downtime = 300 * sim::kMillisecond;
   rc.transfer_deadline = 500 * sim::kMillisecond;
   rc.retry_backoff = 200 * sim::kMillisecond;
-  ProactiveRecovery recovery(cluster.sim, cluster.targets(), rc);
+  ProactiveRecovery recovery(sim, cluster.replica_ptrs(), rc);
 
   // The first takedown (descending order) hits replica n-1 at +1 s and
   // brings it up at +1.3 s. Partition it from +1.25 s for three
   // seconds: every transfer attempt inside that window stalls.
   sim::ChaosEvent event;
   event.kind = sim::ChaosEvent::Kind::kPartition;
-  event.node = cluster.config.n() - 1;
-  event.at = cluster.sim.now() + 1250 * sim::kMillisecond;
+  event.node = cluster.config().n() - 1;
+  event.at = sim.now() + 1250 * sim::kMillisecond;
   event.duration = 3 * sim::kSecond;
   chaos.add(event);
 
@@ -406,26 +343,26 @@ TEST(ProactiveRecoveryTest, ChaosPartitionMidTransferHealsViaRetry) {
   recovery.stop();
   cluster.run_for(2 * sim::kSecond);
   cluster.expect_all_up();
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 // ChaosInjector::stop() mid-episode heals exactly the active faults —
 // a node partitioned by chaos must be reachable again afterwards.
 TEST(ChaosInjectorTest, StopMidEpisodeHealsActiveFaults) {
-  Cluster cluster;
-  cluster.build(1, 0);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);
 
   sim::ChaosHooks hooks;
   hooks.set_partitioned = [&](std::uint32_t node, bool cut) {
-    cluster.fabric->isolate(static_cast<ReplicaId>(node), cut);
+    cluster.fabric().isolate(static_cast<ReplicaId>(node), cut);
   };
-  sim::ChaosInjector chaos(cluster.sim, std::move(hooks));
+  sim::ChaosInjector chaos(sim, std::move(hooks));
 
   sim::ChaosEvent event;
   event.kind = sim::ChaosEvent::Kind::kPartition;
   event.node = 3;
-  event.at = cluster.sim.now() + 100 * sim::kMillisecond;
+  event.at = sim.now() + 100 * sim::kMillisecond;
   event.duration = 60 * sim::kSecond;  // would outlast the whole test
   chaos.add(event);
   chaos.arm();
@@ -444,12 +381,12 @@ TEST(ChaosInjectorTest, StopMidEpisodeHealsActiveFaults) {
     cluster.run_for(200 * sim::kMillisecond);
   }
   cluster.run_for(2 * sim::kSecond);
-  for (ReplicaId i = 0; i < cluster.config.n(); ++i) {
-    EXPECT_EQ(cluster.apps[i]->log().size(),
+  for (ReplicaId i = 0; i < cluster.config().n(); ++i) {
+    EXPECT_EQ(cluster.app(i).log().size(),
               static_cast<std::size_t>(submitted))
         << "replica " << i;
   }
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 // Deterministic schedules: the same seed yields the same episode list.

@@ -11,118 +11,46 @@
 #include <memory>
 #include <sstream>
 
+#include "prime/loopback_cluster.hpp"
 #include "prime/recovery.hpp"
-#include "prime/replica.hpp"
-#include "prime/transport.hpp"
 
 namespace spire::prime {
 namespace {
 
-/// Deterministic test application: an append-only execution log.
-class TestApp : public Application {
- public:
-  void apply(const ClientUpdate& update, const ExecutionInfo&) override {
-    log_.push_back(update.client + "#" + std::to_string(update.client_seq));
+/// The suite's Prime group: keyring "prime-test", started on creation.
+struct Cluster : LoopbackCluster<> {
+  Cluster(sim::Simulator& sim, std::uint32_t f, std::uint32_t k,
+          std::vector<std::string> clients = {"client/a", "client/b"},
+          std::uint64_t seed = 1)
+      : LoopbackCluster(sim, make_config(f, k, std::move(clients)),
+                        suite_keyring(), seed) {
+    start();
   }
 
-  [[nodiscard]] util::Bytes snapshot() const override {
-    util::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(log_.size()));
-    for (const auto& entry : log_) w.str(entry);
-    return w.take();
-  }
-
-  void restore(std::span<const std::uint8_t> blob) override {
-    util::ByteReader r(blob);
-    log_.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) log_.push_back(r.str());
-  }
-
-  void on_state_transfer() override { ++state_transfers_; }
-
-  [[nodiscard]] const std::vector<std::string>& log() const { return log_; }
-  [[nodiscard]] int state_transfers() const { return state_transfers_; }
-
- private:
-  std::vector<std::string> log_;
-  int state_transfers_ = 0;
-};
-
-struct Cluster {
-  sim::Simulator sim;
-  crypto::Keyring keyring{"prime-test"};
-  std::unique_ptr<LoopbackFabric> fabric;
-  std::vector<std::unique_ptr<TestApp>> apps;
-  std::vector<std::unique_ptr<Replica>> replicas;
-  PrimeConfig config;
-  std::map<std::string, std::uint64_t> client_seqs;
-
-  void build(std::uint32_t f, std::uint32_t k,
-             std::vector<std::string> clients = {"client/a", "client/b"},
-             std::uint64_t seed = 1) {
+  static PrimeConfig make_config(std::uint32_t f, std::uint32_t k,
+                                 std::vector<std::string> clients) {
+    PrimeConfig config;
     config.f = f;
     config.k = k;
-    config.client_identities = clients;
-    fabric = std::make_unique<LoopbackFabric>(sim, config.n());
-    sim::Rng rng(seed);
-    for (ReplicaId i = 0; i < config.n(); ++i) {
-      apps.push_back(std::make_unique<TestApp>());
-      replicas.push_back(std::make_unique<Replica>(
-          sim, i, config, keyring, *apps.back(), fabric->transport_for(i),
-          rng.fork()));
-      Replica* replica = replicas.back().get();
-      fabric->attach(i, [replica](const util::Bytes& bytes) {
-        replica->on_message(bytes);
-      });
-    }
-    for (auto& r : replicas) r->start();
+    config.client_identities = std::move(clients);
+    return config;
   }
 
-  /// Submits a signed client update to every running replica.
-  void submit(const std::string& client, const std::string& op) {
-    ClientUpdate update;
-    update.client = client;
-    update.client_seq = ++client_seqs[client];
-    update.payload = util::to_bytes(op);
-    crypto::Signer signer(client, keyring.identity_key(client));
-    update.sign(signer);
-    util::ByteWriter w;
-    update.encode(w);
-    const Envelope env =
-        Envelope::make(MsgType::kClientUpdate, signer, w.take());
-    const util::Bytes bytes = env.encode();
-    for (auto& r : replicas) r->on_message(bytes);
-  }
-
-  void run_for(sim::Time t) { sim.run_until(sim.now() + t); }
-
-  /// Longest common prefix check: every replica's log must be a prefix
-  /// of the longest log (total-order safety).
-  void expect_logs_consistent() const {
-    const std::vector<std::string>* longest = &apps[0]->log();
-    for (const auto& app : apps) {
-      if (app->log().size() > longest->size()) longest = &app->log();
-    }
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-      const auto& log = apps[i]->log();
-      for (std::size_t j = 0; j < log.size(); ++j) {
-        ASSERT_EQ(log[j], (*longest)[j])
-            << "replica " << i << " diverges at index " << j;
-      }
-    }
+  static const crypto::Keyring& suite_keyring() {
+    static const crypto::Keyring keyring("prime-test");
+    return keyring;
   }
 
   [[nodiscard]] std::size_t min_executed() const {
     std::size_t m = SIZE_MAX;
-    for (const auto& app : apps) m = std::min(m, app->log().size());
+    for (const auto& app : apps()) m = std::min(m, app->log().size());
     return m;
   }
 };
 
 TEST(Prime, BasicOrderingAllReplicasExecuteEverything) {
-  Cluster cluster;
-  cluster.build(1, 0);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);  // settle
 
   for (int i = 0; i < 25; ++i) {
@@ -132,32 +60,32 @@ TEST(Prime, BasicOrderingAllReplicasExecuteEverything) {
   }
   cluster.run_for(2 * sim::kSecond);
 
-  for (const auto& app : cluster.apps) {
+  for (const auto& app : cluster.apps()) {
     EXPECT_EQ(app->log().size(), 50u);
   }
-  cluster.expect_logs_consistent();
-  EXPECT_EQ(cluster.replicas[0]->view(), 0u);  // no spurious view changes
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+  EXPECT_EQ(cluster.replica(0).view(), 0u);  // no spurious view changes
 }
 
 TEST(Prime, DuplicatesAcrossOriginsExecuteOnce) {
-  Cluster cluster;
-  cluster.build(1, 0);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);
   // Every submit already goes to all 4 replicas (so up to 4 origins
   // preorder it). Submit the same logical updates and verify counts.
   for (int i = 0; i < 10; ++i) cluster.submit("client/a", "op");
   cluster.run_for(2 * sim::kSecond);
-  for (const auto& app : cluster.apps) {
+  for (const auto& app : cluster.apps()) {
     EXPECT_EQ(app->log().size(), 10u);
   }
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(Prime, ToleratesCrashOfOneReplica) {
-  Cluster cluster;
-  cluster.build(1, 0);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);
-  cluster.replicas[2]->set_behavior(ReplicaBehavior::kCrashed);
+  cluster.replica(2).set_behavior(ReplicaBehavior::kCrashed);
 
   for (int i = 0; i < 10; ++i) {
     cluster.submit("client/a", "op" + std::to_string(i));
@@ -167,20 +95,20 @@ TEST(Prime, ToleratesCrashOfOneReplica) {
 
   for (ReplicaId i = 0; i < 4; ++i) {
     if (i == 2) continue;
-    EXPECT_EQ(cluster.apps[i]->log().size(), 10u) << "replica " << i;
+    EXPECT_EQ(cluster.app(i).log().size(), 10u) << "replica " << i;
   }
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(Prime, SilentLeaderTriggersViewChangeAndLivenessResumes) {
-  Cluster cluster;
-  cluster.build(1, 0);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);
-  ASSERT_TRUE(cluster.replicas[0]->is_leader());
-  cluster.replicas[0]->set_behavior(ReplicaBehavior::kCrashed);
+  ASSERT_TRUE(cluster.replica(0).is_leader());
+  cluster.replica(0).set_behavior(ReplicaBehavior::kCrashed);
 
   cluster.run_for(3 * sim::kSecond);  // suspect timeout + view change
-  EXPECT_GE(cluster.replicas[1]->view(), 1u);
+  EXPECT_GE(cluster.replica(1).view(), 1u);
 
   for (int i = 0; i < 10; ++i) {
     cluster.submit("client/a", "after-vc" + std::to_string(i));
@@ -188,19 +116,19 @@ TEST(Prime, SilentLeaderTriggersViewChangeAndLivenessResumes) {
   }
   cluster.run_for(3 * sim::kSecond);
   for (ReplicaId i = 1; i < 4; ++i) {
-    EXPECT_EQ(cluster.apps[i]->log().size(), 10u) << "replica " << i;
+    EXPECT_EQ(cluster.app(i).log().size(), 10u) << "replica " << i;
   }
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(Prime, StaleMatrixLeaderIsEvictedByTurnaroundBound) {
   // The Prime delay attack: a leader that keeps proposing but with
   // matrices that never reflect fresh PO-ARUs. Liveness must recover
   // within the turnaround bound, not stall indefinitely.
-  Cluster cluster;
-  cluster.build(1, 0);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);
-  cluster.replicas[0]->set_behavior(ReplicaBehavior::kStaleLeader);
+  cluster.replica(0).set_behavior(ReplicaBehavior::kStaleLeader);
 
   for (int i = 0; i < 10; ++i) {
     cluster.submit("client/a", "op" + std::to_string(i));
@@ -208,53 +136,53 @@ TEST(Prime, StaleMatrixLeaderIsEvictedByTurnaroundBound) {
   }
   cluster.run_for(4 * sim::kSecond);
 
-  EXPECT_GE(cluster.replicas[1]->view(), 1u)
+  EXPECT_GE(cluster.replica(1).view(), 1u)
       << "stale leader was never suspected";
   for (ReplicaId i = 1; i < 4; ++i) {
-    EXPECT_EQ(cluster.apps[i]->log().size(), 10u) << "replica " << i;
+    EXPECT_EQ(cluster.app(i).log().size(), 10u) << "replica " << i;
   }
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(Prime, SilentLeaderBehaviorVariant) {
   // kSilentLeader: correct replica except it never proposes.
-  Cluster cluster;
-  cluster.build(1, 0);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);
-  cluster.replicas[0]->set_behavior(ReplicaBehavior::kSilentLeader);
+  cluster.replica(0).set_behavior(ReplicaBehavior::kSilentLeader);
   cluster.run_for(3 * sim::kSecond);
-  EXPECT_GE(cluster.replicas[0]->view(), 1u);  // it still participates in VC
+  EXPECT_GE(cluster.replica(0).view(), 1u);  // it still participates in VC
 
   cluster.submit("client/a", "post");
   cluster.run_for(2 * sim::kSecond);
   EXPECT_GE(cluster.min_executed(), 1u);
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(Prime, PartitionedReplicaCatchesUpAfterHeal) {
-  Cluster cluster;
-  cluster.build(1, 0);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);
 
-  cluster.fabric->isolate(3, true);
+  cluster.fabric().isolate(3, true);
   for (int i = 0; i < 20; ++i) {
     cluster.submit("client/a", "op" + std::to_string(i));
     cluster.run_for(50 * sim::kMillisecond);
   }
   cluster.run_for(1 * sim::kSecond);
-  EXPECT_EQ(cluster.apps[0]->log().size(), 20u);
-  const auto behind = cluster.apps[3]->log().size();
+  EXPECT_EQ(cluster.app(0).log().size(), 20u);
+  const auto behind = cluster.app(3).log().size();
   EXPECT_LT(behind, 20u);
 
-  cluster.fabric->isolate(3, false);
+  cluster.fabric().isolate(3, false);
   cluster.run_for(5 * sim::kSecond);
-  EXPECT_EQ(cluster.apps[3]->log().size(), 20u);
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.app(3).log().size(), 20u);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(Prime, ProactiveRecoveryRunsApplicationStateTransfer) {
-  Cluster cluster;
-  cluster.build(1, 1);  // n = 6: supports recovery with bounded delay
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);  // n = 6: supports recovery with bounded delay
   cluster.run_for(500 * sim::kMillisecond);
 
   for (int i = 0; i < 20; ++i) {
@@ -262,18 +190,18 @@ TEST(Prime, ProactiveRecoveryRunsApplicationStateTransfer) {
     cluster.run_for(40 * sim::kMillisecond);
   }
   cluster.run_for(1 * sim::kSecond);
-  ASSERT_EQ(cluster.apps[2]->log().size(), 20u);
+  ASSERT_EQ(cluster.app(2).log().size(), 20u);
 
-  const std::uint64_t old_variant = cluster.replicas[2]->variant();
-  cluster.replicas[2]->shutdown();
+  const std::uint64_t old_variant = cluster.replica(2).variant();
+  cluster.replica(2).shutdown();
   cluster.run_for(500 * sim::kMillisecond);
-  cluster.replicas[2]->recover();
+  cluster.replica(2).recover();
   cluster.run_for(3 * sim::kSecond);
 
-  EXPECT_FALSE(cluster.replicas[2]->recovering());
-  EXPECT_NE(cluster.replicas[2]->variant(), old_variant);  // new diversity
-  EXPECT_EQ(cluster.apps[2]->state_transfers(), 1);        // §III-A signal
-  EXPECT_EQ(cluster.replicas[2]->stats().state_transfers, 1u);
+  EXPECT_FALSE(cluster.replica(2).recovering());
+  EXPECT_NE(cluster.replica(2).variant(), old_variant);  // new diversity
+  EXPECT_EQ(cluster.app(2).state_transfers(), 1);        // §III-A signal
+  EXPECT_EQ(cluster.replica(2).stats().state_transfers, 1u);
 
   // Recovered replica keeps executing new updates.
   for (int i = 0; i < 10; ++i) {
@@ -281,21 +209,19 @@ TEST(Prime, ProactiveRecoveryRunsApplicationStateTransfer) {
     cluster.run_for(40 * sim::kMillisecond);
   }
   cluster.run_for(3 * sim::kSecond);
-  EXPECT_EQ(cluster.apps[2]->log().size(), 30u);
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.app(2).log().size(), 30u);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 TEST(Prime, RecoverySchedulerCyclesThroughAllReplicas) {
-  Cluster cluster;
-  cluster.build(1, 1);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);
   cluster.run_for(500 * sim::kMillisecond);
 
-  std::vector<Replica*> targets;
-  for (auto& r : cluster.replicas) targets.push_back(r.get());
   RecoveryConfig rc;
   rc.period = 4 * sim::kSecond;
   rc.downtime = 500 * sim::kMillisecond;
-  ProactiveRecovery recovery(cluster.sim, targets, rc);
+  ProactiveRecovery recovery(sim, cluster.replica_ptrs(), rc);
   recovery.start();
 
   int submitted = 0;
@@ -308,20 +234,20 @@ TEST(Prime, RecoverySchedulerCyclesThroughAllReplicas) {
   cluster.run_for(8 * sim::kSecond);
 
   EXPECT_GE(recovery.recoveries_completed(), 6u);
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
   // Every live replica converged on the full history.
-  for (ReplicaId i = 0; i < cluster.config.n(); ++i) {
-    if (!cluster.replicas[i]->running() || cluster.replicas[i]->recovering()) {
+  for (ReplicaId i = 0; i < cluster.config().n(); ++i) {
+    if (!cluster.replica(i).running() || cluster.replica(i).recovering()) {
       continue;
     }
-    EXPECT_EQ(cluster.apps[i]->log().size(), static_cast<std::size_t>(submitted))
+    EXPECT_EQ(cluster.app(i).log().size(), static_cast<std::size_t>(submitted))
         << "replica " << i;
   }
 }
 
 TEST(Prime, ForgedClientUpdateRejected) {
-  Cluster cluster;
-  cluster.build(1, 0);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);
 
   ClientUpdate update;
@@ -329,7 +255,7 @@ TEST(Prime, ForgedClientUpdateRejected) {
   update.client_seq = 1;
   update.payload = util::to_bytes("evil");
   // Signed by an attacker key, not client/a's key.
-  crypto::Signer mallory("mallory", cluster.keyring.identity_key("mallory"));
+  crypto::Signer mallory("mallory", cluster.keyring().identity_key("mallory"));
   update.client_sig = mallory.sign(update.signed_bytes());
   util::ByteWriter w;
   update.encode(w);
@@ -338,44 +264,38 @@ TEST(Prime, ForgedClientUpdateRejected) {
   env.sender = "client/a";
   env.body = w.take();
   env.signature = mallory.sign(env.signed_bytes());
-  for (auto& r : cluster.replicas) r->on_message(env.encode());
+  for (auto& r : cluster.replicas()) r->on_message(env.encode());
 
   cluster.run_for(2 * sim::kSecond);
-  for (const auto& app : cluster.apps) EXPECT_TRUE(app->log().empty());
-  EXPECT_GT(cluster.replicas[0]->stats().dropped_bad_signature, 0u);
+  for (const auto& app : cluster.apps()) EXPECT_TRUE(app->log().empty());
+  EXPECT_GT(cluster.replica(0).stats().dropped_bad_signature, 0u);
 }
 
 // The verified-envelope cache is an accept-side memo, never a bypass: a
 // tampered envelope hashes to a digest that was never cached, so it
 // still reaches full verification and is dropped.
 TEST(Prime, TamperedEnvelopeRejectedDespiteWarmCache) {
-  Cluster cluster;
-  cluster.build(1, 0);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);
   cluster.submit("client/a", "legit");
   cluster.run_for(1 * sim::kSecond);
   // Ordinary traffic exercises the memo (PO-ARU rows, retransmitted
   // envelopes); the cache must be warm before the attack means anything.
-  EXPECT_GT(cluster.replicas[0]->verify_cache_size(), 0u);
+  EXPECT_GT(cluster.replica(0).verify_cache_size(), 0u);
 
-  ClientUpdate update;
-  update.client = "client/a";
-  update.client_seq = ++cluster.client_seqs["client/a"];
-  update.payload = util::to_bytes("to-be-tampered");
-  crypto::Signer signer("client/a", cluster.keyring.identity_key("client/a"));
-  update.sign(signer);
-  util::ByteWriter w;
-  update.encode(w);
-  util::Bytes bytes =
-      Envelope::make(MsgType::kClientUpdate, signer, w.take()).encode();
+  const crypto::Signer signer("client/a",
+                              cluster.keyring().identity_key("client/a"));
+  util::Bytes bytes = seal_client_update(signer, cluster.next_seq("client/a"),
+                                         util::to_bytes("to-be-tampered"));
 
-  const auto before = cluster.replicas[0]->stats().dropped_bad_signature;
+  const auto before = cluster.replica(0).stats().dropped_bad_signature;
   // Flip one bit in the signed body region (the trailing 32 bytes are
   // the MAC; anything before them is covered by the signature).
   bytes[bytes.size() - 40] ^= 0x01;
-  cluster.replicas[0]->on_message(bytes);
+  cluster.replica(0).on_message(bytes);
   cluster.run_for(100 * sim::kMillisecond);
-  EXPECT_EQ(cluster.replicas[0]->stats().dropped_bad_signature, before + 1);
+  EXPECT_EQ(cluster.replica(0).stats().dropped_bad_signature, before + 1);
 }
 
 // Delta-matrix fallback: a follower that missed the leader's previous
@@ -383,33 +303,33 @@ TEST(Prime, TamperedEnvelopeRejectedDespiteWarmCache) {
 // stale), so it must fetch the full matrix from a peer and rejoin the
 // fast path — no view change, no state transfer.
 TEST(Prime, StaleFollowerFallsBackToFullMatrixFetch) {
-  Cluster cluster;
-  cluster.build(1, 0);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);
   // Quiesce the real leader so the only Pre-Prepares in flight are the
   // injected ones (the organic workload refreshes every row between
   // proposals, which degenerates deltas to full encodings).
-  cluster.replicas[0]->set_behavior(ReplicaBehavior::kSilentLeader);
+  cluster.replica(0).set_behavior(ReplicaBehavior::kSilentLeader);
   cluster.run_for(100 * sim::kMillisecond);
-  const crypto::Signer leader(replica_identity(0),
-                              cluster.keyring.identity_key(replica_identity(0)));
+  const crypto::Signer leader(
+      replica_identity(0), cluster.keyring().identity_key(replica_identity(0)));
 
   auto row = std::make_shared<PoAru>();
   row->replica = 0;
   row->aru_seq = 1000;
-  row->aru.assign(cluster.config.n(), 0);
+  row->aru.assign(cluster.config().n(), 0);
   row->sign(leader);
   PrePrepare pp1;
   pp1.leader = 0;
   pp1.view = 0;
   pp1.order_seq = 100;  // past anything proposed during warm-up
-  pp1.rows.assign(cluster.config.n(), nullptr);
+  pp1.rows.assign(cluster.config().n(), nullptr);
   pp1.rows[0] = row;
   const util::Bytes full =
       Envelope::make(MsgType::kPrePrepare, leader, pp1.encode()).encode();
   // Replica 3 never sees the full proposal.
-  cluster.replicas[1]->on_message(full);
-  cluster.replicas[2]->on_message(full);
+  cluster.replica(1).on_message(full);
+  cluster.replica(2).on_message(full);
   cluster.run_for(50 * sim::kMillisecond);
 
   // The follow-up arrives delta-encoded (row 0 unchanged) at everyone.
@@ -419,13 +339,13 @@ TEST(Prime, StaleFollowerFallsBackToFullMatrixFetch) {
   const util::Bytes delta =
       Envelope::make(MsgType::kPrePrepare, leader, pp2.encode_delta(pp1.rows))
           .encode();
-  for (ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    cluster.replicas[i]->on_message(delta);
+  for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    cluster.replica(i).on_message(delta);
   }
   cluster.run_for(50 * sim::kMillisecond);
-  EXPECT_EQ(cluster.replicas[3]->stats().matrix_fetches_sent, 1u)
+  EXPECT_EQ(cluster.replica(3).stats().matrix_fetches_sent, 1u)
       << "stale follower never fell back to a full-matrix fetch";
-  EXPECT_EQ(cluster.replicas[1]->stats().matrix_fetches_sent, 0u)
+  EXPECT_EQ(cluster.replica(1).stats().matrix_fetches_sent, 0u)
       << "chained follower fetched despite holding the previous matrix";
 
   // The fetched matrix repaired replica 3's chain state: the next delta
@@ -436,28 +356,28 @@ TEST(Prime, StaleFollowerFallsBackToFullMatrixFetch) {
   const util::Bytes delta2 =
       Envelope::make(MsgType::kPrePrepare, leader, pp3.encode_delta(pp2.rows))
           .encode();
-  for (ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    cluster.replicas[i]->on_message(delta2);
+  for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    cluster.replica(i).on_message(delta2);
   }
   cluster.run_for(50 * sim::kMillisecond);
-  EXPECT_EQ(cluster.replicas[3]->stats().matrix_fetches_sent, 1u)
+  EXPECT_EQ(cluster.replica(3).stats().matrix_fetches_sent, 1u)
       << "fetch did not repair the follower's delta chain";
-  for (const auto& r : cluster.replicas) EXPECT_EQ(r->view(), 0u);
-  cluster.expect_logs_consistent();
+  for (const auto& r : cluster.replicas()) EXPECT_EQ(r->view(), 0u);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 // Proactive-recovery semantics (paper §III): a rejuvenated replica's
 // pre-takedown acceptances are not trustworthy, so recover() must wipe
 // the verification cache along with the rest of volatile state.
 TEST(Prime, VerifyCacheClearedOnRecovery) {
-  Cluster cluster;
-  cluster.build(1, 1);  // n=6, the plant deployment shape
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);  // n=6, the plant deployment shape
   cluster.run_for(500 * sim::kMillisecond);
   for (int i = 0; i < 5; ++i) {
     cluster.submit("client/a", "op" + std::to_string(i));
     cluster.run_for(200 * sim::kMillisecond);
   }
-  Replica& victim = *cluster.replicas[2];
+  Replica& victim = cluster.replica(2);
   EXPECT_GT(victim.verify_cache_size(), 0u);
 
   victim.recover();
@@ -470,9 +390,9 @@ TEST(Prime, VerifyCacheClearedOnRecovery) {
   const auto before = victim.stats().dropped_bad_signature;
   ClientUpdate update;
   update.client = "client/a";
-  update.client_seq = ++cluster.client_seqs["client/a"];
+  update.client_seq = cluster.next_seq("client/a");
   update.payload = util::to_bytes("evil");
-  crypto::Signer mallory("mallory", cluster.keyring.identity_key("mallory"));
+  crypto::Signer mallory("mallory", cluster.keyring().identity_key("mallory"));
   update.client_sig = mallory.sign(update.signed_bytes());
   util::ByteWriter w;
   update.encode(w);
@@ -488,51 +408,42 @@ TEST(Prime, VerifyCacheClearedOnRecovery) {
   // And legitimate traffic still flows end-to-end post-recovery.
   cluster.submit("client/b", "after-recovery");
   cluster.run_for(2 * sim::kSecond);
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
   EXPECT_GT(victim.stats().verify_cache_hits, 0u);
 }
 
 TEST(Prime, UnknownClientRejected) {
-  Cluster cluster;
-  cluster.build(1, 0, {"client/a"});
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0, {"client/a"});
   cluster.run_for(500 * sim::kMillisecond);
   // client/evil has a valid key in the keyring but is not provisioned.
-  ClientUpdate update;
-  update.client = "client/evil";
-  update.client_seq = 1;
-  update.payload = util::to_bytes("x");
-  crypto::Signer signer("client/evil", cluster.keyring.identity_key("client/evil"));
-  update.sign(signer);
-  util::ByteWriter w;
-  update.encode(w);
-  const Envelope env = Envelope::make(MsgType::kClientUpdate, signer, w.take());
-  for (auto& r : cluster.replicas) r->on_message(env.encode());
+  cluster.submit("client/evil", "x");
   cluster.run_for(2 * sim::kSecond);
-  for (const auto& app : cluster.apps) EXPECT_TRUE(app->log().empty());
+  for (const auto& app : cluster.apps()) EXPECT_TRUE(app->log().empty());
 }
 
 TEST(Prime, CheckpointsBecomeStable) {
-  Cluster cluster;
-  cluster.build(1, 0);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);
   for (int i = 0; i < 30; ++i) {
     cluster.submit("client/a", "op" + std::to_string(i));
     cluster.run_for(40 * sim::kMillisecond);
   }
   cluster.run_for(3 * sim::kSecond);
-  EXPECT_GT(cluster.replicas[0]->stats().checkpoints_stable, 0u);
+  EXPECT_GT(cluster.replica(0).stats().checkpoints_stable, 0u);
 }
 
 TEST(Prime, MalformedEnvelopesAreHarmless) {
-  Cluster cluster;
-  cluster.build(1, 0);
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);
-  cluster.replicas[0]->on_message(util::to_bytes("complete garbage"));
-  cluster.replicas[0]->on_message(util::Bytes{});
-  cluster.replicas[0]->on_message(util::Bytes(10000, 0xFF));
+  cluster.replica(0).on_message(util::to_bytes("complete garbage"));
+  cluster.replica(0).on_message(util::Bytes{});
+  cluster.replica(0).on_message(util::Bytes(10000, 0xFF));
   cluster.submit("client/a", "still-works");
   cluster.run_for(2 * sim::kSecond);
-  EXPECT_EQ(cluster.apps[0]->log().size(), 1u);
+  EXPECT_EQ(cluster.app(0).log().size(), 1u);
 }
 
 TEST(PrimeMessages, EnvelopeRoundTripAndTamperDetection) {
@@ -572,12 +483,60 @@ TEST(PrimeMessages, PrePrepareDigestCoversMatrix) {
   EXPECT_EQ(decoded->digest(), b.digest());
 }
 
+// ---- the shared safety oracle ---------------------------------------------
+//
+// first_divergence() guards every Prime suite; an oracle that always
+// passed would hide a safety bug in all of them.
+
+/// A LogApp that executed `updates` (client, client_seq) in order.
+std::unique_ptr<LogApp> log_app(
+    const std::vector<std::pair<std::string, std::uint64_t>>& updates) {
+  auto app = std::make_unique<LogApp>();
+  for (const auto& [client, seq] : updates) {
+    ClientUpdate update;
+    update.client = client;
+    update.client_seq = seq;
+    app->apply(update, ExecutionInfo{});
+  }
+  return app;
+}
+
+TEST(PrimeOracle, AcceptsEqualPrefixAndEmptyLogs) {
+  std::vector<std::unique_ptr<LogApp>> apps;
+  apps.push_back(log_app({{"a", 1}, {"b", 1}, {"a", 2}}));
+  apps.push_back(log_app({{"a", 1}, {"b", 1}, {"a", 2}}));  // equal
+  apps.push_back(log_app({{"a", 1}, {"b", 1}}));            // strict prefix
+  apps.push_back(log_app({}));                              // empty
+  EXPECT_EQ(first_divergence(apps), std::nullopt);
+
+  std::vector<std::unique_ptr<LogApp>> empty;
+  empty.push_back(log_app({}));
+  empty.push_back(log_app({}));
+  EXPECT_EQ(first_divergence(empty), std::nullopt);
+}
+
+TEST(PrimeOracle, RejectsDivergenceNamingReplicaAndIndex) {
+  std::vector<std::unique_ptr<LogApp>> apps;
+  apps.push_back(log_app({{"a", 1}, {"b", 1}, {"a", 2}}));
+  apps.push_back(log_app({{"a", 1}, {"b", 1}}));
+  apps.push_back(log_app({{"a", 1}, {"a", 2}}));            // swapped order
+  apps.push_back(log_app({{"a", 1}, {"b", 1}, {"b", 2}}));  // differs at 2
+  EXPECT_EQ(first_divergence(apps), (LogDivergence{2, 1}));
+
+  // Replica 0 is not ground truth: when it is the shorter log and
+  // disagrees with a longer one, replica 0 is the one named.
+  std::vector<std::unique_ptr<LogApp>> two;
+  two.push_back(log_app({{"a", 1}, {"b", 2}}));
+  two.push_back(log_app({{"a", 1}, {"b", 1}, {"a", 2}}));
+  EXPECT_EQ(first_divergence(two), (LogDivergence{0, 1}));
+}
+
 TEST(Prime, ResponsibleSetBoundsPreorderDuplication) {
   // Clients broadcast to all n replicas, but only f+k+1 of them may
   // preorder any given client's updates (DESIGN.md: bounded
   // duplication with guaranteed liveness).
-  Cluster cluster;
-  cluster.build(1, 1);  // n = 6, responsible set size 3
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);  // n = 6, responsible set size 3
   cluster.run_for(500 * sim::kMillisecond);
   for (int i = 0; i < 10; ++i) {
     cluster.submit("client/a", "op" + std::to_string(i));
@@ -587,14 +546,14 @@ TEST(Prime, ResponsibleSetBoundsPreorderDuplication) {
 
   std::uint32_t preorderers = 0;
   std::uint64_t total_po_requests = 0;
-  for (const auto& replica : cluster.replicas) {
+  for (const auto& replica : cluster.replicas()) {
     if (replica->stats().po_requests_sent > 0) ++preorderers;
     total_po_requests += replica->stats().po_requests_sent;
   }
-  EXPECT_LE(preorderers, cluster.config.f + cluster.config.k + 1);
+  EXPECT_LE(preorderers, cluster.config().f + cluster.config().k + 1);
   EXPECT_GE(preorderers, 1u);
   EXPECT_GT(total_po_requests, 0u);
-  for (const auto& app : cluster.apps) EXPECT_EQ(app->log().size(), 10u);
+  for (const auto& app : cluster.apps()) EXPECT_EQ(app->log().size(), 10u);
 }
 
 // ---- property sweeps ---------------------------------------------------------
@@ -609,14 +568,14 @@ class PrimeSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(PrimeSweep, SafetyAndLivenessWithCrashFaults) {
   const auto param = GetParam();
-  Cluster cluster;
-  cluster.build(param.f, param.k, {"client/a", "client/b"}, param.seed);
+  sim::Simulator sim;
+  Cluster cluster(sim, param.f, param.k, {"client/a", "client/b"}, param.seed);
   cluster.run_for(500 * sim::kMillisecond);
 
   // Crash f replicas (never the whole leader chain): pick the highest
   // indices so view 0's leader survives.
   for (std::uint32_t c = 0; c < param.f; ++c) {
-    cluster.replicas[cluster.config.n() - 1 - c]->set_behavior(
+    cluster.replica(cluster.config().n() - 1 - c).set_behavior(
         ReplicaBehavior::kCrashed);
   }
 
@@ -630,13 +589,13 @@ TEST_P(PrimeSweep, SafetyAndLivenessWithCrashFaults) {
   }
   cluster.run_for(3 * sim::kSecond);
 
-  for (ReplicaId i = 0; i < cluster.config.n(); ++i) {
-    if (cluster.replicas[i]->behavior() == ReplicaBehavior::kCrashed) continue;
-    EXPECT_EQ(cluster.apps[i]->log().size(),
+  for (ReplicaId i = 0; i < cluster.config().n(); ++i) {
+    if (cluster.replica(i).behavior() == ReplicaBehavior::kCrashed) continue;
+    EXPECT_EQ(cluster.app(i).log().size(),
               static_cast<std::size_t>(submitted))
         << "replica " << i << " (f=" << param.f << ", k=" << param.k << ")";
   }
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -654,10 +613,10 @@ INSTANTIATE_TEST_SUITE_P(
 class LeaderFaultSweep : public ::testing::TestWithParam<ReplicaBehavior> {};
 
 TEST_P(LeaderFaultSweep, ViewChangeRestoresLiveness) {
-  Cluster cluster;
-  cluster.build(1, 1);  // n=6
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);  // n=6
   cluster.run_for(500 * sim::kMillisecond);
-  cluster.replicas[0]->set_behavior(GetParam());
+  cluster.replica(0).set_behavior(GetParam());
 
   for (int i = 0; i < 8; ++i) {
     cluster.submit("client/a", "op" + std::to_string(i));
@@ -665,11 +624,11 @@ TEST_P(LeaderFaultSweep, ViewChangeRestoresLiveness) {
   }
   cluster.run_for(5 * sim::kSecond);
 
-  EXPECT_GE(cluster.replicas[1]->view(), 1u);
-  for (ReplicaId i = 1; i < cluster.config.n(); ++i) {
-    EXPECT_EQ(cluster.apps[i]->log().size(), 8u) << "replica " << i;
+  EXPECT_GE(cluster.replica(1).view(), 1u);
+  for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
+    EXPECT_EQ(cluster.app(i).log().size(), 8u) << "replica " << i;
   }
-  cluster.expect_logs_consistent();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 INSTANTIATE_TEST_SUITE_P(LeaderFaults, LeaderFaultSweep,
