@@ -27,6 +27,7 @@ Replica::Replica(sim::Simulator& sim, ReplicaId id, PrimeConfig config,
       metrics_("prime.replica" + std::to_string(id)) {
   metrics_.counter("updates_executed", &stats_.updates_executed);
   metrics_.counter("po_requests_sent", &stats_.po_requests_sent);
+  metrics_.counter("po_arus_sent", &stats_.po_arus_sent);
   metrics_.counter("preprepares_sent", &stats_.preprepares_sent);
   metrics_.counter("matrices_applied", &stats_.matrices_applied);
   metrics_.counter("view_changes", &stats_.view_changes);
@@ -181,6 +182,7 @@ bool Replica::acting_crashed() const {
 
 void Replica::arm_timers() {
   const std::uint64_t epoch = epoch_;
+  last_po_aru_sent_.reset();
   last_leader_activity_ = sim_.now();
   sim_.schedule_after(config_.po_request_interval,
                       [this, epoch] { po_flush_tick(epoch); });
@@ -673,6 +675,21 @@ void Replica::store_po_request(const PoRequest& req, const util::Bytes& raw) {
 
 void Replica::po_aru_tick(std::uint64_t epoch) {
   if (epoch != epoch_ || !running_) return;
+  sim_.schedule_after(config_.po_aru_interval,
+                      [this, epoch] { po_aru_tick(epoch); });
+  // Send on change (DESIGN.md §14): an unchanged row tells the leader
+  // nothing new, and re-signing it every tick would keep every proposal
+  // "fresh" and defeat the leader's idle skip. The heartbeat keeps an
+  // own row pending inclusion at least that often, so the turnaround and
+  // withheld-ARU checks still see an idle leader's matrices.
+  const auto& last = latest_aru_[id_];
+  const bool changed = !last || last->aru != recv_aru_;
+  const bool heartbeat_due =
+      !last_po_aru_sent_ ||
+      sim_.now() - *last_po_aru_sent_ >= config_.leader_heartbeat;
+  if (!changed && !heartbeat_due) return;
+  last_po_aru_sent_ = sim_.now();
+  ++stats_.po_arus_sent;
   auto aru = std::make_shared<PoAru>();
   aru->replica = id_;
   aru->aru_seq = ++my_aru_seq_;
@@ -687,8 +704,6 @@ void Replica::po_aru_tick(std::uint64_t epoch) {
   latest_aru_[id_] = std::move(aru);
   latest_aru_view_[id_] = view_;
   send_envelope(MsgType::kPoAru, std::move(body));
-  sim_.schedule_after(config_.po_aru_interval,
-                      [this, epoch] { po_aru_tick(epoch); });
 }
 
 void Replica::handle_po_aru(const Envelope& env) {
@@ -1440,6 +1455,7 @@ void Replica::enter_view(std::uint64_t view) {
   ++stats_.view_changes;
   log_.info("entering view ", view, " (leader ", leader_of(view), ")");
   last_leader_activity_ = sim_.now();
+  last_po_aru_sent_.reset();
   turnaround_.clear();
   for (auto& pending : peer_turnaround_) pending.clear();
   turnaround_baseline_ = sim_.now();
@@ -1630,6 +1646,7 @@ void Replica::handle_new_view(const Envelope& env) {
   turnaround_.clear();
   for (auto& pending : peer_turnaround_) pending.clear();
   turnaround_baseline_ = sim_.now();
+  last_po_aru_sent_.reset();
   view_start_[nv->view] = nv->start_seq;
   last_leader_activity_ = sim_.now();
 

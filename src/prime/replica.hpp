@@ -44,6 +44,8 @@ struct PrimeConfig {
   [[nodiscard]] std::uint32_t quorum() const { return 2 * f + k + 1; }
 
   sim::Time po_request_interval = 10 * sim::kMillisecond;  ///< batch flush
+  /// PO-ARU tick. A tick signs and sends a row only when it differs from
+  /// the last one sent, or when leader_heartbeat has passed since it.
   sim::Time po_aru_interval = 20 * sim::kMillisecond;
   sim::Time preprepare_interval = 30 * sim::kMillisecond;
   /// Idle heartbeat: leader re-sends a Pre-Prepare at least this often.
@@ -104,6 +106,7 @@ struct ByzantineConfig {
 struct ReplicaStats {
   std::uint64_t updates_executed = 0;
   std::uint64_t po_requests_sent = 0;
+  std::uint64_t po_arus_sent = 0;  ///< signed PO-ARU rows broadcast
   std::uint64_t preprepares_sent = 0;
   std::uint64_t matrices_applied = 0;
   std::uint64_t view_changes = 0;
@@ -385,6 +388,10 @@ class Replica {
   void po_mark_wanted(ReplicaId origin, std::uint64_t seq);
   std::vector<std::uint64_t> recv_aru_;      ///< contiguous receipt per origin
   std::uint64_t my_aru_seq_ = 0;
+  /// When po_aru_tick last sent a row. It sends again when recv_aru_
+  /// moved or leader_heartbeat has passed; start, a recovery's rejoin
+  /// and a view install reset this so the next tick sends.
+  std::optional<sim::Time> last_po_aru_sent_;
   std::vector<PrePrepare::Row> latest_aru_;  ///< freshest verified per replica
   /// View in which latest_aru_[r] was accepted. The raw-byte-equality
   /// verify short-circuit is only valid within that view: a Byzantine

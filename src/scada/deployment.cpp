@@ -337,6 +337,7 @@ void SpireDeployment::build_clients() {
     pc.identity = proxy_identity(device.name);
     pc.f = config_.f;
     pc.poll_interval = config_.proxy_poll_interval;
+    pc.heartbeat_interval = config_.proxy_heartbeat_interval;
 
     net::Host* proxy_host = proxy_hosts_[device.name];
     const net::IpAddress plc_ip = plc_hosts_[device.name]->ip(0);

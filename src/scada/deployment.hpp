@@ -77,6 +77,8 @@ struct DeploymentConfig {
   ScenarioSpec scenario = ScenarioSpec::red_team();
   std::size_t hmi_count = 1;
   sim::Time proxy_poll_interval = 200 * sim::kMillisecond;
+  /// FleetProxyConfig::heartbeat_interval of every PLC proxy.
+  sim::Time proxy_heartbeat_interval = 2 * sim::kSecond;
   sim::Time cycler_interval = 1 * sim::kSecond;  ///< 0 disables the cycler
   prime::PrimeConfig prime;  ///< f, k and client list are filled in
   std::uint64_t seed = 20190101;

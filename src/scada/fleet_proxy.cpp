@@ -50,7 +50,7 @@ void FleetProxy::register_polled_device(const std::string& device,
   register_device(device, [client](std::uint16_t breaker, bool close) {
     client->command(breaker, close);
   });
-  polled_.push_back(PolledDevice{device, std::move(field), {}});
+  polled_.push_back(PolledDevice{device, std::move(field), {}, std::nullopt});
 }
 
 void FleetProxy::start() {
@@ -70,29 +70,42 @@ void FleetProxy::poll_tick(std::size_t index) {
   if (!running_) return;
   ++stats_.polls;
 
+  const sim::Time polled_at = sim_.now();
   polled_[index].field->poll(
-      [this, index](std::optional<FieldClient::FieldState> state) {
+      [this, index, polled_at](std::optional<FieldClient::FieldState> state) {
         if (!running_) return;
         if (!state) {
           ++stats_.poll_failures;
           return;
         }
-        PolledDevice& device = polled_[index];
-        // A report carrying breaker movement is protection-critical:
-        // the front door must never shed it before plain telemetry.
-        const DeltaPriority priority =
-            (state->breakers != device.last_breakers)
-                ? DeltaPriority::kCritical
-                : DeltaPriority::kTelemetry;
-        if (ingest(device.name, state->breakers, std::move(state->readings),
-                   priority)) {
-          device.last_breakers = std::move(state->breakers);
-        }
+        on_poll(index, polled_at, std::move(*state));
       },
       kFieldPollTimeout);
 
   sim_.schedule_after(config_.poll_interval,
                       [this, index] { poll_tick(index); });
+}
+
+void FleetProxy::on_poll(std::size_t index, sim::Time polled_at,
+                         FieldClient::FieldState state) {
+  PolledDevice& device = polled_[index];
+  // Report by exception. Heartbeat age is measured between poll starts,
+  // which are exactly poll_interval apart, so a heartbeat at or below
+  // the poll interval reports every poll regardless of field latency.
+  const bool changed = state.breakers != device.last_breakers;
+  const bool heartbeat_due =
+      !device.last_report_poll ||
+      polled_at - *device.last_report_poll >= config_.heartbeat_interval;
+  if (!changed && !heartbeat_due) return;
+  // A report carrying breaker movement is protection-critical: the
+  // front door must never shed it before plain telemetry.
+  const DeltaPriority priority =
+      changed ? DeltaPriority::kCritical : DeltaPriority::kTelemetry;
+  if (ingest(device.name, state.breakers, std::move(state.readings),
+             priority)) {
+    device.last_breakers = std::move(state.breakers);
+    device.last_report_poll = polled_at;
+  }
 }
 
 bool FleetProxy::ingest(const std::string& device, std::vector<bool> breakers,

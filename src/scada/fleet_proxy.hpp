@@ -13,6 +13,16 @@
 //    their deltas to ingest() and receive voted commands through a
 //    registered callback.
 //
+// A polled device reports by exception (DESIGN.md §14): a poll result
+// is offered to the front door only when its breakers differ from the
+// last admitted report (kCritical), or when heartbeat_interval has
+// passed since that report (the integrity refresh that bounds HMI
+// staleness and rebuilds a wiped master). The first poll always
+// reports, and a report shed at the door changes no state, so the next
+// poll retries it. Readings ride along on every report but never
+// trigger one. A heartbeat_interval at or below poll_interval forwards
+// every poll, as the paper's proxies do.
+//
 // Either way every report passes the same admission front door
 // (token-bucket rate limit, shed watermark, hard queue bound with
 // priority-aware shedding) and coalesces in the delta batcher, so one
@@ -24,6 +34,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -44,6 +55,9 @@ struct FleetProxyConfig {
   std::string identity;  ///< client identity, e.g. "client/proxy-fleet0"
   std::uint32_t f = 1;   ///< orders need f+1 matching replicas
   sim::Time poll_interval = 200 * sim::kMillisecond;  ///< polled devices
+  /// A polled device with unchanged breakers reports at least this
+  /// often; at or below poll_interval every poll reports.
+  sim::Time heartbeat_interval = 2 * sim::kSecond;
   FrontDoorConfig front_door;
   BatcherConfig batch;
 };
@@ -117,10 +131,15 @@ class FleetProxy {
   struct PolledDevice {
     std::string name;
     std::unique_ptr<FieldClient> field;
-    std::vector<bool> last_breakers;  ///< to classify report priority
+    std::vector<bool> last_breakers;  ///< breakers of the last admitted report
+    /// Start of the poll whose report was last admitted; nullopt until
+    /// the first one is.
+    std::optional<sim::Time> last_report_poll;
   };
 
   void poll_tick(std::size_t index);
+  void on_poll(std::size_t index, sim::Time polled_at,
+               FieldClient::FieldState state);
   void send_batch(std::vector<StatusReport>&& reports);
   void handle_order(const CommandOrder& order);
 

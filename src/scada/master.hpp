@@ -22,7 +22,9 @@
 //
 // Paper §III-A property: the master's state is rebuildable from the
 // field devices. A master restarted with empty state converges to the
-// true topology within one proxy poll cycle, because reports carry the
+// true topology within one proxy heartbeat interval plus one ordering
+// round, because every polled proxy re-sends its device's full state
+// at least once per heartbeat (DESIGN.md §14) and reports carry the
 // ground truth.
 #pragma once
 

@@ -29,7 +29,9 @@ enum class ScadaMsgType : std::uint8_t {
   kResyncRequest = 6,      ///< HMI -> masters: delta base missing, full please
 };
 
-/// Field-state report for one device, produced by its proxy each poll.
+/// Field-state report for one device: the full breaker and reading
+/// image, sent by its proxy when the breakers change or a heartbeat
+/// is due.
 struct StatusReport {
   std::string device;
   std::uint64_t report_seq = 0;

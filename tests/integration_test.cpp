@@ -161,8 +161,8 @@ TEST_F(DeploymentFixture, GroundTruthRebuildAfterTotalStateLoss) {
   }
   deployment->hmi(0).reset_display();
 
-  // Within a few poll cycles the masters relearn the live topology from
-  // the PLCs and the HMI shows the true state again.
+  // Within one proxy heartbeat (2 s) plus ordering the masters relearn
+  // the live topology from the PLCs and the HMI shows the true state.
   run_for(5 * sim::kSecond);
   EXPECT_GT(deployment->hmi(0).displayed_version(), 0u);
   EXPECT_EQ(deployment->hmi(0).display().breaker("plc-phys", 4), true);

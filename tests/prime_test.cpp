@@ -446,6 +446,46 @@ TEST(Prime, MalformedEnvelopesAreHarmless) {
   EXPECT_EQ(cluster.app(0).log().size(), 1u);
 }
 
+// Quiet when idle: with nothing to order, a replica re-sends its
+// unchanged PO-ARU only at the leader heartbeat, so the leader's idle
+// skip holds and proposals drop to roughly one per heartbeat. A row
+// signed on every 20 ms tick would make 500 rows in 10 s and keep
+// every 30 ms proposal fresh (333).
+TEST(Prime, IdleClusterSendsOnlyHeartbeatRowsAndProposals) {
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
+  const PrimeConfig& config = cluster.config();
+  const sim::Time idle = 10 * sim::kSecond;
+  cluster.run_for(idle);
+
+  for (const auto& r : cluster.replicas()) {
+    EXPECT_LE(r->stats().po_arus_sent,
+              static_cast<std::uint64_t>(idle / config.leader_heartbeat) + 2)
+        << "replica " << r->id();
+    EXPECT_EQ(r->view(), 0u);
+    EXPECT_EQ(r->stats().view_changes, 0u);
+    EXPECT_EQ(r->stats().turnaround_suspects, 0u);
+    EXPECT_EQ(r->stats().withheld_aru_suspects, 0u);
+  }
+  ASSERT_TRUE(cluster.replica(0).is_leader());
+  EXPECT_LE(cluster.replica(0).stats().preprepares_sent * 5,
+            static_cast<std::uint64_t>(idle / config.preprepare_interval));
+
+  // The first update after the quiet period is ordered as fast as ever:
+  // its PO-Request moves every recv_aru_, so the next tick sends.
+  const sim::Time submitted_at = sim.now();
+  cluster.submit("client/a", "after-idle");
+  while (cluster.min_executed() < 1 &&
+         sim.now() < submitted_at + config.turnaround_bound) {
+    cluster.run_for(sim::kMillisecond);
+  }
+  EXPECT_EQ(cluster.min_executed(), 1u);
+  EXPECT_LE(sim.now() - submitted_at,
+            config.po_request_interval + config.po_aru_interval +
+                config.preprepare_interval + 20 * sim::kMillisecond);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+}
+
 TEST(PrimeMessages, EnvelopeRoundTripAndTamperDetection) {
   crypto::Keyring kr("x");
   crypto::Signer signer("prime/0", kr.identity_key("prime/0"));

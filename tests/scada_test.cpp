@@ -559,6 +559,8 @@ struct ProxyFixture : ::testing::Test {
   modbus::Server plc_server{plc_model};
   FieldClient* field = nullptr;  // owned by the proxy
   std::unique_ptr<FleetProxy> proxy;
+  bool drop_submits = false;  // models an update lost on the way to Prime
+  bool jittery_field = false;  // response latency cycles through 1, 2, 3 ms
 
   void SetUp() override { build(FleetProxyConfig{}); }
 
@@ -569,7 +571,12 @@ struct ProxyFixture : ::testing::Test {
         sim, "plc-phys", 7, [this](const util::Bytes& b) {
           modbus_out.push_back(b);
           if (auto response = plc_server.handle(b)) {
-            sim.schedule_after(sim::kMillisecond, [this, r = *response] {
+            const sim::Time latency =
+                jittery_field
+                    ? static_cast<sim::Time>(1 + modbus_out.size() % 3) *
+                          sim::kMillisecond
+                    : sim::kMillisecond;
+            sim.schedule_after(latency, [this, r = *response] {
               field->on_data(r);
             });
           }
@@ -577,8 +584,33 @@ struct ProxyFixture : ::testing::Test {
     field = client.get();
     proxy = std::make_unique<FleetProxy>(
         sim, config, keyring, replica_verifier(keyring, 4),
-        [this](const util::Bytes& b) { submitted.push_back(b); });
+        [this](const util::Bytes& b) {
+          if (!drop_submits) submitted.push_back(b);
+        });
     proxy->register_polled_device("plc-phys", std::move(client));
+  }
+
+  /// The StatusReport inside one submitted client-update envelope; an
+  /// empty report (and a test failure) if the bytes are not one.
+  static StatusReport submitted_report(const util::Bytes& envelope) {
+    const auto env = prime::Envelope::decode(envelope);
+    if (!env) {
+      ADD_FAILURE() << "submitted bytes are not an envelope";
+      return {};
+    }
+    util::ByteReader reader(env->body);
+    const auto payload =
+        ClientPayload::decode(prime::ClientUpdate::decode(reader).payload);
+    if (!payload || payload->type != ScadaMsgType::kStatusReport) {
+      ADD_FAILURE() << "submitted update is not a status report";
+      return {};
+    }
+    const auto report = StatusReport::decode(payload->body);
+    if (!report) {
+      ADD_FAILURE() << "status report does not decode";
+      return {};
+    }
+    return *report;
   }
 
   util::Bytes make_order(std::uint32_t replica, std::uint64_t command_id,
@@ -671,6 +703,7 @@ TEST_F(ProxyFixture, VotedOrderReachesOnlyItsOwnDevice) {
 TEST_F(ProxyFixture, BreakerChangeIsCriticalWhenBucketIsEmpty) {
   FleetProxyConfig config;
   config.poll_interval = 10 * sim::kMillisecond;
+  config.heartbeat_interval = config.poll_interval;  // every poll reports
   config.front_door.rate_per_sec = 1;  // one telemetry token per second
   config.front_door.burst = 1;
   build(config);
@@ -701,6 +734,7 @@ TEST_F(ProxyFixture, BreakerChangeIsCriticalWhenBucketIsEmpty) {
 TEST_F(ProxyFixture, StopEndsPollingAndFlushesEveryAdmittedReport) {
   FleetProxyConfig config;
   config.poll_interval = 10 * sim::kMillisecond;
+  config.heartbeat_interval = config.poll_interval;  // every poll reports
   config.batch.window = sim::kSecond;  // keep every report coalescing
   build(config);
   proxy->start();
@@ -723,6 +757,109 @@ TEST_F(ProxyFixture, StopEndsPollingAndFlushesEveryAdmittedReport) {
   EXPECT_EQ(modbus_out.size(), requests);
   EXPECT_EQ(proxy->front_door_stats().admitted, admitted);
   EXPECT_EQ(submitted.size(), 1u);
+}
+
+/// plc-phys's seven breakers after discrete input 3 closes.
+const std::vector<bool> kBreaker3Closed{false, false, false, true,
+                                        false, false, false};
+
+// Report by exception: a polled device whose breakers hold still
+// reports once, then only at each heartbeat.
+TEST_F(ProxyFixture, UnchangedPollsSubmitNothingUntilHeartbeat) {
+  FleetProxyConfig config;
+  config.poll_interval = 10 * sim::kMillisecond;
+  config.heartbeat_interval = 100 * sim::kMillisecond;
+  build(config);
+  proxy->start();
+
+  // The first poll lands in [0, 10) ms and always reports.
+  sim.run_until(95 * sim::kMillisecond);
+  EXPECT_GE(proxy->stats().polls, 9u);
+  EXPECT_EQ(proxy->stats().poll_failures, 0u);
+  EXPECT_EQ(submitted.size(), 1u);
+
+  // Heartbeats follow at +100 ms and +200 ms, as telemetry.
+  sim.run_until(250 * sim::kMillisecond);
+  EXPECT_GE(proxy->stats().polls, 24u);
+  EXPECT_EQ(submitted.size(), 3u);
+  const FrontDoorStats& door = proxy->front_door_stats();
+  EXPECT_EQ(door.admitted, 3u);
+  EXPECT_EQ(door.admitted_critical, 1u);
+  for (const auto& envelope : submitted) {
+    EXPECT_EQ(submitted_report(envelope).breakers, std::vector<bool>(7, false));
+  }
+}
+
+TEST_F(ProxyFixture, BreakerMoveSubmitsOnNextPollAsCritical) {
+  FleetProxyConfig config;
+  config.poll_interval = 10 * sim::kMillisecond;  // 2 s default heartbeat
+  build(config);
+  proxy->start();
+  sim.run_until(100 * sim::kMillisecond);
+  ASSERT_EQ(submitted.size(), 1u);
+
+  // The next poll (within 10 ms, plus 1 ms of field latency) carries it.
+  plc_model.set_discrete_input(3, true);
+  sim.run_until(111 * sim::kMillisecond);
+  ASSERT_EQ(submitted.size(), 2u);
+  EXPECT_EQ(submitted_report(submitted[1]).breakers, kBreaker3Closed);
+  EXPECT_EQ(proxy->front_door_stats().admitted_critical, 2u);
+
+  // Then quiet again until the heartbeat.
+  sim.run_until(sim::kSecond);
+  EXPECT_EQ(submitted.size(), 2u);
+}
+
+// A changed report admitted at the door but lost before ordering is
+// repaired by the next heartbeat: the staleness bound the HMI relies
+// on is heartbeat_interval past the change (plus one poll).
+TEST_F(ProxyFixture, DroppedChangeIsRepairedByHeartbeat) {
+  FleetProxyConfig config;
+  config.poll_interval = 10 * sim::kMillisecond;
+  config.heartbeat_interval = 100 * sim::kMillisecond;
+  build(config);
+  proxy->start();
+  sim.run_until(50 * sim::kMillisecond);
+  ASSERT_EQ(submitted.size(), 1u);
+
+  const sim::Time changed_at = sim.now();
+  drop_submits = true;
+  plc_model.set_discrete_input(3, true);
+  sim.run_until(changed_at + 11 * sim::kMillisecond);
+  EXPECT_EQ(proxy->stats().reports_sent, 2u);  // sent, and lost
+  drop_submits = false;
+
+  // No further change, so nothing until the heartbeat re-sends it.
+  while (submitted.size() == 1 &&
+         sim.now() < changed_at + 2 * config.heartbeat_interval) {
+    sim.run_until(sim.now() + sim::kMillisecond);
+  }
+  ASSERT_EQ(submitted.size(), 2u);
+  EXPECT_LE(sim.now() - changed_at,
+            config.heartbeat_interval + config.poll_interval +
+                sim::kMillisecond);
+  EXPECT_EQ(submitted_report(submitted[1]).breakers, kBreaker3Closed);
+}
+
+// Paper mode: a heartbeat at or below the poll interval forwards every
+// poll, exactly as the paper's per-PLC proxies do, even when the field
+// answers with varying latency.
+TEST_F(ProxyFixture, PaperModeSubmitsOneReportPerPoll) {
+  FleetProxyConfig config;
+  config.poll_interval = 10 * sim::kMillisecond;
+  config.heartbeat_interval = config.poll_interval;
+  build(config);
+  jittery_field = true;
+  proxy->start();
+  for (sim::Time t = 0; t <= 300 * sim::kMillisecond; t += sim::kMillisecond) {
+    sim.run_until(t);
+    // At most the one poll still waiting for its response is unreported.
+    const std::uint64_t polls = proxy->stats().polls;
+    ASSERT_LE(submitted.size(), polls);
+    ASSERT_GE(submitted.size() + 1, polls);
+  }
+  EXPECT_GE(submitted.size(), 29u);
+  EXPECT_EQ(proxy->front_door_stats().admitted_critical, 1u);
 }
 
 TEST(Cycler, FlipsBreakersInPredeterminedOrder) {
