@@ -109,6 +109,7 @@ int main(int argc, char** argv) {
   std::printf("\n");
   bench::print_overlay_stats("internal", spire_sys.internal_overlay());
   bench::print_overlay_stats("external", spire_sys.external_overlay());
+  bench::print_switch_drops(spire_sys);
 
   // Shape: every command produced a field transition (first toggle of a
   // breaker that is already in the commanded state is a no-op, so field

@@ -25,9 +25,10 @@
 //                          Spines chain (the data-plane fast path)
 //   overlay_flood          msgs/sec delivered by the priority flood over
 //                          an 8-node ring-with-chords
-//   overlay_lsu_churn      accepted LSUs/sec while overlay links flap,
-//                          plus route recomputations per accepted LSU
-//                          (coalescing quality; lower is better)
+//   overlay_lsu_churn      stop/start flap cycles/sec on a 12-node
+//                          overlay, plus the LSUs accepted and route
+//                          recomputations per accepted LSU (coalescing
+//                          quality; lower is better)
 //   overlay_incremental_spf
 //                          route recomputes/sec through SpfEngine under
 //                          single-link churn on a 256-node graph, plus
@@ -791,8 +792,10 @@ MicroResult run_overlay_flood() {
 
 /// Route convergence under link flapping: one node of a 12-node ring-
 /// with-chords stops and restarts repeatedly, generating LSU storms.
-/// Reports accepted LSUs/sec plus route recomputations per accepted LSU
-/// across the membership — the coalescing metric (old code: >= 1).
+/// The item is one flap cycle (the fixed input); the LSUs it takes to
+/// reconverge are a system output, reported as `lsus` next to route
+/// recomputations per accepted LSU — the coalescing metric (old code:
+/// >= 1).
 MicroResult run_overlay_lsu_churn() {
   spines::DaemonConfig tmpl;
   tmpl.mode = spines::ForwardingMode::kRouted;
@@ -836,7 +839,8 @@ MicroResult run_overlay_lsu_churn() {
   const std::uint64_t recomputes =
       totals([](const spines::DaemonStats& s) { return s.route_recomputes; }) -
       recomputes_before;
-  MicroResult r{lsus, wall, {}};
+  MicroResult r{kFlaps, wall, {}};
+  r.extra.emplace_back("lsus", static_cast<double>(lsus));
   r.extra.emplace_back(
       "recomputes_per_lsu",
       lsus > 0 ? static_cast<double>(recomputes) / static_cast<double>(lsus)
@@ -1244,7 +1248,7 @@ int run_json_mode(const std::string& out_path, const std::string& baseline_path,
       {"prime_recovery_cycle", "recoveries_per_sec", run_prime_recovery_cycle},
       {"overlay_forward", "msgs_per_sec", run_overlay_forward},
       {"overlay_flood", "msgs_per_sec", run_overlay_flood},
-      {"overlay_lsu_churn", "lsus_per_sec", run_overlay_lsu_churn},
+      {"overlay_lsu_churn", "flaps_per_sec", run_overlay_lsu_churn},
       {"overlay_incremental_spf", "recomputes_per_sec",
        run_overlay_spf_incremental},
       {"fleet_batch_encode", "reports_per_sec", run_fleet_batch_encode},

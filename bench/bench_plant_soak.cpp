@@ -374,6 +374,7 @@ SoakResult run_soak(const SoakOptions& opt) {
     std::printf("\n");
     bench::print_overlay_stats("internal", spire_sys.internal_overlay());
     bench::print_overlay_stats("external", spire_sys.external_overlay());
+    bench::print_switch_drops(spire_sys);
     bench::print_recovery_stats("soak", recovery.stats());
     if (inst.chaos) {
       bench::print_chaos_stats(inst.chaos->stats());

@@ -241,14 +241,20 @@ class LatencyReporter {
 
 /// Aggregates DaemonStats across an overlay and prints the data-plane
 /// observability counters (route-recompute coalescing, dedup pressure,
-/// per-priority queue high-water marks) so control-plane regressions are
-/// visible in bench output.
+/// per-priority queue high-water marks) and the link-state flood volume,
+/// so control-plane regressions are visible in bench output.
 inline void print_overlay_stats(const char* label, spines::Overlay& overlay) {
   std::uint64_t forwarded = 0, delivered = 0, recomputes = 0, coalesced = 0;
   std::uint64_t dedup_evictions = 0, queue_drops = 0;
+  std::uint64_t lsu_sent = 0, lsu_retransmits = 0, lsu_accepted = 0;
+  std::uint64_t lsu_bytes = 0;
   std::uint64_t max_depth[3] = {0, 0, 0};
   for (const auto& id : overlay.node_ids()) {
     const spines::DaemonStats& s = overlay.daemon(id).stats();
+    lsu_sent += s.lsu_sent;
+    lsu_retransmits += s.lsu_retransmits;
+    lsu_accepted += s.lsu_accepted;
+    lsu_bytes += s.lsu_bytes_sent;
     forwarded += s.data_forwarded;
     delivered += s.data_delivered;
     recomputes += s.route_recomputes;
@@ -273,6 +279,27 @@ inline void print_overlay_stats(const char* label, spines::Overlay& overlay) {
       static_cast<unsigned long long>(max_depth[0]),
       static_cast<unsigned long long>(max_depth[1]),
       static_cast<unsigned long long>(max_depth[2]));
+  std::printf(
+      "%s overlay: %llu LSUs sent (+%llu retransmits, %llu bytes), %llu "
+      "accepted\n",
+      label, static_cast<unsigned long long>(lsu_sent),
+      static_cast<unsigned long long>(lsu_retransmits),
+      static_cast<unsigned long long>(lsu_bytes),
+      static_cast<unsigned long long>(lsu_accepted));
+}
+
+/// Prints the egress tail drops (SwitchStats::frames_dropped_queue) of
+/// every site switch of a deployment.
+inline void print_switch_drops(scada::SpireDeployment& sys) {
+  for (std::uint32_t site = 0; site < sys.site_count(); ++site) {
+    std::printf(
+        "site %u switches: egress queue drops internal %llu, external %llu\n",
+        site,
+        static_cast<unsigned long long>(
+            sys.internal_site_switch(site).stats().frames_dropped_queue),
+        static_cast<unsigned long long>(
+            sys.external_site_switch(site).stats().frames_dropped_queue));
+  }
 }
 
 /// Prints the proactive-recovery scheduler's observability counters:

@@ -41,6 +41,9 @@ Daemon::Daemon(sim::Simulator& sim, net::Host& host, DaemonConfig config,
   metrics_.counter("dropped_ttl", &stats_.dropped_ttl);
   metrics_.counter("lsu_accepted", &stats_.lsu_accepted);
   metrics_.counter("lsu_rejected_sig", &stats_.lsu_rejected_sig);
+  metrics_.counter("lsu_sent", &stats_.lsu_sent);
+  metrics_.counter("lsu_retransmits", &stats_.lsu_retransmits);
+  metrics_.counter("lsu_reflected", &stats_.lsu_reflected);
   metrics_.counter("data_retransmits", &stats_.data_retransmits);
   metrics_.counter("data_abandoned", &stats_.data_abandoned);
   metrics_.counter("acks_sent", &stats_.acks_sent);
@@ -144,12 +147,13 @@ void Daemon::start() {
   host_.bind_udp(config_.udp_port,
                  [this](const net::Datagram& d) { handle_udp(d); });
   hello_tick(epoch_);
-  lsu_tick(epoch_);
+  // The first anti-entropy refresh lands at a per-daemon phase, so the
+  // overlay's refreshes spread over the whole interval.
+  const sim::Time phase =
+      crypto::digest_prefix64(crypto::sha256(config_.id)) % config_.lsu_refresh;
+  sim_.schedule_after(phase, [this, epoch = epoch_] { lsu_tick(epoch); });
   if (is_border()) summary_tick(epoch_);
-  if (config_.reliable_data_links &&
-      config_.mode == ForwardingMode::kRouted) {
-    retransmit_tick(epoch_);
-  }
+  retransmit_tick(epoch_);
 }
 
 void Daemon::stop() {
@@ -157,6 +161,7 @@ void Daemon::stop() {
   running_ = false;
   ++epoch_;  // orphan every scheduled tick, pump, and route-recompute timer
   host_.unbind_udp(config_.udp_port);
+  own_lsu_dirty_ = false;
   routes_dirty_ = false;
   route_recompute_scheduled_ = false;
   for (const NodeHandle h : neighbor_order_) {
@@ -232,6 +237,21 @@ bool Daemon::lsdb_contains(const NodeId& origin) const {
   return h != kNoHandle && h < lsdb_.size() && lsdb_[h].present;
 }
 
+std::uint64_t Daemon::lsdb_seq(const NodeId& origin) const {
+  return lsdb_contains(origin) ? lsdb_[nodes_.lookup(origin)].seq : 0;
+}
+
+std::size_t Daemon::unacked_count(const NodeId& neighbor) const {
+  const Neighbor* n = neighbor_slot(nodes_.lookup(neighbor));
+  return n != nullptr ? n->unacked.size() : 0;
+}
+
+bool Daemon::reliable(PacketType type) const {
+  return type == PacketType::kLinkState ||
+         (type == PacketType::kData && config_.reliable_data_links &&
+          config_.mode == ForwardingMode::kRouted);
+}
+
 void Daemon::send_packet(NodeHandle neighbor, PacketType type,
                          std::span<const std::uint8_t> body) {
   Neighbor* n = neighbor_slot(neighbor);
@@ -245,6 +265,7 @@ void Daemon::send_packet(NodeHandle neighbor, PacketType type,
       ++stats_.border_summaries_sent;
     } else {
       stats_.lsu_bytes_sent += body.size();
+      ++stats_.lsu_sent;
     }
     if (!same_area(*n)) stats_.inter_area_control_bytes += body.size();
     if (neighbor < control_bytes_by_neighbor_.size()) {
@@ -260,14 +281,13 @@ void Daemon::send_packet(NodeHandle neighbor, PacketType type,
   inner_scratch_.u64(++n->send_link_seq);
   inner_scratch_.blob(body);
 
-  // Reliable message service: data packets on routed links are tracked
-  // until acked (flooding already provides its own redundancy).
-  if (type == PacketType::kData && config_.reliable_data_links &&
-      config_.mode == ForwardingMode::kRouted) {
+  // Reliable message service: LSUs, and data packets on routed links,
+  // are tracked until acked (flooded data has its own redundancy).
+  if (reliable(type)) {
     n->unacked[n->send_link_seq] = Neighbor::Unacked{
         util::Bytes(inner_scratch_.bytes().begin(),
                     inner_scratch_.bytes().end()),
-        sim_.now(), 0};
+        sim_.now(), 0, type == PacketType::kLinkState};
   }
   transmit_inner(neighbor, inner_scratch_.bytes());
 }
@@ -319,13 +339,15 @@ void Daemon::retransmit_tick(std::uint64_t epoch) {
         continue;
       }
       if (it->second.retries >= config_.max_retransmits) {
-        ++stats_.data_abandoned;  // link is dead; hellos will notice
+        // The link is dead; hellos will notice, and the adjacency-up
+        // sync repairs a lost LSU when it returns.
+        if (!it->second.lsu) ++stats_.data_abandoned;
         it = n.unacked.erase(it);
         continue;
       }
       ++it->second.retries;
       it->second.sent_at = now;
-      ++stats_.data_retransmits;
+      ++(it->second.lsu ? stats_.lsu_retransmits : stats_.data_retransmits);
       transmit_inner(h, it->second.inner_bytes);
       ++it;
     }
@@ -402,17 +424,15 @@ void Daemon::handle_udp(const net::Datagram& dgram) {
   }
   const auto type = static_cast<PacketType>(raw_type);
 
-  const bool reliable_data = type == PacketType::kData &&
-                             config_.reliable_data_links &&
-                             config_.mode == ForwardingMode::kRouted;
+  const bool acked = reliable(type);
   if (!n->recv_window.accept(link_seq)) {
     ++stats_.dropped_replay;
-    // Duplicate data usually means our ack was lost: re-ack so the
-    // sender stops retransmitting.
-    if (reliable_data) send_ack(from, link_seq);
+    // A duplicate usually means our ack was lost: re-ack so the sender
+    // stops retransmitting.
+    if (acked) send_ack(from, link_seq);
     return;
   }
-  if (reliable_data) send_ack(from, link_seq);
+  if (acked) send_ack(from, link_seq);
 
   process_inner(from, type, body);
 }
@@ -425,7 +445,7 @@ void Daemon::process_inner(NodeHandle from, PacketType type,
       break;
     case PacketType::kLinkState:
       if (const auto lsu = LinkStateBody::decode(body)) {
-        on_link_state(from, *lsu);
+        on_link_state(from, *lsu, body);
       }
       break;
     case PacketType::kAreaSummary:
@@ -458,7 +478,8 @@ void Daemon::on_hello(NodeHandle from) {
     n.up = true;
     log_.debug("link to ", nodes_.name(from), " up");
     if (same_area(n)) {
-      broadcast_own_lsu();  // adjacency changed: marks routes dirty
+      sync_lsdb_to(from);
+      mark_own_lsu_dirty();  // adjacency changed
     } else {
       // A wide link came up (or healed after a partition): re-advertise
       // immediately instead of waiting out the summary interval, so
@@ -469,7 +490,8 @@ void Daemon::on_hello(NodeHandle from) {
   }
 }
 
-void Daemon::on_link_state(NodeHandle arrival, const LinkStateBody& lsu) {
+void Daemon::on_link_state(NodeHandle arrival, const LinkStateBody& lsu,
+                           std::span<const std::uint8_t> wire) {
   // Fault containment: link-state never crosses an area border, so an
   // LSU arriving over a wide link is bogus regardless of signature.
   const Neighbor* arr = neighbor_slot(arrival);
@@ -491,7 +513,10 @@ void Daemon::on_link_state(NodeHandle arrival, const LinkStateBody& lsu) {
     ++stats_.lsu_rejected_sig;
     return;
   }
-  if (is_self) return;  // our own, reflected back
+  if (is_self) {
+    ++stats_.lsu_reflected;  // our own, reflected back
+    return;
+  }
 
   ++stats_.lsu_accepted;
   origin = admit_node(lsu.origin);
@@ -510,18 +535,36 @@ void Daemon::on_link_state(NodeHandle arrival, const LinkStateBody& lsu) {
     ++lsdb_count_;
   }
   entry.seq = lsu.seq;
+  entry.lsu.assign(wire.begin(), wire.end());
   // Deferred recomputation: a refresh that does not change the
   // adjacency (seq bump only) must not trigger a route recompute. The
   // SPF engine compares against its stored row and accumulates the
   // confirmed-edge delta for the next incremental repair.
   if (spf_.set_adjacency(origin, adj)) mark_routes_dirty();
 
-  // Re-flood to up neighbors in our own area except where it came
-  // from: LSUs never cross an area border.
-  const util::Bytes body = lsu.encode();
+  flood_lsu(entry.lsu, arrival, origin);
+}
+
+void Daemon::flood_lsu(std::span<const std::uint8_t> body, NodeHandle arrival,
+                       NodeHandle origin) {
+  // Never back where it came from or to its origin, and never across an
+  // area border.
   for (const NodeHandle h : neighbor_order_) {
-    if (h != arrival && neighbors_[h]->up && same_area(*neighbors_[h])) {
+    if (h != arrival && h != origin && neighbors_[h]->up &&
+        same_area(*neighbors_[h])) {
       send_packet(h, PacketType::kLinkState, body);
+    }
+  }
+}
+
+void Daemon::sync_lsdb_to(NodeHandle neighbor) {
+  // Only origin-signed LSUs this daemon accepted are relayed, verbatim;
+  // the receiver drops stale ones before verifying and checks the rest
+  // exactly as it checks a flood.
+  for (NodeHandle origin = 0; origin < lsdb_.size(); ++origin) {
+    const LsdbEntry& entry = lsdb_[origin];
+    if (entry.present && origin != self_ && origin != neighbor) {
+      send_packet(neighbor, PacketType::kLinkState, entry.lsu);
     }
   }
 }
@@ -672,9 +715,7 @@ void Daemon::hello_tick(std::uint64_t epoch) {
       log_.debug("link to ", nodes_.name(h), " down (hello timeout)");
     }
   }
-  if (topology_changed) {
-    broadcast_own_lsu();  // adjacency changed: marks routes dirty
-  }
+  if (topology_changed) mark_own_lsu_dirty();
   if (wide_changed) refresh_remote_routes();
   sim_.schedule_after(config_.hello_interval,
                       [this, epoch] { hello_tick(epoch); });
@@ -682,11 +723,11 @@ void Daemon::hello_tick(std::uint64_t epoch) {
 
 void Daemon::lsu_tick(std::uint64_t epoch) {
   if (epoch != epoch_ || !running_) return;
-  broadcast_own_lsu();
+  mark_own_lsu_dirty();
   sim_.schedule_after(config_.lsu_refresh, [this, epoch] { lsu_tick(epoch); });
 }
 
-void Daemon::broadcast_own_lsu() {
+void Daemon::originate_own_lsu() {
   LinkStateBody lsu;
   lsu.origin = config_.id;
   lsu.seq = ++own_lsu_seq_;
@@ -703,24 +744,29 @@ void Daemon::broadcast_own_lsu() {
 
   // Record our own entry so route computation sees it; only an actual
   // adjacency change dirties the routes (the periodic refresh does not).
+  // The coalesced callback that runs this recomputes right after.
   LsdbEntry& entry = lsdb_[self_];
   if (!entry.present) {
     entry.present = true;
     ++lsdb_count_;
   }
   entry.seq = lsu.seq;
-  if (spf_.set_adjacency(self_, adj)) mark_routes_dirty();
+  if (spf_.set_adjacency(self_, adj)) routes_dirty_ = true;
 
-  const util::Bytes body = lsu.encode();
-  for (const NodeHandle h : neighbor_order_) {
-    if (neighbors_[h]->up && same_area(*neighbors_[h])) {
-      send_packet(h, PacketType::kLinkState, body);
-    }
-  }
+  flood_lsu(lsu.encode(), kNoHandle, self_);
 }
 
 void Daemon::mark_routes_dirty() {
   routes_dirty_ = true;
+  schedule_coalesced();
+}
+
+void Daemon::mark_own_lsu_dirty() {
+  own_lsu_dirty_ = true;
+  schedule_coalesced();
+}
+
+void Daemon::schedule_coalesced() {
   if (route_recompute_scheduled_) {
     ++stats_.route_recomputes_coalesced;
     return;
@@ -729,6 +775,10 @@ void Daemon::mark_routes_dirty() {
   sim_.schedule_after(config_.route_coalesce_interval, [this, epoch = epoch_] {
     if (epoch != epoch_ || !running_) return;
     route_recompute_scheduled_ = false;
+    if (own_lsu_dirty_) {
+      own_lsu_dirty_ = false;
+      originate_own_lsu();
+    }
     if (routes_dirty_) {
       routes_dirty_ = false;
       recompute_routes();

@@ -22,6 +22,13 @@
 // behind a dirty flag, flood dedup is an O(1) open-addressing ring, and
 // forwarded messages are shared (not copied) across neighbor queues and
 // encoded once per pump batch.
+//
+// Quiet control plane (see DESIGN.md "Quiet control plane"): link state
+// is flooded on change, the way OSPF runs it. LSUs ride the per-link
+// ARQ, a same-area adjacency coming up pulls the neighbor's view current
+// by relaying every held origin-signed LSU to it, hello transitions
+// within one route_coalesce_interval collapse into a single origination,
+// and the periodic refresh is slow, per-daemon-phased anti-entropy.
 #pragma once
 
 #include <array>
@@ -64,9 +71,16 @@ struct DaemonConfig {
   ForwardingMode mode = ForwardingMode::kPriorityFlood;
   sim::Time hello_interval = 100 * sim::kMillisecond;
   sim::Time link_timeout = 350 * sim::kMillisecond;
-  sim::Time lsu_refresh = 1 * sim::kSecond;
-  /// Topology events (accepted LSUs, hello up/down transitions) within
-  /// this window collapse into a single route recomputation.
+  /// Anti-entropy re-origination of the own LSU. Changes are flooded
+  /// when they happen (reliably, per link) and adjacency-up syncs the
+  /// LSDB, so this only repairs what both missed. Each daemon's first
+  /// refresh fires at a phase hashed from its id, so refreshes never
+  /// align across the overlay.
+  sim::Time lsu_refresh = 30 * sim::kSecond;
+  /// Topology events (accepted LSUs, hello up/down transitions, the
+  /// refresh) within this window collapse into one callback that
+  /// originates the own LSU once, if it is dirty, then runs a single
+  /// route recomputation.
   sim::Time route_coalesce_interval = 1 * sim::kMillisecond;
   /// Overlay egress pacing (bytes per microsecond, ~1 Gb/s default).
   double link_bytes_per_us = 125.0;
@@ -74,6 +88,8 @@ struct DaemonConfig {
   std::size_t dedup_cache_size = 8192;
   /// Spines' reliable message service: per-link ARQ for data packets
   /// (ack + retransmit), so routed traffic survives transient drops.
+  /// LSUs always ride the same ARQ, in both forwarding modes; this
+  /// switch covers data only.
   bool reliable_data_links = true;
   sim::Time retransmit_timeout = 50 * sim::kMillisecond;
   int max_retransmits = 6;
@@ -109,10 +125,14 @@ struct DaemonStats {
   std::uint64_t dropped_ttl = 0;
   std::uint64_t lsu_accepted = 0;
   std::uint64_t lsu_rejected_sig = 0;
+  std::uint64_t lsu_sent = 0;         ///< per-link LSU copies, first sends
+  std::uint64_t lsu_retransmits = 0;  ///< ARQ resends of unacked LSUs
+  /// Verified own LSUs that came back; correct peers never send one.
+  std::uint64_t lsu_reflected = 0;
   std::uint64_t debug_packets_ignored = 0;
   std::uint64_t debug_packets_honoured = 0;
   std::uint64_t data_retransmits = 0;
-  std::uint64_t data_abandoned = 0;  ///< gave up after max retransmits
+  std::uint64_t data_abandoned = 0;  ///< gave up after max retransmits (data)
   std::uint64_t acks_sent = 0;
   // Control-plane churn and queue-pressure observability (printed by the
   // soak/topology benches so regressions are visible in bench output).
@@ -182,6 +202,10 @@ class Daemon {
   /// non-member origin must leave no trace).
   [[nodiscard]] std::size_t lsdb_size() const { return lsdb_count_; }
   [[nodiscard]] bool lsdb_contains(const NodeId& origin) const;
+  /// Sequence number of the held LSU from `origin` (0 if none).
+  [[nodiscard]] std::uint64_t lsdb_seq(const NodeId& origin) const;
+  /// Packets sent to `neighbor` that still await a link-level ack.
+  [[nodiscard]] std::size_t unacked_count(const NodeId& neighbor) const;
   /// True when any declared neighbor is in another area.
   [[nodiscard]] bool is_border() const;
   /// Incremental-SPF engine introspection (equivalence tests, benches).
@@ -222,11 +246,12 @@ class Daemon {
     ReplayWindow recv_window;
     sim::Time last_hello = 0;
     bool up = false;
-    /// Reliable-service state: unacked data packets awaiting ack.
+    /// Reliable-service state: unacked LSU and data packets awaiting ack.
     struct Unacked {
       util::Bytes inner_bytes;
       sim::Time sent_at = 0;
       int retries = 0;
+      bool lsu = false;
     };
     std::map<std::uint64_t, Unacked> unacked;
     std::array<PriorityClassQueue, 3> queues;
@@ -237,6 +262,10 @@ class Daemon {
   struct LsdbEntry {
     bool present = false;
     std::uint64_t seq = 0;
+    /// The accepted signed LSU as received, relayed verbatim by the
+    /// adjacency-up sync (empty for the own entry, which is always
+    /// re-originated instead).
+    util::Bytes lsu;
   };
 
   /// One "dst is reachable via this advertiser" fact from an accepted
@@ -260,7 +289,10 @@ class Daemon {
   void process_inner(NodeHandle from, PacketType type,
                      std::span<const std::uint8_t> body);
   void on_hello(NodeHandle from);
-  void on_link_state(NodeHandle arrival, const LinkStateBody& lsu);
+  /// `wire` is the LSU's encoding as received; it is stored and relayed
+  /// verbatim.
+  void on_link_state(NodeHandle arrival, const LinkStateBody& lsu,
+                     std::span<const std::uint8_t> wire);
   void on_area_summary(NodeHandle arrival, const AreaSummaryBody& summary);
   /// `arrival` is kNoHandle for locally originated messages.
   void on_data(NodeHandle arrival, DataBody data);
@@ -269,17 +301,31 @@ class Daemon {
   void summary_tick(std::uint64_t epoch);
   void retransmit_tick(std::uint64_t epoch);
   void send_ack(NodeHandle neighbor, std::uint64_t acked_seq);
+  /// True for packet types that ride the per-link ARQ.
+  [[nodiscard]] bool reliable(PacketType type) const;
   void transmit_inner(NodeHandle neighbor,
                       std::span<const std::uint8_t> inner_bytes);
-  void broadcast_own_lsu();
+  /// Signs a fresh own LSU for the current same-area adjacency and
+  /// floods it. Runs only inside the coalesced callback.
+  void originate_own_lsu();
+  /// Sends an LSU to every up same-area neighbor except `arrival` and
+  /// the LSU's own `origin`.
+  void flood_lsu(std::span<const std::uint8_t> body, NodeHandle arrival,
+                 NodeHandle origin);
+  /// Relays every held LSU to a same-area neighbor whose link just came
+  /// up, except its own and ours (ours is re-originated anyway).
+  void sync_lsdb_to(NodeHandle neighbor);
   void send_packet(NodeHandle neighbor, PacketType type,
                    std::span<const std::uint8_t> body);
   void enqueue_data(NodeHandle neighbor, NodeHandle src,
                     const std::shared_ptr<ForwardUnit>& unit);
   void pump(NodeHandle neighbor);
-  /// Sets the routes-dirty flag and schedules one coalesced
-  /// recompute_routes() per route_coalesce_interval.
+  /// Set a dirty flag and schedule the coalesced callback, which runs
+  /// once per route_coalesce_interval: it originates the own LSU if it
+  /// is dirty, then recomputes routes if they are.
   void mark_routes_dirty();
+  void mark_own_lsu_dirty();
+  void schedule_coalesced();
   void recompute_routes();
   /// Border origination: advertises every summary stream (own area +
   /// learned foreign areas) across wide links and into the local area.
@@ -337,6 +383,7 @@ class Daemon {
 
   std::vector<LsdbEntry> lsdb_;    ///< indexed by origin handle
   std::size_t lsdb_count_ = 0;
+  bool own_lsu_dirty_ = false;
   bool routes_dirty_ = false;
   bool route_recompute_scheduled_ = false;
   SpfEngine spf_;  ///< intra-area routes (canonical BFS + incremental)

@@ -1,14 +1,48 @@
 // Spines overlay tests: link formation, routing, priority flooding,
 // link encryption/authentication, replay defense, fairness under a
-// blasting source, failure detection, and the legacy debug code path
-// that is disabled in intrusion-tolerant mode.
+// blasting source, failure detection, the legacy debug code path
+// that is disabled in intrusion-tolerant mode, and the change-driven
+// control plane (LSU ARQ, LSDB sync on adjacency-up, coalesced
+// origination, slow refresh).
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <optional>
 
 #include "net/network.hpp"
 #include "spines/overlay.hpp"
 
 namespace spire::spines {
 namespace {
+
+/// Far beyond any test's horizon: with it, only ARQ, sync and
+/// change-driven origination can deliver link state.
+constexpr sim::Time kNoRefresh = 3600 * sim::kSecond;
+
+/// The receiving side's channel for one link direction, derived exactly
+/// as the daemons derive it.
+crypto::SecureChannel link_channel(const crypto::Keyring& keyring,
+                                   const NodeId& sender,
+                                   const NodeId& receiver) {
+  const crypto::SymmetricKey base = keyring.link_key(sender, receiver);
+  const crypto::Digest d =
+      crypto::hmac_sha256(base, util::to_bytes("dir:" + sender));
+  crypto::SymmetricKey key{};
+  std::copy(d.begin(), d.end(), key.begin());
+  return crypto::SecureChannel(key);
+}
+
+/// Inner packet type of a sealed daemon frame, if `channel` opens it.
+std::optional<PacketType> sealed_type(const crypto::SecureChannel& channel,
+                                      const net::EthernetFrame& frame) {
+  const auto dgram = net::Datagram::decode(frame.payload);
+  if (!dgram) return std::nullopt;
+  const auto env = LinkEnvelope::decode(dgram->payload);
+  if (!env || !env->sealed) return std::nullopt;
+  const auto inner = channel.open(env->body);
+  if (!inner || inner->empty()) return std::nullopt;
+  return static_cast<PacketType>(inner->front());
+}
 
 struct OverlayFixture : ::testing::Test {
   sim::Simulator sim;
@@ -17,6 +51,7 @@ struct OverlayFixture : ::testing::Test {
   net::Switch* sw = nullptr;
   std::vector<net::Host*> hosts;
   std::unique_ptr<Overlay> overlay;
+  sim::Time lsu_refresh = DaemonConfig{}.lsu_refresh;
 
   /// Builds `n` hosts on one switch and an overlay with the given links.
   void build(std::size_t n, const std::vector<std::pair<int, int>>& links,
@@ -34,6 +69,7 @@ struct OverlayFixture : ::testing::Test {
     DaemonConfig config;
     config.intrusion_tolerant = intrusion_tolerant;
     config.mode = mode;
+    config.lsu_refresh = lsu_refresh;
     overlay = std::make_unique<Overlay>(sim, keyring, config);
     for (std::size_t i = 0; i < n; ++i) {
       overlay->add_node(node(i), *hosts[i]);
@@ -44,6 +80,14 @@ struct OverlayFixture : ::testing::Test {
   }
 
   static NodeId node(std::size_t i) { return "n" + std::to_string(i); }
+
+  static std::vector<std::pair<int, int>> clique(int n) {
+    std::vector<std::pair<int, int>> links;
+    for (int a = 0; a < n; ++a) {
+      for (int b = a + 1; b < n; ++b) links.emplace_back(a, b);
+    }
+    return links;
+  }
 
   void settle(sim::Time t = 2 * sim::kSecond) { sim.run_until(sim.now() + t); }
 };
@@ -303,6 +347,12 @@ struct LossyLinkFixture : ::testing::Test {
   crypto::Keyring keyring{"arq-test"};
   std::unique_ptr<Overlay> overlay;
   int drop_counter = 0;
+  sim::Time lsu_refresh = DaemonConfig{}.lsu_refresh;
+  sim::Time warmup = 3 * sim::kSecond;
+  /// Loss policy, given the sending side; by default every 3rd frame in
+  /// either direction.
+  std::function<bool(bool from_b, const net::EthernetFrame&)> drops =
+      [this](bool, const net::EthernetFrame&) { return ++drop_counter % 3 == 0; };
 
   /// Two nodes joined by a hand-wired link that drops every 3rd frame
   /// in each direction — deterministic loss the reliable service must
@@ -313,25 +363,26 @@ struct LossyLinkFixture : ::testing::Test {
     net::Host& b = network.add_host("b");
     b.add_interface(net::MacAddress::from_id(2), net::IpAddress::make(10, 0, 0, 2), 24);
 
-    auto lossy = [this](net::Host& dst) {
-      return [this, &dst](const net::EthernetFrame& f) {
-        if (++drop_counter % 3 == 0) return;  // dropped on the floor
+    auto lossy = [this](net::Host& dst, bool from_b) {
+      return [this, &dst, from_b](const net::EthernetFrame& f) {
+        if (drops(from_b, f)) return;  // dropped on the floor
         sim.schedule_after(50, [&dst, f] { dst.handle_frame(0, f); });
       };
     };
-    a.set_transmit(0, lossy(b));
-    b.set_transmit(0, lossy(a));
+    a.set_transmit(0, lossy(b, false));
+    b.set_transmit(0, lossy(a, true));
 
     DaemonConfig config;
     config.mode = ForwardingMode::kRouted;
     config.reliable_data_links = reliable;
+    config.lsu_refresh = lsu_refresh;
     overlay = std::make_unique<Overlay>(sim, keyring, config);
     overlay->add_node("a", a);
     overlay->add_node("b", b);
     overlay->add_link("a", "b");
     overlay->build();
     overlay->start_all();
-    sim.run_until(sim.now() + 3 * sim::kSecond);
+    sim.run_until(sim.now() + warmup);
   }
 };
 
@@ -367,6 +418,127 @@ TEST_F(LossyLinkFixture, WithoutReliabilityTheSameLinkLosesMessages) {
   sim.run_until(sim.now() + 2 * sim::kSecond);
   EXPECT_LT(got, 50);  // the drops actually bite without ARQ
   EXPECT_EQ(overlay->daemon("a").stats().data_retransmits, 0u);
+}
+
+TEST_F(LossyLinkFixture, LsuArqFormsRouteOverLossyLinkWithinOneSecond) {
+  // Repair by ARQ: with no refresh, an LSU the link drops reaches the
+  // far side only through its per-link retransmission.
+  lsu_refresh = kNoRefresh;
+  warmup = 0;
+  build(/*reliable=*/true);
+  int got = 0;
+  overlay->daemon("b").open_session(40, [&](const DataBody&) { ++got; });
+  sim.run_until(500 * sim::kMillisecond);
+  ASSERT_EQ(overlay->daemon("a").next_hop("b"), NodeId("b"));
+  ASSERT_EQ(overlay->daemon("b").next_hop("a"), NodeId("a"));
+  for (int i = 0; i < 10; ++i) {
+    overlay->daemon("a").session_send(40, "b", 40, util::to_bytes("x"));
+    sim.run_until(sim.now() + 20 * sim::kMillisecond);
+  }
+  sim.run_until(1 * sim::kSecond);
+  EXPECT_EQ(got, 10);
+  EXPECT_GT(overlay->daemon("a").stats().lsu_retransmits +
+                overlay->daemon("b").stats().lsu_retransmits,
+            0u);
+}
+
+TEST_F(LossyLinkFixture, NeverAckingNeighborCostsBoundedLsuResends) {
+  // b hears everything and keeps saying hello but never acks, so each
+  // LSU a sends it is resent max_retransmits times, then abandoned.
+  lsu_refresh = kNoRefresh;
+  warmup = 0;
+  const crypto::SecureChannel b_to_a = link_channel(keyring, "b", "a");
+  drops = [&](bool from_b, const net::EthernetFrame& f) {
+    return from_b && sealed_type(b_to_a, f) == PacketType::kAck;
+  };
+  build(/*reliable=*/true);
+  sim.run_until(2 * sim::kSecond);
+
+  const Daemon& a = overlay->daemon("a");
+  ASSERT_TRUE(a.link_up("b"));
+  const DaemonStats& s = a.stats();
+  ASSERT_GT(s.lsu_sent, 0u);
+  EXPECT_EQ(s.lsu_retransmits,
+            s.lsu_sent * static_cast<std::uint64_t>(a.config().max_retransmits));
+  EXPECT_EQ(a.unacked_count("b"), 0u);
+  EXPECT_EQ(s.data_retransmits, 0u);  // LSU resends are counted apart
+  EXPECT_EQ(s.data_abandoned, 0u);
+}
+
+TEST_F(OverlayFixture, RestartedDaemonIsSyncedOnAdjacencyUp) {
+  // Repair by sync: n2's adjacency changes while n0 is down, and with
+  // no refresh the only way n0 learns it is the LSDB its neighbor n1
+  // relays when their link comes back up.
+  lsu_refresh = kNoRefresh;
+  build(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}}, true, ForwardingMode::kRouted);
+  settle();
+  Daemon& d0 = overlay->daemon(node(0));
+  ASSERT_EQ(d0.next_hop(node(4)), node(1));
+  d0.stop();
+  overlay->daemon(node(3)).stop();
+  settle();
+  const std::uint64_t current = overlay->daemon(node(2)).lsdb_seq(node(2));
+  ASSERT_GT(current, d0.lsdb_seq(node(2)));
+
+  d0.start();
+  sim.run_until(sim.now() + d0.config().hello_interval +
+                5 * sim::kMillisecond);
+  EXPECT_EQ(d0.lsdb_seq(node(2)), current);
+  EXPECT_EQ(d0.next_hop(node(2)), node(1));
+  EXPECT_FALSE(d0.next_hop(node(4)).has_value());  // behind the stopped n3
+}
+
+TEST_F(OverlayFixture, CliqueStartOriginatesAtMostTwoLsusPerDaemon) {
+  // Every adjacency of a starting clique comes up within one coalescing
+  // window, so each daemon signs one LSU for all of them (one per link
+  // before origination was coalesced: ~N per daemon).
+  lsu_refresh = kNoRefresh;
+  constexpr int kNodes = 8;
+  build(kNodes, clique(kNodes), true, ForwardingMode::kRouted);
+  settle(1 * sim::kSecond);
+  for (int i = 0; i < kNodes; ++i) {
+    const Daemon& d = overlay->daemon(node(i));
+    EXPECT_LE(d.lsdb_seq(node(i)), 2u) << node(i);
+    EXPECT_EQ(d.lsdb_size(), static_cast<std::size_t>(kNodes)) << node(i);
+    for (int j = 0; j < kNodes; ++j) {
+      if (j != i) EXPECT_EQ(d.next_hop(node(j)), node(j));
+    }
+  }
+}
+
+TEST_F(OverlayFixture, IdleCliqueNeverReflectsLsusAndFloodsTenfoldLess) {
+  // Default settings. The daemons start staggered so hellos fall at
+  // different phases and adjacencies come up one side at a time, which
+  // is when a relay could hand an LSU back to its origin.
+  constexpr int kNodes = 6;
+  build(kNodes, clique(kNodes));
+  for (int i = 1; i < kNodes; ++i) {
+    overlay->daemon(node(i)).stop();
+    sim.schedule_at(static_cast<sim::Time>(i) * 37 * sim::kMillisecond,
+                    [this, i] { overlay->daemon(node(i)).start(); });
+  }
+  settle();
+
+  auto lsu_sends = [&] {
+    std::uint64_t sum = 0;
+    for (int i = 0; i < kNodes; ++i) {
+      const DaemonStats& s = overlay->daemon(node(i)).stats();
+      sum += s.lsu_sent + s.lsu_retransmits;
+    }
+    return sum;
+  };
+  const std::uint64_t before = lsu_sends();
+  constexpr std::uint64_t kIdleSeconds = 10;
+  settle(kIdleSeconds * sim::kSecond);
+  const std::uint64_t idle_sends = lsu_sends() - before;
+
+  // A 1 s refresh of every LSU, re-flooded by each receiver to all
+  // but the link it came in on, costs N (N-1)^2 sends per second.
+  constexpr std::uint64_t kPerSecondRefresh = kNodes * (kNodes - 1) * (kNodes - 1);
+  EXPECT_LE(idle_sends * 10, kPerSecondRefresh * kIdleSeconds);
+  for (int i = 0; i < kNodes; ++i) {
+    EXPECT_EQ(overlay->daemon(node(i)).stats().lsu_reflected, 0u) << node(i);
+  }
 }
 
 TEST_F(OverlayFixture, ByzantineLsuCannotFabricateLinks) {
