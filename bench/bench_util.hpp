@@ -98,12 +98,6 @@ inline std::string fmt_ms(double ms) {
   return buf;
 }
 
-inline std::string fmt_count(std::uint64_t v) { return std::to_string(v); }
-
-inline void quiet_logs() {
-  util::LogConfig::instance().level = util::LogLevel::kOff;
-}
-
 /// Standard bench logging setup: silent by default, then the SPIRE_LOG
 /// env spec, then any --log-level=SPEC flags (same spec syntax:
 /// "debug", "prime=debug,spines=warn", …). Call first in main().
@@ -339,37 +333,6 @@ inline void print_chaos_stats(const sim::ChaosStats& s) {
       static_cast<unsigned long long>(s.crash_restarts),
       static_cast<unsigned long long>(s.healed),
       static_cast<double>(s.total_fault_time) / sim::kSecond);
-}
-
-/// Issues a supervisory command from HMI 0 to one breaker of
-/// "plc-phys" and waits up to `budget` for the full round trip: the
-/// PLC has switched and the HMI displays it.
-inline bool command_round_trip(sim::Simulator& sim,
-                               scada::SpireDeployment& spire_sys,
-                               std::uint16_t breaker, sim::Time budget) {
-  scada::Hmi& hmi = spire_sys.hmi(0);
-  auto& plc = spire_sys.plc("plc-phys");
-  const bool want = !plc.breakers().closed(breaker);
-  hmi.command_breaker("plc-phys", breaker, want);
-  const sim::Time deadline = sim.now() + budget;
-  while (sim.now() < deadline &&
-         (plc.breakers().closed(breaker) != want ||
-          hmi.display().breaker("plc-phys", breaker) != want)) {
-    sim.run_until(sim.now() + 5 * sim::kMillisecond);
-  }
-  return plc.breakers().closed(breaker) == want &&
-         hmi.display().breaker("plc-phys", breaker) == want;
-}
-
-/// Plugs a host into the operations network (the external switch), as
-/// the red team was in §IV-B: one interface, MAC from `mac_id`, `ip`/24.
-inline net::Host& add_rogue_host(scada::SpireDeployment& deployment,
-                                 const std::string& name, std::uint32_t mac_id,
-                                 net::IpAddress ip) {
-  net::Host& host = deployment.network().add_host(name);
-  host.add_interface(net::MacAddress::from_id(mac_id), ip, 24);
-  deployment.network().connect(host, 0, deployment.external_switch());
-  return host;
 }
 
 }  // namespace spire::bench

@@ -101,11 +101,7 @@ void Daemon::make_channels(Neighbor& n, const NodeId& id, bool corrupted) {
       // from a wrong base so nothing it seals verifies anywhere.
       base = keyring_.derive(link_label + sender);
     }
-    const util::Bytes label = util::to_bytes("dir:" + sender);
-    crypto::SymmetricKey k{};
-    const crypto::Digest d = crypto::hmac_sha256(base, label);
-    std::copy(d.begin(), d.end(), k.begin());
-    return k;
+    return link_direction_key(base, sender);
   };
   n.send_channel = std::make_unique<crypto::SecureChannel>(dir_key(config_.id));
   n.recv_channel = std::make_unique<crypto::SecureChannel>(dir_key(id));

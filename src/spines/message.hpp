@@ -8,9 +8,11 @@
 // harmless in the excursion (paper §IV-B).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/keyring.hpp"
@@ -116,6 +118,18 @@ struct LinkEnvelope {
   [[nodiscard]] util::Bytes encode() const;
   static std::optional<LinkEnvelope> decode(std::span<const std::uint8_t> data);
 };
+
+/// The key that seals one direction of a link: HMAC-SHA256 of the
+/// link's shared key over "dir:" + the sending daemon's id. Binding each
+/// direction to its sender keeps the two directions' nonce spaces apart.
+[[nodiscard]] inline crypto::SymmetricKey link_direction_key(
+    const crypto::SymmetricKey& link_key, std::string_view sender) {
+  const crypto::Digest d = crypto::hmac_sha256(
+      link_key, util::to_bytes("dir:" + std::string(sender)));
+  crypto::SymmetricKey key{};
+  std::copy(d.begin(), d.end(), key.begin());
+  return key;
+}
 
 /// Inner packet: [type u8][link_seq u64][body...].
 struct InnerPacket {

@@ -11,6 +11,7 @@
 
 #include "net/network.hpp"
 #include "spines/overlay.hpp"
+#include "util/hex.hpp"
 
 namespace spire::spines {
 namespace {
@@ -24,12 +25,8 @@ constexpr sim::Time kNoRefresh = 3600 * sim::kSecond;
 crypto::SecureChannel link_channel(const crypto::Keyring& keyring,
                                    const NodeId& sender,
                                    const NodeId& receiver) {
-  const crypto::SymmetricKey base = keyring.link_key(sender, receiver);
-  const crypto::Digest d =
-      crypto::hmac_sha256(base, util::to_bytes("dir:" + sender));
-  crypto::SymmetricKey key{};
-  std::copy(d.begin(), d.end(), key.begin());
-  return crypto::SecureChannel(key);
+  return crypto::SecureChannel(
+      link_direction_key(keyring.link_key(sender, receiver), sender));
 }
 
 /// Inner packet type of a sealed daemon frame, if `channel` opens it.
@@ -227,12 +224,7 @@ TEST_F(OverlayFixture, DebugPacketIgnoredInIntrusionTolerantMode) {
   // reaching into the wire format: seal a body whose first byte is the
   // debug opcode (so InnerPacket::decode fails and the debug branch is
   // taken).
-  crypto::SymmetricKey base = keyring.link_key(node(0), node(1));
-  const util::Bytes label = util::to_bytes("dir:" + node(0));
-  crypto::SymmetricKey dir_key{};
-  const crypto::Digest d = crypto::hmac_sha256(base, label);
-  std::copy(d.begin(), d.end(), dir_key.begin());
-  crypto::SecureChannel channel(dir_key);
+  crypto::SecureChannel channel = link_channel(keyring, node(0), node(1));
   // The peer's replay counter is already past 0; use a huge link_seq
   // embedded in... the debug packet has no seq — it is pre-parse.
   util::Bytes debug_body = {kDebugPacketType, 0xDE, 0xAD};
@@ -561,12 +553,7 @@ TEST_F(OverlayFixture, ByzantineLsuCannotFabricateLinks) {
   // The wire path is equivalent; we inject at the processing layer via
   // a legitimate flood from node 1's own daemon being impossible to
   // script here, so encode and send as node 1 would:
-  crypto::SymmetricKey base = keyring.link_key(node(1), node(0));
-  const util::Bytes label = util::to_bytes("dir:" + node(1));
-  crypto::SymmetricKey dir_key{};
-  const crypto::Digest d = crypto::hmac_sha256(base, label);
-  std::copy(d.begin(), d.end(), dir_key.begin());
-  crypto::SecureChannel channel(dir_key);
+  crypto::SecureChannel channel = link_channel(keyring, node(1), node(0));
   InnerPacket inner;
   inner.type = PacketType::kLinkState;
   inner.link_seq = 55;  // ahead of the ~26 real packets sent so far, within the window
@@ -600,12 +587,7 @@ TEST_F(OverlayFixture, ByzantineLsuSelfRemovalOnlyHurtsItself) {
   lie.seq = 1000000;
   lie.neighbors = {};  // "I have no links"
   lie.signature = liar.sign(lie.signed_bytes());
-  crypto::SymmetricKey base = keyring.link_key(node(1), node(0));
-  const util::Bytes label = util::to_bytes("dir:" + node(1));
-  crypto::SymmetricKey dir_key{};
-  const crypto::Digest d = crypto::hmac_sha256(base, label);
-  std::copy(d.begin(), d.end(), dir_key.begin());
-  crypto::SecureChannel channel(dir_key);
+  crypto::SecureChannel channel = link_channel(keyring, node(1), node(0));
   InnerPacket inner;
   inner.type = PacketType::kLinkState;
   inner.link_seq = 55;  // ahead of the ~26 real packets sent so far, within the window
@@ -646,12 +628,7 @@ TEST_F(OverlayFixture, ForgedLsuFromNonMemberLeavesNoTrace) {
   lie.seq = 1000000;
   lie.neighbors = {node(0), node(1), node(2)};
   lie.signature = forger.sign(lie.signed_bytes());
-  crypto::SymmetricKey base = keyring.link_key(node(1), node(0));
-  const util::Bytes label = util::to_bytes("dir:" + node(1));
-  crypto::SymmetricKey dir_key{};
-  const crypto::Digest d = crypto::hmac_sha256(base, label);
-  std::copy(d.begin(), d.end(), dir_key.begin());
-  crypto::SecureChannel channel(dir_key);
+  crypto::SecureChannel channel = link_channel(keyring, node(1), node(0));
   InnerPacket inner;
   inner.type = PacketType::kLinkState;
   inner.link_seq = 55;  // ahead of the ~26 real packets sent so far, within the window
@@ -746,6 +723,19 @@ TEST(DedupRingTest, EvictsOldestAndReadmitsEvictedPair) {
   EXPECT_FALSE(ring.check_and_insert(1, 100));
   EXPECT_EQ(ring.evictions(), 2u);
   EXPECT_EQ(ring.size(), 4u);
+}
+
+TEST(SpinesMessages, LinkDirectionKeyKnownAnswer) {
+  // Pins the per-direction sealing key: HMAC-SHA256(link key, "dir:" +
+  // sender). Every sealed byte on the wire depends on it.
+  const crypto::Keyring keyring("kat-keyring");
+  const crypto::SymmetricKey link = keyring.link_key("int0", "int1");
+  EXPECT_EQ(
+      util::to_hex(link_direction_key(link, "int0")),
+      "8bc84bd65dcfa759008fd22352bd13d266b8c8de9f84cf18cff774c3b96a45fd");
+  EXPECT_EQ(
+      util::to_hex(link_direction_key(link, "int1")),
+      "781fd7c33bb78a2cb7c7c5f2563fa4fcc487e286f8f33590d77a6c6e515519f7");
 }
 
 TEST(SpinesMessages, RoundTrips) {
