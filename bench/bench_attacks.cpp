@@ -389,8 +389,9 @@ using attack::AttackStats;
 using net::HostStats;
 using spines::DaemonStats;
 
-/// Probes die at a host firewall or on an unbound port; poisoning
-/// replies are accepted or ignored by the HMI host's static ARP table;
+/// Probes die at a host firewall, on an unbound port or at a daemon's
+/// link-envelope parse; poisoning replies are accepted or ignored by the
+/// HMI host's static ARP table;
 /// what the poisoning steers to a man in the middle is dropped or
 /// relayed.
 Ledger probe_ledger(const Trial& t) {
@@ -401,6 +402,11 @@ Ledger probe_ledger(const Trial& t) {
            {"mitm_intercepted", r.sent(&AttackStats::mitm_intercepted)}},
           {{"dropped_firewall_in", r.hosts(&HostStats::dropped_firewall_in)},
            {"dropped_no_handler", r.hosts(&HostStats::dropped_no_handler)},
+           {"dropped_malformed",
+            r.daemons(r.spire.internal_overlay(),
+                      &DaemonStats::dropped_malformed) +
+                r.daemons(r.spire.external_overlay(),
+                          &DaemonStats::dropped_malformed)},
            {"arp_replies_accepted", hmi.arp_replies_accepted},
            {"arp_replies_ignored_static", hmi.arp_replies_ignored_static},
            {"mitm_dropped", r.mitm_dropped},
@@ -409,9 +415,8 @@ Ledger probe_ledger(const Trial& t) {
 
 /// Where a forged or flooding frame can be counted on its way to a
 /// daemon's parser: the switch's egress queue and static MAC binding,
-/// the host firewall, Spines link authentication. A datagram that
-/// reaches a daemon port and fails to parse as a link envelope is
-/// dropped uncounted.
+/// the host firewall, Spines link authentication, and the daemon's
+/// link-envelope parse.
 Ledger frame_ledger(const Trial& t) {
   Rig& r = *t.rig;
   const net::SwitchStats& sw = r.spire.external_switch().stats();
@@ -421,7 +426,9 @@ Ledger frame_ledger(const Trial& t) {
            {"frames_dropped_binding", sw.frames_dropped_binding},
            {"dropped_firewall_in", r.hosts(&HostStats::dropped_firewall_in)},
            {"dropped_auth", r.daemons(r.spire.external_overlay(),
-                                      &DaemonStats::dropped_auth)}}};
+                                      &DaemonStats::dropped_auth)},
+           {"dropped_malformed", r.daemons(r.spire.external_overlay(),
+                                           &DaemonStats::dropped_malformed)}}};
 }
 
 /// What the overlays, replicas and HMI make of a compromised or

@@ -95,7 +95,10 @@ int main(int argc, char** argv) {
 
   sim.run_until(5 * sim::kSecond);  // steady state
 
-  bench::Table table({"stage", "attack", "measured outcome", "paper outcome"});
+  bench::Report report(
+      "fig1_commercial_attacks",
+      "every stage of the red-team campaign succeeds against the commercial "
+      "system, as in §IV-B");
 
   // --- stage 1+2: enterprise-network pivot, PLC memory dump ----------------
   net::Host& ent_attacker = add(enterprise, "redteam-ent",
@@ -107,10 +110,8 @@ int main(int argc, char** argv) {
   enterprise_attacker.plc_dump_config(
       plc_host.ip(), [&](std::optional<plc::PlcConfig> c) { dumped = c; });
   sim.run_until(sim.now() + 2 * sim::kSecond);
-  table.row({"1", "enterprise -> operations pivot + PLC memory dump",
-             dumped ? "SUCCESS: config (incl. password) exfiltrated"
-                    : "failed",
-             "succeeded within hours"});
+  report.require("1 enterprise pivot + PLC memory dump exfiltrates config",
+                 dumped.has_value());
 
   // --- stage 3: config upload + direct breaker control ---------------------
   bool plc_controlled = false;
@@ -125,10 +126,8 @@ int main(int argc, char** argv) {
     sim.run_until(sim.now() + 1 * sim::kSecond);
     plc_controlled = device.config_tampered() && device.breakers().closed(3);
   }
-  table.row({"2", "modified config upload -> attacker controls PLC",
-             plc_controlled ? "SUCCESS: breaker closed by attacker"
-                            : "failed",
-             "succeeded"});
+  report.require("2 modified config upload: attacker closes a breaker",
+                 plc_controlled);
 
   // --- stage 4: on operations network, MITM the HMI ------------------------
   net::Host& ops_attacker = add(operations, "redteam-ops",
@@ -161,11 +160,8 @@ int main(int argc, char** argv) {
       device.breakers().closed(3) &&
       hmi.display().breaker("plc-phys", 3) == false &&
       hmi.stats().replies > 0;
-  table.row({"3", "ARP MITM: falsified state shown to operator",
-             operator_deceived
-                 ? "SUCCESS: HMI shows OPEN while breaker is CLOSED"
-                 : "failed",
-             "succeeded (modified updates reached HMI)"});
+  report.require("3 ARP MITM: HMI shows OPEN while breaker is CLOSED",
+                 operator_deceived);
 
   // --- stage 5: suppress updates entirely ----------------------------------
   const auto timeouts_before = hmi.stats().timeouts;
@@ -177,19 +173,8 @@ int main(int argc, char** argv) {
     return d;
   });
   sim.run_until(sim.now() + 6 * sim::kSecond);
-  const bool updates_suppressed = hmi.stats().timeouts > timeouts_before + 2;
-  table.row({"4", "MITM drop: correct updates prevented from reaching HMI",
-             updates_suppressed
-                 ? "SUCCESS: HMI polling times out, display frozen"
-                 : "failed",
-             "succeeded"});
-
-  table.print();
-
-  const bool all = dumped && plc_controlled && operator_deceived &&
-                   updates_suppressed;
-  std::printf("\nShape check vs paper: every attack stage against the "
-              "commercial system %s.\n",
-              all ? "SUCCEEDED (matches §IV-B)" : "DID NOT all succeed");
-  return all ? 0 : 1;
+  report.check("4 MITM drop: HMI poll timeouts, display frozen",
+               static_cast<double>(hmi.stats().timeouts - timeouts_before),
+               bench::Cmp::kGt, 2);
+  return report.finish(argc, argv);
 }

@@ -153,8 +153,10 @@ int main(int argc, char** argv) {
       "Spire sustains bounded-latency SCADA operation with 3f+2k+1 replicas, "
       "through one intrusion and through proactive recoveries");
 
-  bench::LatencyReporter reporter;
-  bench::Table throughput({"config", "condition", "ordered updates/s"});
+  bench::Report report(
+      "fig2_spire_architecture",
+      "command execution stays bounded (sub-second) in every condition, "
+      "including with a compromised replica and during proactive recovery");
 
   struct Case {
     std::uint32_t f, k;
@@ -168,11 +170,6 @@ int main(int argc, char** argv) {
       {1, 1, Condition::kDuringRecovery},
   };
 
-  bench::Table fastpath({"config", "condition", "row short-circuits",
-                         "batches sealed", "stale PO-ARUs", "recon queued",
-                         "recon satisfied", "matrix fetches"});
-
-  bool bounded = true;
   for (const auto& c : cases) {
     Result r = run_config(c.f, c.k, c.condition);
     char config_name[32];
@@ -180,40 +177,28 @@ int main(int argc, char** argv) {
                   3 * c.f + 2 * c.k + 1, c.f, c.k);
     const std::string label =
         std::string(config_name) + " " + to_string(c.condition);
-    char rate[32];
-    std::snprintf(rate, sizeof(rate), "%.1f", r.updates_per_sec);
-    throughput.row({config_name, to_string(c.condition), rate});
-    reporter.add(label + " cmd->breaker", std::move(r.to_plc_ms));
-    reporter.add(label + " cmd->HMI", std::move(r.to_hmi_ms));
-    fastpath.row({config_name, to_string(c.condition),
-                  std::to_string(r.row_short_circuits),
-                  std::to_string(r.batches_sealed),
-                  std::to_string(r.stale_po_arus),
-                  std::to_string(r.recon_queued),
-                  std::to_string(r.recon_satisfied),
-                  std::to_string(r.matrix_fetches)});
-    const bench::LatencyStats* hmi_stats = reporter.find(label + " cmd->HMI");
-    if (hmi_stats->samples < 28 || hmi_stats->p90_ms > 1000.0) bounded = false;
+    report.latency.add(label + " cmd->breaker", std::move(r.to_plc_ms));
+    const bench::LatencyStats to_hmi =
+        report.latency.add(label + " cmd->HMI", std::move(r.to_hmi_ms));
+    const std::string p = label + ": ";
+    report.check(p + "cmd->HMI samples", static_cast<double>(to_hmi.samples),
+                 bench::Cmp::kGe, 28);
+    report.check(p + "cmd->HMI p90", to_hmi.p90_ms, bench::Cmp::kLe, 1000,
+                 "ms");
+    report.add(p + "ordered updates/s", r.updates_per_sec);
+    // Prime ordering fast-path counters, summed across replicas.
+    report.add(p + "row short-circuits",
+               static_cast<double>(r.row_short_circuits));
+    report.add(p + "batches sealed", static_cast<double>(r.batches_sealed));
+    report.add(p + "stale PO-ARUs", static_cast<double>(r.stale_po_arus));
+    report.add(p + "recon queued", static_cast<double>(r.recon_queued));
+    report.add(p + "recon satisfied", static_cast<double>(r.recon_satisfied));
+    report.add(p + "matrix fetches", static_cast<double>(r.matrix_fetches));
     if (r.has_recovery) {
-      bench::print_recovery_stats(config_name, r.recovery_stats);
-      if (r.recovery_stats.in_flight_high_water > c.k) bounded = false;
+      bench::add_recovery_rows(report, p, r.recovery_stats, c.k);
     }
   }
-  reporter.print("command round-trip");
-  std::printf("\nOrdered-update throughput:\n");
-  throughput.print();
-  if (bench::has_flag(argc, argv, "--json")) {
-    reporter.write_json(
-        bench::flag_value(argc, argv, "--json", "BENCH_fig2_latency.json"),
-        "bench_fig2_spire_architecture");
-  }
-
-  std::printf("\nPrime ordering fast-path counters (summed across replicas):\n");
-  fastpath.print();
-
-  std::printf("\nShape check vs paper: command execution stays bounded "
-              "(sub-second) in every condition, including with a compromised "
-              "replica and during proactive recovery: %s\n",
-              bounded ? "HOLDS" : "VIOLATED");
-  return bounded ? 0 : 1;
+  report.latency.print("command round-trip");
+  std::printf("\n");
+  return report.finish(argc, argv);
 }

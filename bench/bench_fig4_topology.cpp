@@ -68,8 +68,9 @@ int main(int argc, char** argv) {
   sim.run_until(sim.now() + 3 * sim::kSecond);
 
   // Tally per device.
-  bench::Table table({"device", "breakers", "commands", "field transitions",
-                      "HMI transitions", "missed on HMI"});
+  bench::Report report(
+      "fig4_topology",
+      "the HMI tracks the predetermined cycle with zero missed transitions");
   std::map<std::string, int> commands_per_device;
   for (const auto& event : spire_sys.cycler()->history()) {
     commands_per_device[event.device]++;
@@ -90,35 +91,33 @@ int main(int argc, char** argv) {
     total_field += field;
     total_hmi += hmi;
     total_missed += missed;
-    table.row({device.name, std::to_string(device.breaker_names.size()),
-               std::to_string(commands_per_device[device.name]),
-               std::to_string(field), std::to_string(hmi),
-               std::to_string(missed)});
+    const std::string p = device.name + " (" +
+                          std::to_string(device.breaker_names.size()) +
+                          " breakers): ";
+    report.add(p + "commands", commands_per_device[device.name]);
+    report.add(p + "field transitions", field);
+    report.add(p + "HMI transitions", hmi);
+    report.check(p + "missed on HMI", missed, bench::Cmp::kEq, 0);
   }
-  table.row({"TOTAL", std::to_string(config.scenario.total_breakers()),
-             std::to_string(total_commands), std::to_string(total_field),
-             std::to_string(total_hmi), std::to_string(total_missed)});
-  table.print();
+  // Every command produces a field transition (first toggle of a
+  // breaker that is already in the commanded state is a no-op, so
+  // field transitions may lag commands slightly), and the HMI misses
+  // nothing.
+  report.add("total breakers", config.scenario.total_breakers());
+  report.add("total commands", total_commands);
+  report.check("total field transitions", total_field, bench::Cmp::kGe,
+               std::max(1, total_commands / 2));
+  report.check("total HMI transitions", total_hmi, bench::Cmp::kEq,
+               total_field);
+  report.add("total missed on HMI", total_missed);
 
-  const auto lag_stats = bench::latency_stats(std::move(all_lags));
-  std::printf("\nHMI tracking lag after a field transition: median %.0f ms, "
-              "p90 %.0f ms, max %.0f ms (%zu samples)\n",
-              lag_stats.median_ms, lag_stats.p90_ms, lag_stats.max_ms,
-              lag_stats.samples);
+  report.latency.add("HMI tracking lag after a field transition",
+                     std::move(all_lags));
+  report.latency.print("HMI tracking");
 
+  bench::add_overlay_rows(report, "internal", spire_sys.internal_overlay());
+  bench::add_overlay_rows(report, "external", spire_sys.external_overlay());
+  bench::add_switch_drop_rows(report, "", spire_sys);
   std::printf("\n");
-  bench::print_overlay_stats("internal", spire_sys.internal_overlay());
-  bench::print_overlay_stats("external", spire_sys.external_overlay());
-  bench::print_switch_drops(spire_sys);
-
-  // Shape: every command produced a field transition (first toggle of a
-  // breaker that is already in the commanded state is a no-op, so field
-  // transitions may lag commands slightly), and the HMI missed nothing.
-  const bool shape = total_missed == 0 && total_field > 0 &&
-                     total_hmi == total_field &&
-                     total_field >= total_commands / 2;
-  std::printf("\nShape check vs paper: the HMI tracks the predetermined "
-              "cycle with zero missed transitions: %s\n",
-              shape ? "HOLDS" : "VIOLATED");
-  return shape ? 0 : 1;
+  return report.finish(argc, argv);
 }

@@ -1,4 +1,4 @@
-// Fleet-scale field layer bench (ISSUE: 10k devices, 1k HMIs).
+// Experiment FL1 — fleet-scale field layer (10k devices, 1k HMIs).
 //
 // Custom pipeline — deliberately NOT SpireDeployment, which builds one
 // emulated network host per PLC (right for a seventeen-device
@@ -19,13 +19,14 @@
 // fleet's ground truth, device by device.
 //
 // Batching efficiency gate: constituent device deltas per ordered
-// Prime update (master reports_applied / version) must clear
-// --min-batch-ratio (the ISSUE's ≥3x at 10k).
+// Prime update (master reports_applied / version) must clear the
+// committed floor.
 //
 // --curve=1000,5000,10000 runs the scaling curve in one process and
-// gates p99(last)/p99(first) ≤ --max-p99-ratio (flat within 2x).
-// --baseline=bench/baseline_fleet.json gates absolute p99 and ratio
-// against the committed baseline in CI.
+// gates p99(last)/p99(first) (flat within the committed ratio).
+// --baseline (default bench/baseline_fleet.json; run from the repo
+// root) holds the batch-ratio floor, the absolute p99 ceiling and the
+// curve ratio.
 //
 // Chaos (--chaos): deterministic episodes that either mute one
 // non-leader replica's client-facing output (HMIs must keep voting
@@ -35,7 +36,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -76,22 +76,7 @@ struct Options {
   sim::Time report_interval = 500 * sim::kMillisecond;
   bool chaos = false;
   std::uint64_t chaos_seed = 0x464c4545'54424348ULL;
-  double min_batch_ratio = 3.0;
-  bool banner = false;
-};
-
-struct RunResult {
-  bool shape = true;
-  std::size_t devices = 0;
-  double p99_ms = 0.0, p50_ms = 0.0;
-  std::size_t latency_samples = 0;
-  double batch_ratio = 0.0;  ///< device deltas per ordered update
-  std::uint64_t reports_emitted = 0, reports_sent = 0, reports_shed = 0;
-  std::uint64_t deltas_expected = 0, deltas_complete = 0;
-  std::uint64_t resyncs = 0, chaos_episodes = 0;
-  std::uint64_t events = 0;
-  double wall_seconds = 0.0;
-  sim::KernelStats kernel;
+  std::string prefix;  ///< row prefix when sweeping a curve
 };
 
 // One full pipeline with its own observability scope. Scopes are
@@ -131,23 +116,14 @@ struct Instance {
   std::uint64_t outputs_dropped = 0;
 };
 
-struct TracerRouterCtx {
-  const sim::Simulator* sim = nullptr;
-  std::vector<obs::Tracer*> by_shard;
-};
-
-obs::Tracer* route_tracer(void* ctx_raw) {
-  auto* ctx = static_cast<TracerRouterCtx*>(ctx_raw);
-  const sim::ShardId shard = ctx->sim->current_shard();
-  return shard < ctx->by_shard.size() ? ctx->by_shard[shard] : nullptr;
-}
-
 std::string hmi_identity(std::size_t j) {
   return "client/hmi-" + std::to_string(j);
 }
 
-RunResult run_fleet(const Options& opt) {
-  if (opt.banner) {
+/// Runs one pipeline set and declares its rows; returns the
+/// submit -> f+1 display p99 in ms.
+double run_fleet(const Options& opt, bench::Report& report) {
+  if (!opt.prefix.empty()) {
     std::printf("\n=== fleet run: devices=%zu hmis=%zu instances=%zu "
                 "workers=%u window=%llums chaos=%d ===\n",
                 opt.devices, opt.hmis, opt.instances, opt.workers,
@@ -285,14 +261,14 @@ RunResult run_fleet(const Options& opt) {
     instances.push_back(std::move(in));
   }
 
-  TracerRouterCtx router_ctx;
+  bench::TracerRouterCtx router_ctx;
   if (opt.instances > 1) {
     router_ctx.sim = &sim;
     router_ctx.by_shard.assign(sim.shard_count(), nullptr);
     for (const auto& in : instances) {
       router_ctx.by_shard[in->shard] = &in->tracer_scope->tracer();
     }
-    obs::Tracer::set_router(&route_tracer, &router_ctx);
+    obs::Tracer::set_router(&bench::route_tracer, &router_ctx);
   }
 
   // Chaos schedule: deterministic episodes, all healed before the
@@ -344,57 +320,81 @@ RunResult run_fleet(const Options& opt) {
   sim.run_until(opt.duration + opt.tail);
   const auto wall_end = std::chrono::steady_clock::now();
 
-  RunResult result;
-  result.devices = opt.devices;
-  result.wall_seconds =
+  const double wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
-  result.events = sim.events_executed() - events_start;
-  result.kernel = sim.kernel_stats();
+  const auto events = static_cast<double>(sim.events_executed() - events_start);
 
-  bench::Table table({"gate", "value", "expectation", "ok"});
+  using bench::Cmp;
+  const std::string& rp = opt.prefix;
   std::vector<double> e2e_ms;      // client submit -> f+1 HMI display
   std::vector<double> field_ms;    // field change -> f+1 HMI display
   std::uint64_t reports_applied_total = 0, versions_total = 0;
+  std::uint64_t emitted = 0, sent = 0, shed_total = 0, batches = 0;
+  std::uint64_t deltas_complete = 0, chaos_episodes = 0, muted = 0,
+                resyncs = 0;
 
   for (std::size_t i = 0; i < instances.size(); ++i) {
     Instance& inst = *instances[i];
     const auto& ps = inst.proxy->stats();
     const auto& door = inst.proxy->front_door_stats();
     const auto& fleet_stats = inst.fleet->stats();
+    const std::string p =
+        rp + (instances.size() > 1 ? "instance " + std::to_string(i) + ": "
+                                   : "");
 
     // --- conservation chain -------------------------------------------
     const std::uint64_t admitted = door.admitted;  // includes criticals
     const std::uint64_t shed =
         door.shed_rate + door.shed_overload + door.shed_critical;
-    const bool offered_ok = ps.deltas_offered == fleet_stats.reports_emitted;
-    const bool door_ok = admitted + shed == ps.deltas_offered;
-    const bool no_shed_ok = opt.rate != 0 || shed == 0;
-    const bool sent_ok = ps.reports_sent == admitted;
-    bool applied_ok = true;
-    for (const auto& master : inst.cluster->apps()) {
-      applied_ok = applied_ok && master->reports_applied() == ps.reports_sent;
+    report.check(p + "fleet reports reaching the front door",
+                 static_cast<double>(ps.deltas_offered), Cmp::kEq,
+                 static_cast<double>(fleet_stats.reports_emitted));
+    report.add(p + "front door admitted", static_cast<double>(admitted));
+    if (opt.rate == 0) {
+      report.check(p + "front door shed (no rate limit)",
+                   static_cast<double>(shed), Cmp::kEq, 0);
+    } else {
+      report.add(p + "front door shed", static_cast<double>(shed));
     }
-    const bool critical_ok = door.shed_critical == 0;
+    report.check(p + "front door admitted + shed",
+                 static_cast<double>(admitted + shed), Cmp::kEq,
+                 static_cast<double>(ps.deltas_offered));
+    report.check(p + "critical deltas shed",
+                 static_cast<double>(door.shed_critical), Cmp::kEq, 0);
+    report.check(p + "batcher reports sent after stop()",
+                 static_cast<double>(ps.reports_sent), Cmp::kEq,
+                 static_cast<double>(admitted));
+    for (prime::ReplicaId r = 0; r < inst.cluster->n(); ++r) {
+      report.check(p + "master " + std::to_string(r) + " reports applied",
+                   static_cast<double>(inst.cluster->app(r).reports_applied()),
+                   Cmp::kEq, static_cast<double>(ps.reports_sent));
+    }
 
-    result.reports_emitted += fleet_stats.reports_emitted;
-    result.reports_sent += ps.reports_sent;
-    result.reports_shed += shed;
+    emitted += fleet_stats.reports_emitted;
+    sent += ps.reports_sent;
+    shed_total += shed;
+    batches += ps.batches_sent;
     reports_applied_total += inst.cluster->app(0).reports_applied();
     versions_total += inst.cluster->app(0).version();
-    result.chaos_episodes += inst.chaos_episodes;
+    chaos_episodes += inst.chaos_episodes;
+    muted += inst.outputs_dropped;
     for (const auto& hmi : inst.hmis) {
-      result.resyncs += hmi->stats().resyncs_requested;
+      resyncs += hmi->stats().resyncs_requested;
     }
 
     // --- per-delta trace completeness ---------------------------------
     const obs::Tracer& tracer = inst.tracer_scope->tracer();
     const auto completeness = tracer.completeness();
-    result.deltas_expected += completeness.deltas_expected;
-    result.deltas_complete += completeness.deltas_complete;
-    const bool chains_ok =
-        completeness.deltas_expected > 0 &&
-        completeness.deltas_complete == completeness.deltas_expected &&
-        completeness.executed_complete == completeness.executed;
+    deltas_complete += completeness.deltas_complete;
+    report.check(p + "device deltas expected",
+                 static_cast<double>(completeness.deltas_expected), Cmp::kGt,
+                 0);
+    report.check(p + "device deltas with complete chains",
+                 static_cast<double>(completeness.deltas_complete), Cmp::kEq,
+                 static_cast<double>(completeness.deltas_expected));
+    report.check(p + "executed updates with complete chains",
+                 static_cast<double>(completeness.executed_complete),
+                 Cmp::kEq, static_cast<double>(completeness.executed));
 
     // --- every HMI displays the fleet's ground truth ------------------
     // With no rate limit every device's image must match. Under a rate
@@ -402,7 +402,7 @@ RunResult run_fleet(const Options& opt) {
     // (deterministic bucket exhaustion sheds the same sweep positions),
     // so the gate narrows to the front door's actual guarantee: every
     // breaker movement is critical, never shed, and must display.
-    bool display_ok = true;
+    std::size_t displaying_truth = 0;
     for (const auto& hmi : inst.hmis) {
       std::size_t idx = 0;
       bool ok = true;
@@ -416,38 +416,11 @@ RunResult run_fleet(const Options& opt) {
             }
             ++idx;
           });
-      display_ok = display_ok && ok && idx == inst.fleet->device_count();
+      if (ok && idx == inst.fleet->device_count()) ++displaying_truth;
     }
-
-    if (instances.size() > 1) {
-      table.row({"instance " + std::to_string(i), "", "", ""});
-    }
-    auto gate = [&](const char* name, const std::string& value,
-                    const char* expect, bool ok) {
-      table.row({name, value, expect, ok ? "yes" : "NO"});
-      result.shape = result.shape && ok;
-    };
-    gate("fleet reports offered",
-         std::to_string(ps.deltas_offered) + "/" +
-             std::to_string(fleet_stats.reports_emitted),
-         "all emitted reach the door", offered_ok);
-    gate("front door accounting",
-         std::to_string(admitted) + "+" + std::to_string(shed),
-         "admitted+shed == offered", door_ok && no_shed_ok);
-    gate("critical never shed", std::to_string(door.shed_critical), "0",
-         critical_ok);
-    gate("batcher conservation", std::to_string(ps.reports_sent),
-         "sent == admitted after stop()", sent_ok);
-    gate("masters applied",
-         std::to_string(inst.cluster->app(0).reports_applied()),
-         "every master applies every report", applied_ok);
-    gate("per-delta chains",
-         std::to_string(completeness.deltas_complete) + "/" +
-             std::to_string(completeness.deltas_expected),
-         "all complete", chains_ok);
-    gate("HMI displays == ground truth",
-         std::to_string(inst.hmis.size()) + " HMIs", "byte-equal breakers",
-         display_ok);
+    report.check(p + "HMIs displaying field ground truth",
+                 static_cast<double>(displaying_truth), Cmp::kEq,
+                 static_cast<double>(inst.hmis.size()));
 
     // --- latency samples ----------------------------------------------
     for (const auto& span : tracer.spans()) {
@@ -470,64 +443,44 @@ RunResult run_fleet(const Options& opt) {
     }
   }
 
-  // --- batching efficiency --------------------------------------------
-  result.batch_ratio =
-      versions_total > 0 ? static_cast<double>(reports_applied_total) /
-                               static_cast<double>(versions_total)
-                         : 0.0;
-  const bool ratio_ok = result.batch_ratio >= opt.min_batch_ratio;
-  char ratio_buf[32], want_buf[32];
-  std::snprintf(ratio_buf, sizeof ratio_buf, "%.1f", result.batch_ratio);
-  std::snprintf(want_buf, sizeof want_buf, ">= %.1f", opt.min_batch_ratio);
-  table.row({"deltas per ordered update", ratio_buf, want_buf,
-             ratio_ok ? "yes" : "NO"});
-  result.shape = result.shape && ratio_ok;
-
-  const bench::LatencyStats e2e = bench::latency_stats(e2e_ms);
-  result.p99_ms = e2e.p99_ms;
-  result.p50_ms = e2e.median_ms;
-  result.latency_samples = e2e.samples;
-  table.print();
-
-  bench::LatencyReporter latency;
-  latency.add("update submit->f+1 display", e2e_ms);
-  latency.add("field delta->f+1 display", field_ms);
-  latency.print("fleet latency");
-
-  std::printf("fleet: %llu reports emitted, %llu shed, %llu batches, "
-              "%llu chaos episodes (%llu outputs muted), %llu resyncs\n",
-              static_cast<unsigned long long>(result.reports_emitted),
-              static_cast<unsigned long long>(result.reports_shed),
-              static_cast<unsigned long long>(
-                  [&] {
-                    std::uint64_t b = 0;
-                    for (const auto& in : instances) {
-                      b += in->proxy->stats().batches_sent;
-                    }
-                    return b;
-                  }()),
-              static_cast<unsigned long long>(result.chaos_episodes),
-              static_cast<unsigned long long>([&] {
-                std::uint64_t d = 0;
-                for (const auto& in : instances) d += in->outputs_dropped;
-                return d;
-              }()),
-              static_cast<unsigned long long>(result.resyncs));
-  if (opt.instances > 1 || opt.workers > 1) {
-    const sim::KernelStats& ks = result.kernel;
-    std::printf("kernel: shards=%u workers=%u parallel_windows=%llu "
-                "mails_routed=%llu events=%llu wall=%.2fs\n",
-                ks.shards, ks.workers,
-                static_cast<unsigned long long>(ks.parallel_windows),
-                static_cast<unsigned long long>(ks.mails_routed),
-                static_cast<unsigned long long>(result.events),
-                result.wall_seconds);
-  }
+  // --- batching efficiency and latency ----------------------------------
+  report.add(rp + "devices", static_cast<double>(opt.devices));
+  report.add(rp + "HMIs", static_cast<double>(opt.hmis));
+  report.check(rp + "deltas per ordered update",
+               versions_total > 0 ? static_cast<double>(reports_applied_total) /
+                                        static_cast<double>(versions_total)
+                                  : 0.0,
+               Cmp::kGe, bench::BaselineKey{"batch_ratio_min"});
+  const bench::LatencyStats e2e =
+      report.latency.add(rp + "update submit->f+1 display", std::move(e2e_ms));
+  report.latency.add(rp + "field delta->f+1 display", std::move(field_ms));
+  report.add(rp + "submit->display p50", e2e.median_ms, "ms");
+  report.check(rp + "submit->display p99", e2e.p99_ms, Cmp::kLe,
+               bench::BaselineKey{"p99_ms_max"}, "ms");
+  report.add(rp + "submit->display samples", static_cast<double>(e2e.samples));
+  report.add(rp + "reports emitted", static_cast<double>(emitted));
+  report.add(rp + "reports sent", static_cast<double>(sent));
+  report.add(rp + "reports shed", static_cast<double>(shed_total));
+  report.add(rp + "batches sent", static_cast<double>(batches));
+  report.add(rp + "device deltas complete", static_cast<double>(deltas_complete));
+  report.add(rp + "chaos episodes", static_cast<double>(chaos_episodes));
+  report.add(rp + "outputs muted by chaos", static_cast<double>(muted));
+  report.add(rp + "HMI resyncs", static_cast<double>(resyncs));
+  const sim::KernelStats& ks = sim.kernel_stats();
+  report.add(rp + "kernel shards", ks.shards);
+  report.add(rp + "kernel workers", ks.workers);
+  report.add(rp + "kernel parallel windows",
+             static_cast<double>(ks.parallel_windows));
+  report.add(rp + "kernel mails routed", static_cast<double>(ks.mails_routed));
+  report.add(rp + "events executed", events);
+  report.add(rp + "wall", wall_seconds, "s");
+  report.add(rp + "events per wall second",
+             wall_seconds > 0 ? events / wall_seconds : 0.0);
 
   if (opt.instances > 1) obs::Tracer::set_router(nullptr, nullptr);
   // Newest-first so each scope restores the exact previous current().
   while (!instances.empty()) instances.pop_back();
-  return result;
+  return e2e.p99_ms;
 }
 
 }  // namespace
@@ -567,8 +520,6 @@ int main(int argc, char** argv) {
           bench::flag_value(argc, argv, "--report-interval-ms", "500"),
           nullptr, 10)) *
       sim::kMillisecond;
-  opt.min_batch_ratio = std::strtod(
-      bench::flag_value(argc, argv, "--min-batch-ratio", "3.0"), nullptr);
   opt.chaos = bench::has_flag(argc, argv, "--chaos");
   if (bench::has_flag(argc, argv, "--chaos-seed")) {
     opt.chaos = true;
@@ -577,8 +528,6 @@ int main(int argc, char** argv) {
   }
   if (opt.instances == 0) opt.instances = 1;
   if (opt.workers == 0) opt.workers = 1;
-  const double max_p99_ratio = std::strtod(
-      bench::flag_value(argc, argv, "--max-p99-ratio", "2.0"), nullptr);
 
   // --curve=1000,5000,10000 sweeps total device counts (same HMI count
   // and duration) and gates p99 flatness across the curve.
@@ -593,105 +542,30 @@ int main(int argc, char** argv) {
   if (curve.empty()) curve.push_back(opt.devices);
 
   bench::print_header(
-      "E9", "fleet-scale field layer (DESIGN.md §9)",
+      "FL1", "fleet-scale field layer (DESIGN.md §9)",
       "Sharded device image + delta batching + proxy front door sustain "
       "10k devices and 1k HMIs with zero missed deltas and flat p99");
+  bench::Report report("fleet_field",
+                       "fleet-scale field layer with zero missed deltas and "
+                       "flat p99");
+  if (!report.load_baseline(argc, argv, "bench/baseline_fleet.json")) return 1;
 
-  std::vector<RunResult> runs;
-  bool shape = true;
+  std::vector<double> p99_ms;
   for (const std::size_t devices : curve) {
     Options run_opt = opt;
     run_opt.devices = devices;
-    run_opt.banner = curve.size() > 1;
-    runs.push_back(run_fleet(run_opt));
-    shape = shape && runs.back().shape;
-  }
-
-  double p99_ratio = 1.0;
-  if (runs.size() > 1 && runs.front().p99_ms > 0) {
-    p99_ratio = runs.back().p99_ms / runs.front().p99_ms;
-    const bool flat = p99_ratio <= max_p99_ratio;
-    std::printf("\np99 scaling %zu->%zu devices: %.1f ms -> %.1f ms "
-                "(ratio %.2f, max %.2f): %s\n",
-                runs.front().devices, runs.back().devices, runs.front().p99_ms,
-                runs.back().p99_ms, p99_ratio, max_p99_ratio,
-                flat ? "FLAT" : "VIOLATED");
-    shape = shape && flat;
-  }
-
-  // Committed-baseline gate (CI): absolute bounds from the repo.
-  const char* baseline_path = bench::flag_value(argc, argv, "--baseline", "");
-  if (baseline_path[0] != '\0') {
-    const auto baseline = bench::Baseline::load(baseline_path);
-    if (!baseline) {
-      shape = false;
-    } else {
-      const double p99_max = (*baseline)["p99_ms_max"];
-      const double batch_min = (*baseline)["batch_ratio_min"];
-      const double ratio_max = (*baseline)["curve_p99_ratio_max"];
-      const double worst_p99 =
-          std::max_element(runs.begin(), runs.end(),
-                           [](const RunResult& a, const RunResult& b) {
-                             return a.p99_ms < b.p99_ms;
-                           })
-              ->p99_ms;
-      bool ok = worst_p99 <= p99_max;
-      std::printf("baseline p99: %.1f ms (max %.1f ms): %s\n", worst_p99,
-                  p99_max, ok ? "OK" : "REGRESSED");
-      shape = shape && ok;
-      const double worst_batch =
-          std::min_element(runs.begin(), runs.end(),
-                           [](const RunResult& a, const RunResult& b) {
-                             return a.batch_ratio < b.batch_ratio;
-                           })
-              ->batch_ratio;
-      ok = worst_batch >= batch_min;
-      std::printf("baseline batch ratio: %.1f (min %.1f): %s\n", worst_batch,
-                  batch_min, ok ? "OK" : "REGRESSED");
-      shape = shape && ok;
-      if (runs.size() > 1) {
-        ok = p99_ratio <= ratio_max;
-        std::printf("baseline curve p99 ratio: %.2f (max %.2f): %s\n",
-                    p99_ratio, ratio_max, ok ? "OK" : "REGRESSED");
-        shape = shape && ok;
-      }
+    if (curve.size() > 1) {
+      run_opt.prefix = "devices=" + std::to_string(devices) + ": ";
     }
+    p99_ms.push_back(run_fleet(run_opt, report));
   }
-
-  if (bench::has_flag(argc, argv, "--json")) {
-    const char* json_path =
-        bench::flag_value(argc, argv, "--json", "FLEET_summary.json");
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"fleet_field\",\n  \"hmis\": " << opt.hmis
-        << ",\n  \"chaos\": " << (opt.chaos ? "true" : "false")
-        << ",\n  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const RunResult& r = runs[i];
-      char line[512];
-      std::snprintf(
-          line, sizeof line,
-          "    {\"devices\": %zu, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-          "\"samples\": %zu, \"batch_ratio\": %.2f, \"reports\": %llu, "
-          "\"shed\": %llu, \"deltas_complete\": %llu, \"resyncs\": %llu, "
-          "\"chaos_episodes\": %llu, \"events_per_sec\": %.0f, "
-          "\"wall_seconds\": %.3f, \"shape\": %s}%s\n",
-          r.devices, r.p50_ms, r.p99_ms, r.latency_samples, r.batch_ratio,
-          static_cast<unsigned long long>(r.reports_sent),
-          static_cast<unsigned long long>(r.reports_shed),
-          static_cast<unsigned long long>(r.deltas_complete),
-          static_cast<unsigned long long>(r.resyncs),
-          static_cast<unsigned long long>(r.chaos_episodes),
-          r.wall_seconds > 0 ? static_cast<double>(r.events) / r.wall_seconds
-                             : 0.0,
-          r.wall_seconds, r.shape ? "true" : "false",
-          i + 1 < runs.size() ? "," : "");
-      out << line;
-    }
-    out << "  ]\n}\n";
-    std::printf("wrote fleet summary to %s\n", json_path);
+  if (curve.size() > 1) {
+    report.check("p99 ratio, largest vs smallest curve point",
+                 p99_ms.front() > 0 ? p99_ms.back() / p99_ms.front() : 1.0,
+                 bench::Cmp::kLe, bench::BaselineKey{"curve_p99_ratio_max"},
+                 "x");
   }
-
-  std::printf("\nShape check: fleet-scale field layer with zero missed "
-              "deltas: %s\n", shape ? "HOLDS" : "VIOLATED");
-  return shape ? 0 : 1;
+  report.latency.print("fleet latency");
+  std::printf("\n");
+  return report.finish(argc, argv);
 }

@@ -91,41 +91,37 @@ int main(int argc, char** argv) {
       {50 * sim::kMillisecond, 100 * sim::kMillisecond, 150 * sim::kMillisecond},
   };
 
-  bench::Table table({"po-req / po-aru / pre-prepare", "cmd->HMI median",
-                      "p90", "internal net frames/s", "samples"});
+  // Shape: latency rises with slower timers, traffic falls, and every
+  // setting keeps bounded (sub-second) delay with no lost commands.
+  bench::Report report(
+      "latency_tuning",
+      "faster timers => lower latency and higher overhead, with bounded "
+      "delay everywhere on the sweep");
   std::vector<Outcome> outcomes;
   for (const auto& setting : settings) {
     const Outcome outcome = run_setting(setting);
     outcomes.push_back(outcome);
-    char timers[64], rate[32];
-    std::snprintf(timers, sizeof(timers), "%llu / %llu / %llu ms",
+    char timers[64];
+    std::snprintf(timers, sizeof(timers), "%llu / %llu / %llu ms: ",
                   static_cast<unsigned long long>(setting.po_request /
                                                   sim::kMillisecond),
                   static_cast<unsigned long long>(setting.po_aru /
                                                   sim::kMillisecond),
                   static_cast<unsigned long long>(setting.preprepare /
                                                   sim::kMillisecond));
-    std::snprintf(rate, sizeof(rate), "%.0f", outcome.internal_frames_per_sec);
-    table.row({timers, bench::fmt_ms(outcome.to_hmi.median_ms),
-               bench::fmt_ms(outcome.to_hmi.p90_ms), rate,
-               std::to_string(outcome.to_hmi.samples)});
+    const std::string p = timers;
+    report.add(p + "cmd->HMI median", outcome.to_hmi.median_ms, "ms");
+    report.check(p + "cmd->HMI p90", outcome.to_hmi.p90_ms, bench::Cmp::kLt,
+                 1000, "ms");
+    report.add(p + "internal net frames/s", outcome.internal_frames_per_sec);
+    report.check(p + "samples", static_cast<double>(outcome.to_hmi.samples),
+                 bench::Cmp::kEq, 20);
   }
-  table.print();
-
-  // Shape: latency rises monotonically-ish with slower timers, traffic
-  // falls, and every setting keeps bounded (sub-second) delay with no
-  // lost commands.
-  bool shape = true;
-  for (const auto& outcome : outcomes) {
-    shape = shape && outcome.to_hmi.samples == 20 &&
-            outcome.to_hmi.p90_ms < 1000.0;
-  }
-  shape = shape && outcomes.front().to_hmi.median_ms <
-                       outcomes.back().to_hmi.median_ms &&
-          outcomes.front().internal_frames_per_sec >
-              outcomes.back().internal_frames_per_sec;
-  std::printf("\nShape check: faster timers => lower latency and higher "
-              "overhead, with bounded delay everywhere on the sweep: %s\n",
-              shape ? "HOLDS" : "VIOLATED");
-  return shape ? 0 : 1;
+  report.check("cmd->HMI median, fastest vs slowest timers",
+               outcomes.front().to_hmi.median_ms, bench::Cmp::kLt,
+               outcomes.back().to_hmi.median_ms, "ms");
+  report.check("internal net frames/s, fastest vs slowest timers",
+               outcomes.front().internal_frames_per_sec, bench::Cmp::kGt,
+               outcomes.back().internal_frames_per_sec);
+  return report.finish(argc, argv);
 }

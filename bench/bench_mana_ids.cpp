@@ -11,6 +11,8 @@
 // is a shared-rig experiment of bench_attacks.
 //
 // Run:  bench_mana_ids [--json=PATH] [--baseline=PATH]
+// --baseline defaults to bench/baseline_mana.json (run from the repo
+// root).
 #include <chrono>
 
 #include "bench_util.hpp"
@@ -26,11 +28,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-struct Gates {
-  double soak_mframes_per_sec_min = 0.5;
-  double unaccounted_frames_max = 0.0;
-};
-
 struct SoakResult {
   double mframes_per_sec = 0;
   std::uint64_t mirrored = 0;
@@ -39,14 +36,13 @@ struct SoakResult {
   std::uint64_t sampling_entered = 0;
   std::uint64_t unaccounted = 0;
   std::uint64_t sampled_windows = 0;
-  bool pass = false;
 };
 
 /// 10k devices across fifty /24 "substations", every device polling a
 /// master twice a second. Frames are prebuilt so the measured loop is
 /// the capture pipeline (summarize + ring + features + rules), not
 /// datagram encoding.
-SoakResult run_soak(const Gates& gates) {
+SoakResult run_soak() {
   constexpr std::size_t kDevices = 10000;
   constexpr std::size_t kPerSubstation = 200;
   constexpr std::size_t kFramesPerTick = 2000;  // 100 ms tick → 20k fps
@@ -129,10 +125,6 @@ SoakResult run_soak(const Gates& gates) {
                                   ids.tap().pending_weight() + ts.frames_dropped;
   r.unaccounted = ts.frames_mirrored - accounted;
   r.sampled_windows = ids.stats().sampled_windows_scored;
-  r.pass = r.mframes_per_sec >= gates.soak_mframes_per_sec_min &&
-           static_cast<double>(r.unaccounted) <= gates.unaccounted_frames_max &&
-           r.sampling_entered > 0 && r.sampled_out > 0 &&
-           r.sampled_windows > 0;
   return r;
 }
 
@@ -144,55 +136,26 @@ int main(int argc, char** argv) {
       "E8", "§II / §III-C",
       "Streaming MANA: line-rate capture with explicit overload accounting");
 
-  Gates gates;
-  const std::string baseline_path =
-      bench::flag_value(argc, argv, "--baseline", "");
-  if (!baseline_path.empty()) {
-    const auto baseline = bench::Baseline::load(baseline_path);
-    if (!baseline) return 1;
-    gates.soak_mframes_per_sec_min = (*baseline)["soak_mframes_per_sec_min"];
-    gates.unaccounted_frames_max = (*baseline)["unaccounted_frames_max"];
-  }
+  bench::Report report(
+      "mana_ids",
+      "streaming MANA keeps line rate and accounts for every mirrored frame, "
+      "sampling and drops explicitly counted");
+  if (!report.load_baseline(argc, argv, "bench/baseline_mana.json")) return 1;
 
   std::printf("phase 1: 10k-device line-rate soak...\n");
-  const SoakResult soak = run_soak(gates);
-  std::printf(
-      "  %.2f Mframes/s (min %.2f), mirrored %llu, dropped %llu, "
-      "sampled-out %llu, sampling entered %llux, sampled windows %llu, "
-      "unaccounted %llu → %s\n",
-      soak.mframes_per_sec, gates.soak_mframes_per_sec_min,
-      static_cast<unsigned long long>(soak.mirrored),
-      static_cast<unsigned long long>(soak.dropped),
-      static_cast<unsigned long long>(soak.sampled_out),
-      static_cast<unsigned long long>(soak.sampling_entered),
-      static_cast<unsigned long long>(soak.sampled_windows),
-      static_cast<unsigned long long>(soak.unaccounted),
-      soak.pass ? "PASS" : "FAIL");
-
-  const std::string json_path = bench::flag_value(argc, argv, "--json", "");
-  if (!json_path.empty()) {
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out != nullptr) {
-      std::fprintf(out,
-                   "{\"bench\":\"bench_mana_ids\",\"schema_version\":1,"
-                   "\"soak\":{\"mframes_per_sec\":%.3f,\"mirrored\":%llu,"
-                   "\"dropped\":%llu,\"sampled_out\":%llu,"
-                   "\"sampling_entered\":%llu,\"sampled_windows\":%llu,"
-                   "\"unaccounted\":%llu,\"pass\":%s},\"all_pass\":%s}\n",
-                   soak.mframes_per_sec,
-                   static_cast<unsigned long long>(soak.mirrored),
-                   static_cast<unsigned long long>(soak.dropped),
-                   static_cast<unsigned long long>(soak.sampled_out),
-                   static_cast<unsigned long long>(soak.sampling_entered),
-                   static_cast<unsigned long long>(soak.sampled_windows),
-                   static_cast<unsigned long long>(soak.unaccounted),
-                   soak.pass ? "true" : "false", soak.pass ? "true" : "false");
-      std::fclose(out);
-      std::printf("wrote %s\n", json_path.c_str());
-    }
-  }
-
-  std::printf("\nstreaming MANA: %s\n",
-              soak.pass ? "ALL GATES PASS" : "GATE FAILURES");
-  return soak.pass ? 0 : 1;
+  const SoakResult soak = run_soak();
+  using bench::Cmp;
+  report.check("throughput", soak.mframes_per_sec, Cmp::kGe,
+               bench::BaselineKey{"soak_mframes_per_sec_min"}, "Mframes/s");
+  report.add("frames mirrored", static_cast<double>(soak.mirrored));
+  report.add("frames dropped", static_cast<double>(soak.dropped));
+  report.check("frames sampled out", static_cast<double>(soak.sampled_out),
+               Cmp::kGt, 0);
+  report.check("sampling entered", static_cast<double>(soak.sampling_entered),
+               Cmp::kGt, 0);
+  report.check("sampled windows scored",
+               static_cast<double>(soak.sampled_windows), Cmp::kGt, 0);
+  report.check("unaccounted frames", static_cast<double>(soak.unaccounted),
+               Cmp::kLe, bench::BaselineKey{"unaccounted_frames_max"});
+  return report.finish(argc, argv);
 }

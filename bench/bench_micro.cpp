@@ -3,8 +3,9 @@
 // message signing/verification and eligibility computation, MANA
 // scoring, and the simulation kernel itself.
 //
-// In addition to the google-benchmark suite, `--json[=PATH]` runs three
-// machine-readable hot-path microbenches and writes BENCH_micro.json:
+// In addition to the google-benchmark suite, `--json[=PATH]` runs the
+// hot-path microbenches below, prints one row per measurement and
+// writes the rows to PATH (default BENCH_micro.json):
 //
 //   scheduler_churn        events/sec through sim::Simulator under a
 //                          schedule/cancel/reschedule mix (the pattern
@@ -44,11 +45,13 @@
 //                          prime_update_ordering and overlay_forward
 //                          workloads (gated at >= 98%, i.e. <2% cost)
 //
-// `--baseline=PATH` merges a previously captured run (same format) into
-// the output together with per-bench speedup ratios, which is how the
-// repo tracks its perf trajectory across PRs (see DESIGN.md
-// "Performance architecture"). `--fail-below=R` additionally exits
-// non-zero if any speedup falls below R (CI's regression gate).
+// `--baseline=PATH` adds each rate's committed value
+// (bench/baseline_micro.json, `results.<bench>.<unit>`) and the speedup
+// against it as rows, which is how the repo tracks its perf trajectory
+// across PRs (see DESIGN.md "Performance architecture").
+// `--fail-below=R` additionally checks every rate against R times its
+// baseline and obs_overhead against 98% retained; a failing check exits
+// 1 and names its row (CI's regression gate).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -57,10 +60,8 @@
 #include <cstdlib>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -1199,39 +1200,15 @@ MicroResult run_mana_score() {
   return r;
 }
 
-// ---- JSON emission ----------------------------------------------------------
+// ---- JSON mode ---------------------------------------------------------------
 
-struct BenchSection {
-  const char* name;
-  const char* unit;  ///< e.g. "events_per_sec"
-  MicroResult result;
-};
-
-void write_section(std::FILE* f, const BenchSection& s, bool trailing_comma) {
-  std::fprintf(f,
-               "    \"%s\": {\"items\": %llu, \"wall_seconds\": %.6f, "
-               "\"%s\": %.1f",
-               s.name, static_cast<unsigned long long>(s.result.items),
-               s.result.wall_seconds, s.unit, s.result.rate());
-  for (const auto& [key, value] : s.result.extra) {
-    std::fprintf(f, ", \"%s\": %.4f", key.c_str(), value);
-  }
-  std::fprintf(f, "}%s\n", trailing_comma ? "," : "");
-}
-
-/// Minimal extractor for the fixed format this binary itself writes:
-/// finds `"<section>"` then the first `"<field>":` after it.
-double extract_rate(const std::string& text, const std::string& section,
-                    const std::string& field) {
-  const auto sec_pos = text.find("\"" + section + "\"");
-  if (sec_pos == std::string::npos) return 0;
-  const auto field_pos = text.find("\"" + field + "\":", sec_pos);
-  if (field_pos == std::string::npos) return 0;
-  return std::atof(text.c_str() + field_pos + field.size() + 3);
-}
-
-int run_json_mode(const std::string& out_path, const std::string& baseline_path,
-                  double fail_below, const std::string& only) {
+/// Runs the hot-path microbenches and declares one row per measurement.
+/// With --baseline, each rate's committed value and speedup are rows
+/// too; with --fail-below=R as well, each rate is checked against R
+/// times its baseline, and obs_overhead's retained throughput against
+/// 98% (<2% instrumentation cost).
+int run_json_mode(int argc, char** argv, double fail_below,
+                  const std::string& only) {
   struct Spec {
     const char* name;
     const char* unit;
@@ -1257,93 +1234,41 @@ int run_json_mode(const std::string& out_path, const std::string& baseline_path,
       {"mana_score", "frames_per_sec", run_mana_score},
       {"obs_overhead", "retained_pct", run_obs_overhead},
   };
-  std::vector<BenchSection> sections;
+  bench::Report report("micro",
+                       "every hot path keeps its committed rate (--fail-below "
+                       "x baseline) and obs costs under 2%");
+  if (!report.load_baseline(argc, argv, nullptr)) return 1;
   for (const Spec& spec : specs) {
     if (!only.empty() && std::string(spec.name).find(only) == std::string::npos) {
       continue;
     }
     std::fprintf(stderr, "running %s...\n", spec.name);
-    sections.push_back(BenchSection{spec.name, spec.unit, spec.run()});
-  }
-
-  std::string baseline_text;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
+    const MicroResult result = spec.run();
+    const std::string name = spec.name;
+    const std::string key = name + "." + spec.unit;
+    report.add(name + " items", static_cast<double>(result.items));
+    report.add(name + " wall", result.wall_seconds, "s");
+    if (fail_below > 0 && report.has_baseline()) {
+      report.check(name + " " + spec.unit, result.rate(), bench::Cmp::kGe,
+                   bench::BaselineKey{key.c_str(), fail_below});
+    } else {
+      report.add(name + " " + spec.unit, result.rate());
     }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    baseline_text = ss.str();
-  }
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"bench_micro\",\n  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"results\": {\n");
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    write_section(f, sections[i], i + 1 < sections.size());
-  }
-  std::fprintf(f, "  }");
-
-  bool regressed = false;
-  if (!baseline_text.empty()) {
-    // A bench absent from the baseline (newly added) gets speedup 0 and
-    // is exempt from the regression gate.
-    std::vector<double> base_rates;
-    for (const auto& s : sections) {
-      base_rates.push_back(extract_rate(baseline_text, s.name, s.unit));
+    if (report.has_baseline()) {
+      const double base = report.baseline(key.c_str());
+      report.add(name + " baseline " + spec.unit, base);
+      report.add(name + " speedup vs baseline",
+                 base > 0 ? result.rate() / base : 0.0, "x");
     }
-    std::fprintf(f, ",\n  \"baseline\": {\n");
-    for (std::size_t i = 0; i < sections.size(); ++i) {
-      std::fprintf(f, "    \"%s\": {\"%s\": %.1f}%s\n", sections[i].name,
-                   sections[i].unit, base_rates[i],
-                   i + 1 < sections.size() ? "," : "");
+    for (const auto& [extra, value] : result.extra) {
+      report.add(name + " " + extra, value);
     }
-    std::fprintf(f, "  },\n  \"speedup\": {\n");
-    for (std::size_t i = 0; i < sections.size(); ++i) {
-      const double speedup =
-          base_rates[i] > 0 ? sections[i].result.rate() / base_rates[i] : 0;
-      std::fprintf(f, "    \"%s\": %.2f%s\n", sections[i].name, speedup,
-                   i + 1 < sections.size() ? "," : "");
-      if (fail_below > 0 && base_rates[i] > 0 && speedup < fail_below) {
-        std::fprintf(stderr, "REGRESSION: %s at %.2fx of baseline (< %.2f)\n",
-                     sections[i].name, speedup, fail_below);
-        regressed = true;
-      }
-    }
-    std::fprintf(f, "  }");
-  }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-
-  // Hard instrumentation-cost gate, independent of the baseline speedup:
-  // obs must retain >= 98% of uninstrumented throughput (<2% overhead).
-  if (fail_below > 0) {
-    for (const auto& s : sections) {
-      if (std::strcmp(s.name, "obs_overhead") == 0 && s.result.rate() < 98.0) {
-        std::fprintf(stderr,
-                     "REGRESSION: obs_overhead retained %.2f%% of "
-                     "uninstrumented throughput (< 98%%)\n",
-                     s.result.rate());
-        regressed = true;
-      }
+    if (fail_below > 0 && name == "obs_overhead") {
+      report.check("obs_overhead retained throughput", result.rate(),
+                   bench::Cmp::kGe, 98.0, "%");
     }
   }
-
-  for (const auto& s : sections) {
-    std::printf("%-22s %12.0f %s", s.name, s.result.rate(), s.unit);
-    for (const auto& [key, value] : s.result.extra) {
-      std::printf("  %s=%.3f", key.c_str(), value);
-    }
-    std::printf("\n");
-  }
-  std::printf("wrote %s\n", out_path.c_str());
-  return regressed ? 2 : 0;
+  return report.finish(argc, argv);
 }
 
 }  // namespace
@@ -1351,22 +1276,16 @@ int run_json_mode(const std::string& out_path, const std::string& baseline_path,
 int main(int argc, char** argv) {
   bench::init_logging(argc, argv);
   bool json = false;
-  std::string out_path = "BENCH_micro.json";
-  std::string baseline_path;
   std::string only;  // substring filter over section names (debug aid)
   double fail_below = 0;  // 0 disables the regression gate
   std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json") {
+    if (arg == "--json" || arg.rfind("--json=", 0) == 0) {
       json = true;
-    } else if (arg.rfind("--log-level=", 0) == 0) {
-      // consumed by init_logging
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      out_path = arg.substr(7);
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
+    } else if (arg.rfind("--log-level=", 0) == 0 ||
+               arg.rfind("--baseline=", 0) == 0) {
+      // consumed by init_logging / run_json_mode
     } else if (arg.rfind("--fail-below=", 0) == 0) {
       fail_below = std::atof(arg.c_str() + 13);
     } else if (arg.rfind("--only=", 0) == 0) {
@@ -1375,7 +1294,7 @@ int main(int argc, char** argv) {
       passthrough.push_back(argv[i]);
     }
   }
-  if (json) return run_json_mode(out_path, baseline_path, fail_below, only);
+  if (json) return run_json_mode(argc, argv, fail_below, only);
 
   int pass_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pass_argc, passthrough.data());

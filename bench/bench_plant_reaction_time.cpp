@@ -126,40 +126,32 @@ int main(int argc, char** argv) {
   }
   for (auto& recovery : recoveries) recovery->stop();
 
-  const char* kSpireName = "Spire (n=6, f=1, k=1, recoveries active)";
-  const char* kPaperName = "Spire, paper mode (every poll ordered)";
-  const char* kCommercialName = "commercial (primary-backup, 1s polls)";
-  bench::LatencyReporter reporter;
-  reporter.add(kSpireName, std::move(spire_ms));
-  reporter.add(kPaperName, std::move(paper_ms));
-  reporter.add(kCommercialName, std::move(commercial_ms));
-  reporter.print("flip -> HMI");
-  const bench::LatencyStats spire_stats = *reporter.find(kSpireName);
-  const bench::LatencyStats paper_stats = *reporter.find(kPaperName);
-  const bench::LatencyStats commercial_stats = *reporter.find(kCommercialName);
-  std::printf("meets plant requirement (<3s max): Spire %s, commercial %s\n",
-              spire_stats.max_ms < 3000.0 ? "yes" : "NO",
-              commercial_stats.max_ms < 3000.0 ? "yes" : "NO");
-  if (bench::has_flag(argc, argv, "--json")) {
-    reporter.write_json(
-        bench::flag_value(argc, argv, "--json", "BENCH_reaction_time.json"),
-        "bench_plant_reaction_time");
-  }
-
-  std::printf("\nBreaker flip -> HMI path, Spire: actuation physics (~40ms) "
+  std::printf("Breaker flip -> HMI path, Spire: actuation physics (~40ms) "
               "+ proxy poll (<=200ms) + Prime ordering + f+1 HMI voting.\n");
   std::printf("Breaker flip -> HMI path, commercial: actuation + master poll "
-              "(<=1s) + HMI poll (<=1s).\n");
+              "(<=1s) + HMI poll (<=1s).\n\n");
 
-  const bool shape =
-      spire_stats.samples == static_cast<std::size_t>(kTrials) &&
-      paper_stats.samples == static_cast<std::size_t>(kTrials) &&
-      commercial_stats.samples == static_cast<std::size_t>(kTrials) &&
-      spire_stats.median_ms < commercial_stats.median_ms &&
-      spire_stats.max_ms < 2000.0;
-  std::printf("\nShape check vs paper: both systems report every change; "
-              "Spire meets the timing requirement and is faster than the "
-              "commercial system: %s\n",
-              shape ? "HOLDS" : "VIOLATED");
-  return shape ? 0 : 1;
+  bench::Report report(
+      "plant_reaction_time",
+      "both systems report every change; Spire meets the timing requirement "
+      "and is faster than the commercial system");
+  const bench::LatencyStats spire = report.latency.add(
+      "Spire (n=6, f=1, k=1, recoveries active)", std::move(spire_ms));
+  const bench::LatencyStats paper = report.latency.add(
+      "Spire, paper mode (every poll ordered)", std::move(paper_ms));
+  const bench::LatencyStats commercial = report.latency.add(
+      "commercial (primary-backup, 1s polls)", std::move(commercial_ms));
+  report.latency.print("flip -> HMI");
+  report.check("Spire changes seen", static_cast<double>(spire.samples),
+               bench::Cmp::kEq, kTrials);
+  report.check("Spire paper mode changes seen",
+               static_cast<double>(paper.samples), bench::Cmp::kEq, kTrials);
+  report.check("commercial changes seen",
+               static_cast<double>(commercial.samples), bench::Cmp::kEq,
+               kTrials);
+  report.check("Spire max", spire.max_ms, bench::Cmp::kLt, 2000, "ms");
+  report.check("Spire median vs commercial median", spire.median_ms,
+               bench::Cmp::kLt, commercial.median_ms, "ms");
+  report.add("commercial max", commercial.max_ms, "ms");
+  return report.finish(argc, argv);
 }

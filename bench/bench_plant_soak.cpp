@@ -27,7 +27,7 @@
 //                      that is the kernel's determinism regression.
 //   * --soak-minutes=M scale the soak length (shape gates scale too).
 //   * --workers-list=1,2,4  run the soak once per worker count and
-//                      record the scaling curve in the --json summary.
+//                      record the scaling curve in the --json report.
 // The flagless run takes the exact legacy single-shard path.
 #include <algorithm>
 #include <chrono>
@@ -58,15 +58,7 @@ struct SoakOptions {
   bool want_trace = false;
   const char* metrics_path = "SOAK_metrics.json";
   const char* trace_path = "SOAK_trace.jsonl";
-  bool banner = false;  // printed when scanning multiple worker counts
-};
-
-struct SoakResult {
-  bool shape = true;
-  double wall_seconds = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t recoveries = 0;
-  sim::KernelStats kernel;
+  std::string prefix;  // row prefix when scanning multiple worker counts
 };
 
 // One plant deployment with its own observability scope. The scopes
@@ -89,22 +81,10 @@ struct Instance {
   std::uint64_t last_version = 0;
 };
 
-// Fleet tracer routing: hooks fired from a plant's shard resolve to
-// that plant's tracer. Called from worker threads; reads only.
-struct TracerRouterCtx {
-  const sim::Simulator* sim = nullptr;
-  std::vector<obs::Tracer*> by_shard;
-};
-
-obs::Tracer* route_tracer(void* ctx_raw) {
-  auto* ctx = static_cast<TracerRouterCtx*>(ctx_raw);
-  const sim::ShardId shard = ctx->sim->current_shard();
-  return shard < ctx->by_shard.size() ? ctx->by_shard[shard] : nullptr;
-}
-
-SoakResult run_soak(const SoakOptions& opt) {
-  if (opt.banner) {
-    std::printf("\n=== soak run: workers=%u fleet=%zu ===\n", opt.workers,
+/// Runs one soak and declares its rows; returns its wall seconds.
+double run_soak(const SoakOptions& opt, bench::Report& report) {
+  if (!opt.prefix.empty()) {
+    std::printf("=== soak run: workers=%u fleet=%zu ===\n", opt.workers,
                 opt.fleet);
   }
   sim::Simulator sim;
@@ -161,14 +141,14 @@ SoakResult run_soak(const SoakOptions& opt) {
     instances.push_back(std::move(in));
   }
 
-  TracerRouterCtx router_ctx;
+  bench::TracerRouterCtx router_ctx;
   if (opt.fleet > 1) {
     router_ctx.sim = &sim;
     router_ctx.by_shard.assign(sim.shard_count(), nullptr);
     for (const auto& in : instances) {
       router_ctx.by_shard[in->shard] = &in->tracer_scope->tracer();
     }
-    obs::Tracer::set_router(&route_tracer, &router_ctx);
+    obs::Tracer::set_router(&bench::route_tracer, &router_ctx);
   }
 
   const auto wall_start = std::chrono::steady_clock::now();
@@ -204,10 +184,6 @@ SoakResult run_soak(const SoakOptions& opt) {
           /*max_duration=*/6 * sim::kSecond, inst.sys->n(),
           /*include_crashes=*/false);
       inst.chaos->arm();
-      if (opt.fleet > 1) std::printf("plant %zu ", i);
-      std::printf("chaos mode: %zu scheduled fault episodes (seed %llu)\n",
-                  inst.chaos->scheduled(),
-                  static_cast<unsigned long long>(opt.chaos_seed + i));
     }
   }
 
@@ -248,14 +224,15 @@ SoakResult run_soak(const SoakOptions& opt) {
       std::max<std::uint64_t>(2, soak_seconds / 15 * 3 / 5);
   const int min_field = static_cast<int>(soak_seconds * 2 / 3);
 
-  SoakResult result;
+  using bench::Cmp;
   std::uint64_t total_recoveries = 0;
   for (std::size_t i = 0; i < instances.size(); ++i) {
     Instance& inst = *instances[i];
     scada::SpireDeployment& spire_sys = *inst.sys;
     prime::ProactiveRecovery& recovery = *inst.recovery;
     obs::Tracer& tracer = inst.tracer_scope->tracer();
-    if (opt.fleet > 1) std::printf("\n--- plant instance %zu ---\n", i);
+    const std::string p =
+        opt.prefix + (opt.fleet > 1 ? "plant " + std::to_string(i) + ": " : "");
 
     int total_field = 0;
     std::vector<int> missed(config.hmi_count, 0);
@@ -281,63 +258,77 @@ SoakResult run_soak(const SoakOptions& opt) {
       max_agree = std::max(max_agree, count);
     }
 
-    bench::Table table({"metric", "measured", "paper expectation"});
-    table.row({"soak length (simulated)",
-               std::to_string(soak / sim::kMinute) + " min (scaled 6 days)",
-               "6 days continuous"});
-    table.row({"breaker transitions in the field", std::to_string(total_field),
-               "continuous cycling workload"});
+    report.add(p + "soak length (simulated, scales 6 days)",
+               static_cast<double>(soak / sim::kMinute), "min");
+    report.check(p + "breaker transitions in the field", total_field,
+                 Cmp::kGt, min_field);
     for (std::size_t j = 0; j < config.hmi_count; ++j) {
-      table.row({"HMI " + std::to_string(j) + " missed transitions",
-                 std::to_string(missed[j]), "0 (no interruption)"});
+      report.check(p + "HMI " + std::to_string(j) + " missed transitions",
+                   missed[j], Cmp::kEq, 0);
     }
-    table.row({"largest HMI staleness window",
-               std::to_string(inst.max_stale_window / sim::kSecond) + " s",
-               "none beyond normal update cadence"});
-    table.row({"proactive recoveries completed",
-               std::to_string(recovery.recoveries_completed()),
-               "periodic rejuvenation of all replicas"});
-    table.row({"in-flight recoveries high-water",
-               std::to_string(recovery.stats().in_flight_high_water) + " (k=" +
-                   std::to_string(config.k) + ")",
-               "never exceeds k simultaneous"});
-    table.row({"live replicas with byte-identical state",
-               std::to_string(max_agree) + "/" + std::to_string(live),
-               "all (consistent replication)"});
+    report.check(p + "largest HMI staleness window",
+                 static_cast<double>(inst.max_stale_window) / sim::kSecond,
+                 Cmp::kLe, 20, "s");
+    bench::add_recovery_rows(report, p, recovery.stats(), config.k,
+                             min_recoveries);
+    report.check(p + "live replicas", live, Cmp::kGe, 5);
+    report.check(p + "live replicas with byte-identical state", max_agree,
+                 Cmp::kEq, live);
     // Trace completeness: every executed update must carry the full
     // ordered chain (submit → replica recv → PO-Request → Pre-Prepare →
-    // Commit → execute, non-decreasing in time).
+    // Commit → execute, non-decreasing in time). Deltas are counted by
+    // constituent device delta, not by ordered update: a batched update
+    // that lost one of its member deltas would still pass the
+    // per-update rows.
     const obs::Tracer::Completeness completeness = tracer.completeness();
-    table.row({"updates executed (traced)",
-               std::to_string(completeness.executed), "continuous ordering"});
-    table.row({"… with complete ordered span chain",
-               std::to_string(completeness.executed_complete) + "/" +
-                   std::to_string(completeness.executed),
-               "all (every stage observed, in order)"});
-    table.row({"updates displayed on an HMI (traced)",
-               std::to_string(completeness.displayed_complete) + "/" +
-                   std::to_string(completeness.displayed) + " complete chains",
-               "full PLC→HMI spans"});
-    // Count by constituent device delta, not by ordered update: a
-    // batched update that lost one of its member deltas would still
-    // pass the per-update gates above.
-    table.row({"device deltas with complete chains",
-               std::to_string(completeness.deltas_complete) + "/" +
-                   std::to_string(completeness.deltas_expected),
-               "all (zero missed deltas)"});
-    table.print();
+    report.add(p + "trace spans", static_cast<double>(tracer.spans().size()));
+    report.check(p + "updates executed (traced)",
+                 static_cast<double>(completeness.executed), Cmp::kGt, 0);
+    report.check(p + "executed updates with complete ordered span chain",
+                 static_cast<double>(completeness.executed_complete), Cmp::kEq,
+                 static_cast<double>(completeness.executed));
+    report.check(p + "updates displayed on an HMI (traced)",
+                 static_cast<double>(completeness.displayed), Cmp::kGt, 0);
+    report.add(p + "displayed updates with complete PLC->HMI chain",
+               static_cast<double>(completeness.displayed_complete));
+    report.check(p + "device deltas expected",
+                 static_cast<double>(completeness.deltas_expected), Cmp::kGt,
+                 0);
+    report.check(p + "device deltas with complete chains",
+                 static_cast<double>(completeness.deltas_complete), Cmp::kEq,
+                 static_cast<double>(completeness.deltas_expected));
+    bench::add_overlay_rows(report, p + "internal",
+                            spire_sys.internal_overlay());
+    bench::add_overlay_rows(report, p + "external",
+                            spire_sys.external_overlay());
+    bench::add_switch_drop_rows(report, p, spire_sys);
+    if (inst.chaos) {
+      const sim::ChaosStats& cs = inst.chaos->stats();
+      report.add(p + "chaos seed", static_cast<double>(opt.chaos_seed + i));
+      report.add(p + "chaos episodes scheduled",
+                 static_cast<double>(inst.chaos->scheduled()));
+      report.check(p + "chaos episodes injected",
+                   static_cast<double>(cs.injected), Cmp::kGt, 0);
+      report.add(p + "chaos partitions", static_cast<double>(cs.partitions));
+      report.add(p + "chaos link degrades",
+                 static_cast<double>(cs.link_degrades));
+      report.add(p + "chaos crash-restarts",
+                 static_cast<double>(cs.crash_restarts));
+      report.check(p + "chaos episodes healed", static_cast<double>(cs.healed),
+                   Cmp::kGe, static_cast<double>(cs.injected));
+      report.add(p + "chaos fault time",
+                 static_cast<double>(cs.total_fault_time) / sim::kSecond, "s");
+      report.require(p + "no chaos fault active at the end",
+                     !inst.chaos->fault_active());
+    }
 
     // Per-stage latency breakdown over every traced update (the paper's
     // Fig. 2 path, plus the two summary legs).
-    std::printf("\nPer-stage latency breakdown (%zu spans):\n",
-                tracer.spans().size());
-    bench::LatencyReporter stage_report;
     for (auto& leg : tracer.breakdown()) {
       if (!leg.samples_ms.empty()) {
-        stage_report.add(leg.name, std::move(leg.samples_ms));
+        report.latency.add(p + leg.name, std::move(leg.samples_ms));
       }
     }
-    stage_report.print("pipeline stage");
 
     if (opt.want_metrics) {
       const std::string path =
@@ -358,64 +349,35 @@ SoakResult run_soak(const SoakOptions& opt) {
                     path.c_str());
       }
     }
-
-    bool shape = recovery.recoveries_completed() >= min_recoveries &&
-                 completeness.executed > 0 &&
-                 completeness.executed_complete == completeness.executed &&
-                 completeness.deltas_expected > 0 &&
-                 completeness.deltas_complete == completeness.deltas_expected &&
-                 completeness.displayed > 0 &&
-                 recovery.stats().in_flight_high_water <= config.k &&
-                 max_agree == live && live >= 5 && total_field > min_field &&
-                 inst.max_stale_window <= 20 * sim::kSecond;
-    for (std::size_t j = 0; j < config.hmi_count; ++j) {
-      shape = shape && missed[j] == 0;
-    }
-    std::printf("\n");
-    bench::print_overlay_stats("internal", spire_sys.internal_overlay());
-    bench::print_overlay_stats("external", spire_sys.external_overlay());
-    bench::print_switch_drops(spire_sys);
-    bench::print_recovery_stats("soak", recovery.stats());
-    if (inst.chaos) {
-      bench::print_chaos_stats(inst.chaos->stats());
-      shape = shape && inst.chaos->stats().injected > 0 &&
-              inst.chaos->stats().healed >= inst.chaos->stats().injected &&
-              !inst.chaos->fault_active();
-    }
     total_recoveries += recovery.recoveries_completed();
-    result.shape = result.shape && shape;
   }
 
-  result.wall_seconds =
+  const double wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
-  result.events = sim.events_executed() - events_start;
-  result.recoveries = total_recoveries;
-  result.kernel = sim.kernel_stats();
-  if (opt.fleet > 1 || opt.workers > 1) {
-    const sim::KernelStats& ks = result.kernel;
-    std::printf("\nkernel: shards=%u workers=%u parallel_windows=%llu "
-                "exclusive_batches=%llu mails_routed=%llu "
-                "lookahead_violations=%llu events=%llu wall=%.2fs\n",
-                ks.shards, ks.workers,
-                static_cast<unsigned long long>(ks.parallel_windows),
-                static_cast<unsigned long long>(ks.exclusive_batches),
-                static_cast<unsigned long long>(ks.mails_routed),
-                static_cast<unsigned long long>(ks.lookahead_violations),
-                static_cast<unsigned long long>(result.events),
-                result.wall_seconds);
-  }
-
-  std::printf("\nShape check vs paper: uninterrupted operation across the "
-              "scaled soak, through %llu proactive recoveries, with all "
-              "three HMIs tracking perfectly: %s\n",
-              static_cast<unsigned long long>(total_recoveries),
-              result.shape ? "HOLDS" : "VIOLATED");
+  const auto events = static_cast<double>(sim.events_executed() - events_start);
+  const sim::KernelStats& ks = sim.kernel_stats();
+  const std::string& p = opt.prefix;
+  report.add(p + "recoveries completed, all plants",
+             static_cast<double>(total_recoveries));
+  report.add(p + "kernel shards", ks.shards);
+  report.add(p + "kernel workers", ks.workers);
+  report.add(p + "kernel parallel windows",
+             static_cast<double>(ks.parallel_windows));
+  report.add(p + "kernel exclusive batches",
+             static_cast<double>(ks.exclusive_batches));
+  report.add(p + "kernel mails routed", static_cast<double>(ks.mails_routed));
+  report.add(p + "kernel lookahead violations",
+             static_cast<double>(ks.lookahead_violations));
+  report.add(p + "events executed", events);
+  report.add(p + "wall", wall_seconds, "s");
+  report.add(p + "events per wall second",
+             wall_seconds > 0 ? events / wall_seconds : 0.0);
 
   if (opt.fleet > 1) obs::Tracer::set_router(nullptr, nullptr);
   // Instances must go down newest-first so each ScopedRegistry /
   // ScopedTracer restores the exact previous current() on its way out.
   while (!instances.empty()) instances.pop_back();
-  return result;
+  return wall_seconds;
 }
 
 }  // namespace
@@ -447,12 +409,9 @@ int main(int argc, char** argv) {
       bench::flag_value(argc, argv, "--metrics-json", "SOAK_metrics.json");
   opt.trace_path =
       bench::flag_value(argc, argv, "--trace-out", "SOAK_trace.jsonl");
-  const bool want_json = bench::has_flag(argc, argv, "--json");
-  const char* json_path =
-      bench::flag_value(argc, argv, "--json", "SOAK_summary.json");
 
   // --workers-list=1,2,4 runs the soak once per worker count (same seed
-  // and fleet) and records the scaling curve in the --json summary.
+  // and fleet) and records the scaling curve in the --json report.
   std::vector<unsigned> worker_counts;
   const char* list = bench::flag_value(argc, argv, "--workers-list", "");
   for (const char* p = list; *p != '\0';) {
@@ -470,49 +429,25 @@ int main(int argc, char** argv) {
       "Spire runs continuously under workload with proactive recovery and "
       "three HMIs, with no interruption of SCADA service");
 
-  std::vector<std::pair<unsigned, SoakResult>> runs;
-  bool shape = true;
+  bench::Report report(
+      "plant_soak",
+      "uninterrupted operation across the scaled soak, through proactive "
+      "recoveries, with all three HMIs tracking perfectly");
+  double first_wall = 0;
   for (const unsigned w : worker_counts) {
     SoakOptions run_opt = opt;
     run_opt.workers = w;
-    run_opt.banner = worker_counts.size() > 1;
-    runs.emplace_back(w, run_soak(run_opt));
-    shape = shape && runs.back().second.shape;
-  }
-
-  if (want_json) {
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"plant_soak\",\n";
-    out << "  \"fleet\": " << opt.fleet << ",\n";
-    out << "  \"soak_minutes\": " << opt.soak / sim::kMinute << ",\n";
-    out << "  \"chaos\": " << (opt.chaos ? "true" : "false") << ",\n";
-    out << "  \"runs\": [\n";
-    const double base_wall = runs.front().second.wall_seconds;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const SoakResult& r = runs[i].second;
-      char line[512];
-      std::snprintf(
-          line, sizeof line,
-          "    {\"workers\": %u, \"wall_seconds\": %.3f, \"events\": %llu, "
-          "\"events_per_sec\": %.0f, \"speedup_vs_first\": %.3f, "
-          "\"parallel_windows\": %llu, \"exclusive_batches\": %llu, "
-          "\"mails_routed\": %llu, \"lookahead_violations\": %llu, "
-          "\"shards\": %u, \"recoveries\": %llu, \"shape\": %s}%s\n",
-          runs[i].first, r.wall_seconds,
-          static_cast<unsigned long long>(r.events),
-          r.wall_seconds > 0 ? static_cast<double>(r.events) / r.wall_seconds
-                             : 0.0,
-          r.wall_seconds > 0 ? base_wall / r.wall_seconds : 0.0,
-          static_cast<unsigned long long>(r.kernel.parallel_windows),
-          static_cast<unsigned long long>(r.kernel.exclusive_batches),
-          static_cast<unsigned long long>(r.kernel.mails_routed),
-          static_cast<unsigned long long>(r.kernel.lookahead_violations),
-          r.kernel.shards, static_cast<unsigned long long>(r.recoveries),
-          r.shape ? "true" : "false", i + 1 < runs.size() ? "," : "");
-      out << line;
+    if (worker_counts.size() > 1) {
+      run_opt.prefix = "workers=" + std::to_string(w) + ": ";
     }
-    out << "  ]\n}\n";
-    std::printf("wrote soak summary to %s\n", json_path);
+    const double wall = run_soak(run_opt, report);
+    if (first_wall == 0) first_wall = wall;
+    if (worker_counts.size() > 1) {
+      report.add(run_opt.prefix + "speedup vs first",
+                 wall > 0 ? first_wall / wall : 0.0, "x");
+    }
   }
-  return shape ? 0 : 1;
+  report.latency.print("pipeline stage");
+  std::printf("\n");
+  return report.finish(argc, argv);
 }

@@ -66,12 +66,14 @@ int main(int argc, char** argv) {
       "After a total assumption breach (all replicas crash and lose state), "
       "Spire rebuilds from the field devices; generic BFT cannot recover");
 
-  bench::Table table({"system", "event", "outcome", "paper expectation"});
+  bench::Report report(
+      "state_recovery",
+      "the cyber-physical ground truth lets Spire survive an assumption "
+      "breach that permanently halts a generic BFT service");
 
   // ---- Spire: rebuild from ground truth -----------------------------------
-  double rebuild_seconds = -1;
-  bool spire_operational = false;
   {
+    double rebuild_seconds = -1;
     sim::Simulator sim;
     scada::DeploymentConfig config;
     config.f = 1;
@@ -113,35 +115,29 @@ int main(int argc, char** argv) {
     // Fully operational again?
     spire_sys.hmi(0).command_breaker("plc-phys", 3, true);
     sim.run_until(sim.now() + 4 * sim::kSecond);
-    spire_operational = spire_sys.plc("plc-phys").breakers().closed(3) &&
-                        spire_sys.hmi(0).display().breaker("plc-phys", 3) == true;
+    const bool spire_operational =
+        spire_sys.plc("plc-phys").breakers().closed(3) &&
+        spire_sys.hmi(0).display().breaker("plc-phys", 3) == true;
 
     std::uint64_t xfer_bytes = 0, state_reqs = 0;
     for (std::uint32_t i = 0; i < spire_sys.n(); ++i) {
       xfer_bytes += spire_sys.replica(i).stats().state_transfer_bytes;
       state_reqs += spire_sys.replica(i).stats().state_reqs_sent;
     }
-    std::printf("Spire state transfer across the breach: %llu bytes over "
-                "%llu StateReqs (ground-truth rebuild does not need peer "
-                "state)\n",
-                static_cast<unsigned long long>(xfer_bytes),
-                static_cast<unsigned long long>(state_reqs));
-  }
-  {
-    char detail[96];
-    std::snprintf(detail, sizeof(detail),
-                  "recovered: true state on HMI %.1f s after restart",
-                  rebuild_seconds);
-    table.row({"Spire (SCADA ground truth)", "all replicas crash, lose state",
-               rebuild_seconds >= 0 && spire_operational ? detail
-                                                         : "FAILED to recover",
-               "recovers by polling field devices"});
+    // The ground-truth rebuild does not need peer state.
+    report.require("Spire: true state on HMI after all replicas crash",
+                   rebuild_seconds >= 0);
+    report.add("Spire: rebuild time after restart", rebuild_seconds, "s");
+    report.require("Spire: commands execute again", spire_operational);
+    report.add("Spire: state transfer across the breach",
+               static_cast<double>(xfer_bytes), "B");
+    report.add("Spire: StateReqs", static_cast<double>(state_reqs));
   }
 
   // ---- generic BFT comparator ----------------------------------------------
-  bool generic_blocked = true;
-  std::uint64_t generic_applied_after = 0;
   {
+    bool generic_blocked = true;
+    std::uint64_t generic_applied_after = 0;
     sim::Simulator sim;
     crypto::Keyring keyring("e9-generic");
     prime::PrimeConfig config;
@@ -182,25 +178,15 @@ int main(int argc, char** argv) {
       xfer_bytes += r->stats().state_transfer_bytes;
       state_reqs += r->stats().state_reqs_sent;
     }
-    std::printf("generic BFT state transfer: %llu bytes delivered over %llu "
-                "StateReqs (requests retry forever; no f+1 peers can vouch "
-                "for lost state)\n",
-                static_cast<unsigned long long>(xfer_bytes),
-                static_cast<unsigned long long>(state_reqs));
+    // StateReqs retry forever: no f+1 peers can vouch for lost state.
+    report.require("generic BFT: every replica still awaits state transfer",
+                   generic_blocked);
+    report.check("generic BFT: updates applied after the crash",
+                 static_cast<double>(generic_applied_after), bench::Cmp::kEq,
+                 0);
+    report.add("generic BFT: state transfer delivered",
+               static_cast<double>(xfer_bytes), "B");
+    report.add("generic BFT: StateReqs", static_cast<double>(state_reqs));
   }
-  table.row({"generic BFT (key-value DB)", "all replicas crash, lose state",
-             generic_blocked && generic_applied_after == 0
-                 ? "HALTED: still awaiting state transfer, serves nothing"
-                 : "unexpectedly recovered",
-             "cannot recover (state lost forever)"});
-
-  table.print();
-
-  const bool shape = rebuild_seconds >= 0 && spire_operational &&
-                     generic_blocked && generic_applied_after == 0;
-  std::printf("\nShape check vs paper: the cyber-physical ground truth lets "
-              "Spire survive an assumption breach that permanently halts a "
-              "generic BFT service: %s\n",
-              shape ? "HOLDS" : "VIOLATED");
-  return shape ? 0 : 1;
+  return report.finish(argc, argv);
 }

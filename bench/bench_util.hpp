@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,11 +12,12 @@
 #include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "prime/recovery.hpp"
 #include "scada/deployment.hpp"
-#include "sim/chaos.hpp"
 #include "sim/simulator.hpp"
 #include "spines/overlay.hpp"
 #include "util/log.hpp"
@@ -137,6 +139,16 @@ inline const char* flag_value(int argc, char** argv, const char* flag,
   return fallback;
 }
 
+/// `s` as a JSON string literal.
+inline std::string json_quote(std::string_view s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
+}
+
 /// Committed gate bounds (bench/baseline_*.json): a "key": number
 /// lookup anywhere in the file. A key the file lacks fails the run,
 /// naming the key, so a renamed bound can never silently fall back to
@@ -154,13 +166,20 @@ class Baseline {
                                       std::istreambuf_iterator<char>()));
   }
 
-  /// The number stored under `key`; exits with status 1 if absent.
+  /// The number stored under `key`; a dotted key "section.field" finds
+  /// `field` after `section`. Exits with status 1 if absent.
   [[nodiscard]] double operator[](const char* key) const {
-    const std::string needle = "\"" + std::string(key) + "\"";
-    const std::size_t at = text_.find(needle);
-    const std::size_t colon = at == std::string::npos
-                                  ? std::string::npos
-                                  : text_.find(':', at + needle.size());
+    std::size_t at = 0;
+    for (std::string_view rest = key; at != std::string::npos;) {
+      const std::size_t dot = rest.find('.');
+      const std::string needle = json_quote(rest.substr(0, dot));
+      at = text_.find(needle, at);
+      if (at != std::string::npos) at += needle.size();
+      if (dot == std::string_view::npos) break;
+      rest.remove_prefix(dot + 1);
+    }
+    const std::size_t colon =
+        at == std::string::npos ? std::string::npos : text_.find(':', at);
     if (colon == std::string::npos) {
       std::printf("baseline %s: missing key \"%s\"\n", path_.c_str(), key);
       std::exit(1);
@@ -176,23 +195,16 @@ class Baseline {
   std::string text_;
 };
 
-/// Shared latency reporter: named sample series in, one aligned text
-/// table (min/p50/p90/p99/max/mean/samples) and optionally one JSON
-/// file out. Replaces the per-bench copies of latency_stats printing in
-/// bench_fig2 / bench_plant_reaction_time / bench_plant_soak.
+/// Named latency sample series in, one aligned text table
+/// (min/p50/p90/p99/max/mean/samples) out. A Report writes its series
+/// into the bench's --json.
 class LatencyReporter {
  public:
-  void add(std::string name, std::vector<double> samples_ms) {
+  /// Adds a series and returns its statistics.
+  LatencyStats add(std::string name, std::vector<double> samples_ms) {
     series_.push_back({std::move(name), latency_stats(std::move(samples_ms))});
+    return series_.back().stats;
   }
-
-  [[nodiscard]] const LatencyStats* find(const std::string& name) const {
-    for (const auto& s : series_) {
-      if (s.name == name) return &s.stats;
-    }
-    return nullptr;
-  }
-  [[nodiscard]] bool empty() const { return series_.empty(); }
 
   void print(const char* title = "latency") const {
     Table table({title, "min", "p50", "p90", "p99", "max", "mean", "samples"});
@@ -205,24 +217,24 @@ class LatencyReporter {
     table.print();
   }
 
-  /// {"bench":name,"series":{"<name>":{min_ms,p50_ms,...,samples},...}}
-  bool write_json(const std::string& path, const char* bench_name) const {
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) return false;
-    std::fprintf(out, "{\"bench\":\"%s\",\"series\":{", bench_name);
-    for (std::size_t i = 0; i < series_.size(); ++i) {
-      const auto& s = series_[i];
-      std::fprintf(out,
-                   "%s\"%s\":{\"min_ms\":%.3f,\"p50_ms\":%.3f,"
-                   "\"p90_ms\":%.3f,\"p99_ms\":%.3f,\"max_ms\":%.3f,"
-                   "\"mean_ms\":%.3f,\"samples\":%zu}",
-                   i == 0 ? "" : ",", s.name.c_str(), s.stats.min_ms,
-                   s.stats.median_ms, s.stats.p90_ms, s.stats.p99_ms,
-                   s.stats.max_ms, s.stats.mean_ms, s.stats.samples);
+  /// {"<name>":{"min_ms":..,"p50_ms":..,...,"samples":..},...}
+  [[nodiscard]] std::string json() const {
+    std::string out = "{";
+    for (const auto& s : series_) {
+      char buf[256];
+      std::snprintf(buf, sizeof(buf),
+                    "\"min_ms\":%.3f,\"p50_ms\":%.3f,\"p90_ms\":%.3f,"
+                    "\"p99_ms\":%.3f,\"max_ms\":%.3f,\"mean_ms\":%.3f,"
+                    "\"samples\":%zu}",
+                    s.stats.min_ms, s.stats.median_ms, s.stats.p90_ms,
+                    s.stats.p99_ms, s.stats.max_ms, s.stats.mean_ms,
+                    s.stats.samples);
+      if (out.size() > 1) out += ',';
+      out += json_quote(s.name);
+      out += ":{";
+      out += buf;
     }
-    std::fprintf(out, "}}\n");
-    std::fclose(out);
-    return true;
+    return out + "}";
   }
 
  private:
@@ -233,106 +245,336 @@ class LatencyReporter {
   std::vector<Series> series_;
 };
 
-/// Aggregates DaemonStats across an overlay and prints the data-plane
-/// observability counters (route-recompute coalescing, dedup pressure,
-/// per-priority queue high-water marks) and the link-state flood volume,
-/// so control-plane regressions are visible in bench output.
-inline void print_overlay_stats(const char* label, spines::Overlay& overlay) {
-  std::uint64_t forwarded = 0, delivered = 0, recomputes = 0, coalesced = 0;
-  std::uint64_t dedup_evictions = 0, queue_drops = 0;
-  std::uint64_t lsu_sent = 0, lsu_retransmits = 0, lsu_accepted = 0;
-  std::uint64_t lsu_bytes = 0;
-  std::uint64_t max_depth[3] = {0, 0, 0};
+/// How a check compares its measured value with its bound.
+enum class Cmp { kLe, kLt, kGe, kGt, kEq };
+
+inline const char* to_string(Cmp cmp) {
+  switch (cmp) {
+    case Cmp::kLe: return "<=";
+    case Cmp::kLt: return "<";
+    case Cmp::kGe: return ">=";
+    case Cmp::kGt: return ">";
+    case Cmp::kEq: return "==";
+  }
+  return "?";
+}
+
+inline bool compare(double value, Cmp cmp, double bound) {
+  switch (cmp) {
+    case Cmp::kLe: return value <= bound;
+    case Cmp::kLt: return value < bound;
+    case Cmp::kGe: return value >= bound;
+    case Cmp::kGt: return value > bound;
+    case Cmp::kEq: return value == bound;
+  }
+  return false;
+}
+
+/// A bound committed in the bench's baseline file: `scale` times the
+/// number stored under `key`.
+struct BaselineKey {
+  const char* key;
+  double scale = 1.0;
+};
+
+/// The gate helper. A bench declares each number it reports as one row:
+/// a name and the measured value, plus, for a check, a comparison and a
+/// bound (inline or a BaselineKey). finish() prints every row as one
+/// table and one "Shape check: <claim>: HOLDS" or "VIOLATED (<failing
+/// rows>)" line, writes every row to --json=PATH, and returns the exit
+/// code. What a bench prints, what it gates and what it writes are the
+/// same rows.
+class Report {
+ public:
+  /// `bench` names the JSON (and the bare --json default
+  /// BENCH_<bench>.json); `claim` is the shape the checks establish.
+  Report(std::string bench, std::string claim)
+      : bench_(std::move(bench)), claim_(std::move(claim)) {}
+
+  /// Loads the committed bounds from --baseline=PATH, or from
+  /// `fallback` when the flag is absent (nullptr: no baseline). False,
+  /// with a message, if the file cannot be read.
+  bool load_baseline(int argc, char** argv, const char* fallback) {
+    const char* path = flag_value(argc, argv, "--baseline", fallback);
+    if (path == nullptr || path[0] == '\0') return true;
+    baseline_ = Baseline::load(path);
+    return baseline_.has_value();
+  }
+  [[nodiscard]] bool has_baseline() const { return baseline_.has_value(); }
+
+  /// The committed number under `key`; a key the baseline lacks (or a
+  /// missing baseline) exits with status 1, naming the key.
+  [[nodiscard]] double baseline(const char* key) const {
+    if (!baseline_) {
+      std::printf("no baseline loaded for key \"%s\"\n", key);
+      std::exit(1);
+    }
+    return (*baseline_)[key];
+  }
+
+  /// A number the bench reports but does not gate.
+  void add(std::string name, double value, std::string unit = {}) {
+    Row& r = rows_.emplace_back();
+    r.name = std::move(name);
+    r.value = value;
+    r.unit = std::move(unit);
+  }
+
+  /// A check: `value <cmp> bound`.
+  void check(std::string name, double value, Cmp cmp, double bound,
+             std::string unit = {}) {
+    add(std::move(name), value, std::move(unit));
+    Row& r = rows_.back();
+    r.cmp = cmp;
+    r.bound = bound;
+    r.ok = compare(value, cmp, bound);
+  }
+
+  /// A check against a committed bound (see baseline()).
+  void check(std::string name, double value, Cmp cmp, BaselineKey bound,
+             std::string unit = {}) {
+    check(std::move(name), value, cmp, bound.scale * baseline(bound.key),
+          std::move(unit));
+    rows_.back().bound_key = bound.scale == 1.0
+                                 ? std::string(bound.key)
+                                 : format("%g x ", bound.scale) + bound.key;
+  }
+
+  /// A yes/no condition that must hold.
+  void require(std::string name, bool holds) {
+    check(std::move(name), holds ? 1 : 0, Cmp::kEq, 1);
+    rows_.back().boolean = true;
+  }
+
+  /// Latency series: printed by the bench where it reads best, written
+  /// into the JSON by finish().
+  LatencyReporter latency;
+
+  [[nodiscard]] std::vector<std::string> failing() const {
+    std::vector<std::string> names;
+    for (const Row& r : rows_) {
+      if (r.cmp && !r.ok) names.push_back(r.name);
+    }
+    return names;
+  }
+  [[nodiscard]] bool holds() const { return failing().empty(); }
+
+  /// The rows table and the shape-check line.
+  void print() const {
+    Table table({"row", "measured", "bound", "ok"});
+    for (const Row& r : rows_) {
+      std::string bound;
+      if (r.cmp) {
+        bound = std::string(to_string(*r.cmp)) + " " + r.text(r.bound);
+        if (!r.bound_key.empty()) bound += " [" + r.bound_key + "]";
+      }
+      table.row({r.name, r.text(r.value), bound,
+                 r.cmp ? (r.ok ? "yes" : "NO") : ""});
+    }
+    table.print();
+    std::printf("\nShape check: %s: %s\n", claim_.c_str(), verdict().c_str());
+  }
+
+  /// {"bench":..,"claim":..,"holds":..,"rows":[{"name","value","unit",
+  /// "cmp","bound","baseline_key","ok"}..],"latency":{..}}
+  [[nodiscard]] std::string json() const {
+    std::string out = "{\"bench\":";
+    out += json_quote(bench_);
+    out += ",\"claim\":";
+    out += json_quote(claim_);
+    out += holds() ? ",\"holds\":true,\"rows\":[" : ",\"holds\":false,\"rows\":[";
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      const Row& r = rows_[i];
+      out += i == 0 ? "{\"name\":" : ",{\"name\":";
+      out += json_quote(r.name);
+      out += ",\"value\":";
+      out += r.json(r.value);
+      if (!r.unit.empty()) {
+        out += ",\"unit\":";
+        out += json_quote(r.unit);
+      }
+      if (r.cmp) {
+        out += ",\"cmp\":\"";
+        out += to_string(*r.cmp);
+        out += "\",\"bound\":";
+        out += r.json(r.bound);
+        if (!r.bound_key.empty()) {
+          out += ",\"baseline_key\":";
+          out += json_quote(r.bound_key);
+        }
+        out += r.ok ? ",\"ok\":true" : ",\"ok\":false";
+      }
+      out += '}';
+    }
+    out += "],\"latency\":";
+    out += latency.json();
+    return out + "}\n";
+  }
+
+  /// Prints, writes --json (bare: BENCH_<bench>.json) and returns the
+  /// exit code: 0 when every check holds, 1 otherwise or when the JSON
+  /// cannot be written.
+  [[nodiscard]] int finish(int argc, char** argv) const {
+    print();
+    if (has_flag(argc, argv, "--json")) {
+      const std::string fallback = "BENCH_" + bench_ + ".json";
+      const char* path = flag_value(argc, argv, "--json", fallback.c_str());
+      std::FILE* out = std::fopen(path, "w");
+      if (out == nullptr) {
+        std::printf("cannot write %s\n", path);
+        return 1;
+      }
+      std::fputs(json().c_str(), out);
+      std::fclose(out);
+      std::printf("wrote %s\n", path);
+    }
+    return holds() ? 0 : 1;
+  }
+
+ private:
+  struct Row {
+    std::string name;
+    double value = 0;
+    std::string unit;
+    std::optional<Cmp> cmp;  ///< none: reported, not gated
+    double bound = 0;
+    std::string bound_key;
+    bool ok = true;
+    bool boolean = false;
+
+    /// Integral values print whole; others to four significant digits
+    /// (one decimal from 100 up).
+    [[nodiscard]] std::string text(double v) const {
+      if (boolean) return v != 0 ? "yes" : "no";
+      const char* f = std::floor(v) == v ? "%.0f"
+                          : (v >= 100 || v <= -100 ? "%.1f" : "%.4g");
+      return format(f, v) + (unit.empty() ? "" : " " + unit);
+    }
+    [[nodiscard]] std::string json(double v) const {
+      return boolean ? (v != 0 ? "true" : "false") : format("%.12g", v);
+    }
+  };
+
+  [[nodiscard]] std::string verdict() const {
+    const std::vector<std::string> failed = failing();
+    if (failed.empty()) return "HOLDS";
+    std::string out = "VIOLATED (";
+    for (std::size_t i = 0; i < failed.size(); ++i) {
+      out += (i == 0 ? "" : ", ") + failed[i];
+    }
+    return out + ")";
+  }
+
+  static std::string format(const char* f, double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), f, v);
+    return buf;
+  }
+
+  std::string bench_;
+  std::string claim_;
+  std::optional<Baseline> baseline_;
+  std::vector<Row> rows_;
+};
+
+/// Adds the overlay's data-plane counters (route-recompute coalescing,
+/// dedup pressure, per-priority queue high-water marks) and link-state
+/// flood volume, summed across its daemons, as reported rows.
+inline void add_overlay_rows(Report& report, const std::string& label,
+                             spines::Overlay& overlay) {
+  spines::DaemonStats sum;
   for (const auto& id : overlay.node_ids()) {
     const spines::DaemonStats& s = overlay.daemon(id).stats();
-    lsu_sent += s.lsu_sent;
-    lsu_retransmits += s.lsu_retransmits;
-    lsu_accepted += s.lsu_accepted;
-    lsu_bytes += s.lsu_bytes_sent;
-    forwarded += s.data_forwarded;
-    delivered += s.data_delivered;
-    recomputes += s.route_recomputes;
-    coalesced += s.route_recomputes_coalesced;
-    dedup_evictions += s.dedup_evictions;
-    queue_drops += s.dropped_queue_full;
+    sum.data_forwarded += s.data_forwarded;
+    sum.data_delivered += s.data_delivered;
+    sum.route_recomputes += s.route_recomputes;
+    sum.route_recomputes_coalesced += s.route_recomputes_coalesced;
+    sum.dedup_evictions += s.dedup_evictions;
+    sum.dropped_queue_full += s.dropped_queue_full;
+    sum.lsu_sent += s.lsu_sent;
+    sum.lsu_retransmits += s.lsu_retransmits;
+    sum.lsu_bytes_sent += s.lsu_bytes_sent;
+    sum.lsu_accepted += s.lsu_accepted;
     for (int p = 0; p < 3; ++p) {
-      max_depth[p] = std::max(max_depth[p],
-                              static_cast<std::uint64_t>(s.max_queue_depth[p]));
+      sum.max_queue_depth[p] = std::max(sum.max_queue_depth[p], s.max_queue_depth[p]);
     }
   }
-  std::printf(
-      "%s overlay: %llu forwarded, %llu delivered, %llu route recomputes "
-      "(%llu coalesced), %llu dedup evictions, %llu queue-full drops, max "
-      "queue depth lo/med/hi = %llu/%llu/%llu\n",
-      label, static_cast<unsigned long long>(forwarded),
-      static_cast<unsigned long long>(delivered),
-      static_cast<unsigned long long>(recomputes),
-      static_cast<unsigned long long>(coalesced),
-      static_cast<unsigned long long>(dedup_evictions),
-      static_cast<unsigned long long>(queue_drops),
-      static_cast<unsigned long long>(max_depth[0]),
-      static_cast<unsigned long long>(max_depth[1]),
-      static_cast<unsigned long long>(max_depth[2]));
-  std::printf(
-      "%s overlay: %llu LSUs sent (+%llu retransmits, %llu bytes), %llu "
-      "accepted\n",
-      label, static_cast<unsigned long long>(lsu_sent),
-      static_cast<unsigned long long>(lsu_retransmits),
-      static_cast<unsigned long long>(lsu_bytes),
-      static_cast<unsigned long long>(lsu_accepted));
+  const std::string o = label + " overlay ";
+  report.add(o + "data forwarded", static_cast<double>(sum.data_forwarded));
+  report.add(o + "data delivered", static_cast<double>(sum.data_delivered));
+  report.add(o + "route recomputes", static_cast<double>(sum.route_recomputes));
+  report.add(o + "route recomputes coalesced",
+             static_cast<double>(sum.route_recomputes_coalesced));
+  report.add(o + "dedup evictions", static_cast<double>(sum.dedup_evictions));
+  report.add(o + "queue-full drops", static_cast<double>(sum.dropped_queue_full));
+  const char* priority[3] = {"lo", "med", "hi"};
+  for (int p = 0; p < 3; ++p) {
+    report.add(o + "max queue depth " + priority[p],
+               static_cast<double>(sum.max_queue_depth[p]));
+  }
+  report.add(o + "LSUs sent", static_cast<double>(sum.lsu_sent));
+  report.add(o + "LSU retransmits", static_cast<double>(sum.lsu_retransmits));
+  report.add(o + "LSU bytes sent", static_cast<double>(sum.lsu_bytes_sent), "B");
+  report.add(o + "LSUs accepted", static_cast<double>(sum.lsu_accepted));
 }
 
-/// Prints the egress tail drops (SwitchStats::frames_dropped_queue) of
-/// every site switch of a deployment.
-inline void print_switch_drops(scada::SpireDeployment& sys) {
+/// Adds the egress tail drops (SwitchStats::frames_dropped_queue) of
+/// every site switch of a deployment as reported rows.
+inline void add_switch_drop_rows(Report& report, const std::string& prefix,
+                                 scada::SpireDeployment& sys) {
   for (std::uint32_t site = 0; site < sys.site_count(); ++site) {
-    std::printf(
-        "site %u switches: egress queue drops internal %llu, external %llu\n",
-        site,
-        static_cast<unsigned long long>(
-            sys.internal_site_switch(site).stats().frames_dropped_queue),
-        static_cast<unsigned long long>(
-            sys.external_site_switch(site).stats().frames_dropped_queue));
+    const std::string s = prefix + "site " + std::to_string(site);
+    report.add(s + " internal switch egress drops",
+               static_cast<double>(
+                   sys.internal_site_switch(site).stats().frames_dropped_queue));
+    report.add(s + " external switch egress drops",
+               static_cast<double>(
+                   sys.external_site_switch(site).stats().frames_dropped_queue));
   }
 }
 
-/// Prints the proactive-recovery scheduler's observability counters:
-/// completion-gated slot accounting, per-recovery wall time, and the
-/// state-transfer volume each rejuvenation pulled.
-inline void print_recovery_stats(const char* label,
-                                 const prime::RecoveryStats& s) {
-  std::printf(
-      "%s recovery: %llu takedowns, %llu completed, %llu retries, "
-      "%llu deferred ticks, in-flight high-water %u\n",
-      label, static_cast<unsigned long long>(s.takedowns),
-      static_cast<unsigned long long>(s.completed),
-      static_cast<unsigned long long>(s.retries),
-      static_cast<unsigned long long>(s.deferred_ticks),
-      s.in_flight_high_water);
-  std::printf(
-      "%s recovery: wall last/max/mean = %s / %s / %s, state transfer "
-      "%llu bytes over %llu StateReqs\n",
-      label, fmt_ms(static_cast<double>(s.last_recovery_wall) / 1000.0).c_str(),
-      fmt_ms(static_cast<double>(s.max_recovery_wall) / 1000.0).c_str(),
-      fmt_ms(s.completed > 0 ? static_cast<double>(s.total_recovery_wall) /
-                                   1000.0 / static_cast<double>(s.completed)
-                             : 0.0)
-          .c_str(),
-      static_cast<unsigned long long>(s.transfer_bytes),
-      static_cast<unsigned long long>(s.state_reqs));
+/// Adds the proactive-recovery scheduler's counters: completion-gated
+/// slot accounting (the in-flight high-water checked against k, the
+/// completions against `min_completed` when nonzero), wall time per
+/// recovery, and the state-transfer volume.
+inline void add_recovery_rows(Report& report, const std::string& prefix,
+                              const prime::RecoveryStats& s, std::uint32_t k,
+                              std::uint64_t min_completed = 0) {
+  const std::string p = prefix + "recovery ";
+  const auto ms = [](sim::Time t) { return static_cast<double>(t) / 1000.0; };
+  report.add(p + "takedowns", static_cast<double>(s.takedowns));
+  if (min_completed > 0) {
+    report.check(p + "completed", static_cast<double>(s.completed), Cmp::kGe,
+                 static_cast<double>(min_completed));
+  } else {
+    report.add(p + "completed", static_cast<double>(s.completed));
+  }
+  report.add(p + "retries", static_cast<double>(s.retries));
+  report.add(p + "deferred ticks", static_cast<double>(s.deferred_ticks));
+  report.check(p + "in-flight high-water", s.in_flight_high_water, Cmp::kLe, k);
+  report.add(p + "wall last", ms(s.last_recovery_wall), "ms");
+  report.add(p + "wall max", ms(s.max_recovery_wall), "ms");
+  report.add(p + "wall mean",
+             s.completed > 0 ? ms(s.total_recovery_wall) /
+                                   static_cast<double>(s.completed)
+                             : 0.0,
+             "ms");
+  report.add(p + "state transfer", static_cast<double>(s.transfer_bytes), "B");
+  report.add(p + "StateReqs", static_cast<double>(s.state_reqs));
 }
 
-/// Prints the fault-injection schedule outcome for a chaos run.
-inline void print_chaos_stats(const sim::ChaosStats& s) {
-  std::printf(
-      "chaos: %llu episodes injected (%llu partitions, %llu link degrades, "
-      "%llu crash-restarts), %llu healed, %.1f s total fault time\n",
-      static_cast<unsigned long long>(s.injected),
-      static_cast<unsigned long long>(s.partitions),
-      static_cast<unsigned long long>(s.link_degrades),
-      static_cast<unsigned long long>(s.crash_restarts),
-      static_cast<unsigned long long>(s.healed),
-      static_cast<double>(s.total_fault_time) / sim::kSecond);
+/// Routes tracer hooks of a multi-shard run to the tracer of the shard
+/// they fire on (Tracer::set_router), so each plant or pipeline traces
+/// into its own scope. Called from worker threads; reads only.
+struct TracerRouterCtx {
+  const sim::Simulator* sim = nullptr;
+  std::vector<obs::Tracer*> by_shard;
+};
+
+inline obs::Tracer* route_tracer(void* ctx_raw) {
+  auto* ctx = static_cast<TracerRouterCtx*>(ctx_raw);
+  const sim::ShardId shard = ctx->sim->current_shard();
+  return shard < ctx->by_shard.size() ? ctx->by_shard[shard] : nullptr;
 }
 
 }  // namespace spire::bench

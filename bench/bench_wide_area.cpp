@@ -12,8 +12,8 @@
 //   flat           the classic single-area overlay; every LSU floods
 //                  across the WAN links
 //
-// Gates (committed bounds in bench/baseline_wide.json, enforced with
-// --baseline=... --fail-below):
+// Gates (committed bounds in --baseline, default
+// bench/baseline_wide.json; run from the repo root):
 //   * WAN control bytes per daemon: flat / hierarchical >= 5x
 //   * full-BFS share of post-warmup route recomputes <= 0.1 (the
 //     incremental SPF carries the steady state)
@@ -55,8 +55,6 @@ struct Options {
   sim::Time warmup = 5 * sim::kSecond;
   sim::Time duration = 20 * sim::kSecond;
   sim::Time wan_latency = 10 * sim::kMillisecond;
-  bool fail_below = false;
-  std::string baseline_path;
   bool want_metrics = false;
   std::string metrics_path = "WIDE_metrics.json";
 };
@@ -245,9 +243,9 @@ OverlayRun run_overlay(const Options& opt, bool hierarchical,
 
 struct DeploymentResult {
   bench::LatencyStats latency;
-  bool partition_clean = true;
   std::uint32_t flips_seen = 0;
   std::uint32_t flips_total = 0;
+  std::uint32_t missed_after_heal = 0;  ///< HMI breakers != field after heal
 };
 
 DeploymentResult run_deployment(sim::Time wan_latency) {
@@ -304,9 +302,7 @@ DeploymentResult run_deployment(sim::Time wan_latency) {
     const auto& plc = deployment.plc(device.name);
     for (std::size_t b = 0; b < device.breaker_names.size(); ++b) {
       if (hmi.display().breaker(device.name, b) != plc.breakers().closed(b)) {
-        result.partition_clean = false;
-        std::printf("MISSED UPDATE after heal: %s breaker %zu\n",
-                    device.name.c_str(), b);
+        ++result.missed_after_heal;
       }
     }
   }
@@ -337,8 +333,6 @@ int main(int argc, char** argv) {
       static_cast<sim::Time>(std::strtoul(
           bench::flag_value(argc, argv, "--wan-ms", "10"), nullptr, 10)) *
       sim::kMillisecond;
-  opt.fail_below = bench::has_flag(argc, argv, "--fail-below");
-  opt.baseline_path = bench::flag_value(argc, argv, "--baseline", "");
   opt.want_metrics = bench::has_flag(argc, argv, "--metrics-json");
   opt.metrics_path =
       bench::flag_value(argc, argv, "--metrics-json", "WIDE_metrics.json");
@@ -351,6 +345,11 @@ int main(int argc, char** argv) {
       "W1", "wide-area overlay scaling (paper SS5, multi-site Spire)",
       "hierarchical areas keep inter-site control traffic bounded while "
       "incremental SPF absorbs LSU churn at 500+ daemons");
+  bench::Report report(
+      "wide_area",
+      "hierarchical areas bound WAN control bytes, incremental SPF carries "
+      "the churn, and multi-site SCADA stays fast and loses nothing");
+  if (!report.load_baseline(argc, argv, "bench/baseline_wide.json")) return 1;
 
   std::printf("\n[1/3] overlay control plane: %zu daemons, %zu areas, "
               "%llu ms WAN\n",
@@ -359,81 +358,54 @@ int main(int argc, char** argv) {
   std::string metrics_json;
   const OverlayRun hier =
       run_overlay(opt, true, opt.want_metrics ? &metrics_json : nullptr);
-  std::printf("  hierarchical done (%llu summaries)\n",
-              static_cast<unsigned long long>(hier.summaries));
   const OverlayRun flat = run_overlay(opt, false, nullptr);
-  std::printf("  flat done\n");
-
-  const double byte_ratio =
-      hier.wan_bytes_per_daemon > 0
-          ? flat.wan_bytes_per_daemon / hier.wan_bytes_per_daemon
-          : 0.0;
-  bench::Table table({"mode", "wan control B/daemon", "recomputes/lsu",
-                      "full-BFS share", "sample delivery"});
-  auto fmt = [](double v, const char* f) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), f, v);
-    return std::string(buf);
-  };
-  table.row({"hierarchical", fmt(hier.wan_bytes_per_daemon, "%.0f"),
-             fmt(hier.recomputes_per_lsu, "%.3f"),
-             fmt(hier.full_share, "%.4f"),
-             std::to_string(hier.delivered) + "/" +
-                 std::to_string(hier.sample_sent)});
-  table.row({"flat", fmt(flat.wan_bytes_per_daemon, "%.0f"),
-             fmt(flat.recomputes_per_lsu, "%.3f"),
-             fmt(flat.full_share, "%.4f"),
-             std::to_string(flat.delivered) + "/" +
-                 std::to_string(flat.sample_sent)});
-  table.print();
-  std::printf("WAN control-byte reduction (flat/hier): %.1fx\n", byte_ratio);
-
   if (opt.want_metrics) {
     std::ofstream out(opt.metrics_path);
     out << metrics_json;
     std::printf("wrote metrics snapshot to %s\n", opt.metrics_path.c_str());
   }
 
+  using bench::Cmp;
+  report.add("daemons", static_cast<double>(opt.daemons));
+  report.add("areas", static_cast<double>(opt.areas));
+  report.add("WAN latency",
+             static_cast<double>(opt.wan_latency) / sim::kMillisecond, "ms");
+  for (const OverlayRun* run : {&hier, &flat}) {
+    const std::string p = run == &hier ? "hierarchical: " : "flat: ";
+    report.add(p + "WAN control bytes per daemon", run->wan_bytes_per_daemon,
+               "B");
+    report.add(p + "route recomputes per LSU", run->recomputes_per_lsu);
+    if (run == &hier) {
+      report.check(p + "full-BFS share of recomputes", run->full_share,
+                   Cmp::kLe, bench::BaselineKey{"full_share_max"});
+      report.add(p + "border summaries sent",
+                 static_cast<double>(run->summaries));
+    } else {
+      report.add(p + "full-BFS share of recomputes", run->full_share);
+    }
+    report.check(p + "cross-area samples delivered",
+                 static_cast<double>(run->delivered), Cmp::kEq,
+                 static_cast<double>(run->sample_sent));
+  }
+  report.check("WAN control-byte reduction (flat/hier)",
+               hier.wan_bytes_per_daemon > 0
+                   ? flat.wan_bytes_per_daemon / hier.wan_bytes_per_daemon
+                   : 0.0,
+               Cmp::kGe, bench::BaselineKey{"wan_byte_ratio_min"}, "x");
+
   std::printf("\n[2/3] multi-site SCADA (2 CC + 2 DC, %llu ms WAN): "
               "field change -> HMI display\n",
               static_cast<unsigned long long>(opt.wan_latency / 1000));
+  std::printf("[3/3] site-partition chaos: cut DC site 3, operate, heal\n\n");
   const DeploymentResult dep = run_deployment(opt.wan_latency);
-  std::printf("  flips seen: %u/%u  latency min %.1f / median %.1f / "
-              "p90 %.1f / max %.1f ms\n",
-              dep.flips_seen, dep.flips_total, dep.latency.min_ms,
-              dep.latency.median_ms, dep.latency.p90_ms, dep.latency.max_ms);
-
-  std::printf("\n[3/3] site-partition chaos: %s\n",
-              dep.partition_clean ? "zero missed updates after heal"
-                                  : "MISSED UPDATES");
-
-  // ---- gates ---------------------------------------------------------------
-  double byte_ratio_min = 5.0;
-  double full_share_max = 0.1;
-  double cross_site_ms_max = 200.0;
-  if (!opt.baseline_path.empty()) {
-    const auto baseline = bench::Baseline::load(opt.baseline_path);
-    if (!baseline) return 1;
-    byte_ratio_min = (*baseline)["wan_byte_ratio_min"];
-    full_share_max = (*baseline)["full_share_max"];
-    cross_site_ms_max = (*baseline)["cross_site_median_ms_max"];
-  }
-
-  bool ok = true;
-  auto gate = [&](const char* name, bool pass) {
-    std::printf("gate %-28s %s\n", name, pass ? "PASS" : "FAIL");
-    ok = ok && pass;
-  };
-  std::printf("\n");
-  gate("wan_byte_ratio >= min", byte_ratio >= byte_ratio_min);
-  gate("full_share <= max", hier.full_share <= full_share_max);
-  gate("cross_site_median <= max",
-       dep.flips_seen == dep.flips_total &&
-           dep.latency.median_ms <= cross_site_ms_max);
-  gate("sample delivery complete", hier.delivered == hier.sample_sent &&
-                                       flat.delivered == flat.sample_sent);
-  gate("partition heal clean", dep.partition_clean);
-
-  if (!ok && (opt.fail_below || !opt.baseline_path.empty())) return 1;
-  return 0;
+  report.check("cross-site flips seen on HMI", dep.flips_seen, Cmp::kEq,
+               dep.flips_total);
+  report.add("cross-site flip -> HMI min", dep.latency.min_ms, "ms");
+  report.check("cross-site flip -> HMI median", dep.latency.median_ms,
+               Cmp::kLe, bench::BaselineKey{"cross_site_median_ms_max"}, "ms");
+  report.add("cross-site flip -> HMI p90", dep.latency.p90_ms, "ms");
+  report.add("cross-site flip -> HMI max", dep.latency.max_ms, "ms");
+  report.check("HMI breakers wrong after partition heal",
+               dep.missed_after_heal, Cmp::kEq, 0);
+  return report.finish(argc, argv);
 }

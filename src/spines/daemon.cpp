@@ -34,6 +34,7 @@ Daemon::Daemon(sim::Simulator& sim, net::Host& host, DaemonConfig config,
   metrics_.counter("data_delivered", &stats_.data_delivered);
   metrics_.counter("data_forwarded", &stats_.data_forwarded);
   metrics_.counter("dropped_auth", &stats_.dropped_auth);
+  metrics_.counter("dropped_malformed", &stats_.dropped_malformed);
   metrics_.counter("dropped_replay", &stats_.dropped_replay);
   metrics_.counter("dropped_dedup", &stats_.dropped_dedup);
   metrics_.counter("dropped_queue_full", &stats_.dropped_queue_full);
@@ -367,6 +368,7 @@ void Daemon::handle_udp(const net::Datagram& dgram) {
     r.expect_done();
     from = nodes_.lookup(sender);
   } catch (const util::SerializationError&) {
+    ++stats_.dropped_malformed;
     return;
   }
 

@@ -118,6 +118,8 @@ struct DaemonStats {
   std::uint64_t data_delivered = 0;
   std::uint64_t data_forwarded = 0;
   std::uint64_t dropped_auth = 0;
+  /// Datagrams at the daemon port that do not parse as a link envelope.
+  std::uint64_t dropped_malformed = 0;
   std::uint64_t dropped_replay = 0;
   std::uint64_t dropped_dedup = 0;
   std::uint64_t dropped_queue_full = 0;

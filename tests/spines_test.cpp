@@ -201,6 +201,25 @@ TEST_F(OverlayFixture, PlaintextRejectedWhenSealingRequired) {
   EXPECT_GT(overlay->daemon(node(1)).stats().dropped_auth, before);
 }
 
+TEST_F(OverlayFixture, GarbageDatagramCountedAsMalformed) {
+  build(2, {{0, 1}});
+  settle();
+  const DaemonStats before = overlay->daemon(node(1)).stats();
+  net::Host& attacker = network.add_host("attacker");
+  attacker.add_interface(net::MacAddress::from_id(99),
+                         net::IpAddress::make(10, 0, 0, 99), 24);
+  network.connect(attacker, 0, *sw);
+
+  // Bytes that are no link envelope die at the parse, before any
+  // sender lookup or authentication.
+  attacker.send_udp(hosts[1]->ip(), kDefaultDaemonPort, kDefaultDaemonPort,
+                    util::to_bytes("garbage"));
+  settle(200 * sim::kMillisecond);
+  const DaemonStats& after = overlay->daemon(node(1)).stats();
+  EXPECT_EQ(after.dropped_malformed, before.dropped_malformed + 1);
+  EXPECT_EQ(after.dropped_auth, before.dropped_auth);
+}
+
 TEST_F(OverlayFixture, CorruptedDaemonCannotParticipateUntilRestored) {
   // The excursion's "modified daemon without the new keys" (§IV-B).
   build(3, {{0, 1}, {1, 2}});
