@@ -119,7 +119,7 @@ int main() {
       const auto state = scada::TopologyState::deserialize(msg->blob);
       state.for_each([&](const std::string& device,
                          const scada::DeviceState& dev_state) {
-        const auto* previous = pi_last_state.device(device);
+        const auto previous = pi_last_state.device(device);
         for (std::size_t b = 0; b < dev_state.breakers.size(); ++b) {
           const bool was = previous && b < previous->breakers.size() &&
                            previous->breakers[b];

@@ -232,7 +232,7 @@ void CommercialHmi::handle_reply(const net::Datagram& dgram) {
   }
 
   state.for_each([&](const std::string& device, const DeviceState& new_state) {
-    const DeviceState* old_state = display_.device(device);
+    const std::optional<DeviceState> old_state = display_.device(device);
     for (std::size_t i = 0; i < new_state.breakers.size(); ++i) {
       const bool was =
           old_state && i < old_state->breakers.size() && old_state->breakers[i];

@@ -1,5 +1,7 @@
 #include "scada/fleet_proxy.hpp"
 
+#include <algorithm>
+
 #include "prime/messages.hpp"
 
 namespace spire::scada {
@@ -175,11 +177,13 @@ void FleetProxy::handle_order(const CommandOrder& order) {
   const auto device = devices_.find(order.command.device);
   if (device == devices_.end()) return;
 
-  const auto key = std::make_pair(order.issuer, order.command.command_id);
+  const OrderKey key{order.issuer, order.command.command_id};
   if (executed_orders_.count(key)) return;
 
   auto& votes = order_votes_[key];
-  votes[order.replica] = order.command;
+  if (votes.insert_or_assign(order.replica, order.command).second) {
+    track_pending_vote(order.replica, key);
+  }
 
   std::uint32_t matching = 0;
   const util::Bytes canonical = order.command.encode();
@@ -189,6 +193,11 @@ void FleetProxy::handle_order(const CommandOrder& order) {
   if (matching < config_.f + 1) return;
 
   executed_orders_.insert(key);
+  for (const auto& [replica, command] : votes) {
+    auto& pending = pending_votes_[replica];
+    const auto it = std::find(pending.begin(), pending.end(), key);
+    if (it != pending.end()) pending.erase(it);
+  }
   order_votes_.erase(key);
   ++stats_.commands_forwarded;
   log_.debug("forwarding command to ", order.command.device, ": breaker ",
@@ -197,6 +206,18 @@ void FleetProxy::handle_order(const CommandOrder& order) {
   if (device->second.on_command) {
     device->second.on_command(order.command.breaker, order.command.close);
   }
+}
+
+void FleetProxy::track_pending_vote(std::uint32_t replica,
+                                    const OrderKey& key) {
+  auto& pending = pending_votes_[replica];
+  pending.push_back(key);
+  if (pending.size() <= kMaxPendingOrdersPerReplica) return;
+  const auto oldest = order_votes_.find(pending.front());
+  pending.pop_front();
+  if (oldest == order_votes_.end()) return;
+  oldest->second.erase(replica);
+  if (oldest->second.empty()) order_votes_.erase(oldest);
 }
 
 }  // namespace spire::scada

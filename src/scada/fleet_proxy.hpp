@@ -31,6 +31,7 @@
 // batch window) each report is its own kStatusReport update.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -120,8 +121,18 @@ class FleetProxy {
     return client_.identity();
   }
   [[nodiscard]] std::size_t device_count() const { return devices_.size(); }
+  /// Orders (issuer, command_id) holding votes but short of f+1.
+  [[nodiscard]] std::size_t pending_orders() const {
+    return order_votes_.size();
+  }
+
+  /// Votes one replica may hold on orders short of f+1. Past this its
+  /// oldest pending vote is dropped, so a compromised replica signing
+  /// endless distinct orders cannot grow the proxy without bound.
+  static constexpr std::size_t kMaxPendingOrdersPerReplica = 256;
 
  private:
+  using OrderKey = std::pair<std::string, std::uint64_t>;  ///< (issuer, id)
   struct DeviceEntry {
     std::uint64_t next_seq = 1;
     CommandFn on_command;
@@ -142,6 +153,9 @@ class FleetProxy {
                FieldClient::FieldState state);
   void send_batch(std::vector<StatusReport>&& reports);
   void handle_order(const CommandOrder& order);
+  /// Records `replica`'s first vote on `key`, dropping its oldest
+  /// pending vote past kMaxPendingOrdersPerReplica.
+  void track_pending_vote(std::uint32_t replica, const OrderKey& key);
 
   sim::Simulator& sim_;
   FleetProxyConfig config_;
@@ -154,11 +168,11 @@ class FleetProxy {
   std::vector<PolledDevice> polled_;
   bool running_ = false;
 
-  /// (issuer, command_id) -> replicas that sent a matching order.
-  std::map<std::pair<std::string, std::uint64_t>,
-           std::map<std::uint32_t, SupervisoryCommand>>
-      order_votes_;
-  std::set<std::pair<std::string, std::uint64_t>> executed_orders_;
+  /// (issuer, command_id) -> each voting replica's order content.
+  std::map<OrderKey, std::map<std::uint32_t, SupervisoryCommand>> order_votes_;
+  /// replica -> keys it holds a pending vote on, oldest first.
+  std::map<std::uint32_t, std::deque<OrderKey>> pending_votes_;
+  std::set<OrderKey> executed_orders_;
   FleetProxyStats stats_;
   obs::Binder metrics_;
   obs::Histogram* batch_fill_;  ///< reports per flushed batch

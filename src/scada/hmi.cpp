@@ -17,6 +17,7 @@ Hmi::Hmi(sim::Simulator& sim, HmiConfig config, const crypto::Keyring& keyring,
       metrics_("scada.hmi." + config_.identity) {
   metrics_.counter("updates_received", &stats_.updates_received);
   metrics_.counter("updates_rejected_sig", &stats_.updates_rejected_sig);
+  metrics_.counter("states_hashed", &stats_.states_hashed);
   metrics_.counter("versions_displayed", &stats_.versions_displayed);
   metrics_.counter("deltas_applied", &stats_.deltas_applied);
   metrics_.counter("resyncs_requested", &stats_.resyncs_requested);
@@ -37,15 +38,25 @@ void Hmi::on_master_output(std::span<const std::uint8_t> data) {
     }
     return;
   }
+  // Copies of one state share its digest; every copy still has its own
+  // HMAC checked, so a copy claiming another replica's signature fails.
+  Content* match = find_content(*update);
+  crypto::Digest digest{};
+  if (match != nullptr) {
+    digest = match->digest;
+  } else {
+    digest = crypto::sha256(update->state);
+    ++stats_.states_hashed;
+  }
   if (!update->verify(replica_verifier_,
-                      prime::replica_identity(update->replica))) {
+                      prime::replica_identity(update->replica), digest)) {
     ++stats_.updates_rejected_sig;
     return;
   }
   if (auto* tracer = obs::Tracer::current()) {
     tracer->hmi_recv(update->version);
   }
-  vote(*update);
+  vote(*update, match, digest);
 
   if (votes_.size() > kMaxPendingVotes) {
     // Far behind the stream; stop buffering and ask for a snapshot.
@@ -66,13 +77,21 @@ bool Hmi::Content::has(std::uint32_t replica) const {
          replicas.end();
 }
 
-void Hmi::vote(const StateUpdateView& update) {
+Hmi::Content* Hmi::find_content(const StateUpdateView& update) {
+  const auto it = votes_.find(update.version);
+  if (it == votes_.end()) return nullptr;
+  for (Content& content : it->second) {
+    if (content.matches(update)) return &content;
+  }
+  return nullptr;
+}
+
+void Hmi::vote(const StateUpdateView& update, Content* match,
+               const crypto::Digest& digest) {
   std::vector<Content>& contents = votes_[update.version];
-  Content* match = nullptr;
-  for (Content& content : contents) {
-    if (content.matches(update)) {
-      match = &content;
-    } else if (content.kind == update.kind && content.has(update.replica)) {
+  for (const Content& content : contents) {
+    if (&content != match && content.kind == update.kind &&
+        content.has(update.replica)) {
       // A replica already voted for different content of this kind at
       // this version: keep its first vote and drop the newcomer, so a
       // Byzantine replica cannot make the HMI buffer without limit.
@@ -84,6 +103,7 @@ void Hmi::vote(const StateUpdateView& update) {
     match->kind = update.kind;
     match->base_version = update.base_version;
     match->state.assign(update.state.begin(), update.state.end());
+    match->digest = digest;
   }
   if (!match->has(update.replica)) match->replicas.push_back(update.replica);
 }
@@ -137,20 +157,20 @@ void Hmi::try_adopt() {
 
 void Hmi::adopt_full(std::uint64_t version, const TopologyState& state) {
   // Detect per-breaker display changes (screen redraw events).
-  state.for_each([&](const std::string& device, const DeviceState& new_state) {
-    const DeviceState* old_state = display_.device(device);
-    for (std::size_t i = 0; i < new_state.breakers.size(); ++i) {
-      const bool was =
-          old_state && i < old_state->breakers.size() && old_state->breakers[i];
-      const bool now = new_state.breakers[i];
-      if (was != now) {
+  for (std::uint32_t h = 0; h < state.device_count(); ++h) {
+    const std::string& device = state.name(h);
+    const auto was = display_.breaker_bytes(display_.handle(device));
+    const auto now = state.breaker_bytes(h);
+    for (std::size_t i = 0; i < now.size(); ++i) {
+      const bool closed = now[i] != 0;
+      if ((i < was.size() && was[i] != 0) != closed) {
         last_change_ = sim_.now();
         for (const auto& observer : observers_) {
-          observer(device, i, now, sim_.now());
+          observer(device, i, closed, sim_.now());
         }
       }
     }
-  });
+  }
   display_ = state;
   finish_adopt(version);
 }

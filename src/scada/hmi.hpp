@@ -43,6 +43,7 @@ struct HmiConfig {
 struct HmiStats {
   std::uint64_t updates_received = 0;
   std::uint64_t updates_rejected_sig = 0;
+  std::uint64_t states_hashed = 0;  ///< SHA-256s of received state bytes
   std::uint64_t versions_displayed = 0;
   std::uint64_t deltas_applied = 0;
   std::uint64_t resyncs_requested = 0;
@@ -59,9 +60,10 @@ class Hmi {
       crypto::Verifier replica_verifier, ScadaClient::SubmitFn submit);
 
   /// Feed for replica->HMI traffic. Parses in place; an update at or
-  /// below the displayed version is dropped before its HMAC is checked,
-  /// every other update is verified over the exact bytes its replica
-  /// signed before it votes.
+  /// below the displayed version is dropped before its HMAC is checked.
+  /// Every other update's state is hashed once per distinct content —
+  /// a byte-identical pending content lends its stored digest — and
+  /// the update's own HMAC is verified before it votes.
   void on_master_output(std::span<const std::uint8_t> data);
 
   /// Operator action: command a breaker.
@@ -101,14 +103,19 @@ class Hmi {
     std::uint8_t kind = StateUpdate::kFull;
     std::uint64_t base_version = 0;
     util::Bytes state;
+    crypto::Digest digest{};  ///< SHA-256(state)
     std::vector<std::uint32_t> replicas;  ///< distinct voters
 
     [[nodiscard]] bool matches(const StateUpdateView& update) const;
     [[nodiscard]] bool has(std::uint32_t replica) const;
   };
 
-  /// Records a verified update's vote for its content.
-  void vote(const StateUpdateView& update);
+  /// The pending content byte-identical to `update`, if any.
+  [[nodiscard]] Content* find_content(const StateUpdateView& update);
+  /// Records a verified update's vote for `match` (its pending content,
+  /// or nullptr to start a new one with `digest`).
+  void vote(const StateUpdateView& update, Content* match,
+            const crypto::Digest& digest);
   void try_adopt();
   void adopt_full(std::uint64_t version, const TopologyState& state);
   bool adopt_delta(std::uint64_t version, const util::Bytes& payload);

@@ -1,53 +1,93 @@
 #include "scada/topology.hpp"
 
+#include <cstring>
+
 namespace spire::scada {
 
 namespace {
 
-void put_device_record(util::ByteWriter& w, const DeviceState& state) {
-  w.u64(state.last_report_seq);
-  w.boolean(state.online);
-  w.u32(static_cast<std::uint32_t>(state.breakers.size()));
-  for (const bool b : state.breakers) w.boolean(b);
-  w.u32(static_cast<std::uint32_t>(state.readings.size()));
-  for (const auto v : state.readings) w.u16(v);
+// A device's wire record, as serialize() and serialize_changes() emit
+// it and as the arena stores it:
+//   u64 last_report_seq | u8 online | u32 breaker count | one 0/1 byte
+//   per breaker | u32 reading count | big-endian u16 per reading
+constexpr std::size_t kOnlineAt = 8;
+constexpr std::size_t kBreakerCountAt = 9;
+constexpr std::size_t kBreakersAt = 13;
+
+constexpr std::size_t record_size(std::size_t breakers, std::size_t readings) {
+  return kBreakersAt + breakers + 4 + 2 * readings;
 }
 
-/// A device record parsed in place: the breaker bytes and big-endian
-/// readings alias the input. Reading one validates the whole record, so
-/// a caller can check it before writing anything.
-struct RecordView {
-  std::uint64_t last_report_seq = 0;
-  bool online = false;
-  std::span<const std::uint8_t> breakers;  ///< one byte per breaker
-  std::span<const std::uint8_t> readings;  ///< two bytes per reading
-};
-
-RecordView read_device_record(util::ByteReader& r) {
-  RecordView v;
-  v.last_report_seq = r.u64();
-  v.online = r.boolean();
-  const std::uint32_t nb = r.u32();
-  if (nb > 65536) throw util::SerializationError("absurd breaker count");
-  v.breakers = r.raw_span(nb);
-  const std::uint32_t nr = r.u32();
-  if (nr > 65536) throw util::SerializationError("absurd reading count");
-  v.readings = r.raw_span(std::size_t{nr} * 2);
+std::uint64_t load_be(const std::uint8_t* p, int bytes) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) v = (v << 8) | p[i];
   return v;
 }
 
-/// Overwrites `d` with `v`; allocates only when a vector must grow.
-void store_device_record(DeviceState& d, const RecordView& v) {
-  d.last_report_seq = v.last_report_seq;
-  d.online = v.online;
-  d.breakers.resize(v.breakers.size());
-  for (std::size_t b = 0; b < v.breakers.size(); ++b) {
-    d.breakers[b] = v.breakers[b] != 0;
+void store_be(std::uint8_t* p, std::uint64_t v, int bytes) {
+  for (int i = bytes - 1; i >= 0; --i) {
+    p[i] = static_cast<std::uint8_t>(v);
+    v >>= 8;
   }
-  d.readings.resize(v.readings.size() / 2);
-  for (std::size_t i = 0; i < d.readings.size(); ++i) {
-    d.readings[i] = static_cast<std::uint16_t>((v.readings[2 * i] << 8) |
-                                               v.readings[2 * i + 1]);
+}
+
+std::span<const std::uint8_t> record_breakers(
+    std::span<const std::uint8_t> rec) {
+  return rec.subspan(kBreakersAt, load_be(rec.data() + kBreakerCountAt, 4));
+}
+
+/// Reads one record, validating it whole, so a caller can check it
+/// before writing anything. The returned bytes alias the input.
+std::span<const std::uint8_t> read_device_record(util::ByteReader& r) {
+  const std::size_t start = r.offset();
+  r.u64();
+  r.u8();
+  const std::uint32_t nb = r.u32();
+  if (nb > 65536) throw util::SerializationError("absurd breaker count");
+  r.raw_span(nb);
+  const std::uint32_t nr = r.u32();
+  if (nr > 65536) throw util::SerializationError("absurd reading count");
+  r.raw_span(std::size_t{nr} * 2);
+  return r.since(start);
+}
+
+/// Copies a validated record into its slot, storing its online flag
+/// and breakers as 0/1 so the arena always holds canonical bytes.
+void copy_record(std::uint8_t* dst, std::span<const std::uint8_t> rec) {
+  std::memcpy(dst, rec.data(), rec.size());
+  dst[kOnlineAt] = dst[kOnlineAt] != 0;
+  const std::size_t nb = record_breakers(rec).size();
+  for (std::size_t b = 0; b < nb; ++b) {
+    dst[kBreakersAt + b] = dst[kBreakersAt + b] != 0;
+  }
+}
+
+DeviceState decode_record(std::span<const std::uint8_t> rec) {
+  DeviceState d;
+  d.last_report_seq = load_be(rec.data(), 8);
+  d.online = rec[kOnlineAt] != 0;
+  const auto breakers = record_breakers(rec);
+  d.breakers.assign(breakers.begin(), breakers.end());
+  const std::uint8_t* p = breakers.data() + breakers.size();
+  d.readings.resize(load_be(p, 4));
+  p += 4;
+  for (auto& v : d.readings) {
+    v = static_cast<std::uint16_t>(load_be(p, 2));
+    p += 2;
+  }
+  return d;
+}
+
+/// Calls fn(handle) for every set bit, in handle order.
+template <typename Fn>
+void for_each_marked(const std::vector<std::uint64_t>& masks, Fn&& fn) {
+  for (std::size_t s = 0; s < masks.size(); ++s) {
+    std::uint64_t mask = masks[s];
+    while (mask != 0) {
+      const auto bit = static_cast<std::uint32_t>(__builtin_ctzll(mask));
+      mask &= mask - 1;
+      fn(static_cast<std::uint32_t>((s << TopologyState::kShardBits) + bit));
+    }
   }
 }
 
@@ -142,19 +182,49 @@ std::uint32_t TopologyState::register_device(const std::string& name,
                                              std::size_t breaker_count) {
   const auto it = index_.find(name);
   if (it != index_.end()) return it->second;
-  const auto handle = static_cast<std::uint32_t>(states_.size());
-  DeviceState state;
-  state.breakers.assign(breaker_count, false);
-  state.readings.assign(breaker_count, 0);
-  states_.push_back(std::move(state));
+  std::uint8_t* rec =
+      add_device(name, record_size(breaker_count, breaker_count));
+  store_be(rec + kBreakerCountAt, breaker_count, 4);
+  store_be(rec + kBreakersAt + breaker_count, breaker_count, 4);
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+std::uint8_t* TopologyState::add_device(const std::string& name,
+                                        std::size_t size) {
+  const auto handle = static_cast<std::uint32_t>(slots_.size());
+  slots_.push_back(Slot{records_.size(), size});
+  records_.resize(records_.size() + size);
+  live_bytes_ += size;
   names_.push_back(name);
   index_.emplace(name, handle);
   if ((handle >> kShardBits) >= changed_.size()) changed_.push_back(0);
-  return handle;
+  return records_.data() + slots_.back().offset;
+}
+
+std::uint8_t* TopologyState::resize_record(std::uint32_t h, std::size_t size) {
+  Slot& slot = slots_[h];
+  if (slot.size != size) {
+    live_bytes_ = live_bytes_ - slot.size + size;
+    slot = Slot{records_.size(), size};
+    records_.resize(records_.size() + size);
+    if (records_.size() - live_bytes_ > live_bytes_) compact();
+  }
+  return records_.data() + slots_[h].offset;
+}
+
+void TopologyState::compact() {
+  util::Bytes packed;
+  packed.reserve(live_bytes_);
+  for (Slot& slot : slots_) {
+    const auto* rec = records_.data() + slot.offset;
+    slot.offset = packed.size();
+    packed.insert(packed.end(), rec, rec + slot.size);
+  }
+  records_ = std::move(packed);
 }
 
 TopologyState::TopologyState(const ScenarioSpec& spec) {
-  states_.reserve(spec.devices.size());
+  slots_.reserve(spec.devices.size());
   names_.reserve(spec.devices.size());
   for (const auto& d : spec.devices) {
     register_device(d.name, d.breaker_names.size());
@@ -168,20 +238,45 @@ bool TopologyState::apply_report(const std::string& device,
   const auto it = index_.find(device);
   if (it == index_.end()) return false;
   const std::uint32_t h = it->second;
-  DeviceState& state = states_[h];
-  if (report_seq <= state.last_report_seq) return false;
-  const bool changed = state.breakers != breakers || !state.online;
-  state.breakers = breakers;
-  state.readings = readings;
-  state.last_report_seq = report_seq;
-  state.online = true;
+  const auto cur = record(h);
+  if (report_seq <= load_be(cur.data(), 8)) return false;
+  const auto was = record_breakers(cur);
+  bool changed = cur[kOnlineAt] == 0 || was.size() != breakers.size();
+  for (std::size_t b = 0; !changed && b < was.size(); ++b) {
+    changed = (was[b] != 0) != breakers[b];
+  }
+
+  std::uint8_t* rec =
+      resize_record(h, record_size(breakers.size(), readings.size()));
+  store_be(rec, report_seq, 8);
+  rec[kOnlineAt] = 1;
+  store_be(rec + kBreakerCountAt, breakers.size(), 4);
+  std::uint8_t* p = rec + kBreakersAt;
+  for (const bool b : breakers) *p++ = b;
+  store_be(p, readings.size(), 4);
+  p += 4;
+  for (const std::uint16_t v : readings) {
+    store_be(p, v, 2);
+    p += 2;
+  }
   changed_[h >> kShardBits] |= std::uint64_t{1} << (h & (kShardSize - 1));
   return changed;
 }
 
-const DeviceState* TopologyState::device(const std::string& name) const {
-  const auto it = index_.find(name);
-  return it == index_.end() ? nullptr : &states_[it->second];
+std::optional<DeviceState> TopologyState::device(const std::string& name) const {
+  return device_by_handle(handle(name));
+}
+
+std::optional<DeviceState> TopologyState::device_by_handle(
+    std::uint32_t handle) const {
+  if (handle >= slots_.size()) return std::nullopt;
+  return decode_record(record(handle));
+}
+
+std::span<const std::uint8_t> TopologyState::breaker_bytes(
+    std::uint32_t handle) const {
+  if (handle >= slots_.size()) return {};
+  return record_breakers(record(handle));
 }
 
 std::uint32_t TopologyState::handle(const std::string& name) const {
@@ -191,17 +286,27 @@ std::uint32_t TopologyState::handle(const std::string& name) const {
 
 std::optional<bool> TopologyState::breaker(const std::string& device,
                                            std::size_t index) const {
-  const auto* d = this->device(device);
-  if (!d || index >= d->breakers.size()) return std::nullopt;
-  return d->breakers[index];
+  const auto bytes = breaker_bytes(handle(device));
+  if (index >= bytes.size()) return std::nullopt;
+  return bytes[index] != 0;
+}
+
+void TopologyState::for_each(
+    const std::function<void(const std::string&, const DeviceState&)>& fn)
+    const {
+  for (std::uint32_t h = 0; h < slots_.size(); ++h) {
+    fn(names_[h], decode_record(record(h)));
+  }
 }
 
 util::Bytes TopologyState::serialize() const {
-  util::ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(states_.size()));
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    w.str(names_[i]);
-    put_device_record(w, states_[i]);
+  std::size_t size = 4 + live_bytes_;
+  for (const auto& name : names_) size += 4 + name.size();
+  util::ByteWriter w(size);
+  w.u32(static_cast<std::uint32_t>(slots_.size()));
+  for (std::uint32_t h = 0; h < slots_.size(); ++h) {
+    w.str(names_[h]);
+    w.raw(record(h));
   }
   return w.take();
 }
@@ -211,13 +316,16 @@ TopologyState TopologyState::deserialize(std::span<const std::uint8_t> data) {
   TopologyState state;
   const std::uint32_t count = r.u32();
   if (count > (1u << 20)) throw util::SerializationError("absurd device count");
-  state.states_.reserve(count);
+  state.slots_.reserve(count);
   state.names_.reserve(count);
+  state.records_.reserve(data.size());
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::string name = r.str();
-    const std::uint32_t h = state.register_device(name, 0);
-    if (h != i) throw util::SerializationError("duplicate device name");
-    store_device_record(state.states_[h], read_device_record(r));
+    if (state.index_.count(name) != 0) {
+      throw util::SerializationError("duplicate device name");
+    }
+    const auto rec = read_device_record(r);
+    copy_record(state.add_device(name, rec.size()), rec);
   }
   r.expect_done();
   return state;
@@ -229,10 +337,10 @@ crypto::Digest TopologyState::digest() const {
 
 crypto::Digest TopologyState::display_digest() const {
   util::ByteWriter w;
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    w.str(names_[i]);
-    w.boolean(states_[i].online);
-    for (const bool b : states_[i].breakers) w.boolean(b);
+  for (std::uint32_t h = 0; h < slots_.size(); ++h) {
+    w.str(names_[h]);
+    w.u8(record(h)[kOnlineAt]);
+    w.raw(breaker_bytes(h));
   }
   return crypto::sha256(w.bytes());
 }
@@ -253,18 +361,18 @@ std::size_t TopologyState::changed_count() const {
 }
 
 util::Bytes TopologyState::serialize_changes() const {
-  util::ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(changed_count()));
-  for (std::size_t s = 0; s < changed_.size(); ++s) {
-    std::uint64_t mask = changed_[s];
-    while (mask != 0) {
-      const auto bit = static_cast<std::uint32_t>(__builtin_ctzll(mask));
-      mask &= mask - 1;
-      const auto h = static_cast<std::uint32_t>((s << kShardBits) + bit);
-      w.u32(h);
-      put_device_record(w, states_[h]);
-    }
-  }
+  std::size_t size = 4;
+  std::uint32_t count = 0;
+  for_each_marked(changed_, [&](std::uint32_t h) {
+    size += 4 + slots_[h].size;
+    ++count;
+  });
+  util::ByteWriter w(size);
+  w.u32(count);
+  for_each_marked(changed_, [&](std::uint32_t h) {
+    w.u32(h);
+    w.raw(record(h));
+  });
   return w.take();
 }
 
@@ -276,7 +384,7 @@ void TopologyState::mark_all_changed() {
   if (changed_.empty()) return;
   for (std::uint64_t& mask : changed_) mask = ~std::uint64_t{0};
   // Trim the final partial shard to registered devices.
-  const std::size_t tail = states_.size() & (kShardSize - 1);
+  const std::size_t tail = slots_.size() & (kShardSize - 1);
   if (tail != 0) {
     changed_.back() = (std::uint64_t{1} << tail) - 1;
   }
@@ -294,20 +402,20 @@ void TopologyState::apply_delta(std::span<const std::uint8_t> data,
   if (count > (1u << 20)) throw util::SerializationError("absurd delta count");
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t h = r.u32();
-    if (h >= states_.size()) {
+    if (h >= slots_.size()) {
       throw util::SerializationError("unknown device handle in delta");
     }
     // A malformed record throws here, before its device is touched.
-    const RecordView next = read_device_record(r);
-    DeviceState& cur = states_[h];
+    const auto next = read_device_record(r);
     if (on_breaker_change) {
-      for (std::size_t b = 0; b < next.breakers.size(); ++b) {
-        const bool was = b < cur.breakers.size() && cur.breakers[b];
-        const bool now = next.breakers[b] != 0;
-        if (was != now) on_breaker_change(h, b, now);
+      const auto was = breaker_bytes(h);
+      const auto now = record_breakers(next);
+      for (std::size_t b = 0; b < now.size(); ++b) {
+        const bool was_closed = b < was.size() && was[b] != 0;
+        if (was_closed != (now[b] != 0)) on_breaker_change(h, b, now[b] != 0);
       }
     }
-    store_device_record(cur, next);
+    copy_record(resize_record(h, next.size()), next);
     changed_[h >> kShardBits] |= std::uint64_t{1} << (h & (kShardSize - 1));
   }
   r.expect_done();

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,7 +57,8 @@ struct ScenarioSpec {
                             std::size_t breakers_per_device = 2);
 };
 
-/// Per-device state as known by the SCADA master.
+/// Per-device state as known by the SCADA master, decoded from its
+/// wire record on demand.
 struct DeviceState {
   std::vector<bool> breakers;
   std::vector<std::uint16_t> readings;
@@ -68,8 +70,16 @@ struct DeviceState {
 /// Deterministically serializable so replicas can vote on it and
 /// checkpoint it.
 ///
-/// Devices live in a dense handle-indexed array (handle = registration
-/// order). Shards of kShardSize consecutive handles each carry a
+/// Devices are interned to dense handles (registration order). Each
+/// device is stored as its wire record — the exact bytes serialize()
+/// and serialize_changes() emit for it — in one contiguous
+/// handle-indexed arena, so publication and delta application are byte
+/// copies rather than per-field encode/decode. A record whose size is
+/// unchanged is overwritten in place; one whose breaker or reading
+/// count changes moves to the arena's end, and the arena is compacted
+/// whenever its dead bytes would exceed its live bytes.
+///
+/// Shards of kShardSize consecutive handles each carry a
 /// changed-device bitmask: apply_report flips one bit, and
 /// serialize_changes() walks only non-zero masks, so building a delta
 /// state publication is O(changed devices), not O(fleet).
@@ -92,31 +102,41 @@ class TopologyState {
   /// changed (breaker positions or online flag). Reports older than the
   /// last seen sequence for the device are ignored (late/replayed poll
   /// results). Any accepted report marks the device changed for the
-  /// next delta publication.
+  /// next delta publication. Encodes straight into the device's record;
+  /// allocates only when the record changes size.
   bool apply_report(const std::string& device, std::uint64_t report_seq,
                     const std::vector<bool>& breakers,
                     const std::vector<std::uint16_t>& readings);
 
-  [[nodiscard]] const DeviceState* device(const std::string& name) const;
-  [[nodiscard]] const DeviceState* device_by_handle(std::uint32_t handle) const {
-    return handle < states_.size() ? &states_[handle] : nullptr;
-  }
+  /// Decoded copy of one device's state; nullopt for an unknown device.
+  [[nodiscard]] std::optional<DeviceState> device(const std::string& name) const;
+  [[nodiscard]] std::optional<DeviceState> device_by_handle(
+      std::uint32_t handle) const;
+  /// One breaker position, read from the record without decoding it.
   [[nodiscard]] std::optional<bool> breaker(const std::string& device,
                                             std::size_t index) const;
+  /// A device's breaker positions as stored: one 0/1 byte per breaker.
+  /// Empty for an unknown handle; invalidated by the next write.
+  [[nodiscard]] std::span<const std::uint8_t> breaker_bytes(
+      std::uint32_t handle) const;
 
   [[nodiscard]] std::uint32_t handle(const std::string& name) const;
   [[nodiscard]] const std::string& name(std::uint32_t handle) const {
     return names_[handle];
   }
-  [[nodiscard]] std::size_t device_count() const { return states_.size(); }
+  [[nodiscard]] std::size_t device_count() const { return slots_.size(); }
   [[nodiscard]] std::size_t shard_count() const { return changed_.size(); }
 
-  /// Visits every device in registration order: fn(name, state).
+  /// Arena footprint: bytes of current records, and bytes the arena
+  /// holds including records abandoned by a size change.
+  [[nodiscard]] std::size_t live_bytes() const { return live_bytes_; }
+  [[nodiscard]] std::size_t arena_bytes() const { return records_.size(); }
+
+  /// Visits every device in registration order: fn(name, state), with
+  /// the state decoded into a temporary.
   void for_each(
       const std::function<void(const std::string&, const DeviceState&)>& fn)
-      const {
-    for (std::size_t i = 0; i < states_.size(); ++i) fn(names_[i], states_[i]);
-  }
+      const;
 
   [[nodiscard]] util::Bytes serialize() const;
   static TopologyState deserialize(std::span<const std::uint8_t> data);
@@ -157,14 +177,32 @@ class TopologyState {
   /// already-covered delta is idempotent). Throws SerializationError on
   /// malformed input or a device handle this state doesn't know — the
   /// HMI treats that as "my base is stale, request a resync".
-  /// Each record is validated whole before it is written, in place, into
-  /// its DeviceState: a malformed record changes nothing and fires no
+  /// Each record is validated whole before it is copied over its
+  /// device's record: a malformed record changes nothing and fires no
   /// observer, while the records before it stay applied.
   void apply_delta(std::span<const std::uint8_t> data,
                    const BreakerChangeFn& on_breaker_change = {});
 
  private:
-  std::vector<DeviceState> states_;  // dense, handle-indexed
+  struct Slot {
+    std::size_t offset = 0;  ///< into records_
+    std::size_t size = 0;
+  };
+
+  [[nodiscard]] std::span<const std::uint8_t> record(std::uint32_t h) const {
+    return {records_.data() + slots_[h].offset, slots_[h].size};
+  }
+  /// Registers `name` with a zeroed record of `size` bytes and returns
+  /// where to write it.
+  std::uint8_t* add_device(const std::string& name, std::size_t size);
+  /// Returns device `h`'s record storage resized to `size` bytes:
+  /// in place when the size matches, else relocated to the arena's end.
+  std::uint8_t* resize_record(std::uint32_t h, std::size_t size);
+  void compact();
+
+  util::Bytes records_;     // wire records, addressed through slots_
+  std::vector<Slot> slots_;  // dense, handle-indexed
+  std::size_t live_bytes_ = 0;
   std::vector<std::string> names_;
   std::unordered_map<std::string, std::uint32_t> index_;
   std::vector<std::uint64_t> changed_;  // one bit per device, per shard

@@ -1,5 +1,8 @@
 #include "scada/wire.hpp"
 
+#include <algorithm>
+#include <array>
+
 namespace spire::scada {
 
 namespace {
@@ -58,10 +61,33 @@ std::optional<StateUpdateView> parse_state_update(
     }
     s.base_version = r.u64();
     s.state = r.blob_span();
-    s.signed_prefix = r.since(0);
     s.sig = crypto::Signature::decode(r);
     return s;
   });
+}
+
+/// What a replica's StateUpdate HMAC covers: replica, version, kind and
+/// base_version, big-endian as on the wire, then the state's SHA-256.
+using StateSignedBytes = std::array<std::uint8_t, 4 + 8 + 1 + 8 + 32>;
+
+StateSignedBytes state_update_signed_bytes(std::uint32_t replica,
+                                           std::uint64_t version,
+                                           std::uint8_t kind,
+                                           std::uint64_t base_version,
+                                           const crypto::Digest& state_digest) {
+  StateSignedBytes out{};
+  std::size_t at = 0;
+  const auto put = [&](std::uint64_t v, int bytes) {
+    for (int shift = 8 * (bytes - 1); shift >= 0; shift -= 8) {
+      out[at++] = static_cast<std::uint8_t>(v >> shift);
+    }
+  };
+  put(replica, 4);
+  put(version, 8);
+  put(kind, 1);
+  put(base_version, 8);
+  std::copy(state_digest.begin(), state_digest.end(), out.begin() + at);
+  return out;
 }
 
 }  // namespace
@@ -208,28 +234,28 @@ std::optional<CommandOrder> CommandOrder::decode(
   });
 }
 
-util::Bytes StateUpdate::signed_bytes() const {
-  util::ByteWriter w;
+void StateUpdate::sign(const crypto::Signer& signer) {
+  sig = signer.sign(state_update_signed_bytes(replica, version, kind,
+                                              base_version,
+                                              crypto::sha256(state)));
+}
+
+bool StateUpdate::verify(const crypto::Verifier& verifier,
+                         const std::string& identity) const {
+  return verifier.verify(identity,
+                         state_update_signed_bytes(replica, version, kind,
+                                                   base_version,
+                                                   crypto::sha256(state)),
+                         sig);
+}
+
+util::Bytes StateUpdate::encode() const {
+  util::ByteWriter w(4 + 8 + 1 + 8 + 4 + state.size() + sig.mac.size());
   w.u32(replica);
   w.u64(version);
   w.u8(kind);
   w.u64(base_version);
   w.blob(state);
-  return w.take();
-}
-
-void StateUpdate::sign(const crypto::Signer& signer) {
-  sig = signer.sign(signed_bytes());
-}
-
-bool StateUpdate::verify(const crypto::Verifier& verifier,
-                         const std::string& identity) const {
-  return verifier.verify(identity, signed_bytes(), sig);
-}
-
-util::Bytes StateUpdate::encode() const {
-  util::ByteWriter w;
-  w.raw(signed_bytes());
   sig.encode(w);
   return w.take();
 }
@@ -249,8 +275,12 @@ std::optional<StateUpdate> StateUpdate::decode(
 }
 
 bool StateUpdateView::verify(const crypto::Verifier& verifier,
-                             std::string_view identity) const {
-  return verifier.verify(identity, signed_prefix, sig);
+                             std::string_view identity,
+                             const crypto::Digest& state_digest) const {
+  return verifier.verify(identity,
+                         state_update_signed_bytes(replica, version, kind,
+                                                   base_version, state_digest),
+                         sig);
 }
 
 std::optional<StateUpdateView> StateUpdateView::parse_output(

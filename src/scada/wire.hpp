@@ -110,6 +110,11 @@ struct CommandOrder {
 /// bytes covering every device that changed since `base_version` (the
 /// previous publication). Delta records are absolute device states, so
 /// any HMI whose displayed version is >= base_version can apply them.
+///
+/// Hash-then-sign: the replica's HMAC covers replica || version ||
+/// kind || base_version || SHA-256(state), not the state itself, so an
+/// HMI holding f+1 copies of one state hashes it once and checks f+1
+/// small HMACs. The wire layout still carries the whole state.
 struct StateUpdate {
   enum Kind : std::uint8_t { kFull = 0, kDelta = 1 };
 
@@ -120,7 +125,6 @@ struct StateUpdate {
   util::Bytes state;  ///< serialized TopologyState or changes payload
   crypto::Signature sig;
 
-  [[nodiscard]] util::Bytes signed_bytes() const;
   void sign(const crypto::Signer& signer);
   [[nodiscard]] bool verify(const crypto::Verifier& verifier,
                             const std::string& identity) const;
@@ -131,23 +135,19 @@ struct StateUpdate {
 
 /// Borrowed view of a StateUpdate: the HMI's receive path. Every span
 /// aliases the parsed buffer and must not outlive it.
-///
-/// `signed_prefix` is the received encoding minus its trailing
-/// signature. It is byte-for-byte what StateUpdate::signed_bytes()
-/// re-encodes: every field is fixed-width or length-prefixed and the
-/// parse rejects trailing bytes, so verifying over it checks exactly
-/// the bytes the replica signed without copying them.
 struct StateUpdateView {
   std::uint32_t replica = 0;
   std::uint64_t version = 0;
   std::uint8_t kind = StateUpdate::kFull;
   std::uint64_t base_version = 0;
   std::span<const std::uint8_t> state;
-  std::span<const std::uint8_t> signed_prefix;
   crypto::Signature sig;
 
+  /// Checks the replica's HMAC; `state_digest` must be SHA-256(state).
+  /// The caller supplies it so that copies of one state share one hash.
   [[nodiscard]] bool verify(const crypto::Verifier& verifier,
-                            std::string_view identity) const;
+                            std::string_view identity,
+                            const crypto::Digest& state_digest) const;
 
   /// Parses a MasterOutput frame; nullopt unless it is well-formed and
   /// carries a well-formed StateUpdate.

@@ -10,6 +10,7 @@
 #include "scada/hmi.hpp"
 #include "scada/master.hpp"
 #include "sim/rng.hpp"
+#include "util/hex.hpp"
 
 namespace spire::scada {
 namespace {
@@ -272,7 +273,7 @@ TEST(TopologyDelta, TruncatedFinalRecordThrowsAndLeavesItsDeviceUntouched) {
   EXPECT_EQ(mirror.device("fd1")->readings,
             (std::vector<std::uint16_t>{11, 12}));
   EXPECT_EQ(fired, (std::vector<std::uint32_t>{1}));
-  const DeviceState& after = *mirror.device("fd70");
+  const DeviceState after = *mirror.device("fd70");
   EXPECT_EQ(after.breakers, before.breakers);
   EXPECT_EQ(after.readings, before.readings);
   EXPECT_EQ(after.last_report_seq, before.last_report_seq);
@@ -312,8 +313,8 @@ TEST(TopologyDelta, InPlaceApplyMatchesFullRoundTripOverRandomRounds) {
         TopologyState::deserialize(source.serialize());
     ASSERT_EQ(mirror.device_count(), expected.device_count());
     for (std::uint32_t h = 0; h < expected.device_count(); ++h) {
-      const DeviceState& want = *expected.device_by_handle(h);
-      const DeviceState& got = *mirror.device_by_handle(h);
+      const DeviceState want = *expected.device_by_handle(h);
+      const DeviceState got = *mirror.device_by_handle(h);
       ASSERT_EQ(got.breakers, want.breakers) << "round " << round;
       ASSERT_EQ(got.readings, want.readings) << "round " << round;
       ASSERT_EQ(got.last_report_seq, want.last_report_seq);
@@ -321,6 +322,152 @@ TEST(TopologyDelta, InPlaceApplyMatchesFullRoundTripOverRandomRounds) {
     }
     ASSERT_EQ(mirror.serialize(), source.serialize());
   }
+}
+
+// --- record store: golden bytes and relocation ------------------------
+
+/// SHA-256 hex digests of one seeded run: the final serialize(), every
+/// round's serialize_changes() chained, and a master's snapshot() after
+/// the same reports arrive as ordered batches.
+struct GoldenDigests {
+  std::string serialized;
+  std::string changes;
+  std::string snapshot;
+};
+
+GoldenDigests run_golden(const ScenarioSpec& spec, std::uint64_t seed) {
+  crypto::Keyring keyring("golden");
+  MasterConfig config;
+  config.scenario = spec;
+  config.hmis = {"client/hmi-0"};
+  ScadaMaster master(config, keyring,
+                     [](const std::string&, const util::Bytes&) {});
+  TopologyState state(spec);
+  sim::Rng rng(seed);
+  std::vector<std::uint64_t> seq(spec.devices.size(), 0);
+  crypto::Sha256 changes;
+  for (std::uint64_t round = 1; round <= 60; ++round) {
+    BatchReport batch;
+    const std::size_t reports = rng.uniform(1, 16);
+    for (std::size_t k = 0; k < reports; ++k) {
+      const std::size_t d = rng.uniform(0, spec.devices.size() - 1);
+      const std::size_t nb = spec.devices[d].breaker_names.size();
+      StatusReport report;
+      report.device = spec.devices[d].name;
+      // Mostly the registered shape; sometimes grown or shrunk.
+      report.breakers.resize(rng.chance(0.8) ? nb : rng.uniform(0, nb + 2));
+      for (std::size_t b = 0; b < report.breakers.size(); ++b) {
+        report.breakers[b] = rng.chance(0.5);
+      }
+      report.readings.resize(rng.chance(0.8) ? nb : rng.uniform(0, nb + 2));
+      for (auto& v : report.readings) v = static_cast<std::uint16_t>(rng.next());
+      seq[d] += rng.uniform(0, 2);  // a repeated sequence is ignored
+      report.report_seq = seq[d];
+      state.apply_report(report.device, report.report_seq, report.breakers,
+                         report.readings);
+      batch.reports.push_back(std::move(report));
+    }
+    changes.update(state.serialize_changes());
+    if (round % 3 == 0) state.clear_changes();
+
+    ClientPayload payload;
+    payload.type = ScadaMsgType::kBatchReport;
+    payload.body = batch.encode();
+    prime::ClientUpdate update;
+    update.client = "client/proxy-0";
+    update.client_seq = round;
+    update.payload = payload.encode();
+    master.apply(update, prime::ExecutionInfo{});
+  }
+  return {util::to_hex(crypto::sha256(state.serialize())),
+          util::to_hex(changes.finish()),
+          util::to_hex(crypto::sha256(master.snapshot()))};
+}
+
+TEST(TopologyRecordStore, SerializationsMatchGoldenDigests) {
+  // Captured from the DeviceState-vector implementation: the record
+  // store must reproduce its bytes exactly.
+  const GoldenDigests fleet = run_golden(ScenarioSpec::fleet(300, 2), 2019);
+  EXPECT_EQ(fleet.serialized,
+            "a560550e4700729bd92a7dc7752ce09eea06c87658c9b71dca1b7b2a8077e1e7");
+  EXPECT_EQ(fleet.changes,
+            "3ddd9d7d537eedeea6957a6209a4d327685cc1433f885c7e1722b4510ecb1cb6");
+  EXPECT_EQ(fleet.snapshot,
+            "3cb0d718fdb0b31176b3cd242664b00450d82ede681c59575dfd228801121b88");
+
+  const GoldenDigests plant = run_golden(ScenarioSpec::power_plant(), 7919);
+  EXPECT_EQ(plant.serialized,
+            "3b0062325c38815259998af74130f7a6fc7ae3ce344472da6c78160faa82cb4f");
+  EXPECT_EQ(plant.changes,
+            "d63325c07ac6da3929f00a9176c002bac4d620fe8dd4a7724f098b2c7141bdd7");
+  EXPECT_EQ(plant.snapshot,
+            "fc9c487388f7585ddb9f34fa46081a9391495607aab2f8362a729e693dd117e9");
+}
+
+TEST(TopologyRecordStore, RecordThatGrowsAndShrinksStaysConsistent) {
+  TopologyState state(ScenarioSpec::fleet(100, 2));
+  TopologyState mirror(ScenarioSpec::fleet(100, 2));
+  for (std::uint64_t seq = 1; seq <= 1000; ++seq) {
+    // fd42 swings between 1 and 9 breakers and 0 and 17 readings.
+    std::vector<bool> breakers(1 + seq % 9);
+    for (std::size_t b = 0; b < breakers.size(); ++b) {
+      breakers[b] = (seq + b) % 3 == 0;
+    }
+    std::vector<std::uint16_t> readings(seq % 18);
+    for (std::size_t i = 0; i < readings.size(); ++i) {
+      readings[i] = static_cast<std::uint16_t>(seq * 31 + i);
+    }
+    state.apply_report("fd42", seq, breakers, readings);
+    // A neighbour keeps its size, so it is rewritten in place.
+    state.apply_report("fd43", seq, {seq % 2 == 0, true}, {1, 2});
+    mirror.apply_delta(state.serialize_changes());
+    state.clear_changes();
+
+    const auto d = state.device("fd42");
+    ASSERT_TRUE(d);
+    ASSERT_EQ(d->breakers, breakers) << "seq " << seq;
+    ASSERT_EQ(d->readings, readings) << "seq " << seq;
+    ASSERT_EQ(d->last_report_seq, seq);
+    ASSERT_TRUE(d->online);
+    for (std::size_t b = 0; b < breakers.size(); ++b) {
+      ASSERT_EQ(state.breaker("fd42", b), breakers[b]);
+    }
+    ASSERT_FALSE(state.breaker("fd42", breakers.size()).has_value());
+    ASSERT_EQ(state.breaker("fd43", 0), seq % 2 == 0);
+    ASSERT_EQ(state.device("fd41")->last_report_seq, 0u);
+    ASSERT_LE(state.arena_bytes(), 2 * state.live_bytes()) << "seq " << seq;
+    ASSERT_LE(mirror.arena_bytes(), 2 * mirror.live_bytes()) << "seq " << seq;
+    ASSERT_EQ(mirror.serialize(), state.serialize()) << "seq " << seq;
+  }
+  const util::Bytes bytes = state.serialize();
+  EXPECT_EQ(TopologyState::deserialize(bytes).serialize(), bytes);
+  std::size_t names = 0;
+  for (std::uint32_t h = 0; h < state.device_count(); ++h) {
+    names += 4 + state.name(h).size();
+  }
+  EXPECT_EQ(4 + names + state.live_bytes(), bytes.size());
+}
+
+TEST(TopologyRecordStore, NonzeroBooleanBytesAreStoredAsOne) {
+  TopologyState state(ScenarioSpec::fleet(2, 2));
+  state.apply_report("fd1", 1, {true, false}, {});
+  const util::Bytes canonical = state.serialize();
+  const util::Bytes delta = state.serialize_changes();
+
+  // fd1's online flag and first breaker, written as 7 and 2: offsets
+  // past the count, fd0's name and 23-byte record, and fd1's name.
+  util::Bytes image = canonical;
+  image[4 + 7 + 23 + 7 + 8] = 7;
+  image[4 + 7 + 23 + 7 + 13] = 2;
+  EXPECT_EQ(TopologyState::deserialize(image).serialize(), canonical);
+
+  util::Bytes loud = delta;  // past the count and fd1's handle
+  loud[8 + 8] = 7;
+  loud[8 + 13] = 2;
+  TopologyState mirror(ScenarioSpec::fleet(2, 2));
+  mirror.apply_delta(loud);
+  EXPECT_EQ(mirror.serialize(), canonical);
+  EXPECT_EQ(mirror.display_digest(), state.display_digest());
 }
 
 // --- master: batched application and delta publication ---------------

@@ -547,6 +547,21 @@ TEST(MetricsHotPath, HmiDeltaAdoptionAllocatesAConstantNotPerRecord) {
   EXPECT_LE(allocations, 8u) << "HMI receive path allocates per record";
 }
 
+TEST(MetricsHotPath, SameSizeApplyReportAllocatesNothing) {
+  scada::TopologyState state(scada::ScenarioSpec::fleet(64, 2));
+  const std::vector<bool> breakers{true, false};
+  const std::vector<std::uint16_t> readings{480, 479};
+  const std::string device = "fd17";
+  ASSERT_TRUE(state.apply_report(device, 1, breakers, readings));
+
+  const std::uint64_t before = g_alloc_count.load();
+  for (std::uint64_t seq = 2; seq < 100; ++seq) {
+    state.apply_report(device, seq, breakers, readings);
+  }
+  EXPECT_EQ(g_alloc_count.load(), before) << "same-size report allocated";
+  EXPECT_EQ(state.device(device)->last_report_seq, 99u);
+}
+
 TEST(Tracer, BatchedDeltasFanStagesToMemberSpans) {
   obs::ScopedRegistry registry_scope;
   std::uint64_t now = 0;

@@ -547,6 +547,90 @@ TEST_F(HmiReceiveFixture, DeltaThenFullFromTheSameReplicasStillAdopts) {
   EXPECT_EQ(hmi->display().breaker("dist1", 3), true);
 }
 
+// --- HMI hash-once voting: one SHA-256 per content, an HMAC per copy ----
+
+/// A MasterOutput frame carrying `su` exactly as given, signature
+/// included, so a test can pair a state with someone else's signature.
+util::Bytes output_of(const StateUpdate& su) {
+  MasterOutput out;
+  out.type = ScadaMsgType::kStateUpdate;
+  out.body = su.encode();
+  return out.encode();
+}
+
+TEST_F(HmiReceiveFixture, IdenticalCopiesOfOneVersionAreHashedOnce) {
+  TopologyState state(ScenarioSpec::red_team());
+  hmi->on_master_output(full(0, 1, state));
+  hmi->on_master_output(full(1, 1, state));
+  ASSERT_EQ(hmi->displayed_version(), 1u);
+  EXPECT_EQ(hmi->stats().states_hashed, 1u);
+
+  state.apply_report("dist2", 1, {1, 0, 1, 0}, {});
+  const util::Bytes delta = state.serialize_changes();
+  hmi->on_master_output(make(0, 2, StateUpdate::kDelta, 1, delta));
+  hmi->on_master_output(make(1, 2, StateUpdate::kDelta, 1, delta));
+  EXPECT_EQ(hmi->displayed_version(), 2u);
+  EXPECT_EQ(hmi->stats().states_hashed, 2u);
+  // Copies arriving after adoption are stale: dropped unhashed.
+  hmi->on_master_output(make(2, 2, StateUpdate::kDelta, 1, delta));
+  hmi->on_master_output(make(3, 2, StateUpdate::kDelta, 1, delta));
+  EXPECT_EQ(hmi->stats().states_hashed, 2u);
+  EXPECT_EQ(hmi->stats().updates_received, 6u);
+}
+
+struct HmiHashOnceFixture : HmiReceiveFixture {
+  StateUpdate pending;  ///< replica 0's genuine delta at v2, voted once
+
+  void SetUp() override {
+    HmiReceiveFixture::SetUp();
+    TopologyState state(ScenarioSpec::red_team());
+    hmi->on_master_output(full(0, 1, state));
+    hmi->on_master_output(full(1, 1, state));
+    ASSERT_EQ(hmi->displayed_version(), 1u);
+
+    state.apply_report("dist4", 1, {0, 1, 1, 0}, {});
+    pending.replica = 0;
+    pending.version = 2;
+    pending.kind = StateUpdate::kDelta;
+    pending.base_version = 1;
+    pending.state = state.serialize_changes();
+    pending.sign(crypto::Signer(
+        prime::replica_identity(0),
+        keyring.identity_key(prime::replica_identity(0))));
+    hmi->on_master_output(output_of(pending));
+    ASSERT_EQ(hmi->pending_contents(), 1u);
+    ASSERT_EQ(hmi->stats().states_hashed, 2u);
+  }
+};
+
+TEST_F(HmiHashOnceFixture, CopyOneByteOffCarryingThePendingSignatureIsRejected) {
+  for (std::uint32_t claimed : {0u, 1u}) {
+    StateUpdate forged = pending;
+    forged.replica = claimed;
+    forged.state.back() ^= 1;
+    hmi->on_master_output(output_of(forged));
+  }
+  EXPECT_EQ(hmi->stats().updates_rejected_sig, 2u);
+  EXPECT_EQ(hmi->stats().states_hashed, 4u);  // no pending digest to lend
+  EXPECT_EQ(hmi->pending_contents(), 1u);
+  EXPECT_EQ(hmi->displayed_version(), 1u);
+}
+
+TEST_F(HmiHashOnceFixture, CorrectBytesUnderAnotherReplicasSignatureCastNoVote) {
+  StateUpdate stolen = pending;  // replica 0's signature
+  stolen.replica = 1;
+  hmi->on_master_output(output_of(stolen));
+  EXPECT_EQ(hmi->stats().updates_rejected_sig, 1u);
+  EXPECT_EQ(hmi->stats().states_hashed, 2u);  // the pending digest was lent
+  EXPECT_EQ(hmi->displayed_version(), 1u);    // no second vote at v2
+
+  // Replica 1's own signature over the same bytes does vote, unhashed.
+  hmi->on_master_output(make(1, 2, StateUpdate::kDelta, 1, pending.state));
+  EXPECT_EQ(hmi->displayed_version(), 2u);
+  EXPECT_EQ(hmi->display().breaker("dist4", 2), true);
+  EXPECT_EQ(hmi->stats().states_hashed, 2u);
+}
+
 // A proxy with one polled Modbus device. The device end is a bare
 // Modbus server over a 1 ms loopback; its discrete inputs are the
 // breaker positions the proxy reads.
@@ -665,6 +749,23 @@ TEST_F(ProxyFixture, ConflictingContentDoesNotCount) {
   // The honest second vote settles it.
   proxy->on_master_output(make_order(1, 1, true));
   EXPECT_EQ(proxy->stats().commands_forwarded, 1u);
+}
+
+TEST_F(ProxyFixture, CompromisedReplicaCannotGrowPendingOrdersWithoutBound) {
+  // Replica 3 holds its real key and signs 10,000 distinct orders no
+  // honest replica will ever match.
+  for (std::uint64_t id = 1; id <= 10'000; ++id) {
+    proxy->on_master_output(make_order(3, 1'000'000 + id));
+  }
+  EXPECT_LE(proxy->pending_orders(), FleetProxy::kMaxPendingOrdersPerReplica);
+  EXPECT_EQ(proxy->stats().commands_forwarded, 0u);
+
+  // A later honest f+1 order still executes.
+  proxy->on_master_output(make_order(0, 1));
+  proxy->on_master_output(make_order(1, 1));
+  EXPECT_EQ(proxy->stats().commands_forwarded, 1u);
+  EXPECT_EQ(modbus_out.size(), 1u);
+  EXPECT_LE(proxy->pending_orders(), FleetProxy::kMaxPendingOrdersPerReplica);
 }
 
 TEST_F(ProxyFixture, RejectsForgedOrders) {
