@@ -14,8 +14,9 @@
 //        a hardened deployment, MANA on the operations network's tap.
 //   E4   §IV-B excursion: staged compromise of one replica.
 //   E10  §III-B / §VI-A: each hardening measure is load-bearing.
-//   R1   §IV adversary v2: scripted Byzantine replicas, the network
-//        stage and a front-door flood, each with a reaction SLO.
+//   R1   §IV adversary v2: scripted Byzantine replicas, a compromised
+//        overlay relay, the network stage and a front-door flood, each
+//        with a reaction SLO or an inline bound.
 //   E8   §II / §III-C: MANA scored against every attack's ground truth.
 //
 // Run:  bench_attacks [--baseline=PATH] [--json=PATH] [--trace-out=PATH]
@@ -40,6 +41,7 @@
 #include "prime/loopback_cluster.hpp"
 #include "scada/deployment.hpp"
 #include "scada/front_door.hpp"
+#include "sim/chaos.hpp"
 
 using namespace spire;
 using mana::AlertKind;
@@ -451,6 +453,20 @@ Ledger member_ledger(const Trial& t) {
                {"versions_displayed", hmi.versions_displayed}}};
 }
 
+/// What a withholding relay and a lossy internal switch cost the
+/// internal overlay, and whether the replicas kept ordering.
+Ledger relay_ledger(const Trial& t) {
+  Rig& r = *t.rig;
+  spines::Overlay& in = r.spire.internal_overlay();
+  return {{}, {{"frames_dropped_chaos",
+                r.spire.internal_switch().stats().frames_dropped_chaos},
+               {"int_dropped_dedup", r.daemons(in, &DaemonStats::dropped_dedup)},
+               {"updates_executed",
+                r.replicas(&prime::ReplicaStats::updates_executed)},
+               {"view_changes", r.replicas(&prime::ReplicaStats::view_changes)},
+               {"versions_displayed", r.spire.hmi(0).stats().versions_displayed}}};
+}
+
 /// A host-model attempt: nothing crosses the network.
 Ledger no_traffic(const Trial&) { return {}; }
 
@@ -727,6 +743,55 @@ Outcome insider_blast(Trial& t) {
 }
 
 // ---- scripted Byzantine replicas and the front door (R1) -------------------
+
+/// A compromised relay: a non-leader replica's internal daemon keeps its
+/// links but forwards nothing, while a link degrade drops 5% of the
+/// internal switch's frames for the whole row. Every one of ten field
+/// transitions must reach the HMI (inline bound: 0 missed) and the
+/// replicas must keep ordering.
+Outcome withholding_relay(Trial& t) {
+  Rig& r = *t.rig;
+  std::uint32_t traitor = 0;
+  while (r.spire.replica(traitor).is_leader()) ++traitor;
+  spines::Daemon& relay =
+      r.spire.internal_overlay().daemon("int" + std::to_string(traitor));
+  constexpr sim::Time kRowBound = 60 * sim::kSecond;
+  sim::ChaosHooks hooks;
+  hooks.set_link_quality = [&r](double loss, sim::Time jitter) {
+    r.spire.internal_switch().set_chaos(loss, jitter);
+  };
+  sim::ChaosInjector chaos(r.sim, std::move(hooks));
+  chaos.add({.kind = sim::ChaosEvent::Kind::kLinkDegrade,
+             .at = r.sim.now(),
+             .duration = kRowBound,
+             .loss = 0.05});
+  chaos.arm();
+  relay.withhold_relaying(true);
+
+  Outcome o;
+  auto& plc = r.spire.plc("plc-phys");
+  for (std::size_t i = 0; i < 10; ++i) {
+    const std::size_t breaker = i % plc.breakers().size();
+    const bool want = !plc.breakers().closed(breaker);
+    r.spire.flip_breaker_at_plc("plc-phys", breaker, want);
+    const sim::Time deadline = r.sim.now() + 3 * sim::kSecond;
+    while (r.sim.now() < deadline &&
+           r.spire.hmi(0).display().breaker("plc-phys", breaker) != want) {
+      r.run_for(5 * sim::kMillisecond);
+    }
+    if (r.spire.hmi(0).display().breaker("plc-phys", breaker) != want) {
+      o.missed++;
+    }
+  }
+  relay.withhold_relaying(false);
+  chaos.stop();
+  const std::uint64_t executed = t.moved("updates_executed");
+  o.landed = o.missed > 0 || executed == 0;
+  o.detail = "replica " + std::to_string(traitor) + " withheld, " +
+             std::to_string(t.moved("frames_dropped_chaos")) +
+             " frames lost, " + std::to_string(executed) + " updates ordered";
+  return o;
+}
 
 /// A malicious leader delays Pre-Prepares 500 ms (under the turnaround
 /// bound) and reorders them: it must NOT be evicted, and the p99 of ten
@@ -1152,6 +1217,9 @@ std::vector<Experiment> experiments() {
             "variant-keyed exploit installs a 1200 ms leader delay",
             mid_soak_compromise, member_ledger, {}, {},
             "compromise_reaction_ms_max"},
+           {"withholding_relay",
+            "non-leader's internal daemon relays nothing; 5% internal loss",
+            withholding_relay, relay_ledger},
            {"network_stage", "E3's port scan and ARP poisoning, then a command",
             network_stage, probe_ledger},
            {"frontdoor_dos", "5000/s telemetry flood + 50 Hz criticals, 2 s",

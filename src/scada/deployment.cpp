@@ -171,10 +171,14 @@ void SpireDeployment::build_network() {
 
 void SpireDeployment::build_overlays() {
   // Internal (replication) network: intrusion-tolerant priority
-  // flooding, as Spire runs it. External network: same sealed links,
-  // but routed forwarding — it is a single-switch clique, where
-  // link-state rerouting already provides the resilience and flooding
-  // would only multiply every client/HMI message ~20x.
+  // flooding with bounded relaying. A replica's message goes to every
+  // daemon directly and on through ⌊(m−1)/3⌋+2 designated relays, so the
+  // clique carries f+1 one-relay copies beside each direct one instead
+  // of every daemon re-flooding it (DESIGN.md "Bounded-redundancy
+  // flooding"). External network: same sealed links, but routed
+  // forwarding — it is a single-switch clique, where link-state
+  // rerouting already provides the resilience and flooding would only
+  // multiply every client/HMI message ~20x.
   spines::DaemonConfig daemon_template;
   daemon_template.intrusion_tolerant = config_.hardening.sealed_links;
   daemon_template.mode = spines::ForwardingMode::kPriorityFlood;

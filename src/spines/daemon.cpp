@@ -85,6 +85,7 @@ NodeHandle Daemon::admit_node(std::string_view id) {
     remote_vias_.resize(nodes_.size());
     remote_routes_.resize(nodes_.size(), kNoHandle);
     control_bytes_by_neighbor_.resize(nodes_.size(), 0);
+    relay_roles_.resize(nodes_.size());
     spf_.ensure_nodes(nodes_.size());
   }
   return h;
@@ -108,6 +109,12 @@ void Daemon::make_channels(Neighbor& n, const NodeId& id, bool corrupted) {
   n.recv_channel = std::make_unique<crypto::SecureChannel>(dir_key(id));
 }
 
+void Daemon::corrupt_channels(Neighbor& n, const NodeId& id) {
+  n.held_send_channel = std::move(n.send_channel);
+  n.held_recv_channel = std::move(n.recv_channel);
+  make_channels(n, id, true);
+}
+
 void Daemon::add_neighbor(const NodeId& id, net::Endpoint address) {
   add_neighbor(id, address, config_.area);
 }
@@ -120,7 +127,8 @@ void Daemon::add_neighbor(const NodeId& id, net::Endpoint address,
   n->handle = h;
   n->address = address;
   n->area = area;
-  make_channels(*n, id, keys_corrupted_);
+  make_channels(*n, id, false);
+  if (keys_corrupted_) corrupt_channels(*n, id);
   neighbors_[h] = std::move(n);
   neighbor_order_.push_back(h);
 }
@@ -197,16 +205,20 @@ bool Daemon::session_send(SessionPort src_port, const NodeId& dst,
 }
 
 void Daemon::corrupt_link_keys() {
+  if (keys_corrupted_) return;
   keys_corrupted_ = true;
   for (const NodeHandle h : neighbor_order_) {
-    make_channels(*neighbors_[h], nodes_.name(h), true);
+    corrupt_channels(*neighbors_[h], nodes_.name(h));
   }
 }
 
 void Daemon::restore_link_keys() {
+  if (!keys_corrupted_) return;
   keys_corrupted_ = false;
   for (const NodeHandle h : neighbor_order_) {
-    make_channels(*neighbors_[h], nodes_.name(h), false);
+    Neighbor& n = *neighbors_[h];
+    n.send_channel = std::move(n.held_send_channel);
+    n.recv_channel = std::move(n.held_recv_channel);
   }
 }
 
@@ -531,6 +543,7 @@ void Daemon::on_link_state(NodeHandle arrival, const LinkStateBody& lsu,
   if (!entry.present) {
     entry.present = true;
     ++lsdb_count_;
+    invalidate_relays();  // m grew
   }
   entry.seq = lsu.seq;
   entry.lsu.assign(wire.begin(), wire.end());
@@ -538,7 +551,10 @@ void Daemon::on_link_state(NodeHandle arrival, const LinkStateBody& lsu,
   // adjacency (seq bump only) must not trigger a route recompute. The
   // SPF engine compares against its stored row and accumulates the
   // confirmed-edge delta for the next incremental repair.
-  if (spf_.set_adjacency(origin, adj)) mark_routes_dirty();
+  if (spf_.set_adjacency(origin, adj)) {
+    invalidate_relays();
+    mark_routes_dirty();
+  }
 
   flood_lsu(entry.lsu, arrival, origin);
 }
@@ -590,6 +606,7 @@ void Daemon::on_data(NodeHandle arrival, DataBody data) {
     if (!is_broadcast) return;  // unicast terminates at its destination
   }
 
+  if (withhold_relaying_ && arrival != kNoHandle) return;
   if (data.ttl <= 1) {
     ++stats_.dropped_ttl;
     return;
@@ -603,8 +620,15 @@ void Daemon::on_data(NodeHandle arrival, DataBody data) {
   unit->body = std::move(data);
 
   if (is_broadcast || config_.mode == ForwardingMode::kPriorityFlood) {
+    // Bounded-redundancy flooding: the source sends to every neighbor
+    // and its designated relays to every neighbor but the source and
+    // the arrival link. Any other daemon forwards only to neighbors the
+    // source has no confirmed edge to, which covers every daemon the
+    // relays cannot reach in one hop, and every cross-area source.
+    const bool relay = arrival == kNoHandle || relays_for(src);
     for (const NodeHandle h : neighbor_order_) {
-      if (h == arrival || !neighbors_[h]->up) continue;
+      if (h == arrival || h == src || !neighbors_[h]->up) continue;
+      if (!relay && spf_.confirmed_edge(src, h)) continue;
       enqueue_data(h, src, unit);
     }
   } else {
@@ -616,6 +640,52 @@ void Daemon::on_data(NodeHandle arrival, DataBody data) {
     enqueue_data(hop, src, unit);
   }
   ++stats_.data_forwarded;
+}
+
+std::vector<NodeId> Daemon::flood_relays(const NodeId& source) const {
+  std::vector<NodeHandle> relays;
+  designate_relays(nodes_.lookup(source), relays);
+  std::vector<NodeId> names;
+  for (const NodeHandle h : relays) names.push_back(nodes_.name(h));
+  return names;
+}
+
+void Daemon::designate_relays(NodeHandle src,
+                              std::vector<NodeHandle>& out) const {
+  out.clear();
+  if (src == kNoHandle) return;
+  // Rank keys depend only on the two names, so every daemon holding the
+  // same link state designates the same relays, with nothing on the wire.
+  std::vector<std::pair<std::uint64_t, NodeHandle>> ranked;
+  for (NodeHandle x = 0; x < nodes_.size(); ++x) {
+    if (!spf_.confirmed_edge(src, x)) continue;
+    util::ByteWriter w;
+    w.str(nodes_.name(src));
+    w.str(nodes_.name(x));
+    ranked.emplace_back(crypto::digest_prefix64(crypto::sha256(w.bytes())), x);
+  }
+  std::sort(ranked.begin(), ranked.end(), [this](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first
+                              : nodes_.name(a.second) < nodes_.name(b.second);
+  });
+  // Any BFT group over m daemons has f <= (m-1)/3; f+2 relays give a
+  // neighbor f+1 one-relay copies besides the direct one.
+  const std::size_t m = lsdb_count_ + (lsdb_[self_].present ? 0 : 1);
+  const std::size_t r = (m - 1) / 3 + 2;
+  for (std::size_t i = 0; i < ranked.size() && i < r; ++i) {
+    out.push_back(ranked[i].second);
+  }
+}
+
+bool Daemon::relays_for(NodeHandle src) {
+  RelayRole& role = relay_roles_[src];
+  if (role.generation != relay_generation_) {
+    std::vector<NodeHandle> relays;
+    designate_relays(src, relays);
+    role.relay = std::find(relays.begin(), relays.end(), self_) != relays.end();
+    role.generation = relay_generation_;
+  }
+  return role.relay;
 }
 
 void Daemon::enqueue_data(NodeHandle neighbor, NodeHandle src,
@@ -749,7 +819,10 @@ void Daemon::originate_own_lsu() {
     ++lsdb_count_;
   }
   entry.seq = lsu.seq;
-  if (spf_.set_adjacency(self_, adj)) routes_dirty_ = true;
+  if (spf_.set_adjacency(self_, adj)) {
+    invalidate_relays();
+    routes_dirty_ = true;
+  }
 
   flood_lsu(lsu.encode(), kNoHandle, self_);
 }

@@ -9,7 +9,11 @@
 //  * two forwarding modes: shortest-path routing, and the
 //    intrusion-tolerant priority flood with per-source round-robin
 //    fairness and per-source queue caps, which keeps a traffic-blasting
-//    compromised daemon from starving correct sources;
+//    compromised daemon from starving correct sources. The flood is
+//    bounded: a source's messages are relayed only by ⌊(m−1)/3⌋+2 of
+//    its neighbors, designated from link state every daemon holds, and
+//    by any daemon whose neighbor the source cannot reach directly
+//    (DESIGN.md "Bounded-redundancy flooding");
 //  * the legacy "debug" code path that the red team's patched binary
 //    targeted, which is compiled out (ignored) in intrusion-tolerant
 //    mode — reproducing the excursion result.
@@ -193,8 +197,13 @@ class Daemon {
   /// Replaces this daemon's key material with garbage, modelling the red
   /// team's rebuilt/modified binary that lacked the new link keys.
   void corrupt_link_keys();
-  /// Restores correct keys (reinstalling the legitimate binary).
+  /// Restores correct keys (reinstalling the legitimate binary). The
+  /// legitimate channels resume where they stopped, so no (key, nonce)
+  /// pair is ever sealed twice.
   void restore_link_keys();
+  /// A compromised relay: the daemon keeps its keys, hellos, LSUs,
+  /// originations and deliveries, but forwards nothing it received.
+  void withhold_relaying(bool withhold) { withhold_relaying_ = withhold; }
 
   [[nodiscard]] const DaemonStats& stats() const { return stats_; }
   [[nodiscard]] const DaemonConfig& config() const { return config_; }
@@ -216,6 +225,9 @@ class Daemon {
   /// (bench_wide_area sums these over the designated wide links).
   [[nodiscard]] std::uint64_t control_bytes_to(const NodeId& neighbor) const;
   [[nodiscard]] const NodeTable& node_table() const { return nodes_; }
+  /// The neighbors of `source` that relay its flooded messages, as this
+  /// daemon's link state designates them, in rank order.
+  [[nodiscard]] std::vector<NodeId> flood_relays(const NodeId& source) const;
 
  private:
   /// One data message staged for transmission. Flood fan-out shares one
@@ -244,6 +256,10 @@ class Daemon {
     std::uint32_t area = 0;  ///< routing area of the far end
     std::unique_ptr<crypto::SecureChannel> send_channel;
     std::unique_ptr<crypto::SecureChannel> recv_channel;
+    /// The legitimate channels, set aside while the keys are corrupted:
+    /// their nonce counters must resume, not restart, under the same key.
+    std::unique_ptr<crypto::SecureChannel> held_send_channel;
+    std::unique_ptr<crypto::SecureChannel> held_recv_channel;
     std::uint64_t send_link_seq = 0;
     ReplayWindow recv_window;
     sim::Time last_hello = 0;
@@ -287,6 +303,8 @@ class Daemon {
   };
 
   void make_channels(Neighbor& n, const NodeId& id, bool corrupted);
+  /// Sets `n`'s legitimate channels aside and seals with garbage keys.
+  void corrupt_channels(Neighbor& n, const NodeId& id);
   void handle_udp(const net::Datagram& dgram);
   void process_inner(NodeHandle from, PacketType type,
                      std::span<const std::uint8_t> body);
@@ -343,6 +361,14 @@ class Daemon {
   /// result: best via = min (cost, handle), cost 1 for an up direct
   /// cross-area neighbor, else the intra-area SPF distance.
   void refresh_remote_routes();
+  /// Ranks `src`'s confirmed neighbors and keeps the first r =
+  /// ⌊(m−1)/3⌋+2, m being the daemons in this LSDB, self included.
+  void designate_relays(NodeHandle src, std::vector<NodeHandle>& out) const;
+  /// Whether this daemon relays `src`'s flooded messages; cached per
+  /// source until the link state changes.
+  bool relays_for(NodeHandle src);
+  /// Called where a confirmed edge or the LSDB size may have changed.
+  void invalidate_relays() { ++relay_generation_; }
   /// Intra-area route if the SPF tree reaches dst, else the summary-
   /// derived remote route.
   [[nodiscard]] NodeHandle route_for(NodeHandle dst) const;
@@ -369,6 +395,7 @@ class Daemon {
 
   bool running_ = false;
   bool keys_corrupted_ = false;
+  bool withhold_relaying_ = false;
   /// Timer epoch: bumped on stop() so orphaned tick/pump lambdas no-op
   /// (mirrors the Prime replica's timer-epoch pattern).
   std::uint64_t epoch_ = 0;
@@ -389,6 +416,15 @@ class Daemon {
   bool routes_dirty_ = false;
   bool route_recompute_scheduled_ = false;
   SpfEngine spf_;  ///< intra-area routes (canonical BFS + incremental)
+
+  /// Per source handle: whether this daemon is one of its relays, valid
+  /// while `generation` matches relay_generation_.
+  struct RelayRole {
+    std::uint64_t generation = 0;
+    bool relay = false;
+  };
+  std::vector<RelayRole> relay_roles_;
+  std::uint64_t relay_generation_ = 1;
 
   // --- wide-area state ---------------------------------------------------
   std::uint64_t own_summary_seq_ = 0;

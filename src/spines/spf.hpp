@@ -72,6 +72,11 @@ class SpfEngine {
     return routes_;
   }
   [[nodiscard]] std::size_t node_count() const { return n_; }
+  /// True when `a` and `b` advertise each other: the edges routes use.
+  /// Handles the engine has not seen are never confirmed.
+  [[nodiscard]] bool confirmed_edge(NodeHandle a, NodeHandle b) const {
+    return a < n_ && b < n_ && confirmed(a, b);
+  }
   [[nodiscard]] const SpfStats& stats() const { return stats_; }
 
   /// Recomputes the canonical function from scratch into scratch

@@ -6,8 +6,11 @@
 // origination, slow refresh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <optional>
+#include <set>
 
 #include "net/network.hpp"
 #include "spines/overlay.hpp"
@@ -690,6 +693,169 @@ TEST_F(OverlayFixture, StopResetsPacingStateForCleanRestart) {
   overlay->daemon(node(0)).session_send(40, node(2), 40, util::to_bytes("x"));
   settle(1 * sim::kSecond);
   EXPECT_GT(got, before_restart);
+}
+
+TEST_F(OverlayFixture, CorruptAndRestoreNeverReuseALinkNonce) {
+  // A fresh channel under the same deterministic link key restarts its
+  // nonce counter at 1, which would re-seal under (key, nonce) pairs
+  // already on the wire: ChaCha20 keystream reuse. The restored daemon
+  // must resume the counters it had before its keys were corrupted.
+  build(2, {{0, 1}});
+  enum Phase { kBefore, kCorrupted, kRestored };
+  Phase phase = kBefore;
+  // Per (sender, receiver) direction: nonces sealed under the real key.
+  std::map<std::pair<std::size_t, std::size_t>, std::set<std::uint64_t>>
+      before, restored;
+  sw->add_tap("overlay", [&](const net::PcapRecord& record) {
+    const auto dgram = net::Datagram::decode(record.frame.payload);
+    if (!dgram) return;
+    const auto env = LinkEnvelope::decode(dgram->payload);
+    if (!env || !env->sealed || env->body.size() < 8) return;
+    const std::size_t from = env->sender == node(0) ? 0 : 1;
+    const std::size_t to = 1 - from;
+    if (!link_channel(keyring, node(from), node(to)).open(env->body)) return;
+    std::uint64_t nonce = 0;
+    for (std::size_t i = 0; i < 8; ++i) nonce = nonce << 8 | env->body[i];
+    if (phase == kBefore) before[{from, to}].insert(nonce);
+    if (phase == kRestored) restored[{from, to}].insert(nonce);
+  });
+  settle();
+  phase = kCorrupted;
+  overlay->daemon(node(1)).corrupt_link_keys();
+  settle();
+  phase = kRestored;
+  overlay->daemon(node(1)).restore_link_keys();
+  settle();
+  ASSERT_TRUE(overlay->daemon(node(0)).link_up(node(1)));
+
+  ASSERT_FALSE((restored[{1, 0}].empty()));
+  for (const auto& [direction, nonces] : restored) {
+    for (const std::uint64_t nonce : nonces) {
+      EXPECT_EQ(before[direction].count(nonce), 0u)
+          << "nonce " << nonce << " reused on " << node(direction.first)
+          << " -> " << node(direction.second);
+    }
+  }
+}
+
+/// Bounded-redundancy flooding: the source sends to every neighbor,
+/// its r = floor((m-1)/3) + 2 designated relays send on, and any other
+/// daemon forwards only to neighbors the source cannot reach directly.
+struct BoundedFloodFixture : OverlayFixture {
+  std::map<NodeId, std::size_t> data_sent;  ///< data packets by sender
+  std::vector<int> delivered;               ///< by daemon index
+
+  void build_flood(std::size_t n, const std::vector<std::pair<int, int>>& links) {
+    build(n, links);
+    delivered.assign(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      overlay->daemon(node(i)).open_session(
+          40, [this, i](const DataBody&) { ++delivered[i]; });
+    }
+    sw->add_tap("overlay", [this](const net::PcapRecord& record) {
+      const auto dgram = net::Datagram::decode(record.frame.payload);
+      if (!dgram) return;
+      const auto env = LinkEnvelope::decode(dgram->payload);
+      if (!env) return;
+      for (std::size_t to = 0; to < hosts.size(); ++to) {
+        if (hosts[to]->ip() != dgram->dst_ip) continue;
+        if (sealed_type(link_channel(keyring, env->sender, node(to)),
+                        record.frame) == PacketType::kData) {
+          ++data_sent[env->sender];
+        }
+      }
+    });
+    settle();
+  }
+
+  /// Broadcasts one message from daemon `src`, lets it settle, and
+  /// returns how many data packets the switch carried.
+  std::size_t broadcast_from(std::size_t src) {
+    data_sent.clear();
+    std::fill(delivered.begin(), delivered.end(), 0);
+    overlay->daemon(node(src)).session_send(40, kBroadcastDst, 40,
+                                            util::to_bytes("x"));
+    settle(200 * sim::kMillisecond);
+    std::size_t total = 0;
+    for (const auto& [sender, count] : data_sent) total += count;
+    return total;
+  }
+
+  /// Duplicates each daemon dropped during `run`.
+  std::vector<std::uint64_t> dedup_drops(const std::function<void()>& run) {
+    std::vector<std::uint64_t> drops;
+    for (std::size_t i = 0; i < delivered.size(); ++i) {
+      drops.push_back(overlay->daemon(node(i)).stats().dropped_dedup);
+    }
+    run();
+    for (std::size_t i = 0; i < delivered.size(); ++i) {
+      drops[i] = overlay->daemon(node(i)).stats().dropped_dedup - drops[i];
+    }
+    return drops;
+  }
+};
+
+TEST_F(BoundedFloodFixture, SixCliqueBroadcastCostsSeventeenSends) {
+  // m = 6, r = 3: 5 direct sends plus 3 relays x 4 onward sends, where
+  // every daemon relaying used to make it 5 + 5 x 4 = 25.
+  build_flood(6, clique(6));
+  for (std::size_t src = 0; src < 6; ++src) {
+    EXPECT_EQ(broadcast_from(src), 17u) << node(src);
+    for (std::size_t i = 0; i < 6; ++i) {
+      EXPECT_EQ(delivered[i], i == src ? 0 : 1) << node(i);
+    }
+  }
+}
+
+TEST_F(BoundedFloodFixture, FourCliqueRelaysAreEveryNeighbor) {
+  // m = 4, r = 3 covers all of the source's neighbors: 3 + 3 x 2 sends.
+  build_flood(4, clique(4));
+  EXPECT_EQ(broadcast_from(0), 9u);
+  EXPECT_EQ(overlay->daemon(node(1)).flood_relays(node(0)).size(), 3u);
+}
+
+TEST_F(BoundedFloodFixture, DiamondFarCornerDeliversOnceAndForwardsNothing) {
+  // 0-1, 0-2, 1-3, 2-3: both of n3's neighbors have a confirmed edge to
+  // n0 and relay for it, so n3 has nobody left to cover.
+  build_flood(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
+  EXPECT_EQ(broadcast_from(0), 4u);
+  EXPECT_EQ(delivered[3], 1);
+  EXPECT_EQ(data_sent[node(3)], 0u);
+}
+
+TEST_F(BoundedFloodFixture, EveryDaemonDesignatesTheSameRelays) {
+  build_flood(6, clique(6));
+  for (std::size_t src = 0; src < 6; ++src) {
+    const std::vector<NodeId> relays =
+        overlay->daemon(node(src)).flood_relays(node(src));
+    ASSERT_EQ(relays.size(), 3u) << node(src);
+    EXPECT_EQ(std::count(relays.begin(), relays.end(), node(src)), 0);
+    for (std::size_t i = 0; i < 6; ++i) {
+      EXPECT_EQ(overlay->daemon(node(i)).flood_relays(node(src)), relays)
+          << node(i) << " on " << node(src);
+    }
+  }
+}
+
+TEST_F(BoundedFloodFixture, EveryReceiverKeepsSpareCopiesWithAWithholdingRelay) {
+  // f = 1 in a 6-clique: each daemon but the source drops at least f + 1
+  // duplicates, so losing the direct copy and one relay's still
+  // delivers. With one relay forwarding nothing, each drops at least 1.
+  build_flood(6, clique(6));
+  const auto clean = dedup_drops([&] { broadcast_from(0); });
+  for (std::size_t i = 1; i < 6; ++i) {
+    EXPECT_GE(clean[i], 2u) << node(i);
+    EXPECT_LE(clean[i], 3u) << node(i);
+  }
+
+  const NodeId traitor = overlay->daemon(node(0)).flood_relays(node(0)).front();
+  overlay->daemon(traitor).withhold_relaying(true);
+  const auto withheld = dedup_drops([&] { broadcast_from(0); });
+  EXPECT_EQ(data_sent[traitor], 0u);
+  for (std::size_t i = 1; i < 6; ++i) {
+    EXPECT_GE(withheld[i], 1u) << node(i);
+    EXPECT_EQ(delivered[i], 1) << node(i);
+  }
 }
 
 TEST(ReplayWindowTest, ShiftBeyondWindowClearsState) {
