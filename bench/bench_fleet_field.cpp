@@ -61,8 +61,8 @@ constexpr sim::Time kClientLatency = sim::kMillisecond;  ///< client<->replica
 struct Options {
   std::size_t devices = 1000;   ///< total, split across instances
   std::size_t hmis = 50;        ///< total, split across instances
-  std::size_t instances = 1;    ///< independent pipelines (one shard each)
-  unsigned workers = 1;
+  std::size_t instances = 1;    ///< independent pipelines
+  unsigned workers = 1;         ///< threads the instances run on
   sim::Time duration = 15 * sim::kSecond;
   sim::Time tail = 5 * sim::kSecond;  ///< fault-free settle after stop()
   sim::Time batch_window = 20 * sim::kMillisecond;
@@ -79,12 +79,12 @@ struct Options {
   std::string prefix;  ///< row prefix when sweeping a curve
 };
 
-// One full pipeline with its own observability scope. Scopes are
-// declared before the components so reverse member destruction tears
-// the pipeline down while the registry its Binders tombstone into is
-// still alive.
+// One full pipeline with its own simulator and observability scope.
+// The simulator and scopes are declared before the components so
+// reverse member destruction tears the pipeline down while the
+// registry its Binders tombstone into is still alive.
 struct Instance {
-  sim::ShardId shard = sim::kMainShard;
+  sim::Simulator sim;
   std::unique_ptr<obs::ScopedRegistry> registry_scope;
   std::unique_ptr<obs::ScopedTracer> tracer_scope;
   std::unique_ptr<crypto::Keyring> keyring;
@@ -131,10 +131,6 @@ double run_fleet(const Options& opt, bench::Report& report) {
                                                 sim::kMillisecond),
                 opt.chaos ? 1 : 0);
   }
-  sim::Simulator sim;
-  sim.set_workers(opt.workers);
-  auto sim_time = [&sim] { return static_cast<std::uint64_t>(sim.now()); };
-
   const std::size_t per_devices =
       std::max<std::size_t>(1, opt.devices / opt.instances);
   const std::size_t per_hmis = std::max<std::size_t>(1, opt.hmis / opt.instances);
@@ -145,10 +141,10 @@ double run_fleet(const Options& opt, bench::Report& report) {
   instances.reserve(opt.instances);
   for (std::size_t i = 0; i < opt.instances; ++i) {
     auto in = std::make_unique<Instance>();
-    in->shard = opt.instances == 1
-                    ? sim::kMainShard
-                    : sim.register_shard("fleet." + std::to_string(i));
-    sim::ShardScope scope(sim, in->shard);
+    sim::Simulator& sim = in->sim;
+    auto sim_time = [&sim = in->sim] {
+      return static_cast<std::uint64_t>(sim.now());
+    };
     in->registry_scope = std::make_unique<obs::ScopedRegistry>(sim_time);
     in->tracer_scope = std::make_unique<obs::ScopedTracer>(sim_time);
     in->keyring =
@@ -187,8 +183,8 @@ double run_fleet(const Options& opt, bench::Report& report) {
       for (std::size_t j = 0; j < per_hmis; ++j) {
         mc.hmis.push_back(hmi_identity(j));
       }
-      auto output = [&inst, &sim, r, target_of](const std::string& client,
-                                                const util::Bytes& data) {
+      auto output = [&inst, r, target_of](const std::string& client,
+                                          const util::Bytes& data) {
         if (inst.mute_replica == static_cast<int>(r)) {
           ++inst.outputs_dropped;
           return;
@@ -199,7 +195,7 @@ double run_fleet(const Options& opt, bench::Report& report) {
           return;
         }
         auto shared = inst.share[r].share(data);
-        sim.schedule_after(kClientLatency, [&inst, shared, target] {
+        inst.sim.schedule_after(kClientLatency, [&inst, shared, target] {
           if (target < 0) {
             inst.proxy->on_master_output(*shared);
           } else if (static_cast<std::size_t>(target) < inst.hmis.size()) {
@@ -215,10 +211,10 @@ double run_fleet(const Options& opt, bench::Report& report) {
     in->cluster->start();
 
     // Clients submit to every replica with one shared payload copy.
-    auto submit = [&inst, &sim](const util::Bytes& envelope) {
+    auto submit = [&inst](const util::Bytes& envelope) {
       auto shared = std::make_shared<const util::Bytes>(envelope);
       for (prime::ReplicaId r = 0; r < inst.cluster->n(); ++r) {
-        sim.schedule_after(kClientLatency, [&inst, shared, r] {
+        inst.sim.schedule_after(kClientLatency, [&inst, shared, r] {
           inst.cluster->replica(r).on_message(*shared);
         });
       }
@@ -261,22 +257,12 @@ double run_fleet(const Options& opt, bench::Report& report) {
     instances.push_back(std::move(in));
   }
 
-  bench::TracerRouterCtx router_ctx;
-  if (opt.instances > 1) {
-    router_ctx.sim = &sim;
-    router_ctx.by_shard.assign(sim.shard_count(), nullptr);
-    for (const auto& in : instances) {
-      router_ctx.by_shard[in->shard] = &in->tracer_scope->tracer();
-    }
-    obs::Tracer::set_router(&bench::route_tracer, &router_ctx);
-  }
-
   // Chaos schedule: deterministic episodes, all healed before the
   // settle tail so the conservation gates run fault-free.
   if (opt.chaos) {
     for (std::size_t i = 0; i < instances.size(); ++i) {
       Instance& inst = *instances[i];
-      sim::ShardScope scope(sim, inst.shard);
+      sim::Simulator& sim = inst.sim;
       sim::Rng chaos_rng(opt.chaos_seed + i);
       sim::Time t = 2 * sim::kSecond;
       const sim::Time chaos_end =
@@ -306,23 +292,24 @@ double run_fleet(const Options& opt, bench::Report& report) {
   }
 
   const auto wall_start = std::chrono::steady_clock::now();
-  const std::uint64_t events_start = sim.events_executed();
-  sim.run_until(opt.duration);
-
-  // Stop the field layer and flush the batchers: nothing admitted may
-  // be dropped (fleet_test covers the unit property; this is the
-  // at-scale version of the same gate).
-  for (auto& in : instances) {
-    sim::ShardScope scope(sim, in->shard);
-    in->fleet->stop();
-    in->proxy->stop();
-  }
-  sim.run_until(opt.duration + opt.tail);
+  bench::run_instances(opt.instances, opt.workers, [&](std::size_t i) {
+    Instance& inst = *instances[i];
+    obs::UseRegistry use_registry(inst.registry_scope->registry());
+    obs::UseTracer use_tracer(inst.tracer_scope->tracer());
+    inst.sim.run_until(opt.duration);
+    // Stop the field layer and flush the batchers: nothing admitted may
+    // be dropped (fleet_test covers the unit property; this is the
+    // at-scale version of the same gate).
+    inst.fleet->stop();
+    inst.proxy->stop();
+    inst.sim.run_until(opt.duration + opt.tail);
+  });
   const auto wall_end = std::chrono::steady_clock::now();
 
   const double wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
-  const auto events = static_cast<double>(sim.events_executed() - events_start);
+  std::uint64_t events = 0;
+  for (const auto& in : instances) events += in->sim.events_executed();
 
   using bench::Cmp;
   const std::string& rp = opt.prefix;
@@ -444,8 +431,11 @@ double run_fleet(const Options& opt, bench::Report& report) {
   }
 
   // --- batching efficiency and latency ----------------------------------
-  report.add(rp + "devices", static_cast<double>(opt.devices));
-  report.add(rp + "HMIs", static_cast<double>(opt.hmis));
+  // What was simulated: the totals round down to a multiple of the
+  // instance count, and every instance builds at least one HMI.
+  report.add(rp + "devices",
+             static_cast<double>(per_devices * opt.instances));
+  report.add(rp + "HMIs", static_cast<double>(per_hmis * opt.instances));
   report.check(rp + "deltas per ordered update",
                versions_total > 0 ? static_cast<double>(reports_applied_total) /
                                         static_cast<double>(versions_total)
@@ -466,18 +456,13 @@ double run_fleet(const Options& opt, bench::Report& report) {
   report.add(rp + "chaos episodes", static_cast<double>(chaos_episodes));
   report.add(rp + "outputs muted by chaos", static_cast<double>(muted));
   report.add(rp + "HMI resyncs", static_cast<double>(resyncs));
-  const sim::KernelStats& ks = sim.kernel_stats();
-  report.add(rp + "kernel shards", ks.shards);
-  report.add(rp + "kernel workers", ks.workers);
-  report.add(rp + "kernel parallel windows",
-             static_cast<double>(ks.parallel_windows));
-  report.add(rp + "kernel mails routed", static_cast<double>(ks.mails_routed));
-  report.add(rp + "events executed", events);
+  report.add(rp + "kernel workers", opt.workers);
+  report.add(rp + "events executed", static_cast<double>(events));
   report.add(rp + "wall", wall_seconds, "s");
   report.add(rp + "events per wall second",
-             wall_seconds > 0 ? events / wall_seconds : 0.0);
+             wall_seconds > 0 ? static_cast<double>(events) / wall_seconds
+                              : 0.0);
 
-  if (opt.instances > 1) obs::Tracer::set_router(nullptr, nullptr);
   // Newest-first so each scope restores the exact previous current().
   while (!instances.empty()) instances.pop_back();
   return e2e.p99_ms;

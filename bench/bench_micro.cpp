@@ -1,25 +1,23 @@
-// M1 — microbenchmarks (google-benchmark) for the primitives every
-// experiment leans on: crypto, sealed channels, Modbus codecs, Prime
-// message signing/verification and eligibility computation, MANA
-// scoring, and the simulation kernel itself.
-//
-// In addition to the google-benchmark suite, `--json[=PATH]` runs the
-// hot-path microbenches below, prints one row per measurement and
-// writes the rows to PATH (default BENCH_micro.json):
+// M1 — microbenchmarks for the hot paths every experiment leans on:
+// the simulation kernel, crypto and sealed links, Prime, the Spines
+// overlay, the SCADA proxy and HMI, MANA scoring and the cost of
+// observability. Each section below prints one row per measurement;
+// `--json[=PATH]` also writes the rows to PATH (default
+// BENCH_micro.json), and `--only=SUBSTR` runs the sections whose name
+// contains SUBSTR.
 //
 //   scheduler_churn        events/sec through sim::Simulator under a
 //                          schedule/cancel/reschedule mix (the pattern
 //                          every replica timer and message delivery
 //                          produces)
-//   scheduler_parallel     events/sec through the sharded kernel over a
-//                          48-host topology (gated on the workers=1
-//                          path; 2/4/8-worker speedups as extras, with
-//                          bit-identical results asserted)
 //   envelope_verify        verifies/sec of signed Prime envelopes
 //                          through crypto::Verifier
 //   spines_link_seal_open  seal+open round trips/sec through
 //                          crypto::SecureChannel's in-place forms, over
-//                          the plant workload's sealed-datagram sizes
+//                          the plant workload's sealed-datagram sizes;
+//                          ungated extras give the crypto primitives'
+//                          rates (ChaCha20, allocating sealed round
+//                          trips, SHA-256, one-shot HMAC)
 //   prime_update_ordering  end-to-end updates/sec executed by an f=1
 //                          Prime cluster on the loopback fabric
 //   overlay_forward        msgs/sec routed end-to-end through a 6-node
@@ -52,8 +50,6 @@
 // `--fail-below=R` additionally checks every rate against R times its
 // baseline and obs_overhead against 98% retained; a failing check exits
 // 1 and names its row (CI's regression gate).
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -61,6 +57,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -70,9 +67,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/keyring.hpp"
 #include "crypto/sha256.hpp"
-#include "mana/kmeans.hpp"
 #include "mana/mana.hpp"
-#include "modbus/pdu.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -99,165 +94,7 @@ util::Bytes make_payload(std::size_t size) {
   return data;
 }
 
-void BM_Sha256(benchmark::State& state) {
-  const util::Bytes data = make_payload(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::sha256(data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
-
-void BM_HmacSha256(benchmark::State& state) {
-  const util::Bytes data = make_payload(static_cast<std::size_t>(state.range(0)));
-  crypto::Keyring keyring("bench");
-  const auto key = keyring.derive("mac");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::hmac_sha256(key, data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
-
-void BM_ChaCha20Xor(benchmark::State& state) {
-  const util::Bytes data = make_payload(static_cast<std::size_t>(state.range(0)));
-  crypto::ChaChaKey key{};
-  crypto::ChaChaNonce nonce{};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::chacha20_xor(key, nonce, 1, data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_ChaCha20Xor)->Arg(256)->Arg(4096);
-
-void BM_SecureChannelRoundTrip(benchmark::State& state) {
-  crypto::Keyring keyring("bench");
-  crypto::SecureChannel sender(keyring.link_key("a", "b"));
-  crypto::SecureChannel receiver(keyring.link_key("a", "b"));
-  const util::Bytes data = make_payload(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    const auto sealed = sender.seal(data);
-    benchmark::DoNotOptimize(receiver.open(sealed));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_SecureChannelRoundTrip)->Arg(256)->Arg(1400);
-
-void BM_ModbusRequestRoundTrip(benchmark::State& state) {
-  const modbus::Request request =
-      modbus::ReadBitsRequest{modbus::FunctionCode::kReadCoils, 0, 128};
-  for (auto _ : state) {
-    const auto bytes = modbus::encode_request(request);
-    benchmark::DoNotOptimize(modbus::decode_request(bytes));
-  }
-}
-BENCHMARK(BM_ModbusRequestRoundTrip);
-
-void BM_PrimeEnvelopeSignVerify(benchmark::State& state) {
-  crypto::Keyring keyring("bench");
-  crypto::Signer signer("prime/0", keyring.identity_key("prime/0"));
-  crypto::Verifier verifier;
-  verifier.add_identity("prime/0", keyring.identity_key("prime/0"));
-  const util::Bytes body = make_payload(200);
-  for (auto _ : state) {
-    const auto env =
-        prime::Envelope::make(prime::MsgType::kPoRequest, signer, body);
-    benchmark::DoNotOptimize(env.verify(verifier));
-  }
-}
-BENCHMARK(BM_PrimeEnvelopeSignVerify);
-
-prime::PrePrepare make_preprepare(std::uint32_t n) {
-  crypto::Keyring keyring("bench");
-  prime::PrePrepare pp;
-  pp.leader = 0;
-  pp.view = 3;
-  pp.order_seq = 1000;
-  for (std::uint32_t j = 0; j < n; ++j) {
-    auto aru = std::make_shared<prime::PoAru>();
-    aru->replica = j;
-    aru->aru_seq = 500;
-    aru->aru.assign(n, 1000 + j);
-    crypto::Signer signer(prime::replica_identity(j),
-                          keyring.identity_key(prime::replica_identity(j)));
-    aru->sign(signer);
-    pp.rows.push_back(std::move(aru));
-  }
-  return pp;
-}
-
-void BM_PrePrepareDigest(benchmark::State& state) {
-  const auto pp = make_preprepare(static_cast<std::uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pp.digest());
-  }
-}
-BENCHMARK(BM_PrePrepareDigest)->Arg(4)->Arg(6)->Arg(10);
-
-void BM_MatrixEligibility(benchmark::State& state) {
-  // Mirrors Replica::eligibility: quorum-th largest per column.
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto pp = make_preprepare(n);
-  const std::uint32_t quorum = 2 * ((n - 1) / 3) + 1;
-  std::vector<std::uint64_t> column(n);
-  for (auto _ : state) {
-    std::vector<std::uint64_t> result(n, 0);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      for (std::uint32_t j = 0; j < n; ++j) {
-        column[j] = pp.rows[j] ? pp.rows[j]->aru[i] : 0;
-      }
-      std::sort(column.begin(), column.end(), std::greater<>());
-      result[i] = column[quorum - 1];
-    }
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_MatrixEligibility)->Arg(4)->Arg(6)->Arg(10);
-
-void BM_TopologySerializeDigest(benchmark::State& state) {
-  scada::TopologyState topo(scada::ScenarioSpec::power_plant());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topo.digest());
-  }
-}
-BENCHMARK(BM_TopologySerializeDigest);
-
-void BM_KMeansScore(benchmark::State& state) {
-  sim::Rng rng(3);
-  std::vector<std::vector<double>> points;
-  for (int i = 0; i < 200; ++i) {
-    std::vector<double> p(10);
-    for (auto& v : p) v = rng.normal(0, 1);
-    points.push_back(std::move(p));
-  }
-  const auto model = mana::kmeans_fit(points, 4, rng);
-  const auto probe = points[17];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.nearest_distance(probe));
-  }
-}
-BENCHMARK(BM_KMeansScore);
-
-void BM_SimulatorEventThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    int counter = 0;
-    std::function<void()> tick = [&] {
-      if (++counter < 10000) sim.schedule_after(10, tick);
-    };
-    sim.schedule_after(10, tick);
-    sim.run();
-    benchmark::DoNotOptimize(counter);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
-}
-BENCHMARK(BM_SimulatorEventThroughput);
-
-// ---- machine-readable hot-path microbenches (--json mode) -------------------
+// ---- hot-path microbenches ---------------------------------------------------
 
 using Clock = std::chrono::steady_clock;
 
@@ -314,101 +151,6 @@ MicroResult run_scheduler_churn() {
   return MicroResult{sim.events_executed(), wall, {}};
 }
 
-/// Conservative-parallel kernel over a multi-host topology: one shard
-/// per host, dense local timers with real per-event compute, and a
-/// cross-shard token ring whose link latency is the lookahead
-/// (DESIGN.md §8). The canonical measurement — and the CI-gated rate —
-/// is the workers=1 path, so the parallel kernel can never regress
-/// single-threaded throughput; the same workload then re-runs at 2/4/8
-/// workers, is asserted bit-identical (event count + per-host state
-/// digest), and the wall-time speedups are reported as extras. The
-/// speedups are only meaningful on a multi-core runner; on one core
-/// they sit at or below 1.0x by construction.
-MicroResult run_scheduler_parallel() {
-  static constexpr std::size_t kHosts = 48;
-  static constexpr sim::Time kTick = 10;       // local timer period (us)
-  static constexpr sim::Time kHop = 400;       // ring link latency = lookahead
-  static constexpr sim::Time kDuration = 400 * sim::kMillisecond;
-  static constexpr unsigned kWorkRounds = 24;  // per-event compute
-
-  // One cache line per host: adjacent hosts run on different workers.
-  struct alignas(64) HostState {
-    std::uint64_t checksum = 0;
-  };
-  struct RunOutcome {
-    std::uint64_t events = 0;
-    std::uint64_t digest = 0;
-    double wall = 0;
-  };
-
-  const auto run_at = [](unsigned workers) {
-    sim::Simulator sim;
-    sim.set_workers(workers);
-    std::vector<sim::ShardId> shards;
-    shards.reserve(kHosts);
-    for (std::size_t h = 0; h < kHosts; ++h) {
-      shards.push_back(sim.register_shard("host" + std::to_string(h)));
-    }
-    sim.note_link_latency(kHop);
-    std::vector<HostState> states(kHosts);
-    // Ring handlers: handler h runs on shard h, touches only host h's
-    // state, and forwards the token over the 400us link.
-    auto forward = std::make_shared<std::vector<std::function<void()>>>(kHosts);
-    for (std::size_t h = 0; h < kHosts; ++h) {
-      HostState* st = &states[h];
-      const std::size_t next = (h + 1) % kHosts;
-      const sim::ShardId next_shard = shards[next];
-      (*forward)[h] = [&sim, st, next, next_shard, forward] {
-        st->checksum ^= 0x9E3779B97F4A7C15ull + (st->checksum << 6);
-        sim.send_to(next_shard, kHop, [forward, next] { (*forward)[next](); });
-      };
-    }
-    for (std::size_t h = 0; h < kHosts; ++h) {
-      sim::ShardScope scope(sim, shards[h]);
-      HostState* st = &states[h];
-      auto tick = std::make_shared<std::function<void()>>();
-      *tick = [&sim, st, tick] {
-        std::uint64_t x = st->checksum ^ sim.now();
-        for (unsigned r = 0; r < kWorkRounds; ++r) {
-          x ^= x << 13;
-          x ^= x >> 7;
-          x ^= x << 17;
-        }
-        st->checksum = x;
-        sim.schedule_after(kTick, *tick);
-      };
-      sim.schedule_after(kTick + h % 7, *tick);
-      const std::size_t self = h;
-      sim.schedule_after(kHop, [forward, self] { (*forward)[self](); });
-    }
-    const auto start = Clock::now();
-    sim.run_until(kDuration);
-    RunOutcome out;
-    out.wall = seconds_since(start);
-    out.events = sim.events_executed();
-    std::uint64_t digest = 0xcbf29ce484222325ull;
-    for (const HostState& s : states) {
-      digest = (digest ^ s.checksum) * 1099511628211ull;
-    }
-    out.digest = digest;
-    if (sim.kernel_stats().lookahead_violations != 0) std::abort();
-    return out;
-  };
-
-  const RunOutcome base = run_at(1);
-  if (base.events < kHosts * (kDuration / kTick) / 2) std::abort();
-  MicroResult r{base.events, base.wall, {}};
-  for (const unsigned workers : {2u, 4u, 8u}) {
-    const RunOutcome o = run_at(workers);
-    // The parallel runs must be bit-identical to the serial one; a
-    // mismatch means the kernel lost determinism, so the bench aborts.
-    if (o.events != base.events || o.digest != base.digest) std::abort();
-    r.extra.emplace_back("workers" + std::to_string(workers) + "_speedup",
-                         o.wall > 0 ? base.wall / o.wall : 0.0);
-  }
-  return r;
-}
-
 /// Spines link crypto as the daemon runs it: seal into one reused buffer,
 /// open into another. The plaintext lengths are the 5% quantiles p0, p5,
 /// ..., p95 of the 994k sealed datagrams of one perfbench `plant` run
@@ -439,7 +181,64 @@ MicroResult run_spines_link_seal_open() {
     }
   }
   const double wall = seconds_since(start);
-  return MicroResult{done, wall, {}};
+  MicroResult r{done, wall, {}};
+
+  // The crypto primitives on their own (EXPERIMENTS.md M1), reported
+  // and not gated: MiB/s for bulk rates, us or ns per call for the
+  // rest. Each call's first output byte goes to a volatile sink so the
+  // work cannot be elided.
+  volatile std::uint8_t sink = 0;
+  const auto per_call = [](std::uint64_t calls, auto op) {
+    op();  // warm-up
+    const auto t0 = Clock::now();
+    for (std::uint64_t i = 0; i < calls; ++i) op();
+    return seconds_since(t0) / static_cast<double>(calls);
+  };
+  const auto mib_per_s = [](std::size_t bytes, double seconds) {
+    return static_cast<double>(bytes) / seconds / (1024.0 * 1024.0);
+  };
+  const crypto::ChaChaKey key{};
+  const crypto::ChaChaNonce nonce{};
+  const util::Bytes b256 = make_payload(256);
+  const util::Bytes b1400 = make_payload(1400);
+  const util::Bytes b4k = make_payload(4096);
+  r.extra.emplace_back(
+      "chacha20_xor_256B_mib_per_s",
+      mib_per_s(b256.size(), per_call(100'000, [&] {
+                  sink = crypto::chacha20_xor(key, nonce, 1, b256)[0];
+                })));
+  r.extra.emplace_back(
+      "chacha20_xor_4KiB_mib_per_s",
+      mib_per_s(b4k.size(), per_call(30'000, [&] {
+                  sink = crypto::chacha20_xor(key, nonce, 1, b4k)[0];
+                })));
+  const auto round_trip = [&](const util::Bytes& data) {
+    const std::optional<util::Bytes> out = receiver.open(sender.seal(data));
+    if (!out) std::abort();  // bench integrity
+    sink = (*out)[0];
+  };
+  r.extra.emplace_back(
+      "sealed_round_trip_256B_us",
+      per_call(50'000, [&] { round_trip(b256); }) * 1e6);
+  r.extra.emplace_back(
+      "sealed_round_trip_1400B_us",
+      per_call(15'000, [&] { round_trip(b1400); }) * 1e6);
+  const util::Bytes small = make_payload(64);
+  const util::Bytes large = make_payload(64 * 1024);
+  r.extra.emplace_back(
+      "sha256_64B_ns",
+      per_call(200'000, [&] { sink = crypto::sha256(small)[0]; }) * 1e9);
+  r.extra.emplace_back(
+      "sha256_64KiB_mib_per_s",
+      mib_per_s(large.size(), per_call(2'000, [&] {
+                  sink = crypto::sha256(large)[0];
+                })));
+  const auto mac_key = keyring.derive("mac");
+  r.extra.emplace_back("hmac_sha256_64B_ns",
+                       per_call(200'000, [&] {
+                         sink = crypto::hmac_sha256(mac_key, small)[0];
+                       }) * 1e9);
+  return r;
 }
 
 /// Envelope verification: decode-once, verify-many over a working set of
@@ -1117,6 +916,7 @@ MicroResult run_proxy_front_door() {
 
   constexpr std::uint64_t kTargetAdmits = 20'000'000;
   std::uint64_t offered = 0;
+  std::uint64_t admitted = 0;  // reported, so admit() cannot be elided
   sim::Time now = 0;
   const auto start = Clock::now();
   while (offered < kTargetAdmits) {
@@ -1126,12 +926,13 @@ MicroResult run_proxy_front_door() {
                                              : scada::DeltaPriority::kTelemetry;
     const std::size_t queued = offered % 4000;
     now += 2;  // 2 us between arrivals (500k deltas/sec)
-    benchmark::DoNotOptimize(door.admit(priority, now, queued));
+    admitted += door.admit(priority, now, queued) ? 1 : 0;
     ++offered;
   }
   const double wall = seconds_since(start);
   const auto& stats = door.stats();
   MicroResult r{offered, wall, {}};
+  r.extra.emplace_back("admitted", static_cast<double>(admitted));
   r.extra.emplace_back(
       "shed_pct",
       100.0 *
@@ -1200,15 +1001,15 @@ MicroResult run_mana_score() {
   return r;
 }
 
-// ---- JSON mode ---------------------------------------------------------------
+// ---- sections ----------------------------------------------------------------
 
 /// Runs the hot-path microbenches and declares one row per measurement.
 /// With --baseline, each rate's committed value and speedup are rows
 /// too; with --fail-below=R as well, each rate is checked against R
 /// times its baseline, and obs_overhead's retained throughput against
 /// 98% (<2% instrumentation cost).
-int run_json_mode(int argc, char** argv, double fail_below,
-                  const std::string& only) {
+int run_sections(int argc, char** argv, double fail_below,
+                 const std::string& only) {
   struct Spec {
     const char* name;
     const char* unit;
@@ -1216,7 +1017,6 @@ int run_json_mode(int argc, char** argv, double fail_below,
   };
   const Spec specs[] = {
       {"scheduler_churn", "events_per_sec", run_scheduler_churn},
-      {"scheduler_parallel", "events_per_sec", run_scheduler_parallel},
       {"envelope_verify", "verifies_per_sec", run_envelope_verify},
       {"spines_link_seal_open", "seal_opens_per_sec", run_spines_link_seal_open},
       {"prime_update_ordering", "updates_per_sec", run_prime_update_ordering},
@@ -1275,33 +1075,9 @@ int run_json_mode(int argc, char** argv, double fail_below,
 
 int main(int argc, char** argv) {
   bench::init_logging(argc, argv);
-  bool json = false;
-  std::string only;  // substring filter over section names (debug aid)
-  double fail_below = 0;  // 0 disables the regression gate
-  std::vector<char*> passthrough{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" || arg.rfind("--json=", 0) == 0) {
-      json = true;
-    } else if (arg.rfind("--log-level=", 0) == 0 ||
-               arg.rfind("--baseline=", 0) == 0) {
-      // consumed by init_logging / run_json_mode
-    } else if (arg.rfind("--fail-below=", 0) == 0) {
-      fail_below = std::atof(arg.c_str() + 13);
-    } else if (arg.rfind("--only=", 0) == 0) {
-      only = arg.substr(7);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (json) return run_json_mode(argc, argv, fail_below, only);
-
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(pass_argc, passthrough.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  const std::string only = bench::flag_value(argc, argv, "--only", "");
+  // 0 disables the regression gate.
+  const double fail_below =
+      std::atof(bench::flag_value(argc, argv, "--fail-below", "0"));
+  return run_sections(argc, argv, fail_below, only);
 }

@@ -14,21 +14,18 @@
 //   * proactive recovery cycles through all replicas repeatedly,
 //   * replica application states stay byte-identical.
 //
-// Parallel-kernel options (DESIGN.md §8):
-//   * --workers=N      run the sim kernel with N worker threads. The
-//                      single-plant soak lives entirely on shard 0, so
-//                      its results are byte-identical at any N.
-//   * --fleet=F        stand up F independent plant deployments, one
-//                      per parallel shard, each with its own metrics
-//                      registry and tracer (hooks are routed per shard
-//                      via Tracer::set_router). Shard 0 stays a pure
-//                      driver. Same seed + different worker counts must
+// Fleet options (DESIGN.md §8):
+//   * --fleet=F        stand up F independent plant deployments, each
+//                      with its own Simulator, metrics registry and
+//                      tracer. Same seed + different worker counts must
 //                      produce identical metrics and traces per plant —
-//                      that is the kernel's determinism regression.
+//                      the determinism regression for the fleet.
+//   * --workers=N      run the plants on N threads (plant i on thread
+//                      i mod N). A single plant runs on the calling
+//                      thread at any N.
 //   * --soak-minutes=M scale the soak length (shape gates scale too).
 //   * --workers-list=1,2,4  run the soak once per worker count and
 //                      record the scaling curve in the --json report.
-// The flagless run takes the exact legacy single-shard path.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -61,12 +58,12 @@ struct SoakOptions {
   std::string prefix;  // row prefix when scanning multiple worker counts
 };
 
-// One plant deployment with its own observability scope. The scopes
-// are declared (and constructed) before the deployment so reverse
-// member destruction tears the deployment down while the registry its
-// Binders tombstone into is still alive.
+// One plant deployment with its own simulator and observability
+// scope. The simulator comes first and the scopes before the
+// deployment, so reverse member destruction tears the deployment down
+// while the registry its Binders tombstone into is still alive.
 struct Instance {
-  sim::ShardId shard = sim::kMainShard;
+  sim::Simulator sim;
   std::unique_ptr<obs::ScopedRegistry> registry_scope;
   std::unique_ptr<obs::ScopedTracer> tracer_scope;
   std::unique_ptr<scada::SpireDeployment> sys;
@@ -75,11 +72,63 @@ struct Instance {
   std::map<std::pair<std::string, std::size_t>, int> field_transitions;
   std::vector<std::map<std::pair<std::string, std::size_t>, int>>
       hmi_transitions;
-  std::vector<std::uint64_t> version_samples;
   sim::Time max_stale_window = 0;
   sim::Time stale_since = 0;
   std::uint64_t last_version = 0;
 };
+
+/// Runs one plant's soak on the calling thread: warm-up, proactive
+/// recovery, optional chaos, the sampled soak and the settle tail.
+void run_plant(const SoakOptions& opt, std::size_t index, Instance& inst) {
+  obs::UseRegistry use_registry(inst.registry_scope->registry());
+  obs::UseTracer use_tracer(inst.tracer_scope->tracer());
+  sim::Simulator& sim = inst.sim;
+  sim.run_until(3 * sim::kSecond);
+  inst.recovery->start();
+
+  // The soak: 5 simulated minutes standing in for 6 days (scaled by
+  // --soak-minutes), sampled every 10 s to find the largest HMI
+  // staleness window.
+  const sim::Time soak_end = sim.now() + opt.soak;
+
+  // Optional chaos: randomized partitions and link degradation layered
+  // on top of the recovery cycle. Crash-restarts stay off so chaos plus
+  // one in-flight rejuvenation stays within the f=1,k=1 envelope; the
+  // schedule ends 30 s before the soak does, leaving the settle window
+  // fault-free. Fleet instances perturb their seed by index so the
+  // plants see distinct (still deterministic) fault schedules.
+  if (opt.chaos) {
+    inst.chaos = inst.sys->make_chaos();
+    inst.chaos->add_random_schedule(
+        sim::Rng(opt.chaos_seed + index), sim.now() + 10 * sim::kSecond,
+        soak_end - 30 * sim::kSecond,
+        /*mean_gap=*/20 * sim::kSecond,
+        /*min_duration=*/2 * sim::kSecond,
+        /*max_duration=*/6 * sim::kSecond, inst.sys->n(),
+        /*include_crashes=*/false);
+    inst.chaos->arm();
+  }
+
+  inst.stale_since = sim.now();
+  inst.last_version = inst.sys->hmi(0).displayed_version();
+  while (sim.now() < soak_end) {
+    sim.run_until(sim.now() + 10 * sim::kSecond);
+    const std::uint64_t v = inst.sys->hmi(0).displayed_version();
+    if (v != inst.last_version) {
+      inst.last_version = v;
+      inst.stale_since = sim.now();
+    } else {
+      inst.max_stale_window =
+          std::max(inst.max_stale_window, sim.now() - inst.stale_since);
+    }
+  }
+
+  // Settle.
+  inst.sys->cycler()->stop();
+  if (inst.chaos) inst.chaos->stop();
+  inst.recovery->stop();
+  sim.run_until(sim.now() + 8 * sim::kSecond);
+}
 
 /// Runs one soak and declares its rows; returns its wall seconds.
 double run_soak(const SoakOptions& opt, bench::Report& report) {
@@ -87,10 +136,6 @@ double run_soak(const SoakOptions& opt, bench::Report& report) {
     std::printf("=== soak run: workers=%u fleet=%zu ===\n", opt.workers,
                 opt.fleet);
   }
-  sim::Simulator sim;
-  sim.set_workers(opt.workers);
-  auto sim_time = [&sim] { return static_cast<std::uint64_t>(sim.now()); };
-
   scada::DeploymentConfig config;
   config.f = 1;
   config.k = 1;
@@ -102,22 +147,18 @@ double run_soak(const SoakOptions& opt, bench::Report& report) {
   // stats into a scoped registry and every update is traced PLC→HMI.
   // The scopes must open before each deployment is built (registration
   // happens in constructors), and each instance's scopes stay current
-  // exactly until the next instance's shadow them — so every component
-  // binds into its own plant's registry and tracer.
+  // on this thread exactly until the next instance's shadow them — so
+  // every component binds into its own plant's registry and tracer.
   std::vector<std::unique_ptr<Instance>> instances;
   instances.reserve(opt.fleet);
   for (std::size_t i = 0; i < opt.fleet; ++i) {
     auto in = std::make_unique<Instance>();
-    // The single-plant soak stays on the main shard (the kernel's
-    // legacy fast path); a fleet pins each plant to its own parallel
-    // shard and leaves shard 0 as a pure driver.
-    in->shard = opt.fleet == 1
-                    ? sim::kMainShard
-                    : sim.register_shard("plant." + std::to_string(i));
-    sim::ShardScope scope(sim, in->shard);
+    auto sim_time = [&sim = in->sim] {
+      return static_cast<std::uint64_t>(sim.now());
+    };
     in->registry_scope = std::make_unique<obs::ScopedRegistry>(sim_time);
     in->tracer_scope = std::make_unique<obs::ScopedTracer>(sim_time);
-    in->sys = std::make_unique<scada::SpireDeployment>(sim, config);
+    in->sys = std::make_unique<scada::SpireDeployment>(in->sim, config);
     Instance& inst = *in;
     inst.hmi_transitions.resize(config.hmi_count);
 
@@ -141,85 +182,16 @@ double run_soak(const SoakOptions& opt, bench::Report& report) {
     instances.push_back(std::move(in));
   }
 
-  bench::TracerRouterCtx router_ctx;
-  if (opt.fleet > 1) {
-    router_ctx.sim = &sim;
-    router_ctx.by_shard.assign(sim.shard_count(), nullptr);
-    for (const auto& in : instances) {
-      router_ctx.by_shard[in->shard] = &in->tracer_scope->tracer();
-    }
-    obs::Tracer::set_router(&bench::route_tracer, &router_ctx);
-  }
-
   const auto wall_start = std::chrono::steady_clock::now();
-  const std::uint64_t events_start = sim.events_executed();
-  sim.run_until(3 * sim::kSecond);
-  for (auto& in : instances) {
-    sim::ShardScope scope(sim, in->shard);
-    in->recovery->start();
-  }
-
-  // The soak: 5 simulated minutes standing in for 6 days (scaled by
-  // --soak-minutes), sampled every 10 s to find the largest HMI
-  // staleness window.
-  const sim::Time soak = opt.soak;
-  const sim::Time soak_end = sim.now() + soak;
-
-  // Optional chaos: randomized partitions and link degradation layered
-  // on top of the recovery cycle. Crash-restarts stay off so chaos plus
-  // one in-flight rejuvenation stays within the f=1,k=1 envelope; the
-  // schedule ends 30 s before the soak does, leaving the settle window
-  // fault-free. Fleet instances perturb their seed by index so the
-  // plants see distinct (still deterministic) fault schedules.
-  if (opt.chaos) {
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      Instance& inst = *instances[i];
-      sim::ShardScope scope(sim, inst.shard);
-      inst.chaos = inst.sys->make_chaos();
-      inst.chaos->add_random_schedule(
-          sim::Rng(opt.chaos_seed + i), sim.now() + 10 * sim::kSecond,
-          soak_end - 30 * sim::kSecond,
-          /*mean_gap=*/20 * sim::kSecond,
-          /*min_duration=*/2 * sim::kSecond,
-          /*max_duration=*/6 * sim::kSecond, inst.sys->n(),
-          /*include_crashes=*/false);
-      inst.chaos->arm();
-    }
-  }
-
-  for (auto& in : instances) {
-    in->stale_since = sim.now();
-    in->last_version = in->sys->hmi(0).displayed_version();
-  }
-  while (sim.now() < soak_end) {
-    sim.run_until(sim.now() + 10 * sim::kSecond);
-    for (auto& in : instances) {
-      const std::uint64_t v = in->sys->hmi(0).displayed_version();
-      in->version_samples.push_back(v);
-      if (v != in->last_version) {
-        in->last_version = v;
-        in->stale_since = sim.now();
-      } else {
-        in->max_stale_window =
-            std::max(in->max_stale_window, sim.now() - in->stale_since);
-      }
-    }
-  }
-
-  // Settle, then tally.
-  for (auto& in : instances) {
-    sim::ShardScope scope(sim, in->shard);
-    in->sys->cycler()->stop();
-    if (in->chaos) in->chaos->stop();
-    in->recovery->stop();
-  }
-  sim.run_until(sim.now() + 8 * sim::kSecond);
+  bench::run_instances(opt.fleet, opt.workers, [&](std::size_t i) {
+    run_plant(opt, i, *instances[i]);
+  });
   const auto wall_end = std::chrono::steady_clock::now();
 
   // Shape gates scale with the soak length; the constants reproduce the
   // legacy thresholds (recoveries >= 2n, field transitions > 200) at
   // the default 5-minute soak with n=6 and a 1 Hz cycler.
-  const std::uint64_t soak_seconds = soak / sim::kSecond;
+  const std::uint64_t soak_seconds = opt.soak / sim::kSecond;
   const std::uint64_t min_recoveries =
       std::max<std::uint64_t>(2, soak_seconds / 15 * 3 / 5);
   const int min_field = static_cast<int>(soak_seconds * 2 / 3);
@@ -259,7 +231,7 @@ double run_soak(const SoakOptions& opt, bench::Report& report) {
     }
 
     report.add(p + "soak length (simulated, scales 6 days)",
-               static_cast<double>(soak / sim::kMinute), "min");
+               static_cast<double>(opt.soak / sim::kMinute), "min");
     report.check(p + "breaker transitions in the field", total_field,
                  Cmp::kGt, min_field);
     for (std::size_t j = 0; j < config.hmi_count; ++j) {
@@ -354,26 +326,18 @@ double run_soak(const SoakOptions& opt, bench::Report& report) {
 
   const double wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
-  const auto events = static_cast<double>(sim.events_executed() - events_start);
-  const sim::KernelStats& ks = sim.kernel_stats();
+  std::uint64_t events = 0;
+  for (const auto& in : instances) events += in->sim.events_executed();
   const std::string& p = opt.prefix;
   report.add(p + "recoveries completed, all plants",
              static_cast<double>(total_recoveries));
-  report.add(p + "kernel shards", ks.shards);
-  report.add(p + "kernel workers", ks.workers);
-  report.add(p + "kernel parallel windows",
-             static_cast<double>(ks.parallel_windows));
-  report.add(p + "kernel exclusive batches",
-             static_cast<double>(ks.exclusive_batches));
-  report.add(p + "kernel mails routed", static_cast<double>(ks.mails_routed));
-  report.add(p + "kernel lookahead violations",
-             static_cast<double>(ks.lookahead_violations));
-  report.add(p + "events executed", events);
+  report.add(p + "kernel workers", opt.workers);
+  report.add(p + "events executed", static_cast<double>(events));
   report.add(p + "wall", wall_seconds, "s");
   report.add(p + "events per wall second",
-             wall_seconds > 0 ? events / wall_seconds : 0.0);
+             wall_seconds > 0 ? static_cast<double>(events) / wall_seconds
+                              : 0.0);
 
-  if (opt.fleet > 1) obs::Tracer::set_router(nullptr, nullptr);
   // Instances must go down newest-first so each ScopedRegistry /
   // ScopedTracer restores the exact previous current() on its way out.
   while (!instances.empty()) instances.pop_back();

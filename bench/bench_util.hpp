@@ -8,11 +8,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iterator>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -563,18 +565,39 @@ inline void add_recovery_rows(Report& report, const std::string& prefix,
   report.add(p + "StateReqs", static_cast<double>(s.state_reqs));
 }
 
-/// Routes tracer hooks of a multi-shard run to the tracer of the shard
-/// they fire on (Tracer::set_router), so each plant or pipeline traces
-/// into its own scope. Called from worker threads; reads only.
-struct TracerRouterCtx {
-  const sim::Simulator* sim = nullptr;
-  std::vector<obs::Tracer*> by_shard;
-};
-
-inline obs::Tracer* route_tracer(void* ctx_raw) {
-  auto* ctx = static_cast<TracerRouterCtx*>(ctx_raw);
-  const sim::ShardId shard = ctx->sim->current_shard();
-  return shard < ctx->by_shard.size() ? ctx->by_shard[shard] : nullptr;
+/// Runs fn(i) for each independent instance i in [0, n) on `workers`
+/// threads: instance i runs on thread i mod workers, and each thread
+/// takes its instances in index order. Instances share no mutable
+/// state (each owns its Simulator, registry and tracer), so results
+/// never depend on the worker count. One worker runs everything on the
+/// calling thread. Returns after every thread has joined, so the
+/// caller may then read every instance; an exception thrown by fn on a
+/// worker is rethrown on the caller after the join.
+template <class Fn>
+void run_instances(std::size_t n, unsigned workers, Fn fn) {
+  const std::size_t threads = std::min<std::size_t>(workers, n);
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  // A worker's exception is rethrown here once every thread has joined.
+  std::vector<std::exception_ptr> errors(threads);
+  {
+    std::vector<std::jthread> pool;  // joins on scope exit
+    pool.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) {
+      pool.emplace_back([&fn, &errors, n, threads, t] {
+        try {
+          for (std::size_t i = t; i < n; i += threads) fn(i);
+        } catch (...) {
+          errors[t] = std::current_exception();
+        }
+      });
+    }
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace spire::bench

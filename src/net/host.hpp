@@ -95,13 +95,6 @@ class Host {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Parallel-kernel shard this host's events run on (DESIGN.md §8).
-  /// Defaults to the ambient shard at construction, so building a host
-  /// under a sim::ShardScope pins it automatically; wiring helpers in
-  /// Network route cross-shard traffic through the kernel mailboxes.
-  void bind_shard(sim::ShardId shard) { shard_ = shard; }
-  [[nodiscard]] sim::ShardId shard() const { return shard_; }
-
   // ---- interfaces -------------------------------------------------------
   /// Adds a NIC. The transmit hook is wired by Network::connect/cable.
   std::size_t add_interface(MacAddress mac, IpAddress ip, int prefix_len);
@@ -200,7 +193,6 @@ class Host {
 
   sim::Simulator& sim_;
   std::string name_;
-  sim::ShardId shard_;
   util::Logger log_;
   std::vector<Interface> ifaces_;
 

@@ -134,9 +134,9 @@ struct CaptureTapStats {
 };
 
 /// Single-producer single-consumer summary ring between a switch mirror
-/// port and the analyzer. Same-shard by construction (the tap lives on
-/// its switch's shard); "out-of-band" is simulated by the analyzer
-/// draining on its own periodic event rather than per frame.
+/// port and the analyzer, both driven by one simulator; "out-of-band"
+/// is simulated by the analyzer draining on its own periodic event
+/// rather than per frame.
 class CaptureTap {
  public:
   static constexpr std::uint32_t kMaxStride = 1024;

@@ -52,7 +52,7 @@ void Histogram::reset() {
 
 // --- MetricsRegistry -------------------------------------------------
 
-MetricsRegistry* MetricsRegistry::current_ = nullptr;
+constinit thread_local MetricsRegistry* MetricsRegistry::current_ = nullptr;
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
@@ -222,19 +222,13 @@ void Binder::gauge_fn(const std::string& suffix,
                                            nullptr, false}));
 }
 
-// --- ScopedRegistry --------------------------------------------------
+// --- UseRegistry -----------------------------------------------------
 
-ScopedRegistry::ScopedRegistry() : previous_(MetricsRegistry::current_) {
-  MetricsRegistry::current_ = &registry_;
+UseRegistry::UseRegistry(MetricsRegistry& registry)
+    : previous_(MetricsRegistry::current_) {
+  MetricsRegistry::current_ = &registry;
 }
 
-ScopedRegistry::ScopedRegistry(std::function<std::uint64_t()> time_source)
-    : ScopedRegistry() {
-  registry_.set_time_source(std::move(time_source));
-}
-
-ScopedRegistry::~ScopedRegistry() {
-  MetricsRegistry::current_ = previous_;
-}
+UseRegistry::~UseRegistry() { MetricsRegistry::current_ = previous_; }
 
 }  // namespace spire::obs

@@ -13,15 +13,12 @@
 // installed. Registration order is deterministic for a deterministic
 // run, so two identical sim runs produce byte-identical snapshots.
 //
-// Parallel-kernel contract (DESIGN.md §8): the registry is shard-safe
-// by ownership, not by atomics. Handles are raw pointers owned by the
-// component that registered them, and a component lives on exactly one
-// shard, so every hot-path increment is a plain single-threaded store;
-// the registry only walks the handles at snapshot time, from driver
-// context, after the kernel's window barrier has already ordered all
-// shard writes before the driver's reads. Per-shard instances (fleet
-// benches) each build under their own ScopedRegistry and are merged —
-// or emitted side by side — at snapshot time.
+// Threading (DESIGN.md §8): current() is per thread. A fleet bench
+// runs independent instances, each with its own Simulator and its own
+// registry, on worker threads; a registry is only ever written by the
+// one thread running its instance, so every hot-path increment is a
+// plain single-threaded store, and the driver reads the snapshots
+// after joining the workers.
 #pragma once
 
 #include <array>
@@ -29,6 +26,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace spire::obs {
@@ -80,9 +78,9 @@ class Histogram {
 
 class Binder;
 
-/// Process-wide registry. Like util::LogConfig, deliberately
-/// single-threaded. `current()` is swappable (ScopedRegistry) so tests
-/// and benches can run against a fresh registry without touching the
+/// Metrics registry. A registry is single-threaded; `current()` is
+/// swappable per thread (ScopedRegistry, UseRegistry) so tests and
+/// benches can run against a fresh registry without touching the
 /// default global one.
 class MetricsRegistry {
  public:
@@ -92,7 +90,8 @@ class MetricsRegistry {
 
   /// The default process-wide registry.
   static MetricsRegistry& global();
-  /// The registry new registrations bind into (global unless swapped).
+  /// The registry new registrations on this thread bind into (global
+  /// unless swapped on this thread).
   static MetricsRegistry& current();
 
   // --- registration (slow path, done once) ---------------------------
@@ -116,7 +115,7 @@ class MetricsRegistry {
 
  private:
   friend class Binder;
-  friend class ScopedRegistry;
+  friend class UseRegistry;
 
   enum class Kind : std::uint8_t { kCounter, kGauge, kGaugeFn, kHistogram };
   struct Entry {
@@ -140,7 +139,7 @@ class MetricsRegistry {
   std::deque<Histogram> histograms_;
   std::function<std::uint64_t()> time_source_;
 
-  static MetricsRegistry* current_;
+  static constinit thread_local MetricsRegistry* current_;
 };
 
 /// RAII registration of externally-owned stats into the current
@@ -169,22 +168,38 @@ class Binder {
   std::vector<std::size_t> entries_;
 };
 
-/// Swaps MetricsRegistry::current() to a fresh registry for the scope's
-/// lifetime. Benches use this to measure instrumented runs in
-/// isolation; tests use it for deterministic snapshots.
+/// Makes an existing registry current() on the calling thread for the
+/// scope's lifetime, without owning it. A worker thread enters an
+/// instance that was built under a ScopedRegistry on the driver thread
+/// this way, so the instance's late registrations land in its own
+/// registry.
+class UseRegistry {
+ public:
+  explicit UseRegistry(MetricsRegistry& registry);
+  ~UseRegistry();
+  UseRegistry(const UseRegistry&) = delete;
+  UseRegistry& operator=(const UseRegistry&) = delete;
+
+ private:
+  MetricsRegistry* previous_;
+};
+
+/// Swaps MetricsRegistry::current() on the calling thread to a fresh
+/// registry for the scope's lifetime. Benches use this to measure
+/// instrumented runs in isolation; tests use it for deterministic
+/// snapshots.
 class ScopedRegistry {
  public:
-  ScopedRegistry();
-  explicit ScopedRegistry(std::function<std::uint64_t()> time_source);
-  ~ScopedRegistry();
-  ScopedRegistry(const ScopedRegistry&) = delete;
-  ScopedRegistry& operator=(const ScopedRegistry&) = delete;
+  ScopedRegistry() = default;
+  explicit ScopedRegistry(std::function<std::uint64_t()> time_source) {
+    registry_.set_time_source(std::move(time_source));
+  }
 
   MetricsRegistry& registry() { return registry_; }
 
  private:
   MetricsRegistry registry_;
-  MetricsRegistry* previous_;
+  UseRegistry use_{registry_};
 };
 
 }  // namespace spire::obs

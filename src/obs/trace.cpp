@@ -38,9 +38,7 @@ const char* to_string(Stage stage) {
   return "?";
 }
 
-Tracer* Tracer::current_ = nullptr;
-Tracer::Router Tracer::router_ = nullptr;
-void* Tracer::router_ctx_ = nullptr;
+constinit thread_local Tracer* Tracer::current_ = nullptr;
 
 Tracer::Tracer(std::function<std::uint64_t()> time_source)
     : time_(std::move(time_source)) {
@@ -426,13 +424,10 @@ bool Tracer::write_jsonl(const std::string& path) const {
   return true;
 }
 
-ScopedTracer::ScopedTracer(std::function<std::uint64_t()> time_source)
-    : tracer_(std::move(time_source)), previous_(Tracer::current_) {
-  Tracer::current_ = &tracer_;
+UseTracer::UseTracer(Tracer& tracer) : previous_(Tracer::current_) {
+  Tracer::current_ = &tracer;
 }
 
-ScopedTracer::~ScopedTracer() {
-  Tracer::current_ = previous_;
-}
+UseTracer::~UseTracer() { Tracer::current_ = previous_; }
 
 }  // namespace spire::obs

@@ -1,8 +1,9 @@
 // Tests for the observability subsystem (DESIGN.md §7): histogram
 // quantile accuracy against an exact reference, snapshot determinism
-// across identical sim runs, end-to-end trace-span completeness, and
-// the zero-allocation guarantee on the metric hot path (and on the
-// sealed Spines link path).
+// across identical sim runs and across worker counts, per-thread
+// scoping, end-to-end trace-span completeness, and the zero-allocation
+// guarantee on the metric hot path (and on the sealed Spines link
+// path).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +15,10 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -33,9 +36,9 @@ using namespace spire;
 // assert that counter increments and histogram records never allocate.
 // The counter is only meaningful between two reads on the same thread;
 // gtest's own allocations outside the measured window don't matter.
-// Atomic (relaxed) because the parallel-kernel tests below allocate
-// from worker threads too; the hot-path assertions still run their
-// measured window single-threaded.
+// Atomic (relaxed) because the fleet and thread-scoping tests below
+// allocate from worker threads too; the hot-path assertions still run
+// their measured window single-threaded.
 
 static std::atomic<std::uint64_t> g_alloc_count{0};
 
@@ -207,99 +210,99 @@ TEST(MetricsRegistry, SnapshotDeterministicAcrossIdenticalRuns) {
 
 namespace {
 
-/// Per-shard observability for the parallel-kernel determinism test:
-/// each shard owns a registry, a tracer, and raw metric handles, and
-/// only that shard's events ever touch them (DESIGN.md §8 ownership
-/// rule — no atomics anywhere on the hot path).
-struct ShardObs {
-  sim::ShardId shard = sim::kMainShard;
+/// One instrumented instance for the fleet determinism test: its own
+/// simulator, registry, tracer and raw metric handles, touched only by
+/// the thread that runs it (DESIGN.md §8 — no atomics anywhere on the
+/// hot path).
+struct ObsInstance {
+  sim::Simulator sim;
   std::unique_ptr<obs::ScopedRegistry> registry;
   std::unique_ptr<obs::ScopedTracer> tracer;
   std::uint64_t* events = nullptr;
   obs::Histogram* gap = nullptr;
 };
 
-struct ObsRouterCtx {
-  const sim::Simulator* sim = nullptr;
-  std::array<obs::Tracer*, 4> by_shard{};
-};
-
-/// Runs an identical two-shard instrumented workload under `workers`
-/// threads and returns both shards' metrics snapshots. Tracer hooks are
-/// routed to the executing shard's tracer via Tracer::set_router.
-std::vector<std::string> sharded_snapshots(unsigned workers) {
-  sim::Simulator sim;
-  sim.set_workers(workers);
-  auto sim_time = [&sim] { return static_cast<std::uint64_t>(sim.now()); };
-
-  std::vector<std::unique_ptr<ShardObs>> shards;
+/// Builds two instrumented instances with distinct tick periods on this
+/// thread, runs them through bench::run_instances on `workers` threads
+/// and returns both instances' metrics snapshots.
+std::vector<std::string> instance_snapshots(unsigned workers) {
+  std::vector<std::unique_ptr<ObsInstance>> instances;
   for (int i = 0; i < 2; ++i) {
-    auto so = std::make_unique<ShardObs>();
-    so->shard = sim.register_shard("obs." + std::to_string(i));
-    sim::ShardScope scope(sim, so->shard);
-    so->registry = std::make_unique<obs::ScopedRegistry>(sim_time);
-    so->tracer = std::make_unique<obs::ScopedTracer>(sim_time);
-    so->events = obs::MetricsRegistry::current().counter("shard.events");
-    so->gap = obs::MetricsRegistry::current().histogram("shard.gap");
-    shards.push_back(std::move(so));
-  }
-
-  ObsRouterCtx ctx;
-  ctx.sim = &sim;
-  for (const auto& so : shards) {
-    ctx.by_shard[so->shard] = &so->tracer->tracer();
-  }
-  obs::Tracer::set_router(
-      [](void* raw) -> obs::Tracer* {
-        auto* c = static_cast<ObsRouterCtx*>(raw);
-        return c->by_shard[c->sim->current_shard()];
-      },
-      &ctx);
-
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    ShardObs& so = *shards[i];
-    sim::ShardScope scope(sim, so.shard);
+    auto in = std::make_unique<ObsInstance>();
+    auto sim_time = [&sim = in->sim] {
+      return static_cast<std::uint64_t>(sim.now());
+    };
+    in->registry = std::make_unique<obs::ScopedRegistry>(sim_time);
+    in->tracer = std::make_unique<obs::ScopedTracer>(sim_time);
+    in->events = obs::MetricsRegistry::current().counter("instance.events");
+    in->gap = obs::MetricsRegistry::current().histogram("instance.gap");
+    ObsInstance& inst = *in;
+    sim::Simulator& sim = inst.sim;
     const sim::Time period = static_cast<sim::Time>(i + 3) * sim::kMillisecond;
     auto tick = std::make_shared<std::function<void()>>();
     // The closure holds itself weakly (a strong self-capture is a cycle
     // that leaks); the pending event's strong copy keeps it alive.
-    *tick = [&sim, &so, self = std::weak_ptr(tick), period] {
-      ++*so.events;
-      so.gap->record(static_cast<std::uint64_t>(sim.now() % 97));
+    *tick = [&sim, &inst, self = std::weak_ptr(tick), period] {
+      ++*inst.events;
+      inst.gap->record(static_cast<std::uint64_t>(sim.now() % 97));
       obs::Tracer* t = obs::Tracer::current();
-      t->client_submit("client/x", *so.events);
-      t->executed("client/x", *so.events, sim.now(), sim.now());
+      t->client_submit("client/x", *inst.events);
+      t->executed("client/x", *inst.events, sim.now(), sim.now());
       sim.schedule_after(period, [tick = self.lock()] { (*tick)(); });
     };
     sim.schedule_after(period, [tick] { (*tick)(); });
+    instances.push_back(std::move(in));
   }
-  sim.run_until(2 * sim::kSecond);
+
+  bench::run_instances(instances.size(), workers, [&](std::size_t i) {
+    ObsInstance& inst = *instances[i];
+    obs::UseRegistry use_registry(inst.registry->registry());
+    obs::UseTracer use_tracer(inst.tracer->tracer());
+    inst.sim.run_until(2 * sim::kSecond);
+  });
 
   std::vector<std::string> out;
-  out.reserve(shards.size());
-  for (const auto& so : shards) {
-    out.push_back(so->registry->registry().snapshot_json());
+  out.reserve(instances.size());
+  for (const auto& in : instances) {
+    out.push_back(in->registry->registry().snapshot_json());
   }
-  obs::Tracer::set_router(nullptr, nullptr);
   // Newest-first so each scope restores the exact previous current().
-  while (!shards.empty()) shards.pop_back();
+  while (!instances.empty()) instances.pop_back();
   return out;
 }
 
 }  // namespace
 
-TEST(MetricsRegistry, ShardedSnapshotsDeterministicAcrossWorkerCounts) {
-  const std::vector<std::string> base = sharded_snapshots(1);
+TEST(MetricsRegistry, InstanceSnapshotsDeterministicAcrossWorkerCounts) {
+  const std::vector<std::string> base = instance_snapshots(1);
   ASSERT_EQ(base.size(), 2u);
   EXPECT_GT(base[0].size(), 50u);
-  // Distinct tick periods → the two shards' snapshots genuinely differ.
+  // Distinct tick periods → the two instances' snapshots genuinely differ.
   EXPECT_NE(base[0], base[1]);
   for (const unsigned workers : {2u, 4u}) {
-    EXPECT_EQ(sharded_snapshots(workers), base) << "workers=" << workers;
+    EXPECT_EQ(instance_snapshots(workers), base) << "workers=" << workers;
   }
 }
 
-// ---- zero-allocation hot path -----------------------------------------------
+// A scope opened on one thread is current() on that thread only: a
+// worker thread sees the defaults, so instances on different threads
+// never bind into or trace through each other's scopes.
+TEST(MetricsRegistry, ScopesAreCurrentOnTheirOwnThreadOnly) {
+  obs::ScopedRegistry registry;
+  obs::ScopedTracer tracer;
+  ASSERT_EQ(&obs::MetricsRegistry::current(), &registry.registry());
+  ASSERT_EQ(obs::Tracer::current(), &tracer.tracer());
+  const obs::MetricsRegistry* other_registry = nullptr;
+  const obs::Tracer* other_tracer = &tracer.tracer();
+  std::thread([&] {
+    other_registry = &obs::MetricsRegistry::current();
+    other_tracer = obs::Tracer::current();
+  }).join();
+  EXPECT_EQ(other_registry, &obs::MetricsRegistry::global());
+  EXPECT_EQ(other_tracer, nullptr);
+  EXPECT_EQ(&obs::MetricsRegistry::current(), &registry.registry());
+  EXPECT_EQ(obs::Tracer::current(), &tracer.tracer());
+}
 
 TEST(MetricsHotPath, CounterAndHistogramRecordNeverAllocate) {
   obs::ScopedRegistry scope;

@@ -224,273 +224,6 @@ TEST(Simulator, MassCancellationPreservesSurvivorOrder) {
   EXPECT_EQ(sim.now(), 100u);
 }
 
-// ---- conservative-parallel kernel ---------------------------------------
-
-// Events stay on the shard that scheduled them (ShardScope at build
-// time, executing shard at run time), and per-shard (time, FIFO) order
-// holds. Cross-shard interleaving within a window is unobservable by
-// construction — shards share no state — so the assertion is on the
-// per-shard traces, the only order the kernel guarantees.
-TEST(SimulatorParallel, ShardAffinityAndFifo) {
-  Simulator sim;
-  const ShardId a = sim.register_shard("a");
-  const ShardId b = sim.register_shard("b");
-  EXPECT_EQ(sim.shard_count(), 3u);
-  EXPECT_EQ(sim.shard_name(a), "a");
-  std::vector<std::pair<int, Time>> trace_a;
-  std::vector<std::pair<int, Time>> trace_b;
-  {
-    ShardScope scope(sim, a);
-    EXPECT_EQ(sim.current_shard(), a);
-    sim.schedule_at(10, [&] {
-      EXPECT_EQ(sim.current_shard(), a);
-      trace_a.emplace_back(1, sim.now());
-      // Rescheduling from inside an event stays on the event's shard.
-      sim.schedule_after(5, [&] {
-        EXPECT_EQ(sim.current_shard(), a);
-        trace_a.emplace_back(2, sim.now());
-      });
-    });
-    sim.schedule_at(10, [&] { trace_a.emplace_back(3, sim.now()); });
-  }
-  EXPECT_EQ(sim.current_shard(), kMainShard);
-  {
-    ShardScope scope(sim, b);
-    sim.schedule_at(12, [&] {
-      EXPECT_EQ(sim.current_shard(), b);
-      trace_b.emplace_back(4, sim.now());
-    });
-  }
-  sim.run();
-  const std::vector<std::pair<int, Time>> golden_a{{1, 10}, {3, 10}, {2, 15}};
-  const std::vector<std::pair<int, Time>> golden_b{{4, 12}};
-  EXPECT_EQ(trace_a, golden_a);
-  EXPECT_EQ(trace_b, golden_b);
-  EXPECT_EQ(sim.now(), 15u);
-}
-
-// Cross-shard sends merge in (arrival time, source shard, source
-// program order), interleaved FIFO with the destination's own events.
-TEST(SimulatorParallel, MailboxMergeOrderIsCanonical) {
-  Simulator sim;
-  const ShardId a = sim.register_shard("a");
-  const ShardId b = sim.register_shard("b");
-  const ShardId c = sim.register_shard("c");
-  sim.note_link_latency(10);
-  std::vector<int> seen;
-  {
-    // Both sources mail shard c for the same arrival time; source shard
-    // a must deliver before source shard b regardless of send order.
-    ShardScope scope(sim, b);
-    sim.schedule_at(5, [&] {
-      sim.send_to(c, 15, [&] { seen.push_back(20); });  // arrives t=20
-      sim.send_to(c, 10, [&] { seen.push_back(15); });  // arrives t=15
-    });
-  }
-  {
-    ShardScope scope(sim, a);
-    sim.schedule_at(5, [&] {
-      sim.send_to(c, 15, [&] { seen.push_back(10); });  // arrives t=20 too
-    });
-  }
-  {
-    ShardScope scope(sim, c);
-    sim.schedule_at(20, [&] { seen.push_back(1); });  // queued first at t=20
-  }
-  sim.run();
-  // t=15 mail, then at t=20: c's own earlier-queued event was scheduled
-  // before the mails merged, and mail from shard a precedes shard b.
-  EXPECT_EQ(seen, (std::vector<int>{15, 1, 10, 20}));
-  EXPECT_EQ(sim.kernel_stats().mails_routed, 3u);
-}
-
-// The same sharded workload must produce bit-identical results at every
-// worker count: identical trace, clocks, and kernel event counts.
-TEST(SimulatorParallel, DeterministicAcrossWorkerCounts) {
-  struct Result {
-    std::vector<std::uint64_t> trace;  // encoded (shard, label, time)
-    Time final_now = 0;
-    std::uint64_t executed = 0;
-  };
-  const auto run_scenario = [](unsigned workers) {
-    Simulator sim;
-    sim.set_workers(workers);
-    constexpr int kShards = 7;
-    std::vector<ShardId> shards;
-    for (int i = 0; i < kShards; ++i) {
-      shards.push_back(sim.register_shard("s" + std::to_string(i)));
-    }
-    sim.note_link_latency(40);
-    Result r;
-    // Per-shard traces, concatenated deterministically afterwards (a
-    // shared trace vector would itself be a cross-shard race).
-    std::vector<std::vector<std::uint64_t>> traces(kShards);
-    // Token-ring handlers: hop i runs on shard i, records into shard
-    // i's own trace, and forwards to shard i+1's handler — everything a
-    // shard touches is its own.
-    auto hops = std::make_shared<std::vector<std::function<void(int)>>>(
-        static_cast<std::size_t>(kShards));
-    for (int i = 0; i < kShards; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const auto next_idx = static_cast<std::size_t>((i + 1) % kShards);
-      auto* trace = &traces[idx];
-      const ShardId next = shards[next_idx];
-      // Stored hops hold the table weakly (a strong capture is a cycle
-      // that leaks); the in-flight token's strong copy keeps it alive.
-      (*hops)[idx] = [&sim, trace, i, next, next_idx,
-                      table = std::weak_ptr(hops)](int count) {
-        trace->push_back((static_cast<std::uint64_t>(i) << 48) |
-                         (static_cast<std::uint64_t>(count) << 32) |
-                         sim.now());
-        if (count > 0) {
-          sim.send_to(next, 45, [hops = table.lock(), next_idx, count] {
-            (*hops)[next_idx](count - 1);
-          });
-        }
-      };
-    }
-    for (int i = 0; i < kShards; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      ShardScope scope(sim, shards[idx]);
-      // Self-rescheduling local timer with shard-dependent period.
-      auto tick = std::make_shared<std::function<void()>>();
-      const Time period = 7 + static_cast<Time>(i);
-      auto* trace = &traces[idx];
-      *tick = [&sim, trace, i, period, self = std::weak_ptr(tick)] {
-        trace->push_back((static_cast<std::uint64_t>(i) << 32) | sim.now());
-        sim.schedule_after(period, [tick = self.lock()] { (*tick)(); });
-      };
-      sim.schedule_after(period, [tick] { (*tick)(); });
-      // Kick the token into the ring from each shard.
-      const auto next_idx = static_cast<std::size_t>((i + 1) % kShards);
-      const ShardId next = shards[next_idx];
-      sim.schedule_at(3, [&sim, next, next_idx, hops] {
-        sim.send_to(next, 45, [hops, next_idx] { (*hops)[next_idx](12); });
-      });
-    }
-    r.executed = sim.run_until(1500);
-    r.final_now = sim.now();
-    for (auto& t : traces) {
-      r.trace.insert(r.trace.end(), t.begin(), t.end());
-    }
-    const KernelStats st = sim.kernel_stats();
-    EXPECT_EQ(st.lookahead_violations, 0u) << "workers=" << workers;
-    EXPECT_EQ(st.lookahead, 40u);
-    return r;
-  };
-  const Result base = run_scenario(1);
-  EXPECT_GT(base.executed, 1000u);
-  EXPECT_EQ(base.final_now, 1500u);
-  for (const unsigned workers : {2u, 4u, 8u}) {
-    const Result r = run_scenario(workers);
-    EXPECT_EQ(r.trace, base.trace) << "workers=" << workers;
-    EXPECT_EQ(r.executed, base.executed) << "workers=" << workers;
-    EXPECT_EQ(r.final_now, base.final_now) << "workers=" << workers;
-  }
-}
-
-// A cross-shard send below the lookahead is clamped to the window
-// horizon — deterministically — and counted, never lost or reordered
-// behind already-executed time.
-TEST(SimulatorParallel, LookaheadViolationClampsToHorizon) {
-  const auto run_scenario = [](unsigned workers) {
-    Simulator sim;
-    sim.set_workers(workers);
-    const ShardId a = sim.register_shard("a");
-    const ShardId b = sim.register_shard("b");
-    sim.note_link_latency(100);
-    std::vector<Time> arrivals;
-    {
-      ShardScope scope(sim, b);
-      // Keep shard b busy through the window so a too-early delivery
-      // could otherwise land in its past.
-      for (Time t = 10; t <= 90; t += 10) sim.schedule_at(t, [] {});
-    }
-    {
-      ShardScope scope(sim, a);
-      sim.schedule_at(10, [&] {
-        sim.send_to(b, 5, [&] { arrivals.push_back(sim.now()); });  // < 100
-      });
-    }
-    sim.run();
-    EXPECT_EQ(sim.kernel_stats().lookahead_violations, 1u);
-    return arrivals;
-  };
-  const auto base = run_scenario(1);
-  ASSERT_EQ(base.size(), 1u);
-  EXPECT_GE(base[0], 15u);  // never before the nominal arrival
-  EXPECT_EQ(run_scenario(4), base);
-}
-
-// run_until must advance every shard's clock to the deadline, and
-// driver-context scheduling afterwards lands at the right times.
-TEST(SimulatorParallel, RunUntilAdvancesAllShardClocks) {
-  Simulator sim;
-  const ShardId a = sim.register_shard("a");
-  sim.register_shard("b");
-  {
-    ShardScope scope(sim, a);
-    sim.schedule_at(50, [] {});
-  }
-  sim.run_until(1000);
-  EXPECT_EQ(sim.now(), 1000u);
-  Time fired_at = 0;
-  {
-    ShardScope scope(sim, a);
-    sim.schedule_after(10, [&] { fired_at = sim.now(); });
-  }
-  sim.run_until(2000);
-  EXPECT_EQ(fired_at, 1010u);
-}
-
-// Cancellation works across the encoded id space: shard-local ids from
-// any shard, from driver context, including ids from shard 0.
-TEST(SimulatorParallel, CancelAcrossShards) {
-  Simulator sim;
-  const ShardId a = sim.register_shard("a");
-  bool fired_a = false;
-  bool fired_main = false;
-  EventId id_a = 0;
-  {
-    ShardScope scope(sim, a);
-    id_a = sim.schedule_at(10, [&] { fired_a = true; });
-  }
-  const EventId id_main = sim.schedule_at(10, [&] { fired_main = true; });
-  EXPECT_NE(id_a, id_main);
-  EXPECT_TRUE(sim.cancel(id_a));
-  EXPECT_FALSE(sim.cancel(id_a));
-  EXPECT_TRUE(sim.cancel(id_main));
-  sim.run();
-  EXPECT_FALSE(fired_a);
-  EXPECT_FALSE(fired_main);
-  EXPECT_EQ(sim.pending(), 0u);
-}
-
-// Shard 0 may interact with parallel shards freely (it runs
-// exclusively), and the equal-time tiebreak is canonical: shard 0
-// first, then shards in id order.
-TEST(SimulatorParallel, MainShardCoordinatesParallelShards) {
-  Simulator sim;
-  const ShardId a = sim.register_shard("a");
-  std::vector<int> order;
-  // Shard-0 control event at t=100 ties with a shard-a event at t=100:
-  // shard 0 wins.
-  {
-    ShardScope scope(sim, a);
-    sim.schedule_at(100, [&] { order.push_back(2); });
-  }
-  sim.schedule_at(100, [&] {
-    order.push_back(1);
-    // Control-plane send needs no lookahead: it lands mid-window-free.
-    sim.send_to(a, 1, [&] { order.push_back(3); });
-  });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  const KernelStats st = sim.kernel_stats();
-  EXPECT_EQ(st.lookahead_violations, 0u);
-  EXPECT_GE(st.exclusive_batches, 1u);
-}
-
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
