@@ -757,8 +757,8 @@ Outcome withholding_relay(Trial& t) {
       r.spire.internal_overlay().daemon("int" + std::to_string(traitor));
   constexpr sim::Time kRowBound = 60 * sim::kSecond;
   sim::ChaosHooks hooks;
-  hooks.set_link_quality = [&r](double loss, sim::Time jitter) {
-    r.spire.internal_switch().set_chaos(loss, jitter);
+  hooks.set_link_quality = [&r](double loss, sim::Time /*jitter*/) {
+    r.spire.internal_switch().set_chaos(loss);
   };
   sim::ChaosInjector chaos(r.sim, std::move(hooks));
   chaos.add({.kind = sim::ChaosEvent::Kind::kLinkDegrade,

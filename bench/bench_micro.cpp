@@ -199,9 +199,17 @@ MicroResult run_spines_link_seal_open() {
   };
   const crypto::ChaChaKey key{};
   const crypto::ChaChaNonce nonce{};
+  const util::Bytes b32 = make_payload(32);
+  util::Bytes out32(b32.size());
   const util::Bytes b256 = make_payload(256);
   const util::Bytes b1400 = make_payload(1400);
   const util::Bytes b4k = make_payload(4096);
+  // A hello-sized packet, into a reused buffer as seal_into and
+  // open_into call it (the rows below allocate their output).
+  r.extra.emplace_back("chacha20_xor_32B_ns", per_call(1'000'000, [&] {
+                         crypto::chacha20_xor_into(key, nonce, 1, b32, out32);
+                         sink = out32[0];
+                       }) * 1e9);
   r.extra.emplace_back(
       "chacha20_xor_256B_mib_per_s",
       mib_per_s(b256.size(), per_call(100'000, [&] {

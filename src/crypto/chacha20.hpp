@@ -22,9 +22,9 @@ using ChaChaNonce = std::array<std::uint8_t, 12>;
 
 /// XORs `in` with the keystream starting at block `counter` and writes
 /// the result to `out`, which must be the same size (std::length_error
-/// otherwise) and either be `in` itself or not overlap it. Generates
-/// four blocks per pass (SSE2 on x86-64). Encryption and decryption are
-/// the same operation.
+/// otherwise) and either be `in` itself or not overlap it. Runs the AVX2
+/// kernel when the CPU has AVX2, else the SSE2 one (detail:: below).
+/// Encryption and decryption are the same operation.
 void chacha20_xor_into(const ChaChaKey& key, const ChaChaNonce& nonce,
                        std::uint32_t counter,
                        std::span<const std::uint8_t> in,
@@ -35,5 +35,27 @@ void chacha20_xor_into(const ChaChaKey& key, const ChaChaNonce& nonce,
                                        const ChaChaNonce& nonce,
                                        std::uint32_t counter,
                                        std::span<const std::uint8_t> data);
+
+namespace detail {
+
+/// The kernels chacha20_xor_into() dispatches between, exposed so tests
+/// can check each one against chacha20_block() on whatever CPU runs
+/// them. Same contract as chacha20_xor_into(), except that the sizes
+/// are not checked.
+///
+/// True when this build has the AVX2 kernel and the CPU supports it.
+[[nodiscard]] bool cpu_has_avx2();
+/// Row-wise AVX2 kernel: each pass computes only the blocks its bytes
+/// need (one up to 64 B, two up to 128 B, else four). Call only when
+/// cpu_has_avx2().
+void chacha20_xor_avx2(const ChaChaKey& key, const ChaChaNonce& nonce,
+                       std::uint32_t counter, std::span<const std::uint8_t> in,
+                       std::span<std::uint8_t> out);
+/// Four blocks per pass in SSE2 registers (scalar where SSE2 is absent).
+void chacha20_xor_sse2(const ChaChaKey& key, const ChaChaNonce& nonce,
+                       std::uint32_t counter, std::span<const std::uint8_t> in,
+                       std::span<std::uint8_t> out);
+
+}  // namespace detail
 
 }  // namespace spire::crypto

@@ -55,21 +55,45 @@ util::Bytes Datagram::encode() const {
   return w.take();
 }
 
-std::optional<Datagram> Datagram::decode(std::span<const std::uint8_t> data) {
+namespace {
+
+/// Reads the fields before the payload into `d` and returns the
+/// payload's offset in `data`, or nullopt if the header is malformed or
+/// the length prefix does not cover exactly the rest of `data`.
+std::optional<std::size_t> decode_header(std::span<const std::uint8_t> data,
+                                         Datagram& d) {
   try {
     util::ByteReader r(data);
-    Datagram d;
     d.src_ip = IpAddress{r.u32()};
     d.dst_ip = IpAddress{r.u32()};
     d.src_port = r.u16();
     d.dst_port = r.u16();
     d.ttl = r.u8();
-    d.payload = r.blob();
-    r.expect_done();
-    return d;
+    const std::uint32_t payload_size = r.u32();
+    if (payload_size != r.remaining()) return std::nullopt;
+    return r.offset();
   } catch (const util::SerializationError&) {
     return std::nullopt;
   }
+}
+
+}  // namespace
+
+std::optional<Datagram> Datagram::decode(std::span<const std::uint8_t> data) {
+  Datagram d;
+  const auto offset = decode_header(data, d);
+  if (!offset) return std::nullopt;
+  d.payload.assign(data.begin() + static_cast<std::ptrdiff_t>(*offset), data.end());
+  return d;
+}
+
+std::optional<Datagram> Datagram::decode_owned(util::Bytes data) {
+  Datagram d;
+  const auto offset = decode_header(data, d);
+  if (!offset) return std::nullopt;
+  data.erase(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(*offset));
+  d.payload = std::move(data);
+  return d;
 }
 
 }  // namespace spire::net

@@ -49,6 +49,10 @@ struct Datagram {
 
   [[nodiscard]] util::Bytes encode() const;
   static std::optional<Datagram> decode(std::span<const std::uint8_t> data);
+  /// decode() for a buffer the caller gives up: the payload keeps
+  /// `data`'s storage, with the header shifted out in place, instead of
+  /// being copied into a new buffer.
+  static std::optional<Datagram> decode_owned(util::Bytes data);
 };
 
 /// L2 frame as carried by switches and cables.

@@ -176,7 +176,7 @@ void Host::enable_forwarding(bool default_deny) {
   forward_default_deny_ = default_deny;
 }
 
-void Host::handle_frame(std::size_t iface, const EthernetFrame& frame) {
+void Host::handle_frame(std::size_t iface, EthernetFrame frame) {
   ++stats_.frames_rx;
   Interface& nic = ifaces_.at(iface);
 
@@ -197,8 +197,8 @@ void Host::handle_frame(std::size_t iface, const EthernetFrame& frame) {
     }
     case EtherType::kIpv4: {
       if (!for_us) break;  // promiscuous sniffing never delivers upward
-      if (const auto dgram = Datagram::decode(frame.payload)) {
-        handle_datagram(iface, *dgram);
+      if (auto dgram = Datagram::decode_owned(std::move(frame.payload))) {
+        handle_datagram(iface, std::move(*dgram));
       }
       break;
     }
@@ -246,10 +246,10 @@ void Host::handle_arp(std::size_t iface, const ArpPacket& arp) {
   }
 }
 
-void Host::handle_datagram(std::size_t iface, const Datagram& dgram) {
+void Host::handle_datagram(std::size_t iface, Datagram dgram) {
   if (!is_local_ip(dgram.dst_ip)) {
     if (interceptor_ && interceptor_(iface, dgram)) return;
-    if (forwarding_) forward_datagram(dgram);
+    if (forwarding_) forward_datagram(std::move(dgram));
     return;
   }
 

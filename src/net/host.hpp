@@ -107,8 +107,9 @@ class Host {
   void set_transmit(std::size_t iface, std::function<void(EthernetFrame)> tx);
   void set_promiscuous(std::size_t iface, bool on);
 
-  /// Entry point for frames arriving from the wire.
-  void handle_frame(std::size_t iface, const EthernetFrame& frame);
+  /// Entry point for frames arriving from the wire. Takes the frame so
+  /// a datagram addressed here is decoded in its buffer, not copied.
+  void handle_frame(std::size_t iface, EthernetFrame frame);
 
   // ---- configuration ----------------------------------------------------
   FirewallConfig& firewall() { return firewall_; }
@@ -183,7 +184,7 @@ class Host {
   [[nodiscard]] std::optional<Egress> resolve_egress(IpAddress dst_ip) const;
 
   void handle_arp(std::size_t iface, const ArpPacket& arp);
-  void handle_datagram(std::size_t iface, const Datagram& dgram);
+  void handle_datagram(std::size_t iface, Datagram dgram);
   void forward_datagram(Datagram dgram);
   /// Sends `dgram` out of `iface` toward `next_hop` (ARP-resolving it).
   void transmit_datagram(std::size_t iface, IpAddress next_hop,

@@ -15,8 +15,9 @@ Switch& Network::add_switch(SwitchConfig config) {
 }
 
 PortId Network::connect(Host& host, std::size_t iface, Switch& sw) {
-  const PortId port = sw.add_port(
-      [&host, iface](const EthernetFrame& frame) { host.handle_frame(iface, frame); });
+  const PortId port = sw.add_port([&host, iface](EthernetFrame frame) {
+    host.handle_frame(iface, std::move(frame));
+  });
   host.set_transmit(iface, [&sw, port](EthernetFrame frame) {
     sw.receive(port, std::move(frame));
   });
@@ -30,13 +31,13 @@ void Network::cable(Host& a, std::size_t iface_a, Host& b, std::size_t iface_b,
                     sim::Time latency) {
   sim::Simulator& sim = sim_;
   a.set_transmit(iface_a, [&sim, &b, iface_b, latency](EthernetFrame f) {
-    sim.schedule_after(latency, [&b, iface_b, f = std::move(f)] {
-      b.handle_frame(iface_b, f);
+    sim.schedule_after(latency, [&b, iface_b, f = std::move(f)]() mutable {
+      b.handle_frame(iface_b, std::move(f));
     });
   });
   b.set_transmit(iface_b, [&sim, &a, iface_a, latency](EthernetFrame f) {
-    sim.schedule_after(latency, [&a, iface_a, f = std::move(f)] {
-      a.handle_frame(iface_a, f);
+    sim.schedule_after(latency, [&a, iface_a, f = std::move(f)]() mutable {
+      a.handle_frame(iface_a, std::move(f));
     });
   });
 }

@@ -9,8 +9,8 @@ Switch::Switch(sim::Simulator& sim, SwitchConfig config)
       config_(std::move(config)),
       log_("net.switch." + config_.name) {}
 
-PortId Switch::add_port(std::function<void(const EthernetFrame&)> deliver) {
-  ports_.push_back(Port{std::move(deliver), 0, 0});
+PortId Switch::add_port(std::function<void(EthernetFrame)> deliver) {
+  ports_.push_back(Port{std::move(deliver), 0, {}});
   return ports_.size() - 1;
 }
 
@@ -27,10 +27,7 @@ void Switch::add_capture_tap(CaptureTap* tap) {
   capture_taps_.push_back(tap);
 }
 
-void Switch::set_chaos(double loss, sim::Time max_jitter) {
-  chaos_loss_ = loss;
-  chaos_jitter_ = max_jitter;
-}
+void Switch::set_chaos(double loss) { chaos_loss_ = loss; }
 
 void Switch::receive(PortId ingress, EthernetFrame frame) {
   // Mirror to taps first: a capture port sees traffic even if the
@@ -82,12 +79,11 @@ void Switch::emit(PortId port, EthernetFrame frame) {
     ++stats_.frames_dropped_chaos;
     return;
   }
-  if (p.queued >= config_.egress_queue_frames) {
+  if (p.in_flight.size() >= config_.egress_queue_frames) {
     ++stats_.frames_dropped_queue;
     return;
   }
   ++stats_.frames_forwarded;
-  ++p.queued;
 
   const sim::Time start = std::max(sim_.now(), p.busy_until);
   const auto serialization = static_cast<sim::Time>(
@@ -95,12 +91,18 @@ void Switch::emit(PortId port, EthernetFrame frame) {
   const sim::Time done = start + serialization;
   p.busy_until = done;
 
-  const sim::Time deliver_at = done + config_.propagation_delay;
-  sim_.schedule_at(deliver_at, [this, port, frame = std::move(frame)] {
-    Port& out = ports_[port];
-    if (out.queued > 0) --out.queued;
-    if (out.deliver) out.deliver(frame);
-  });
+  p.in_flight.push_back(std::move(frame));
+  // The closure is two words, small enough for std::function to hold
+  // without a heap allocation.
+  sim_.schedule_at(done + config_.propagation_delay,
+                   [this, port] { deliver_front(port); });
+}
+
+void Switch::deliver_front(PortId port) {
+  Port& out = ports_[port];
+  EthernetFrame frame = std::move(out.in_flight.front());
+  out.in_flight.pop_front();
+  if (out.deliver) out.deliver(std::move(frame));
 }
 
 }  // namespace spire::net

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -52,8 +53,9 @@ class Switch {
   Switch(sim::Simulator& sim, SwitchConfig config);
 
   /// Adds a port; `deliver` is invoked (after forwarding delay) for each
-  /// frame the switch emits on this port. Returns the port id.
-  PortId add_port(std::function<void(const EthernetFrame&)> deliver);
+  /// frame the switch emits on this port, in emission order, and is
+  /// handed the frame itself. Returns the port id.
+  PortId add_port(std::function<void(EthernetFrame)> deliver);
 
   /// Statically binds a MAC to a port (defense from §III-B). Only
   /// enforced when config.static_port_binding is true.
@@ -74,9 +76,9 @@ class Switch {
   void add_capture_tap(CaptureTap* tap);
 
   /// Chaos injection (fault-injection harness): independently drops
-  /// each forwarded frame with probability `loss` and delays survivors
-  /// by an extra uniform amount in [0, max_jitter]. (0, 0) heals.
-  void set_chaos(double loss, sim::Time max_jitter);
+  /// each forwarded frame with probability `loss`; 0 heals. Survivors
+  /// keep their normal delivery time, so a port stays in order.
+  void set_chaos(double loss);
 
   [[nodiscard]] const SwitchStats& stats() const { return stats_; }
   [[nodiscard]] const SwitchConfig& config() const { return config_; }
@@ -84,12 +86,18 @@ class Switch {
 
  private:
   struct Port {
-    std::function<void(const EthernetFrame&)> deliver;
+    std::function<void(EthernetFrame)> deliver;
     sim::Time busy_until = 0;
-    std::size_t queued = 0;
+    /// Frames emitted on this port and not yet delivered, oldest first;
+    /// its size is the egress queue occupancy. Delivery times never
+    /// decrease along a port (busy_until only grows and propagation is
+    /// fixed) and equal times fire in scheduling order, so each
+    /// delivery event takes the front frame.
+    std::deque<EthernetFrame> in_flight;
   };
 
   void emit(PortId port, EthernetFrame frame);
+  void deliver_front(PortId port);
 
   sim::Simulator& sim_;
   SwitchConfig config_;
@@ -104,7 +112,6 @@ class Switch {
   std::vector<Tap> taps_;
   std::vector<CaptureTap*> capture_taps_;
   double chaos_loss_ = 0;
-  sim::Time chaos_jitter_ = 0;
   sim::Rng chaos_rng_{0xC7A0'5BAD'F00D'2019ULL};
   SwitchStats stats_;
 };

@@ -250,7 +250,7 @@ void SpireDeployment::build_overlays() {
 void SpireDeployment::partition_site(std::uint32_t site, bool cut) {
   for (const WanLink& wan : wan_links_) {
     if (wan.site_a == site || wan.site_b == site) {
-      wan.sw->set_chaos(cut ? 1.0 : 0.0, 0);
+      wan.sw->set_chaos(cut ? 1.0 : 0.0);
     }
   }
 }
@@ -515,9 +515,9 @@ std::unique_ptr<prime::ProactiveRecovery> SpireDeployment::make_recovery(
 
 std::unique_ptr<sim::ChaosInjector> SpireDeployment::make_chaos() {
   sim::ChaosHooks hooks;
-  hooks.set_link_quality = [this](double loss, sim::Time jitter) {
-    internal_switch_->set_chaos(loss, jitter);
-    external_switch_->set_chaos(loss, jitter);
+  hooks.set_link_quality = [this](double loss, sim::Time /*jitter*/) {
+    internal_switch_->set_chaos(loss);
+    external_switch_->set_chaos(loss);
   };
   hooks.set_partitioned = [this](std::uint32_t node, bool cut) {
     if (node >= n()) return;

@@ -162,7 +162,8 @@ class SpireDeployment {
       prime::RecoveryConfig recovery_config);
 
   /// Builds a fault injector wired to the deployment's fault surfaces:
-  /// link degradation maps to chaos loss/jitter on both switches,
+  /// link degradation maps to chaos loss on both switches (the episode's
+  /// jitter bound is not applied: each switch port delivers in order),
   /// partitioning replica i stops its internal+external Spines daemons
   /// (sessions survive; the overlay reroutes around it), crash/restart
   /// maps to replica shutdown()/recover(). Script or randomize the

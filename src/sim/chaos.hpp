@@ -27,8 +27,9 @@ namespace spire::sim {
 /// Fault controls of the system under test. Unset hooks turn that
 /// fault kind into a no-op.
 struct ChaosHooks {
-  /// Degrades every link: drop probability plus added delivery jitter.
-  /// Called with (0, 0) when the episode heals.
+  /// Degrades every link: drop probability plus a bound on added
+  /// delivery jitter, which a hook may ignore (the emulated switches
+  /// apply the loss only). Called with (0, 0) when the episode heals.
   std::function<void(double loss, Time extra_jitter)> set_link_quality;
   /// Cuts a node's connectivity (true) / heals it (false). The node
   /// keeps running — this is a partition, not a crash.

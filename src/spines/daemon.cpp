@@ -463,11 +463,20 @@ void Daemon::process_inner(NodeHandle from, PacketType type,
         on_area_summary(from, *summary);
       }
       break;
-    case PacketType::kData:
-      if (auto data = DataBody::decode(body)) {
-        on_data(from, std::move(*data));
+    case PacketType::kData: {
+      // A flood duplicate from a known source is dropped over the
+      // borrowed bytes, exactly as on_data() would drop it after a full
+      // decode. Malformed bodies fail both reads and leave no trace.
+      const auto key = DataBody::peek_key(body);
+      if (!key) break;
+      const NodeHandle src = nodes_.lookup(key->src);
+      if (src != kNoHandle && dedup_.contains(src, key->msg_seq)) {
+        ++stats_.dropped_dedup;
+        break;
       }
+      if (auto data = DataBody::decode(body)) on_data(from, std::move(*data));
       break;
+    }
     case PacketType::kAck: {
       try {
         util::ByteReader r(body);

@@ -119,21 +119,60 @@ util::Bytes DataBody::encode() const {
   return w.take();
 }
 
-std::optional<DataBody> DataBody::decode(std::span<const std::uint8_t> data) {
-  return guarded_decode<DataBody>(data, [](util::ByteReader& r) {
-    DataBody d;
-    d.src = r.str();
-    d.dst = r.str();
-    d.src_port = r.u16();
-    d.dst_port = r.u16();
+namespace {
+
+/// A DataBody's fields borrowed from its encoding; decode() and
+/// peek_key() share this one parser so they accept the same inputs.
+struct DataFields {
+  std::string_view src;
+  std::string_view dst;
+  SessionPort src_port = 0;
+  SessionPort dst_port = 0;
+  Priority priority = Priority::kMedium;
+  std::uint64_t msg_seq = 0;
+  std::uint8_t ttl = 0;
+  std::span<const std::uint8_t> payload;
+};
+
+std::optional<DataFields> parse_data(std::span<const std::uint8_t> data) {
+  return guarded_decode<DataFields>(data, [](util::ByteReader& r) {
+    DataFields f;
+    f.src = r.str_view();
+    f.dst = r.str_view();
+    f.src_port = r.u16();
+    f.dst_port = r.u16();
     const std::uint8_t prio = r.u8();
     if (prio > 2) throw util::SerializationError("bad priority");
-    d.priority = static_cast<Priority>(prio);
-    d.msg_seq = r.u64();
-    d.ttl = r.u8();
-    d.payload = r.blob();
-    return d;
+    f.priority = static_cast<Priority>(prio);
+    f.msg_seq = r.u64();
+    f.ttl = r.u8();
+    f.payload = r.blob_span();
+    return f;
   });
+}
+
+}  // namespace
+
+std::optional<DataBody> DataBody::decode(std::span<const std::uint8_t> data) {
+  const auto f = parse_data(data);
+  if (!f) return std::nullopt;
+  DataBody d;
+  d.src.assign(f->src);
+  d.dst.assign(f->dst);
+  d.src_port = f->src_port;
+  d.dst_port = f->dst_port;
+  d.priority = f->priority;
+  d.msg_seq = f->msg_seq;
+  d.ttl = f->ttl;
+  d.payload.assign(f->payload.begin(), f->payload.end());
+  return d;
+}
+
+std::optional<DataBody::Key> DataBody::peek_key(
+    std::span<const std::uint8_t> data) {
+  const auto f = parse_data(data);
+  if (!f) return std::nullopt;
+  return Key{f->src, f->msg_seq};
 }
 
 util::Bytes LinkEnvelope::encode() const {

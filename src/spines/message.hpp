@@ -105,6 +105,15 @@ struct DataBody {
 
   [[nodiscard]] util::Bytes encode() const;
   static std::optional<DataBody> decode(std::span<const std::uint8_t> data);
+
+  /// The flood-dedup key of an encoded body, borrowed from the input.
+  struct Key {
+    std::string_view src;
+    std::uint64_t msg_seq = 0;
+  };
+  /// Reads the key without decoding: nullopt exactly when decode()
+  /// fails, so a daemon can drop a duplicate before decode() allocates.
+  static std::optional<Key> peek_key(std::span<const std::uint8_t> data);
 };
 
 /// Link-layer envelope: identifies the sending daemon (so the receiver

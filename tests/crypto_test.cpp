@@ -151,9 +151,13 @@ TEST(ChaCha20, XorIsItsOwnInverse) {
 }
 
 TEST(ChaCha20, MultiBlockKernelMatchesScalarReference) {
-  // Lengths 0..1100 cover empty input, partial tails, one to four blocks
-  // in a pass and several passes; counter 0xFFFFFFFD wraps the 32-bit
-  // block counter mid-pass.
+  // Lengths 0..1100 cover empty input, partial tails, every block count
+  // in a pass and several passes; counters 0xFFFFFFFD and 0xFFFFFFFF
+  // wrap the 32-bit block counter mid-pass and between passes. Each
+  // kernel is called directly as well as through the dispatcher, so
+  // both are checked whichever one this CPU selects.
+  using Kernel = void (*)(const ChaChaKey&, const ChaChaNonce&, std::uint32_t,
+                          std::span<const std::uint8_t>, std::span<std::uint8_t>);
   ChaChaKey key{};
   for (std::uint8_t i = 0; i < 32; ++i) key[i] = static_cast<std::uint8_t>(3 * i + 1);
   const ChaChaNonce nonce = {0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -162,27 +166,36 @@ TEST(ChaCha20, MultiBlockKernelMatchesScalarReference) {
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::uint8_t>(i * 131 + 7);
   }
-  for (const std::uint32_t counter : {0u, 1u, 7u, 0xFFFFFFFDu}) {
-    Bytes expected(data);
-    std::uint32_t block_counter = counter;
-    for (std::size_t offset = 0; offset < expected.size(); offset += 64) {
-      const auto ks = chacha20_block(key, block_counter++, nonce);
-      for (std::size_t i = offset; i < std::min(offset + 64, expected.size()); ++i) {
-        expected[i] ^= ks[i - offset];
+  const auto check = [&](const char* name, Kernel kernel) {
+    for (const std::uint32_t counter : {0u, 1u, 7u, 0xFFFFFFFDu, 0xFFFFFFFFu}) {
+      Bytes expected(data);
+      std::uint32_t block_counter = counter;
+      for (std::size_t offset = 0; offset < expected.size(); offset += 64) {
+        const auto ks = chacha20_block(key, block_counter++, nonce);
+        for (std::size_t i = offset; i < std::min(offset + 64, expected.size()); ++i) {
+          expected[i] ^= ks[i - offset];
+        }
+      }
+      for (std::size_t len = 0; len <= data.size(); ++len) {
+        const std::span<const std::uint8_t> in(data.data(), len);
+        const std::span<const std::uint8_t> want(expected.data(), len);
+        Bytes out(len);
+        kernel(key, nonce, counter, in, out);
+        ASSERT_TRUE(std::equal(out.begin(), out.end(), want.begin()))
+            << name << ", counter " << counter << " length " << len;
+        Bytes in_place(in.begin(), in.end());
+        kernel(key, nonce, counter, in_place, in_place);
+        ASSERT_EQ(in_place, out)
+            << name << " in place, counter " << counter << " length " << len;
       }
     }
-    for (std::size_t len = 0; len <= data.size(); ++len) {
-      const std::span<const std::uint8_t> in(data.data(), len);
-      const std::span<const std::uint8_t> want(expected.data(), len);
-      Bytes out(len);
-      chacha20_xor_into(key, nonce, counter, in, out);
-      ASSERT_TRUE(std::equal(out.begin(), out.end(), want.begin()))
-          << "counter " << counter << " length " << len;
-      Bytes in_place(in.begin(), in.end());
-      chacha20_xor_into(key, nonce, counter, in_place, in_place);
-      ASSERT_EQ(in_place, out) << "in place, counter " << counter << " length " << len;
-    }
+  };
+  check("chacha20_xor_into", chacha20_xor_into);
+  check("SSE2 kernel", crypto::detail::chacha20_xor_sse2);
+  if (!crypto::detail::cpu_has_avx2()) {
+    GTEST_SKIP() << "no AVX2 on this CPU; the AVX2 kernel is unchecked";
   }
+  check("AVX2 kernel", crypto::detail::chacha20_xor_avx2);
 }
 
 // ---- keyring / authenticators --------------------------------------------------

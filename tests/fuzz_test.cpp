@@ -59,7 +59,26 @@ void fuzz_mutations(const util::Bytes& valid, DecodeFn decode,
 
 TEST(Fuzz, NetFrameDecoders) {
   fuzz_random([](const util::Bytes& b) { (void)net::ArpPacket::decode(b); }, 1);
-  fuzz_random([](const util::Bytes& b) { (void)net::Datagram::decode(b); }, 2);
+  // decode_owned() must accept exactly what decode() accepts, and
+  // yield the same datagram.
+  const auto same_datagram = [](const util::Bytes& b) {
+    const auto borrowed = net::Datagram::decode(b);
+    const auto owned = net::Datagram::decode_owned(b);
+    ASSERT_EQ(owned.has_value(), borrowed.has_value());
+    if (!owned) return;
+    EXPECT_EQ(owned->src_ip, borrowed->src_ip);
+    EXPECT_EQ(owned->dst_ip, borrowed->dst_ip);
+    EXPECT_EQ(owned->src_port, borrowed->src_port);
+    EXPECT_EQ(owned->dst_port, borrowed->dst_port);
+    EXPECT_EQ(owned->ttl, borrowed->ttl);
+    EXPECT_EQ(owned->payload, borrowed->payload);
+  };
+  fuzz_random(same_datagram, 2);
+  net::Datagram dgram;
+  dgram.src_port = 1000;
+  dgram.dst_port = 502;
+  dgram.payload = util::to_bytes("poll");
+  fuzz_mutations(dgram.encode(), same_datagram, 30);
 }
 
 TEST(Fuzz, ModbusDecoders) {
@@ -100,8 +119,16 @@ TEST(Fuzz, SpinesDecoders) {
   data.src = "a";
   data.dst = "b";
   data.payload = util::to_bytes("payload");
-  fuzz_mutations(data.encode(),
-                 [](const util::Bytes& b) { (void)spines::DataBody::decode(b); }, 16);
+  // peek_key() reads the dedup key without decoding; it must accept
+  // exactly what decode() accepts.
+  fuzz_mutations(data.encode(), [](const util::Bytes& b) {
+    const auto decoded = spines::DataBody::decode(b);
+    const auto key = spines::DataBody::peek_key(b);
+    ASSERT_EQ(key.has_value(), decoded.has_value());
+    if (!key) return;
+    EXPECT_EQ(key->src, decoded->src);
+    EXPECT_EQ(key->msg_seq, decoded->msg_seq);
+  }, 16);
 }
 
 TEST(Fuzz, PrimeDecoders) {

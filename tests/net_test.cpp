@@ -1,7 +1,11 @@
 // Tests for the emulated network substrate: frames, ARP (including
-// poisoning), switching (learning vs static bindings), firewalls,
-// routing/forwarding, cables, and capture taps.
+// poisoning), switching (learning vs static bindings, per-port delivery
+// order and timing), firewalls, routing/forwarding, cables, and
+// capture taps.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -264,6 +268,178 @@ TEST_F(NetFixture, EgressQueueOverflowDropsFrames) {
   sim.run();
   EXPECT_GT(sw.stats().frames_dropped_queue, 0u);
   EXPECT_LT(received, 100);
+}
+
+namespace {
+
+/// One switch with a sender port 0 and a receiver port 1 that records
+/// (delivery time, frame id) pairs; frame ids ride in the payload's
+/// first byte. Each test checks the receiver's log against
+/// expected_arrivals(), the serialization model applied to the frames
+/// that got through.
+struct SwitchPortFixture {
+  sim::Simulator sim;
+  Switch sw;
+  std::vector<std::pair<sim::Time, std::uint8_t>> arrivals;
+  std::size_t payload_size(std::uint8_t id) const { return 30 + 37u * id; }
+
+  explicit SwitchPortFixture(SwitchConfig config) : sw(sim, std::move(config)) {
+    sw.add_port([](EthernetFrame) {});
+    sw.add_port([this](EthernetFrame f) { arrivals.emplace_back(sim.now(), f.payload[0]); });
+    // Port 1's MAC is learned from one frame it sends (flooded to port 0).
+    sw.receive(1, EthernetFrame{MacAddress::from_id(2), MacAddress::from_id(1),
+                                EtherType::kIpv4, util::Bytes(1, 0)});
+  }
+
+  void send(std::uint8_t id) {
+    util::Bytes payload(payload_size(id), 0xEE);
+    payload[0] = id;
+    sw.receive(0, EthernetFrame{MacAddress::from_id(1), MacAddress::from_id(2),
+                                EtherType::kIpv4, std::move(payload)});
+  }
+
+  /// Delivery times for `sent` = (send time, id) in emission order, of
+  /// which only `through` got past loss and the queue limit: each starts
+  /// when the port is free, serializes, then propagates.
+  std::vector<std::pair<sim::Time, std::uint8_t>> expected_arrivals(
+      const std::vector<std::pair<sim::Time, std::uint8_t>>& sent,
+      const std::vector<std::uint8_t>& through) const {
+    std::vector<std::pair<sim::Time, std::uint8_t>> out;
+    sim::Time busy_until = 0;
+    for (const auto& [at, id] : sent) {
+      if (std::find(through.begin(), through.end(), id) == through.end()) continue;
+      const std::size_t wire = std::max<std::size_t>(64, 18 + payload_size(id));
+      busy_until = std::max(at, busy_until) +
+                   static_cast<sim::Time>(std::ceil(static_cast<double>(wire) /
+                                                    sw.config().bytes_per_us));
+      out.emplace_back(busy_until + sw.config().propagation_delay, id);
+    }
+    return out;
+  }
+
+  std::vector<std::uint8_t> arrived_ids() const {
+    std::vector<std::uint8_t> ids;
+    for (const auto& a : arrivals) ids.push_back(a.second);
+    return ids;
+  }
+};
+
+}  // namespace
+
+TEST(SwitchPort, DeliversInEmissionOrderAtSerializationTimes) {
+  SwitchPortFixture f(SwitchConfig{.bytes_per_us = 2.0});
+  std::vector<std::pair<sim::Time, std::uint8_t>> sent;
+  // Bursts that queue behind each other, and a late frame that finds
+  // the port idle.
+  for (std::uint8_t id = 0; id < 6; ++id) { f.send(id); sent.emplace_back(0, id); }
+  f.sim.run_until(100);
+  for (std::uint8_t id = 6; id < 10; ++id) { f.send(id); sent.emplace_back(100, id); }
+  f.sim.run_until(50'000);
+  f.send(10);
+  sent.emplace_back(50'000, 10);
+  f.sim.run();
+  const std::vector<std::uint8_t> all{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  EXPECT_EQ(f.arrivals, f.expected_arrivals(sent, all));
+  EXPECT_EQ(f.sw.stats().frames_forwarded, 12u);  // 11 plus the learning frame
+}
+
+TEST(SwitchPort, ChaosLossKeepsSurvivorsInOrderAndOnTime) {
+  SwitchPortFixture f(SwitchConfig{.bytes_per_us = 2.0});
+  f.sw.set_chaos(0.4);
+  std::vector<std::pair<sim::Time, std::uint8_t>> sent;
+  for (std::uint8_t id = 0; id < 40; ++id) {
+    f.send(id);
+    sent.emplace_back(f.sim.now(), id);
+    f.sim.run_until(f.sim.now() + 30);  // frames overlap in flight
+  }
+  f.sim.run();
+  const auto through = f.arrived_ids();
+  EXPECT_TRUE(std::is_sorted(through.begin(), through.end()));
+  EXPECT_EQ(f.arrivals, f.expected_arrivals(sent, through));
+  EXPECT_GT(f.sw.stats().frames_dropped_chaos, 0u);
+  EXPECT_EQ(through.size() + f.sw.stats().frames_dropped_chaos, 40u);
+  f.sw.set_chaos(0);  // healed: nothing more is lost
+  f.send(40);
+  f.sim.run();
+  EXPECT_EQ(f.arrived_ids().back(), 40);
+}
+
+TEST(SwitchPort, FullEgressQueueDropsUntilDeliveriesFreeSlots) {
+  SwitchPortFixture f(SwitchConfig{.bytes_per_us = 1.0, .egress_queue_frames = 8});
+  std::vector<std::pair<sim::Time, std::uint8_t>> sent;
+  // 20 at once: 8 fit, 12 drop.
+  for (std::uint8_t id = 0; id < 20; ++id) { f.send(id); sent.emplace_back(0, id); }
+  EXPECT_EQ(f.sw.stats().frames_dropped_queue, 12u);
+  // After the third delivery, three slots are free again: of five more
+  // frames three are queued and two drop.
+  const auto first = f.expected_arrivals(sent, {0, 1, 2, 3, 4, 5, 6, 7});
+  const sim::Time later = first[2].first + 1;
+  f.sim.run_until(later);
+  ASSERT_EQ(f.arrivals.size(), 3u);
+  for (std::uint8_t id = 20; id < 25; ++id) { f.send(id); sent.emplace_back(later, id); }
+  EXPECT_EQ(f.sw.stats().frames_dropped_queue, 14u);
+  f.sim.run();
+  const std::vector<std::uint8_t> through{0, 1, 2, 3, 4, 5, 6, 7, 20, 21, 22};
+  EXPECT_EQ(f.arrived_ids(), through);
+  EXPECT_EQ(f.arrivals, f.expected_arrivals(sent, through));
+  // Drained: a full queue's worth fits again.
+  for (std::uint8_t id = 30; id < 38; ++id) f.send(id);
+  EXPECT_EQ(f.sw.stats().frames_dropped_queue, 14u);
+}
+
+TEST_F(NetFixture, HandleFrameDeliversDatagramAfterObserversSeeTheFrame) {
+  Switch& sw = network.add_switch(SwitchConfig{});
+  Host& a = make_host("a", IpAddress::make(10, 0, 0, 1), sw, 1);
+  Host& b = make_host("b", IpAddress::make(10, 0, 0, 2), sw, 2);
+  std::vector<EthernetFrame> sniffed;
+  b.set_sniffer([&](std::size_t, const EthernetFrame& f) { sniffed.push_back(f); });
+  std::vector<Datagram> delivered;
+  b.bind_udp(500, [&](const Datagram& d) { delivered.push_back(d); });
+
+  Datagram d;
+  d.src_ip = a.ip();
+  d.dst_ip = b.ip();
+  d.src_port = 600;
+  d.dst_port = 500;
+  d.ttl = 9;
+  d.payload = util::to_bytes("breaker 57 open");
+  const EthernetFrame frame{a.mac(), b.mac(), EtherType::kIpv4, d.encode()};
+  b.handle_frame(0, frame);
+  ASSERT_EQ(delivered.size(), 1u);
+  const auto expected = Datagram::decode(frame.payload);
+  ASSERT_TRUE(expected);
+  EXPECT_EQ(delivered[0].src_ip, expected->src_ip);
+  EXPECT_EQ(delivered[0].dst_ip, expected->dst_ip);
+  EXPECT_EQ(delivered[0].src_port, expected->src_port);
+  EXPECT_EQ(delivered[0].dst_port, expected->dst_port);
+  EXPECT_EQ(delivered[0].ttl, 9);
+  EXPECT_EQ(delivered[0].payload, expected->payload);
+  ASSERT_EQ(sniffed.size(), 1u);
+  EXPECT_EQ(sniffed[0].payload, frame.payload);  // the sniffer saw it whole
+
+  // A promiscuous NIC sniffs a frame for another host, whole, and
+  // delivers nothing upward.
+  b.set_promiscuous(0, true);
+  const EthernetFrame other{a.mac(), MacAddress::from_id(7), EtherType::kIpv4,
+                            d.encode()};
+  b.handle_frame(0, other);
+  ASSERT_EQ(sniffed.size(), 2u);
+  EXPECT_EQ(sniffed[1].payload, other.payload);
+  EXPECT_EQ(delivered.size(), 1u);
+
+  // ARP: the sniffer sees the request and the host still answers it.
+  ArpPacket req;
+  req.sender_mac = a.mac();
+  req.sender_ip = a.ip();
+  req.target_ip = b.ip();
+  const EthernetFrame arp{a.mac(), MacAddress::broadcast(), EtherType::kArp,
+                          req.encode()};
+  b.handle_frame(0, arp);
+  ASSERT_EQ(sniffed.size(), 3u);
+  EXPECT_EQ(sniffed[2].payload, arp.payload);
+  EXPECT_EQ(b.arp_lookup(a.ip()), a.mac());  // learned from the request
+  sim.run();
+  EXPECT_EQ(a.arp_lookup(b.ip()), b.mac());  // b's reply reached a
 }
 
 TEST_F(NetFixture, CableIsPointToPoint) {

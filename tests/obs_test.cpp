@@ -483,6 +483,62 @@ TEST(MetricsHotPath, SealedOverlayLinksAllocateLikeUnsealedOnes) {
       << "sealed links allocate per packet beyond the unsealed path";
 }
 
+TEST(MetricsHotPath, FloodDuplicateIsDroppedWithoutDecoding) {
+  // A data body whose (src, msg_seq) the receiver has already seen is
+  // dropped over the frame's own bytes: from the wire to the dedup
+  // drop, nothing is allocated (a full DataBody decode would copy the
+  // payload).
+  sim::Simulator sim;
+  net::Network network{sim};
+  crypto::Keyring keyring{"alloc-test"};
+  net::Switch& sw = network.add_switch(net::SwitchConfig{});
+  spines::Overlay overlay(sim, keyring, spines::DaemonConfig{});
+  std::vector<net::Host*> hosts;
+  for (std::uint8_t i = 0; i < 2; ++i) {
+    net::Host& host = network.add_host("h" + std::to_string(i));
+    host.add_interface(net::MacAddress::from_id(i + 1u),
+                       net::IpAddress::make(10, 0, 0, i + 1), 24);
+    network.connect(host, 0, sw);
+    overlay.add_node("n" + std::to_string(i), host);
+    hosts.push_back(&host);
+  }
+  overlay.add_link("n0", "n1");
+  overlay.build();
+  overlay.start_all();
+  sim.run_until(3 * sim::kSecond);
+
+  spines::DataBody data;
+  data.src = "n0";
+  data.dst = "n1";
+  data.dst_port = 40;
+  data.msg_seq = 4242;
+  data.payload = util::Bytes(150, 0xAB);
+  const util::Bytes body = data.encode();
+  crypto::SecureChannel channel(spines::link_direction_key(
+      keyring.link_key("n0", "n1"), "n0"));
+  const auto frame = [&](std::uint64_t link_seq) {
+    spines::LinkEnvelope env;
+    env.sender = "n0";
+    env.sealed = true;
+    env.body = channel.seal(
+        spines::InnerPacket{spines::PacketType::kData, link_seq, body}.encode());
+    return net::EthernetFrame{
+        hosts[0]->mac(), hosts[1]->mac(), net::EtherType::kIpv4,
+        net::Datagram{hosts[0]->ip(), hosts[1]->ip(), spines::kDefaultDaemonPort,
+                      spines::kDefaultDaemonPort, 64, env.encode()}
+            .encode()};
+  };
+  const spines::Daemon& receiver = overlay.daemon("n1");
+  hosts[1]->handle_frame(0, frame(1'000'000));  // first copy: decoded
+  const std::uint64_t drops = receiver.stats().dropped_dedup;
+  net::EthernetFrame duplicate = frame(1'000'001);
+  const std::uint64_t before = g_alloc_count.load();
+  hosts[1]->handle_frame(0, std::move(duplicate));
+  const std::uint64_t allocations = g_alloc_count.load() - before;
+  EXPECT_EQ(receiver.stats().dropped_dedup, drops + 1);
+  EXPECT_EQ(allocations, 0u) << "the duplicate was decoded before it was dropped";
+}
+
 TEST(MetricsHotPath, HmiDeltaAdoptionAllocatesAConstantNotPerRecord) {
   // One 256-record delta from all four replicas: the first two verify,
   // vote and adopt it in place, the last two are stale and dropped.

@@ -187,9 +187,11 @@ TEST(Simulator, CancelEdgeCasesLeaveQueueIntact) {
     EXPECT_FALSE(sim.cancel(self));
     order.push_back(4);
   });
+  EXPECT_EQ(sim.pending(), 2u);  // `live` and `self`
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 4}));
   EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_FALSE(sim.cancel(live));  // fired, so no longer cancellable
 }
 
 // Cancel-heavy churn: enough tombstones to trigger heap compaction and

@@ -44,6 +44,26 @@ std::optional<PacketType> sealed_type(const crypto::SecureChannel& channel,
   return static_cast<PacketType>(inner->front());
 }
 
+/// A frame that carries `body` from host `from` to host `to` as a
+/// sealed inner packet of `type`, exactly as daemon `sender` would seal
+/// it for daemon `receiver`.
+net::EthernetFrame sealed_frame(const crypto::Keyring& keyring,
+                                const net::Host& from, const net::Host& to,
+                                const NodeId& sender, const NodeId& receiver,
+                                PacketType type, std::uint64_t link_seq,
+                                const util::Bytes& body) {
+  crypto::SecureChannel channel = link_channel(keyring, sender, receiver);
+  LinkEnvelope env;
+  env.sender = sender;
+  env.sealed = true;
+  env.body = channel.seal(InnerPacket{type, link_seq, body}.encode());
+  return net::EthernetFrame{
+      from.mac(), to.mac(), net::EtherType::kIpv4,
+      net::Datagram{from.ip(), to.ip(), kDefaultDaemonPort, kDefaultDaemonPort,
+                    64, env.encode()}
+          .encode()};
+}
+
 struct OverlayFixture : ::testing::Test {
   sim::Simulator sim;
   net::Network network{sim};
@@ -128,6 +148,41 @@ TEST_F(OverlayFixture, FloodModeDeliversAndDeduplicates) {
   settle(500 * sim::kMillisecond);
   EXPECT_EQ(deliveries, 1);
   EXPECT_GT(overlay->daemon(node(3)).stats().dropped_dedup, 0u);
+}
+
+TEST_F(OverlayFixture, MalformedDataBodyLeavesTheDedupRingUntouched) {
+  // A neighbor with valid link keys sends a data body the decoder
+  // rejects (priority 7), then the well-formed body with the same
+  // (src, msg_seq): the first must not have claimed the dedup slot.
+  build(2, {{0, 1}});
+  settle();
+  int deliveries = 0;
+  overlay->daemon(node(1)).open_session(40, [&](const DataBody&) { ++deliveries; });
+  DataBody data;
+  data.src = node(0);
+  data.dst = node(1);
+  data.src_port = 40;
+  data.dst_port = 40;
+  data.msg_seq = 777;
+  data.payload = util::to_bytes("breaker 57 open");
+  const util::Bytes good = data.encode();
+  util::Bytes bad = good;
+  bad[4 + data.src.size() + 4 + data.dst.size() + 2 + 2] = 7;  // priority
+  ASSERT_FALSE(DataBody::decode(bad));
+  const auto deliver = [&](std::uint64_t link_seq, const util::Bytes& body) {
+    hosts[1]->handle_frame(0, sealed_frame(keyring, *hosts[0], *hosts[1], node(0),
+                                           node(1), PacketType::kData, link_seq,
+                                           body));
+  };
+  const DaemonStats before = overlay->daemon(node(1)).stats();
+  deliver(1'000'000, bad);
+  deliver(1'000'001, good);
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(overlay->daemon(node(1)).stats().dropped_dedup, before.dropped_dedup);
+  // The same body again is a flood duplicate: counted, not delivered.
+  deliver(1'000'002, good);
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(overlay->daemon(node(1)).stats().dropped_dedup, before.dropped_dedup + 1);
 }
 
 TEST_F(OverlayFixture, FloodModeSurvivesNodeFailure) {
