@@ -757,7 +757,7 @@ Outcome withholding_relay(Trial& t) {
       r.spire.internal_overlay().daemon("int" + std::to_string(traitor));
   constexpr sim::Time kRowBound = 60 * sim::kSecond;
   sim::ChaosHooks hooks;
-  hooks.set_link_quality = [&r](double loss, sim::Time /*jitter*/) {
+  hooks.set_link_quality = [&r](double loss) {
     r.spire.internal_switch().set_chaos(loss);
   };
   sim::ChaosInjector chaos(r.sim, std::move(hooks));

@@ -143,9 +143,14 @@ int main() {
   };
 
   // --- MANA 1-3 (out-of-band taps, Fig. 3) ----------------------------------
-  mana::Mana mana1(mana::ManaConfig{.network = "enterprise"});
-  mana::Mana mana2(mana::ManaConfig{.network = "operations-spire"});
-  mana::Mana mana3(mana::ManaConfig{.network = "operations-commercial"});
+  const auto mana_on = [](const char* network) {
+    mana::ManaConfig cfg;
+    cfg.network = network;
+    return cfg;
+  };
+  mana::Mana mana1(mana_on("enterprise"));
+  mana::Mana mana2(mana_on("operations-spire"));
+  mana::Mana mana3(mana_on("operations-commercial"));
 
   // --- bring everything up, then train the models ---------------------------
   spire_sys.start();

@@ -44,7 +44,9 @@ int main() {
   config.cycler_interval = 1 * sim::kSecond;
   scada::SpireDeployment spire_sys(sim, config);
 
-  mana::Mana ids(mana::ManaConfig{.network = "operations-spire"});
+  mana::ManaConfig ids_config;
+  ids_config.network = "operations-spire";
+  mana::Mana ids(ids_config);
   spire_sys.start();
   sim.run_until(5 * sim::kSecond);
   spire_sys.external_switch().add_tap(

@@ -8,6 +8,16 @@
 
 namespace spire::mana {
 
+namespace {
+constexpr std::size_t kClusters = 4;
+/// k-means anomaly threshold = this multiple of the max training
+/// distance.
+constexpr double kThresholdSlack = 1.5;
+/// Votes (of kVotingDetectors) required for an ensemble
+/// anomalous-window alert.
+constexpr std::size_t kMinVotes = 2;
+}  // namespace
+
 Mana::Mana(ManaConfig config)
     : config_(std::move(config)),
       network_id_(net::NetworkLabels::instance().intern(config_.network)),
@@ -17,15 +27,8 @@ Mana::Mana(ManaConfig config)
       extractor_(config_.window,
                  [this](const WindowFeatures& f) { on_window(f); },
                  config_.features),
-      rules_(
-          [&] {
-            RuleConfig rc = config_.rules;
-            rc.port_scan_threshold = config_.port_scan_threshold;
-            rc.flood_multiplier = config_.flood_multiplier;
-            return rc;
-          }(),
-          [this](const RuleFinding& f) { on_finding(f); }),
-      ocsvm_(WindowFeatures::kDim, config_.ocsvm),
+      rules_(config_.rules, [this](const RuleFinding& f) { on_finding(f); }),
+      ocsvm_(WindowFeatures::kDim),
       metrics_("mana." + config_.network) {
   normalized_.resize(WindowFeatures::kDim);
   metrics_.counter("frames_mirrored", &tap_.stats().frames_mirrored);
@@ -84,7 +87,7 @@ void Mana::on_window(const WindowFeatures& features) {
   if (oc_ratio > 1.0) votes |= vote_bit(DetectorId::kOcSvm);
   if (rules_.last_window_findings() > 0) votes |= vote_bit(DetectorId::kRules);
 
-  if (static_cast<std::size_t>(std::popcount(votes)) >= config_.min_votes) {
+  if (static_cast<std::size_t>(std::popcount(votes)) >= kMinVotes) {
     ++stats_.windows_anomalous;
     // Attribute the anomaly to the most deviant feature for the
     // operator board.
@@ -157,12 +160,12 @@ void Mana::finish_training() {
     normalized.push_back(std::move(n));
   }
 
-  model_ = kmeans_fit(normalized, config_.clusters, rng_);
+  model_ = kmeans_fit(normalized, kClusters, rng_);
   double max_distance = 0;
   for (const auto& w : normalized) {
     max_distance = std::max(max_distance, model_->nearest_distance(w));
   }
-  threshold_ = std::max(1e-6, max_distance) * config_.threshold_slack;
+  threshold_ = std::max(1e-6, max_distance) * kThresholdSlack;
   ocsvm_.fit(normalized);
   rules_.finish_training();
   log_.info("trained on ", training_windows_.size(), " windows; kmeans thr ",

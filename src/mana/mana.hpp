@@ -16,7 +16,7 @@
 //            k-means        one-class SVM         RuleEngine
 //          (distance)      (RFF distance)     (per-substation watch)
 //               └──────────────┴───────────┬──────────┘
-//                              majority vote (≥ min_votes)
+//                              majority vote (≥ kMinVotes)
 //                                          │
 //                            Alert {detector, votes, args}
 //
@@ -46,19 +46,7 @@ namespace spire::mana {
 struct ManaConfig {
   std::string network;  ///< label, e.g. "operations-spire"
   sim::Time window = 1 * sim::kSecond;
-  std::size_t clusters = 4;
-  /// k-means anomaly threshold = this multiple of the max training
-  /// distance.
-  double threshold_slack = 1.5;
-  std::size_t port_scan_threshold = 15;  ///< distinct dst ports per src
-  /// Flood alert when a window carries this multiple of the busiest
-  /// training window (global and per substation).
-  double flood_multiplier = 2.0;
-  /// Votes (of kVotingDetectors) required for an ensemble
-  /// anomalous-window alert.
-  std::size_t min_votes = 2;
-  OcSvmConfig ocsvm;
-  RuleConfig rules;  ///< port_scan_threshold / flood_multiplier above win
+  RuleConfig rules;
   FeatureConfig features;
   net::CaptureTapConfig tap;
   std::uint64_t seed = 0x4D414E41;  // "MANA"
@@ -118,10 +106,6 @@ class Mana {
     return stats_.windows_anomalous;
   }
   [[nodiscard]] double threshold() const { return threshold_; }
-  [[nodiscard]] net::NetworkId network_id() const { return network_id_; }
-
-  /// Clears the alert list (between experiment phases).
-  void clear_alerts() { alerts_.clear(); }
 
  private:
   void process_summary(const net::FrameSummary& summary);

@@ -16,34 +16,11 @@
 #include <span>
 #include <vector>
 
-#include "sim/rng.hpp"
-
 namespace spire::mana {
-
-struct OcSvmConfig {
-  std::size_t features = 64;  ///< random Fourier dimension D
-  /// RBF width (inputs are z-normalized). Kept small on purpose: with
-  /// a wide gamma every pair of windows lifts to near-orthogonal RFF
-  /// vectors, the training radius sits at the kernel's saturation
-  /// ceiling, and no outlier can clear a multiplicative slack. A
-  /// narrow gamma keeps baseline windows correlated (small radius)
-  /// while genuinely anomalous windows still decorrelate.
-  double gamma = 0.01;
-  /// Threshold = this multiple of the training-radius quantile below.
-  double threshold_slack = 1.3;
-  /// Radius quantile the slack multiplies (the ν knob): using the max
-  /// lets a single outlier training window — lifted near the RFF
-  /// saturation ceiling, where every dissimilar point lands — push the
-  /// threshold past any reachable score. Tolerating a small fraction
-  /// of training outliers keeps the boundary inside the reachable
-  /// range.
-  double train_quantile = 0.9;
-  std::uint64_t seed = 0x4F435356;  // "OCSV"
-};
 
 class OcSvm {
  public:
-  OcSvm(std::size_t input_dim, OcSvmConfig config);
+  explicit OcSvm(std::size_t input_dim);
 
   /// Fits centroid + radius threshold on z-normalized training windows.
   void fit(const std::vector<std::vector<double>>& normalized_windows);
@@ -61,7 +38,6 @@ class OcSvm {
   void lift(std::span<const double> x, std::vector<double>& z) const;
 
   std::size_t input_dim_;
-  OcSvmConfig config_;
   std::vector<double> omega_;   // D × input_dim frequencies, row-major
   std::vector<double> phase_;   // D
   std::vector<double> center_;  // D

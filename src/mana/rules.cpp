@@ -10,11 +10,20 @@ constexpr std::uint32_t substation_of(std::uint32_t ip) {
   return ip & 0xFFFFFF00u;  // /24 base
 }
 
+constexpr std::size_t kPortScanThreshold = 15;  ///< distinct dst ports per src
+/// Flood alert when a window carries this multiple of the busiest
+/// training window (globally or per substation). SCADA traffic is
+/// highly regular (§V), so 2x the observed maximum is still far above
+/// benign variation.
+constexpr double kFloodMultiplier = 2.0;
+/// Minimum absolute per-substation ceiling, so a subnet that was nearly
+/// silent in training doesn't alert on two frames.
+constexpr std::uint64_t kMinSubstationCeiling = 64;
+
 }  // namespace
 
 RuleEngine::RuleEngine(RuleConfig config, FindingSink sink)
-    : config_(config),
-      sink_(std::move(sink)),
+    : sink_(std::move(sink)),
       port_pairs_(config.max_tracked_sources * 4),
       ports_per_src_(config.max_tracked_sources),
       substation_frames_(config.max_substations) {}
@@ -67,10 +76,10 @@ void RuleEngine::on_frame(const net::FrameSummary& s) {
     // Fire exactly at the crossing so a scan is reported once per
     // window, at the frame that crossed the line (latency beats
     // window-close reporting by most of a window).
-    if (distinct == config_.port_scan_threshold) {
+    if (distinct == kPortScanThreshold) {
       emit(RuleFinding{
           AlertKind::kPortScan, s.time, 1.0,
-          {s.src_ip, distinct, config_.port_scan_threshold}});
+          {s.src_ip, distinct, kPortScanThreshold}});
     }
   }
 }
@@ -86,7 +95,7 @@ void RuleEngine::close_window(sim::Time /*window_start*/,
   } else {
     if (global_ceiling_ > 0) {
       const double limit =
-          static_cast<double>(global_ceiling_) * config_.flood_multiplier;
+          static_cast<double>(global_ceiling_) * kFloodMultiplier;
       if (static_cast<double>(window_frames_) > limit) {
         emit(RuleFinding{
             AlertKind::kTrafficFlood, window_end,
@@ -103,9 +112,9 @@ void RuleEngine::close_window(sim::Time /*window_start*/,
       const std::uint64_t base =
           it != substation_ceiling_.end() ? it->second : 0;
       const std::uint64_t ceiling = std::max(
-          config_.min_substation_ceiling,
+          kMinSubstationCeiling,
           static_cast<std::uint64_t>(static_cast<double>(base) *
-                                     config_.flood_multiplier));
+                                     kFloodMultiplier));
       if (n > ceiling) {
         emit(RuleFinding{AlertKind::kSubstationFlood, window_end,
                          static_cast<double>(n) /

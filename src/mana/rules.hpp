@@ -33,15 +33,6 @@
 namespace spire::mana {
 
 struct RuleConfig {
-  std::size_t port_scan_threshold = 15;  ///< distinct dst ports per src
-  /// Flood alert when a window carries this multiple of the busiest
-  /// training window (globally or per substation). SCADA traffic is
-  /// highly regular (§V), so 2x the observed maximum is still far
-  /// above benign variation.
-  double flood_multiplier = 2.0;
-  /// Minimum absolute per-substation ceiling, so a subnet that was
-  /// nearly silent in training doesn't alert on two frames.
-  std::uint64_t min_substation_ceiling = 64;
   std::size_t max_tracked_sources = 2048;   ///< port fan-out table
   std::size_t max_substations = 256;        ///< per-/24 counters
 };
@@ -77,14 +68,9 @@ class RuleEngine {
     return last_window_findings_;
   }
 
-  [[nodiscard]] std::uint64_t baseline_max_window_frames() const {
-    return global_ceiling_;
-  }
-
  private:
   void emit(const RuleFinding& finding);
 
-  RuleConfig config_;
   FindingSink sink_;
   bool trained_ = false;
 

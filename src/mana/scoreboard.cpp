@@ -6,8 +6,6 @@
 
 namespace spire::mana {
 
-ScoreBoard::ScoreBoard(ScoreBoardConfig config) : config_(config) {}
-
 void ScoreBoard::attack_begin(std::string name, sim::Time start,
                               std::vector<AlertKind> expected) {
   if (obs::Tracer* tracer = obs::Tracer::current()) {
@@ -41,11 +39,14 @@ void ScoreBoard::add_label(AttackLabel label) {
   attacks_.push_back(std::move(attack));
 }
 
+/// Alerts within [start, end + kGrace] count toward the attack.
+constexpr sim::Time kGrace = 2 * sim::kSecond;
+
 ScoreBoard::PendingAttack* ScoreBoard::match(const Alert& alert) {
   for (PendingAttack& attack : attacks_) {
     const AttackLabel& label = attack.label;
     if (alert.at < label.start) continue;
-    if (label.end != 0 && alert.at > label.end + config_.grace) continue;
+    if (label.end != 0 && alert.at > label.end + kGrace) continue;
     if (!label.expected.empty() &&
         std::find(label.expected.begin(), label.expected.end(), alert.kind) ==
             label.expected.end()) {

@@ -29,11 +29,6 @@
 
 namespace spire::mana {
 
-struct ScoreBoardConfig {
-  /// Alerts within [start, end + grace] count toward the attack.
-  sim::Time grace = 2 * sim::kSecond;
-};
-
 struct AttackLabel {
   std::string name;
   sim::Time start = 0;
@@ -83,8 +78,6 @@ struct AttackOutcome {
 
 class ScoreBoard {
  public:
-  explicit ScoreBoard(ScoreBoardConfig config = {});
-
   /// Ground-truth labeling. attack_begin leaves the interval open;
   /// attack_end closes the most recent open label with that name.
   /// Both mirror into obs::Tracer markers when tracing is active.
@@ -134,7 +127,6 @@ class ScoreBoard {
 
   [[nodiscard]] PendingAttack* match(const Alert& alert);
 
-  ScoreBoardConfig config_;
   std::vector<PendingAttack> attacks_;
   std::array<DetectorScore, kVotingDetectors + 1> scores_{};
   std::vector<AttackOutcome> outcomes_;

@@ -285,24 +285,11 @@ void Host::forward_datagram(Datagram dgram) {
     return;
   }
 
-  // Longest-prefix match over static routes, then directly attached nets.
-  std::optional<Route> best;
-  for (const auto& route : routes_) {
-    if (!dgram.dst_ip.same_subnet(route.prefix, route.prefix_len)) continue;
-    if (!best || route.prefix_len > best->prefix_len) best = route;
-  }
-  std::size_t iface;
-  IpAddress next_hop = dgram.dst_ip;
-  if (best) {
-    iface = best->out_interface;
-    if (best->next_hop) next_hop = *best->next_hop;
-  } else if (auto direct = interface_for(dgram.dst_ip)) {
-    iface = *direct;
-  } else {
-    return;
-  }
+  // Forward onto the directly attached net that holds the destination.
+  const auto iface = interface_for(dgram.dst_ip);
+  if (!iface) return;
   ++stats_.forwarded;
-  transmit_datagram(iface, next_hop, dgram);
+  transmit_datagram(*iface, dgram.dst_ip, dgram);
 }
 
 }  // namespace spire::net

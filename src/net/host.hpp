@@ -62,13 +62,6 @@ struct ForwardRule {
   std::optional<std::uint16_t> dst_port;
 };
 
-struct Route {
-  IpAddress prefix;
-  int prefix_len = 24;
-  std::size_t out_interface = 0;
-  std::optional<IpAddress> next_hop;  ///< empty: directly attached.
-};
-
 struct HostStats {
   std::uint64_t frames_rx = 0;
   std::uint64_t datagrams_delivered = 0;
@@ -144,7 +137,6 @@ class Host {
 
   // ---- forwarding (firewall appliance / router) --------------------------
   void enable_forwarding(bool default_deny);
-  void add_route(Route route) { routes_.push_back(route); }
   void add_forward_allow(ForwardRule rule) { forward_allow_.push_back(rule); }
 
   // ---- attacker-facing hooks ---------------------------------------------
@@ -211,7 +203,6 @@ class Host {
   bool forwarding_ = false;
   bool forward_default_deny_ = true;
   std::vector<ForwardRule> forward_allow_;
-  std::vector<Route> routes_;
 
   FrameSniffer sniffer_;
   PacketInterceptor interceptor_;

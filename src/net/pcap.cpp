@@ -52,6 +52,11 @@ std::size_t round_pow2(std::size_t n) {
   return p;
 }
 
+/// Occupancy fraction above which the tap enters sampling mode.
+constexpr double kSampleHighWatermark = 0.75;
+/// Occupancy fraction below which sampling mode ends.
+constexpr double kSampleLowWatermark = 0.25;
+
 }  // namespace
 
 CaptureTap::CaptureTap(CaptureTapConfig config) : config_(config) {
@@ -59,9 +64,9 @@ CaptureTap::CaptureTap(CaptureTapConfig config) : config_(config) {
   ring_.resize(slots);
   mask_ = slots - 1;
   high_slots_ = static_cast<std::size_t>(
-      static_cast<double>(slots) * config_.sample_high_watermark);
+      static_cast<double>(slots) * kSampleHighWatermark);
   low_slots_ = static_cast<std::size_t>(
-      static_cast<double>(slots) * config_.sample_low_watermark);
+      static_cast<double>(slots) * kSampleLowWatermark);
   if (high_slots_ >= slots) high_slots_ = slots - 1;
 }
 

@@ -111,10 +111,6 @@ struct FrameSummary {
 struct CaptureTapConfig {
   /// Ring capacity in slots; rounded up to a power of two.
   std::size_t ring_slots = 8192;
-  /// Occupancy fraction above which the tap enters sampling mode.
-  double sample_high_watermark = 0.75;
-  /// Occupancy fraction below which sampling mode ends.
-  double sample_low_watermark = 0.25;
   /// Keep 1 in N frames while sampling (doubles on a hard-full drop,
   /// up to kMaxStride, so a sustained flood converges to a stride the
   /// drain rate can absorb).

@@ -82,7 +82,6 @@ class Switch {
 
   [[nodiscard]] const SwitchStats& stats() const { return stats_; }
   [[nodiscard]] const SwitchConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t port_count() const { return ports_.size(); }
 
  private:
   struct Port {

@@ -4,6 +4,8 @@
 
 namespace spire::plc {
 
+constexpr std::size_t kReadingsPerDevice = 2;
+
 EmulatedFleet::EmulatedFleet(sim::Simulator& sim, FleetConfig config,
                              SinkFn sink)
     : sim_(sim),
@@ -17,7 +19,7 @@ EmulatedFleet::EmulatedFleet(sim::Simulator& sim, FleetConfig config,
     Device d;
     d.name = "fd" + std::to_string(i);
     d.breakers.assign(config_.breakers_per_device, true);  // energized
-    d.readings.assign(config_.readings_per_device, 0);
+    d.readings.assign(kReadingsPerDevice, 0);
     for (auto& reading : d.readings) {
       reading = static_cast<std::uint16_t>(rng_.uniform(100, 900));
     }

@@ -33,7 +33,6 @@ namespace spire::plc {
 struct FleetConfig {
   std::size_t devices = 1000;
   std::size_t breakers_per_device = 2;
-  std::size_t readings_per_device = 2;
   /// Per-device reporting period; the fleet is swept in slices so the
   /// emitted load spreads evenly across the period.
   sim::Time report_interval = 500 * sim::kMillisecond;

@@ -10,6 +10,10 @@ namespace spire::prime {
 namespace {
 constexpr int kStateTransferFallbackAttempts = 100;  // ~5 s of retries
 constexpr std::uint64_t kSlotRetention = 1024;
+/// A non-leader suspects a leader silent this long (polled at a quarter
+/// of it).
+constexpr sim::Time kSuspectTimeout = 1 * sim::kSecond;
+constexpr sim::Time kReconInterval = 50 * sim::kMillisecond;
 }  // namespace
 
 Replica::Replica(sim::Simulator& sim, ReplicaId id, PrimeConfig config,
@@ -190,9 +194,9 @@ void Replica::arm_timers() {
                       [this, epoch] { po_aru_tick(epoch); });
   sim_.schedule_after(config_.preprepare_interval,
                       [this, epoch] { preprepare_tick(epoch); });
-  sim_.schedule_after(config_.suspect_timeout / 4,
+  sim_.schedule_after(kSuspectTimeout / 4,
                       [this, epoch] { suspect_tick(epoch); });
-  sim_.schedule_after(config_.recon_interval,
+  sim_.schedule_after(kReconInterval,
                       [this, epoch] { recon_tick(epoch); });
 }
 
@@ -686,7 +690,7 @@ void Replica::po_aru_tick(std::uint64_t epoch) {
   const bool changed = !last || last->aru != recv_aru_;
   const bool heartbeat_due =
       !last_po_aru_sent_ ||
-      sim_.now() - *last_po_aru_sent_ >= config_.leader_heartbeat;
+      sim_.now() - *last_po_aru_sent_ >= kLeaderHeartbeat;
   if (!changed && !heartbeat_due) return;
   last_po_aru_sent_ = sim_.now();
   ++stats_.po_arus_sent;
@@ -758,6 +762,9 @@ void Replica::handle_po_aru(const Envelope& env) {
 
 // ---- ordering ---------------------------------------------------------------
 
+/// Max outstanding Pre-Prepares beyond the highest committed sequence.
+constexpr std::uint64_t kOrderingWindow = 16;
+
 void Replica::preprepare_tick(std::uint64_t epoch) {
   if (epoch != epoch_ || !running_) return;
   sim_.schedule_after(config_.preprepare_interval,
@@ -767,7 +774,7 @@ void Replica::preprepare_tick(std::uint64_t epoch) {
   if (view_start_.count(view_) && next_order_seq_ < view_start_[view_]) {
     next_order_seq_ = view_start_[view_];
   }
-  if (next_order_seq_ > highest_committed_ + config_.ordering_window) return;
+  if (next_order_seq_ > highest_committed_ + kOrderingWindow) return;
 
   PrePrepare pp;
   pp.leader = id_;
@@ -795,7 +802,7 @@ void Replica::preprepare_tick(std::uint64_t epoch) {
   // immutable objects, so pointer equality decides freshness.
   const bool fresh = !last_prop_valid_ || pp.rows != last_prop_rows_;
   const bool heartbeat_due =
-      sim_.now() - last_preprepare_sent_ >= config_.leader_heartbeat;
+      sim_.now() - last_preprepare_sent_ >= kLeaderHeartbeat;
   if (!fresh && !heartbeat_due) return;
   last_preprepare_sent_ = sim_.now();
 
@@ -855,7 +862,7 @@ void Replica::preprepare_tick(std::uint64_t epoch) {
   // performance attack. Seal and install the proposal locally now (the
   // attacker looks current to itself and can serve MatrixFetches), but
   // hold the broadcast back; with reordering, release held proposals
-  // pairwise swapped. Below turnaround_bound this is invisible — that
+  // pairwise swapped. Below kTurnaroundBound this is invisible — that
   // is the bounded-delay guarantee, the damage is capped, not zero.
   if (byz_.preprepare_delay > 0 || byz_.reorder_preprepares) {
     util::Bytes wire = Envelope::seal(MsgType::kPrePrepare, signer_, body);
@@ -1292,13 +1299,11 @@ void Replica::apply_matrix(std::uint64_t seq) {
         if (update.client_seq <= executed) continue;  // cross-origin dup
         executed = update.client_seq;
         ++stats_.updates_executed;
-        const ExecutionInfo info{seq, i, s};
-        app_.apply(update, info);
+        app_.apply(update, ExecutionInfo{seq, i, s});
         if (tracer != nullptr) {
           tracer->executed(update.client, update.client_seq, slot.pp_at,
                            slot.commit_at);
         }
-        if (observer_) observer_(update, info);
       }
     }
     exec_aru_[i] = std::max(exec_aru_[i], elig[i]);
@@ -1332,8 +1337,11 @@ void Replica::apply_matrix(std::uint64_t seq) {
   }
 }
 
+/// Applied matrices per checkpoint.
+constexpr std::uint64_t kCheckpointInterval = 16;
+
 void Replica::maybe_checkpoint() {
-  if (applied_seq_ % config_.checkpoint_interval != 0) return;
+  if (applied_seq_ % kCheckpointInterval != 0) return;
   util::Bytes blob = snapshot_bundle();
   Checkpoint cp;
   cp.replica = id_;
@@ -1376,13 +1384,13 @@ void Replica::handle_checkpoint(const Envelope& env, const util::Bytes& raw) {
 
 void Replica::suspect_tick(std::uint64_t epoch) {
   if (epoch != epoch_ || !running_) return;
-  sim_.schedule_after(config_.suspect_timeout / 4,
+  sim_.schedule_after(kSuspectTimeout / 4,
                       [this, epoch] { suspect_tick(epoch); });
   if (acting_crashed()) return;
   ++stats_.suspect_ticks;
   if (is_leader()) return;
 
-  if (sim_.now() - last_leader_activity_ > config_.suspect_timeout) {
+  if (sim_.now() - last_leader_activity_ > kSuspectTimeout) {
     log_.debug("leader of view ", view_, " silent; suspecting");
     suspect(view_ + 1);
     return;
@@ -1396,7 +1404,7 @@ void Replica::suspect_tick(std::uint64_t epoch) {
   // Turnaround bound (delay-attack defense): our PO-ARU must appear in
   // the leader's matrices within the bound.
   if (!turnaround_.empty() &&
-      age_of(turnaround_.front().first) > config_.turnaround_bound) {
+      age_of(turnaround_.front().first) > kTurnaroundBound) {
     ++stats_.turnaround_suspects;
     log_.debug("leader of view ", view_,
                " not reflecting our PO-ARUs; suspecting");
@@ -1408,7 +1416,7 @@ void Replica::suspect_tick(std::uint64_t epoch) {
   // broadcast before a crash legitimately goes un-included, and under
   // loss chaos a sample's covering matrix can simply be late, so only
   // persistent exclusion clears the bar.
-  const sim::Time peer_bound = 2 * config_.turnaround_bound;
+  const sim::Time peer_bound = 2 * kTurnaroundBound;
   for (ReplicaId r = 0; r < config_.n(); ++r) {
     if (r == id_) continue;
     const auto& pending = peer_turnaround_[r];
@@ -1690,7 +1698,7 @@ void Replica::handle_new_view(const Envelope& env) {
 
 void Replica::recon_tick(std::uint64_t epoch) {
   if (epoch != epoch_ || !running_) return;
-  sim_.schedule_after(config_.recon_interval,
+  sim_.schedule_after(kReconInterval,
                       [this, epoch] { recon_tick(epoch); });
   if (acting_crashed()) return;
 
@@ -1941,13 +1949,15 @@ void Replica::begin_state_transfer() {
   recover();
 }
 
+constexpr sim::Time kStateRetryInterval = 300 * sim::kMillisecond;
+
 void Replica::recovery_tick(std::uint64_t epoch) {
   if (epoch != epoch_ || !running_ || !recovering_) return;
   StateReq req;
   req.nonce = state_nonce_;
   ++stats_.state_reqs_sent;
   send_envelope(MsgType::kStateReq, req.encode());
-  sim_.schedule_after(config_.state_retry_interval,
+  sim_.schedule_after(kStateRetryInterval,
                       [this, epoch] { recovery_tick(epoch); });
 }
 

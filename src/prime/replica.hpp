@@ -45,22 +45,19 @@ struct PrimeConfig {
 
   sim::Time po_request_interval = 10 * sim::kMillisecond;  ///< batch flush
   /// PO-ARU tick. A tick signs and sends a row only when it differs from
-  /// the last one sent, or when leader_heartbeat has passed since it.
+  /// the last one sent, or when kLeaderHeartbeat has passed since it.
   sim::Time po_aru_interval = 20 * sim::kMillisecond;
   sim::Time preprepare_interval = 30 * sim::kMillisecond;
-  /// Idle heartbeat: leader re-sends a Pre-Prepare at least this often.
-  sim::Time leader_heartbeat = 200 * sim::kMillisecond;
-  sim::Time suspect_timeout = 1 * sim::kSecond;
-  /// Max age of an un-included own PO-ARU before the leader is suspected
-  /// (turnaround bound; the Prime delay-attack defense).
-  sim::Time turnaround_bound = 800 * sim::kMillisecond;
-  sim::Time recon_interval = 50 * sim::kMillisecond;
-  sim::Time state_retry_interval = 300 * sim::kMillisecond;
-  std::uint64_t checkpoint_interval = 16;  ///< applied matrices per checkpoint
-  std::uint64_t ordering_window = 16;      ///< max outstanding Pre-Prepares
   /// Clients whose updates replicas accept (proxies, HMIs, tools).
   std::vector<std::string> client_identities;
 };
+
+/// Idle heartbeat: the leader re-sends a Pre-Prepare, and every replica
+/// its unchanged PO-ARU row, at least this often.
+constexpr sim::Time kLeaderHeartbeat = 200 * sim::kMillisecond;
+/// Max age of an un-included own PO-ARU before the leader is suspected
+/// (turnaround bound; the Prime delay-attack defense).
+constexpr sim::Time kTurnaroundBound = 800 * sim::kMillisecond;
 
 /// Behaviour override used by the attack framework for a compromised
 /// replica. A compromised replica still cannot forge other identities.
@@ -79,7 +76,7 @@ enum class ReplicaBehavior {
 struct ByzantineConfig {
   /// (a) Prime's signature performance attack: as leader, hold every
   /// Pre-Prepare back this long before it reaches the wire. Calibrated
-  /// just under `turnaround_bound` the delay is invisible to the
+  /// just under `kTurnaroundBound` the delay is invisible to the
   /// suspicion machinery (that is the point of the bounded-delay
   /// guarantee — the damage is bounded, not zero); above the bound the
   /// TAT defense must evict the leader.
@@ -183,11 +180,6 @@ class Replica {
   /// Survives crash/restart; cleared by recover().
   void set_byzantine(ByzantineConfig byz) { byz_ = std::move(byz); }
   [[nodiscard]] const ByzantineConfig& byzantine() const { return byz_; }
-
-  /// Observer invoked on every executed update (benches/tests).
-  using ExecuteObserver =
-      std::function<void(const ClientUpdate&, const ExecutionInfo&)>;
-  void set_execute_observer(ExecuteObserver obs) { observer_ = std::move(obs); }
 
   /// Observer fired when a recover()'s application-level state transfer
   /// completes (`recovering_` clears). The ProactiveRecovery scheduler
@@ -389,7 +381,7 @@ class Replica {
   std::vector<std::uint64_t> recv_aru_;      ///< contiguous receipt per origin
   std::uint64_t my_aru_seq_ = 0;
   /// When po_aru_tick last sent a row. It sends again when recv_aru_
-  /// moved or leader_heartbeat has passed; start, a recovery's rejoin
+  /// moved or kLeaderHeartbeat has passed; start, a recovery's rejoin
   /// and a view install reset this so the next tick sends.
   std::optional<sim::Time> last_po_aru_sent_;
   std::vector<PrePrepare::Row> latest_aru_;  ///< freshest verified per replica
@@ -506,7 +498,6 @@ class Replica {
   /// Exposes stats_ in the metrics registry; declared after it so the
   /// binder tombstones its entries before the fields go away.
   obs::Binder metrics_;
-  ExecuteObserver observer_;
   RecoveryDoneObserver recovery_done_observer_;
 };
 

@@ -50,11 +50,6 @@ class LoopbackFabric {
 
   void attach(ReplicaId id, Inbox inbox) { inboxes_.at(id) = std::move(inbox); }
 
-  /// Blocks/unblocks the directed link from -> to (partition injection).
-  void set_blocked(ReplicaId from, ReplicaId to, bool blocked) {
-    blocked_.at(from).at(to) = blocked;
-  }
-
   /// Isolates a replica entirely in both directions.
   void isolate(ReplicaId id, bool isolated) {
     for (std::size_t j = 0; j < inboxes_.size(); ++j) {

@@ -26,7 +26,6 @@ class ScadaClient {
   [[nodiscard]] const std::string& identity() const {
     return signer_.identity();
   }
-  [[nodiscard]] std::uint64_t updates_sent() const { return next_seq_ - 1; }
   /// Sequence number the next send() will use. Lets callers create
   /// tracer spans for a batch before handing it to send().
   [[nodiscard]] std::uint64_t peek_seq() const { return next_seq_; }

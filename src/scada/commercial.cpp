@@ -107,6 +107,9 @@ void CommercialMaster::poll_tick() {
   }
 }
 
+/// The backup takes over once the primary's heartbeat is this stale.
+constexpr sim::Time kFailoverTimeout = 2 * sim::kSecond;
+
 void CommercialMaster::heartbeat_tick() {
   if (!running_) return;
   sim_.schedule_after(config_.heartbeat_interval, [this] { heartbeat_tick(); });
@@ -118,7 +121,7 @@ void CommercialMaster::heartbeat_tick() {
                  hb.encode());
 
   if (!config_.is_primary && !active_ &&
-      sim_.now() - last_peer_heartbeat_ > config_.failover_timeout) {
+      sim_.now() - last_peer_heartbeat_ > kFailoverTimeout) {
     log_.warn("primary silent; backup taking over");
     active_ = true;
   }
@@ -190,6 +193,9 @@ net::IpAddress CommercialHmi::active_master() const {
   return using_backup_ ? config_.backup_ip : config_.primary_ip;
 }
 
+/// Unanswered polls in a row before the HMI switches masters.
+constexpr int kFailoverAfterMisses = 3;
+
 void CommercialHmi::poll_tick() {
   if (!running_) return;
   sim_.schedule_after(config_.poll_interval, [this] { poll_tick(); });
@@ -197,7 +203,7 @@ void CommercialHmi::poll_tick() {
   if (outstanding_txn_) {
     ++stats_.timeouts;
     ++consecutive_misses_;
-    if (consecutive_misses_ >= config_.failover_after_misses) {
+    if (consecutive_misses_ >= kFailoverAfterMisses) {
       using_backup_ = !using_backup_;
       consecutive_misses_ = 0;
       log_.warn("master unresponsive; switching to ",

@@ -59,7 +59,6 @@ struct CommercialMasterConfig {
   std::vector<CommercialDeviceLink> devices;
   sim::Time poll_interval = 1 * sim::kSecond;  ///< typical commercial rate
   sim::Time heartbeat_interval = 500 * sim::kMillisecond;
-  sim::Time failover_timeout = 2 * sim::kSecond;
 };
 
 class CommercialMaster {
@@ -95,8 +94,6 @@ struct CommercialHmiConfig {
   net::IpAddress primary_ip;
   net::IpAddress backup_ip;
   sim::Time poll_interval = 1 * sim::kSecond;
-  sim::Time reply_timeout = 700 * sim::kMillisecond;
-  int failover_after_misses = 3;
 };
 
 struct CommercialHmiStats {

@@ -515,7 +515,7 @@ std::unique_ptr<prime::ProactiveRecovery> SpireDeployment::make_recovery(
 
 std::unique_ptr<sim::ChaosInjector> SpireDeployment::make_chaos() {
   sim::ChaosHooks hooks;
-  hooks.set_link_quality = [this](double loss, sim::Time /*jitter*/) {
+  hooks.set_link_quality = [this](double loss) {
     internal_switch_->set_chaos(loss);
     external_switch_->set_chaos(loss);
   };

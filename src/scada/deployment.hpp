@@ -61,9 +61,7 @@ struct SiteTopology {
   [[nodiscard]] std::uint32_t site_count() const {
     return control_centers + data_centers;
   }
-  [[nodiscard]] bool multi_site() const { return site_count() > 1; }
 
-  static SiteTopology single_site() { return {}; }
   static SiteTopology two_cc_two_dc(sim::Time latency = 20 * sim::kMillisecond) {
     return SiteTopology{2, 2, latency};
   }
@@ -145,13 +143,6 @@ class SpireDeployment {
     return *external_switches_.at(site);
   }
 
-  /// Models a successful replica compromise (the red-team suite's
-  /// mid-soak stage): installs the scripted Byzantine behaviour on
-  /// replica `i`. A later proactive recovery wipes it.
-  void compromise_replica(std::size_t i, prime::ByzantineConfig byz) {
-    replicas_.at(i)->set_byzantine(std::move(byz));
-  }
-
   /// Actuates a breaker locally at the field device (the plant
   /// measurement device of §V), bypassing SCADA entirely.
   void flip_breaker_at_plc(const std::string& device, std::size_t index,
@@ -162,8 +153,7 @@ class SpireDeployment {
       prime::RecoveryConfig recovery_config);
 
   /// Builds a fault injector wired to the deployment's fault surfaces:
-  /// link degradation maps to chaos loss on both switches (the episode's
-  /// jitter bound is not applied: each switch port delivers in order),
+  /// link degradation maps to chaos loss on both switches,
   /// partitioning replica i stops its internal+external Spines daemons
   /// (sessions survive; the overlay reroutes around it), crash/restart
   /// maps to replica shutdown()/recover(). Script or randomize the

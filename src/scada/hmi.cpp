@@ -204,9 +204,13 @@ void Hmi::finish_adopt(std::uint64_t version) {
   }
 }
 
+/// Minimum spacing between ResyncRequests (masters answer each one with
+/// a full snapshot — keep a confused HMI from flooding them).
+constexpr sim::Time kResyncMinInterval = sim::kSecond;
+
 void Hmi::request_resync() {
   const sim::Time now = sim_.now();
-  if (resync_requested_ && now < last_resync_ + config_.resync_min_interval) {
+  if (resync_requested_ && now < last_resync_ + kResyncMinInterval) {
     return;
   }
   resync_requested_ = true;

@@ -35,9 +35,6 @@ namespace spire::scada {
 struct HmiConfig {
   std::string identity;  ///< e.g. "client/hmi-control-room"
   std::uint32_t f = 1;
-  /// Minimum spacing between ResyncRequests (masters answer each one
-  /// with a full snapshot — keep a confused HMI from flooding them).
-  sim::Time resync_min_interval = sim::kSecond;
 };
 
 struct HmiStats {

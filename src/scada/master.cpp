@@ -50,7 +50,6 @@ void ScadaMaster::apply(const prime::ClientUpdate& update,
       const auto command = SupervisoryCommand::decode(payload->body);
       if (!command) return;
       ++version_;
-      ++commands_ordered_;
       const auto proxy = config_.device_proxy.find(command->device);
       if (proxy != config_.device_proxy.end()) {
         CommandOrder order;

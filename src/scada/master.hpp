@@ -70,9 +70,6 @@ class ScadaMaster : public prime::Application {
 
   [[nodiscard]] const TopologyState& state() const { return state_; }
   [[nodiscard]] std::uint64_t version() const { return version_; }
-  [[nodiscard]] std::uint64_t commands_ordered() const {
-    return commands_ordered_;
-  }
   /// Counts constituent device reports: a batch of 40 deltas counts 40.
   [[nodiscard]] std::uint64_t reports_applied() const {
     return reports_applied_;
@@ -99,7 +96,6 @@ class ScadaMaster : public prime::Application {
   OutputFn output_;
   TopologyState state_;
   std::uint64_t version_ = 0;
-  std::uint64_t commands_ordered_ = 0;
   std::uint64_t reports_applied_ = 0;
   std::uint64_t batches_applied_ = 0;
   std::uint64_t deltas_published_ = 0;

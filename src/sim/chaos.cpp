@@ -84,7 +84,7 @@ void ChaosInjector::begin(const ChaosEvent& event) {
     case ChaosEvent::Kind::kLinkDegrade:
       ++stats_.link_degrades;
       if (hooks_.set_link_quality) {
-        hooks_.set_link_quality(event.loss, event.jitter);
+        hooks_.set_link_quality(event.loss);
       }
       break;
     case ChaosEvent::Kind::kPartition:
@@ -105,7 +105,7 @@ void ChaosInjector::end(const ChaosEvent& event) {
   ++stats_.healed;
   switch (event.kind) {
     case ChaosEvent::Kind::kLinkDegrade:
-      if (hooks_.set_link_quality) hooks_.set_link_quality(0, 0);
+      if (hooks_.set_link_quality) hooks_.set_link_quality(0);
       break;
     case ChaosEvent::Kind::kPartition:
       if (hooks_.set_partitioned) hooks_.set_partitioned(event.node, false);

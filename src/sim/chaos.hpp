@@ -27,10 +27,9 @@ namespace spire::sim {
 /// Fault controls of the system under test. Unset hooks turn that
 /// fault kind into a no-op.
 struct ChaosHooks {
-  /// Degrades every link: drop probability plus a bound on added
-  /// delivery jitter, which a hook may ignore (the emulated switches
-  /// apply the loss only). Called with (0, 0) when the episode heals.
-  std::function<void(double loss, Time extra_jitter)> set_link_quality;
+  /// Degrades every link to this drop probability. Called with 0 when
+  /// the episode heals.
+  std::function<void(double loss)> set_link_quality;
   /// Cuts a node's connectivity (true) / heals it (false). The node
   /// keeps running — this is a partition, not a crash.
   std::function<void(std::uint32_t node, bool cut)> set_partitioned;
@@ -47,7 +46,10 @@ struct ChaosEvent {
   Time duration = 0;  ///< the fault lifts at `at + duration`
   std::uint32_t node = 0;  ///< target node (partition / crash-restart)
   double loss = 0;         ///< link degrade: drop probability
-  Time jitter = 0;         ///< link degrade: added delivery jitter bound
+  /// Link degrade: a delivery jitter bound. Drawn by randomize() so
+  /// every seeded schedule stays the same, but never simulated: each
+  /// switch port delivers in order, so only the loss is applied.
+  Time jitter = 0;
 };
 
 struct ChaosStats {

@@ -27,7 +27,6 @@ Daemon::Daemon(sim::Simulator& sim, net::Host& host, DaemonConfig config,
       verifier_(std::move(verifier)),
       signer_(config_.id, keyring.identity_key(config_.id)),
       log_("spines." + config_.id),
-      nodes_(config_.max_overlay_nodes),
       dedup_(config_.dedup_cache_size),
       metrics_("spines.daemon." + config_.id) {
   metrics_.counter("data_originated", &stats_.data_originated);
@@ -335,19 +334,22 @@ void Daemon::send_ack(NodeHandle neighbor, std::uint64_t acked_seq) {
   send_packet(neighbor, PacketType::kAck, buf);
 }
 
+/// An unacked link packet is resent once it is this old.
+constexpr sim::Time kRetransmitTimeout = 50 * sim::kMillisecond;
+
 void Daemon::retransmit_tick(std::uint64_t epoch) {
   if (epoch != epoch_ || !running_) return;
-  sim_.schedule_after(config_.retransmit_timeout / 2,
+  sim_.schedule_after(kRetransmitTimeout / 2,
                       [this, epoch] { retransmit_tick(epoch); });
   const sim::Time now = sim_.now();
   for (const NodeHandle h : neighbor_order_) {
     Neighbor& n = *neighbors_[h];
     for (auto it = n.unacked.begin(); it != n.unacked.end();) {
-      if (now - it->second.sent_at < config_.retransmit_timeout) {
+      if (now - it->second.sent_at < kRetransmitTimeout) {
         ++it;
         continue;
       }
-      if (it->second.retries >= config_.max_retransmits) {
+      if (it->second.retries >= kMaxRetransmits) {
         // The link is dead; hellos will notice, and the adjacency-up
         // sync repairs a lost LSU when it returns.
         if (!it->second.lsu) ++stats_.data_abandoned;
@@ -717,6 +719,9 @@ void Daemon::enqueue_data(NodeHandle neighbor, NodeHandle src,
   if (!n.pump_scheduled) pump(neighbor);
 }
 
+/// Overlay egress pacing (bytes per microsecond, ~1 Gb/s).
+constexpr double kLinkBytesPerUs = 125.0;
+
 void Daemon::pump(NodeHandle neighbor) {
   Neighbor& n = *neighbors_[neighbor];
   n.pump_scheduled = false;
@@ -752,7 +757,7 @@ void Daemon::pump(NodeHandle neighbor) {
     if (unit->encoded.empty()) unit->encoded = unit->body.encode();
     const double bytes = static_cast<double>(data_wire_size(unit->body));
     const auto tx_time =
-        static_cast<sim::Time>(std::ceil(bytes / config_.link_bytes_per_us));
+        static_cast<sim::Time>(std::ceil(bytes / kLinkBytesPerUs));
     n.busy_until = sim_.now() + tx_time;
     send_packet(neighbor, PacketType::kData, unit->encoded);
 
@@ -846,13 +851,19 @@ void Daemon::mark_own_lsu_dirty() {
   schedule_coalesced();
 }
 
+/// Topology events (accepted LSUs, hello up/down transitions, the
+/// refresh) within this window collapse into one callback that
+/// originates the own LSU once, if it is dirty, then runs a single
+/// route recomputation.
+constexpr sim::Time kRouteCoalesceInterval = 1 * sim::kMillisecond;
+
 void Daemon::schedule_coalesced() {
   if (route_recompute_scheduled_) {
     ++stats_.route_recomputes_coalesced;
     return;
   }
   route_recompute_scheduled_ = true;
-  sim_.schedule_after(config_.route_coalesce_interval, [this, epoch = epoch_] {
+  sim_.schedule_after(kRouteCoalesceInterval, [this, epoch = epoch_] {
     if (epoch != epoch_ || !running_) return;
     route_recompute_scheduled_ = false;
     if (own_lsu_dirty_) {
@@ -916,7 +927,7 @@ void Daemon::send_summaries() {
   // of members that stopped being re-advertised.
   for (auto& [area, fa] : foreign_) {
     for (auto it = fa.members.begin(); it != fa.members.end();) {
-      if (now - it->second > config_.summary_member_timeout) {
+      if (now - it->second > kSummaryMemberTimeout) {
         it = fa.members.erase(it);
       } else {
         ++it;
@@ -1071,7 +1082,7 @@ void Daemon::refresh_remote_routes() {
     auto& vias = remote_vias_[dst];
     if (vias.empty()) continue;
     std::erase_if(vias, [&](const RemoteVia& rv) {
-      return now - rv.last_seen > config_.summary_member_timeout;
+      return now - rv.last_seen > kSummaryMemberTimeout;
     });
     std::uint32_t best_cost = SpfEngine::kInfDist;
     NodeHandle best_via = kNoHandle;

@@ -31,7 +31,7 @@
 // is flooded on change, the way OSPF runs it. LSUs ride the per-link
 // ARQ, a same-area adjacency coming up pulls the neighbor's view current
 // by relaying every held origin-signed LSU to it, hello transitions
-// within one route_coalesce_interval collapse into a single origination,
+// within one kRouteCoalesceInterval collapse into a single origination,
 // and the periodic refresh is slow, per-daemon-phased anti-entropy.
 #pragma once
 
@@ -81,13 +81,6 @@ struct DaemonConfig {
   /// refresh fires at a phase hashed from its id, so refreshes never
   /// align across the overlay.
   sim::Time lsu_refresh = 30 * sim::kSecond;
-  /// Topology events (accepted LSUs, hello up/down transitions, the
-  /// refresh) within this window collapse into one callback that
-  /// originates the own LSU once, if it is dirty, then runs a single
-  /// route recomputation.
-  sim::Time route_coalesce_interval = 1 * sim::kMillisecond;
-  /// Overlay egress pacing (bytes per microsecond, ~1 Gb/s default).
-  double link_bytes_per_us = 125.0;
   std::size_t per_source_queue_cap = 128;
   std::size_t dedup_cache_size = 8192;
   /// Spines' reliable message service: per-link ARQ for data packets
@@ -95,8 +88,6 @@ struct DaemonConfig {
   /// LSUs always ride the same ARQ, in both forwarding modes; this
   /// switch covers data only.
   bool reliable_data_links = true;
-  sim::Time retransmit_timeout = 50 * sim::kMillisecond;
-  int max_retransmits = 6;
 
   // --- hierarchical area routing (wide-area overlays) -------------------
   /// Routing area this daemon belongs to. LSUs flood only within the
@@ -111,11 +102,13 @@ struct DaemonConfig {
   /// capping), so per-interval fan-out is bounded regardless of area
   /// size.
   std::size_t summary_fanout_cap = 64;
-  /// Remote members not re-advertised within this window are dropped.
-  sim::Time summary_member_timeout = 10 * sim::kSecond;
-  /// Node-table capacity (distinct node names this daemon will admit).
-  std::size_t max_overlay_nodes = kMaxOverlayNodes;
 };
+
+/// ARQ resends of an unacked link packet (LSU or data) before it is
+/// abandoned.
+constexpr int kMaxRetransmits = 6;
+/// Remote members not re-advertised within this window are dropped.
+constexpr sim::Time kSummaryMemberTimeout = 10 * sim::kSecond;
 
 struct DaemonStats {
   std::uint64_t data_originated = 0;
@@ -219,8 +212,6 @@ class Daemon {
   [[nodiscard]] std::size_t unacked_count(const NodeId& neighbor) const;
   /// True when any declared neighbor is in another area.
   [[nodiscard]] bool is_border() const;
-  /// Incremental-SPF engine introspection (equivalence tests, benches).
-  [[nodiscard]] const SpfStats& spf_stats() const { return spf_.stats(); }
   /// Total LSU + summary bytes this daemon has sent to `neighbor`
   /// (bench_wide_area sums these over the designated wide links).
   [[nodiscard]] std::uint64_t control_bytes_to(const NodeId& neighbor) const;
@@ -341,7 +332,7 @@ class Daemon {
                     const std::shared_ptr<ForwardUnit>& unit);
   void pump(NodeHandle neighbor);
   /// Set a dirty flag and schedule the coalesced callback, which runs
-  /// once per route_coalesce_interval: it originates the own LSU if it
+  /// once per kRouteCoalesceInterval: it originates the own LSU if it
   /// is dirty, then recomputes routes if they are.
   void mark_routes_dirty();
   void mark_own_lsu_dirty();

@@ -17,13 +17,12 @@ namespace spire::spines {
 using NodeHandle = std::uint32_t;
 constexpr NodeHandle kNoHandle = util::StringInterner::kInvalid;
 
-/// Default upper bound on distinct node names a daemon will ever
+/// Upper bound on distinct node names a daemon will ever
 /// intern. Wire input from a compromised member could otherwise mint
 /// unbounded fresh NodeIds (as LSU neighbors, summary members, or data
 /// sources) and grow the table — and every handle-indexed vector —
 /// without limit. Sized for wide-area deployments (500+ daemons × area
-/// summaries) with a wide margin; per-daemon overridable through
-/// DaemonConfig::max_overlay_nodes.
+/// summaries) with a wide margin.
 constexpr std::size_t kMaxOverlayNodes = 16384;
 
 class NodeTable {

@@ -167,7 +167,7 @@ TEST(OcSvm, SeparatesInliersFromOutliers) {
   for (int i = 0; i < 200; ++i) {
     train.push_back({rng.normal(0, 1), rng.normal(0, 1), rng.normal(0, 1)});
   }
-  OcSvm svm(3, OcSvmConfig{});
+  OcSvm svm(3);
   svm.fit(train);
   EXPECT_TRUE(svm.trained());
   EXPECT_GT(svm.threshold(), 0.0);

@@ -334,8 +334,9 @@ TEST(PrimeByzantine, UnderThresholdDelayKeepsLeaderAndLiveness) {
   // turnaround bound (500 ms < 800 ms): the bounded-delay guarantee
   // means the damage is capped, not zero — the leader must NOT be
   // suspected, and every update must still execute everywhere.
-  cluster.replica(0).set_byzantine(
-      ByzantineConfig{.preprepare_delay = 500 * sim::kMillisecond});
+  ByzantineConfig delay;
+  delay.preprepare_delay = 500 * sim::kMillisecond;
+  cluster.replica(0).set_byzantine(delay);
   sim.run_until(sim.now() + 2 * sim::kSecond);
   for (int i = 0; i < 10; ++i) {
     cluster.submit();
@@ -357,8 +358,9 @@ TEST(PrimeByzantine, OverThresholdDelayEvictedWithinSlo) {
   sim.run_until(1 * sim::kSecond);
 
   const sim::Time t0 = sim.now();
-  cluster.replica(0).set_byzantine(
-      ByzantineConfig{.preprepare_delay = 1200 * sim::kMillisecond});
+  ByzantineConfig delay;
+  delay.preprepare_delay = 1200 * sim::kMillisecond;
+  cluster.replica(0).set_byzantine(delay);
   while (cluster.replica(1).view() == 0 &&
          sim.now() < t0 + 5 * sim::kSecond) {
     sim.run_until(sim.now() + 10 * sim::kMillisecond);
@@ -385,7 +387,9 @@ void run_equivocation_case(std::uint32_t f) {
   sim.run_until(1 * sim::kSecond);
 
   const sim::Time t0 = sim.now();
-  cluster.replica(0).set_byzantine(ByzantineConfig{.equivocate = true});
+  ByzantineConfig equivocate;
+  equivocate.equivocate = true;
+  cluster.replica(0).set_byzantine(equivocate);
   while (cluster.replica(1).view() == 0 &&
          sim.now() < t0 + 4 * sim::kSecond) {
     sim.run_until(sim.now() + 10 * sim::kMillisecond);
@@ -481,8 +485,9 @@ TEST(PrimeByzantine, ForgedMerklePathsDroppedWithoutSuspects) {
   // and the remaining correct replicas carry the quorums). Submits are
   // timed so the PO-Request shares a flush with the 20 ms PO-ARU tick,
   // guaranteeing batch-signed (forgeable) wires.
-  cluster.replica(forger).set_byzantine(
-      ByzantineConfig{.forge_merkle_rate = 1.0});
+  ByzantineConfig forge;
+  forge.forge_merkle_rate = 1.0;
+  cluster.replica(forger).set_byzantine(forge);
   for (int i = 0; i < 10; ++i) {
     const sim::Time grid = 20 * sim::kMillisecond;
     const sim::Time next = ((sim.now() / grid) + 2) * grid;
@@ -578,7 +583,8 @@ TEST(PrimeByzantine, SuspectTickSurvivesStopStartWithoutDoubleChaining) {
   ByzCluster cluster(sim);
   sim.run_until(2 * sim::kSecond);
 
-  // Baseline cadence: one suspicion poll per suspect_timeout / 4.
+  // Baseline cadence: one suspicion poll per quarter of the 1 s suspect
+  // timeout.
   const std::uint64_t s0 = cluster.replica(3).stats().suspect_ticks;
   sim.run_until(sim.now() + 2 * sim::kSecond);
   const std::uint64_t per_window =

@@ -460,7 +460,7 @@ TEST(Prime, IdleClusterSendsOnlyHeartbeatRowsAndProposals) {
 
   for (const auto& r : cluster.replicas()) {
     EXPECT_LE(r->stats().po_arus_sent,
-              static_cast<std::uint64_t>(idle / config.leader_heartbeat) + 2)
+              static_cast<std::uint64_t>(idle / kLeaderHeartbeat) + 2)
         << "replica " << r->id();
     EXPECT_EQ(r->view(), 0u);
     EXPECT_EQ(r->stats().view_changes, 0u);
@@ -476,7 +476,7 @@ TEST(Prime, IdleClusterSendsOnlyHeartbeatRowsAndProposals) {
   const sim::Time submitted_at = sim.now();
   cluster.submit("client/a", "after-idle");
   while (cluster.min_executed() < 1 &&
-         sim.now() < submitted_at + config.turnaround_bound) {
+         sim.now() < submitted_at + kTurnaroundBound) {
     cluster.run_for(sim::kMillisecond);
   }
   EXPECT_EQ(cluster.min_executed(), 1u);

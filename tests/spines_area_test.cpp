@@ -1,8 +1,9 @@
 // Hierarchical area routing tests: LSU flooding stays intra-area,
 // border daemons export bounded summary advertisements, interior
 // daemons reach remote areas through their borders, advertisement
-// rotation covers large member sets, and losing a border daemon fails
-// traffic over to the surviving one.
+// rotation covers large member sets, losing a border daemon fails
+// traffic over to the surviving one, and a member no border advertises
+// any more ages out of routes and transit summaries.
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
@@ -135,6 +136,48 @@ TEST_F(AreaFixture, BorderFailoverUsesSurvivingBorder) {
   ASSERT_TRUE(hop.has_value());
   EXPECT_EQ(*hop, node(1));
   EXPECT_EQ(send_and_count(0, 5, 3), 3);
+}
+
+TEST_F(AreaFixture, SilentRemoteMemberAgesOutAfterMemberTimeout) {
+  // n2-n3 is the only wide link, so area 0's members reach area 1 only
+  // through border n2's summaries: n3 keeps them as foreign members and
+  // re-advertises them into area 1 as a transit stream.
+  build({0, 0, 0, 1, 1, 1}, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
+  settle();
+  ASSERT_TRUE(d(3).next_hop(node(0)).has_value());
+  ASSERT_TRUE(d(5).next_hop(node(0)).has_value());
+
+  const sim::Time interval = DaemonConfig{}.summary_interval;
+  const auto poll_until_gone = [&](std::size_t at) {
+    const sim::Time limit = sim.now() + 60 * sim::kSecond;
+    while (d(at).next_hop(node(0)).has_value() && sim.now() < limit) {
+      sim.run_until(sim.now() + 10 * sim::kMillisecond);
+    }
+    return sim.now();
+  };
+  d(0).stop();
+  // Area 0's SPF loses n0 within a hello timeout. n2's summaries list
+  // only SPF-reachable members and go out once per interval, so its
+  // last listing of n0 falls in (unlisted - interval, unlisted].
+  const sim::Time unlisted = poll_until_gone(2);
+
+  // The border's route outlives that last listing by the member
+  // timeout, and drops at the next route refresh (one per interval).
+  const sim::Time border_drop = poll_until_gone(3);
+  EXPECT_GT(border_drop, unlisted - interval + kSummaryMemberTimeout);
+  EXPECT_LE(border_drop, unlisted + interval + kSummaryMemberTimeout);
+
+  // The interior daemon's route rests on n3's transit stream, which
+  // prunes n0 within an interval of n3's own drop. Its last listing
+  // then ages out at n5 one member timeout later: a transit stream that
+  // kept listing n0 would keep the route alive for good.
+  const sim::Time interior_drop = poll_until_gone(5);
+  EXPECT_GT(interior_drop, border_drop - 2 * interval + kSummaryMemberTimeout);
+  EXPECT_LT(interior_drop, border_drop + 3 * interval + kSummaryMemberTimeout);
+
+  // Area 0's live members are still advertised and routed.
+  EXPECT_TRUE(d(5).next_hop(node(1)).has_value());
+  EXPECT_EQ(send_and_count(5, 1), 1);
 }
 
 TEST_F(AreaFixture, SingleAreaOverlayHasNoBordersAndNoSummaries) {

@@ -513,7 +513,7 @@ TEST_F(LossyLinkFixture, LsuArqFormsRouteOverLossyLinkWithinOneSecond) {
 
 TEST_F(LossyLinkFixture, NeverAckingNeighborCostsBoundedLsuResends) {
   // b hears everything and keeps saying hello but never acks, so each
-  // LSU a sends it is resent max_retransmits times, then abandoned.
+  // LSU a sends it is resent kMaxRetransmits times, then abandoned.
   lsu_refresh = kNoRefresh;
   warmup = 0;
   const crypto::SecureChannel b_to_a = link_channel(keyring, "b", "a");
@@ -528,7 +528,7 @@ TEST_F(LossyLinkFixture, NeverAckingNeighborCostsBoundedLsuResends) {
   const DaemonStats& s = a.stats();
   ASSERT_GT(s.lsu_sent, 0u);
   EXPECT_EQ(s.lsu_retransmits,
-            s.lsu_sent * static_cast<std::uint64_t>(a.config().max_retransmits));
+            s.lsu_sent * static_cast<std::uint64_t>(kMaxRetransmits));
   EXPECT_EQ(a.unacked_count("b"), 0u);
   EXPECT_EQ(s.data_retransmits, 0u);  // LSU resends are counted apart
   EXPECT_EQ(s.data_abandoned, 0u);
@@ -570,7 +570,9 @@ TEST_F(OverlayFixture, CliqueStartOriginatesAtMostTwoLsusPerDaemon) {
     EXPECT_LE(d.lsdb_seq(node(i)), 2u) << node(i);
     EXPECT_EQ(d.lsdb_size(), static_cast<std::size_t>(kNodes)) << node(i);
     for (int j = 0; j < kNodes; ++j) {
-      if (j != i) EXPECT_EQ(d.next_hop(node(j)), node(j));
+      if (j != i) {
+        EXPECT_EQ(d.next_hop(node(j)), node(j));
+      }
     }
   }
 }
