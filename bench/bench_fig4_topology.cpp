@@ -115,8 +115,11 @@ int main(int argc, char** argv) {
                      std::move(all_lags));
   report.latency.print("HMI tracking");
 
-  bench::add_overlay_rows(report, "internal", spire_sys.internal_overlay());
-  bench::add_overlay_rows(report, "external", spire_sys.external_overlay());
+  const obs::MetricsRegistry& registry = obs::MetricsRegistry::current();
+  bench::add_overlay_rows(report, "internal", spire_sys.internal_overlay(),
+                          registry);
+  bench::add_overlay_rows(report, "external", spire_sys.external_overlay(),
+                          registry);
   bench::add_switch_drop_rows(report, "", spire_sys);
   std::printf("\n");
   return report.finish(argc, argv);

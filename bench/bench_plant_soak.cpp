@@ -12,7 +12,9 @@
 //   * zero missed breaker transitions on every HMI,
 //   * the HMI version advances throughout (no blackout window),
 //   * proactive recovery cycles through all replicas repeatedly,
-//   * replica application states stay byte-identical.
+//   * replica application states stay byte-identical,
+//   * the external overlay's hellos, and its link packets per ordered
+//     update, stay under count ceilings (default length and seed).
 //
 // Fleet options (DESIGN.md §8):
 //   * --fleet=F        stand up F independent plant deployments, each
@@ -45,12 +47,27 @@ using namespace spire;
 
 namespace {
 
+constexpr std::uint64_t kDefaultChaosSeed = 0xC7A05;
+constexpr sim::Time kDefaultSoak = 5 * sim::kMinute;
+
+/// Ceilings on what the external overlay sends, each the count measured
+/// on the default-length soak plus 10%. The counts are deterministic for
+/// a seed, so crossing one means the overlay's control plane changed.
+/// They are calibrated for the default length and chaos seed only;
+/// other runs report the counts.
+struct ExternalCeilings {
+  double hellos;
+  double packets_per_update;
+};
+constexpr ExternalCeilings kDefaultCeilings{94575, 88.4};
+constexpr ExternalCeilings kChaosCeilings{95031, 112.1};
+
 struct SoakOptions {
   bool chaos = false;
-  std::uint64_t chaos_seed = 0xC7A05;
+  std::uint64_t chaos_seed = kDefaultChaosSeed;
   unsigned workers = 1;
   std::size_t fleet = 1;
-  sim::Time soak = 5 * sim::kMinute;
+  sim::Time soak = kDefaultSoak;
   bool want_metrics = false;
   bool want_trace = false;
   const char* metrics_path = "SOAK_metrics.json";
@@ -269,10 +286,34 @@ double run_soak(const SoakOptions& opt, bench::Report& report) {
     report.check(p + "device deltas with complete chains",
                  static_cast<double>(completeness.deltas_complete), Cmp::kEq,
                  static_cast<double>(completeness.deltas_expected));
+    const obs::MetricsRegistry& registry = inst.registry_scope->registry();
     bench::add_overlay_rows(report, p + "internal",
-                            spire_sys.internal_overlay());
+                            spire_sys.internal_overlay(), registry);
     bench::add_overlay_rows(report, p + "external",
-                            spire_sys.external_overlay());
+                            spire_sys.external_overlay(), registry);
+    spines::Overlay& external = spire_sys.external_overlay();
+    const auto hellos = static_cast<double>(
+        bench::overlay_metric(registry, external, "hellos_sent"));
+    const double packets_per_update =
+        completeness.executed > 0
+            ? static_cast<double>(
+                  bench::overlay_metric(registry, external, "packets_sent")) /
+                  static_cast<double>(completeness.executed)
+            : 0.0;
+    const std::string hellos_row = p + "external hellos sent";
+    const std::string packets_row =
+        p + "external link packets per ordered update";
+    if (opt.soak == kDefaultSoak &&
+        (!opt.chaos || opt.chaos_seed + i == kDefaultChaosSeed)) {
+      const ExternalCeilings& ceiling =
+          opt.chaos ? kChaosCeilings : kDefaultCeilings;
+      report.check(hellos_row, hellos, Cmp::kLe, ceiling.hellos);
+      report.check(packets_row, packets_per_update, Cmp::kLe,
+                   ceiling.packets_per_update);
+    } else {
+      report.add(hellos_row, hellos);
+      report.add(packets_row, packets_per_update);
+    }
     bench::add_switch_drop_rows(report, p, spire_sys);
     if (inst.chaos) {
       const sim::ChaosStats& cs = inst.chaos->stats();

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "prime/recovery.hpp"
 #include "scada/deployment.hpp"
@@ -479,45 +480,54 @@ class Report {
   std::vector<Row> rows_;
 };
 
-/// Adds the overlay's data-plane counters (route-recompute coalescing,
-/// dedup pressure, per-priority queue high-water marks) and link-state
-/// flood volume, summed across its daemons, as reported rows.
-inline void add_overlay_rows(Report& report, const std::string& label,
-                             spines::Overlay& overlay) {
-  spines::DaemonStats sum;
+/// Sum of one counter (or the max of one gauge) over every daemon of
+/// `overlay`, read from the registry the daemons bound into.
+inline std::uint64_t overlay_metric(const obs::MetricsRegistry& registry,
+                                    spines::Overlay& overlay,
+                                    const std::string& metric,
+                                    bool max = false) {
+  std::uint64_t total = 0;
   for (const auto& id : overlay.node_ids()) {
-    const spines::DaemonStats& s = overlay.daemon(id).stats();
-    sum.data_forwarded += s.data_forwarded;
-    sum.data_delivered += s.data_delivered;
-    sum.route_recomputes += s.route_recomputes;
-    sum.route_recomputes_coalesced += s.route_recomputes_coalesced;
-    sum.dedup_evictions += s.dedup_evictions;
-    sum.dropped_queue_full += s.dropped_queue_full;
-    sum.lsu_sent += s.lsu_sent;
-    sum.lsu_retransmits += s.lsu_retransmits;
-    sum.lsu_bytes_sent += s.lsu_bytes_sent;
-    sum.lsu_accepted += s.lsu_accepted;
-    for (int p = 0; p < 3; ++p) {
-      sum.max_queue_depth[p] = std::max(sum.max_queue_depth[p], s.max_queue_depth[p]);
-    }
+    const auto v = static_cast<std::uint64_t>(
+        registry.value("spines.daemon." + id + "." + metric));
+    total = max ? std::max(total, v) : total + v;
   }
+  return total;
+}
+
+/// Adds one overlay's forwarding, queueing and control-plane totals as
+/// reported rows, summed over its daemons from `registry` (the one its
+/// daemons bound into).
+inline void add_overlay_rows(Report& report, const std::string& label,
+                             spines::Overlay& overlay,
+                             const obs::MetricsRegistry& registry) {
   const std::string o = label + " overlay ";
-  report.add(o + "data forwarded", static_cast<double>(sum.data_forwarded));
-  report.add(o + "data delivered", static_cast<double>(sum.data_delivered));
-  report.add(o + "route recomputes", static_cast<double>(sum.route_recomputes));
-  report.add(o + "route recomputes coalesced",
-             static_cast<double>(sum.route_recomputes_coalesced));
-  report.add(o + "dedup evictions", static_cast<double>(sum.dedup_evictions));
-  report.add(o + "queue-full drops", static_cast<double>(sum.dropped_queue_full));
+  const auto row = [&](const std::string& name, const std::string& metric,
+                       const char* unit = "") {
+    report.add(o + name,
+               static_cast<double>(overlay_metric(registry, overlay, metric)),
+               unit);
+  };
+  row("data forwarded", "data_forwarded");
+  row("data delivered", "data_delivered");
+  row("route recomputes", "route_recomputes");
+  row("route recomputes coalesced", "route_recomputes_coalesced");
+  row("dedup evictions", "dedup_evictions");
+  row("queue-full drops", "dropped_queue_full");
   const char* priority[3] = {"lo", "med", "hi"};
   for (int p = 0; p < 3; ++p) {
     report.add(o + "max queue depth " + priority[p],
-               static_cast<double>(sum.max_queue_depth[p]));
+               static_cast<double>(overlay_metric(
+                   registry, overlay, "max_queue_depth" + std::to_string(p),
+                   /*max=*/true)));
   }
-  report.add(o + "LSUs sent", static_cast<double>(sum.lsu_sent));
-  report.add(o + "LSU retransmits", static_cast<double>(sum.lsu_retransmits));
-  report.add(o + "LSU bytes sent", static_cast<double>(sum.lsu_bytes_sent), "B");
-  report.add(o + "LSUs accepted", static_cast<double>(sum.lsu_accepted));
+  row("LSUs sent", "lsu_sent");
+  row("LSU retransmits", "lsu_retransmits");
+  row("LSU bytes sent", "lsu_bytes_sent", "B");
+  row("LSUs accepted", "lsu_accepted");
+  row("hellos sent", "hellos_sent");
+  row("acks sent", "acks_sent");
+  row("link packets sent", "packets_sent");
 }
 
 /// Adds the egress tail drops (SwitchStats::frames_dropped_queue) of

@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 namespace spire::obs {
 
@@ -95,6 +96,24 @@ std::size_t MetricsRegistry::size() const {
     if (!entry.dead) ++live;
   }
   return live;
+}
+
+std::int64_t MetricsRegistry::value(std::string_view name) const {
+  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+    if (it->dead || it->name != name) continue;
+    switch (it->kind) {
+      case Kind::kCounter:
+        return static_cast<std::int64_t>(*it->counter);
+      case Kind::kGauge:
+        return *it->gauge;
+      case Kind::kGaugeFn:
+        return it->fn();
+      case Kind::kHistogram:
+        break;
+    }
+  }
+  throw std::out_of_range("no live counter or gauge named " +
+                          std::string(name));
 }
 
 namespace {

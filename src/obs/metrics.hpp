@@ -26,6 +26,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -112,6 +113,9 @@ class MetricsRegistry {
   [[nodiscard]] std::string snapshot_text() const;
   /// Number of live (non-tombstoned) metrics.
   [[nodiscard]] std::size_t size() const;
+  /// Current value of the live counter or gauge registered last under
+  /// `name`; throws std::out_of_range when there is none.
+  [[nodiscard]] std::int64_t value(std::string_view name) const;
 
  private:
   friend class Binder;

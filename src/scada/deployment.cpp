@@ -213,15 +213,20 @@ void SpireDeployment::build_overlays() {
                         kExternalDaemonPort, 1, site_of_replica(i));
   }
   // Field proxies, HMIs and the cycler live at the primary control
-  // center (site 0), exactly as in the single-site layout.
+  // center (site 0), exactly as in the single-site layout. They are
+  // stubs: each links to every site-0 replica daemon, so no client is
+  // ever needed to carry another's traffic or link state, and their
+  // links run in demand mode (DESIGN.md "Liveness by exception").
+  constexpr auto kStub = spines::NodeRole::kStub;
   for (const auto& device : config_.scenario.devices) {
     external_->add_node(proxy_node(device.name), *proxy_hosts_[device.name],
-                        kExternalDaemonPort, 0);
+                        kExternalDaemonPort, 0, 0, kStub);
   }
   for (std::size_t j = 0; j < config_.hmi_count; ++j) {
-    external_->add_node(hmi_node(j), *hmi_hosts_[j], kExternalDaemonPort, 0);
+    external_->add_node(hmi_node(j), *hmi_hosts_[j], kExternalDaemonPort, 0, 0,
+                        kStub);
   }
-  external_->add_node("extc", *cycler_host_, kExternalDaemonPort, 0);
+  external_->add_node("extc", *cycler_host_, kExternalDaemonPort, 0, 0, kStub);
 
   for (std::uint32_t i = 0; i < n; ++i) {
     for (std::uint32_t j = i + 1; j < n; ++j) {

@@ -47,6 +47,8 @@ Daemon::Daemon(sim::Simulator& sim, net::Host& host, DaemonConfig config,
   metrics_.counter("data_retransmits", &stats_.data_retransmits);
   metrics_.counter("data_abandoned", &stats_.data_abandoned);
   metrics_.counter("acks_sent", &stats_.acks_sent);
+  metrics_.counter("hellos_sent", &stats_.hellos_sent);
+  metrics_.counter("packets_sent", &stats_.packets_sent);
   metrics_.counter("route_recomputes", &stats_.route_recomputes);
   metrics_.counter("route_recomputes_coalesced",
                    &stats_.route_recomputes_coalesced);
@@ -130,6 +132,11 @@ void Daemon::add_neighbor(const NodeId& id, net::Endpoint address,
   if (keys_corrupted_) corrupt_channels(*n, id);
   neighbors_[h] = std::move(n);
   neighbor_order_.push_back(h);
+}
+
+void Daemon::add_stub(const NodeId& id) {
+  const NodeHandle h = admit_node(id);
+  if (h != kNoHandle) spf_.set_stub(h);
 }
 
 bool Daemon::is_border() const {
@@ -281,6 +288,11 @@ void Daemon::send_packet(NodeHandle neighbor, PacketType type,
     }
   }
 
+  // Whatever goes out but an ack stands in for a hello on this link. An
+  // ack does not: a link that only acks could then go silent on its far
+  // end if the acks are lost.
+  if (type != PacketType::kAck) n->last_sent = sim_.now();
+
   // Inner packet [type u8][link_seq u64][body blob], serialized into the
   // reusable scratch: the hot path allocates nothing.
   inner_scratch_.clear();
@@ -304,6 +316,7 @@ void Daemon::transmit_inner(NodeHandle neighbor,
                             std::span<const std::uint8_t> inner_bytes) {
   Neighbor* n = neighbor_slot(neighbor);
   if (n == nullptr || !running_) return;
+  ++stats_.packets_sent;
   // Link envelope [sender str][sealed bool][body blob], built in the
   // second scratch; in sealed mode the body is sealed straight into it
   // (inner_bytes never aliases env_scratch_).
@@ -342,6 +355,8 @@ void Daemon::retransmit_tick(std::uint64_t epoch) {
   sim_.schedule_after(kRetransmitTimeout / 2,
                       [this, epoch] { retransmit_tick(epoch); });
   const sim::Time now = sim_.now();
+  bool topology_changed = false;
+  bool wide_changed = false;
   for (const NodeHandle h : neighbor_order_) {
     Neighbor& n = *neighbors_[h];
     for (auto it = n.unacked.begin(); it != n.unacked.end();) {
@@ -350,10 +365,18 @@ void Daemon::retransmit_tick(std::uint64_t epoch) {
         continue;
       }
       if (it->second.retries >= kMaxRetransmits) {
-        // The link is dead; hellos will notice, and the adjacency-up
-        // sync repairs a lost LSU when it returns.
+        // The link is dead. Hellos notice that on an ordinary link; a
+        // demand link has none, so this is where it goes down. The
+        // adjacency-up sync repairs a lost LSU when it returns.
         if (!it->second.lsu) ++stats_.data_abandoned;
         it = n.unacked.erase(it);
+        if (n.up && demand(n)) {
+          if (take_down(n, "packet abandoned")) {
+            topology_changed = true;
+          } else {
+            wide_changed = true;
+          }
+        }
         continue;
       }
       ++it->second.retries;
@@ -363,6 +386,8 @@ void Daemon::retransmit_tick(std::uint64_t epoch) {
       ++it;
     }
   }
+  if (topology_changed) mark_own_lsu_dirty();
+  if (wide_changed) refresh_remote_routes();
 }
 
 void Daemon::handle_udp(const net::Datagram& dgram) {
@@ -446,6 +471,9 @@ void Daemon::handle_udp(const net::Datagram& dgram) {
   }
   if (acked) send_ack(from, link_seq);
 
+  // Past the MAC and the replay window, any packet proves the far end
+  // is alive and holds the link keys, exactly as a hello would.
+  heard_from(from);
   process_inner(from, type, body);
 }
 
@@ -492,14 +520,14 @@ void Daemon::process_inner(NodeHandle from, PacketType type,
   }
 }
 
-void Daemon::on_hello(NodeHandle from) {
+void Daemon::heard_from(NodeHandle from) {
   Neighbor& n = *neighbors_[from];
-  n.last_hello = sim_.now();
+  n.last_heard = sim_.now();
   if (!n.up) {
     n.up = true;
     log_.debug("link to ", nodes_.name(from), " up");
     if (same_area(n)) {
-      sync_lsdb_to(from);
+      if (!is_stub()) sync_lsdb_to(from);
       mark_own_lsu_dirty();  // adjacency changed
     } else {
       // A wide link came up (or healed after a partition): re-advertise
@@ -508,6 +536,18 @@ void Daemon::on_hello(NodeHandle from) {
       send_summaries();
       refresh_remote_routes();
     }
+  }
+}
+
+void Daemon::on_hello(NodeHandle from) {
+  // Nothing sends hellos on an up demand link, so one arriving means the
+  // far end holds the link down (it restarted, or its ARQ gave up) and
+  // is probing. Answer it, at most once per hello interval, so a
+  // neighbor spraying hellos cannot make this daemon spray back.
+  Neighbor& n = *neighbors_[from];
+  if (demand(n) && (!n.last_hello_sent ||
+                    sim_.now() - *n.last_hello_sent >= config_.hello_interval)) {
+    send_hello(from);
   }
 }
 
@@ -567,7 +607,9 @@ void Daemon::on_link_state(NodeHandle arrival, const LinkStateBody& lsu,
     mark_routes_dirty();
   }
 
-  flood_lsu(entry.lsu, arrival, origin);
+  // A stub keeps link state for its own routes but relays none: its
+  // transit neighbors flood every LSU to each other directly.
+  if (!is_stub()) flood_lsu(entry.lsu, arrival, origin);
 }
 
 void Daemon::flood_lsu(std::span<const std::uint8_t> body, NodeHandle arrival,
@@ -781,26 +823,42 @@ void Daemon::pump(NodeHandle neighbor) {
 void Daemon::hello_tick(std::uint64_t epoch) {
   if (epoch != epoch_ || !running_) return;
   ++hello_seq_;
-  const util::Bytes body = HelloBody{hello_seq_}.encode();
+  const sim::Time now = sim_.now();
   bool topology_changed = false;
   bool wide_changed = false;
   for (const NodeHandle h : neighbor_order_) {
     Neighbor& n = *neighbors_[h];
-    send_packet(h, PacketType::kHello, body);
-    if (n.up && sim_.now() - n.last_hello > config_.link_timeout) {
-      n.up = false;
-      if (same_area(n)) {
+    const bool on_demand = demand(n);
+    if (n.up && !on_demand && now - n.last_heard > config_.link_timeout) {
+      if (take_down(n, "hello timeout")) {
         topology_changed = true;
       } else {
         wide_changed = true;  // a wide link died: vias must re-resolve
       }
-      log_.debug("link to ", nodes_.name(h), " down (hello timeout)");
+    }
+    // A down link is probed every interval. An up ordinary link gets a
+    // hello only when nothing else went to it within the interval; an
+    // up demand link gets none.
+    if (!n.up || (!on_demand && now - n.last_sent >= config_.hello_interval)) {
+      send_hello(h);
     }
   }
   if (topology_changed) mark_own_lsu_dirty();
   if (wide_changed) refresh_remote_routes();
   sim_.schedule_after(config_.hello_interval,
                       [this, epoch] { hello_tick(epoch); });
+}
+
+void Daemon::send_hello(NodeHandle neighbor) {
+  ++stats_.hellos_sent;
+  neighbors_[neighbor]->last_hello_sent = sim_.now();
+  send_packet(neighbor, PacketType::kHello, HelloBody{hello_seq_}.encode());
+}
+
+bool Daemon::take_down(Neighbor& n, const char* cause) {
+  n.up = false;
+  log_.debug("link to ", nodes_.name(n.handle), " down (", cause, ")");
+  return same_area(n);
 }
 
 void Daemon::lsu_tick(std::uint64_t epoch) {

@@ -33,6 +33,14 @@
 // by relaying every held origin-signed LSU to it, hello transitions
 // within one kRouteCoalesceInterval collapse into a single origination,
 // and the periodic refresh is slow, per-daemon-phased anti-entropy.
+//
+// Liveness by exception (see DESIGN.md "Liveness by exception"): any
+// fresh authenticated packet from a neighbor counts as hearing from it,
+// so a hello goes only to a neighbor nothing else went to within the
+// hello interval. Stub daemons (overlay clients) originate their own
+// LSU but relay no other, and routes never transit them; a link with a
+// stub end runs in demand mode, with no periodic hellos once it is up,
+// and goes down when its ARQ abandons a packet.
 #pragma once
 
 #include <array>
@@ -61,6 +69,10 @@ constexpr std::uint16_t kDefaultDaemonPort = 8100;
 /// Legacy debug opcode (see file comment). Present for fidelity to the
 /// red-team excursion; only honoured outside intrusion-tolerant mode.
 constexpr std::uint8_t kDebugPacketType = 4;
+
+/// A transit daemon carries other daemons' traffic and link state; a
+/// stub only originates and terminates its own (overlay clients).
+enum class NodeRole { kTransit, kStub };
 
 enum class ForwardingMode {
   kRouted,        ///< shortest-path unicast
@@ -133,6 +145,9 @@ struct DaemonStats {
   std::uint64_t data_retransmits = 0;
   std::uint64_t data_abandoned = 0;  ///< gave up after max retransmits (data)
   std::uint64_t acks_sent = 0;
+  std::uint64_t hellos_sent = 0;
+  /// Every link packet put on the wire, retransmits included.
+  std::uint64_t packets_sent = 0;
   // Control-plane churn and queue-pressure observability (printed by the
   // soak/topology benches so regressions are visible in bench output).
   std::uint64_t route_recomputes = 0;
@@ -170,6 +185,10 @@ class Daemon {
   /// cross the link; summary advertisements do.
   void add_neighbor(const NodeId& id, net::Endpoint address,
                     std::uint32_t area);
+  /// Declares `id` (possibly this daemon) a stub: routes never transit
+  /// it, and as this daemon it relays no other origin's LSU. Every link
+  /// with a stub end runs in demand mode. Call before start().
+  void add_stub(const NodeId& id);
 
   /// Binds the UDP port and begins hello/LSU cycles.
   void start();
@@ -253,7 +272,12 @@ class Daemon {
     std::unique_ptr<crypto::SecureChannel> held_recv_channel;
     std::uint64_t send_link_seq = 0;
     ReplayWindow recv_window;
-    sim::Time last_hello = 0;
+    /// Last fresh authenticated packet from the far end, of any type.
+    sim::Time last_heard = 0;
+    /// Last first send to the far end of anything but an ack.
+    sim::Time last_sent = 0;
+    /// Last hello sent; spaces the replies on a demand link.
+    std::optional<sim::Time> last_hello_sent;
     bool up = false;
     /// Reliable-service state: unacked LSU and data packets awaiting ack.
     struct Unacked {
@@ -299,6 +323,9 @@ class Daemon {
   void handle_udp(const net::Datagram& dgram);
   void process_inner(NodeHandle from, PacketType type,
                      std::span<const std::uint8_t> body);
+  /// A fresh authenticated packet from `from`: refreshes its liveness
+  /// and brings a down link up.
+  void heard_from(NodeHandle from);
   void on_hello(NodeHandle from);
   /// `wire` is the LSU's encoding as received; it is stored and relayed
   /// verbatim.
@@ -308,6 +335,9 @@ class Daemon {
   /// `arrival` is kNoHandle for locally originated messages.
   void on_data(NodeHandle arrival, DataBody data);
   void hello_tick(std::uint64_t epoch);
+  void send_hello(NodeHandle neighbor);
+  /// Marks `n` down; returns true for a same-area (link-state) link.
+  bool take_down(Neighbor& n, const char* cause);
   void lsu_tick(std::uint64_t epoch);
   void summary_tick(std::uint64_t epoch);
   void retransmit_tick(std::uint64_t epoch);
@@ -365,6 +395,12 @@ class Daemon {
   [[nodiscard]] NodeHandle route_for(NodeHandle dst) const;
   [[nodiscard]] bool same_area(const Neighbor& n) const {
     return n.area == config_.area;
+  }
+  [[nodiscard]] bool is_stub() const { return spf_.stub(self_); }
+  /// A link with a stub end whose data rides the ARQ: no hellos while
+  /// up, and down when the ARQ abandons a packet.
+  [[nodiscard]] bool demand(const Neighbor& n) const {
+    return (is_stub() || spf_.stub(n.handle)) && reliable(PacketType::kData);
   }
   /// Interns `id`, dropping to kNoHandle when the node table is full;
   /// grows every handle-indexed vector to match.

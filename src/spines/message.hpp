@@ -1,8 +1,10 @@
 // Spines overlay wire protocol.
 //
-// Three packet types flow between overlay daemons: link Hellos (liveness),
-// signed link-state updates (topology flooding), and Data messages
-// (session traffic). In intrusion-tolerant mode every daemon-to-daemon
+// Five packet types flow between overlay daemons: link Hellos (liveness
+// where no other traffic shows it), signed link-state updates (topology
+// flooding), Data messages (session traffic), link-level Acks (the
+// per-link ARQ), and signed Area Summaries (reachability across routing
+// area borders). In intrusion-tolerant mode every daemon-to-daemon
 // packet is sealed with the per-link key (encrypt-then-MAC) — the
 // mechanism that made the red team's modified/patched Spines daemons
 // harmless in the excursion (paper §IV-B).
@@ -41,7 +43,7 @@ enum class PacketType : std::uint8_t {
   kLinkState = 2,
   kData = 3,
   // 4 is the legacy debug opcode (deliberately not a valid InnerPacket).
-  kAck = 5,  ///< link-level acknowledgment of a kData link_seq
+  kAck = 5,  ///< link-level acknowledgment of an ARQ-tracked link_seq
   kAreaSummary = 6,  ///< border-daemon inter-area reachability summary
 };
 

@@ -10,9 +10,9 @@ Overlay::Overlay(sim::Simulator& sim, const crypto::Keyring& keyring,
 
 void Overlay::add_node(const NodeId& id, net::Host& host,
                        std::uint16_t udp_port, std::size_t iface,
-                       std::uint32_t area) {
+                       std::uint32_t area, NodeRole role) {
   if (specs_.count(id)) throw std::invalid_argument("duplicate node id " + id);
-  specs_[id] = NodeSpec{&host, udp_port, iface, area};
+  specs_[id] = NodeSpec{&host, udp_port, iface, area, role};
   order_.push_back(id);
 }
 
@@ -51,6 +51,13 @@ void Overlay::build() {
         link.b, net::Endpoint{sb.host->ip(ifb), sb.port}, sb.area);
     daemons_.at(link.b)->add_neighbor(
         link.a, net::Endpoint{sa.host->ip(ifa), sa.port}, sa.area);
+  }
+
+  // Stub membership is provisioned like identity keys: static, and
+  // known to every daemon before its first packet.
+  for (const auto& id : order_) {
+    if (specs_.at(id).role != NodeRole::kStub) continue;
+    for (const auto& [member, daemon] : daemons_) daemon->add_stub(id);
   }
 }
 

@@ -26,9 +26,12 @@ class Overlay {
   /// dual-homed (internal + external networks, §III-B). `area` assigns
   /// the node to a routing area (hierarchical wide-area overlays);
   /// defaulting everything to area 0 yields the classic flat overlay.
+  /// `role` kStub declares an overlay client that carries no transit
+  /// traffic or link state; every daemon learns the stub set at build().
   void add_node(const NodeId& id, net::Host& host,
                 std::uint16_t udp_port = kDefaultDaemonPort,
-                std::size_t iface = 0, std::uint32_t area = 0);
+                std::size_t iface = 0, std::uint32_t area = 0,
+                NodeRole role = NodeRole::kTransit);
 
   /// Declares a bidirectional overlay link. `iface_a`/`iface_b`
   /// override which NIC each endpoint uses for *this* link only —
@@ -59,6 +62,7 @@ class Overlay {
     std::uint16_t port = kDefaultDaemonPort;
     std::size_t iface = 0;
     std::uint32_t area = 0;
+    NodeRole role = NodeRole::kTransit;
   };
   struct LinkSpec {
     NodeId a;

@@ -16,11 +16,18 @@ void SpfEngine::ensure_nodes(std::size_t count) {
   n_ = count;
   adj_.resize(n_);
   row_present_.resize(n_, 0);
+  stub_.resize(n_, 0);
   dist_.resize(n_, kInfDist);
   parent_.resize(n_, kNoHandle);
   routes_.resize(n_, kNoHandle);
   children_.resize(n_);
   settled_round_.resize(n_, 0);
+}
+
+void SpfEngine::set_stub(NodeHandle node) {
+  ensure_nodes(node + 1);
+  stub_[node] = 1;
+  force_full_ = true;
 }
 
 bool SpfEngine::advertises(NodeHandle a, NodeHandle b) const {
@@ -96,6 +103,7 @@ void SpfEngine::compute_full(std::vector<std::uint32_t>& dist,
   while (!frontier.empty()) {
     next.clear();
     for (const NodeHandle u : frontier) {
+      if (!transits(u)) continue;
       for (const NodeHandle v : adj_[u]) {
         if (dist[v] != kInfDist) continue;
         if (!advertises(v, u)) continue;  // unconfirmed edge
@@ -180,8 +188,8 @@ void SpfEngine::incremental() {
   }
 
   // Phase 2: seed the bucket queue. Invalid vertices are relaxed from
-  // every still-valid confirmed neighbor; added edges can improve an
-  // endpoint's dist or (at equal dist) its canonical parent.
+  // every still-valid confirmed neighbor that transits; added edges can
+  // improve an endpoint's dist or (at equal dist) its canonical parent.
   std::uint32_t max_bucket = 0;
   auto seed = [&](NodeHandle v, std::uint32_t d) {
     push_candidate(v, d);
@@ -189,7 +197,7 @@ void SpfEngine::incremental() {
   };
   for (const NodeHandle x : invalid_scratch_) {
     for (const NodeHandle u : adj_[x]) {
-      if (dist_[u] == kInfDist || !advertises(u, x)) continue;
+      if (dist_[u] == kInfDist || !transits(u) || !advertises(u, x)) continue;
       seed(x, dist_[u] + 1);
     }
   }
@@ -199,7 +207,7 @@ void SpfEngine::incremental() {
     for (const auto& uv : ends) {
       const NodeHandle a = uv[0];
       const NodeHandle b = uv[1];
-      if (dist_[a] == kInfDist) continue;
+      if (dist_[a] == kInfDist || !transits(a)) continue;
       if (dist_[a] + 1 < dist_[b]) {
         seed(b, dist_[a] + 1);
       } else if (dist_[b] != kInfDist && dist_[a] + 1 == dist_[b] &&
@@ -223,7 +231,7 @@ void SpfEngine::incremental() {
       if (d > dist_[v]) continue;  // a better candidate already settled
       NodeHandle p = kNoHandle;
       for (const NodeHandle u : adj_[v]) {
-        if (dist_[u] == d - 1 && advertises(u, v)) {
+        if (dist_[u] == d - 1 && transits(u) && advertises(u, v)) {
           p = u;
           break;  // rows are sorted: first hit is the minimum handle
         }
@@ -240,7 +248,7 @@ void SpfEngine::incremental() {
       settled_round_[v] = round_;
       ++settled;
       if (routes_[v] != old_route) route_fix_queue_.push_back(v);
-      if (was_invalid || d < old_dist) {
+      if ((was_invalid || d < old_dist) && transits(v)) {
         for (const NodeHandle w : adj_[v]) {
           if (!advertises(w, v)) continue;
           if (d + 1 < dist_[w]) {

@@ -5,10 +5,16 @@
 // defined canonically so two different algorithms can compute it and be
 // compared byte-for-byte:
 //
-//   dist[v]   = BFS hop count from self over confirmed edges;
+//   dist[v]   = BFS hop count from self over confirmed edges whose
+//               inner vertices are not stubs;
 //   parent[v] = the minimum-handle confirmed neighbor of v at
-//               dist[v] - 1 (parent[self] = self);
+//               dist[v] - 1 that is self or not a stub
+//               (parent[self] = self);
 //   route[v]  = v when parent[v] == self, else route[parent[v]].
+//
+// A stub (an overlay client) is only ever a path's first or last
+// vertex: routes end at it, and start at it when it is self, but never
+// pass through it.
 //
 // Two implementations of that function live here. full_bfs() rebuilds
 // everything from the adjacency rows; the incremental path repairs only
@@ -52,6 +58,12 @@ class SpfEngine {
   /// start with no adjacency and stay unreachable until advertised.
   void ensure_nodes(std::size_t count);
 
+  /// Marks `node` a stub: no path transits it.
+  void set_stub(NodeHandle node);
+  [[nodiscard]] bool stub(NodeHandle node) const {
+    return node < n_ && stub_[node] != 0;
+  }
+
   /// Replaces `origin`'s advertised adjacency row (sorted + deduped
   /// internally, self-loops dropped). Returns true when the row
   /// actually changed — the caller's cue to mark routes dirty.
@@ -94,6 +106,10 @@ class SpfEngine {
   [[nodiscard]] bool confirmed(NodeHandle a, NodeHandle b) const {
     return advertises(a, b) && advertises(b, a);
   }
+  /// Whether paths may continue through `u`: self, or any non-stub.
+  [[nodiscard]] bool transits(NodeHandle u) const {
+    return u == self_ || stub_[u] == 0;
+  }
 
   /// Canonical full BFS into the given output vectors.
   void compute_full(std::vector<std::uint32_t>& dist,
@@ -113,6 +129,7 @@ class SpfEngine {
 
   std::vector<std::vector<NodeHandle>> adj_;  ///< sorted advertised rows
   std::vector<std::uint8_t> row_present_;
+  std::vector<std::uint8_t> stub_;
 
   std::vector<std::uint32_t> dist_;
   std::vector<NodeHandle> parent_;

@@ -165,6 +165,30 @@ TEST(MetricsRegistry, BinderTombstonesOnDestruction) {
             std::string::npos);
 }
 
+TEST(MetricsRegistry, ValueReadsTheNewestLiveCounterOrGauge) {
+  obs::ScopedRegistry scope;
+  auto& registry = obs::MetricsRegistry::current();
+  *registry.gauge("spines.test.depth") = -3;
+  EXPECT_EQ(registry.value("spines.test.depth"), -3);
+  std::uint64_t older = 5;
+  std::uint64_t newer = 9;
+  obs::Binder first("spines.test");
+  first.counter("sent", &older);
+  {
+    obs::Binder second("spines.test");
+    second.counter("sent", &newer);
+    second.gauge_fn("queue", [] { return std::int64_t{4}; });
+    EXPECT_EQ(registry.value("spines.test.sent"), 9);
+    EXPECT_EQ(registry.value("spines.test.queue"), 4);
+  }
+  // A tombstoned entry is skipped; a histogram or an unknown name throws.
+  EXPECT_EQ(registry.value("spines.test.sent"), 5);
+  EXPECT_THROW((void)registry.value("spines.test.queue"), std::out_of_range);
+  (void)registry.histogram("spines.test.latency_us");
+  EXPECT_THROW((void)registry.value("spines.test.latency_us"),
+               std::out_of_range);
+}
+
 TEST(FlatMap64, InsertAndFindAcrossGrowth) {
   obs::FlatMap64 map;
   constexpr std::uint32_t kEntries = 20000;

@@ -18,15 +18,20 @@ namespace {
 
 /// Independent canonical-function reference: dist by plain BFS over
 /// confirmed edges, parent = min-handle confirmed neighbor one hop
-/// closer, route chased through parents.
+/// closer, route chased through parents. Paths continue through self
+/// and non-stubs only.
 struct Reference {
   std::vector<std::uint32_t> dist;
   std::vector<NodeHandle> routes;
 
-  void compute(const std::vector<std::set<NodeHandle>>& adv, NodeHandle self) {
+  void compute(const std::vector<std::set<NodeHandle>>& adv, NodeHandle self,
+               const std::set<NodeHandle>& stubs) {
     const std::size_t n = adv.size();
     auto confirmed = [&](NodeHandle a, NodeHandle b) {
       return adv[a].count(b) != 0 && adv[b].count(a) != 0;
+    };
+    auto transits = [&](NodeHandle u) {
+      return u == self || stubs.count(u) == 0;
     };
     dist.assign(n, SpfEngine::kInfDist);
     dist[self] = 0;
@@ -34,6 +39,7 @@ struct Reference {
     while (!frontier.empty()) {
       std::vector<NodeHandle> next;
       for (const NodeHandle u : frontier) {
+        if (!transits(u)) continue;
         for (const NodeHandle v : adv[u]) {
           if (!confirmed(u, v) || dist[v] != SpfEngine::kInfDist) continue;
           dist[v] = dist[u] + 1;
@@ -47,7 +53,7 @@ struct Reference {
     for (NodeHandle v = 0; v < n; ++v) {
       if (v == self || dist[v] == SpfEngine::kInfDist) continue;
       for (NodeHandle u = 0; u < n; ++u) {
-        if (dist[u] + 1 == dist[v] && confirmed(u, v)) {
+        if (dist[u] + 1 == dist[v] && transits(u) && confirmed(u, v)) {
           parent[v] = u;  // first hit is the minimum handle
           break;
         }
@@ -91,6 +97,11 @@ struct SpfHarness {
     push_row(a);
   }
 
+  void make_stub(NodeHandle v) {
+    stubs_.insert(v);
+    engine_.set_stub(v);
+  }
+
   void push_row(NodeHandle v) {
     std::vector<NodeHandle> row(adv_[v].begin(), adv_[v].end());
     engine_.set_adjacency(v, row);
@@ -102,7 +113,7 @@ struct SpfHarness {
       return ::testing::AssertionFailure()
              << "engine state diverged from its own full BFS";
     }
-    ref_.compute(adv_, self_);
+    ref_.compute(adv_, self_, stubs_);
     for (NodeHandle v = 0; v < adv_.size(); ++v) {
       if (engine_.dist(v) != ref_.dist[v]) {
         return ::testing::AssertionFailure()
@@ -120,6 +131,7 @@ struct SpfHarness {
 
   NodeHandle self_;
   std::vector<std::set<NodeHandle>> adv_;
+  std::set<NodeHandle> stubs_;
   SpfEngine engine_;
   Reference ref_;
 };
@@ -201,6 +213,56 @@ TEST(SpfEngine, RandomizedChurnStaysIdenticalToReference) {
         << "seed " << seed << ": incremental " << s.incremental_runs
         << " full " << s.full_runs;
   }
+}
+
+TEST(SpfEngine, StubsEndPathsButNeverTransitUnderChurn) {
+  // A stub is a path's last vertex only (or its first, as self): the
+  // incremental repair must honour that under the same single-link
+  // churn, including when a stub offers the only shorter path.
+  for (const std::uint32_t seed : {5u, 77u, 2024u}) {
+    for (const NodeHandle self : {NodeHandle{0}, NodeHandle{3}}) {
+      std::mt19937 rng(seed);
+      constexpr std::size_t kNodes = 36;
+      SpfHarness h(kNodes, self);
+      for (NodeHandle v = 3; v < kNodes; v += 4) h.make_stub(v);
+      std::uniform_int_distribution<NodeHandle> pick(0, kNodes - 1);
+      for (NodeHandle v = 0; v + 1 < kNodes; ++v) h.toggle(v, v + 1);
+      for (int i = 0; i < 60; ++i) {
+        NodeHandle a = pick(rng), b = pick(rng);
+        if (a != b) h.toggle(a, b);
+      }
+      ASSERT_TRUE(h.recompute_and_check()) << "seed " << seed << " warmup";
+      for (int event = 0; event < 300; ++event) {
+        NodeHandle a = pick(rng), b = pick(rng);
+        if (a == b) continue;
+        h.toggle(a, b);
+        ASSERT_TRUE(h.recompute_and_check())
+            << "seed " << seed << " self " << self << " event " << event;
+      }
+      const SpfStats& s = h.engine_.stats();
+      EXPECT_GT(s.incremental_runs, 10 * s.full_runs) << "seed " << seed;
+    }
+  }
+}
+
+TEST(SpfEngine, StubOnTheOnlyPathLeavesTheFarSideUnreachable) {
+  // 0 - 1(stub) - 2: node 0 reaches the stub but not through it; the
+  // stub itself, as self, routes to both sides.
+  SpfHarness from_end(3, 0);
+  from_end.make_stub(1);
+  from_end.toggle(0, 1);
+  from_end.toggle(1, 2);
+  ASSERT_TRUE(from_end.recompute_and_check());
+  EXPECT_EQ(from_end.engine_.route(1), 1u);
+  EXPECT_EQ(from_end.engine_.route(2), kNoHandle);
+
+  SpfHarness from_stub(3, 1);
+  from_stub.make_stub(1);
+  from_stub.toggle(0, 1);
+  from_stub.toggle(1, 2);
+  ASSERT_TRUE(from_stub.recompute_and_check());
+  EXPECT_EQ(from_stub.engine_.route(0), 0u);
+  EXPECT_EQ(from_stub.engine_.route(2), 2u);
 }
 
 TEST(SpfEngine, BatchedChurnBetweenRecomputes) {

@@ -1,9 +1,10 @@
 // Spines overlay tests: link formation, routing, priority flooding,
 // link encryption/authentication, replay defense, fairness under a
 // blasting source, failure detection, the legacy debug code path
-// that is disabled in intrusion-tolerant mode, and the change-driven
+// that is disabled in intrusion-tolerant mode, the change-driven
 // control plane (LSU ARQ, LSDB sync on adjacency-up, coalesced
-// origination, slow refresh).
+// origination, slow refresh), and liveness by exception (traffic
+// stands in for hellos, stub daemons, demand-mode links).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -72,6 +73,7 @@ struct OverlayFixture : ::testing::Test {
   std::vector<net::Host*> hosts;
   std::unique_ptr<Overlay> overlay;
   sim::Time lsu_refresh = DaemonConfig{}.lsu_refresh;
+  std::set<std::size_t> stubs;  ///< daemons build() declares stubs
 
   /// Builds `n` hosts on one switch and an overlay with the given links.
   void build(std::size_t n, const std::vector<std::pair<int, int>>& links,
@@ -92,7 +94,9 @@ struct OverlayFixture : ::testing::Test {
     config.lsu_refresh = lsu_refresh;
     overlay = std::make_unique<Overlay>(sim, keyring, config);
     for (std::size_t i = 0; i < n; ++i) {
-      overlay->add_node(node(i), *hosts[i]);
+      overlay->add_node(node(i), *hosts[i], kDefaultDaemonPort, 0, 0,
+                        stubs.count(i) != 0 ? NodeRole::kStub
+                                            : NodeRole::kTransit);
     }
     for (const auto& [a, b] : links) overlay->add_link(node(a), node(b));
     overlay->build();
@@ -100,6 +104,7 @@ struct OverlayFixture : ::testing::Test {
   }
 
   static NodeId node(std::size_t i) { return "n" + std::to_string(i); }
+  Daemon& daemon(std::size_t i) { return overlay->daemon(node(i)); }
 
   static std::vector<std::pair<int, int>> clique(int n) {
     std::vector<std::pair<int, int>> links;
@@ -913,6 +918,169 @@ TEST_F(BoundedFloodFixture, EveryReceiverKeepsSpareCopiesWithAWithholdingRelay) 
     EXPECT_GE(withheld[i], 1u) << node(i);
     EXPECT_EQ(delivered[i], 1) << node(i);
   }
+}
+
+// ---- liveness by exception -------------------------------------------------
+
+TEST_F(OverlayFixture, LinkCarryingDataEveryHelloIntervalSendsNoHellos) {
+  // Each side sends the other a message every hello interval, half an
+  // interval away from the hello ticks: the data is all the liveness
+  // either side needs.
+  build(2, {{0, 1}}, true, ForwardingMode::kRouted);
+  settle();
+  const sim::Time interval = daemon(0).config().hello_interval;
+  const std::uint64_t hellos0 = daemon(0).stats().hellos_sent;
+  const std::uint64_t hellos1 = daemon(1).stats().hellos_sent;
+  sim.run_until(sim.now() + interval / 2);
+  for (int i = 0; i < 30; ++i) {
+    daemon(0).session_send(40, node(1), 40, util::to_bytes("a"));
+    daemon(1).session_send(40, node(0), 40, util::to_bytes("b"));
+    sim.run_until(sim.now() + interval);
+  }
+  EXPECT_EQ(daemon(0).stats().hellos_sent, hellos0);
+  EXPECT_EQ(daemon(1).stats().hellos_sent, hellos1);
+  EXPECT_TRUE(daemon(0).link_up(node(1)));
+  EXPECT_TRUE(daemon(1).link_up(node(0)));
+}
+
+TEST_F(OverlayFixture, IdleOrdinaryLinkGoesDownWithinTheHelloTimeout) {
+  build(2, {{0, 1}}, true, ForwardingMode::kRouted);
+  settle();
+  const DaemonConfig& config = daemon(0).config();
+  ASSERT_TRUE(daemon(0).link_up(node(1)));
+  daemon(1).stop();
+  sim.run_until(sim.now() + config.link_timeout + config.hello_interval);
+  EXPECT_FALSE(daemon(0).link_up(node(1)));
+}
+
+TEST_F(OverlayFixture, StubLinkGoesDownWhenItsArqAbandonsAPacketThenProbes) {
+  stubs = {1};
+  build(2, {{0, 1}}, true, ForwardingMode::kRouted);
+  settle();
+  const sim::Time interval = daemon(0).config().hello_interval;
+  ASSERT_TRUE(daemon(0).link_up(node(1)));
+  const std::uint64_t hellos = daemon(0).stats().hellos_sent;
+
+  // Up demand links send no hellos and have no hello timeout: an idle
+  // link to a stopped stub stays up.
+  daemon(1).stop();
+  settle(1 * sim::kSecond + 7 * sim::kMillisecond);
+  EXPECT_TRUE(daemon(0).link_up(node(1)));
+  EXPECT_EQ(daemon(0).stats().hellos_sent, hellos);
+
+  // Its own traffic finds the dead end: the packet is resent
+  // kMaxRetransmits times, 50 ms apart on a 25 ms tick, then abandoned.
+  constexpr sim::Time kTimeout = 50 * sim::kMillisecond;
+  const sim::Time sent = sim.now();
+  daemon(0).session_send(40, node(1), 40, util::to_bytes("x"));
+  sim.run_until(sent + (kMaxRetransmits + 1) * kTimeout - 1);
+  EXPECT_TRUE(daemon(0).link_up(node(1)));
+  sim.run_until(sent + (kMaxRetransmits + 1) * kTimeout + kTimeout / 2);
+  EXPECT_FALSE(daemon(0).link_up(node(1)));
+  EXPECT_EQ(daemon(0).stats().data_abandoned, 1u);
+
+  // A down link is probed every hello interval.
+  const std::uint64_t down_hellos = daemon(0).stats().hellos_sent;
+  settle(3 * interval);
+  EXPECT_GE(daemon(0).stats().hellos_sent, down_hellos + 3);
+}
+
+TEST_F(OverlayFixture, DemandLinkIsUpAtBothEndsSoonAfterTheTransitEndRestarts) {
+  stubs = {1};
+  build(2, {{0, 1}}, true, ForwardingMode::kRouted);
+  settle();
+  const sim::Time interval = daemon(0).config().hello_interval;
+  daemon(0).stop();
+  settle(1 * sim::kSecond);
+  ASSERT_TRUE(daemon(1).link_up(node(0)));  // the stub never noticed
+
+  daemon(0).start();
+  sim.run_until(sim.now() + 2 * interval);
+  EXPECT_TRUE(daemon(0).link_up(node(1)));
+  EXPECT_TRUE(daemon(1).link_up(node(0)));
+}
+
+TEST_F(OverlayFixture, DemandLinkAnswersAHelloSprayAtMostOncePerInterval) {
+  // n0 holds the link keys and sprays sealed hellos at the stub n1 every
+  // millisecond for a second; each is fresh, so n1 hears every one.
+  stubs = {1};
+  build(2, {{0, 1}}, true, ForwardingMode::kRouted);
+  settle();
+  const sim::Time interval = daemon(1).config().hello_interval;
+  daemon(0).stop();
+  const std::uint64_t before = daemon(1).stats().hellos_sent;
+  constexpr int kSpray = 1000;
+  for (int i = 0; i < kSpray; ++i) {
+    hosts[0]->send_frame_raw(
+        0, sealed_frame(keyring, *hosts[0], *hosts[1], node(0), node(1),
+                        PacketType::kHello,
+                        1'000'000 + static_cast<std::uint64_t>(i),
+                        HelloBody{1}.encode()));
+    sim.run_until(sim.now() + 1 * sim::kMillisecond);
+  }
+  const std::uint64_t replies = daemon(1).stats().hellos_sent - before;
+  EXPECT_GE(replies, 1u);
+  EXPECT_LE(replies, kSpray * sim::kMillisecond / interval + 1);
+  EXPECT_TRUE(daemon(1).link_up(node(0)));
+}
+
+TEST_F(OverlayFixture, StubRelaysNoForeignLsuAndIsNeverATransitHop) {
+  // Transit daemons n0, n1, n2 and the stub n3, linked to all three.
+  // n3 is n0's first neighbor, so it has the smallest handle there and
+  // would win n0's tie-break towards n1 if it could transit.
+  lsu_refresh = kNoRefresh;
+  stubs = {3};
+  build(4, {{0, 3}, {0, 2}, {0, 1}, {1, 2}, {1, 3}, {2, 3}}, true,
+        ForwardingMode::kRouted);
+  std::map<NodeId, int> lsus_from_stub;  ///< by origin
+  sw->add_tap("overlay", [&](const net::PcapRecord& record) {
+    const auto dgram = net::Datagram::decode(record.frame.payload);
+    if (!dgram) return;
+    const auto env = LinkEnvelope::decode(dgram->payload);
+    if (!env || env->sender != node(3)) return;
+    for (std::size_t to = 0; to < 3; ++to) {
+      if (hosts[to]->ip() != dgram->dst_ip) continue;
+      const auto inner =
+          link_channel(keyring, node(3), node(to)).open(env->body);
+      if (!inner) continue;
+      const auto packet = InnerPacket::decode(*inner);
+      if (!packet || packet->type != PacketType::kLinkState) continue;
+      if (const auto lsu = LinkStateBody::decode(packet->body)) {
+        ++lsus_from_stub[lsu->origin];
+      }
+    }
+  });
+  settle();
+  EXPECT_EQ(daemon(3).lsdb_size(), 4u);  // it holds every LSU it needs
+
+  // Restarting the stub brings all of its adjacencies up again, which
+  // would make a transit daemon sync its whole LSDB to each neighbor.
+  daemon(3).stop();
+  settle(1 * sim::kSecond);
+  daemon(3).start();
+  settle();
+  ASSERT_EQ(lsus_from_stub.size(), 1u);
+  EXPECT_EQ(lsus_from_stub.begin()->first, node(3));
+
+  // Cut n0-n1 with n1's firewall: n0 reaches n1 through n2, never n3.
+  hosts[1]->firewall().default_deny = true;
+  for (const std::size_t peer : {2, 3}) {
+    for (const auto dir : {net::Direction::kInbound, net::Direction::kOutbound}) {
+      hosts[1]->firewall().allow.push_back(
+          net::FirewallRule{dir, hosts[peer]->ip(), std::nullopt, std::nullopt});
+    }
+  }
+  settle();
+  ASSERT_FALSE(daemon(0).link_up(node(1)));
+  EXPECT_EQ(daemon(0).next_hop(node(1)), node(2));
+
+  // With n2 gone too, only the stub joins n0 and n1: no route, although
+  // the stub itself still reaches both.
+  daemon(2).stop();
+  settle();
+  EXPECT_FALSE(daemon(0).next_hop(node(1)).has_value());
+  EXPECT_EQ(daemon(3).next_hop(node(0)), node(0));
+  EXPECT_EQ(daemon(3).next_hop(node(1)), node(1));
 }
 
 TEST(ReplayWindowTest, ShiftBeyondWindowClearsState) {
