@@ -26,7 +26,6 @@ struct Result {
   std::uint64_t recon_queued = 0;
   std::uint64_t recon_satisfied = 0;
   std::uint64_t row_short_circuits = 0;
-  std::uint64_t matrix_fetches = 0;
   std::uint64_t batches_sealed = 0;
   /// Recovery scheduler observability (kDuringRecovery only).
   bool has_recovery = false;
@@ -133,7 +132,6 @@ Result run_config(std::uint32_t f, std::uint32_t k, Condition condition) {
     result.recon_queued += s.recon_fetches_queued;
     result.recon_satisfied += s.recon_fetches_satisfied;
     result.row_short_circuits += s.row_verify_short_circuits;
-    result.matrix_fetches += s.matrix_fetches_sent;
     result.batches_sealed += s.batches_sealed;
   }
   if (recovery) {
@@ -193,7 +191,6 @@ int main(int argc, char** argv) {
     report.add(p + "stale PO-ARUs", static_cast<double>(r.stale_po_arus));
     report.add(p + "recon queued", static_cast<double>(r.recon_queued));
     report.add(p + "recon satisfied", static_cast<double>(r.recon_satisfied));
-    report.add(p + "matrix fetches", static_cast<double>(r.matrix_fetches));
     if (r.has_recovery) {
       bench::add_recovery_rows(report, p, r.recovery_stats, c.k);
     }

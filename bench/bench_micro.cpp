@@ -355,10 +355,9 @@ MicroResult run_prime_update_ordering() {
   return MicroResult{updates, wall, {}};
 }
 
-/// Leader-side proposal encoding: encode-once row splicing plus delta
-/// encoding against the previous proposal plus the agreement digest —
-/// the per-Pre-Prepare serialization work, with one row refreshed per
-/// proposal (the steady-state pattern delta matrices target).
+/// Leader-side proposal encoding: encode-once row splicing of the full
+/// matrix plus the agreement digest — the per-Pre-Prepare serialization
+/// work, with one row refreshed per proposal.
 MicroResult run_prime_preprepare_encode() {
   crypto::Keyring keyring("bench-ppe");
   constexpr std::uint32_t kN = 4;
@@ -392,7 +391,7 @@ MicroResult run_prime_preprepare_encode() {
     pp.rows = prev;
     const auto fresh = static_cast<std::uint32_t>(seq % kN);
     pp.rows[fresh] = pool[fresh][(seq / kN) % kPoolPerReplica];
-    const util::Bytes wire = pp.encode_delta(prev);
+    const util::Bytes wire = pp.encode();
     const crypto::Digest d = pp.digest();
     if (wire.empty() || d == crypto::Digest{}) std::abort();
     prev = std::move(pp.rows);

@@ -302,7 +302,6 @@ namespace {
 // Row tags on the Pre-Prepare wire.
 constexpr std::uint8_t kRowAbsent = 0;
 constexpr std::uint8_t kRowInline = 1;
-constexpr std::uint8_t kRowUnchanged = 2;
 
 // Domain prefixes keep the matrix digest and the agreement digest from
 // colliding with each other or with any signed unit.
@@ -340,8 +339,10 @@ crypto::Digest PrePrepare::matrix_digest_of(const std::vector<Row>& rows) {
   return h.finish();
 }
 
-void PrePrepare::encode_rows(util::ByteWriter& w,
-                             const std::vector<Row>& rows) {
+namespace {
+
+void encode_rows(util::ByteWriter& w,
+                 const std::vector<PrePrepare::Row>& rows) {
   w.u32(static_cast<std::uint32_t>(rows.size()));
   for (const auto& row : rows) {
     if (row) {
@@ -353,10 +354,10 @@ void PrePrepare::encode_rows(util::ByteWriter& w,
   }
 }
 
-std::vector<PrePrepare::Row> PrePrepare::decode_rows(util::ByteReader& r) {
+std::vector<PrePrepare::Row> decode_rows(util::ByteReader& r) {
   const std::uint32_t n = r.u32();
   if (n > 4096) throw util::SerializationError("absurd matrix size");
-  std::vector<Row> rows;
+  std::vector<PrePrepare::Row> rows;
   rows.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint8_t tag = r.u8();
@@ -370,6 +371,8 @@ std::vector<PrePrepare::Row> PrePrepare::decode_rows(util::ByteReader& r) {
   }
   return rows;
 }
+
+}  // namespace
 
 util::Bytes PrePrepare::encode() const {
   std::size_t hint = 4 + 8 + 8 + 32 + 4 + rows.size();
@@ -385,27 +388,6 @@ util::Bytes PrePrepare::encode() const {
   return w.take();
 }
 
-util::Bytes PrePrepare::encode_delta(const std::vector<Row>& prev) const {
-  util::ByteWriter w(4 + 8 + 8 + 32 + 4 + rows.size() * 128);
-  w.u32(leader);
-  w.u64(view);
-  w.u64(order_seq);
-  put_digest(w, matrix());
-  w.u32(static_cast<std::uint32_t>(rows.size()));
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    if (!row) {
-      w.u8(kRowAbsent);
-    } else if (i < prev.size() && prev[i] == row) {
-      w.u8(kRowUnchanged);
-    } else {
-      w.u8(kRowInline);
-      row->encode(w);
-    }
-  }
-  return w.take();
-}
-
 std::optional<PrePrepare> PrePrepare::decode(
     std::span<const std::uint8_t> data) {
   return guarded<PrePrepare>(data, [](util::ByteReader& r) {
@@ -414,27 +396,7 @@ std::optional<PrePrepare> PrePrepare::decode(
     p.view = r.u64();
     p.order_seq = r.u64();
     p.matrix_digest = get_digest(r);
-    const std::uint32_t n = r.u32();
-    if (n > 4096) throw util::SerializationError("absurd matrix size");
-    p.rows.reserve(n);
-    bool any_unchanged = false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint8_t tag = r.u8();
-      if (tag == kRowInline) {
-        p.rows.push_back(std::make_shared<const PoAru>(PoAru::decode(r)));
-      } else if (tag == kRowAbsent) {
-        p.rows.push_back(nullptr);
-      } else if (tag == kRowUnchanged) {
-        if (!any_unchanged) {
-          any_unchanged = true;
-          p.unchanged.assign(n, 0);
-        }
-        p.unchanged[i] = 1;
-        p.rows.push_back(nullptr);
-      } else {
-        throw util::SerializationError("bad row tag");
-      }
-    }
+    p.rows = decode_rows(r);
     return p;
   });
 }
@@ -498,7 +460,6 @@ void PreparedProof::encode(util::ByteWriter& w) const {
   w.blob(preprepare_envelope);
   w.u32(static_cast<std::uint32_t>(prepare_envelopes.size()));
   for (const auto& p : prepare_envelopes) w.blob(p);
-  PrePrepare::encode_rows(w, rows);
 }
 
 PreparedProof PreparedProof::decode(util::ByteReader& r) {
@@ -509,7 +470,6 @@ PreparedProof PreparedProof::decode(util::ByteReader& r) {
   if (n > 256) throw util::SerializationError("absurd prepare count");
   proof.prepare_envelopes.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) proof.prepare_envelopes.push_back(r.blob());
-  proof.rows = PrePrepare::decode_rows(r);
   return proof;
 }
 
@@ -713,7 +673,6 @@ util::Bytes CommitCertResp::encode() const {
   w.blob(preprepare_envelope);
   w.u32(static_cast<std::uint32_t>(commit_envelopes.size()));
   for (const auto& c : commit_envelopes) w.blob(c);
-  PrePrepare::encode_rows(w, rows);
   return w.take();
 }
 
@@ -727,48 +686,7 @@ std::optional<CommitCertResp> CommitCertResp::decode(
     if (n > 4096) throw util::SerializationError("absurd commit count");
     c.commit_envelopes.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) c.commit_envelopes.push_back(r.blob());
-    c.rows = PrePrepare::decode_rows(r);
     return c;
-  });
-}
-
-// ---- matrix fetch ----------------------------------------------------------
-
-util::Bytes MatrixFetch::encode() const {
-  util::ByteWriter w;
-  w.u64(view);
-  w.u64(order_seq);
-  return w.take();
-}
-
-std::optional<MatrixFetch> MatrixFetch::decode(
-    std::span<const std::uint8_t> data) {
-  return guarded<MatrixFetch>(data, [](util::ByteReader& r) {
-    MatrixFetch f;
-    f.view = r.u64();
-    f.order_seq = r.u64();
-    return f;
-  });
-}
-
-util::Bytes MatrixResp::encode() const {
-  util::ByteWriter w;
-  w.u64(view);
-  w.u64(order_seq);
-  w.blob(preprepare_envelope);
-  PrePrepare::encode_rows(w, rows);
-  return w.take();
-}
-
-std::optional<MatrixResp> MatrixResp::decode(
-    std::span<const std::uint8_t> data) {
-  return guarded<MatrixResp>(data, [](util::ByteReader& r) {
-    MatrixResp m;
-    m.view = r.u64();
-    m.order_seq = r.u64();
-    m.preprepare_envelope = r.blob();
-    m.rows = PrePrepare::decode_rows(r);
-    return m;
   });
 }
 

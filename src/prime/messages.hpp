@@ -7,17 +7,22 @@
 //                -> PO-ARU    (cumulative per-origin acknowledgment;
 //                              PO-Acks are folded into the cumulative
 //                              vector, see DESIGN.md)
-//                -> Pre-Prepare (leader's matrix of signed PO-ARUs)
+//                -> Pre-Prepare (leader's full matrix of signed PO-ARUs,
+//                                every row inline)
 //                -> Prepare / Commit (PBFT-style agreement on the matrix)
 //                -> deterministic execution from matrix eligibility.
 //
 // Plus the machinery the deployments exercised: suspect-leader /
 // view-change messages for the bounded-delay guarantee, reconciliation
-// fetches, and the replication-level state-transfer signal of §III-A.
+// and commit-certificate fetches, and the replication-level
+// state-transfer signal of §III-A.
 //
 // Every message travels in a signed Envelope; PO-ARUs and ViewStates
 // additionally carry embedded signatures so they can be re-shipped
-// inside Pre-Prepares and New-Views and verified independently.
+// inside Pre-Prepares and New-Views and verified independently. A
+// Pre-Prepare envelope is self-contained: prepared proofs and commit
+// certificates re-serve it verbatim, and the receiver checks the rows
+// it decodes from it.
 #pragma once
 
 #include <cstdint>
@@ -54,11 +59,9 @@ enum class MsgType : std::uint8_t {
   kCommitCertReq = 16,
   kCommitCertResp = 17,
   kCheckpoint = 18,
-  kMatrixFetch = 19,
-  kMatrixResp = 20,
 };
 
-inline constexpr std::uint8_t kMaxMsgType = 20;
+inline constexpr std::uint8_t kMaxMsgType = 18;
 /// High bit of the wire type byte: the envelope carries a Merkle
 /// inclusion proof and its signature covers the batch root.
 inline constexpr std::uint8_t kBatchedFlag = 0x80;
@@ -189,14 +192,12 @@ struct PoAru {
 /// The leader's ordered proposal: a matrix of the freshest signed
 /// PO-ARUs it holds (one shared row per replica, null = absent).
 ///
-/// Wire format (delta matrices): the header carries the digest of the
-/// FULL matrix, then one tag per row — 0 absent, 1 row bytes inline,
-/// 2 "unchanged since this leader's previous proposal". Followers
-/// reconstruct tag-2 rows from the previous accepted proposal and
-/// check the reconstruction against the leader-signed matrix digest;
-/// on mismatch (or a missing prior) they fall back to fetching the
-/// full matrix. The agreement digest() covers header + matrix digest
-/// only, so delta and full encodings of the same proposal agree.
+/// Wire format: the header carries the leader-signed digest of the row
+/// matrix, then one tag per row — 0 absent, 1 row bytes inline. Every
+/// proposal carries its full matrix, so any single Pre-Prepare envelope
+/// is self-contained. The agreement digest() covers header + matrix
+/// digest only; receivers check the claimed matrix digest against the
+/// rows they decoded.
 struct PrePrepare {
   using Row = std::shared_ptr<const PoAru>;
 
@@ -204,32 +205,20 @@ struct PrePrepare {
   std::uint64_t view = 0;
   std::uint64_t order_seq = 0;
   std::vector<Row> rows;
-  /// Decode side: non-empty iff any row arrived as tag 2; entry r is 1
-  /// when rows[r] must be taken from the prior proposal. Cleared once
-  /// the matrix is reconstructed and accepted.
-  std::vector<std::uint8_t> unchanged;
-  /// Digest of the full row matrix: claimed (decode) or computed
-  /// lazily from rows (encode/digest); zero means "not yet computed".
+  /// Digest of the row matrix: claimed (decode) or computed lazily from
+  /// rows (encode/digest); zero means "not yet computed".
   mutable crypto::Digest matrix_digest{};
 
-  [[nodiscard]] bool is_delta() const { return !unchanged.empty(); }
   /// matrix_digest, computing it from rows if unset.
   [[nodiscard]] const crypto::Digest& matrix() const;
   /// Canonical digest over per-row presence + raw row bytes.
   [[nodiscard]] static crypto::Digest matrix_digest_of(
       const std::vector<Row>& rows);
-  /// Canonical full-rows attachment encoding (used by MatrixResp and
-  /// prepared/commit certificates).
-  static void encode_rows(util::ByteWriter& w, const std::vector<Row>& rows);
-  static std::vector<Row> decode_rows(util::ByteReader& r);
 
   [[nodiscard]] util::Bytes encode() const;
-  /// Delta encoding against the same leader's previous proposal: rows
-  /// pointer-equal to `prev` are sent as tag 2.
-  [[nodiscard]] util::Bytes encode_delta(const std::vector<Row>& prev) const;
   static std::optional<PrePrepare> decode(std::span<const std::uint8_t> data);
   /// Digest that Prepare/Commit messages agree on; covers the header
-  /// and the full-matrix digest, independent of delta vs full wire.
+  /// and the matrix digest.
   [[nodiscard]] crypto::Digest digest() const;
 };
 
@@ -262,11 +251,6 @@ struct PreparedProof {
   std::uint64_t order_seq = 0;
   util::Bytes preprepare_envelope;
   std::vector<util::Bytes> prepare_envelopes;
-  /// Full row matrix of the Pre-Prepare. The envelope may be
-  /// delta-encoded (tag-2 rows reference state the verifier need not
-  /// hold), so the proof attaches the rows and the verifier checks
-  /// them against the leader-signed matrix digest.
-  std::vector<PrePrepare::Row> rows;
 
   void encode(util::ByteWriter& w) const;
   static PreparedProof decode(util::ByteReader& r);
@@ -363,39 +347,14 @@ struct CommitCertReq {
 };
 
 /// A committed Pre-Prepare plus a commit quorum, served verbatim.
-/// Attaches the full row matrix for the same reason as PreparedProof.
 struct CommitCertResp {
   std::uint64_t order_seq = 0;
   util::Bytes preprepare_envelope;
   std::vector<util::Bytes> commit_envelopes;
-  std::vector<PrePrepare::Row> rows;
 
   [[nodiscard]] util::Bytes encode() const;
   static std::optional<CommitCertResp> decode(
       std::span<const std::uint8_t> data);
-};
-
-/// Follower request for the full row matrix of a Pre-Prepare it could
-/// not reconstruct from a delta (stale or missing prior proposal).
-struct MatrixFetch {
-  std::uint64_t view = 0;
-  std::uint64_t order_seq = 0;
-
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<MatrixFetch> decode(std::span<const std::uint8_t> data);
-};
-
-/// Serves the leader-signed Pre-Prepare envelope verbatim plus the
-/// full row matrix; the requester validates the rows against the
-/// matrix digest inside the (re-verified) envelope.
-struct MatrixResp {
-  std::uint64_t view = 0;
-  std::uint64_t order_seq = 0;
-  util::Bytes preprepare_envelope;
-  std::vector<PrePrepare::Row> rows;
-
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<MatrixResp> decode(std::span<const std::uint8_t> data);
 };
 
 /// Periodic execution checkpoint; f+1 matching votes make a checkpoint

@@ -47,7 +47,6 @@ Replica::Replica(sim::Simulator& sim, ReplicaId id, PrimeConfig config,
                    &stats_.recon_fetches_satisfied);
   metrics_.counter("row_verify_short_circuits",
                    &stats_.row_verify_short_circuits);
-  metrics_.counter("matrix_fetches_sent", &stats_.matrix_fetches_sent);
   metrics_.counter("batches_sealed", &stats_.batches_sealed);
   metrics_.counter("state_transfer_bytes", &stats_.state_transfer_bytes);
   metrics_.counter("state_reqs_sent", &stats_.state_reqs_sent);
@@ -145,6 +144,8 @@ void Replica::shutdown() {
   new_leader_votes_.clear();
   collected_view_states_.clear();
   new_view_sent_ = false;
+  new_view_envelope_.clear();
+  new_view_served_at_.clear();
   expected_rows_.clear();
   reproposal_top_ = 0;
   reproposal_view_ = 0;
@@ -154,12 +155,7 @@ void Replica::shutdown() {
   state_resps_.clear();
   chosen_state_.reset();
   outstanding_cert_fetches_.clear();
-  outstanding_matrix_fetches_.clear();
-  last_prop_valid_ = false;
   last_prop_rows_.clear();
-  last_accepted_view_ = 0;
-  last_accepted_seq_ = 0;
-  last_accepted_rows_.clear();
   last_suspected_view_ = 0;
   // Rejuvenation semantics: acceptances recorded before the takedown
   // are not trustworthy afterwards (see verify_cache.hpp).
@@ -282,6 +278,19 @@ bool Replica::verify_row(const PoAru& row, ReplicaId r) {
   }
   if (!row.raw.empty()) return verify_unit(identity_of(r), row.raw, row.sig);
   return verify_unit(identity_of(r), row.encode_standalone(), row.sig);
+}
+
+bool Replica::verify_matrix(const PrePrepare& pp) {
+  if (pp.rows.size() != config_.n()) return false;
+  for (ReplicaId r = 0; r < config_.n(); ++r) {
+    const auto& row = pp.rows[r];
+    if (!row) continue;
+    if (row->replica != r || row->aru.size() != config_.n() ||
+        !verify_row(*row, r)) {
+      return false;
+    }
+  }
+  return PrePrepare::matrix_digest_of(pp.rows) == pp.matrix_digest;
 }
 
 bool Replica::verify_client_update(const ClientUpdate& update) {
@@ -445,7 +454,7 @@ void Replica::process_message(const util::Bytes& envelope_bytes,
       break;
     case MsgType::kNewLeader: handle_new_leader(*env); break;
     case MsgType::kViewState: handle_view_state(*env); break;
-    case MsgType::kNewView: handle_new_view(*env); break;
+    case MsgType::kNewView: handle_new_view(*env, envelope_bytes); break;
     case MsgType::kPoReqFetch: handle_po_fetch(*env); break;
     case MsgType::kPoReqResp: handle_po_resp(*env); break;
     case MsgType::kStateReq: handle_state_req(*env); break;
@@ -455,8 +464,6 @@ void Replica::process_message(const util::Bytes& envelope_bytes,
     case MsgType::kCommitCertReq: handle_cert_req(*env); break;
     case MsgType::kCommitCertResp: handle_cert_resp(*env); break;
     case MsgType::kCheckpoint: handle_checkpoint(*env, envelope_bytes); break;
-    case MsgType::kMatrixFetch: handle_matrix_fetch(*env); break;
-    case MsgType::kMatrixResp: handle_matrix_resp(*env); break;
   }
 }
 
@@ -750,7 +757,7 @@ void Replica::handle_po_aru(const Envelope& env) {
   latest = std::make_shared<const PoAru>(std::move(*aru));
   latest_aru_view_[latest->replica] = view_;
   // Withheld-ARU aging (adversary v2 defense): remember when we saw
-  // this peer's broadcast row. accept_preprepare drains the samples the
+  // this peer's broadcast row. handle_preprepare drains the samples the
   // leader's matrices cover; suspect_tick ages whatever the leader
   // keeps omitting. Bounded per origin — one aged sample is enough to
   // suspect, precision beyond that buys nothing.
@@ -800,7 +807,7 @@ void Replica::preprepare_tick(std::uint64_t epoch) {
   // Skip redundant proposals when idle, but heartbeat often enough that
   // correct replicas never suspect a healthy leader. Rows are shared
   // immutable objects, so pointer equality decides freshness.
-  const bool fresh = !last_prop_valid_ || pp.rows != last_prop_rows_;
+  const bool fresh = pp.rows != last_prop_rows_;
   const bool heartbeat_due =
       sim_.now() - last_preprepare_sent_ >= kLeaderHeartbeat;
   if (!fresh && !heartbeat_due) return;
@@ -828,7 +835,7 @@ void Replica::preprepare_tick(std::uint64_t epoch) {
                                           pp.encode());
       const util::Bytes wire_b =
           Envelope::seal(MsgType::kPrePrepare, signer_, alt.encode());
-      last_prop_valid_ = false;  // no delta chain across the fork
+      last_prop_rows_.clear();  // the next proposal goes out regardless
       ++next_order_seq_;
       ++stats_.preprepares_sent;
       ++stats_.byz_equivocations_sent;
@@ -842,25 +849,15 @@ void Replica::preprepare_tick(std::uint64_t epoch) {
     }
   }
 
-  // Delta-encode against our immediately preceding proposal in this
-  // view: unchanged rows ship as a one-byte tag instead of a full
-  // signed PO-ARU, with the chained matrix digest binding the whole
-  // reconstructed matrix.
-  const bool delta_ok = last_prop_valid_ && last_prop_view_ == view_ &&
-                        last_prop_seq_ + 1 == pp.order_seq;
-  util::Bytes body =
-      delta_ok ? pp.encode_delta(last_prop_rows_) : pp.encode();
-  last_prop_valid_ = true;
-  last_prop_view_ = view_;
-  last_prop_seq_ = pp.order_seq;
-  last_prop_rows_ = pp.rows;
+  util::Bytes body = pp.encode();
+  last_prop_rows_ = std::move(pp.rows);
 
   ++next_order_seq_;
   ++stats_.preprepares_sent;
 
   // Byzantine delay/reorder (adversary v2): Prime's signature
   // performance attack. Seal and install the proposal locally now (the
-  // attacker looks current to itself and can serve MatrixFetches), but
+  // attacker looks current to itself and can serve certificates), but
   // hold the broadcast back; with reordering, release held proposals
   // pairwise swapped. Below kTurnaroundBound this is invisible — that
   // is the bounded-delay guarantee, the damage is capped, not zero.
@@ -894,12 +891,11 @@ void Replica::handle_preprepare(const Envelope& env, const util::Bytes& raw) {
   if (pp->order_seq > applied_seq_ + (1u << 20)) return;  // absurd horizon
   const auto start_it = view_start_.find(view_);
   if (start_it != view_start_.end() && pp->order_seq < start_it->second) return;
-  if (pp->rows.size() != config_.n()) return;
 
   // The agreement digest derives from the leader's CLAIMED matrix
   // digest, so equivocation / duplicate / committed checks run before
-  // any row verification or delta reconstruction — a flood of
-  // duplicates costs hashing, not HMACs.
+  // any row verification — a flood of duplicates costs hashing, not
+  // HMACs.
   const crypto::Digest digest = pp->digest();
   const auto slot_it = slots_.find(pp->order_seq);
   if (slot_it != slots_.end()) {
@@ -923,60 +919,13 @@ void Replica::handle_preprepare(const Envelope& env, const util::Bytes& raw) {
     if (slot.preprepare && slot.view > pp->view) return;
   }
 
-  if (pp->is_delta()) {
-    // Reconstruct tag-2 (unchanged) rows from the proposal this delta
-    // chains onto. If we never accepted that proposal (just recovered,
-    // or it was lost), we cannot reconstruct — fall back to fetching
-    // the full matrix from any replica that did accept it.
-    const bool chain_ok = last_accepted_view_ == pp->view &&
-                          last_accepted_seq_ + 1 == pp->order_seq &&
-                          !last_accepted_rows_.empty();
-    if (!chain_ok) {
-      request_matrix(pp->view, pp->order_seq);
-      return;
-    }
-    for (ReplicaId r = 0; r < config_.n(); ++r) {
-      if (pp->unchanged[r]) pp->rows[r] = last_accepted_rows_[r];
-    }
-  }
-
-  accept_preprepare(std::move(*pp), digest, raw, /*direct_from_leader=*/true);
-}
-
-void Replica::accept_preprepare(PrePrepare pp, const crypto::Digest& digest,
-                                const util::Bytes& raw_envelope,
-                                bool direct_from_leader) {
-  // Verify the inline rows. Rows reconstructed from the previous
-  // accepted proposal (tag-2) were verified when that proposal was
-  // accepted, and verify_row short-circuits rows whose bytes match an
-  // already-accepted latest_aru_ entry.
-  for (ReplicaId r = 0; r < config_.n(); ++r) {
-    const auto& row = pp.rows[r];
-    if (!row) continue;
-    if (r < pp.unchanged.size() && pp.unchanged[r]) continue;
-    if (row->replica != r || row->aru.size() != config_.n() ||
-        !verify_row(*row, r)) {
-      // Malformed matrix straight from the leader is attributable
-      // misbehavior; via a MatrixResp the responder may have tampered
-      // with the attachment, so only drop.
-      if (direct_from_leader) suspect(view_ + 1);
-      return;
-    }
-  }
-
-  // The claimed matrix digest (covered by the agreement digest every
-  // replica prepares on) must match the matrix we actually hold. A
-  // mismatch on the direct path means the leader's delta lies about
-  // unchanged rows — leader-signed, so suspect. On the fetch path the
-  // responder's attachment may be bogus: drop and let retries find an
-  // honest responder.
-  const crypto::Digest computed = PrePrepare::matrix_digest_of(pp.rows);
-  if (computed != pp.matrix_digest) {
-    if (direct_from_leader) {
-      log_.warn("pre-prepare matrix digest mismatch at seq ", pp.order_seq,
-                "; suspecting leader");
-      suspect(view_ + 1);
-    }
+  // The matrix arrives whole and leader-signed: a bad row, or a claimed
+  // digest (covered by the agreement digest every replica prepares on)
+  // that does not match the rows, is attributable leader misbehavior.
+  if (!verify_matrix(*pp)) {
+    log_.warn("pre-prepare matrix fails verification at seq ", pp->order_seq,
+              "; suspecting leader");
+    suspect(view_ + 1);
     return;
   }
 
@@ -984,40 +933,26 @@ void Replica::accept_preprepare(PrePrepare pp, const crypto::Digest& digest,
   // leading slots must carry exactly the proven matrices (or an empty
   // no-op matrix for holes) — a leader proposing anything else for
   // them is misbehaving.
-  if (reproposal_view_ == view_ && pp.order_seq <= reproposal_top_) {
-    const auto expected = expected_rows_.find(pp.order_seq);
+  if (reproposal_view_ == view_ && pp->order_seq <= reproposal_top_) {
+    const auto expected = expected_rows_.find(pp->order_seq);
     const crypto::Digest required = expected != expected_rows_.end()
                                         ? expected->second
                                         : empty_matrix_digest();
-    if (computed != required) {
+    if (pp->matrix_digest != required) {
       log_.warn("leader deviated from re-proposal constraints at seq ",
-                pp.order_seq, "; suspecting");
-      if (direct_from_leader) suspect(view_ + 1);
+                pp->order_seq, "; suspecting");
+      suspect(view_ + 1);
       return;
     }
   }
 
-  OrderSlot& slot = slots_[pp.order_seq];
-  if (slot.committed) {
-    last_leader_activity_ = sim_.now();
-    return;
-  }
-  if (slot.preprepare) {
-    if (slot.view == pp.view) {
-      // Raced with another copy (e.g. a MatrixResp landing after the
-      // leader's retransmission); the digest checks ran in
-      // handle_preprepare, nothing more to do.
-      last_leader_activity_ = sim_.now();
-      return;
-    }
-    if (slot.view > pp.view) return;
-    // Newer view supersedes an abandoned proposal.
-    slot = OrderSlot{};
-  }
+  OrderSlot& slot = slots_[pp->order_seq];
+  // Newer view supersedes an abandoned proposal.
+  if (slot.preprepare) slot = OrderSlot{};
 
   // Turnaround check bookkeeping: our row being reflected clears the
   // pending PO-ARUs it covers.
-  if (const auto& my_row = pp.rows[id_]) {
+  if (const auto& my_row = pp->rows[id_]) {
     while (!turnaround_.empty() &&
            turnaround_.front().second <= my_row->aru_seq) {
       turnaround_.pop_front();
@@ -1027,7 +962,7 @@ void Replica::accept_preprepare(PrePrepare pp, const crypto::Digest& digest,
   // matrix row covering the sample proves the leader is not excluding
   // that origin.
   for (ReplicaId r = 0; r < config_.n(); ++r) {
-    const auto& row = pp.rows[r];
+    const auto& row = pp->rows[r];
     if (!row) continue;
     auto& pending = peer_turnaround_[r];
     while (!pending.empty() && pending.front().second <= row->aru_seq) {
@@ -1035,20 +970,10 @@ void Replica::accept_preprepare(PrePrepare pp, const crypto::Digest& digest,
     }
   }
 
-  // Track the newest accepted proposal for future delta reconstruction.
-  if (pp.view > last_accepted_view_ ||
-      (pp.view == last_accepted_view_ && pp.order_seq > last_accepted_seq_)) {
-    last_accepted_view_ = pp.view;
-    last_accepted_seq_ = pp.order_seq;
-    last_accepted_rows_ = pp.rows;
-  }
-  outstanding_matrix_fetches_.erase(pp.order_seq);
-
-  const std::uint64_t seq = pp.order_seq;
-  const std::uint64_t pp_view = pp.view;
-  pp.unchanged.clear();  // stored form always carries the full rows
-  slot.preprepare = std::move(pp);
-  slot.preprepare_envelope = raw_envelope;
+  const std::uint64_t seq = pp->order_seq;
+  const std::uint64_t pp_view = pp->view;
+  slot.preprepare = std::move(*pp);
+  slot.preprepare_envelope = raw;
   slot.digest = digest;
   slot.view = pp_view;
   slot.pp_at = sim_.now();
@@ -1062,70 +987,6 @@ void Replica::accept_preprepare(PrePrepare pp, const crypto::Digest& digest,
   send_envelope(MsgType::kPrepare, prepare.encode());
 
   try_commit(seq);
-}
-
-void Replica::request_matrix(std::uint64_t view, std::uint64_t order_seq) {
-  const auto it = outstanding_matrix_fetches_.find(order_seq);
-  if (it == outstanding_matrix_fetches_.end()) {
-    if (outstanding_matrix_fetches_.size() >= kMaxMatrixFetches) return;
-    outstanding_matrix_fetches_[order_seq] = view;
-  } else {
-    it->second = view;
-  }
-  MatrixFetch fetch;
-  fetch.view = view;
-  fetch.order_seq = order_seq;
-  ++stats_.matrix_fetches_sent;
-  send_envelope(MsgType::kMatrixFetch, fetch.encode());
-}
-
-void Replica::handle_matrix_fetch(const Envelope& env) {
-  const auto fetch = MatrixFetch::decode(env.body);
-  if (!fetch) return;
-  const auto slot_it = slots_.find(fetch->order_seq);
-  if (slot_it == slots_.end()) return;
-  const OrderSlot& slot = slot_it->second;
-  if (!slot.preprepare || slot.view != fetch->view ||
-      slot.preprepare_envelope.empty()) {
-    return;
-  }
-  const auto r = sender_id(env);
-  if (!r) return;
-  MatrixResp resp;
-  resp.view = fetch->view;
-  resp.order_seq = fetch->order_seq;
-  resp.preprepare_envelope = slot.preprepare_envelope;
-  resp.rows = slot.preprepare->rows;
-  send_envelope(MsgType::kMatrixResp, resp.encode(), *r);
-}
-
-void Replica::handle_matrix_resp(const Envelope& env) {
-  const auto resp = MatrixResp::decode(env.body);
-  if (!resp) return;
-  if (!outstanding_matrix_fetches_.count(resp->order_seq)) return;  // unsolicited
-  const auto inner = Envelope::decode(resp->preprepare_envelope);
-  if (!inner || inner->type != MsgType::kPrePrepare ||
-      !verify_envelope(*inner, resp->preprepare_envelope)) {
-    return;
-  }
-  auto pp = PrePrepare::decode(inner->body);
-  if (!pp) return;
-  if (!sender_is(*inner, pp->leader)) return;
-  if (pp->view != resp->view || pp->order_seq != resp->order_seq) return;
-  if (pp->view != view_ || pp->leader != leader_of(view_)) return;
-  if (pp->order_seq <= applied_seq_) return;
-  if (pp->order_seq > applied_seq_ + (1u << 20)) return;
-  if (pp->rows.size() != config_.n() || resp->rows.size() != config_.n()) {
-    return;
-  }
-  // Substitute the responder's full row attachment for the (possibly
-  // delta-encoded) row set of the stored envelope; the leader-signed
-  // matrix digest check in accept_preprepare catches tampering.
-  pp->rows = resp->rows;
-  pp->unchanged.clear();
-  const crypto::Digest digest = pp->digest();
-  accept_preprepare(std::move(*pp), digest, resp->preprepare_envelope,
-                    /*direct_from_leader=*/false);
 }
 
 void Replica::handle_prepare_or_commit(const Envelope& env,
@@ -1309,6 +1170,10 @@ void Replica::apply_matrix(std::uint64_t seq) {
     exec_aru_[i] = std::max(exec_aru_[i], elig[i]);
   }
 
+  // Once executed, a slot only re-serves its signed envelope and commit
+  // quorum (handle_cert_req). Its decoded matrix would otherwise keep
+  // row copies alive for the whole retention window.
+  slot.preprepare.reset();
   applied_seq_ = seq;
   ++stats_.matrices_applied;
   outstanding_cert_fetches_.erase(seq);
@@ -1391,6 +1256,17 @@ void Replica::suspect_tick(std::uint64_t epoch) {
   if (is_leader()) return;
 
   if (sim_.now() - last_leader_activity_ > kSuspectTimeout) {
+    if (last_suspected_view_ > view_) {
+      // Our vote is out and the view has not moved here: the view change
+      // may have completed without us (partitioned through it, say).
+      // Repeat the vote we cast, never a new one; the leader of the
+      // view the others run answers it with its NewView.
+      NewLeader msg;
+      msg.replica = id_;
+      msg.proposed_view = last_suspected_view_;
+      send_envelope(MsgType::kNewLeader, msg.encode());
+      return;
+    }
     log_.debug("leader of view ", view_, " silent; suspecting");
     suspect(view_ + 1);
     return;
@@ -1444,7 +1320,19 @@ void Replica::handle_new_leader(const Envelope& env) {
   const auto msg = NewLeader::decode(env.body);
   if (!msg) return;
   if (!sender_is(env, msg->replica)) return;
-  if (msg->proposed_view <= view_) return;
+  if (msg->proposed_view <= view_) {
+    // The sender is still moving to a view at or below the one this
+    // replica runs: it missed the NewView, which the leader serves
+    // verbatim, at most once per requester per kLeaderHeartbeat (a
+    // NewView can be ~1,000x the vote that asks for it).
+    if (!is_leader() || new_view_envelope_.empty()) return;
+    const auto [it, first] =
+        new_view_served_at_.try_emplace(msg->replica, sim_.now());
+    if (!first && sim_.now() - it->second < kLeaderHeartbeat) return;
+    it->second = sim_.now();
+    transport_->send(msg->replica, new_view_envelope_);
+    return;
+  }
 
   auto& votes = new_leader_votes_[msg->proposed_view];
   votes.insert(msg->replica);
@@ -1469,6 +1357,8 @@ void Replica::enter_view(std::uint64_t view) {
   turnaround_baseline_ = sim_.now();
   collected_view_states_.clear();
   new_view_sent_ = false;
+  new_view_envelope_.clear();
+  new_view_served_at_.clear();
   while (!new_leader_votes_.empty() &&
          new_leader_votes_.begin()->first <= view) {
     new_leader_votes_.erase(new_leader_votes_.begin());
@@ -1487,13 +1377,10 @@ void Replica::enter_view(std::uint64_t view) {
     if (slot.committed || seq <= applied_seq_ || vs.prepared.size() >= 32) {
       continue;
     }
-    // Assemble the self-certifying prepared proof for this slot. The
-    // stored envelope may be delta-encoded, so the full row set rides
-    // along (checked against the envelope's signed matrix digest).
+    // Assemble the self-certifying prepared proof for this slot.
     PreparedProof proof;
     proof.order_seq = seq;
     proof.preprepare_envelope = slot.preprepare_envelope;
-    proof.rows = slot.preprepare->rows;
     for (const auto& [replica, entry] : slot.prepares) {
       if (entry.first != slot.view || entry.second != slot.digest) continue;
       const auto env_it = slot.prepare_envelopes.find(replica);
@@ -1569,24 +1456,7 @@ std::optional<PrePrepare> Replica::verify_prepared_proof(
   if (!sender_is(*env, pp->leader) || pp->leader != leader_of(pp->view)) {
     return std::nullopt;
   }
-  if (pp->rows.size() != config_.n() || proof.rows.size() != config_.n()) {
-    return std::nullopt;
-  }
-  // The envelope may be delta-encoded; the proof attaches the full row
-  // set, authenticated by the leader-signed matrix digest.
-  for (ReplicaId r = 0; r < config_.n(); ++r) {
-    const auto& row = proof.rows[r];
-    if (!row) continue;
-    if (row->replica != r || row->aru.size() != config_.n() ||
-        !verify_row(*row, r)) {
-      return std::nullopt;
-    }
-  }
-  if (PrePrepare::matrix_digest_of(proof.rows) != pp->matrix_digest) {
-    return std::nullopt;
-  }
-  pp->rows = proof.rows;
-  pp->unchanged.clear();
+  if (!verify_matrix(*pp)) return std::nullopt;
   const crypto::Digest digest = pp->digest();
   std::set<ReplicaId> senders;
   for (const auto& prepare_bytes : proof.prepare_envelopes) {
@@ -1607,10 +1477,11 @@ std::optional<PrePrepare> Replica::verify_prepared_proof(
   return pp;
 }
 
-void Replica::handle_new_view(const Envelope& env) {
+void Replica::handle_new_view(const Envelope& env, const util::Bytes& raw) {
   const auto nv = NewView::decode(env.body);
   if (!nv) return;
   if (nv->view < view_) return;
+  if (view_start_.count(nv->view)) return;  // already installed
   if (!sender_is(env, nv->leader)) return;
   if (leader_of(nv->view) != nv->leader) return;
   if (nv->justification.size() < config_.quorum()) return;
@@ -1655,6 +1526,7 @@ void Replica::handle_new_view(const Envelope& env) {
   for (auto& pending : peer_turnaround_) pending.clear();
   turnaround_baseline_ = sim_.now();
   last_po_aru_sent_.reset();
+  if (nv->leader == id_) new_view_envelope_ = raw;
   view_start_[nv->view] = nv->start_seq;
   last_leader_activity_ = sim_.now();
 
@@ -1662,8 +1534,8 @@ void Replica::handle_new_view(const Envelope& env) {
   reproposal_top_ = chosen.empty() ? nv->start_seq - 1 : chosen.rbegin()->first;
   expected_rows_.clear();
   for (const auto& [seq, viewed_pp] : chosen) {
-    // verify_prepared_proof established matrix_digest ==
-    // matrix_digest_of(rows) for every chosen proposal.
+    // verify_matrix established matrix_digest == matrix_digest_of(rows)
+    // for every chosen proposal.
     expected_rows_[seq] = viewed_pp.second.matrix_digest;
   }
 
@@ -1685,10 +1557,7 @@ void Replica::handle_new_view(const Envelope& env) {
       }
       ++stats_.preprepares_sent;
       send_envelope(MsgType::kPrePrepare, pp.encode());
-      last_prop_valid_ = true;
-      last_prop_view_ = view_;
-      last_prop_seq_ = seq;
-      last_prop_rows_ = pp.rows;
+      last_prop_rows_ = std::move(pp.rows);
     }
   }
   try_apply();
@@ -1715,22 +1584,6 @@ void Replica::recon_tick(std::uint64_t epoch) {
       ++sent;
       send_envelope(MsgType::kPoReqFetch, fetch.encode());
     }
-  }
-
-  // Delta-matrix fallback retries: keep asking for full matrices we
-  // could not reconstruct until the slot is applied or the view moves.
-  for (auto it = outstanding_matrix_fetches_.begin();
-       it != outstanding_matrix_fetches_.end();) {
-    if (it->first <= applied_seq_ || it->second < view_) {
-      it = outstanding_matrix_fetches_.erase(it);
-      continue;
-    }
-    MatrixFetch fetch;
-    fetch.view = it->second;
-    fetch.order_seq = it->first;
-    ++stats_.matrix_fetches_sent;
-    send_envelope(MsgType::kMatrixFetch, fetch.encode());
-    ++it;
   }
 
   // Catch-up lookahead: when the commit stream is far ahead of our
@@ -1819,9 +1672,6 @@ void Replica::handle_cert_req(const Envelope& env) {
   CommitCertResp resp;
   resp.order_seq = req->order_seq;
   resp.preprepare_envelope = slot.preprepare_envelope;
-  // The stored envelope may be delta-encoded; ship the full row set,
-  // authenticated by the envelope's signed matrix digest.
-  resp.rows = slot.preprepare->rows;
   for (const auto& [replica, entry] : slot.commits) {
     if (entry.first == slot.view && entry.second == slot.digest) {
       const auto env_it = slot.commit_envelopes.find(replica);
@@ -1850,22 +1700,7 @@ void Replica::handle_cert_resp(const Envelope& env) {
   auto pp = PrePrepare::decode(pp_env->body);
   if (!pp || pp->order_seq != resp->order_seq) return;
   if (!sender_is(*pp_env, pp->leader)) return;
-  if (pp->rows.size() != config_.n() || resp->rows.size() != config_.n()) {
-    return;
-  }
-  // The envelope may be delta-encoded; the response attaches the full
-  // row set, authenticated by the leader-signed matrix digest.
-  for (ReplicaId r = 0; r < config_.n(); ++r) {
-    const auto& row = resp->rows[r];
-    if (!row) continue;
-    if (row->replica != r || row->aru.size() != config_.n() ||
-        !verify_row(*row, r)) {
-      return;
-    }
-  }
-  if (PrePrepare::matrix_digest_of(resp->rows) != pp->matrix_digest) return;
-  pp->rows = resp->rows;
-  pp->unchanged.clear();
+  if (!verify_matrix(*pp)) return;
   const crypto::Digest digest = pp->digest();
 
   std::set<ReplicaId> committers;
@@ -1884,6 +1719,13 @@ void Replica::handle_cert_resp(const Envelope& env) {
   if (committers.size() < config_.quorum()) return;
 
   OrderSlot& slot = slots_[resp->order_seq];
+  if (slot.digest != digest) {
+    // The trace stamps belong to the proposal they were taken for: a
+    // superseded one's would date this proposal's ordering before the
+    // updates it carries were even submitted.
+    slot.pp_at = 0;
+    slot.commit_at = 0;
+  }
   slot.preprepare = *pp;
   slot.preprepare_envelope = resp->preprepare_envelope;
   slot.digest = digest;

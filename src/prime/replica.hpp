@@ -118,7 +118,6 @@ struct ReplicaStats {
   std::uint64_t recon_fetches_queued = 0;     ///< PO-Request gaps marked wanted
   std::uint64_t recon_fetches_satisfied = 0;  ///< wanted gaps later filled
   std::uint64_t row_verify_short_circuits = 0;  ///< rows matched byte-for-byte
-  std::uint64_t matrix_fetches_sent = 0;      ///< delta fallbacks to full fetch
   std::uint64_t batches_sealed = 0;           ///< Merkle-signed send batches
   // Recovery observability (PR 4).
   std::uint64_t state_transfer_bytes = 0;  ///< snapshot bytes installed
@@ -229,6 +228,12 @@ class Replica {
   /// re-shipped inside Pre-Prepares hit the entry their standalone
   /// broadcast created.
   bool verify_row(const PoAru& row, ReplicaId r);
+  /// The one matrix check, for Pre-Prepares from the leader, prepared
+  /// proofs and commit certificates alike: n rows, each absent or owned
+  /// by its index with an n-wide vector and a valid signature
+  /// (verify_row), and the claimed matrix digest equal to the digest of
+  /// those rows.
+  bool verify_matrix(const PrePrepare& pp);
   /// Client-signature verification memoized through verify_cache_ (an
   /// update is re-checked at receipt and again inside every PO-Request
   /// that batches it).
@@ -260,11 +265,9 @@ class Replica {
                                 bool is_commit);
   void handle_new_leader(const Envelope& env);
   void handle_view_state(const Envelope& env);
-  void handle_new_view(const Envelope& env);
+  void handle_new_view(const Envelope& env, const util::Bytes& raw);
   void handle_po_fetch(const Envelope& env);
   void handle_po_resp(const Envelope& env);
-  void handle_matrix_fetch(const Envelope& env);
-  void handle_matrix_resp(const Envelope& env);
   void handle_state_req(const Envelope& env);
   void handle_state_resp(const Envelope& env);
   void handle_snapshot_req(const Envelope& env);
@@ -275,18 +278,6 @@ class Replica {
 
   // ---- protocol steps ----
   void store_po_request(const PoRequest& req, const util::Bytes& raw);
-  /// Final acceptance of a Pre-Prepare whose full row matrix is known:
-  /// verifies rows, checks the leader-signed matrix-digest claim and
-  /// re-proposal constraints, installs the slot, sends Prepare.
-  /// `direct_from_leader` controls blame on failure: a bad matrix in a
-  /// leader-signed delivery suspects the leader; a bad attachment in a
-  /// MatrixResp only discredits the (unauthenticated-rows) responder
-  /// and is dropped.
-  void accept_preprepare(PrePrepare pp, const crypto::Digest& digest,
-                         const util::Bytes& raw_envelope,
-                         bool direct_from_leader);
-  /// Delta fallback: ask peers for the full row matrix of (view, seq).
-  void request_matrix(std::uint64_t view, std::uint64_t order_seq);
   void try_commit(std::uint64_t seq);
   void try_apply();
   /// True iff every PO-Request the matrix makes eligible is stored.
@@ -407,6 +398,7 @@ class Replica {
   std::uint64_t next_order_seq_ = 1;  ///< leader's next proposal
   std::map<std::uint64_t, std::uint64_t> view_start_;  ///< view -> start_seq
   struct OrderSlot {
+    /// The decoded proposal; dropped once the slot is executed.
     std::optional<PrePrepare> preprepare;
     util::Bytes preprepare_envelope;
     crypto::Digest digest{};
@@ -432,22 +424,10 @@ class Replica {
   sim::Time last_preprepare_sent_ = 0;
   std::uint64_t last_suspected_view_ = 0;
   std::map<std::uint64_t, int> cert_attempts_;
-
-  // ---- delta-matrix state ----
-  // Leader side: the previous proposal, so the next Pre-Prepare can be
-  // delta-encoded against it (and freshness checked by row pointers).
-  bool last_prop_valid_ = false;
-  std::uint64_t last_prop_view_ = 0;
-  std::uint64_t last_prop_seq_ = 0;
+  /// Rows of the leader's previous proposal (empty = none, or the next
+  /// proposal must go out regardless). Rows are shared immutable
+  /// objects, so pointer equality tells the idle skip nothing changed.
   std::vector<PrePrepare::Row> last_prop_rows_;
-  // Follower side: the last accepted proposal, for reconstructing
-  // tag-2 (unchanged) rows of the leader's next delta.
-  std::uint64_t last_accepted_view_ = 0;
-  std::uint64_t last_accepted_seq_ = 0;
-  std::vector<PrePrepare::Row> last_accepted_rows_;
-  /// order_seq -> view of pending full-matrix fetches (bounded).
-  std::map<std::uint64_t, std::uint64_t> outstanding_matrix_fetches_;
-  static constexpr std::size_t kMaxMatrixFetches = 16;
 
   // ---- send batching ----
   struct PendingSend {
@@ -467,6 +447,12 @@ class Replica {
   std::map<std::uint64_t, std::set<ReplicaId>> new_leader_votes_;
   std::map<ReplicaId, ViewState> collected_view_states_;  ///< for view_ (as leader)
   bool new_view_sent_ = false;
+  /// At the leader of view_, the NewView that installed it, as signed
+  /// (empty elsewhere and until it is accepted). The leader re-serves it
+  /// to a replica that missed the view change, so that replica can enter
+  /// the view; new_view_served_at_ holds each requester's last re-serve.
+  util::Bytes new_view_envelope_;
+  std::map<ReplicaId, sim::Time> new_view_served_at_;
   /// Re-proposal constraints for the current view, derived from the
   /// accepted NewView's prepared proofs: seq -> required matrix-rows
   /// digest. Slots start..reproposal_top_ must match these.

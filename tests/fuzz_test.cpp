@@ -156,6 +156,124 @@ TEST(Fuzz, PrimeDecoders) {
   }, 22);
 }
 
+/// A valid n=4 Pre-Prepare from replica 0 with rows 0 and 2 present.
+prime::PrePrepare sample_preprepare(const crypto::Keyring& keyring) {
+  prime::PrePrepare pp;
+  pp.leader = 0;
+  pp.view = 3;
+  pp.order_seq = 17;
+  pp.rows.assign(4, nullptr);
+  for (const prime::ReplicaId r : {0u, 2u}) {
+    const std::string identity = prime::replica_identity(r);
+    auto row = std::make_shared<prime::PoAru>();
+    row->replica = r;
+    row->aru_seq = 5 + r;
+    row->aru = {4, 1, 9, 2};
+    row->sign(crypto::Signer(identity, keyring.identity_key(identity)));
+    pp.rows[r] = std::move(row);
+  }
+  return pp;
+}
+
+std::optional<prime::ViewState> decode_view_state(const util::Bytes& b) {
+  try {
+    util::ByteReader r(b);
+    prime::ViewState vs = prime::ViewState::decode(r);
+    r.expect_done();
+    return vs;
+  } catch (const util::SerializationError&) {
+    return std::nullopt;
+  }
+}
+
+// The ordering wires that carry a Pre-Prepare: the proposal itself, a
+// commit certificate and a view-change report with a prepared proof.
+// Each decoder is canonical, so whatever a mutated wire decodes to must
+// re-encode to exactly that wire: no field is dropped or invented.
+TEST(Fuzz, PrimeOrderingWiresRoundTripUnderMutation) {
+  crypto::Keyring keyring("fuzz");
+  const std::string leader_id = prime::replica_identity(0);
+  const crypto::Signer leader(leader_id, keyring.identity_key(leader_id));
+  const prime::PrePrepare pp = sample_preprepare(keyring);
+  const util::Bytes pp_wire = pp.encode();
+  const util::Bytes pp_envelope =
+      prime::Envelope::seal(prime::MsgType::kPrePrepare, leader, pp_wire);
+  std::vector<util::Bytes> votes;
+  for (prime::ReplicaId r = 0; r < 3; ++r) {
+    const std::string identity = prime::replica_identity(r);
+    prime::PrepareOrCommit vote;
+    vote.replica = r;
+    vote.view = pp.view;
+    vote.order_seq = pp.order_seq;
+    vote.preprepare_digest = pp.digest();
+    votes.push_back(prime::Envelope::seal(
+        prime::MsgType::kCommit,
+        crypto::Signer(identity, keyring.identity_key(identity)),
+        vote.encode()));
+  }
+
+  fuzz_mutations(pp_wire, [](const util::Bytes& b) {
+    if (const auto decoded = prime::PrePrepare::decode(b)) {
+      EXPECT_EQ(decoded->encode(), b);
+    }
+  }, 32);
+
+  prime::CommitCertResp cert;
+  cert.order_seq = pp.order_seq;
+  cert.preprepare_envelope = pp_envelope;
+  cert.commit_envelopes = votes;
+  fuzz_mutations(cert.encode(), [](const util::Bytes& b) {
+    if (const auto decoded = prime::CommitCertResp::decode(b)) {
+      EXPECT_EQ(decoded->encode(), b);
+    }
+  }, 33);
+
+  prime::ViewState vs;
+  vs.replica = 1;
+  vs.view = pp.view + 1;
+  vs.max_prepared = pp.order_seq;
+  vs.max_committed = pp.order_seq - 1;
+  prime::PreparedProof proof;
+  proof.order_seq = pp.order_seq;
+  proof.preprepare_envelope = pp_envelope;
+  proof.prepare_envelopes = votes;
+  vs.prepared.push_back(std::move(proof));
+  const std::string reporter = prime::replica_identity(1);
+  vs.sign(crypto::Signer(reporter, keyring.identity_key(reporter)));
+  util::ByteWriter w;
+  vs.encode(w);
+  const util::Bytes vs_wire = w.take();
+  ASSERT_TRUE(decode_view_state(vs_wire));
+  fuzz_mutations(vs_wire, [](const util::Bytes& b) {
+    if (const auto decoded = decode_view_state(b)) {
+      util::ByteWriter out;
+      decoded->encode(out);
+      EXPECT_EQ(out.bytes(), b);
+    }
+  }, 34);
+}
+
+// A Pre-Prepare row is absent (tag 0) or inline (tag 1); there is no
+// "unchanged since the last proposal" form, so tag 2 anywhere is a
+// malformed proposal.
+TEST(Fuzz, PrePrepareRejectsUnchangedRowTag) {
+  crypto::Keyring keyring("fuzz");
+  const prime::PrePrepare pp = sample_preprepare(keyring);
+  const util::Bytes wire = pp.encode();
+  ASSERT_TRUE(prime::PrePrepare::decode(wire));
+  // Header: leader u32, view u64, seq u64, matrix digest, row count u32.
+  constexpr std::size_t kFirstTag = 4 + 8 + 8 + 32 + 4;
+  ASSERT_EQ(wire[kFirstTag], 1);  // row 0 inline
+  util::Bytes inline_row = wire;
+  inline_row[kFirstTag] = 2;
+  EXPECT_FALSE(prime::PrePrepare::decode(inline_row));
+  const std::size_t second_tag = kFirstTag + 1 + pp.rows[0]->raw.size();
+  ASSERT_EQ(wire[second_tag], 0);  // row 1 absent
+  util::Bytes absent_row = wire;
+  absent_row[second_tag] = 2;
+  EXPECT_FALSE(prime::PrePrepare::decode(absent_row));
+}
+
 TEST(Fuzz, ScadaDecoders) {
   fuzz_random([](const util::Bytes& b) { (void)scada::StatusReport::decode(b); }, 23);
   fuzz_random([](const util::Bytes& b) { (void)scada::CommandOrder::decode(b); }, 24);

@@ -120,7 +120,7 @@ TEST(PrimeByzantine, PrePrepareWithForgedRowsRejected) {
   EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
-TEST(PrimeByzantine, DeltaWithTamperedMatrixDigestTriggersSuspect) {
+TEST(PrimeByzantine, MatrixDigestNotMatchingTheRowsTriggersSuspect) {
   sim::Simulator sim;
   ByzCluster cluster(sim);
   // Take over the leader identity; its own protocol traffic stops so
@@ -129,38 +129,26 @@ TEST(PrimeByzantine, DeltaWithTamperedMatrixDigestTriggersSuspect) {
   sim.run_until(sim.now() + 100 * sim::kMillisecond);
   const auto signer = cluster.replica_signer(0);
 
-  // A well-formed full proposal first, so followers hold the chained
-  // state a delta decodes against.
+  // A full matrix of genuinely signed rows whose leader-signed matrix
+  // digest is a lie. Prepares agree on the claimed digest, so a matrix
+  // that does not hash to it is proof of leader misbehavior, not noise:
+  // the leader must be suspected. Checked well inside the suspect
+  // timeout so the view change is attributable to the digest, not to
+  // the leader's silence.
   auto row = std::make_shared<PoAru>();
   row->replica = 0;
   row->aru_seq = 1000;
   row->aru.assign(cluster.config().n(), 0);
   row->sign(signer);
-  PrePrepare pp1;
-  pp1.leader = 0;
-  pp1.view = 0;
-  pp1.order_seq = 100;  // past anything proposed during warm-up
-  pp1.rows.assign(cluster.config().n(), nullptr);
-  pp1.rows[0] = row;
+  PrePrepare pp;
+  pp.leader = 0;
+  pp.view = 0;
+  pp.order_seq = 100;  // past anything proposed during warm-up
+  pp.rows.assign(cluster.config().n(), nullptr);
+  pp.rows[0] = row;
+  pp.matrix_digest = crypto::sha256("forged matrix digest");
   cluster.broadcast_raw(
-      Envelope::make(MsgType::kPrePrepare, signer, pp1.encode()).encode());
-  sim.run_until(sim.now() + 50 * sim::kMillisecond);
-
-  // Now a delta proposal whose leader-signed full-matrix digest is a
-  // lie. Followers reconstruct the matrix from pp1, the digest check
-  // fails, and — because the envelope is leader-signed — that is proof
-  // of misbehavior, not noise: the leader must be suspected. Checked
-  // well inside the suspect timeout so the view change is attributable
-  // to the tampered digest, not to the leader's silence.
-  PrePrepare pp2;
-  pp2.leader = 0;
-  pp2.view = 0;
-  pp2.order_seq = 101;
-  pp2.rows = pp1.rows;
-  pp2.matrix_digest = crypto::sha256("forged matrix digest");
-  cluster.broadcast_raw(
-      Envelope::make(MsgType::kPrePrepare, signer, pp2.encode_delta(pp1.rows))
-          .encode());
+      Envelope::make(MsgType::kPrePrepare, signer, pp.encode()).encode());
 
   sim.run_until(sim.now() + 700 * sim::kMillisecond);
   for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
@@ -673,6 +661,92 @@ TEST(PrimeByzantine, RowShortCircuitIsKeyedByView) {
       << "row was not re-verified via the digest memo";
   EXPECT_EQ(follower.stats().dropped_bad_signature,
             before_v1.dropped_bad_signature);
+}
+
+// A replica that proposes in a view the group never entered earns no
+// vote for it. Replica 1 leads views 1, 5, 9, ...; it forges signed
+// Pre-Prepares for view 5 and then relays, with its own vote, every
+// NewLeader(5) a correct replica sent it. Votes are transferable, so
+// one cast in answer to a proposal would let it reach f+1 and pull the
+// group into its view past the correct leaders in between.
+TEST(PrimeByzantine, ForgedFutureViewPrePreparesDrawNoVote) {
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
+  const auto mallory = cluster.replica_signer(1);
+  constexpr std::uint64_t kForgedView = 5;
+
+  std::vector<util::Bytes> harvested;
+  int correct_votes = 0;
+  cluster.set_tap([&](ReplicaId to, const util::Bytes& bytes) {
+    const auto env = Envelope::decode(bytes);
+    if (!env || env->type != MsgType::kNewLeader) return;
+    const auto vote = NewLeader::decode(env->body);
+    if (!vote || vote->proposed_view != kForgedView || vote->replica == 1) {
+      return;
+    }
+    ++correct_votes;
+    if (to == 1) harvested.push_back(bytes);
+  });
+
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    PrePrepare pp;
+    pp.leader = 1;
+    pp.view = kForgedView;
+    pp.order_seq = 50 + i;
+    pp.rows.assign(cluster.config().n(), nullptr);
+    cluster.broadcast_raw(
+        Envelope::make(MsgType::kPrePrepare, mallory, pp.encode()).encode());
+    if (i % 4 == 0) cluster.submit();
+    cluster.run_for(100 * sim::kMillisecond);
+  }
+  NewLeader own;
+  own.replica = 1;
+  own.proposed_view = kForgedView;
+  harvested.push_back(
+      Envelope::make(MsgType::kNewLeader, mallory, own.encode()).encode());
+  for (const auto& bytes : harvested) cluster.broadcast_raw(bytes);
+  cluster.run_for(500 * sim::kMillisecond);
+
+  EXPECT_EQ(correct_votes, 0);
+  for (ReplicaId i = 0; i < cluster.config().n(); ++i) {
+    EXPECT_EQ(cluster.replica(i).view(), 0u) << "replica " << i;
+    EXPECT_EQ(cluster.app(i).log().size(), 5u) << "replica " << i;
+  }
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+}
+
+// The leader re-serves its NewView to a replica still asking for a view
+// at or below its own, but a NewView is large and a vote is small: a
+// flood of stale votes from one replica gets one reply per
+// kLeaderHeartbeat, not one per vote.
+TEST(PrimeByzantine, StaleNewLeaderFloodGetsBoundedNewViewReplies) {
+  sim::Simulator sim;
+  ByzCluster cluster(sim);
+  cluster.replica(0).set_behavior(ReplicaBehavior::kCrashed);
+  cluster.run_for(2 * sim::kSecond);
+  ASSERT_EQ(cluster.replica(1).view(), 1u);
+
+  int new_views_to_3 = 0;
+  cluster.set_tap([&](ReplicaId to, const util::Bytes& bytes) {
+    const auto env = Envelope::decode(bytes);
+    if (to == 3 && env && env->type == MsgType::kNewView) ++new_views_to_3;
+  });
+  const auto mallory = cluster.replica_signer(3);
+  for (int i = 0; i < 100; ++i) {
+    for (std::uint64_t view : {0, 1}) {
+      NewLeader vote;
+      vote.replica = 3;
+      vote.proposed_view = view;
+      cluster.replica(1).on_message(
+          Envelope::make(MsgType::kNewLeader, mallory, vote.encode()).encode());
+    }
+    cluster.run_for(10 * sim::kMillisecond);
+  }
+  // 200 votes over one second: a reply at 0, 200, 400, 600 and 800 ms.
+  EXPECT_GE(new_views_to_3, 1);
+  EXPECT_LE(new_views_to_3,
+            1 + static_cast<int>(sim::kSecond / kLeaderHeartbeat));
+  EXPECT_EQ(cluster.replica(3).view(), 1u);
 }
 
 }  // namespace

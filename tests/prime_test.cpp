@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 
+#include "obs/trace.hpp"
 #include "prime/loopback_cluster.hpp"
 #include "prime/recovery.hpp"
 
@@ -298,71 +299,212 @@ TEST(Prime, TamperedEnvelopeRejectedDespiteWarmCache) {
   EXPECT_EQ(cluster.replica(0).stats().dropped_bad_signature, before + 1);
 }
 
-// Delta-matrix fallback: a follower that missed the leader's previous
-// Pre-Prepare cannot reconstruct the next delta (its chain state is
-// stale), so it must fetch the full matrix from a peer and rejoin the
-// fast path — no view change, no state transfer.
-TEST(Prime, StaleFollowerFallsBackToFullMatrixFetch) {
+/// Keeps the freshest signed PO-ARU each replica broadcast, as the
+/// fabric delivers it: a matrix of these rows is one every replica
+/// verifies and can execute.
+struct RowTap {
+  std::vector<PrePrepare::Row> rows;
+
+  explicit RowTap(std::uint32_t n) : rows(n) {}
+
+  /// Records a delivered envelope if it is a fresher PO-ARU.
+  void see(const Envelope& env) {
+    if (env.type != MsgType::kPoAru) return;
+    auto row = PoAru::decode_standalone(env.body);
+    if (!row || row->replica >= rows.size()) return;
+    auto& latest = rows[row->replica];
+    if (!latest || latest->aru_seq < row->aru_seq) {
+      latest = std::make_shared<const PoAru>(std::move(*row));
+    }
+  }
+};
+
+/// Replica 0's signed Pre-Prepare wire for (view 0, `seq`, `rows`).
+util::Bytes leader_preprepare(const Cluster& cluster, std::uint64_t seq,
+                              std::vector<PrePrepare::Row> rows) {
+  const crypto::Signer leader(
+      replica_identity(0), cluster.keyring().identity_key(replica_identity(0)));
+  PrePrepare pp;
+  pp.leader = 0;
+  pp.view = 0;
+  pp.order_seq = seq;
+  pp.rows = std::move(rows);
+  return Envelope::seal(MsgType::kPrePrepare, leader, pp.encode());
+}
+
+// Every Pre-Prepare carries its whole matrix, so a follower that missed
+// proposal s accepts s+1 from its own envelope (it prepares at once, with
+// no repair round trip), fetches s's commit certificate, and executes
+// both in order.
+TEST(Prime, FollowerThatMissedAProposalAcceptsTheNextDirectly) {
   sim::Simulator sim;
   Cluster cluster(sim, 1, 0);
   cluster.run_for(500 * sim::kMillisecond);
   // Quiesce the real leader so the only Pre-Prepares in flight are the
-  // injected ones (the organic workload refreshes every row between
-  // proposals, which degenerates deltas to full encodings).
+  // injected ones.
   cluster.replica(0).set_behavior(ReplicaBehavior::kSilentLeader);
+  cluster.run_for(50 * sim::kMillisecond);
+  const std::uint64_t s = cluster.replica(1).applied_seq() + 1;
+  for (const auto& r : cluster.replicas()) ASSERT_EQ(r->applied_seq(), s - 1);
+
+  RowTap tap(cluster.n());
+  bool follower_prepared_next = false;
+  cluster.set_tap([&](ReplicaId, const util::Bytes& bytes) {
+    const auto env = Envelope::decode(bytes);
+    if (!env) return;
+    tap.see(*env);
+    if (env->type != MsgType::kPrepare) return;
+    const auto prepare = PrepareOrCommit::decode(env->body);
+    if (prepare && prepare->replica == 3 && prepare->order_seq == s + 1) {
+      follower_prepared_next = true;
+    }
+  });
+  cluster.submit("client/a", "op");
+  cluster.run_for(100 * sim::kMillisecond);  // preordered, rows refreshed
+
+  // Proposal s (a no-op matrix) never reaches replica 3.
+  const util::Bytes missed =
+      leader_preprepare(cluster, s, std::vector<PrePrepare::Row>(cluster.n()));
+  for (ReplicaId i = 0; i < 3; ++i) cluster.replica(i).on_message(missed);
+  cluster.run_for(20 * sim::kMillisecond);
+  EXPECT_EQ(cluster.replica(3).applied_seq(), s - 1);
+
+  // Proposal s+1 makes the update eligible and reaches everyone.
+  const util::Bytes next = leader_preprepare(cluster, s + 1, tap.rows);
+  for (const auto& r : cluster.replicas()) r->on_message(next);
+  cluster.run_for(5 * sim::kMillisecond);
+  EXPECT_TRUE(follower_prepared_next)
+      << "the follower did not accept the next proposal on its own";
+
+  cluster.run_for(300 * sim::kMillisecond);
+  for (const auto& r : cluster.replicas()) {
+    EXPECT_EQ(r->applied_seq(), s + 1) << "replica " << r->id();
+    EXPECT_EQ(r->view(), 0u) << "replica " << r->id();
+  }
+  for (const auto& app : cluster.apps()) EXPECT_EQ(app->log().size(), 1u);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+}
+
+// A replica whose slot holds a proposal that lost (accepted from the
+// leader at t0, never committed) and that then installs the committed
+// proposal for the same slot from a commit certificate must not report
+// the lost proposal's Pre-Prepare time for the updates it executes:
+// that stamp predates their submission, and the span would no longer
+// chain in order.
+TEST(Prime, CertifiedProposalDropsTheSupersededSlotStamps) {
+  sim::Simulator sim;
+  obs::ScopedTracer scope([&sim] { return sim.now(); });
+  obs::Tracer& tracer = scope.tracer();
+  Cluster cluster(sim, 1, 0);
+  cluster.run_for(500 * sim::kMillisecond);
+  cluster.replica(0).set_behavior(ReplicaBehavior::kSilentLeader);
+  cluster.run_for(50 * sim::kMillisecond);
+  const std::uint64_t s = cluster.replica(1).applied_seq() + 1;
+  for (const auto& r : cluster.replicas()) ASSERT_EQ(r->applied_seq(), s - 1);
+
+  // Replica 3 alone accepts a no-op proposal for s.
+  cluster.replica(3).on_message(
+      leader_preprepare(cluster, s, std::vector<PrePrepare::Row>(cluster.n())));
+  cluster.run_for(10 * sim::kMillisecond);
+
+  RowTap tap(cluster.n());
+  std::map<ReplicaId, util::Bytes> commits;  // for seq s, by committer
+  cluster.set_tap([&](ReplicaId, const util::Bytes& bytes) {
+    const auto env = Envelope::decode(bytes);
+    if (!env) return;
+    tap.see(*env);
+    if (env->type != MsgType::kCommit) return;
+    const auto commit = PrepareOrCommit::decode(env->body);
+    if (commit && commit->order_seq == s) commits[commit->replica] = bytes;
+  });
+  const std::uint64_t seq = cluster.submit("client/a", "op");
+  tracer.client_submit("client/a", seq);
   cluster.run_for(100 * sim::kMillisecond);
-  const crypto::Signer leader(
-      replica_identity(0), cluster.keyring().identity_key(replica_identity(0)));
 
-  auto row = std::make_shared<PoAru>();
-  row->replica = 0;
-  row->aru_seq = 1000;
-  row->aru.assign(cluster.config().n(), 0);
-  row->sign(leader);
-  PrePrepare pp1;
-  pp1.leader = 0;
-  pp1.view = 0;
-  pp1.order_seq = 100;  // past anything proposed during warm-up
-  pp1.rows.assign(cluster.config().n(), nullptr);
-  pp1.rows[0] = row;
-  const util::Bytes full =
-      Envelope::make(MsgType::kPrePrepare, leader, pp1.encode()).encode();
-  // Replica 3 never sees the full proposal.
-  cluster.replica(1).on_message(full);
-  cluster.replica(2).on_message(full);
-  cluster.run_for(50 * sim::kMillisecond);
+  // The other three order a different proposal for s that carries the
+  // update; replica 3 keeps its stale one and cannot commit.
+  const util::Bytes winner = leader_preprepare(cluster, s, tap.rows);
+  for (ReplicaId i = 0; i < 3; ++i) cluster.replica(i).on_message(winner);
+  cluster.run_for(20 * sim::kMillisecond);
+  ASSERT_EQ(commits.size(), 3u);
+  EXPECT_EQ(cluster.app(3).log().size(), 0u);
 
-  // The follow-up arrives delta-encoded (row 0 unchanged) at everyone.
-  PrePrepare pp2 = pp1;
-  pp2.order_seq = 101;
-  pp2.matrix_digest = crypto::Digest{};  // recompute for the new proposal
-  const util::Bytes delta =
-      Envelope::make(MsgType::kPrePrepare, leader, pp2.encode_delta(pp1.rows))
-          .encode();
-  for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
-    cluster.replica(i).on_message(delta);
+  // Replica 3 learns the outcome from a commit certificate.
+  CommitCertResp cert;
+  cert.order_seq = s;
+  cert.preprepare_envelope = winner;
+  for (const auto& [replica, bytes] : commits) {
+    cert.commit_envelopes.push_back(bytes);
   }
-  cluster.run_for(50 * sim::kMillisecond);
-  EXPECT_EQ(cluster.replica(3).stats().matrix_fetches_sent, 1u)
-      << "stale follower never fell back to a full-matrix fetch";
-  EXPECT_EQ(cluster.replica(1).stats().matrix_fetches_sent, 0u)
-      << "chained follower fetched despite holding the previous matrix";
+  const crypto::Signer peer(
+      replica_identity(1), cluster.keyring().identity_key(replica_identity(1)));
+  cluster.replica(3).on_message(
+      Envelope::seal(MsgType::kCommitCertResp, peer, cert.encode()));
+  cluster.run_for(10 * sim::kMillisecond);
+  ASSERT_EQ(cluster.app(3).log().size(), 1u);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 
-  // The fetched matrix repaired replica 3's chain state: the next delta
-  // decodes locally, with no further fetch.
-  PrePrepare pp3 = pp2;
-  pp3.order_seq = 102;
-  pp3.matrix_digest = crypto::Digest{};
-  const util::Bytes delta2 =
-      Envelope::make(MsgType::kPrePrepare, leader, pp3.encode_delta(pp2.rows))
-          .encode();
-  for (ReplicaId i = 1; i < cluster.config().n(); ++i) {
-    cluster.replica(i).on_message(delta2);
+  const auto completeness = tracer.completeness();
+  EXPECT_EQ(completeness.executed, 1u);
+  EXPECT_EQ(completeness.executed_complete, 1u)
+      << "the executed span does not chain submit -> ... -> execute";
+}
+
+// A replica cut off while the others change view misses the NewView
+// that installs the new view. Once the partition heals it sees the new
+// leader's proposals, gets the NewView re-served by that leader, enters
+// the view and catches up, instead of idling in the old view until its
+// next proactive recovery.
+TEST(Prime, ReplicaPartitionedThroughAViewChangeRejoinsTheNewView) {
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);  // n = 6: four replicas can change view
+  cluster.run_for(500 * sim::kMillisecond);
+  cluster.fabric().isolate(5, true);
+  cluster.replica(0).set_behavior(ReplicaBehavior::kCrashed);
+  cluster.run_for(4 * sim::kSecond);
+  ASSERT_GE(cluster.replica(1).view(), 1u);
+  ASSERT_EQ(cluster.replica(5).view(), 0u);
+
+  cluster.fabric().isolate(5, false);
+  for (int i = 0; i < 10; ++i) {
+    cluster.submit("client/a", "op" + std::to_string(i));
+    cluster.run_for(100 * sim::kMillisecond);
   }
-  cluster.run_for(50 * sim::kMillisecond);
-  EXPECT_EQ(cluster.replica(3).stats().matrix_fetches_sent, 1u)
-      << "fetch did not repair the follower's delta chain";
-  for (const auto& r : cluster.replicas()) EXPECT_EQ(r->view(), 0u);
+  cluster.run_for(3 * sim::kSecond);
+  EXPECT_EQ(cluster.replica(5).view(), cluster.replica(1).view());
+  EXPECT_EQ(cluster.replica(5).stats().state_transfers, 0u);
+  for (ReplicaId i = 1; i < cluster.n(); ++i) {
+    EXPECT_EQ(cluster.app(i).log().size(), 10u) << "replica " << i;
+  }
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+}
+
+// The group moves two views while a replica is cut off. The lagging
+// replica's repeated vote names view 1; the leader of view 2 answers it
+// with the NewView of view 2, which installs there directly.
+TEST(Prime, ReplicaPartitionedThroughTwoViewChangesRejoinsTheNewest) {
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 2);  // n = 8, quorum 5: two leaders can fail
+  cluster.run_for(500 * sim::kMillisecond);
+  cluster.fabric().isolate(7, true);
+  cluster.replica(0).set_behavior(ReplicaBehavior::kCrashed);
+  cluster.run_for(4 * sim::kSecond);
+  ASSERT_EQ(cluster.replica(2).view(), 1u);
+  cluster.replica(1).set_behavior(ReplicaBehavior::kCrashed);
+  cluster.run_for(4 * sim::kSecond);
+  ASSERT_EQ(cluster.replica(2).view(), 2u);
+  ASSERT_EQ(cluster.replica(7).view(), 0u);
+
+  cluster.fabric().isolate(7, false);
+  for (int i = 0; i < 10; ++i) {
+    cluster.submit("client/a", "op" + std::to_string(i));
+    cluster.run_for(100 * sim::kMillisecond);
+  }
+  cluster.run_for(3 * sim::kSecond);
+  EXPECT_EQ(cluster.replica(7).view(), 2u);
+  for (ReplicaId i = 2; i < cluster.n(); ++i) {
+    EXPECT_EQ(cluster.app(i).log().size(), 10u) << "replica " << i;
+  }
   EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
