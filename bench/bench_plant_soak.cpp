@@ -265,10 +265,11 @@ double run_soak(const SoakOptions& opt, bench::Report& report) {
                  Cmp::kEq, live);
     // Trace completeness: every executed update must carry the full
     // ordered chain (submit → replica recv → PO-Request → Pre-Prepare →
-    // Commit → execute, non-decreasing in time). Deltas are counted by
-    // constituent device delta, not by ordered update: a batched update
-    // that lost one of its member deltas would still pass the
-    // per-update rows.
+    // Commit → execute, non-decreasing in time), and every displayed one
+    // whose reports carry a field change must chain back to the PLC.
+    // Deltas are counted by constituent device delta, not by ordered
+    // update: a batched update that lost one of its member deltas would
+    // still pass the per-update rows.
     const obs::Tracer::Completeness completeness = tracer.completeness();
     report.add(p + "trace spans", static_cast<double>(tracer.spans().size()));
     report.check(p + "updates executed (traced)",
@@ -278,8 +279,9 @@ double run_soak(const SoakOptions& opt, bench::Report& report) {
                  static_cast<double>(completeness.executed));
     report.check(p + "updates displayed on an HMI (traced)",
                  static_cast<double>(completeness.displayed), Cmp::kGt, 0);
-    report.add(p + "displayed updates with complete PLC->HMI chain",
-               static_cast<double>(completeness.displayed_complete));
+    report.check(p + "displayed updates with complete PLC->HMI chain",
+                 static_cast<double>(completeness.displayed_complete),
+                 Cmp::kEq, static_cast<double>(completeness.displayed));
     report.check(p + "device deltas expected",
                  static_cast<double>(completeness.deltas_expected), Cmp::kGt,
                  0);

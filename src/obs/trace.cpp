@@ -93,11 +93,6 @@ std::uint32_t Tracer::upsert_index(const std::string& client,
   return index;
 }
 
-Span* Tracer::upsert(const std::string& client, std::uint64_t client_seq) {
-  const std::uint32_t index = upsert_index(client, client_seq);
-  return index == kNoSpan ? nullptr : &spans_[index];
-}
-
 void Tracer::record(Span& span, Stage stage, std::uint64_t at) {
   const auto i = static_cast<std::size_t>(stage);
   if (span.hits[i] == 0 || at < span.at[i]) span.at[i] = at;
@@ -133,30 +128,6 @@ void Tracer::plc_change(const std::string& device, std::size_t breaker) {
     trace.pending[breaker] = 1;
     trace.change_at[breaker] = now();
   }
-}
-
-void Tracer::proxy_report(const std::string& device, const std::string& client,
-                          std::uint64_t client_seq,
-                          const std::vector<bool>& breakers) {
-  DeviceTrace& trace = device_trace(device);
-  std::uint64_t earliest = 0;
-  bool found = false;
-  for (std::size_t i = 0; i < breakers.size() && i < trace.pending.size();
-       ++i) {
-    if (!trace.pending[i]) continue;
-    const bool changed = !trace.has_last || i >= trace.last_reported.size() ||
-                         trace.last_reported[i] != breakers[i];
-    if (!changed) continue;
-    if (!found || trace.change_at[i] < earliest) earliest = trace.change_at[i];
-    found = true;
-    trace.pending[i] = 0;
-  }
-  trace.last_reported = breakers;
-  trace.has_last = true;
-  Span* span = upsert(client, client_seq);
-  if (span == nullptr) return;
-  if (span->device == Span::kNoDevice) span->device = trace.id;
-  if (found) record(*span, Stage::kPlcChange, earliest);
 }
 
 void Tracer::proxy_batch_delta(const std::string& device,
@@ -323,43 +294,38 @@ Tracer::Completeness Tracer::completeness(Stage from) const {
   std::size_t start = 0;
   while (start + 1 < kStageCount && kOrderedChain[start] != from) ++start;
   const std::size_t exec_end = static_cast<std::size_t>(Stage::kExecute) + 1;
+  const std::size_t disp_start = std::max<std::size_t>(start, 1);
 
   Completeness result;
   for (const Span& span : spans_) {
     // Member spans are accounted under their batch parent, not as
-    // standalone executed updates.
+    // standalone updates.
     if (span.parent != Span::kNoParent) continue;
     if (span.has(Stage::kExecute)) {
       ++result.executed;
       if (chain_ok(span, kOrderedChain + start, exec_end - start)) {
         ++result.executed_complete;
       }
-      if (span.member_count > 0) {
-        result.deltas_expected += span.member_count;
-        for (std::uint32_t i = 0; i < span.member_count; ++i) {
-          const Span& member = spans_[span.first_member + i];
-          if (chain_ok(member, kOrderedChain + start, exec_end - start)) {
-            ++result.deltas_complete;
-          }
-        }
-      } else if (span.device != Span::kNoDevice) {
-        // Unbatched device-tagged update: counts as one delta.
-        ++result.deltas_expected;
-        if (chain_ok(span, kOrderedChain + start, exec_end - start)) {
+      result.deltas_expected += span.member_count;
+      for (std::uint32_t i = 0; i < span.member_count; ++i) {
+        const Span& member = spans_[span.first_member + i];
+        if (chain_ok(member, kOrderedChain + start, exec_end - start)) {
           ++result.deltas_complete;
         }
       }
     }
     if (span.has(Stage::kHmiDisplay)) {
       ++result.displayed;
-      // Display-path spans that came from a field change must chain all
-      // the way from the PLC; command-origin spans start at submit.
-      const std::size_t disp_start =
-          span.has(Stage::kPlcChange) ? 0 : std::max<std::size_t>(start, 1);
-      if (chain_ok(span, kOrderedChain + disp_start,
-                   kStageCount - disp_start)) {
-        ++result.displayed_complete;
+      // The update chains from its submit; each member that carries a
+      // field change must chain all the way from the PLC.
+      bool complete =
+          chain_ok(span, kOrderedChain + disp_start, kStageCount - disp_start);
+      for (std::uint32_t i = 0; complete && i < span.member_count; ++i) {
+        const Span& member = spans_[span.first_member + i];
+        complete = !member.has(Stage::kPlcChange) ||
+                   chain_ok(member, kOrderedChain, kStageCount);
       }
+      if (complete) ++result.displayed_complete;
     }
   }
   return result;

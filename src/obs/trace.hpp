@@ -49,8 +49,8 @@ enum class Stage : std::uint8_t {
 // struct stays trivially copyable (interned ids, no strings): vector
 // growth is a memcpy instead of element-wise moves.
 //
-// A batched client update (many device deltas coalesced into one Prime
-// ordering round) gets one parent span plus one member span per
+// A field-report update (one or more device deltas coalesced into one
+// Prime ordering round) gets one parent span plus one member span per
 // constituent delta. Members are allocated contiguously right after
 // each other, so the parent only stores (first_member, member_count)
 // and stage hooks fan out to members with an indexed loop — no extra
@@ -167,16 +167,13 @@ class Tracer {
 
   // --- hooks (called from instrumented components) -------------------
   void plc_change(const std::string& device, std::size_t breaker);
-  /// Proxy built a StatusReport: links pending field changes to the
-  /// (client, seq) span and remembers the reported breaker image.
-  void proxy_report(const std::string& device, const std::string& client,
-                    std::uint64_t client_seq,
-                    const std::vector<bool>& breakers);
-  /// Proxy coalesced one device delta into the batch that will be
+  /// Proxy put one device report into the batch that will be
   /// submitted as (client, client_seq): appends a member span under
-  /// that parent, tagged with the device and any pending field change.
-  /// All members of one batch must be added back-to-back (one flush
-  /// callback), before or after the parent's own stage hooks.
+  /// that parent, tagged with the device and any pending field change,
+  /// and remembers the reported breaker image. Every field report is a
+  /// member, a lone one included. All members of one batch must be
+  /// added back-to-back (one flush callback), before or after the
+  /// parent's own stage hooks.
   void proxy_batch_delta(const std::string& device, const std::string& client,
                          std::uint64_t client_seq,
                          const std::vector<bool>& breakers);
@@ -236,11 +233,13 @@ class Tracer {
     std::uint64_t executed = 0;           // spans that reached kExecute
     std::uint64_t executed_complete = 0;  // … with the full ordered chain
     std::uint64_t displayed = 0;          // spans that reached kHmiDisplay
-    std::uint64_t displayed_complete = 0; // … with the full PLC→HMI chain
+    // … whose chain from submit is complete and whose every member
+    // carrying a field change chains from kPlcChange to kHmiDisplay.
+    std::uint64_t displayed_complete = 0;
     // Per-delta accounting: batching must not mask a lost device
     // change, so executed updates are also counted by constituent —
-    // each member of a batched span, and each unbatched device-tagged
-    // span, must individually carry a complete ordered chain.
+    // each member span must individually carry a complete ordered
+    // chain.
     std::uint64_t deltas_expected = 0;
     std::uint64_t deltas_complete = 0;
   };
@@ -260,7 +259,6 @@ class Tracer {
   std::uint32_t intern(const std::string& client);
   std::uint32_t upsert_index(const std::string& client,
                              std::uint64_t client_seq);
-  Span* upsert(const std::string& client, std::uint64_t client_seq);
   void record(Span& span, Stage stage, std::uint64_t at);
   /// record() on the span at `index` plus all its member spans.
   void record_fan(std::uint32_t index, Stage stage, std::uint64_t at);

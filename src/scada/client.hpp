@@ -31,7 +31,7 @@ class ScadaClient {
   [[nodiscard]] std::uint64_t peek_seq() const { return next_seq_; }
 
   /// Signs and submits one SCADA payload as a Prime client update.
-  std::uint64_t send(ScadaMsgType type, util::Bytes body) {
+  void send(ScadaMsgType type, util::Bytes body) {
     ClientPayload payload;
     payload.type = type;
     payload.body = std::move(body);
@@ -43,7 +43,6 @@ class ScadaClient {
       tracer->client_submit(signer_.identity(), seq);
     }
     submit_(envelope);
-    return seq;
   }
 
  private:

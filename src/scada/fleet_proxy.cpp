@@ -128,22 +128,7 @@ bool FleetProxy::ingest(const std::string& device, std::vector<bool> breakers,
 }
 
 void FleetProxy::send_batch(std::vector<StatusReport>&& reports) {
-  if (reports.empty()) return;
   batch_fill_->record(reports.size());
-  if (reports.size() == 1) {
-    StatusReport report = std::move(reports.front());
-    ++stats_.reports_sent;
-    const std::uint64_t seq =
-        client_.send(ScadaMsgType::kStatusReport, report.encode());
-    if (auto* tracer = obs::Tracer::current()) {
-      // Links any pending field-side breaker changes to this
-      // report's span (the PLC→HMI end-to-end leg).
-      tracer->proxy_report(report.device, client_.identity(), seq,
-                           report.breakers);
-    }
-    return;
-  }
-
   BatchReport batch;
   batch.reports = std::move(reports);
   if (auto* tracer = obs::Tracer::current()) {

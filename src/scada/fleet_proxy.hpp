@@ -26,9 +26,9 @@
 // Either way every report passes the same admission front door
 // (token-bucket rate limit, shed watermark, hard queue bound with
 // priority-aware shedding) and coalesces in the delta batcher, so one
-// signed ClientUpdate carries every device change that arrived inside
-// the batch window. With the default config (unlimited rate, zero
-// batch window) each report is its own kStatusReport update.
+// signed kBatchReport update carries every device change that arrived
+// inside the batch window. With the default config (unlimited rate,
+// zero batch window) each report is a one-member batch.
 #pragma once
 
 #include <deque>
@@ -68,7 +68,7 @@ struct FleetProxyStats {
   std::uint64_t polls = 0;           ///< field polls issued
   std::uint64_t poll_failures = 0;   ///< polls that timed out or failed
   std::uint64_t reports_sent = 0;    ///< device reports that left the proxy
-  std::uint64_t batches_sent = 0;    ///< kBatchReport updates submitted
+  std::uint64_t batches_sent = 0;    ///< kBatchReport updates (flushes) submitted
   std::uint64_t orders_received = 0;
   std::uint64_t orders_rejected_sig = 0;
   std::uint64_t commands_forwarded = 0;

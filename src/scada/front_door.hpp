@@ -166,7 +166,7 @@ struct BatcherConfig {
 
 /// Coalesces admitted StatusReports and flushes them as one batch when
 /// the window expires or a budget fills. With window 0 every enqueue
-/// flushes synchronously — the legacy one-report-per-update path.
+/// flushes synchronously, one report per batch. Flushes are never empty.
 class DeltaBatcher {
  public:
   using FlushFn = std::function<void(std::vector<StatusReport>&&)>;

@@ -21,21 +21,10 @@ void ScadaMaster::apply(const prime::ClientUpdate& update,
   published_this_update_ = false;
 
   switch (payload->type) {
-    case ScadaMsgType::kStatusReport: {
-      const auto report = StatusReport::decode(payload->body);
-      if (!report) return;
-      ++version_;
-      ++reports_applied_;
-      visible_since_push_ |=
-          state_.apply_report(report->device, report->report_seq,
-                              report->breakers, report->readings);
-      push_state_to_hmis();
-      break;
-    }
     case ScadaMsgType::kBatchReport: {
       const auto batch = BatchReport::decode(payload->body);
       if (!batch || batch->reports.empty()) return;
-      ++version_;  // one ordered update, one version, many device deltas
+      ++version_;  // one ordered update, one version, every member delta
       ++batches_applied_;
       for (const auto& report : batch->reports) {
         ++reports_applied_;

@@ -1,7 +1,7 @@
 // Replicated SCADA master (the application on top of Prime).
 //
 // Each Prime replica hosts one ScadaMaster. Ordered client updates are
-// field-state reports (single or batched, from PLC/fleet proxies),
+// batches of field-state reports (from PLC/fleet proxies),
 // supervisory commands (from HMIs / the automatic cycling tool), or
 // HMI resync requests. The master keeps the replicated topology state,
 // emits a signed CommandOrder toward the owning proxy for every

@@ -335,16 +335,6 @@ crypto::Digest TopologyState::digest() const {
   return crypto::sha256(serialize());
 }
 
-crypto::Digest TopologyState::display_digest() const {
-  util::ByteWriter w;
-  for (std::uint32_t h = 0; h < slots_.size(); ++h) {
-    w.str(names_[h]);
-    w.u8(record(h)[kOnlineAt]);
-    w.raw(breaker_bytes(h));
-  }
-  return crypto::sha256(w.bytes());
-}
-
 bool TopologyState::has_changes() const {
   for (const std::uint64_t mask : changed_) {
     if (mask != 0) return true;
@@ -378,16 +368,6 @@ util::Bytes TopologyState::serialize_changes() const {
 
 void TopologyState::clear_changes() {
   for (std::uint64_t& mask : changed_) mask = 0;
-}
-
-void TopologyState::mark_all_changed() {
-  if (changed_.empty()) return;
-  for (std::uint64_t& mask : changed_) mask = ~std::uint64_t{0};
-  // Trim the final partial shard to registered devices.
-  const std::size_t tail = slots_.size() & (kShardSize - 1);
-  if (tail != 0) {
-    changed_.back() = (std::uint64_t{1} << tail) - 1;
-  }
 }
 
 void TopologyState::set_changed_masks(std::vector<std::uint64_t> masks) {

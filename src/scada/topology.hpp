@@ -142,11 +142,6 @@ class TopologyState {
   static TopologyState deserialize(std::span<const std::uint8_t> data);
   [[nodiscard]] crypto::Digest digest() const;
 
-  /// Digest over the operator-visible discrete state only (breaker
-  /// positions + online flags), ignoring noisy analog readings. Used to
-  /// decide whether an HMI push is worth sending.
-  [[nodiscard]] crypto::Digest display_digest() const;
-
   // --- delta publication ------------------------------------------------
   /// True when any device changed since the last clear_changes().
   [[nodiscard]] bool has_changes() const;
@@ -157,7 +152,6 @@ class TopologyState {
   /// shards whose bitmask is non-zero. Does not clear the marks.
   [[nodiscard]] util::Bytes serialize_changes() const;
   void clear_changes();
-  void mark_all_changed();
 
   /// Per-shard changed bitmasks; exposed so the master can carry them
   /// through snapshot/restore and a recovered replica resumes emitting

@@ -29,8 +29,20 @@ std::vector<bool> get_bools(util::ByteReader& r) {
   const std::uint32_t n = r.u32();
   if (n > 65536) throw util::SerializationError("absurd bit count");
   std::vector<bool> bits(n);
-  for (std::uint32_t i = 0; i < n; ++i) bits[i] = r.boolean();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    // Only 0 and 1: a decoded report re-encodes to the bytes it came in.
+    const std::uint8_t b = r.u8();
+    if (b > 1) throw util::SerializationError("bad bit");
+    bits[i] = b != 0;
+  }
   return bits;
+}
+
+/// ScadaMsgType tags in use; 1 (the retired one-report update) is not.
+ScadaMsgType read_type(util::ByteReader& r) {
+  const std::uint8_t t = r.u8();
+  if (t < 2 || t > 6) throw util::SerializationError("bad scada type");
+  return static_cast<ScadaMsgType>(t);
 }
 
 /// The one MasterOutput parser; the body aliases the input.
@@ -41,9 +53,7 @@ struct OutputFrame {
 
 OutputFrame read_output_frame(util::ByteReader& r) {
   OutputFrame m;
-  const std::uint8_t t = r.u8();
-  if (t < 1 || t > 6) throw util::SerializationError("bad output type");
-  m.type = static_cast<ScadaMsgType>(t);
+  m.type = read_type(r);
   m.body = r.blob_span();
   return m;
 }
@@ -187,9 +197,7 @@ std::optional<ClientPayload> ClientPayload::decode(
     std::span<const std::uint8_t> data) {
   return guarded<ClientPayload>(data, [](util::ByteReader& r) {
     ClientPayload p;
-    const std::uint8_t t = r.u8();
-    if (t < 1 || t > 6) throw util::SerializationError("bad scada type");
-    p.type = static_cast<ScadaMsgType>(t);
+    p.type = read_type(r);
     p.body = r.blob();
     return p;
   });
@@ -238,15 +246,6 @@ void StateUpdate::sign(const crypto::Signer& signer) {
   sig = signer.sign(state_update_signed_bytes(replica, version, kind,
                                               base_version,
                                               crypto::sha256(state)));
-}
-
-bool StateUpdate::verify(const crypto::Verifier& verifier,
-                         const std::string& identity) const {
-  return verifier.verify(identity,
-                         state_update_signed_bytes(replica, version, kind,
-                                                   base_version,
-                                                   crypto::sha256(state)),
-                         sig);
 }
 
 util::Bytes StateUpdate::encode() const {

@@ -20,18 +20,19 @@
 
 namespace spire::scada {
 
+/// Tag 1, once a lone StatusReport update, is retired: field state
+/// reaches the masters only as a kBatchReport, and decoders reject 1.
 enum class ScadaMsgType : std::uint8_t {
-  kStatusReport = 1,       ///< proxy -> masters: PLC field state
   kSupervisoryCommand = 2, ///< HMI/cycler -> masters: operator action
   kCommandOrder = 3,       ///< masters -> proxy: forward command to PLC
   kStateUpdate = 4,        ///< masters -> HMI: topology state
-  kBatchReport = 5,        ///< proxy -> masters: many coalesced reports
+  kBatchReport = 5,        ///< proxy -> masters: field reports, one or more
   kResyncRequest = 6,      ///< HMI -> masters: delta base missing, full please
 };
 
 /// Field-state report for one device: the full breaker and reading
 /// image, sent by its proxy when the breakers change or a heartbeat
-/// is due.
+/// is due. It travels only as a member of a BatchReport.
 struct StatusReport {
   std::string device;
   std::uint64_t report_seq = 0;
@@ -54,9 +55,10 @@ struct SupervisoryCommand {
       std::span<const std::uint8_t> data);
 };
 
-/// Many StatusReports coalesced by a proxy's delta batcher into one
-/// Prime client update: one ordering round and one signature amortized
-/// across every device change that arrived inside the batch window.
+/// The one format a proxy submits: the StatusReports its delta batcher
+/// coalesced into one Prime client update, so one ordering round and
+/// one signature are amortized across every device change that arrived
+/// inside the batch window. A flush of one report is a one-member batch.
 struct BatchReport {
   std::vector<StatusReport> reports;
 
@@ -78,7 +80,7 @@ struct ResyncRequest {
 
 /// Client-update payload wrapper: [type u8][body].
 struct ClientPayload {
-  ScadaMsgType type = ScadaMsgType::kStatusReport;
+  ScadaMsgType type = ScadaMsgType::kBatchReport;
   util::Bytes body;
 
   [[nodiscard]] util::Bytes encode() const;
@@ -126,8 +128,6 @@ struct StateUpdate {
   crypto::Signature sig;
 
   void sign(const crypto::Signer& signer);
-  [[nodiscard]] bool verify(const crypto::Verifier& verifier,
-                            const std::string& identity) const;
 
   [[nodiscard]] util::Bytes encode() const;
   static std::optional<StateUpdate> decode(std::span<const std::uint8_t> data);

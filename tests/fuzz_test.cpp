@@ -14,6 +14,7 @@
 #include "prime/transport.hpp"
 #include "scada/commercial.hpp"
 #include "scada/hmi.hpp"
+#include "scada/master.hpp"
 #include "scada/topology.hpp"
 #include "scada/wire.hpp"
 #include "sim/rng.hpp"
@@ -276,6 +277,8 @@ TEST(Fuzz, PrePrepareRejectsUnchangedRowTag) {
 
 TEST(Fuzz, ScadaDecoders) {
   fuzz_random([](const util::Bytes& b) { (void)scada::StatusReport::decode(b); }, 23);
+  fuzz_random([](const util::Bytes& b) { (void)scada::BatchReport::decode(b); }, 35);
+  fuzz_random([](const util::Bytes& b) { (void)scada::ClientPayload::decode(b); }, 36);
   fuzz_random([](const util::Bytes& b) { (void)scada::CommandOrder::decode(b); }, 24);
   fuzz_random([](const util::Bytes& b) { (void)scada::StateUpdate::decode(b); }, 25);
   fuzz_random([](const util::Bytes& b) { (void)scada::CommMsg::decode(b); }, 26);
@@ -287,6 +290,60 @@ TEST(Fuzz, ScadaDecoders) {
       // rejection is the expected path
     }
   }, 28);
+}
+
+// A BatchReport is the master's one field-report ingress. Mutated
+// one-member and multi-member wires must never crash the master, and a
+// mutant that still decodes is canonical: it re-encodes to its bytes.
+TEST(Fuzz, BatchReportIngressRoundTripsUnderMutation) {
+  crypto::Keyring keyring("fuzz");
+  scada::MasterConfig config;
+  config.scenario = scada::ScenarioSpec::fleet(8, 2);
+  config.hmis = {"client/hmi-fuzz"};
+  scada::ScadaMaster master(config, keyring,
+                            [](const std::string&, const util::Bytes&) {});
+  const auto report = [](const std::string& device, std::uint64_t seq) {
+    scada::StatusReport r;
+    r.device = device;
+    r.report_seq = seq;
+    r.breakers = {true, false};
+    r.readings = {480, 7};
+    return r;
+  };
+  scada::BatchReport one;
+  one.reports = {report("fd3", 1)};
+  scada::BatchReport many;
+  many.reports = {report("fd0", 2), report("fd5", 3), report("fd7", 4)};
+
+  std::uint64_t seq = 0;
+  std::uint64_t seed = 37;
+  int decoded_mutants = 0;
+  for (const scada::BatchReport* batch : {&one, &many}) {
+    fuzz_mutations(batch->encode(), [&](const util::Bytes& b) {
+      if (const auto decoded = scada::BatchReport::decode(b)) {
+        EXPECT_EQ(decoded->encode(), b);
+        ++decoded_mutants;
+      }
+    }, seed++);
+
+    scada::ClientPayload payload;
+    payload.type = scada::ScadaMsgType::kBatchReport;
+    payload.body = batch->encode();
+    fuzz_mutations(payload.encode(), [&](const util::Bytes& b) {
+      if (const auto decoded = scada::ClientPayload::decode(b)) {
+        EXPECT_EQ(decoded->encode(), b);
+      }
+      prime::ClientUpdate update;
+      update.client = "client/proxy-fleet0";
+      update.client_seq = ++seq;
+      update.payload = b;
+      master.apply(update, prime::ExecutionInfo{});
+    }, seed++);
+  }
+  EXPECT_GT(decoded_mutants, 0);  // the round-trip check ran
+  EXPECT_LE(master.version(), seq);
+  const util::Bytes image = master.state().serialize();
+  EXPECT_EQ(scada::TopologyState::deserialize(image).serialize(), image);
 }
 
 TEST(Fuzz, HmiSurvivesGarbageAndMutatedMasterOutputs) {

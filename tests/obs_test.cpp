@@ -389,11 +389,13 @@ TEST(Tracer, EveryExecutedUpdateHasACompleteSpanChain) {
   EXPECT_EQ(c.displayed_complete, c.displayed);
 
   // The proxies' periodic status reports correlate back to field
-  // devices, so device-tagged spans must exist.
+  // devices, so device-tagged spans must exist, each a member of its
+  // update's span (a lone report is a one-member batch).
   bool saw_device = false;
   for (const obs::Span& span : tracer.spans()) {
     if (span.device != obs::Span::kNoDevice) {
       EXPECT_FALSE(tracer.device_name(span.device).empty());
+      EXPECT_NE(span.parent, obs::Span::kNoParent);
       saw_device = true;
     }
   }
@@ -699,6 +701,42 @@ TEST(Tracer, BatchedDeltasFanStagesToMemberSpans) {
   // Per-constituent chain accounting: all three deltas completed.
   EXPECT_EQ(c.deltas_expected, 3u);
   EXPECT_EQ(c.deltas_complete, 3u);
+}
+
+TEST(Tracer, DisplayCompletenessChecksEachFieldChangeMember) {
+  obs::ScopedRegistry registry_scope;
+  std::uint64_t now = 0;
+  static std::uint64_t* now_ptr;
+  now_ptr = &now;
+  obs::ScopedTracer scope([] { return *now_ptr; });
+  obs::Tracer& tracer = scope.tracer();
+
+  const std::string client = "client/proxy-fleet0";
+  // fd1 reports no change; fd0's field change is stamped after the
+  // update's submit, so its PLC->HMI chain is out of order while the
+  // update's own chain from submit is intact.
+  now = 10;
+  tracer.proxy_batch_delta("fd1", client, 1, {true, true});
+  now = 25;
+  tracer.plc_change("fd0", 0);
+  tracer.proxy_batch_delta("fd0", client, 1, {false, true});
+  now = 20;
+  tracer.client_submit(client, 1);
+  now = 30;
+  tracer.replica_recv(client, 1);
+  tracer.po_request(client, 1);
+  now = 40;
+  tracer.executed(client, 1, 32, 36);
+  tracer.master_publish(7, client, 1);
+  now = 50;
+  tracer.hmi_recv(7);
+  tracer.hmi_display(7);
+
+  const obs::Tracer::Completeness c = tracer.completeness();
+  EXPECT_EQ(c.executed_complete, 1u);
+  EXPECT_EQ(c.deltas_complete, 2u);  // the ordered chain starts at submit
+  EXPECT_EQ(c.displayed, 1u);
+  EXPECT_EQ(c.displayed_complete, 0u) << "fd0's PLC leg was not checked";
 }
 
 TEST(Tracer, WriteJsonlEmitsOneObjectPerSpan) {

@@ -123,6 +123,14 @@ struct MasterFixture : ::testing::Test {
     update.payload = payload.encode();
     return update;
   }
+
+  /// `report` as the proxy submits it: a one-member BatchReport.
+  prime::ClientUpdate report_update(StatusReport report, std::uint64_t seq) {
+    BatchReport batch;
+    batch.reports.push_back(std::move(report));
+    return make_update("client/proxy-plc-phys", ScadaMsgType::kBatchReport,
+                       batch.encode(), seq);
+  }
 };
 
 TEST_F(MasterFixture, StatusReportUpdatesStateAndPushesToHmi) {
@@ -131,9 +139,7 @@ TEST_F(MasterFixture, StatusReportUpdatesStateAndPushesToHmi) {
   report.report_seq = 1;
   report.breakers = {1, 1, 0, 0, 0, 0, 0};
   report.readings.assign(7, 0);
-  master->apply(make_update("client/proxy-plc-phys", ScadaMsgType::kStatusReport,
-                            report.encode(), 1),
-                prime::ExecutionInfo{});
+  master->apply(report_update(report, 1), prime::ExecutionInfo{});
 
   EXPECT_EQ(master->version(), 1u);
   EXPECT_EQ(master->state().breaker("plc-phys", 1), true);
@@ -170,9 +176,7 @@ TEST_F(MasterFixture, SnapshotRestoreRoundTrip) {
   report.report_seq = 4;
   report.breakers = {1, 0, 1, 0};
   report.readings.assign(4, 100);
-  master->apply(make_update("client/proxy-plc-phys", ScadaMsgType::kStatusReport,
-                            report.encode(), 1),
-                prime::ExecutionInfo{});
+  master->apply(report_update(report, 1), prime::ExecutionInfo{});
   const auto snapshot = master->snapshot();
 
   MasterConfig config2;
@@ -208,11 +212,35 @@ TEST_F(MasterFixture, MalformedPayloadsAreIgnoredDeterministically) {
   EXPECT_TRUE(outputs.empty());
 
   ClientPayload payload;
-  payload.type = ScadaMsgType::kStatusReport;
+  payload.type = ScadaMsgType::kBatchReport;
   payload.body = util::to_bytes("garbage");
   update.payload = payload.encode();
   master->apply(update, prime::ExecutionInfo{});
   EXPECT_EQ(master->version(), 0u);
+}
+
+// Tag 1 was the one-report update a proxy sent before every field
+// report became a BatchReport. Its bytes still reach the master if a
+// stale or hostile client sends them; they must change nothing.
+TEST_F(MasterFixture, RetiredOneReportTagIsRejected) {
+  StatusReport report;
+  report.device = "plc-phys";
+  report.report_seq = 1;
+  report.breakers = {1, 1, 0, 0, 0, 0, 0};
+  report.readings.assign(7, 0);
+  util::ByteWriter w;
+  w.u8(1);
+  w.blob(report.encode());
+  prime::ClientUpdate update;
+  update.client = "client/proxy-plc-phys";
+  update.client_seq = 1;
+  update.payload = w.take();
+
+  EXPECT_FALSE(ClientPayload::decode(update.payload).has_value());
+  master->apply(update, prime::ExecutionInfo{});
+  EXPECT_EQ(master->version(), 0u);
+  EXPECT_EQ(master->reports_applied(), 0u);
+  EXPECT_TRUE(outputs.empty());
 }
 
 TEST_F(MasterFixture, StaleReportsDoNotRegressState) {
@@ -221,9 +249,7 @@ TEST_F(MasterFixture, StaleReportsDoNotRegressState) {
   fresh.report_seq = 10;
   fresh.breakers = {1, 0, 0, 0, 0, 0, 0};
   fresh.readings.assign(7, 0);
-  master->apply(make_update("client/proxy-plc-phys", ScadaMsgType::kStatusReport,
-                            fresh.encode(), 1),
-                prime::ExecutionInfo{});
+  master->apply(report_update(fresh, 1), prime::ExecutionInfo{});
   ASSERT_EQ(master->state().breaker("plc-phys", 0), true);
 
   StatusReport stale;
@@ -231,9 +257,7 @@ TEST_F(MasterFixture, StaleReportsDoNotRegressState) {
   stale.report_seq = 5;  // older than what we applied
   stale.breakers = {0, 0, 0, 0, 0, 0, 0};
   stale.readings.assign(7, 0);
-  master->apply(make_update("client/proxy-plc-phys", ScadaMsgType::kStatusReport,
-                            stale.encode(), 2),
-                prime::ExecutionInfo{});
+  master->apply(report_update(stale, 2), prime::ExecutionInfo{});
   EXPECT_EQ(master->state().breaker("plc-phys", 0), true);  // unchanged
 }
 
@@ -245,9 +269,7 @@ TEST_F(MasterFixture, VersionIsMonotonicAcrossMixedUpdates) {
     report.report_seq = static_cast<std::uint64_t>(i);
     report.breakers = {i % 2 == 0, false, false, false};
     report.readings.assign(4, 0);
-    master->apply(make_update("client/proxy-plc-phys",
-                              ScadaMsgType::kStatusReport, report.encode(),
-                              static_cast<std::uint64_t>(i)),
+    master->apply(report_update(report, static_cast<std::uint64_t>(i)),
                   prime::ExecutionInfo{});
     EXPECT_GT(master->version(), last);
     last = master->version();
@@ -674,8 +696,8 @@ struct ProxyFixture : ::testing::Test {
     proxy->register_polled_device("plc-phys", std::move(client));
   }
 
-  /// The StatusReport inside one submitted client-update envelope; an
-  /// empty report (and a test failure) if the bytes are not one.
+  /// The one StatusReport batched inside a submitted client-update
+  /// envelope; an empty report (and a test failure) if it is not there.
   static StatusReport submitted_report(const util::Bytes& envelope) {
     const auto env = prime::Envelope::decode(envelope);
     if (!env) {
@@ -685,16 +707,16 @@ struct ProxyFixture : ::testing::Test {
     util::ByteReader reader(env->body);
     const auto payload =
         ClientPayload::decode(prime::ClientUpdate::decode(reader).payload);
-    if (!payload || payload->type != ScadaMsgType::kStatusReport) {
-      ADD_FAILURE() << "submitted update is not a status report";
+    if (!payload || payload->type != ScadaMsgType::kBatchReport) {
+      ADD_FAILURE() << "submitted update is not a batch report";
       return {};
     }
-    const auto report = StatusReport::decode(payload->body);
-    if (!report) {
-      ADD_FAILURE() << "status report does not decode";
+    const auto batch = BatchReport::decode(payload->body);
+    if (!batch || batch->reports.size() != 1) {
+      ADD_FAILURE() << "submitted update is not a one-member batch";
       return {};
     }
-    return *report;
+    return batch->reports.front();
   }
 
   util::Bytes make_order(std::uint32_t replica, std::uint64_t command_id,
