@@ -13,8 +13,9 @@
 //   * the HMI version advances throughout (no blackout window),
 //   * proactive recovery cycles through all replicas repeatedly,
 //   * replica application states stay byte-identical,
-//   * the external overlay's hellos, and its link packets per ordered
-//     update, stay under count ceilings (default length and seed).
+//   * the external overlay's hellos, its link packets per ordered
+//     update, and the event kernel's callback pages stay under count
+//     ceilings (default length and seed); peak RSS is reported.
 //
 // Fleet options (DESIGN.md §8):
 //   * --fleet=F        stand up F independent plant deployments, each
@@ -38,6 +39,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "bench_util.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -50,17 +53,20 @@ namespace {
 constexpr std::uint64_t kDefaultChaosSeed = 0xC7A05;
 constexpr sim::Time kDefaultSoak = 5 * sim::kMinute;
 
-/// Ceilings on what the external overlay sends, each the count measured
-/// on the default-length soak plus 10%. The counts are deterministic for
-/// a seed, so crossing one means the overlay's control plane changed.
-/// They are calibrated for the default length and chaos seed only;
-/// other runs report the counts.
-struct ExternalCeilings {
+/// Ceilings on what the external overlay sends and on the most callback
+/// pages the event kernel held at once, each the count measured on the
+/// default-length soak plus 10%. The counts are deterministic for a
+/// seed, so crossing one means the overlay's control plane changed or
+/// the kernel's memory no longer follows the events pending. They are
+/// calibrated for the default length and chaos seed only; other runs
+/// report the counts.
+struct Ceilings {
   double hellos;
   double packets_per_update;
+  double callback_pages;
 };
-constexpr ExternalCeilings kDefaultCeilings{94575, 88.4};
-constexpr ExternalCeilings kChaosCeilings{95031, 112.1};
+constexpr Ceilings kDefaultCeilings{94575, 88.4, 61.6};
+constexpr Ceilings kChaosCeilings{95031, 112.1, 70.4};
 
 struct SoakOptions {
   bool chaos = false;
@@ -302,19 +308,23 @@ double run_soak(const SoakOptions& opt, bench::Report& report) {
                   bench::overlay_metric(registry, external, "packets_sent")) /
                   static_cast<double>(completeness.executed)
             : 0.0;
+    const auto pages =
+        static_cast<double>(inst.sim.callback_pages_high_water());
     const std::string hellos_row = p + "external hellos sent";
     const std::string packets_row =
         p + "external link packets per ordered update";
+    const std::string pages_row = p + "kernel callback pages high-water";
     if (opt.soak == kDefaultSoak &&
         (!opt.chaos || opt.chaos_seed + i == kDefaultChaosSeed)) {
-      const ExternalCeilings& ceiling =
-          opt.chaos ? kChaosCeilings : kDefaultCeilings;
+      const Ceilings& ceiling = opt.chaos ? kChaosCeilings : kDefaultCeilings;
       report.check(hellos_row, hellos, Cmp::kLe, ceiling.hellos);
       report.check(packets_row, packets_per_update, Cmp::kLe,
                    ceiling.packets_per_update);
+      report.check(pages_row, pages, Cmp::kLe, ceiling.callback_pages);
     } else {
       report.add(hellos_row, hellos);
       report.add(packets_row, packets_per_update);
+      report.add(pages_row, pages);
     }
     bench::add_switch_drop_rows(report, p, spire_sys);
     if (inst.chaos) {
@@ -380,6 +390,12 @@ double run_soak(const SoakOptions& opt, bench::Report& report) {
   report.add(p + "events per wall second",
              wall_seconds > 0 ? static_cast<double>(events) / wall_seconds
                               : 0.0);
+  // Process-wide and cumulative: with --workers-list, later runs read
+  // the peak of every run so far.
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  report.add(p + "peak RSS", static_cast<double>(usage.ru_maxrss) / 1024.0,
+             "MB");
 
   // Instances must go down newest-first so each ScopedRegistry /
   // ScopedTracer restores the exact previous current() on its way out.

@@ -257,7 +257,12 @@ std::vector<Tracer::Leg> Tracer::breakdown() const {
       {"plc->display (end-to-end)", Stage::kPlcChange, Stage::kHmiDisplay, {}},
   };
   for (const Span& span : spans_) {
+    // A member inherits every stage but its own kPlcChange from its
+    // parent, so only the PLC legs are its own; the rest are sampled
+    // once per ordered update, on the parent.
+    const bool member = span.parent != Span::kNoParent;
     for (Leg& leg : legs) {
+      if (member && leg.from != Stage::kPlcChange) continue;
       if (!span.has(leg.from) || !span.has(leg.to)) continue;
       const std::uint64_t a = span.time(leg.from);
       const std::uint64_t b = span.time(leg.to);

@@ -226,7 +226,9 @@ class Tracer {
     Stage from, to;
     std::vector<double> samples_ms;
   };
-  /// Per-leg latency samples over all spans where both endpoints exist.
+  /// Per-leg latency samples where both endpoints exist: one per
+  /// ordered update, except the legs from kPlcChange, which are one per
+  /// field change (member span).
   [[nodiscard]] std::vector<Leg> breakdown() const;
 
   struct Completeness {

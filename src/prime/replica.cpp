@@ -58,6 +58,17 @@ Replica::Replica(sim::Simulator& sim, ReplicaId id, PrimeConfig config,
   metrics_.counter("byz_equivocations_sent", &stats_.byz_equivocations_sent);
   metrics_.counter("byz_rows_withheld", &stats_.byz_rows_withheld);
   metrics_.counter("byz_merkle_paths_forged", &stats_.byz_merkle_paths_forged);
+  // PO-Requests still held decoded; an executed one keeps only its
+  // signed envelope (apply_matrix), so this counts the unexecuted.
+  metrics_.gauge_fn("po_requests_decoded", [this] {
+    std::int64_t decoded = 0;
+    for (const PoLog& log : po_log_) {
+      for (const PoSlot& slot : log.slots) {
+        if (slot.stored && !slot.stored->request.updates.empty()) ++decoded;
+      }
+    }
+    return decoded;
+  });
   identities_.reserve(config_.n());
   for (ReplicaId r = 0; r < config_.n(); ++r) {
     identities_.push_back(replica_identity(r));
@@ -1152,10 +1163,12 @@ void Replica::apply_matrix(std::uint64_t seq) {
   auto* tracer = obs::Tracer::current();
 
   for (ReplicaId i = 0; i < config_.n(); ++i) {
+    PoLog& log = po_log_[i];
     for (std::uint64_t s = exec_aru_[i] + 1; s <= elig[i]; ++s) {
       // can_apply guaranteed presence just before this call.
-      const StoredPoRequest& stored = *po_get(i, s);
-      for (const auto& update : stored.request.updates) {
+      std::vector<ClientUpdate>& updates =
+          log.slots[s - log.base].stored->request.updates;
+      for (const auto& update : updates) {
         auto& executed = executed_clients_[update.client];
         if (update.client_seq <= executed) continue;  // cross-origin dup
         executed = update.client_seq;
@@ -1166,6 +1179,9 @@ void Replica::apply_matrix(std::uint64_t seq) {
                            slot.commit_at);
         }
       }
+      // Executed: the slot now only re-serves its signed envelope
+      // (handle_po_fetch), so the decoded copy goes.
+      updates = std::vector<ClientUpdate>{};
     }
     exec_aru_[i] = std::max(exec_aru_[i], elig[i]);
   }

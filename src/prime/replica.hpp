@@ -344,6 +344,8 @@ class Replica {
   /// (clean reinstall semantics, as opposed to recover()'s transfer).
   util::Bytes initial_app_snapshot_;
   bool started_once_ = false;
+  /// A received PO-Request. Once executed, `request.updates` is
+  /// emptied: only the envelope is still needed, and only to re-serve.
   struct StoredPoRequest {
     PoRequest request;
     util::Bytes envelope;  ///< origin-signed, re-servable

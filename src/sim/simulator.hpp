@@ -13,8 +13,10 @@
 // never touched by two threads.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "util/log.hpp"
@@ -40,14 +42,24 @@ using EventId = std::uint64_t;
 /// Discrete-event scheduler.
 ///
 /// Events fire in (timestamp, scheduling order): equal timestamps run
-/// FIFO. The queue is an indexed binary min-heap ordered by
-/// (timestamp, id) with lazy cancellation: cancel() drops the callback
-/// (O(1), ids are dense so the index is a flat array) and the dead heap
-/// entry is skipped when it surfaces, or dropped wholesale once
-/// tombstones outnumber live events.
+/// FIFO. The queue is a binary min-heap of 16-byte (timestamp, id)
+/// entries with lazy cancellation: cancel() drops the callback at once
+/// (releasing its captures) and the dead heap entry is skipped when it
+/// surfaces, or dropped wholesale once tombstones outnumber live events.
+///
+/// Callbacks live in fixed pages of kPageSize slots, found through a
+/// page table by id (DESIGN.md §6). A page whose callbacks have all run
+/// or been cancelled is recycled, so memory follows the events pending,
+/// not the length of the run: a far-future event pins only its own
+/// page, plus one table entry per page of ids scheduled after it.
 class Simulator {
  public:
-  Simulator() = default;
+  /// Callback slots per page (one page is 8 KiB of std::function).
+  static constexpr std::size_t kPageSize = 256;
+  /// Emptied pages kept for reuse; any beyond this are freed.
+  static constexpr std::size_t kMaxSpares = 4;
+
+  Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -81,10 +93,19 @@ class Simulator {
 
   [[nodiscard]] std::size_t pending() const { return live_; }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  /// Callback pages allocated now (in use or spare), and the most ever.
+  [[nodiscard]] std::size_t callback_pages() const { return pages_; }
+  [[nodiscard]] std::size_t callback_pages_high_water() const {
+    return pages_high_water_;
+  }
 
  private:
+  static constexpr unsigned kPageBits = 8;
+  static_assert(kPageSize == std::size_t{1} << kPageBits);
+  static constexpr EventId kSlotMask = kPageSize - 1;
+
   /// Heap entries are 16-byte PODs so sift operations stay cheap; the
-  /// callback lives in slots_, found by id.
+  /// callback lives in a page slot, found by id.
   struct Entry {
     Time at;
     EventId id;
@@ -98,21 +119,48 @@ class Simulator {
 
   /// An empty slot is the tombstone: cancel() nulls the callback,
   /// which also releases anything it captured immediately.
-  [[nodiscard]] bool is_live(EventId id) const {
-    return id >= base_ && id < next_id_ && static_cast<bool>(slots_[id - base_]);
+  struct Page {
+    std::array<std::function<void()>, kPageSize> slots;
+    std::uint32_t pending = 0;  ///< live callbacks in `slots`
+  };
+
+  [[nodiscard]] std::size_t page_index(EventId id) const {
+    return (id >> kPageBits) - table_base_;
   }
-  void prune_dead();        ///< pops cancelled entries off the heap top
-  void compact_heap();      ///< drops tombstones when they dominate
-  void maybe_trim_slots();  ///< amortized trim of the dead slot prefix
+  /// The page at table_[index], or nullptr when it is gone (recycled,
+  /// or trimmed off the front so the index wrapped past the end).
+  [[nodiscard]] Page* page_at(std::size_t index) const {
+    return index < table_.size() ? table_[index].get() : nullptr;
+  }
+  [[nodiscard]] bool is_live(EventId id) const {
+    const Page* page = page_at(page_index(id));
+    return page != nullptr && static_cast<bool>(page->slots[id & kSlotMask]);
+  }
+  /// One callback of table_[index] has run or been cancelled; recycles
+  /// the page once it holds none and is no longer being filled.
+  void retire(Page& page, std::size_t index);
+  void release_page(std::size_t index);  ///< spares or frees, then trims
+  void open_page();     ///< starts the page that the next id falls in
+  void compact_heap();  ///< drops tombstones when they dominate
+  /// Runs the earliest live event due at or before `deadline`; false
+  /// when there is none.
+  bool step_until(Time deadline);
 
   Time now_ = 0;
   std::uint64_t executed_ = 0;
   EventId next_id_ = 1;
-  EventId base_ = 1;  ///< id of slots_[0]
-  std::vector<std::function<void()>> slots_;
   std::size_t live_ = 0;
+  /// table_[i] holds ids [(table_base_ + i) * kPageSize, +kPageSize);
+  /// null once recycled. The entries before head_ are all null and are
+  /// erased in bulk once they make up half the table.
+  std::vector<std::unique_ptr<Page>> table_;
+  EventId table_base_ = 0;
+  std::size_t head_ = 0;
+  Page* fill_ = nullptr;  ///< the page new ids go into (table_.back())
+  std::vector<std::unique_ptr<Page>> spares_;
+  std::size_t pages_ = 0;
+  std::size_t pages_high_water_ = 0;
   std::vector<Entry> heap_;
-  std::size_t next_trim_ = 1024;
 };
 
 /// RAII helper: installs the simulator's clock as the logger time

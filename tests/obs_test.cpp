@@ -739,6 +739,48 @@ TEST(Tracer, DisplayCompletenessChecksEachFieldChangeMember) {
   EXPECT_EQ(c.displayed_complete, 0u) << "fd0's PLC leg was not checked";
 }
 
+// The latency breakdown weighs every ordered update once: a 250-member
+// batch gives one sample per leg of the ordered path, however many
+// members inherit those stages, while each member with a field change
+// gives its own PLC legs.
+TEST(Tracer, BreakdownSamplesABatchOncePerOrderedLeg) {
+  obs::ScopedRegistry registry_scope;
+  std::uint64_t now = 0;
+  static std::uint64_t* now_ptr;
+  now_ptr = &now;
+  obs::ScopedTracer scope([] { return *now_ptr; });
+  obs::Tracer& tracer = scope.tracer();
+
+  const std::string client = "client/proxy-fleet0";
+  constexpr std::size_t kMembers = 250;
+  constexpr std::size_t kFieldChanges = 100;  // every other of the first 200
+  now = 10;
+  for (std::size_t i = 0; i < 2 * kFieldChanges; i += 2) {
+    tracer.plc_change("fd" + std::to_string(i), 0);
+  }
+  now = 20;
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    tracer.proxy_batch_delta("fd" + std::to_string(i), client, 1, {true});
+  }
+  tracer.client_submit(client, 1);
+  now = 30;
+  tracer.replica_recv(client, 1);
+  tracer.po_request(client, 1);
+  now = 40;
+  tracer.executed(client, 1, 32, 36);
+  tracer.master_publish(7, client, 1);
+  now = 50;
+  tracer.hmi_recv(7);
+  tracer.hmi_display(7);
+  ASSERT_EQ(tracer.spans().size(), kMembers + 1);
+
+  for (const auto& leg : tracer.breakdown()) {
+    const std::size_t expected =
+        leg.from == obs::Stage::kPlcChange ? kFieldChanges : 1;
+    EXPECT_EQ(leg.samples_ms.size(), expected) << leg.name;
+  }
+}
+
 TEST(Tracer, WriteJsonlEmitsOneObjectPerSpan) {
   obs::ScopedRegistry registry_scope;
   obs::ScopedTracer scope([] { return std::uint64_t{9}; });

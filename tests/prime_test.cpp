@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "prime/loopback_cluster.hpp"
 #include "prime/recovery.hpp"
@@ -625,6 +626,53 @@ TEST(Prime, IdleClusterSendsOnlyHeartbeatRowsAndProposals) {
   EXPECT_LE(sim.now() - submitted_at,
             config.po_request_interval + config.po_aru_interval +
                 config.preprepare_interval + 20 * sim::kMillisecond);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+}
+
+// An executed PO-Request keeps only its signed envelope, for
+// re-serving; its decoded updates go. Across 2,000 ordered updates no
+// replica holds more decoded PO-Requests than can still be unexecuted,
+// and none once the cluster has settled.
+TEST(Prime, ExecutedPoRequestsDropTheirDecodedUpdates) {
+  sim::Simulator sim;
+  obs::ScopedRegistry scope;
+  const obs::MetricsRegistry& registry = scope.registry();
+  Cluster cluster(sim, 1, 0);
+  cluster.run_for(500 * sim::kMillisecond);
+  const auto decoded = [&](ReplicaId r) {
+    return registry.value("prime.replica" + std::to_string(r) +
+                          ".po_requests_decoded");
+  };
+  const auto issued = [&] {
+    std::uint64_t n = 0;
+    for (const auto& r : cluster.replicas()) n += r->stats().po_requests_sent;
+    return n;
+  };
+
+  std::uint64_t issued_when_settled = issued();
+  std::size_t submitted = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 25; ++i) {
+      cluster.submit("client/a", "a" + std::to_string(submitted));
+      cluster.submit("client/b", "b" + std::to_string(submitted));
+      submitted += 2;
+      cluster.run_for(5 * sim::kMillisecond);
+      // Everything issued before the last settle has executed, so only
+      // PO-Requests issued since can still be unexecuted.
+      const auto unexecuted =
+          static_cast<std::int64_t>(issued() - issued_when_settled);
+      for (ReplicaId r = 0; r < cluster.n(); ++r) {
+        EXPECT_LE(decoded(r), unexecuted) << "replica " << r;
+      }
+    }
+    cluster.run_for(300 * sim::kMillisecond);
+    ASSERT_EQ(cluster.min_executed(), submitted);
+    for (ReplicaId r = 0; r < cluster.n(); ++r) {
+      EXPECT_EQ(decoded(r), 0) << "replica " << r << ", round " << round;
+    }
+    issued_when_settled = issued();
+  }
+  EXPECT_EQ(submitted, 2000u);
   EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 

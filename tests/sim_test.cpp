@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulation kernel and RNG.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -224,6 +225,77 @@ TEST(Simulator, MassCancellationPreservesSurvivorOrder) {
   EXPECT_EQ(fired, survivors);
   EXPECT_EQ(sim.pending(), 0u);
   EXPECT_EQ(sim.now(), 100u);
+}
+
+// Paged callback storage: one event parked an hour ahead must not pin
+// the callbacks of everything scheduled after it. A million
+// self-rescheduling events run past it while the page count stays at
+// the far event's page plus the one being filled.
+TEST(Simulator, FarFutureEventPinsOnlyItsPage) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_after(kHour, [&] { order.push_back(1); });
+  int remaining = 1'000'000;
+  std::function<void()> tick = [&] {
+    if (--remaining > 0) sim.schedule_after(1, tick);
+  };
+  sim.schedule_after(1, tick);
+  sim.schedule_after(2 * kSecond, [&] { order.push_back(0); });
+  sim.run();
+  EXPECT_EQ(remaining, 0);
+  EXPECT_EQ(sim.events_executed(), 1'000'002u);
+  EXPECT_LE(sim.callback_pages_high_water(), 3u);
+  // The far event still fires, last, at its own time.
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sim.now(), kHour);
+}
+
+// An emptied page goes to the spare list and the next page opened
+// takes it from there: waves of events that each fill several pages
+// never raise the allocated count past the first wave's.
+TEST(Simulator, EmptiedPagesAreReusedNotReallocated) {
+  Simulator sim;
+  int fired = 0;
+  const auto wave = [&](std::size_t pages) {
+    for (std::size_t i = 0; i < pages * Simulator::kPageSize; ++i) {
+      sim.schedule_after(1, [&] { ++fired; });
+    }
+  };
+  wave(3);
+  const std::size_t allocated = sim.callback_pages();
+  EXPECT_EQ(allocated, 4u);  // ids 1..768 span pages 0..3
+  sim.run();
+  // The three emptied pages are kept as spares, not freed.
+  EXPECT_EQ(sim.callback_pages(), allocated);
+  for (int round = 0; round < 50; ++round) {
+    wave(3);
+    EXPECT_EQ(sim.callback_pages(), allocated) << "round " << round;
+    sim.run();
+  }
+  EXPECT_EQ(fired, 51 * 3 * static_cast<int>(Simulator::kPageSize));
+  EXPECT_EQ(sim.callback_pages_high_water(), allocated);
+
+  // Spares are capped: after a wave of 20 pages drains, only the page
+  // being filled and kMaxSpares spares stay allocated.
+  wave(20);
+  EXPECT_GE(sim.callback_pages(), 20u);
+  sim.run();
+  EXPECT_EQ(sim.callback_pages(), 1 + Simulator::kMaxSpares);
+}
+
+// cancel() destroys the callback at once, with everything it captured,
+// rather than when the dead heap entry later surfaces.
+TEST(Simulator, CancelReleasesCapturesImmediately) {
+  Simulator sim;
+  const auto token = std::make_shared<int>(7);
+  sim.schedule_after(kSecond, [] {});
+  const EventId id = sim.schedule_after(2 * kSecond, [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(sim.cancel(id));
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Rng, DeterministicForSameSeed) {
