@@ -33,6 +33,7 @@
 // f+1 from the rest) or black out every delivery to one HMI (it must
 // catch up via rate-limited resync once healed). Episodes end before
 // the settle tail so the conservation gates are checked fault-free.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -319,6 +320,7 @@ double run_fleet(const Options& opt, bench::Report& report) {
   std::uint64_t emitted = 0, sent = 0, shed_total = 0, batches = 0;
   std::uint64_t deltas_complete = 0, chaos_episodes = 0, muted = 0,
                 resyncs = 0;
+  double image_bytes_per_device = 0;  // largest HMI image, any instance
 
   for (std::size_t i = 0; i < instances.size(); ++i) {
     Instance& inst = *instances[i];
@@ -367,6 +369,13 @@ double run_fleet(const Options& opt, bench::Report& report) {
     muted += inst.outputs_dropped;
     for (const auto& hmi : inst.hmis) {
       resyncs += hmi->stats().resyncs_requested;
+      const scada::TopologyState& image = hmi->display();
+      if (image.device_count() > 0) {
+        image_bytes_per_device = std::max(
+            image_bytes_per_device,
+            static_cast<double>(image.memory_bytes()) /
+                static_cast<double>(image.device_count()));
+      }
     }
 
     // --- per-delta trace completeness ---------------------------------
@@ -448,6 +457,12 @@ double run_fleet(const Options& opt, bench::Report& report) {
   report.check(rp + "submit->display p99", e2e.p99_ms, Cmp::kLe,
                bench::BaselineKey{"p99_ms_max"}, "ms");
   report.add(rp + "submit->display samples", static_cast<double>(e2e.samples));
+  // Every HMI holds a whole image (it shows a state only once f+1
+  // replicas delivered it), so HMI memory is this times devices times
+  // HMIs. Deterministic for a given device count.
+  report.check(rp + "HMI image bytes per device", image_bytes_per_device,
+               Cmp::kLe, bench::BaselineKey{"hmi_image_bytes_per_device_max"},
+               "B");
   report.add(rp + "reports emitted", static_cast<double>(emitted));
   report.add(rp + "reports sent", static_cast<double>(sent));
   report.add(rp + "reports shed", static_cast<double>(shed_total));

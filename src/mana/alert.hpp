@@ -57,7 +57,7 @@ struct Alert {
   /// detail() for the per-kind layout.
   std::array<std::uint64_t, 3> args{};
 
-  [[nodiscard]] const std::string& network_name() const {
+  [[nodiscard]] std::string_view network_name() const {
     return net::NetworkLabels::instance().name(network);
   }
 

@@ -186,7 +186,7 @@ void Mana::raise(Alert alert) {
   log_.warn("ALERT ", to_string(alert.kind), " detector=",
             to_string(alert.detector), " score=", alert.score);
   if (obs::Tracer* tracer = obs::Tracer::current()) {
-    tracer->alert_marker(alert.network_name(),
+    tracer->alert_marker(std::string(alert.network_name()),
                          std::string(to_string(alert.kind)),
                          std::string(to_string(alert.detector)), alert.score,
                          alert.at);

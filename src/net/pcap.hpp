@@ -50,7 +50,8 @@ class NetworkLabels {
   [[nodiscard]] NetworkId lookup(std::string_view label) const {
     return interner_.lookup(label);
   }
-  [[nodiscard]] const std::string& name(NetworkId id) const {
+  /// Valid until the next intern().
+  [[nodiscard]] std::string_view name(NetworkId id) const {
     return interner_.name(id);
   }
   [[nodiscard]] std::size_t size() const { return interner_.size(); }

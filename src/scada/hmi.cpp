@@ -155,23 +155,24 @@ void Hmi::try_adopt() {
   }
 }
 
-void Hmi::adopt_full(std::uint64_t version, const TopologyState& state) {
+void Hmi::adopt_full(std::uint64_t version, TopologyState state) {
   // Detect per-breaker display changes (screen redraw events).
   for (std::uint32_t h = 0; h < state.device_count(); ++h) {
-    const std::string& device = state.name(h);
-    const auto was = display_.breaker_bytes(display_.handle(device));
+    const std::string_view name = state.name(h);
+    const auto was = display_.breaker_bytes(display_.handle(name));
     const auto now = state.breaker_bytes(h);
     for (std::size_t i = 0; i < now.size(); ++i) {
       const bool closed = now[i] != 0;
       if ((i < was.size() && was[i] != 0) != closed) {
         last_change_ = sim_.now();
+        const std::string device(name);
         for (const auto& observer : observers_) {
           observer(device, i, closed, sim_.now());
         }
       }
     }
   }
-  display_ = state;
+  display_ = std::move(state);
   finish_adopt(version);
 }
 
@@ -181,7 +182,7 @@ bool Hmi::adopt_delta(std::uint64_t version, const util::Bytes& payload) {
         payload,
         [&](std::uint32_t handle, std::size_t breaker, bool closed) {
           last_change_ = sim_.now();
-          const std::string& device = display_.name(handle);
+          const std::string device(display_.name(handle));
           for (const auto& observer : observers_) {
             observer(device, breaker, closed, sim_.now());
           }

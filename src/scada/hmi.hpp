@@ -114,7 +114,7 @@ class Hmi {
   void vote(const StateUpdateView& update, Content* match,
             const crypto::Digest& digest);
   void try_adopt();
-  void adopt_full(std::uint64_t version, const TopologyState& state);
+  void adopt_full(std::uint64_t version, TopologyState state);
   bool adopt_delta(std::uint64_t version, const util::Bytes& payload);
   void finish_adopt(std::uint64_t version);
   void request_resync();

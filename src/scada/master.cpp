@@ -7,11 +7,14 @@ namespace spire::scada {
 
 ScadaMaster::ScadaMaster(MasterConfig config, const crypto::Keyring& keyring,
                          OutputFn output)
-    : config_(std::move(config)),
-      signer_(prime::replica_identity(config_.replica_id),
-              keyring.identity_key(prime::replica_identity(config_.replica_id))),
+    : replica_id_(config.replica_id),
+      device_proxy_(std::move(config.device_proxy)),
+      hmis_(std::move(config.hmis)),
+      publish_min_versions_(config.publish_min_versions),
+      signer_(prime::replica_identity(replica_id_),
+              keyring.identity_key(prime::replica_identity(replica_id_))),
       output_(std::move(output)),
-      state_(config_.scenario) {}
+      state_(config.scenario) {}
 
 void ScadaMaster::apply(const prime::ClientUpdate& update,
                         const prime::ExecutionInfo& info) {
@@ -39,10 +42,10 @@ void ScadaMaster::apply(const prime::ClientUpdate& update,
       const auto command = SupervisoryCommand::decode(payload->body);
       if (!command) return;
       ++version_;
-      const auto proxy = config_.device_proxy.find(command->device);
-      if (proxy != config_.device_proxy.end()) {
+      const auto proxy = device_proxy_.find(command->device);
+      if (proxy != device_proxy_.end()) {
         CommandOrder order;
-        order.replica = config_.replica_id;
+        order.replica = replica_id_;
         order.issuer = update.client;
         order.command = *command;
         order.sign(signer_);
@@ -80,16 +83,16 @@ void ScadaMaster::apply(const prime::ClientUpdate& update,
 }
 
 void ScadaMaster::push_state_to_hmis() {
-  if (config_.hmis.empty()) return;
+  if (hmis_.empty()) return;
   // A master that has never published is always due: HMIs need the
   // initial full snapshot before deltas mean anything.
   const bool due = visible_since_push_ || full_next_push_ ||
                    version_ >= last_pushed_version_ + kPushEvery;
   if (!due) return;  // nothing an operator could see changed
-  if (version_ < last_pushed_version_ + config_.publish_min_versions) return;
+  if (version_ < last_pushed_version_ + publish_min_versions_) return;
 
   StateUpdate su;
-  su.replica = config_.replica_id;
+  su.replica = replica_id_;
   su.version = version_;
   if (full_next_push_) {
     su.kind = StateUpdate::kFull;
@@ -114,12 +117,12 @@ void ScadaMaster::push_state_to_hmis() {
   out.type = ScadaMsgType::kStateUpdate;
   out.body = su.encode();
   const util::Bytes bytes = out.encode();
-  for (const auto& hmi : config_.hmis) output_(hmi, bytes);
+  for (const auto& hmi : hmis_) output_(hmi, bytes);
 }
 
 void ScadaMaster::send_full_to(const std::string& client) {
   StateUpdate su;
-  su.replica = config_.replica_id;
+  su.replica = replica_id_;
   su.version = version_;
   su.kind = StateUpdate::kFull;
   su.state = state_.serialize();
@@ -169,7 +172,7 @@ void ScadaMaster::on_state_transfer() {
   // converges quickly. Side channel: publication bookkeeping and the
   // delta window are untouched, keeping this replica's regular stream
   // byte-identical to its peers'.
-  for (const auto& hmi : config_.hmis) send_full_to(hmi);
+  for (const auto& hmi : hmis_) send_full_to(hmi);
 }
 
 }  // namespace spire::scada

@@ -29,7 +29,9 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "crypto/keyring.hpp"
 #include "prime/application.hpp"
@@ -58,6 +60,8 @@ class ScadaMaster : public prime::Application {
   using OutputFn =
       std::function<void(const std::string& client, const util::Bytes& data)>;
 
+  /// Keeps only the config fields it reads after construction; the
+  /// scenario seeds the state and is not retained.
   ScadaMaster(MasterConfig config, const crypto::Keyring& keyring,
               OutputFn output);
 
@@ -91,7 +95,10 @@ class ScadaMaster : public prime::Application {
   void push_state_to_hmis();
   void send_full_to(const std::string& client);
 
-  MasterConfig config_;
+  std::uint32_t replica_id_;
+  std::map<std::string, std::string> device_proxy_;
+  std::vector<std::string> hmis_;
+  std::uint64_t publish_min_versions_;
   crypto::Signer signer_;
   OutputFn output_;
   TopologyState state_;

@@ -178,35 +178,37 @@ ScenarioSpec ScenarioSpec::fleet(std::size_t devices,
   return spec;
 }
 
-std::uint32_t TopologyState::register_device(const std::string& name,
+std::uint32_t TopologyState::register_device(std::string_view name,
                                              std::size_t breaker_count) {
-  const auto it = index_.find(name);
-  if (it != index_.end()) return it->second;
-  std::uint8_t* rec =
-      add_device(name, record_size(breaker_count, breaker_count));
+  const std::uint32_t h = names_.intern(name);
+  if (h < slots_.size()) return h;  // already registered
+  std::uint8_t* rec = add_record(record_size(breaker_count, breaker_count));
   store_be(rec + kBreakerCountAt, breaker_count, 4);
   store_be(rec + kBreakersAt + breaker_count, breaker_count, 4);
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+  return h;
 }
 
-std::uint8_t* TopologyState::add_device(const std::string& name,
-                                        std::size_t size) {
+std::uint8_t* TopologyState::add_record(std::size_t size) {
   const auto handle = static_cast<std::uint32_t>(slots_.size());
-  slots_.push_back(Slot{records_.size(), size});
-  records_.resize(records_.size() + size);
+  slots_.push_back(Slot{append_space(size), static_cast<std::uint32_t>(size)});
   live_bytes_ += size;
-  names_.push_back(name);
-  index_.emplace(name, handle);
   if ((handle >> kShardBits) >= changed_.size()) changed_.push_back(0);
   return records_.data() + slots_.back().offset;
 }
 
+std::uint32_t TopologyState::append_space(std::size_t size) {
+  const std::size_t offset = records_.size();
+  if (offset + size > 0xFFFF'FFFFu) {
+    throw util::SerializationError("record arena over 4 GiB");
+  }
+  records_.resize(offset + size);
+  return static_cast<std::uint32_t>(offset);
+}
+
 std::uint8_t* TopologyState::resize_record(std::uint32_t h, std::size_t size) {
-  Slot& slot = slots_[h];
-  if (slot.size != size) {
-    live_bytes_ = live_bytes_ - slot.size + size;
-    slot = Slot{records_.size(), size};
-    records_.resize(records_.size() + size);
+  if (slots_[h].size != size) {
+    live_bytes_ = live_bytes_ - slots_[h].size + size;
+    slots_[h] = Slot{append_space(size), static_cast<std::uint32_t>(size)};
     if (records_.size() - live_bytes_ > live_bytes_) compact();
   }
   return records_.data() + slots_[h].offset;
@@ -217,27 +219,34 @@ void TopologyState::compact() {
   packed.reserve(live_bytes_);
   for (Slot& slot : slots_) {
     const auto* rec = records_.data() + slot.offset;
-    slot.offset = packed.size();
+    slot.offset = static_cast<std::uint32_t>(packed.size());
     packed.insert(packed.end(), rec, rec + slot.size);
   }
   records_ = std::move(packed);
 }
 
 TopologyState::TopologyState(const ScenarioSpec& spec) {
+  std::size_t chars = 0;
+  std::size_t bytes = 0;
+  for (const auto& d : spec.devices) {
+    chars += d.name.size();
+    bytes += record_size(d.breaker_names.size(), d.breaker_names.size());
+  }
   slots_.reserve(spec.devices.size());
-  names_.reserve(spec.devices.size());
+  names_.reserve(spec.devices.size(), chars);
+  records_.reserve(bytes);
+  changed_.reserve((spec.devices.size() + kShardSize - 1) >> kShardBits);
   for (const auto& d : spec.devices) {
     register_device(d.name, d.breaker_names.size());
   }
 }
 
-bool TopologyState::apply_report(const std::string& device,
+bool TopologyState::apply_report(std::string_view device,
                                  std::uint64_t report_seq,
                                  const std::vector<bool>& breakers,
                                  const std::vector<std::uint16_t>& readings) {
-  const auto it = index_.find(device);
-  if (it == index_.end()) return false;
-  const std::uint32_t h = it->second;
+  const std::uint32_t h = names_.lookup(device);
+  if (h == kNoDevice) return false;
   const auto cur = record(h);
   if (report_seq <= load_be(cur.data(), 8)) return false;
   const auto was = record_breakers(cur);
@@ -263,7 +272,7 @@ bool TopologyState::apply_report(const std::string& device,
   return changed;
 }
 
-std::optional<DeviceState> TopologyState::device(const std::string& name) const {
+std::optional<DeviceState> TopologyState::device(std::string_view name) const {
   return device_by_handle(handle(name));
 }
 
@@ -279,12 +288,11 @@ std::span<const std::uint8_t> TopologyState::breaker_bytes(
   return record_breakers(record(handle));
 }
 
-std::uint32_t TopologyState::handle(const std::string& name) const {
-  const auto it = index_.find(name);
-  return it == index_.end() ? kNoDevice : it->second;
+std::uint32_t TopologyState::handle(std::string_view name) const {
+  return names_.lookup(name);
 }
 
-std::optional<bool> TopologyState::breaker(const std::string& device,
+std::optional<bool> TopologyState::breaker(std::string_view device,
                                            std::size_t index) const {
   const auto bytes = breaker_bytes(handle(device));
   if (index >= bytes.size()) return std::nullopt;
@@ -294,18 +302,27 @@ std::optional<bool> TopologyState::breaker(const std::string& device,
 void TopologyState::for_each(
     const std::function<void(const std::string&, const DeviceState&)>& fn)
     const {
+  std::string name;  // one buffer, reassigned per device
   for (std::uint32_t h = 0; h < slots_.size(); ++h) {
-    fn(names_[h], decode_record(record(h)));
+    name.assign(names_.name(h));
+    fn(name, decode_record(record(h)));
   }
+}
+
+std::size_t TopologyState::memory_bytes() const {
+  return records_.capacity() + slots_.capacity() * sizeof(Slot) +
+         names_.memory_bytes() + changed_.capacity() * sizeof(std::uint64_t);
 }
 
 util::Bytes TopologyState::serialize() const {
   std::size_t size = 4 + live_bytes_;
-  for (const auto& name : names_) size += 4 + name.size();
+  for (std::uint32_t h = 0; h < slots_.size(); ++h) {
+    size += 4 + names_.name(h).size();
+  }
   util::ByteWriter w(size);
   w.u32(static_cast<std::uint32_t>(slots_.size()));
   for (std::uint32_t h = 0; h < slots_.size(); ++h) {
-    w.str(names_[h]);
+    w.str(names_.name(h));
     w.raw(record(h));
   }
   return w.take();
@@ -313,21 +330,33 @@ util::Bytes TopologyState::serialize() const {
 
 TopologyState TopologyState::deserialize(std::span<const std::uint8_t> data) {
   util::ByteReader r(data);
-  TopologyState state;
   const std::uint32_t count = r.u32();
   if (count > (1u << 20)) throw util::SerializationError("absurd device count");
-  state.slots_.reserve(count);
-  state.names_.reserve(count);
-  state.records_.reserve(data.size());
+  // First pass validates every entry and totals the names and records,
+  // so the second allocates each store once, at its exact size.
+  const std::size_t first = r.offset();
+  std::size_t chars = 0;
+  std::size_t bytes = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::string name = r.str();
-    if (state.index_.count(name) != 0) {
-      throw util::SerializationError("duplicate device name");
-    }
-    const auto rec = read_device_record(r);
-    copy_record(state.add_device(name, rec.size()), rec);
+    chars += r.str_view().size();
+    bytes += read_device_record(r).size();
   }
   r.expect_done();
+
+  TopologyState state;
+  state.slots_.reserve(count);
+  state.names_.reserve(count, chars);
+  state.records_.reserve(bytes);
+  state.changed_.reserve((count + kShardSize - 1) >> kShardBits);
+  util::ByteReader again(data.subspan(first));
+  for (std::uint32_t i = 0; i < count; ++i) {
+    // A fresh name gets the next dense handle; a repeat, an older one.
+    if (state.names_.intern(again.str_view()) < state.slots_.size()) {
+      throw util::SerializationError("duplicate device name");
+    }
+    const auto rec = read_device_record(again);
+    copy_record(state.add_record(rec.size()), rec);
+  }
   return state;
 }
 

@@ -22,11 +22,12 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
+#include "util/interner.hpp"
 
 namespace spire::scada {
 
@@ -70,7 +71,8 @@ struct DeviceState {
 /// Deterministically serializable so replicas can vote on it and
 /// checkpoint it.
 ///
-/// Devices are interned to dense handles (registration order). Each
+/// Devices are interned to dense handles (registration order) by a
+/// util::StringInterner, which stores each name once. Each
 /// device is stored as its wire record — the exact bytes serialize()
 /// and serialize_changes() emit for it — in one contiguous
 /// handle-indexed arena, so publication and delta application are byte
@@ -87,7 +89,7 @@ class TopologyState {
  public:
   static constexpr std::size_t kShardBits = 6;
   static constexpr std::size_t kShardSize = std::size_t{1} << kShardBits;
-  static constexpr std::uint32_t kNoDevice = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNoDevice = util::StringInterner::kInvalid;
 
   TopologyState() = default;
   explicit TopologyState(const ScenarioSpec& spec);
@@ -95,7 +97,7 @@ class TopologyState {
   /// Registers a device not described by a ScenarioSpec (used by the
   /// commercial baseline, which is configured by device links). Returns
   /// the device's dense handle (existing handle if already registered).
-  std::uint32_t register_device(const std::string& name,
+  std::uint32_t register_device(std::string_view name,
                                 std::size_t breaker_count);
 
   /// Applies a field report; returns true if anything operator-visible
@@ -104,25 +106,26 @@ class TopologyState {
   /// results). Any accepted report marks the device changed for the
   /// next delta publication. Encodes straight into the device's record;
   /// allocates only when the record changes size.
-  bool apply_report(const std::string& device, std::uint64_t report_seq,
+  bool apply_report(std::string_view device, std::uint64_t report_seq,
                     const std::vector<bool>& breakers,
                     const std::vector<std::uint16_t>& readings);
 
   /// Decoded copy of one device's state; nullopt for an unknown device.
-  [[nodiscard]] std::optional<DeviceState> device(const std::string& name) const;
+  [[nodiscard]] std::optional<DeviceState> device(std::string_view name) const;
   [[nodiscard]] std::optional<DeviceState> device_by_handle(
       std::uint32_t handle) const;
   /// One breaker position, read from the record without decoding it.
-  [[nodiscard]] std::optional<bool> breaker(const std::string& device,
+  [[nodiscard]] std::optional<bool> breaker(std::string_view device,
                                             std::size_t index) const;
   /// A device's breaker positions as stored: one 0/1 byte per breaker.
   /// Empty for an unknown handle; invalidated by the next write.
   [[nodiscard]] std::span<const std::uint8_t> breaker_bytes(
       std::uint32_t handle) const;
 
-  [[nodiscard]] std::uint32_t handle(const std::string& name) const;
-  [[nodiscard]] const std::string& name(std::uint32_t handle) const {
-    return names_[handle];
+  [[nodiscard]] std::uint32_t handle(std::string_view name) const;
+  /// Valid until the next device registration.
+  [[nodiscard]] std::string_view name(std::uint32_t handle) const {
+    return names_.name(handle);
   }
   [[nodiscard]] std::size_t device_count() const { return slots_.size(); }
   [[nodiscard]] std::size_t shard_count() const { return changed_.size(); }
@@ -131,6 +134,9 @@ class TopologyState {
   /// holds including records abandoned by a size change.
   [[nodiscard]] std::size_t live_bytes() const { return live_bytes_; }
   [[nodiscard]] std::size_t arena_bytes() const { return records_.size(); }
+  /// Heap bytes the image holds, by capacity: the record arena, the
+  /// slots, the name directory and the changed-device masks.
+  [[nodiscard]] std::size_t memory_bytes() const;
 
   /// Visits every device in registration order: fn(name, state), with
   /// the state decoded into a temporary.
@@ -179,16 +185,18 @@ class TopologyState {
 
  private:
   struct Slot {
-    std::size_t offset = 0;  ///< into records_
-    std::size_t size = 0;
+    std::uint32_t offset = 0;  ///< into records_
+    std::uint32_t size = 0;
   };
 
   [[nodiscard]] std::span<const std::uint8_t> record(std::uint32_t h) const {
     return {records_.data() + slots_[h].offset, slots_[h].size};
   }
-  /// Registers `name` with a zeroed record of `size` bytes and returns
-  /// where to write it.
-  std::uint8_t* add_device(const std::string& name, std::size_t size);
+  /// Appends a zeroed record of `size` bytes for the device just
+  /// interned and returns where to write it.
+  std::uint8_t* add_record(std::size_t size);
+  /// Grows the arena by `size` bytes and returns where they start.
+  std::uint32_t append_space(std::size_t size);
   /// Returns device `h`'s record storage resized to `size` bytes:
   /// in place when the size matches, else relocated to the arena's end.
   std::uint8_t* resize_record(std::uint32_t h, std::size_t size);
@@ -197,8 +205,7 @@ class TopologyState {
   util::Bytes records_;     // wire records, addressed through slots_
   std::vector<Slot> slots_;  // dense, handle-indexed
   std::size_t live_bytes_ = 0;
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, std::uint32_t> index_;
+  util::StringInterner names_;  // handle <-> name, in registration order
   std::vector<std::uint64_t> changed_;  // one bit per device, per shard
 };
 

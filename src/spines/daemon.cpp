@@ -214,7 +214,7 @@ void Daemon::corrupt_link_keys() {
   if (keys_corrupted_) return;
   keys_corrupted_ = true;
   for (const NodeHandle h : neighbor_order_) {
-    corrupt_channels(*neighbors_[h], nodes_.name(h));
+    corrupt_channels(*neighbors_[h], NodeId(nodes_.name(h)));
   }
 }
 
@@ -238,7 +238,7 @@ std::optional<NodeId> Daemon::next_hop(const NodeId& dst) const {
   if (h == kNoHandle) return std::nullopt;
   const NodeHandle hop = route_for(h);
   if (hop == kNoHandle) return std::nullopt;
-  return nodes_.name(hop);
+  return NodeId(nodes_.name(hop));
 }
 
 NodeHandle Daemon::route_for(NodeHandle dst) const {
@@ -699,7 +699,7 @@ std::vector<NodeId> Daemon::flood_relays(const NodeId& source) const {
   std::vector<NodeHandle> relays;
   designate_relays(nodes_.lookup(source), relays);
   std::vector<NodeId> names;
-  for (const NodeHandle h : relays) names.push_back(nodes_.name(h));
+  for (const NodeHandle h : relays) names.emplace_back(nodes_.name(h));
   return names;
 }
 
@@ -876,7 +876,7 @@ void Daemon::originate_own_lsu() {
     // Cross-area adjacency is border-daemon state, not area topology:
     // it is advertised through summaries, never through LSUs.
     if (neighbors_[h]->up && same_area(*neighbors_[h])) {
-      lsu.neighbors.push_back(nodes_.name(h));
+      lsu.neighbors.emplace_back(nodes_.name(h));
       adj.push_back(h);
     }
   }
@@ -1021,7 +1021,7 @@ void Daemon::emit_summary_stream(std::uint32_t subject_area,
   if (cursor >= members.size()) cursor = 0;
   body.members.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    body.members.push_back(nodes_.name(members[(cursor + i) % members.size()]));
+    body.members.emplace_back(nodes_.name(members[(cursor + i) % members.size()]));
   }
   cursor = (cursor + count) % members.size();
   body.signature = signer_.sign(body.signed_bytes());

@@ -48,7 +48,8 @@ class NodeTable {
     return interner_.lookup(id);
   }
 
-  [[nodiscard]] const NodeId& name(NodeHandle handle) const {
+  /// Valid until the next intern().
+  [[nodiscard]] std::string_view name(NodeHandle handle) const {
     return interner_.name(handle);
   }
 

@@ -484,6 +484,39 @@ TEST(TopologyRecordStore, NonzeroBooleanBytesAreStoredAsOne) {
   EXPECT_EQ(mirror.serialize(), canonical);
 }
 
+// Every HMI keeps a whole image, so the directory around the 23-byte
+// records must stay small: one copy of each name, 32-bit slots and an
+// arena sized to its records. A directory of per-device string nodes
+// costs ~150 B per device here.
+TEST(TopologyRecordStore, FleetImageHoldsAtMost64BytesPerDevice) {
+  constexpr std::size_t kDevices = 10'000;
+  const ScenarioSpec spec = ScenarioSpec::fleet(kDevices, 2);
+  TopologyState built(spec);
+  built.apply_report("fd9999", 1, {true, false}, {3, 4});
+  const util::Bytes bytes = built.serialize();
+  const TopologyState decoded = TopologyState::deserialize(bytes);
+  EXPECT_EQ(decoded.serialize(), bytes);
+
+  // Every store is allocated once at its exact size: the 23-B records
+  // (not the snapshot, names included), 8-B slots, the names, 4-B end
+  // offsets, a 16,384-slot handle table and one mask per 64 devices.
+  std::size_t chars = 0;
+  for (const auto& d : spec.devices) chars += d.name.size();
+  const std::size_t exact = kDevices * (23 + 8 + 4) + chars + 16'384 * 4 +
+                            (kDevices + 63) / 64 * 8;
+  const TopologyState* const images[] = {&built, &decoded};
+  for (const TopologyState* image : images) {
+    ASSERT_EQ(image->device_count(), kDevices);
+    EXPECT_EQ(image->live_bytes(), 23 * kDevices);
+    EXPECT_EQ(image->memory_bytes(), exact);
+    EXPECT_LE(image->memory_bytes(), 64 * kDevices);
+  }
+  EXPECT_EQ(decoded.handle("fd0"), 0u);
+  EXPECT_EQ(decoded.handle("fd9999"), kDevices - 1);
+  EXPECT_EQ(decoded.handle("fd10000"), TopologyState::kNoDevice);
+  EXPECT_EQ(decoded.name(4321), "fd4321");
+}
+
 // --- master: batched application and delta publication ---------------
 
 struct FleetMasterFixture : ::testing::Test {

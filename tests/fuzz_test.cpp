@@ -5,6 +5,11 @@
 // rejected (nullopt / SerializationError), never trusted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "dnp3/app.hpp"
 #include "dnp3/framing.hpp"
 #include "modbus/pdu.hpp"
@@ -344,6 +349,65 @@ TEST(Fuzz, BatchReportIngressRoundTripsUnderMutation) {
   EXPECT_LE(master.version(), seq);
   const util::Bytes image = master.state().serialize();
   EXPECT_EQ(scada::TopologyState::deserialize(image).serialize(), image);
+}
+
+// A fleet image is what every HMI adopts in full. A mutant either is
+// rejected or decodes to a state whose names each map back to their
+// handle, and which serializes to a fixed point: once decoded, the
+// canonical bytes decode to themselves.
+TEST(Fuzz, TopologySnapshotRoundTripsUnderMutation) {
+  const scada::ScenarioSpec spec = scada::ScenarioSpec::fleet(200, 2);
+  scada::TopologyState state(spec);
+  sim::Rng rng(41);
+  for (std::uint64_t seq = 1; seq <= 300; ++seq) {
+    const auto& device = spec.devices[rng.uniform(0, spec.devices.size() - 1)];
+    std::vector<bool> breakers(rng.uniform(0, 4));
+    for (std::size_t b = 0; b < breakers.size(); ++b) breakers[b] = rng.chance(0.5);
+    std::vector<std::uint16_t> readings(rng.uniform(0, 3), 480);
+    state.apply_report(device.name, seq, breakers, readings);
+  }
+  const util::Bytes snapshot = state.serialize();
+
+  int decoded_mutants = 0;
+  fuzz_mutations(snapshot, [&](const util::Bytes& b) {
+    std::optional<scada::TopologyState> decoded;
+    try {
+      decoded = scada::TopologyState::deserialize(b);
+    } catch (const util::SerializationError&) {
+      return;
+    }
+    ++decoded_mutants;
+    for (std::uint32_t h = 0; h < decoded->device_count(); ++h) {
+      ASSERT_EQ(decoded->handle(decoded->name(h)), h);
+    }
+    const util::Bytes canonical = decoded->serialize();
+    EXPECT_EQ(scada::TopologyState::deserialize(canonical).serialize(),
+              canonical);
+  }, 42, 4000);
+  EXPECT_GT(decoded_mutants, 0);  // the round-trip checks ran
+
+  // A name repeated anywhere in the snapshot is rejected: overwrite one
+  // device's name with another's of the same length, either order.
+  std::vector<std::size_t> name_at;  // offset of each name's characters
+  std::size_t at = 4;                // past the device count
+  for (std::uint32_t h = 0; h < state.device_count(); ++h) {
+    const auto d = state.device_by_handle(h);
+    name_at.push_back(at + 4);
+    at += 4 + state.name(h).size() + 13 + d->breakers.size() + 4 +
+          2 * d->readings.size();
+  }
+  ASSERT_EQ(at, snapshot.size());
+  const std::pair<std::uint32_t, std::uint32_t> pairs[] = {
+      {0, 9}, {9, 0}, {10, 99}, {57, 12}, {100, 199}, {150, 101}};
+  for (const auto& [from, to] : pairs) {
+    util::Bytes dup = snapshot;
+    const auto name = state.name(from);
+    ASSERT_EQ(name.size(), state.name(to).size());
+    std::copy(name.begin(), name.end(), dup.begin() + name_at[to]);
+    EXPECT_THROW(scada::TopologyState::deserialize(dup),
+                 util::SerializationError)
+        << from << " -> " << to;
+  }
 }
 
 TEST(Fuzz, HmiSurvivesGarbageAndMutatedMasterOutputs) {

@@ -1,6 +1,10 @@
 // Unit tests for serialization, hex, and logging utilities.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "util/bytes.hpp"
 #include "util/hex.hpp"
 #include "util/interner.hpp"
@@ -126,6 +130,61 @@ TEST(StringInterner, AssignsDenseHandlesInInsertionOrder) {
   EXPECT_EQ(interner.lookup("never-seen"), StringInterner::kInvalid);
   EXPECT_EQ(interner.name(1), "b");
   EXPECT_EQ(interner.size(), 2u);
+}
+
+TEST(StringInterner, HandlesStayDenseAndStableAsTheIndexGrows) {
+  StringInterner interner;
+  constexpr std::uint32_t kNames = 20'000;
+  std::vector<std::size_t> footprint;  // memory_bytes() after each intern
+  for (std::uint32_t i = 0; i < kNames; ++i) {
+    ASSERT_EQ(interner.intern("dev" + std::to_string(i)), i);
+    footprint.push_back(interner.memory_bytes());
+  }
+  // The index rebuilt itself several times on the way.
+  EXPECT_GT(footprint.back(), footprint[kNames / 8]);
+  EXPECT_EQ(interner.size(), kNames);
+  for (std::uint32_t i = 0; i < kNames; ++i) {
+    const std::string name = "dev" + std::to_string(i);
+    ASSERT_EQ(interner.lookup(name), i);
+    ASSERT_EQ(interner.name(i), name);
+    ASSERT_EQ(interner.intern(name), i);  // re-intern: same handle
+  }
+  EXPECT_EQ(interner.size(), kNames);
+  EXPECT_EQ(interner.lookup("dev20000"), StringInterner::kInvalid);
+  EXPECT_THROW((void)interner.name(kNames), std::out_of_range);
+}
+
+TEST(StringInterner, EmptyAndPrefixSharingNamesAreDistinct) {
+  StringInterner interner;
+  EXPECT_EQ(interner.lookup(""), StringInterner::kInvalid);
+  const std::vector<std::string> names = {"fd1", "fd", "", "fd10", "f",
+                                          "fd100", "d1"};
+  for (std::uint32_t i = 0; i < names.size(); ++i) {
+    ASSERT_EQ(interner.intern(names[i]), i);
+  }
+  for (std::uint32_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(interner.lookup(names[i]), i) << '"' << names[i] << '"';
+    EXPECT_EQ(interner.name(i), names[i]);
+  }
+  EXPECT_TRUE(interner.name(2).empty());
+  EXPECT_EQ(interner.lookup("fd1000"), StringInterner::kInvalid);
+  EXPECT_EQ(interner.lookup("fd2"), StringInterner::kInvalid);
+  // A view of a stored name is a valid key to intern again.
+  EXPECT_EQ(interner.intern(interner.name(3).substr(0, 2)), 1u);
+  EXPECT_EQ(interner.intern(interner.name(5).substr(1)), 7u);  // "d100"
+  EXPECT_EQ(interner.name(7), "d100");
+}
+
+TEST(StringInterner, ReserveSizesTheIndexOnce) {
+  StringInterner interner;
+  interner.reserve(1000, 5 * 1000);
+  const std::size_t reserved = interner.memory_bytes();
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(interner.intern("n" + std::to_string(1000 + i)), i);
+  }
+  EXPECT_EQ(interner.memory_bytes(), reserved);
+  // 5 B of arena, 4 B of end offset and at most 4/0.375 B of table.
+  EXPECT_LE(reserved, 1000 * (5 + 4 + 11));
 }
 
 TEST(Hex, RoundTrip) {
