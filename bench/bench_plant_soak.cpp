@@ -15,7 +15,10 @@
 //   * replica application states stay byte-identical,
 //   * the external overlay's hellos, its link packets per ordered
 //     update, and the event kernel's callback pages stay under count
-//     ceilings (default length and seed); peak RSS is reported.
+//     ceilings (default length and seed); the most order slots a
+//     replica retained stays under its garbage-collection cap, and
+//     peak RSS and the most PO-Requests and PO-Request bytes retained
+//     are reported.
 //
 // Fleet options (DESIGN.md §8):
 //   * --fleet=F        stand up F independent plant deployments, each
@@ -326,6 +329,30 @@ double run_soak(const SoakOptions& opt, bench::Report& report) {
       report.add(packets_row, packets_per_update);
       report.add(pages_row, pages);
     }
+    // Prime's retained state: the most any replica held at once.
+    const auto replica_max = [&](const std::string& metric) {
+      std::int64_t most = 0;
+      for (std::uint32_t r = 0; r < spire_sys.n(); ++r) {
+        most = std::max(most, registry.value("prime.replica" +
+                                             std::to_string(r) + "." + metric));
+      }
+      return static_cast<double>(most);
+    };
+    // Caps from the garbage-collection rule (DESIGN.md §5 "Retained
+    // state"): a replica keeps the slack interval, the interval being
+    // filled and at most the 16-slot ordering window past it; under
+    // chaos a lagging replica holds up to two intervals more before it
+    // state-transfers. Proactive recovery wipes a replica every 90 s,
+    // so without the rule the peak (~860 slots) would not grow with
+    // soak length; the cap is what catches it.
+    report.check(p + "Prime retained slots high-water",
+                 replica_max("retained_slots_high_water"), Cmp::kLe,
+                 static_cast<double>((opt.chaos ? 5 : 3) *
+                                     prime::kCheckpointInterval));
+    report.add(p + "Prime retained PO-Requests high-water",
+               replica_max("retained_po_envelopes_high_water"));
+    report.add(p + "Prime retained PO-Request bytes high-water",
+               replica_max("retained_po_bytes_high_water"), "B");
     bench::add_switch_drop_rows(report, p, spire_sys);
     if (inst.chaos) {
       const sim::ChaosStats& cs = inst.chaos->stats();

@@ -8,8 +8,9 @@
 namespace spire::prime {
 
 namespace {
+/// Certificate retries before a gap that no known stable checkpoint
+/// covers falls back to state transfer.
 constexpr int kStateTransferFallbackAttempts = 100;  // ~5 s of retries
-constexpr std::uint64_t kSlotRetention = 1024;
 /// A non-leader suspects a leader silent this long (polled at a quarter
 /// of it).
 constexpr sim::Time kSuspectTimeout = 1 * sim::kSecond;
@@ -69,6 +70,23 @@ Replica::Replica(sim::Simulator& sim, ReplicaId id, PrimeConfig config,
     }
     return decoded;
   });
+  // Retained state (DESIGN.md §5): what garbage collection at the stable
+  // checkpoint leaves, now and at its most.
+  metrics_.gauge_fn("retained_slots", [this] {
+    return static_cast<std::int64_t>(slots_.size());
+  });
+  metrics_.gauge_fn("retained_po_envelopes", [this] {
+    return static_cast<std::int64_t>(retained_po().first);
+  });
+  metrics_.gauge_fn("retained_po_bytes", [this] {
+    return static_cast<std::int64_t>(retained_po().second);
+  });
+  metrics_.counter("retained_slots_high_water",
+                   &stats_.retained_slots_high_water);
+  metrics_.counter("retained_po_envelopes_high_water",
+                   &stats_.retained_po_envelopes_high_water);
+  metrics_.counter("retained_po_bytes_high_water",
+                   &stats_.retained_po_bytes_high_water);
   identities_.reserve(config_.n());
   for (ReplicaId r = 0; r < config_.n(); ++r) {
     identities_.push_back(replica_identity(r));
@@ -113,7 +131,7 @@ void Replica::start() {
   }
   // Checkpoint 0 = the deterministic initial state; it anchors recovery
   // for replicas that rejoin before the first periodic checkpoint.
-  checkpoint_blobs_[0] = snapshot_bundle();
+  take_checkpoint();
   arm_timers();
 }
 
@@ -163,9 +181,12 @@ void Replica::shutdown() {
   checkpoint_blobs_.clear();
   checkpoint_votes_.clear();
   stable_checkpoint_.reset();
+  checkpoint_served_at_.clear();
   state_resps_.clear();
   chosen_state_.reset();
+  catching_up_ = false;
   outstanding_cert_fetches_.clear();
+  recon_applied_seq_.reset();
   last_prop_rows_.clear();
   last_suspected_view_ = 0;
   // Rejuvenation semantics: acceptances recorded before the takedown
@@ -469,13 +490,14 @@ void Replica::process_message(const util::Bytes& envelope_bytes,
     case MsgType::kPoReqFetch: handle_po_fetch(*env); break;
     case MsgType::kPoReqResp: handle_po_resp(*env); break;
     case MsgType::kStateReq: handle_state_req(*env); break;
-    case MsgType::kStateResp: break;   // not recovering: ignore
+    case MsgType::kStateResp: handle_state_resp(*env); break;
     case MsgType::kSnapshotReq: handle_snapshot_req(*env); break;
-    case MsgType::kSnapshotResp: break;
+    case MsgType::kSnapshotResp: handle_snapshot_resp(*env); break;
     case MsgType::kCommitCertReq: handle_cert_req(*env); break;
     case MsgType::kCommitCertResp: handle_cert_resp(*env); break;
     case MsgType::kCheckpoint: handle_checkpoint(*env, envelope_bytes); break;
   }
+  note_retention();
 }
 
 // ---- preordering ------------------------------------------------------------
@@ -683,6 +705,8 @@ void Replica::store_po_request(const PoRequest& req, const util::Bytes& raw) {
   if (idx >= log.slots.size()) log.slots.resize(idx + 1);
   PoSlot& slot = log.slots[idx];
   slot.stored = std::make_unique<StoredPoRequest>(StoredPoRequest{req, raw});
+  ++log.stored_count;
+  log.stored_bytes += raw.size();
   if (slot.wanted) {
     slot.wanted = false;
     --log.wanted_count;
@@ -1140,8 +1164,9 @@ void Replica::try_apply() {
     // reports), and pipeline gaps below later commits will resolve via
     // leader retransmission — in both cases the certificate is
     // fetchable, so we never skip (skipping a slot someone executed
-    // would fork the execution order). A gap stuck long enough that
-    // peers must have pruned it falls back to a full state transfer.
+    // would fork the execution order). A gap under a known stable
+    // checkpoint goes to state transfer from recon_tick; one that no
+    // known checkpoint covers falls back to it after many retries.
     const auto start_it = view_start_.find(view_);
     const bool behind = highest_committed_ > next ||
                         (start_it != view_start_.end() &&
@@ -1187,53 +1212,31 @@ void Replica::apply_matrix(std::uint64_t seq) {
   }
 
   // Once executed, a slot only re-serves its signed envelope and commit
-  // quorum (handle_cert_req). Its decoded matrix would otherwise keep
-  // row copies alive for the whole retention window.
+  // quorum (handle_cert_req) until the next stable checkpoint covers it;
+  // its decoded matrix would keep row copies alive until then.
   slot.preprepare.reset();
   applied_seq_ = seq;
   ++stats_.matrices_applied;
   outstanding_cert_fetches_.erase(seq);
   cert_attempts_.erase(seq);
   maybe_checkpoint();
-
-  // Retention: keep a window of slots and PO-Requests to serve
-  // reconciliation and catch-up, prune the rest.
-  while (!slots_.empty() &&
-         slots_.begin()->first + kSlotRetention < applied_seq_) {
-    slots_.erase(slots_.begin());
-  }
-  for (ReplicaId i = 0; i < config_.n(); ++i) {
-    PoLog& log = po_log_[i];
-    while (!log.slots.empty() && log.base + kSlotRetention < exec_aru_[i]) {
-      if (log.slots.front().wanted) --log.wanted_count;
-      log.slots.pop_front();
-      ++log.base;
-    }
-    // An emptied log whose base lags far behind execution (e.g. an
-    // origin that went quiet) jumps forward so fresh sequence numbers
-    // stay inside the insert horizon.
-    if (log.slots.empty() && log.base + kSlotRetention < exec_aru_[i]) {
-      log.base = exec_aru_[i] - kSlotRetention;
-    }
-  }
 }
 
-/// Applied matrices per checkpoint.
-constexpr std::uint64_t kCheckpointInterval = 16;
+const crypto::Digest& Replica::take_checkpoint() {
+  OwnCheckpoint& own = checkpoint_blobs_[applied_seq_];
+  own.blob = snapshot_bundle();
+  own.digest = crypto::sha256(own.blob);
+  own.exec_aru = exec_aru_;
+  return own.digest;
+}
 
 void Replica::maybe_checkpoint() {
   if (applied_seq_ % kCheckpointInterval != 0) return;
-  util::Bytes blob = snapshot_bundle();
   Checkpoint cp;
   cp.replica = id_;
   cp.applied_seq = applied_seq_;
-  cp.snapshot_digest = crypto::sha256(blob);
+  cp.snapshot_digest = take_checkpoint();
   cp.sign(signer_);
-  checkpoint_blobs_[applied_seq_] = std::move(blob);
-  while (checkpoint_blobs_.size() > 3) {
-    checkpoint_blobs_.erase(checkpoint_blobs_.begin());
-  }
-
   send_envelope(MsgType::kCheckpoint, cp.encode());
 }
 
@@ -1259,6 +1262,70 @@ void Replica::handle_checkpoint(const Envelope& env, const util::Bytes& raw) {
       checkpoint_votes_.erase(checkpoint_votes_.begin());
     }
   }
+  // A replica's own vote may be the one that completes the stable
+  // checkpoint's collection, when f+1 others made it stable first.
+  collect_garbage();
+}
+
+void Replica::collect_garbage() {
+  // Only at a stable checkpoint this replica applied itself, to the
+  // state the f+1 votes agree on: a correct peer then holds the same
+  // snapshot, and serves it to whoever needs what was dropped.
+  if (!stable_checkpoint_) return;
+  const auto stable = checkpoint_blobs_.find(stable_checkpoint_->seq);
+  if (stable == checkpoint_blobs_.end() ||
+      stable->second.digest != stable_checkpoint_->digest ||
+      stable == checkpoint_blobs_.begin()) {
+    return;
+  }
+  // One checkpoint of slack: what the own checkpoint below the stable
+  // one covers goes. A replica that lost a message just before the
+  // stable checkpoint still fetches the slot from its peers instead of
+  // transferring the whole state.
+  const auto floor = std::prev(stable);
+  drop_covered(floor->first, floor->second.exec_aru);
+  checkpoint_blobs_.erase(checkpoint_blobs_.begin(), floor);
+}
+
+void Replica::drop_covered(std::uint64_t seq,
+                           const std::vector<std::uint64_t>& exec_aru) {
+  slots_.erase(slots_.begin(), slots_.upper_bound(seq));
+  for (ReplicaId i = 0; i < config_.n(); ++i) {
+    PoLog& log = po_log_[i];
+    const std::uint64_t executed = exec_aru[i];
+    if (executed < log.base) continue;
+    const auto drop = static_cast<std::ptrdiff_t>(
+        std::min<std::uint64_t>(executed + 1 - log.base, log.slots.size()));
+    for (auto it = log.slots.begin(); it != log.slots.begin() + drop; ++it) {
+      if (it->wanted) --log.wanted_count;
+      if (it->stored) {
+        --log.stored_count;
+        log.stored_bytes -= it->stored->envelope.size();
+      }
+    }
+    log.slots.erase(log.slots.begin(), log.slots.begin() + drop);
+    // po_contains reads everything below base as executed.
+    log.base = executed + 1;
+  }
+}
+
+std::pair<std::uint64_t, std::uint64_t> Replica::retained_po() const {
+  std::pair<std::uint64_t, std::uint64_t> total{0, 0};
+  for (const PoLog& log : po_log_) {
+    total.first += log.stored_count;
+    total.second += log.stored_bytes;
+  }
+  return total;
+}
+
+void Replica::note_retention() {
+  const auto [envelopes, bytes] = retained_po();
+  stats_.retained_slots_high_water =
+      std::max<std::uint64_t>(stats_.retained_slots_high_water, slots_.size());
+  stats_.retained_po_envelopes_high_water =
+      std::max(stats_.retained_po_envelopes_high_water, envelopes);
+  stats_.retained_po_bytes_high_water =
+      std::max(stats_.retained_po_bytes_high_water, bytes);
 }
 
 // ---- suspect / view change ---------------------------------------------------
@@ -1587,6 +1654,20 @@ void Replica::recon_tick(std::uint64_t epoch) {
                       [this, epoch] { recon_tick(epoch); });
   if (acting_crashed()) return;
 
+  // Stuck under a stable checkpoint: f+1 replicas applied a checkpoint
+  // more than one interval past applied_seq_, so the ones that did have
+  // pruned what this replica lacks (collect_garbage). One whole recon
+  // interval without progress ends the fetching; the state transfers.
+  const bool stuck =
+      stable_checkpoint_ &&
+      stable_checkpoint_->seq > applied_seq_ + kCheckpointInterval;
+  if (stuck && !catching_up_ && recon_applied_seq_ == applied_seq_) {
+    begin_state_transfer();
+    return;
+  }
+  recon_applied_seq_ =
+      stuck ? std::optional<std::uint64_t>(applied_seq_) : std::nullopt;
+
   for (ReplicaId origin = 0; origin < config_.n(); ++origin) {
     const PoLog& log = po_log_[origin];
     if (log.wanted_count == 0) continue;
@@ -1682,7 +1763,10 @@ void Replica::handle_cert_req(const Envelope& env) {
   const auto req = CommitCertReq::decode(env.body);
   if (!req) return;
   const auto slot_it = slots_.find(req->order_seq);
-  if (slot_it == slots_.end() || !slot_it->second.committed) return;
+  if (slot_it == slots_.end() || !slot_it->second.committed) {
+    serve_stable_vote(env, req->order_seq);
+    return;
+  }
   const OrderSlot& slot = slot_it->second;
 
   CommitCertResp resp;
@@ -1701,6 +1785,31 @@ void Replica::handle_cert_req(const Envelope& env) {
   if (const auto r = sender_id(env)) {
     send_envelope(MsgType::kCommitCertResp, resp.encode(), *r);
   }
+}
+
+void Replica::serve_stable_vote(const Envelope& env, std::uint64_t seq) {
+  // A slot at or below our oldest checkpoint was garbage-collected here
+  // when the one after it became stable. Our signed vote for the stable
+  // checkpoint, with f others, tells the requester it is behind it and
+  // must state-transfer; it is sent at most once per kLeaderHeartbeat.
+  if (!stable_checkpoint_ || checkpoint_blobs_.empty() ||
+      seq > checkpoint_blobs_.begin()->first) {
+    return;
+  }
+  const auto votes = checkpoint_votes_.find(stable_checkpoint_->seq);
+  if (votes == checkpoint_votes_.end()) return;
+  const auto mine = votes->second.find(id_);
+  if (mine == votes->second.end() ||
+      mine->second.first != stable_checkpoint_->digest) {
+    return;
+  }
+  const auto requester = sender_id(env);
+  if (!requester || *requester == id_) return;
+  const auto [it, first] =
+      checkpoint_served_at_.try_emplace(*requester, sim_.now());
+  if (!first && sim_.now() - it->second < kLeaderHeartbeat) return;
+  it->second = sim_.now();
+  transport_->send(*requester, mine->second.second);
 }
 
 void Replica::handle_cert_resp(const Envelope& env) {
@@ -1788,33 +1897,47 @@ void Replica::install_bundle(std::uint64_t applied_seq,
   // Receipt cursors start from the execution state: everything at or
   // below exec_aru is already reflected in the restored snapshot, so
   // acknowledging it is sound and keeps our PO-ARUs meaningful. The
-  // PO logs re-base onto the installed position — without this, fresh
+  // slots and PO-Requests the snapshot covers go, and the PO logs
+  // re-base onto the installed position — without this, fresh
   // PO-Requests near exec_aru would land past the insert horizon of a
-  // stale base and be dropped forever.
+  // stale base and be dropped forever. PO-Requests past the snapshot
+  // stay: a replica catching up may hold its own that no peer has yet.
+  drop_covered(applied_seq, exec_aru_);
   for (ReplicaId i = 0; i < config_.n(); ++i) {
     recv_aru_[i] = std::max(recv_aru_[i], exec_aru_[i]);
-    po_log_[i] = PoLog{};
-    po_log_[i].base = exec_aru_[i] + 1;
   }
 }
 
 void Replica::begin_state_transfer() {
-  // A gap in the committed order that peers can no longer serve (their
-  // retention window moved on, or we were out too long): rebuild from a
-  // checkpoint exactly as a proactive recovery would (§III-A).
-  log_.warn("ordering gap unrecoverable from peers; rejoining via state "
+  // A gap in the committed order that peers no longer serve: install a
+  // stable checkpoint in place, the §III-A transfer without the
+  // rejuvenation. The replica keeps running meanwhile, and keeps its
+  // parked client updates and its own unexecuted PO-Requests.
+  if (recovering_ || catching_up_) return;
+  log_.warn("ordering gap unrecoverable from peers; catching up via state "
             "transfer");
-  recover();
+  catching_up_ = true;
+  state_nonce_ = rng_.next();
+  const std::uint64_t epoch = epoch_;
+  sim_.schedule_after(1, [this, epoch] { recovery_tick(epoch); });
 }
 
 constexpr sim::Time kStateRetryInterval = 300 * sim::kMillisecond;
 
 void Replica::recovery_tick(std::uint64_t epoch) {
-  if (epoch != epoch_ || !running_ || !recovering_) return;
-  StateReq req;
-  req.nonce = state_nonce_;
-  ++stats_.state_reqs_sent;
-  send_envelope(MsgType::kStateReq, req.encode());
+  if (epoch != epoch_ || !running_ || !(recovering_ || catching_up_)) return;
+  if (chosen_state_) {
+    // The snapshot, or the request for it, was lost: ask again.
+    SnapshotReq sreq;
+    sreq.nonce = state_nonce_;
+    sreq.applied_seq = chosen_state_->applied_seq;
+    send_envelope(MsgType::kSnapshotReq, sreq.encode());
+  } else {
+    StateReq req;
+    req.nonce = state_nonce_;
+    ++stats_.state_reqs_sent;
+    send_envelope(MsgType::kStateReq, req.encode());
+  }
   sim_.schedule_after(kStateRetryInterval,
                       [this, epoch] { recovery_tick(epoch); });
 }
@@ -1831,9 +1954,9 @@ void Replica::handle_state_req(const Envelope& env) {
     resp.applied_seq = stable_checkpoint_->seq;
     resp.snapshot_digest = stable_checkpoint_->digest;
   } else if (!checkpoint_blobs_.empty()) {
-    const auto& [seq, blob] = *checkpoint_blobs_.rbegin();
+    const auto& [seq, own] = *checkpoint_blobs_.rbegin();
     resp.applied_seq = seq;
-    resp.snapshot_digest = crypto::sha256(blob);
+    resp.snapshot_digest = own.digest;
   } else {
     return;
   }
@@ -1844,7 +1967,7 @@ void Replica::handle_state_req(const Envelope& env) {
 }
 
 void Replica::handle_state_resp(const Envelope& env) {
-  if (!recovering_ || chosen_state_) return;
+  if (!(recovering_ || catching_up_) || chosen_state_) return;
   const auto resp = StateResp::decode(env.body);
   if (!resp || resp->nonce != state_nonce_) return;
   const auto sender = sender_id(env);
@@ -1860,6 +1983,7 @@ void Replica::handle_state_resp(const Envelope& env) {
   for (const auto& [key, count] : tally) {
     if (count < config_.f + 1) continue;
     if (chosen_state_ && key.first <= chosen_state_->applied_seq) continue;
+    if (catching_up_ && key.first <= applied_seq_) continue;  // nothing new
     StateResp chosen;
     chosen.applied_seq = key.first;
     chosen.snapshot_digest = key.second;
@@ -1887,31 +2011,28 @@ void Replica::handle_snapshot_req(const Envelope& env) {
   SnapshotResp resp;
   resp.nonce = req->nonce;
   resp.applied_seq = req->applied_seq;
-  resp.blob = blob_it->second;
+  resp.blob = blob_it->second.blob;
   if (const auto r = sender_id(env)) {
     send_envelope(MsgType::kSnapshotResp, resp.encode(), *r);
   }
 }
 
 void Replica::handle_snapshot_resp(const Envelope& env) {
-  if (!recovering_ || !chosen_state_) return;
+  if (!(recovering_ || catching_up_) || !chosen_state_) return;
   const auto resp = SnapshotResp::decode(env.body);
   if (!resp || resp->nonce != state_nonce_) return;
   if (resp->applied_seq != chosen_state_->applied_seq) return;
   if (crypto::sha256(resp->blob) != chosen_state_->snapshot_digest) return;
-
-  try {
-    install_bundle(resp->applied_seq, resp->blob);
-  } catch (const util::SerializationError&) {
+  if (catching_up_) {
+    finish_catch_up(*resp);
     return;
   }
+
+  if (!install_snapshot(*resp)) return;
   view_ = chosen_state_->view;
   recovering_ = false;
-  ++stats_.state_transfers;
-  stats_.state_transfer_bytes += resp->blob.size();
   state_resps_.clear();
   chosen_state_.reset();
-  checkpoint_blobs_[applied_seq_] = snapshot_bundle();
   log_.info("state transfer complete: applied_seq ", applied_seq_, ", view ",
             view_);
   app_.on_state_transfer();
@@ -1919,6 +2040,48 @@ void Replica::handle_snapshot_resp(const Envelope& env) {
   // Signal last, with the replica fully rejoined: observers may react
   // by taking other replicas down (the recovery scheduler's gate).
   if (recovery_done_observer_) recovery_done_observer_();
+}
+
+bool Replica::install_snapshot(const SnapshotResp& resp) {
+  try {
+    install_bundle(resp.applied_seq, resp.blob);
+  } catch (const util::SerializationError&) {
+    return false;
+  }
+  ++stats_.state_transfers;
+  stats_.state_transfer_bytes += resp.blob.size();
+  take_checkpoint();
+  return true;
+}
+
+void Replica::finish_catch_up(const SnapshotResp& resp) {
+  // Fetches may have carried the replica past the snapshot meanwhile.
+  if (resp.applied_seq > applied_seq_) {
+    if (!install_snapshot(resp)) return;
+    log_.info("caught up by state transfer: applied_seq ", applied_seq_);
+    app_.on_state_transfer();
+  }
+  // A replica left in a view the others moved on from (an old leader
+  // cut off through a view change never suspects itself) joins theirs,
+  // as a rejoining replica does, with a fresh leader-activity baseline.
+  if (chosen_state_->view > view_) {
+    view_ = chosen_state_->view;
+    last_leader_activity_ = sim_.now();
+    turnaround_.clear();
+    for (auto& pending : peer_turnaround_) pending.clear();
+    turnaround_baseline_ = sim_.now();
+    last_po_aru_sent_.reset();
+  }
+  catching_up_ = false;
+  state_resps_.clear();
+  chosen_state_.reset();
+  outstanding_cert_fetches_.erase(
+      outstanding_cert_fetches_.begin(),
+      outstanding_cert_fetches_.upper_bound(applied_seq_));
+  cert_attempts_.erase(cert_attempts_.begin(),
+                       cert_attempts_.upper_bound(applied_seq_));
+  collect_garbage();
+  try_apply();
 }
 
 }  // namespace spire::prime

@@ -55,6 +55,9 @@ struct PrimeConfig {
 /// Idle heartbeat: the leader re-sends a Pre-Prepare, and every replica
 /// its unchanged PO-ARU row, at least this often.
 constexpr sim::Time kLeaderHeartbeat = 200 * sim::kMillisecond;
+/// Applied matrices per checkpoint. A stable checkpoint garbage-collects
+/// what the checkpoint before it covers (Replica::collect_garbage).
+constexpr std::uint64_t kCheckpointInterval = 16;
 /// Max age of an un-included own PO-ARU before the leader is suspected
 /// (turnaround bound; the Prime delay-attack defense).
 constexpr sim::Time kTurnaroundBound = 800 * sim::kMillisecond;
@@ -132,6 +135,11 @@ struct ReplicaStats {
   std::uint64_t byz_equivocations_sent = 0;
   std::uint64_t byz_rows_withheld = 0;
   std::uint64_t byz_merkle_paths_forged = 0;
+  // Retention: the most order slots, stored PO-Requests and
+  // PO-Request envelope bytes held at once.
+  std::uint64_t retained_slots_high_water = 0;
+  std::uint64_t retained_po_envelopes_high_water = 0;
+  std::uint64_t retained_po_bytes_high_water = 0;
 };
 
 class Replica {
@@ -274,6 +282,9 @@ class Replica {
   void handle_snapshot_resp(const Envelope& env);
   void handle_cert_req(const Envelope& env);
   void handle_cert_resp(const Envelope& env);
+  /// Answers a certificate request for a pruned slot with this
+  /// replica's vote for its stable checkpoint.
+  void serve_stable_vote(const Envelope& env, std::uint64_t seq);
   void handle_checkpoint(const Envelope& env, const util::Bytes& raw);
 
   // ---- protocol steps ----
@@ -286,6 +297,15 @@ class Replica {
   void apply_matrix(std::uint64_t seq);
   [[nodiscard]] std::vector<std::uint64_t> eligibility(const PrePrepare& pp) const;
   void maybe_checkpoint();
+  /// Once this replica has applied the stable checkpoint itself, drops
+  /// what its own checkpoint just below that one covers: order slots at
+  /// or below it and the PO-Requests they executed (DESIGN.md §5
+  /// "Retained state").
+  void collect_garbage();
+  /// Raises the retention high-waters to the current sizes.
+  void note_retention();
+  /// Stored PO-Requests and their envelope bytes, over all origins.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> retained_po() const;
   void suspect(std::uint64_t proposed_view);
   void enter_view(std::uint64_t view);
   void maybe_send_new_view();
@@ -296,8 +316,20 @@ class Replica {
   /// Matrix digest of the all-absent matrix (the re-proposal
   /// constraint for unconstrained slots).
   [[nodiscard]] crypto::Digest empty_matrix_digest() const;
+  /// Starts an in-place catch-up: the replica keeps running and
+  /// installs a checkpoint f+1 replicas vouch for (finish_catch_up).
   void begin_state_transfer();
+  void finish_catch_up(const SnapshotResp& resp);
+  /// Installs a vouched snapshot and records it as an own checkpoint.
+  bool install_snapshot(const SnapshotResp& resp);
+  /// Drops order slots at or below `seq` and the PO-Requests that
+  /// `exec_aru` marks executed.
+  void drop_covered(std::uint64_t seq,
+                    const std::vector<std::uint64_t>& exec_aru);
   [[nodiscard]] util::Bytes snapshot_bundle() const;
+  /// Records the current state as a checkpoint at applied_seq_ and
+  /// returns its snapshot digest.
+  const crypto::Digest& take_checkpoint();
   void install_bundle(std::uint64_t applied_seq,
                       std::span<const std::uint8_t> blob);
   [[nodiscard]] bool acting_crashed() const;
@@ -363,6 +395,8 @@ class Replica {
     std::uint64_t base = 1;  ///< po_seq of slots.front()
     std::deque<PoSlot> slots;
     std::uint32_t wanted_count = 0;
+    std::uint64_t stored_count = 0;  ///< slots holding a PO-Request
+    std::uint64_t stored_bytes = 0;  ///< their envelope bytes
   };
   static constexpr std::uint64_t kPoHorizon = 8192;       ///< max seqs past base
   static constexpr std::uint32_t kMaxWantedPerOrigin = 512;
@@ -463,7 +497,17 @@ class Replica {
   std::uint64_t reproposal_view_ = 0;
 
   // ---- checkpoints ----
-  std::map<std::uint64_t, util::Bytes> checkpoint_blobs_;
+  /// A checkpoint this replica took (or installed): the snapshot it
+  /// serves to state transfer, and the per-origin execution point whose
+  /// PO-Requests the snapshot covers.
+  struct OwnCheckpoint {
+    util::Bytes blob;
+    crypto::Digest digest{};
+    std::vector<std::uint64_t> exec_aru;
+  };
+  /// Own checkpoints, from the one just below the stable checkpoint up
+  /// (collect_garbage).
+  std::map<std::uint64_t, OwnCheckpoint> checkpoint_blobs_;
   std::map<std::uint64_t, std::map<ReplicaId, std::pair<crypto::Digest, util::Bytes>>>
       checkpoint_votes_;  ///< seq -> replica -> (digest, envelope)
   struct StableCheckpoint {
@@ -471,12 +515,22 @@ class Replica {
     crypto::Digest digest{};
   };
   std::optional<StableCheckpoint> stable_checkpoint_;
+  /// Per requester, when this replica last answered a certificate
+  /// request for a pruned slot with its stable checkpoint vote.
+  std::map<ReplicaId, sim::Time> checkpoint_served_at_;
 
   // ---- recovery / reconciliation ----
   std::uint64_t state_nonce_ = 0;
   std::map<ReplicaId, StateResp> state_resps_;
   std::optional<StateResp> chosen_state_;
+  /// A state transfer runs while the replica keeps participating
+  /// (begin_state_transfer); recovering_ is the rejoin after a reboot.
+  bool catching_up_ = false;
   std::set<std::uint64_t> outstanding_cert_fetches_;
+  /// applied_seq_ at the previous recon_tick if the replica was stuck
+  /// under a stable checkpoint then (no progress since starts a state
+  /// transfer).
+  std::optional<std::uint64_t> recon_applied_seq_;
 
   /// client identity -> responsible primary (memoized pure function;
   /// survives recovery on purpose).

@@ -455,14 +455,16 @@ TEST(Prime, CertifiedProposalDropsTheSupersededSlotStamps) {
 // that installs the new view. Once the partition heals it sees the new
 // leader's proposals, gets the NewView re-served by that leader, enters
 // the view and catches up, instead of idling in the old view until its
-// next proactive recovery.
+// next proactive recovery. The cut ends before the others reach their
+// next checkpoint (applied 8 of 16), so the catch-up is by fetch; a
+// replica cut off past a stable checkpoint state-transfers instead.
 TEST(Prime, ReplicaPartitionedThroughAViewChangeRejoinsTheNewView) {
   sim::Simulator sim;
   Cluster cluster(sim, 1, 1);  // n = 6: four replicas can change view
   cluster.run_for(500 * sim::kMillisecond);
   cluster.fabric().isolate(5, true);
   cluster.replica(0).set_behavior(ReplicaBehavior::kCrashed);
-  cluster.run_for(4 * sim::kSecond);
+  cluster.run_for(2 * sim::kSecond);
   ASSERT_GE(cluster.replica(1).view(), 1u);
   ASSERT_EQ(cluster.replica(5).view(), 0u);
 
@@ -673,6 +675,191 @@ TEST(Prime, ExecutedPoRequestsDropTheirDecodedUpdates) {
     issued_when_settled = issued();
   }
   EXPECT_EQ(submitted, 2000u);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+}
+
+// ---- garbage collection at the stable checkpoint -----------------------------
+
+std::int64_t replica_gauge(const obs::MetricsRegistry& registry, ReplicaId r,
+                           const std::string& name) {
+  return registry.value("prime.replica" + std::to_string(r) + "." + name);
+}
+
+// A stable checkpoint drops what the checkpoint before it covers, so
+// under steady load a replica holds the slack interval and the interval
+// being filled: at most two intervals of slots, and the PO-Requests
+// those executed, however long it runs.
+TEST(Prime, RetainedSlotsStayWithinTwoCheckpointIntervals) {
+  sim::Simulator sim;
+  obs::ScopedRegistry scope;
+  const obs::MetricsRegistry& registry = scope.registry();
+  Cluster cluster(sim, 1, 0);
+  cluster.run_for(500 * sim::kMillisecond);
+  std::int64_t envelopes_at_half = 0;
+  for (int i = 0; i < 400; ++i) {
+    cluster.submit("client/a", "a" + std::to_string(i));
+    cluster.submit("client/b", "b" + std::to_string(i));
+    cluster.run_for(20 * sim::kMillisecond);
+    for (ReplicaId r = 0; r < cluster.n(); ++r) {
+      ASSERT_LE(replica_gauge(registry, r, "retained_slots"),
+                static_cast<std::int64_t>(2 * kCheckpointInterval))
+          << "replica " << r << " after " << i << " rounds";
+    }
+    if (i == 199) {
+      envelopes_at_half =
+          replica_gauge(registry, 0, "retained_po_envelopes_high_water");
+    }
+  }
+  cluster.run_for(1 * sim::kSecond);
+  ASSERT_EQ(cluster.min_executed(), 800u);
+  for (ReplicaId r = 0; r < cluster.n(); ++r) {
+    const auto& stats = cluster.replica(r).stats();
+    EXPECT_GT(stats.matrices_applied, 8 * kCheckpointInterval);
+    EXPECT_LE(stats.retained_slots_high_water, 2 * kCheckpointInterval);
+    EXPECT_EQ(stats.state_transfers, 0u);
+    EXPECT_EQ(static_cast<std::uint64_t>(replica_gauge(
+                  registry, r, "retained_slots_high_water")),
+              stats.retained_slots_high_water);
+    EXPECT_GT(replica_gauge(registry, r, "retained_po_bytes"), 0);
+  }
+  // The second half of the run raised no PO-Request high-water.
+  EXPECT_EQ(replica_gauge(registry, 0, "retained_po_envelopes_high_water"),
+            envelopes_at_half);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+}
+
+// A replica cut off for several checkpoint intervals finds the slots it
+// missed pruned at every peer. Its first certificate request draws the
+// peers' stable checkpoint votes, and it installs that checkpoint in
+// place and fetches the rest, well within a second of the heal. The
+// peers' retention stays bounded throughout.
+TEST(Prime, IsolatedReplicaCatchesUpByStateTransferSoonAfterHeal) {
+  sim::Simulator sim;
+  obs::ScopedRegistry scope;
+  const obs::MetricsRegistry& registry = scope.registry();
+  Cluster cluster(sim, 1, 0);
+  cluster.run_for(500 * sim::kMillisecond);
+
+  cluster.fabric().isolate(3, true);
+  const std::uint64_t cut_at = cluster.replica(0).applied_seq();
+  int submitted = 0;
+  while (cluster.replica(0).applied_seq() < cut_at + 4 * kCheckpointInterval) {
+    cluster.submit("client/a", "op" + std::to_string(submitted++));
+    cluster.run_for(30 * sim::kMillisecond);
+    for (ReplicaId r = 0; r < 3; ++r) {
+      ASSERT_LE(replica_gauge(registry, r, "retained_slots"),
+                static_cast<std::int64_t>(2 * kCheckpointInterval))
+          << "replica " << r;
+    }
+  }
+  cluster.run_for(300 * sim::kMillisecond);
+  ASSERT_EQ(cluster.app(0).log().size(), static_cast<std::size_t>(submitted));
+  ASSERT_LT(cluster.replica(3).applied_seq(), cut_at + kCheckpointInterval);
+
+  cluster.fabric().isolate(3, false);
+  cluster.run_for(1 * sim::kSecond);
+  EXPECT_GE(cluster.replica(3).stats().state_transfers, 1u);
+  EXPECT_FALSE(cluster.replica(3).recovering());
+  EXPECT_EQ(cluster.app(3).log().size(), static_cast<std::size_t>(submitted));
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+  for (ReplicaId r = 0; r < 3; ++r) {
+    EXPECT_EQ(cluster.replica(r).stats().state_transfers, 0u) << "replica " << r;
+    EXPECT_LE(cluster.replica(r).stats().retained_slots_high_water,
+              2 * kCheckpointInterval)
+        << "replica " << r;
+  }
+
+  // Caught up, it orders new updates with the others.
+  cluster.submit("client/b", "after");
+  cluster.run_for(1 * sim::kSecond);
+  EXPECT_EQ(cluster.app(3).log().size(), static_cast<std::size_t>(submitted) + 1);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+}
+
+// A replica that falls behind by less than one checkpoint interval
+// still finds every slot it missed at its peers, the one-interval slack
+// the garbage collection keeps, and catches up by fetching them.
+TEST(Prime, ReplicaLaggingInsideOneIntervalCatchesUpByFetch) {
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 0);
+  cluster.run_for(500 * sim::kMillisecond);
+
+  cluster.fabric().isolate(3, true);
+  const std::uint64_t cut_at = cluster.replica(0).applied_seq();
+  for (int i = 0; i < 6; ++i) {
+    cluster.submit("client/a", "op" + std::to_string(i));
+    cluster.run_for(30 * sim::kMillisecond);
+  }
+  cluster.run_for(200 * sim::kMillisecond);
+  ASSERT_EQ(cluster.app(0).log().size(), 6u);
+  ASSERT_LT(cluster.replica(0).applied_seq(), cut_at + kCheckpointInterval);
+  ASSERT_LT(cluster.app(3).log().size(), 6u);
+
+  cluster.fabric().isolate(3, false);
+  cluster.run_for(2 * sim::kSecond);
+  EXPECT_EQ(cluster.app(3).log().size(), 6u);
+  EXPECT_EQ(cluster.replica(3).stats().state_transfers, 0u);
+  EXPECT_GT(cluster.replica(3).stats().fetches_sent +
+                cluster.replica(3).stats().recon_fetches_satisfied,
+            0u);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+}
+
+// f = 1 Byzantine replica votes for checkpoints the others never took:
+// the next one the lagging replica will take itself and one far past
+// everyone, under a digest no correct replica holds. One vote is short
+// of the f+1 a stable checkpoint needs, so the lagging replica neither
+// prunes on it nor starts a state transfer; it catches up by fetch.
+TEST(Prime, FByzantineCheckpointVotesNeitherPruneNorTriggerTransfer) {
+  sim::Simulator sim;
+  obs::ScopedRegistry scope;
+  const obs::MetricsRegistry& registry = scope.registry();
+  Cluster cluster(sim, 1, 0);
+  cluster.run_for(500 * sim::kMillisecond);
+  for (int i = 0; i < 2 * static_cast<int>(kCheckpointInterval); ++i) {
+    cluster.submit("client/a", "warm" + std::to_string(i));
+    cluster.run_for(30 * sim::kMillisecond);
+  }
+  cluster.run_for(300 * sim::kMillisecond);
+
+  Replica& victim = cluster.replica(1);
+  const crypto::Keyring& keyring = Cluster::suite_keyring();
+  const crypto::Signer byzantine(replica_identity(2),
+                                 keyring.identity_key(replica_identity(2)));
+  const auto forge_vote = [&](std::uint64_t seq) {
+    Checkpoint cp;
+    cp.replica = 2;
+    cp.applied_seq = seq;
+    cp.snapshot_digest = crypto::sha256(util::to_bytes("forged"));
+    cp.sign(byzantine);
+    victim.on_message(Envelope::seal(MsgType::kCheckpoint, byzantine, cp.encode()));
+  };
+
+  cluster.fabric().isolate(1, true);
+  const std::uint64_t applied = victim.applied_seq();
+  const std::uint64_t next = applied - applied % kCheckpointInterval +
+                             kCheckpointInterval;
+  const std::uint64_t stable_before = victim.stats().checkpoints_stable;
+  const std::int64_t slots_before = replica_gauge(registry, 1, "retained_slots");
+  forge_vote(next);
+  forge_vote(next + 8 * kCheckpointInterval);
+  EXPECT_EQ(victim.stats().checkpoints_stable, stable_before);
+  EXPECT_EQ(replica_gauge(registry, 1, "retained_slots"), slots_before);
+
+  // The other three, a quorum, move on meanwhile.
+  for (int i = 0; i < 4; ++i) {
+    cluster.submit("client/b", "cut" + std::to_string(i));
+    cluster.run_for(30 * sim::kMillisecond);
+  }
+  cluster.run_for(500 * sim::kMillisecond);
+  EXPECT_EQ(victim.applied_seq(), applied);
+  EXPECT_EQ(replica_gauge(registry, 1, "retained_slots"), slots_before);
+
+  cluster.fabric().isolate(1, false);
+  cluster.run_for(3 * sim::kSecond);
+  EXPECT_EQ(victim.stats().state_transfers, 0u);
+  EXPECT_EQ(cluster.app(1).log().size(), cluster.app(0).log().size());
+  EXPECT_EQ(cluster.app(1).log().size(), 2 * kCheckpointInterval + 4);
   EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <sstream>
+#include <type_traits>
 
 #include "net/network.hpp"
 #include "sim/rng.hpp"
@@ -28,12 +29,22 @@ const char* to_string(Shape s) {
   return "?";
 }
 
+// gtest names each instance after its parameter's bytes ("32-byte
+// object <...>"), so the padding between the fields is spelled out and
+// zeroed: left implicit, it carried whatever the stack held, and the
+// ctest names changed from build to build.
 struct TopologyParam {
-  Shape shape = Shape::kRing;
-  std::size_t nodes = 5;
-  ForwardingMode mode = ForwardingMode::kPriorityFlood;
-  std::uint64_t seed = 1;
+  TopologyParam(Shape s, std::size_t n, ForwardingMode m, std::uint64_t sd)
+      : shape(s), nodes(n), mode(m), seed(sd) {}
+  Shape shape;
+  std::uint32_t zero0 = 0;
+  std::size_t nodes;
+  ForwardingMode mode;
+  std::uint32_t zero1 = 0;
+  std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<TopologyParam>,
+              "TopologyParam must have no implicit padding");
 
 std::vector<std::pair<int, int>> make_links(const TopologyParam& param) {
   std::vector<std::pair<int, int>> links;
