@@ -280,7 +280,7 @@ MicroResult run_envelope_verify() {
       aru.aru.assign(kSenders, 1000 + i);
       aru.sign(signer);
       envelopes.push_back(prime::Envelope::make(
-          prime::MsgType::kPoAru, signer, aru.encode_standalone()));
+          prime::MsgType::kPoAru, signer, aru.encode()));
     }
   }
 
@@ -854,7 +854,7 @@ MicroResult run_hmi_state_update() {
         std::make_unique<crypto::Signer>(id, keyring.identity_key(id)));
   }
   auto output = [&](std::uint32_t replica, std::uint64_t version,
-                    std::uint8_t kind, const util::Bytes& state) {
+                    scada::StateUpdate::Kind kind, const util::Bytes& state) {
     scada::StateUpdate su;
     su.replica = replica;
     su.version = version;

@@ -23,6 +23,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
+#include "util/codec.hpp"
 
 namespace spire::crypto {
 
@@ -34,15 +35,7 @@ struct Signature {
 
   bool operator==(const Signature&) const = default;
 
-  void encode(util::ByteWriter& w) const {
-    w.raw(std::span<const std::uint8_t>(mac.data(), mac.size()));
-  }
-  static Signature decode(util::ByteReader& r) {
-    Signature s;
-    const auto raw = r.raw_span(s.mac.size());
-    std::copy(raw.begin(), raw.end(), s.mac.begin());
-    return s;
-  }
+  static auto fields(auto& s) { return util::codec::fields(s.mac); }
 };
 
 /// Derives all system keys from one master seed. In deployment terms

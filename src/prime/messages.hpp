@@ -35,6 +35,7 @@
 #include "crypto/keyring.hpp"
 #include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
+#include "util/codec.hpp"
 
 namespace spire::prime {
 
@@ -73,6 +74,51 @@ inline constexpr std::size_t kMaxBatchDepth = 16;
 struct BatchProof {
   std::uint32_t index = 0;
   std::vector<crypto::Digest> path;
+
+  static auto fields(auto& s) {
+    return util::codec::fields(
+        s.index, util::codec::list<kMaxBatchDepth, std::uint8_t>(s.path));
+  }
+  /// Also rejects an index outside the tree the path describes.
+  void get(util::ByteReader& r);
+};
+
+/// The envelope's first byte: the MsgType, with kBatchedFlag set iff a
+/// BatchProof follows the body. Decoding the flag engages `batch`.
+template <typename Type, typename Batch>
+struct EnvelopeTypeByte {
+  Type& type;
+  Batch& batch;
+
+  [[nodiscard]] std::size_t size() const { return 1; }
+  void put(util::ByteWriter& w) const {
+    w.u8(static_cast<std::uint8_t>(type) | (batch ? kBatchedFlag : 0));
+  }
+  void get(util::ByteReader& r) {
+    const std::uint8_t raw = r.u8();
+    const std::uint8_t t = raw & static_cast<std::uint8_t>(~kBatchedFlag);
+    if (t < 1 || t > kMaxMsgType) {
+      throw util::SerializationError("bad msg type");
+    }
+    type = static_cast<MsgType>(t);
+    if (raw & kBatchedFlag) batch.emplace();
+  }
+};
+
+/// The BatchProof after the body, present iff the type byte flagged it.
+template <typename Batch>
+struct EnvelopeProof {
+  Batch& batch;
+
+  [[nodiscard]] std::size_t size() const {
+    return batch ? util::codec::size(*batch) : 0;
+  }
+  void put(util::ByteWriter& w) const {
+    if (batch) util::codec::put(w, *batch);
+  }
+  void get(util::ByteReader& r) {
+    if (batch) util::codec::get(r, *batch);
+  }
 };
 
 /// Outer, signed envelope for every Prime message.
@@ -83,18 +129,16 @@ struct Envelope {
   std::optional<BatchProof> batch;  ///< present iff batch-signed
   crypto::Signature signature;
 
-  /// Exact wire size of encode(); used as a reserve() hint.
-  [[nodiscard]] std::size_t encoded_size() const {
-    return 1 + 4 + sender.size() + 4 + body.size() +
-           (batch ? 4 + 1 + 32 * batch->path.size() : 0) +
-           sizeof(signature.mac);
+  static auto fields(auto& s) {
+    return util::codec::fields(EnvelopeTypeByte{s.type, s.batch}, s.sender,
+                               s.body, EnvelopeProof{s.batch}, s.signature);
   }
+  SPIRE_WIRE_CODEC(Envelope)
+
   /// The signed prefix for a solo envelope, and the Merkle-leaf
   /// preimage for a batched one (the flagged type byte is included, so
   /// a batched prefix can never double as a solo signed message).
   [[nodiscard]] util::Bytes signed_bytes() const;
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<Envelope> decode(std::span<const std::uint8_t> data);
 
   /// Builds and signs an envelope in one step.
   static Envelope make(MsgType type, const crypto::Signer& signer,
@@ -122,6 +166,10 @@ struct Envelope {
 };
 
 // ---- bodies ---------------------------------------------------------------
+//
+// Vector caps bound what a decoder allocates for one message: 4096 for
+// per-replica and per-quorum lists, 65536 updates per PO-Request, 256
+// prepares per proof and 64 proofs per view-change report.
 
 /// An end-client operation (HMI command, PLC status report).
 struct ClientUpdate {
@@ -130,12 +178,15 @@ struct ClientUpdate {
   util::Bytes payload;
   crypto::Signature client_sig;
 
+  static auto fields(auto& s) {
+    return util::codec::fields(s.client, s.client_seq, s.payload,
+                               s.client_sig);
+  }
+  SPIRE_WIRE_CODEC(ClientUpdate)
+
   [[nodiscard]] util::Bytes signed_bytes() const;
   void sign(const crypto::Signer& signer);
   [[nodiscard]] bool verify(const crypto::Verifier& verifier) const;
-
-  void encode(util::ByteWriter& w) const;
-  static ClientUpdate decode(util::ByteReader& r);
 };
 
 /// The client side of Prime: signs update `client_seq` carrying
@@ -151,8 +202,11 @@ struct PoRequest {
   std::uint64_t po_seq = 0;
   std::vector<ClientUpdate> updates;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<PoRequest> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.origin, s.po_seq,
+                               util::codec::list<65536>(s.updates));
+  }
+  SPIRE_WIRE_CODEC(PoRequest)
 };
 
 /// Cumulative acknowledgment: aru[i] = highest contiguous PO-Request
@@ -173,20 +227,22 @@ struct PoAru {
   crypto::Signature sig;
   util::Bytes raw;  ///< cached standalone encoding; not a wire field
 
+  static auto fields(auto& s) {
+    return util::codec::fields(s.replica, s.aru_seq,
+                               util::codec::list<4096>(s.aru), s.sig);
+  }
+  SPIRE_WIRE_CODEC(PoAru)
+
   [[nodiscard]] util::Bytes signed_bytes() const;
   /// Signs and refreshes the cached encoding.
   void sign(const crypto::Signer& signer);
   [[nodiscard]] bool verify_embedded(const crypto::Verifier& verifier,
                                      const std::string& identity) const;
 
-  /// Splices `raw` when cached, else re-serializes field by field.
-  void encode(util::ByteWriter& w) const;
-  /// Decodes and captures the consumed wire bytes into `raw`.
-  static PoAru decode(util::ByteReader& r);
-  void refresh_raw();
-  [[nodiscard]] util::Bytes encode_standalone() const;
-  static std::optional<PoAru> decode_standalone(
-      std::span<const std::uint8_t> data);
+  /// Splices `raw` when cached, else writes the fields.
+  void put(util::ByteWriter& w) const;
+  /// Reads the fields and caches the bytes they came from in `raw`.
+  void get(util::ByteReader& r);
 };
 
 /// The leader's ordered proposal: a matrix of the freshest signed
@@ -209,14 +265,24 @@ struct PrePrepare {
   /// rows (encode/digest); zero means "not yet computed".
   mutable crypto::Digest matrix_digest{};
 
+  static auto fields(auto& s) {
+    return util::codec::fields(s.leader, s.view, s.order_seq, s.matrix_digest,
+                               util::codec::list<4096>(s.rows));
+  }
+  SPIRE_WIRE_CODEC(PrePrepare)
+
+  /// Writes matrix() as the digest, computing it first if unset.
+  void put(util::ByteWriter& w) const;
+  /// Also rejects an all-zero claimed digest: zero is the "not yet
+  /// computed" sentinel, which encoding would replace.
+  void get(util::ByteReader& r);
+
   /// matrix_digest, computing it from rows if unset.
   [[nodiscard]] const crypto::Digest& matrix() const;
   /// Canonical digest over per-row presence + raw row bytes.
   [[nodiscard]] static crypto::Digest matrix_digest_of(
       const std::vector<Row>& rows);
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<PrePrepare> decode(std::span<const std::uint8_t> data);
   /// Digest that Prepare/Commit messages agree on; covers the header
   /// and the matrix digest.
   [[nodiscard]] crypto::Digest digest() const;
@@ -228,17 +294,21 @@ struct PrepareOrCommit {
   std::uint64_t order_seq = 0;
   crypto::Digest preprepare_digest{};
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<PrepareOrCommit> decode(
-      std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.replica, s.view, s.order_seq,
+                               s.preprepare_digest);
+  }
+  SPIRE_WIRE_CODEC(PrepareOrCommit)
 };
 
 struct NewLeader {
   ReplicaId replica = 0;
   std::uint64_t proposed_view = 0;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<NewLeader> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.replica, s.proposed_view);
+  }
+  SPIRE_WIRE_CODEC(NewLeader)
 };
 
 /// A self-certifying prepared certificate: the old-view Pre-Prepare
@@ -252,8 +322,11 @@ struct PreparedProof {
   util::Bytes preprepare_envelope;
   std::vector<util::Bytes> prepare_envelopes;
 
-  void encode(util::ByteWriter& w) const;
-  static PreparedProof decode(util::ByteReader& r);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.order_seq, s.preprepare_envelope,
+                               util::codec::list<256>(s.prepare_envelopes));
+  }
+  SPIRE_WIRE_CODEC(PreparedProof)
 };
 
 /// Per-replica ordering state reported to the new leader during a view
@@ -266,13 +339,17 @@ struct ViewState {
   std::vector<PreparedProof> prepared;  ///< prepared-uncommitted slots
   crypto::Signature sig;
 
+  static auto fields(auto& s) {
+    return util::codec::fields(s.replica, s.view, s.max_prepared,
+                               s.max_committed,
+                               util::codec::list<64>(s.prepared), s.sig);
+  }
+  SPIRE_WIRE_CODEC(ViewState)
+
   [[nodiscard]] util::Bytes signed_bytes() const;
   void sign(const crypto::Signer& signer);
   [[nodiscard]] bool verify_embedded(const crypto::Verifier& verifier,
                                      const std::string& identity) const;
-
-  void encode(util::ByteWriter& w) const;
-  static ViewState decode(util::ByteReader& r);
 };
 
 struct NewView {
@@ -281,16 +358,21 @@ struct NewView {
   std::uint64_t start_seq = 0;
   std::vector<ViewState> justification;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<NewView> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.leader, s.view, s.start_seq,
+                               util::codec::list<4096>(s.justification));
+  }
+  SPIRE_WIRE_CODEC(NewView)
 };
 
 struct PoReqFetch {
   ReplicaId origin = 0;
   std::uint64_t po_seq = 0;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<PoReqFetch> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.origin, s.po_seq);
+  }
+  SPIRE_WIRE_CODEC(PoReqFetch)
 };
 
 /// Re-serves the origin-signed PO-Request envelope verbatim.
@@ -299,15 +381,17 @@ struct PoReqResp {
   std::uint64_t po_seq = 0;
   util::Bytes envelope;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<PoReqResp> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.origin, s.po_seq, s.envelope);
+  }
+  SPIRE_WIRE_CODEC(PoReqResp)
 };
 
 struct StateReq {
   std::uint64_t nonce = 0;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<StateReq> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) { return util::codec::fields(s.nonce); }
+  SPIRE_WIRE_CODEC(StateReq)
 };
 
 /// Execution-state summary; a recovering replica adopts the state
@@ -318,16 +402,21 @@ struct StateResp {
   std::uint64_t applied_seq = 0;
   crypto::Digest snapshot_digest{};
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<StateResp> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.nonce, s.view, s.applied_seq,
+                               s.snapshot_digest);
+  }
+  SPIRE_WIRE_CODEC(StateResp)
 };
 
 struct SnapshotReq {
   std::uint64_t nonce = 0;
   std::uint64_t applied_seq = 0;  ///< checkpoint boundary being requested
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<SnapshotReq> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.nonce, s.applied_seq);
+  }
+  SPIRE_WIRE_CODEC(SnapshotReq)
 };
 
 struct SnapshotResp {
@@ -335,15 +424,17 @@ struct SnapshotResp {
   std::uint64_t applied_seq = 0;
   util::Bytes blob;  ///< exec cursors + application snapshot (see replica.cpp)
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<SnapshotResp> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.nonce, s.applied_seq, s.blob);
+  }
+  SPIRE_WIRE_CODEC(SnapshotResp)
 };
 
 struct CommitCertReq {
   std::uint64_t order_seq = 0;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<CommitCertReq> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) { return util::codec::fields(s.order_seq); }
+  SPIRE_WIRE_CODEC(CommitCertReq)
 };
 
 /// A committed Pre-Prepare plus a commit quorum, served verbatim.
@@ -352,9 +443,11 @@ struct CommitCertResp {
   util::Bytes preprepare_envelope;
   std::vector<util::Bytes> commit_envelopes;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<CommitCertResp> decode(
-      std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.order_seq, s.preprepare_envelope,
+                               util::codec::list<4096>(s.commit_envelopes));
+  }
+  SPIRE_WIRE_CODEC(CommitCertResp)
 };
 
 /// Periodic execution checkpoint; f+1 matching votes make a checkpoint
@@ -365,13 +458,16 @@ struct Checkpoint {
   crypto::Digest snapshot_digest{};
   crypto::Signature sig;
 
+  static auto fields(auto& s) {
+    return util::codec::fields(s.replica, s.applied_seq, s.snapshot_digest,
+                               s.sig);
+  }
+  SPIRE_WIRE_CODEC(Checkpoint)
+
   [[nodiscard]] util::Bytes signed_bytes() const;
   void sign(const crypto::Signer& signer);
   [[nodiscard]] bool verify_embedded(const crypto::Verifier& verifier,
                                      const std::string& identity) const;
-
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<Checkpoint> decode(std::span<const std::uint8_t> data);
 };
 
 /// Identity helpers.

@@ -309,7 +309,7 @@ bool Replica::verify_row(const PoAru& row, ReplicaId r) {
     return true;
   }
   if (!row.raw.empty()) return verify_unit(identity_of(r), row.raw, row.sig);
-  return verify_unit(identity_of(r), row.encode_standalone(), row.sig);
+  return verify_unit(identity_of(r), row.encode(), row.sig);
 }
 
 bool Replica::verify_matrix(const PrePrepare& pp) {
@@ -503,14 +503,9 @@ void Replica::process_message(const util::Bytes& envelope_bytes,
 // ---- preordering ------------------------------------------------------------
 
 void Replica::handle_client_update(const Envelope& env) {
-  util::ByteReader r(env.body);
-  ClientUpdate update;
-  try {
-    update = ClientUpdate::decode(r);
-    r.expect_done();
-  } catch (const util::SerializationError&) {
-    return;
-  }
+  auto decoded = ClientUpdate::decode(env.body);
+  if (!decoded) return;
+  ClientUpdate& update = *decoded;
   if (update.client != env.sender) return;
   if (!verifier_.knows(update.client)) {
     ++stats_.dropped_unknown_client;
@@ -753,7 +748,7 @@ void Replica::po_aru_tick(std::uint64_t epoch) {
 }
 
 void Replica::handle_po_aru(const Envelope& env) {
-  auto aru = PoAru::decode_standalone(env.body);
+  auto aru = PoAru::decode(env.body);
   if (!aru || aru->aru.size() != config_.n()) return;
   if (!sender_is(env, aru->replica)) return;
   if (aru->replica == id_) return;  // own broadcast, installed at send
@@ -1482,21 +1477,14 @@ void Replica::enter_view(std::uint64_t view) {
     collected_view_states_[id_] = vs;
     maybe_send_new_view();
   } else {
-    util::ByteWriter w;
-    vs.encode(w);
-    send_envelope(MsgType::kViewState, w.take(), leader_of(view));
+    send_envelope(MsgType::kViewState, vs.encode(), leader_of(view));
   }
 }
 
 void Replica::handle_view_state(const Envelope& env) {
-  util::ByteReader r(env.body);
-  ViewState vs;
-  try {
-    vs = ViewState::decode(r);
-    r.expect_done();
-  } catch (const util::SerializationError&) {
-    return;
-  }
+  const auto decoded = ViewState::decode(env.body);
+  if (!decoded) return;
+  const ViewState& vs = *decoded;
   if (!sender_is(env, vs.replica)) return;
   if (vs.view != view_ || leader_of(view_) != id_) return;
   if (!vs.verify_embedded(verifier_, env.sender)) return;

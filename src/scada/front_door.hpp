@@ -175,7 +175,7 @@ class DeltaBatcher {
       : sim_(sim), config_(config), flush_(std::move(flush)) {}
 
   void enqueue(StatusReport report) {
-    pending_bytes_ += encoded_size(report);
+    pending_bytes_ += util::codec::size(report);
     pending_.push_back(std::move(report));
     if (config_.window == 0 || pending_.size() >= config_.max_batch ||
         pending_bytes_ >= config_.max_bytes) {
@@ -206,11 +206,6 @@ class DeltaBatcher {
   [[nodiscard]] bool stopped() const { return stopped_; }
 
  private:
-  static std::size_t encoded_size(const StatusReport& r) {
-    return 4 + r.device.size() + 8 + 4 + r.breakers.size() + 4 +
-           2 * r.readings.size();
-  }
-
   void arm_timer() {
     const std::uint64_t epoch = epoch_;
     sim_.schedule_after(config_.window, [this, epoch] {

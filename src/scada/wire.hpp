@@ -17,6 +17,7 @@
 
 #include "crypto/keyring.hpp"
 #include "util/bytes.hpp"
+#include "util/codec.hpp"
 
 namespace spire::scada {
 
@@ -30,6 +31,12 @@ enum class ScadaMsgType : std::uint8_t {
   kResyncRequest = 6,      ///< HMI -> masters: delta base missing, full please
 };
 
+/// Tags a decoder accepts; 1, the retired one-report update, is not.
+constexpr bool wire_valid(ScadaMsgType t) {
+  return t >= ScadaMsgType::kSupervisoryCommand &&
+         t <= ScadaMsgType::kResyncRequest;
+}
+
 /// Field-state report for one device: the full breaker and reading
 /// image, sent by its proxy when the breakers change or a heartbeat
 /// is due. It travels only as a member of a BatchReport.
@@ -39,8 +46,12 @@ struct StatusReport {
   std::vector<bool> breakers;
   std::vector<std::uint16_t> readings;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<StatusReport> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.device, s.report_seq,
+                               util::codec::list<65536>(s.breakers),
+                               util::codec::list<65536>(s.readings));
+  }
+  SPIRE_WIRE_CODEC(StatusReport)
 };
 
 /// Operator/automation command: set one breaker.
@@ -50,9 +61,10 @@ struct SupervisoryCommand {
   bool close = false;
   std::uint64_t command_id = 0;  ///< issuer-unique
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<SupervisoryCommand> decode(
-      std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.device, s.breaker, s.close, s.command_id);
+  }
+  SPIRE_WIRE_CODEC(SupervisoryCommand)
 };
 
 /// The one format a proxy submits: the StatusReports its delta batcher
@@ -62,8 +74,10 @@ struct SupervisoryCommand {
 struct BatchReport {
   std::vector<StatusReport> reports;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<BatchReport> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(util::codec::blob_list<65536>(s.reports));
+  }
+  SPIRE_WIRE_CODEC(BatchReport)
 };
 
 /// HMI -> masters: the HMI's displayed version is too old to apply a
@@ -73,9 +87,10 @@ struct BatchReport {
 struct ResyncRequest {
   std::uint64_t displayed_version = 0;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<ResyncRequest> decode(
-      std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.displayed_version);
+  }
+  SPIRE_WIRE_CODEC(ResyncRequest)
 };
 
 /// Client-update payload wrapper: [type u8][body].
@@ -83,8 +98,8 @@ struct ClientPayload {
   ScadaMsgType type = ScadaMsgType::kBatchReport;
   util::Bytes body;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<ClientPayload> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) { return util::codec::fields(s.type, s.body); }
+  SPIRE_WIRE_CODEC(ClientPayload)
 };
 
 /// Replica -> proxy: execute a supervisory command on the field device.
@@ -95,13 +110,16 @@ struct CommandOrder {
   SupervisoryCommand command;
   crypto::Signature sig;
 
+  static auto fields(auto& s) {
+    return util::codec::fields(s.replica, s.issuer,
+                               util::codec::in_blob(s.command), s.sig);
+  }
+  SPIRE_WIRE_CODEC(CommandOrder)
+
   [[nodiscard]] util::Bytes signed_bytes() const;
   void sign(const crypto::Signer& signer);
   [[nodiscard]] bool verify(const crypto::Verifier& verifier,
                             const std::string& identity) const;
-
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<CommandOrder> decode(std::span<const std::uint8_t> data);
 };
 
 /// Replica -> HMI: versioned topology state. The HMI renders a version
@@ -119,18 +137,22 @@ struct CommandOrder {
 /// small HMACs. The wire layout still carries the whole state.
 struct StateUpdate {
   enum Kind : std::uint8_t { kFull = 0, kDelta = 1 };
+  friend constexpr bool wire_valid(Kind k) { return k <= kDelta; }
 
   std::uint32_t replica = 0;
   std::uint64_t version = 0;
-  std::uint8_t kind = kFull;
+  Kind kind = kFull;
   std::uint64_t base_version = 0;  ///< meaningful for kDelta only
   util::Bytes state;  ///< serialized TopologyState or changes payload
   crypto::Signature sig;
 
-  void sign(const crypto::Signer& signer);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.replica, s.version, s.kind, s.base_version,
+                               s.state, s.sig);
+  }
+  SPIRE_WIRE_CODEC(StateUpdate)
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<StateUpdate> decode(std::span<const std::uint8_t> data);
+  void sign(const crypto::Signer& signer);
 };
 
 /// Borrowed view of a StateUpdate: the HMI's receive path. Every span
@@ -138,10 +160,12 @@ struct StateUpdate {
 struct StateUpdateView {
   std::uint32_t replica = 0;
   std::uint64_t version = 0;
-  std::uint8_t kind = StateUpdate::kFull;
+  StateUpdate::Kind kind = StateUpdate::kFull;
   std::uint64_t base_version = 0;
   std::span<const std::uint8_t> state;
   crypto::Signature sig;
+
+  static auto fields(auto& s) { return StateUpdate::fields(s); }
 
   /// Checks the replica's HMAC; `state_digest` must be SHA-256(state).
   /// The caller supplies it so that copies of one state share one hash.
@@ -160,8 +184,8 @@ struct MasterOutput {
   ScadaMsgType type = ScadaMsgType::kStateUpdate;
   util::Bytes body;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<MasterOutput> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) { return util::codec::fields(s.type, s.body); }
+  SPIRE_WIRE_CODEC(MasterOutput)
 };
 
 }  // namespace spire::scada

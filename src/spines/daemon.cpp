@@ -393,23 +393,14 @@ void Daemon::retransmit_tick(std::uint64_t epoch) {
 void Daemon::handle_udp(const net::Datagram& dgram) {
   if (!running_) return;
 
-  // The envelope and inner framing are hand-parsed over borrowed spans
-  // (equivalent to LinkEnvelope::decode / InnerPacket::decode): the
-  // receive path allocates nothing until a body decoder needs ownership.
-  NodeHandle from = kNoHandle;
-  bool env_sealed = false;
-  std::span<const std::uint8_t> env_body;
-  try {
-    util::ByteReader r(dgram.payload);
-    const std::string_view sender = r.str_view();
-    env_sealed = r.boolean();
-    env_body = r.blob_span();
-    r.expect_done();
-    from = nodes_.lookup(sender);
-  } catch (const util::SerializationError&) {
+  // Both framings are parsed over borrowed spans: the receive path
+  // allocates nothing until a body decoder needs ownership.
+  const auto env = LinkEnvelope::parse(dgram.payload);
+  if (!env) {
     ++stats_.dropped_malformed;
     return;
   }
+  const NodeHandle from = nodes_.lookup(env->sender);
 
   Neighbor* n = neighbor_slot(from);
   if (n == nullptr) {
@@ -417,38 +408,26 @@ void Daemon::handle_udp(const net::Datagram& dgram) {
     return;  // unknown daemons are not neighbors; drop.
   }
 
-  std::span<const std::uint8_t> inner_bytes = env_body;
+  std::span<const std::uint8_t> inner_bytes = env->body;
   if (config_.intrusion_tolerant) {
-    if (!env_sealed) {
+    if (!env->sealed) {
       ++stats_.dropped_auth;
       return;
     }
     // A plaintext is never longer than its sealed body.
-    if (open_scratch_.size() < env_body.size()) {
-      open_scratch_.resize(env_body.size());
+    if (open_scratch_.size() < env->body.size()) {
+      open_scratch_.resize(env->body.size());
     }
-    if (!n->recv_channel->open_into(env_body, open_scratch_)) {
+    if (!n->recv_channel->open_into(env->body, open_scratch_)) {
       ++stats_.dropped_auth;
       return;  // wrong keys, tampering, or a non-member impersonating.
     }
-    inner_bytes = std::span<const std::uint8_t>(open_scratch_)
-                      .first(env_body.size() - crypto::SecureChannel::kOverhead);
+    inner_bytes = std::span<const std::uint8_t>(open_scratch_).first(
+        env->body.size() - crypto::SecureChannel::kOverhead);
   }
 
-  std::uint8_t raw_type = 0;
-  std::uint64_t link_seq = 0;
-  std::span<const std::uint8_t> body;
-  try {
-    util::ByteReader r(inner_bytes);
-    raw_type = r.u8();
-    // 4 is the legacy debug opcode: intentionally not a valid packet.
-    if (raw_type < 1 || raw_type > 6 || raw_type == 4) {
-      throw util::SerializationError("bad packet type");
-    }
-    link_seq = r.u64();
-    body = r.blob_span();
-    r.expect_done();
-  } catch (const util::SerializationError&) {
+  const auto inner = InnerPacket::parse(inner_bytes);
+  if (!inner) {
     // Legacy debug opcode and other malformed inner packets land here.
     if (!inner_bytes.empty() && inner_bytes.front() == kDebugPacketType) {
       if (config_.intrusion_tolerant) {
@@ -459,7 +438,9 @@ void Daemon::handle_udp(const net::Datagram& dgram) {
     }
     return;
   }
-  const auto type = static_cast<PacketType>(raw_type);
+  const PacketType type = inner->type;
+  const std::uint64_t link_seq = inner->link_seq;
+  const std::span<const std::uint8_t> body = inner->body;
 
   const bool acked = reliable(type);
   if (!n->recv_window.accept(link_seq)) {

@@ -19,6 +19,7 @@
 
 #include "crypto/keyring.hpp"
 #include "util/bytes.hpp"
+#include "util/codec.hpp"
 
 namespace spire::spines {
 
@@ -47,11 +48,19 @@ enum class PacketType : std::uint8_t {
   kAreaSummary = 6,  ///< border-daemon inter-area reachability summary
 };
 
+/// Types an InnerPacket may carry; 4, the legacy debug opcode, is not.
+constexpr bool wire_valid(PacketType t) {
+  return t >= PacketType::kHello && t <= PacketType::kAreaSummary &&
+         static_cast<std::uint8_t>(t) != 4;
+}
+
+constexpr bool wire_valid(Priority p) { return p <= Priority::kHigh; }
+
 struct HelloBody {
   std::uint64_t seq = 0;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<HelloBody> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) { return util::codec::fields(s.seq); }
+  SPIRE_WIRE_CODEC(HelloBody)
 };
 
 /// Flooded, origin-signed adjacency advertisement.
@@ -61,10 +70,15 @@ struct LinkStateBody {
   std::vector<NodeId> neighbors;
   crypto::Signature signature;
 
+  static auto fields(auto& s) {
+    return util::codec::fields(s.origin, s.seq,
+                               util::codec::list<4096>(s.neighbors),
+                               s.signature);
+  }
+  SPIRE_WIRE_CODEC(LinkStateBody)
+
   /// Bytes covered by the signature (everything but the signature).
   [[nodiscard]] util::Bytes signed_bytes() const;
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<LinkStateBody> decode(std::span<const std::uint8_t> data);
 };
 
 /// Border-daemon reachability summary (hierarchical area routing).
@@ -87,11 +101,17 @@ struct AreaSummaryBody {
   std::vector<NodeId> members;
   crypto::Signature signature;
 
+  static auto fields(auto& s) {
+    return util::codec::fields(s.origin, s.area, s.seq,
+                               util::codec::list<256>(s.area_path),
+                               s.total_members,
+                               util::codec::list<4096>(s.members),
+                               s.signature);
+  }
+  SPIRE_WIRE_CODEC(AreaSummaryBody)
+
   /// Bytes covered by the signature (everything but the signature).
   [[nodiscard]] util::Bytes signed_bytes() const;
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<AreaSummaryBody> decode(
-      std::span<const std::uint8_t> data);
 };
 
 /// End-to-end session message, forwarded hop by hop.
@@ -105,8 +125,11 @@ struct DataBody {
   std::uint8_t ttl = 32;
   util::Bytes payload;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<DataBody> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.src, s.dst, s.src_port, s.dst_port,
+                               s.priority, s.msg_seq, s.ttl, s.payload);
+  }
+  SPIRE_WIRE_CODEC(DataBody)
 
   /// The flood-dedup key of an encoded body, borrowed from the input.
   struct Key {
@@ -126,8 +149,21 @@ struct LinkEnvelope {
   bool sealed = false;
   util::Bytes body;  ///< sealed bytes, or plaintext [type u8 | body]
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<LinkEnvelope> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.sender, s.sealed, s.body);
+  }
+  SPIRE_WIRE_CODEC(LinkEnvelope)
+
+  /// The same layout over borrowed spans: the daemon's receive path.
+  struct View {
+    std::string_view sender;
+    bool sealed = false;
+    std::span<const std::uint8_t> body;
+
+    static auto fields(auto& s) { return LinkEnvelope::fields(s); }
+  };
+  /// Accepts exactly what decode() accepts, without allocating.
+  static std::optional<View> parse(std::span<const std::uint8_t> data);
 };
 
 /// The key that seals one direction of a link: HMAC-SHA256 of the
@@ -148,8 +184,21 @@ struct InnerPacket {
   std::uint64_t link_seq = 0;  ///< per-link replay counter
   util::Bytes body;
 
-  [[nodiscard]] util::Bytes encode() const;
-  static std::optional<InnerPacket> decode(std::span<const std::uint8_t> data);
+  static auto fields(auto& s) {
+    return util::codec::fields(s.type, s.link_seq, s.body);
+  }
+  SPIRE_WIRE_CODEC(InnerPacket)
+
+  /// The same layout over borrowed spans: the daemon's receive path.
+  struct View {
+    PacketType type = PacketType::kHello;
+    std::uint64_t link_seq = 0;
+    std::span<const std::uint8_t> body;
+
+    static auto fields(auto& s) { return InnerPacket::fields(s); }
+  };
+  /// Accepts exactly what decode() accepts, without allocating.
+  static std::optional<View> parse(std::span<const std::uint8_t> data);
 };
 
 }  // namespace spire::spines

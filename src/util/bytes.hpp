@@ -1,13 +1,15 @@
 // Byte-buffer utilities and bounds-checked binary serialization.
 //
-// All wire formats in this repository (Modbus frames, Spines overlay
-// packets, Prime protocol messages, SCADA payloads) are encoded with
-// ByteWriter and decoded with ByteReader. Integers are big-endian
-// ("network order"), matching what the real Spire/Spines/Modbus stacks
-// put on the wire. Decoding is fully bounds-checked: malformed input
-// raises SerializationError instead of reading out of bounds, which is
-// what allows the attack framework to throw arbitrary garbage at every
-// parser in the system.
+// Every wire format in this repository is written with ByteWriter and
+// read with ByteReader. The Prime, SCADA and Spines messages do so
+// through util/codec.hpp, which derives each message's writer, reader
+// and size from one field list; the Modbus, DNP3 and emulated-network
+// frames, and the state snapshots, call these classes directly.
+// Integers are big-endian ("network order"), matching what the real
+// Spire/Spines/Modbus stacks put on the wire. Decoding is fully
+// bounds-checked: malformed input raises SerializationError instead of
+// reading out of bounds, which is what allows the attack framework to
+// throw arbitrary garbage at every parser in the system.
 #pragma once
 
 #include <cstdint>

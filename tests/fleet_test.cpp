@@ -670,7 +670,7 @@ struct FleetHmiFixture : ::testing::Test {
   }
 
   util::Bytes make_update(std::uint32_t replica, std::uint64_t version,
-                          std::uint8_t kind, std::uint64_t base,
+                          StateUpdate::Kind kind, std::uint64_t base,
                           util::Bytes state) {
     StateUpdate su;
     su.replica = replica;

@@ -592,7 +592,7 @@ TEST(MetricsHotPath, HmiDeltaAdoptionAllocatesAConstantNotPerRecord) {
   constexpr std::size_t kRecords = 256;
   scada::TopologyState state(scada::ScenarioSpec::fleet(kRecords, 2));
   auto output = [&](std::uint32_t replica, std::uint64_t version,
-                    std::uint8_t kind, util::Bytes bytes) {
+                    scada::StateUpdate::Kind kind, util::Bytes bytes) {
     scada::StateUpdate su;
     su.replica = replica;
     su.version = version;

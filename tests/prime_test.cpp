@@ -259,12 +259,10 @@ TEST(Prime, ForgedClientUpdateRejected) {
   // Signed by an attacker key, not client/a's key.
   crypto::Signer mallory("mallory", cluster.keyring().identity_key("mallory"));
   update.client_sig = mallory.sign(update.signed_bytes());
-  util::ByteWriter w;
-  update.encode(w);
   Envelope env;
   env.type = MsgType::kClientUpdate;
   env.sender = "client/a";
-  env.body = w.take();
+  env.body = update.encode();
   env.signature = mallory.sign(env.signed_bytes());
   for (auto& r : cluster.replicas()) r->on_message(env.encode());
 
@@ -311,7 +309,7 @@ struct RowTap {
   /// Records a delivered envelope if it is a fresher PO-ARU.
   void see(const Envelope& env) {
     if (env.type != MsgType::kPoAru) return;
-    auto row = PoAru::decode_standalone(env.body);
+    auto row = PoAru::decode(env.body);
     if (!row || row->replica >= rows.size()) return;
     auto& latest = rows[row->replica];
     if (!latest || latest->aru_seq < row->aru_seq) {
@@ -539,12 +537,10 @@ TEST(Prime, VerifyCacheClearedOnRecovery) {
   update.payload = util::to_bytes("evil");
   crypto::Signer mallory("mallory", cluster.keyring().identity_key("mallory"));
   update.client_sig = mallory.sign(update.signed_bytes());
-  util::ByteWriter w;
-  update.encode(w);
   Envelope env;
   env.type = MsgType::kClientUpdate;
   env.sender = "client/a";
-  env.body = w.take();
+  env.body = update.encode();
   env.signature = mallory.sign(env.signed_bytes());
   victim.on_message(env.encode());
   cluster.run_for(100 * sim::kMillisecond);

@@ -401,7 +401,7 @@ struct HmiReceiveFixture : ::testing::Test {
   }
 
   util::Bytes make(std::uint32_t replica, std::uint64_t version,
-                   std::uint8_t kind, std::uint64_t base, util::Bytes state) {
+                   StateUpdate::Kind kind, std::uint64_t base, util::Bytes state) {
     StateUpdate su;
     su.replica = replica;
     su.version = version;
@@ -704,9 +704,9 @@ struct ProxyFixture : ::testing::Test {
       ADD_FAILURE() << "submitted bytes are not an envelope";
       return {};
     }
-    util::ByteReader reader(env->body);
+    const auto update = prime::ClientUpdate::decode(env->body);
     const auto payload =
-        ClientPayload::decode(prime::ClientUpdate::decode(reader).payload);
+        update ? ClientPayload::decode(update->payload) : std::nullopt;
     if (!payload || payload->type != ScadaMsgType::kBatchReport) {
       ADD_FAILURE() << "submitted update is not a batch report";
       return {};
