@@ -17,21 +17,6 @@ using namespace spire;
 
 namespace {
 
-struct Result {
-  std::vector<double> to_plc_ms;
-  std::vector<double> to_hmi_ms;
-  double updates_per_sec = 0;
-  /// Prime ordering fast-path counters, summed across replicas.
-  std::uint64_t stale_po_arus = 0;
-  std::uint64_t recon_queued = 0;
-  std::uint64_t recon_satisfied = 0;
-  std::uint64_t row_short_circuits = 0;
-  std::uint64_t batches_sealed = 0;
-  /// Recovery scheduler observability (kDuringRecovery only).
-  bool has_recovery = false;
-  prime::RecoveryStats recovery_stats;
-};
-
 enum class Condition { kClean, kOneCompromised, kDuringRecovery };
 
 const char* to_string(Condition c) {
@@ -43,7 +28,10 @@ const char* to_string(Condition c) {
   return "?";
 }
 
-Result run_config(std::uint32_t f, std::uint32_t k, Condition condition) {
+/// Runs one configuration and adds its rows to `report`.
+void run_config(std::uint32_t f, std::uint32_t k, Condition condition,
+                bench::Report& report) {
+  obs::ScopedRegistry metrics;  // the scheduler's rows read it
   sim::Simulator sim;
   scada::DeploymentConfig config;
   config.f = f;
@@ -112,9 +100,6 @@ Result run_config(std::uint32_t f, std::uint32_t k, Condition condition) {
     sim.run_until(sim.now() + 300 * sim::kMillisecond);
   }
 
-  Result result;
-  result.to_plc_ms = std::move(to_plc_ms);
-  result.to_hmi_ms = std::move(to_hmi_ms);
   const double window_s =
       static_cast<double>(sim.now() - window_start) / sim::kSecond;
   std::uint64_t best_delta = 0;
@@ -125,21 +110,40 @@ Result run_config(std::uint32_t f, std::uint32_t k, Condition condition) {
       best_delta = std::max(best_delta, now_count - executed_before[i]);
     }
   }
-  result.updates_per_sec = static_cast<double>(best_delta) / window_s;
+  // Prime ordering fast-path counters, summed across replicas.
+  std::uint64_t stale_po_arus = 0, recon_queued = 0, recon_satisfied = 0,
+                row_short_circuits = 0, batches_sealed = 0;
   for (std::uint32_t i = 0; i < config.prime.n(); ++i) {
     const prime::ReplicaStats& s = spire_system.replica(i).stats();
-    result.stale_po_arus += s.stale_po_arus_dropped;
-    result.recon_queued += s.recon_fetches_queued;
-    result.recon_satisfied += s.recon_fetches_satisfied;
-    result.row_short_circuits += s.row_verify_short_circuits;
-    result.batches_sealed += s.batches_sealed;
+    stale_po_arus += s.stale_po_arus_dropped;
+    recon_queued += s.recon_fetches_queued;
+    recon_satisfied += s.recon_fetches_satisfied;
+    row_short_circuits += s.row_verify_short_circuits;
+    batches_sealed += s.batches_sealed;
   }
-  if (recovery) {
-    recovery->stop();
-    result.has_recovery = true;
-    result.recovery_stats = recovery->stats();
-  }
-  return result;
+  if (recovery) recovery->stop();
+
+  char config_name[32];
+  std::snprintf(config_name, sizeof(config_name), "n=%u (f=%u,k=%u)",
+                3 * f + 2 * k + 1, f, k);
+  const std::string label =
+      std::string(config_name) + " " + to_string(condition);
+  report.latency.add(label + " cmd->breaker", std::move(to_plc_ms));
+  const bench::LatencyStats to_hmi =
+      report.latency.add(label + " cmd->HMI", std::move(to_hmi_ms));
+  const std::string p = label + ": ";
+  report.check(p + "cmd->HMI samples", static_cast<double>(to_hmi.samples),
+               bench::Cmp::kGe, 28);
+  report.check(p + "cmd->HMI p90", to_hmi.p90_ms, bench::Cmp::kLe, 1000,
+               "ms");
+  report.add(p + "ordered updates/s",
+             static_cast<double>(best_delta) / window_s);
+  report.add(p + "row short-circuits", static_cast<double>(row_short_circuits));
+  report.add(p + "batches sealed", static_cast<double>(batches_sealed));
+  report.add(p + "stale PO-ARUs", static_cast<double>(stale_po_arus));
+  report.add(p + "recon queued", static_cast<double>(recon_queued));
+  report.add(p + "recon satisfied", static_cast<double>(recon_satisfied));
+  if (recovery) bench::add_recovery_rows(report, p, metrics.registry(), k);
 }
 
 }  // namespace
@@ -167,34 +171,7 @@ int main(int argc, char** argv) {
       {1, 1, Condition::kOneCompromised},
       {1, 1, Condition::kDuringRecovery},
   };
-
-  for (const auto& c : cases) {
-    Result r = run_config(c.f, c.k, c.condition);
-    char config_name[32];
-    std::snprintf(config_name, sizeof(config_name), "n=%u (f=%u,k=%u)",
-                  3 * c.f + 2 * c.k + 1, c.f, c.k);
-    const std::string label =
-        std::string(config_name) + " " + to_string(c.condition);
-    report.latency.add(label + " cmd->breaker", std::move(r.to_plc_ms));
-    const bench::LatencyStats to_hmi =
-        report.latency.add(label + " cmd->HMI", std::move(r.to_hmi_ms));
-    const std::string p = label + ": ";
-    report.check(p + "cmd->HMI samples", static_cast<double>(to_hmi.samples),
-                 bench::Cmp::kGe, 28);
-    report.check(p + "cmd->HMI p90", to_hmi.p90_ms, bench::Cmp::kLe, 1000,
-                 "ms");
-    report.add(p + "ordered updates/s", r.updates_per_sec);
-    // Prime ordering fast-path counters, summed across replicas.
-    report.add(p + "row short-circuits",
-               static_cast<double>(r.row_short_circuits));
-    report.add(p + "batches sealed", static_cast<double>(r.batches_sealed));
-    report.add(p + "stale PO-ARUs", static_cast<double>(r.stale_po_arus));
-    report.add(p + "recon queued", static_cast<double>(r.recon_queued));
-    report.add(p + "recon satisfied", static_cast<double>(r.recon_satisfied));
-    if (r.has_recovery) {
-      bench::add_recovery_rows(report, p, r.recovery_stats, c.k);
-    }
-  }
+  for (const auto& c : cases) run_config(c.f, c.k, c.condition, report);
   report.latency.print("command round-trip");
   std::printf("\n");
   return report.finish(argc, argv);

@@ -70,10 +70,6 @@ struct Options {
   std::size_t max_batch = 256;
   std::uint64_t rate = 0;   ///< front-door tokens/sec per client, 0 = off
   std::uint64_t burst = 64;
-  // Every visible batch publishes (min 1): a >1 throttle could leave
-  // the final flip of the run unpublished, since nothing arrives after
-  // the stop() flush to push the version past the threshold.
-  std::uint64_t publish_min = 1;
   sim::Time report_interval = 500 * sim::kMillisecond;
   bool chaos = false;
   std::uint64_t chaos_seed = 0x464c4545'54424348ULL;
@@ -180,7 +176,6 @@ double run_fleet(const Options& opt, bench::Report& report) {
       scada::MasterConfig mc;
       mc.replica_id = r;
       mc.scenario = scada::ScenarioSpec::fleet(per_devices);
-      mc.publish_min_versions = opt.publish_min;
       for (std::size_t j = 0; j < per_hmis; ++j) {
         mc.hmis.push_back(hmi_identity(j));
       }
@@ -513,8 +508,6 @@ int main(int argc, char** argv) {
       std::strtoull(bench::flag_value(argc, argv, "--rate", "0"), nullptr, 10);
   opt.burst = std::strtoull(bench::flag_value(argc, argv, "--burst", "64"),
                             nullptr, 10);
-  opt.publish_min = std::strtoull(
-      bench::flag_value(argc, argv, "--publish-min", "1"), nullptr, 10);
   opt.report_interval =
       static_cast<sim::Time>(std::strtoul(
           bench::flag_value(argc, argv, "--report-interval-ms", "500"),

@@ -480,7 +480,6 @@ MicroResult run_prime_recovery_cycle() {
   }
   MicroResult result{recovery.recoveries_completed(), wall, {}};
   const prime::RecoveryStats& rs = recovery.stats();
-  result.extra.emplace_back("retries", static_cast<double>(rs.retries));
   result.extra.emplace_back("in_flight_high_water",
                             static_cast<double>(rs.in_flight_high_water));
   result.extra.emplace_back(

@@ -267,8 +267,8 @@ double run_soak(const SoakOptions& opt, bench::Report& report) {
     report.check(p + "largest HMI staleness window",
                  static_cast<double>(inst.max_stale_window) / sim::kSecond,
                  Cmp::kLe, 20, "s");
-    bench::add_recovery_rows(report, p, recovery.stats(), config.k,
-                             min_recoveries);
+    const obs::MetricsRegistry& registry = inst.registry_scope->registry();
+    bench::add_recovery_rows(report, p, registry, config.k, min_recoveries);
     report.check(p + "live replicas", live, Cmp::kGe, 5);
     report.check(p + "live replicas with byte-identical state", max_agree,
                  Cmp::kEq, live);
@@ -297,7 +297,6 @@ double run_soak(const SoakOptions& opt, bench::Report& report) {
     report.check(p + "device deltas with complete chains",
                  static_cast<double>(completeness.deltas_complete), Cmp::kEq,
                  static_cast<double>(completeness.deltas_expected));
-    const obs::MetricsRegistry& registry = inst.registry_scope->registry();
     bench::add_overlay_rows(report, p + "internal",
                             spire_sys.internal_overlay(), registry);
     bench::add_overlay_rows(report, p + "external",

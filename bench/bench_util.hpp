@@ -19,7 +19,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "prime/recovery.hpp"
 #include "scada/deployment.hpp"
 #include "sim/simulator.hpp"
 #include "spines/overlay.hpp"
@@ -548,31 +547,36 @@ inline void add_switch_drop_rows(Report& report, const std::string& prefix,
 /// Adds the proactive-recovery scheduler's counters: completion-gated
 /// slot accounting (the in-flight high-water checked against k, the
 /// completions against `min_completed` when nonzero), wall time per
-/// recovery, and the state-transfer volume.
+/// recovery, and the state-transfer volume. Reads `prime.recovery.*`
+/// from `registry`, the one the scheduler bound into.
 inline void add_recovery_rows(Report& report, const std::string& prefix,
-                              const prime::RecoveryStats& s, std::uint32_t k,
+                              const obs::MetricsRegistry& registry,
+                              std::uint32_t k,
                               std::uint64_t min_completed = 0) {
   const std::string p = prefix + "recovery ";
-  const auto ms = [](sim::Time t) { return static_cast<double>(t) / 1000.0; };
-  report.add(p + "takedowns", static_cast<double>(s.takedowns));
+  const auto metric = [&](const char* name) {
+    return static_cast<double>(
+        registry.value(std::string("prime.recovery.") + name));
+  };
+  const auto ms = [&](const char* name) { return metric(name) / 1000.0; };
+  const double completed = metric("completed");
+  report.add(p + "takedowns", metric("takedowns"));
   if (min_completed > 0) {
-    report.check(p + "completed", static_cast<double>(s.completed), Cmp::kGe,
+    report.check(p + "completed", completed, Cmp::kGe,
                  static_cast<double>(min_completed));
   } else {
-    report.add(p + "completed", static_cast<double>(s.completed));
+    report.add(p + "completed", completed);
   }
-  report.add(p + "retries", static_cast<double>(s.retries));
-  report.add(p + "deferred ticks", static_cast<double>(s.deferred_ticks));
-  report.check(p + "in-flight high-water", s.in_flight_high_water, Cmp::kLe, k);
-  report.add(p + "wall last", ms(s.last_recovery_wall), "ms");
-  report.add(p + "wall max", ms(s.max_recovery_wall), "ms");
+  report.add(p + "deferred ticks", metric("deferred_ticks"));
+  report.check(p + "in-flight high-water", metric("in_flight_high_water"),
+               Cmp::kLe, k);
+  report.add(p + "wall last", ms("last_recovery_wall_us"), "ms");
+  report.add(p + "wall max", ms("max_recovery_wall_us"), "ms");
   report.add(p + "wall mean",
-             s.completed > 0 ? ms(s.total_recovery_wall) /
-                                   static_cast<double>(s.completed)
-                             : 0.0,
+             completed > 0 ? ms("total_recovery_wall_us") / completed : 0.0,
              "ms");
-  report.add(p + "state transfer", static_cast<double>(s.transfer_bytes), "B");
-  report.add(p + "StateReqs", static_cast<double>(s.state_reqs));
+  report.add(p + "state transfer", metric("transfer_bytes"), "B");
+  report.add(p + "StateReqs", metric("state_reqs"));
 }
 
 /// Runs fn(i) for each independent instance i in [0, n) on `workers`

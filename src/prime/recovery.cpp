@@ -4,10 +4,6 @@
 
 namespace spire::prime {
 
-namespace {
-constexpr std::uint64_t kMaxBackoffMultiple = 8;
-}  // namespace
-
 ProactiveRecovery::ProactiveRecovery(sim::Simulator& sim,
                                      std::vector<Replica*> replicas,
                                      RecoveryConfig config)
@@ -17,7 +13,6 @@ ProactiveRecovery::ProactiveRecovery(sim::Simulator& sim,
       metrics_("prime.recovery") {
   metrics_.counter("takedowns", &stats_.takedowns);
   metrics_.counter("completed", &stats_.completed);
-  metrics_.counter("retries", &stats_.retries);
   metrics_.counter("deferred_ticks", &stats_.deferred_ticks);
   metrics_.counter("transfer_bytes", &stats_.transfer_bytes);
   metrics_.counter("state_reqs", &stats_.state_reqs);
@@ -26,6 +21,12 @@ ProactiveRecovery::ProactiveRecovery(sim::Simulator& sim,
   });
   metrics_.gauge_fn("max_recovery_wall_us", [this] {
     return static_cast<std::int64_t>(stats_.max_recovery_wall);
+  });
+  metrics_.gauge_fn("last_recovery_wall_us", [this] {
+    return static_cast<std::int64_t>(stats_.last_recovery_wall);
+  });
+  metrics_.gauge_fn("total_recovery_wall_us", [this] {
+    return static_cast<std::int64_t>(stats_.total_recovery_wall);
   });
   // The recovery-done signal is the completion gate: a slot reopens
   // only when the target's state transfer has actually finished.
@@ -52,8 +53,8 @@ void ProactiveRecovery::stop() {
   ++gen_;  // the periodic chain dies; per-recovery lambdas stay valid
   tick_pending_ = false;
   // Never leave a replica shut down: a target still in its downtime
-  // window is brought back immediately; one mid-transfer keeps its
-  // deadline/retry chain and completes on its own.
+  // window is brought back immediately; one mid-transfer keeps retrying
+  // on its own and completes.
   for (auto& [target, entry] : in_flight_) {
     if (entry.down) bring_up(target, entry);
   }
@@ -93,6 +94,17 @@ Replica* ProactiveRecovery::pick_target() {
 
 void ProactiveRecovery::tick(std::uint64_t gen) {
   if (gen != gen_ || !running_) return;
+  // A target restarted with start() behind our back is up, but sends no
+  // recovery-done signal: settle its entry so the slot reopens. When
+  // that resumes a paused cycle, finish() has scheduled the fresh tick
+  // that takes over from this one.
+  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
+    const auto [target, entry] = *it++;  // finish() erases the entry
+    if (!entry.down && target->running() && !target->recovering()) {
+      finish(target);
+    }
+  }
+  if (gen != gen_) return;
   // Completion gate: every disturbed replica — ours or not — occupies
   // one of the k slots the sizing rule budgets for. If all are taken,
   // the cycle pauses here and resumes from finish().
@@ -100,9 +112,9 @@ void ProactiveRecovery::tick(std::uint64_t gen) {
     ++stats_.deferred_ticks;
     tick_pending_ = true;
     // Fallback re-check: if the slot is held by an *external*
-    // disturbance (crash injection, self-initiated transfer), no
-    // finish() of ours will ever resume the cycle. finish() orphans
-    // this re-check via a generation bump, so one chain always exists.
+    // disturbance (crash injection, a chaos restart), no finish() of
+    // ours will ever resume the cycle. finish() orphans this re-check
+    // via a generation bump, so one chain always exists.
     schedule_tick(config_.period);
     return;
   }
@@ -115,7 +127,6 @@ void ProactiveRecovery::begin_recovery(Replica* target) {
   entry.down = true;
   entry.attempt = ++attempt_counter_;
   entry.taken_down_at = sim_.now();
-  entry.backoff = config_.retry_backoff;
   entry.bytes_before = target->stats().state_transfer_bytes;
   entry.reqs_before = target->stats().state_reqs_sent;
   in_flight_[target] = entry;
@@ -127,7 +138,8 @@ void ProactiveRecovery::begin_recovery(Replica* target) {
   const std::uint64_t attempt = entry.attempt;
   // Guarded by the attempt token, not the generation: stop() must not
   // orphan the pending bring-up (that was the stuck-replica bug). When
-  // stop() recovers the target early, it bumps the attempt instead.
+  // stop() brings the target up early, the lambda finds it no longer
+  // down.
   sim_.schedule_after(config_.downtime, [this, target, attempt] {
     const auto it = in_flight_.find(target);
     if (it == in_flight_.end() || it->second.attempt != attempt) return;
@@ -138,58 +150,13 @@ void ProactiveRecovery::begin_recovery(Replica* target) {
 
 void ProactiveRecovery::bring_up(Replica* target, InFlight& entry) {
   entry.down = false;
-  entry.attempt = ++attempt_counter_;  // orphans the pending downtime lambda
   target->recover();
-  arm_deadline(target, entry.attempt, config_.transfer_deadline);
-}
-
-void ProactiveRecovery::arm_deadline(Replica* target, std::uint64_t attempt,
-                                     sim::Time delay) {
-  sim_.schedule_after(delay, [this, target, attempt] {
-    on_deadline(target, attempt);
-  });
-}
-
-void ProactiveRecovery::on_deadline(Replica* target, std::uint64_t attempt) {
-  const auto it = in_flight_.find(target);
-  if (it == in_flight_.end() || it->second.attempt != attempt) return;
-  if (!target->recovering()) {
-    // Completion raced the deadline, or the replica was restarted fresh
-    // behind our back (external start()). Either way it is up; settle
-    // the entry so the slot reopens.
-    if (target->running()) finish(target);
-    return;
-  }
-  // The transfer stalled (e.g. the replica was partitioned mid-join).
-  // Re-issue recover() after the current backoff: a fresh nonce and a
-  // fresh StateReq round, with exponential spacing so a long partition
-  // does not turn into a retry storm.
-  ++stats_.retries;
-  InFlight& entry = it->second;
-  const std::uint64_t retry_attempt = ++attempt_counter_;
-  entry.attempt = retry_attempt;
-  const sim::Time backoff = entry.backoff;
-  entry.backoff = std::min(entry.backoff * 2,
-                           config_.retry_backoff * kMaxBackoffMultiple);
-  sim_.schedule_after(backoff, [this, target, retry_attempt] {
-    const auto entry_it = in_flight_.find(target);
-    if (entry_it == in_flight_.end() ||
-        entry_it->second.attempt != retry_attempt) {
-      return;
-    }
-    if (!target->recovering()) {
-      if (target->running()) finish(target);
-      return;
-    }
-    target->recover();
-    arm_deadline(target, retry_attempt, config_.transfer_deadline);
-  });
 }
 
 void ProactiveRecovery::finish(Replica* target) {
   const auto it = in_flight_.find(target);
-  // Completions the scheduler did not initiate (a replica's own
-  // begin_state_transfer) are not ours to account.
+  // Rejoins the scheduler did not initiate (a chaos restart's
+  // recover()) are not ours to account.
   if (it == in_flight_.end()) return;
   const InFlight& entry = it->second;
   const sim::Time wall = sim_.now() - entry.taken_down_at;

@@ -13,16 +13,21 @@
 //  * a generation counter orphans the periodic tick chain across
 //    stop()/start(), so a restart never spawns a second concurrent
 //    chain (double-rate takedowns);
-//  * per-recovery attempt tokens keep the downtime / deadline lambdas
-//    of one in-flight recovery valid across stop(), so a replica taken
-//    down just before stop() is still brought back (no orphaned,
+//  * per-recovery attempt tokens keep the downtime lambda of one
+//    in-flight recovery valid across stop(), so a replica taken down
+//    just before stop() is still brought back (no orphaned,
 //    permanently-shut-down replica);
-//  * a transfer deadline with exponential backoff re-issues recover()
-//    when a rejoining replica stalls (e.g. partitioned mid-transfer);
+//  * a stalled transfer (e.g. partitioned mid-join) is retried by the
+//    rejoining replica itself, never by the scheduler: its retry loop
+//    polls afresh when the checkpoint it chose has been
+//    garbage-collected, so every rejoin, scheduled or not, completes
+//    once the replica can reach its peers;
+//  * a target restarted with start() behind the scheduler's back is up
+//    without a recovery-done signal; the next tick settles its entry so
+//    the slot still reopens;
 //  * replicas that are down or recovering for reasons outside the
-//    scheduler (crash injection, self-initiated state transfer) occupy
-//    recovery slots too, keeping the global simultaneously-disturbed
-//    count within k.
+//    scheduler (crash injection, a chaos restart) occupy recovery slots
+//    too, keeping the global simultaneously-disturbed count within k.
 #pragma once
 
 #include <cstdint>
@@ -44,14 +49,6 @@ struct RecoveryConfig {
   /// deployment was sized for. Takedown ticks that would exceed it are
   /// deferred until a completion opens a slot.
   std::uint32_t max_concurrent = 1;
-  /// Budget for a rejoining replica's state transfer. On expiry the
-  /// scheduler re-issues recover() (fresh nonce, fresh transfer) after
-  /// a backoff.
-  sim::Time transfer_deadline = 10 * sim::kSecond;
-  /// Initial retry backoff; doubles per consecutive retry of the same
-  /// recovery, capped at 8x. Retries never give up: a replica the
-  /// scheduler took down is always driven back into the membership.
-  sim::Time retry_backoff = 1 * sim::kSecond;
 };
 
 /// Observability for the rejuvenation cycle (printed by the soak/fig2
@@ -59,7 +56,6 @@ struct RecoveryConfig {
 struct RecoveryStats {
   std::uint64_t takedowns = 0;   ///< shutdowns initiated by the scheduler
   std::uint64_t completed = 0;   ///< state transfers finished
-  std::uint64_t retries = 0;     ///< deadline-expired recover() re-issues
   std::uint64_t deferred_ticks = 0;  ///< period ticks gated by the k cap
   std::uint32_t in_flight_high_water = 0;  ///< max simultaneous disturbed
   sim::Time last_recovery_wall = 0;  ///< takedown -> transfer-complete
@@ -84,9 +80,8 @@ class ProactiveRecovery {
   void start();
   /// Stops scheduling new takedowns. In-flight recoveries are not
   /// abandoned: a target still in its downtime window is recovered
-  /// immediately, and one mid-transfer is driven to completion
-  /// (deadline/retry chain stays armed), so no replica is left shut
-  /// down by a stop() at any instant.
+  /// immediately, and one mid-transfer completes through its own retry
+  /// loop, so no replica is left shut down by a stop() at any instant.
   void stop();
 
   /// Recoveries whose state transfer finished (not merely started).
@@ -107,9 +102,8 @@ class ProactiveRecovery {
   /// recovery-done signal.
   struct InFlight {
     bool down = true;          ///< still in the downtime window
-    std::uint64_t attempt = 0; ///< token guarding this entry's lambdas
+    std::uint64_t attempt = 0; ///< token guarding the downtime lambda
     sim::Time taken_down_at = 0;
-    sim::Time backoff = 0;     ///< next retry delay (doubles, capped)
     std::uint64_t bytes_before = 0;  ///< replica stat snapshots for deltas
     std::uint64_t reqs_before = 0;
   };
@@ -119,8 +113,6 @@ class ProactiveRecovery {
   [[nodiscard]] Replica* pick_target();
   void begin_recovery(Replica* target);
   void bring_up(Replica* target, InFlight& entry);
-  void arm_deadline(Replica* target, std::uint64_t attempt, sim::Time delay);
-  void on_deadline(Replica* target, std::uint64_t attempt);
   void finish(Replica* target);
 
   sim::Simulator& sim_;

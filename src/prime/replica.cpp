@@ -1914,13 +1914,19 @@ constexpr sim::Time kStateRetryInterval = 300 * sim::kMillisecond;
 
 void Replica::recovery_tick(std::uint64_t epoch) {
   if (epoch != epoch_ || !running_ || !(recovering_ || catching_up_)) return;
-  if (chosen_state_) {
+  if (chosen_state_ && ++snapshot_ticks_ % 2 == 1) {
     // The snapshot, or the request for it, was lost: ask again.
     SnapshotReq sreq;
     sreq.nonce = state_nonce_;
     sreq.applied_seq = chosen_state_->applied_seq;
     send_envelope(MsgType::kSnapshotReq, sreq.encode());
   } else {
+    // No checkpoint chosen yet, or the chosen one went unanswered
+    // across two ticks: the peers may have garbage-collected it. A
+    // fresh round, under the same nonce, may choose a newer checkpoint;
+    // until it does, the chosen one's snapshot is still taken (DESIGN.md
+    // §6 "Proactive recovery & fault injection").
+    if (chosen_state_) state_resps_.clear();
     StateReq req;
     req.nonce = state_nonce_;
     ++stats_.state_reqs_sent;
@@ -1955,7 +1961,8 @@ void Replica::handle_state_req(const Envelope& env) {
 }
 
 void Replica::handle_state_resp(const Envelope& env) {
-  if (!(recovering_ || catching_up_) || chosen_state_) return;
+  if (!(recovering_ || catching_up_)) return;
+  if (chosen_state_ && snapshot_ticks_ < 2) return;  // no fresh round open
   const auto resp = StateResp::decode(env.body);
   if (!resp || resp->nonce != state_nonce_) return;
   const auto sender = sender_id(env);
@@ -1982,6 +1989,7 @@ void Replica::handle_state_resp(const Envelope& env) {
     std::sort(views.begin(), views.end(), std::greater<>());
     chosen.view = views[std::min<std::size_t>(config_.f, views.size() - 1)];
     chosen_state_ = chosen;
+    snapshot_ticks_ = 0;
 
     SnapshotReq sreq;
     sreq.nonce = state_nonce_;

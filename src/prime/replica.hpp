@@ -523,6 +523,9 @@ class Replica {
   std::uint64_t state_nonce_ = 0;
   std::map<ReplicaId, StateResp> state_resps_;
   std::optional<StateResp> chosen_state_;
+  /// recovery_ticks since chosen_state_ was chosen with its snapshot
+  /// still missing: odd ones ask for it again, even ones poll afresh.
+  std::uint32_t snapshot_ticks_ = 0;
   /// A state transfer runs while the replica keeps participating
   /// (begin_state_transfer); recovering_ is the rejoin after a reboot.
   bool catching_up_ = false;

@@ -8,6 +8,9 @@ namespace spire::scada {
 
 namespace {
 
+/// Seeds the keyring: every replica, daemon and client key.
+constexpr std::string_view kKeyringSeed = "spire-deployment";
+
 std::string internal_node(std::size_t i) { return "int" + std::to_string(i); }
 std::string external_node(std::size_t i) { return "ext" + std::to_string(i); }
 std::string proxy_node(const std::string& device) { return "extp-" + device; }
@@ -42,7 +45,7 @@ class SpireDeployment::SpinesReplicaTransport : public prime::ReplicaTransport {
 SpireDeployment::SpireDeployment(sim::Simulator& sim, DeploymentConfig config)
     : sim_(sim),
       config_(std::move(config)),
-      keyring_(config_.keyring_seed),
+      keyring_(kKeyringSeed),
       rng_(config_.seed) {
   config_.prime.f = config_.f;
   config_.prime.k = config_.k;

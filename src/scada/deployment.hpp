@@ -80,7 +80,6 @@ struct DeploymentConfig {
   sim::Time cycler_interval = 1 * sim::kSecond;  ///< 0 disables the cycler
   prime::PrimeConfig prime;  ///< f, k and client list are filled in
   std::uint64_t seed = 20190101;
-  std::string keyring_seed = "spire-deployment";
 };
 
 /// Ports used inside the deployment.

@@ -10,7 +10,6 @@ ScadaMaster::ScadaMaster(MasterConfig config, const crypto::Keyring& keyring,
     : replica_id_(config.replica_id),
       device_proxy_(std::move(config.device_proxy)),
       hmis_(std::move(config.hmis)),
-      publish_min_versions_(config.publish_min_versions),
       signer_(prime::replica_identity(replica_id_),
               keyring.identity_key(prime::replica_identity(replica_id_))),
       output_(std::move(output)),
@@ -89,7 +88,7 @@ void ScadaMaster::push_state_to_hmis() {
   const bool due = visible_since_push_ || full_next_push_ ||
                    version_ >= last_pushed_version_ + kPushEvery;
   if (!due) return;  // nothing an operator could see changed
-  if (version_ < last_pushed_version_ + publish_min_versions_) return;
+  if (version_ <= last_pushed_version_) return;  // already published
 
   StateUpdate su;
   su.replica = replica_id_;

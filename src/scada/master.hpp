@@ -47,10 +47,6 @@ struct MasterConfig {
   std::map<std::string, std::string> device_proxy;
   /// HMI client identities to push state updates to.
   std::vector<std::string> hmis;
-  /// Publish at most once per this many versions (1 = every eligible
-  /// version; larger values let fleet deployments trade HMI freshness
-  /// for fewer signatures).
-  std::uint64_t publish_min_versions = 1;
 };
 
 class ScadaMaster : public prime::Application {
@@ -98,7 +94,6 @@ class ScadaMaster : public prime::Application {
   std::uint32_t replica_id_;
   std::map<std::string, std::string> device_proxy_;
   std::vector<std::string> hmis_;
-  std::uint64_t publish_min_versions_;
   crypto::Signer signer_;
   OutputFn output_;
   TopologyState state_;

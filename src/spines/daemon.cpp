@@ -339,12 +339,7 @@ void Daemon::transmit_inner(NodeHandle neighbor,
 
 void Daemon::send_ack(NodeHandle neighbor, std::uint64_t acked_seq) {
   ++stats_.acks_sent;
-  std::array<std::uint8_t, 8> buf{};
-  for (int i = 0; i < 8; ++i) {
-    buf[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(acked_seq >> (56 - 8 * i));
-  }
-  send_packet(neighbor, PacketType::kAck, buf);
+  send_packet(neighbor, PacketType::kAck, AckBody{acked_seq}.encode());
 }
 
 /// An unacked link packet is resent once it is this old.
@@ -488,16 +483,11 @@ void Daemon::process_inner(NodeHandle from, PacketType type,
       if (auto data = DataBody::decode(body)) on_data(from, std::move(*data));
       break;
     }
-    case PacketType::kAck: {
-      try {
-        util::ByteReader r(body);
-        const std::uint64_t acked = r.u64();
-        r.expect_done();
-        neighbor_slot(from)->unacked.erase(acked);
-      } catch (const util::SerializationError&) {
+    case PacketType::kAck:
+      if (const auto ack = AckBody::decode(body)) {
+        neighbor_slot(from)->unacked.erase(ack->acked_seq);
       }
       break;
-    }
   }
 }
 

@@ -22,6 +22,7 @@ struct DataView {
 }  // namespace
 
 SPIRE_WIRE_CODEC_DEFINE(HelloBody)
+SPIRE_WIRE_CODEC_DEFINE(AckBody)
 SPIRE_WIRE_CODEC_DEFINE(LinkStateBody)
 SPIRE_WIRE_CODEC_DEFINE(AreaSummaryBody)
 SPIRE_WIRE_CODEC_DEFINE(DataBody)

@@ -63,6 +63,14 @@ struct HelloBody {
   SPIRE_WIRE_CODEC(HelloBody)
 };
 
+/// Acknowledges one ARQ-tracked link packet by its link_seq.
+struct AckBody {
+  std::uint64_t acked_seq = 0;
+
+  static auto fields(auto& s) { return util::codec::fields(s.acked_seq); }
+  SPIRE_WIRE_CODEC(AckBody)
+};
+
 /// Flooded, origin-signed adjacency advertisement.
 struct LinkStateBody {
   NodeId origin;

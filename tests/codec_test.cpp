@@ -113,6 +113,8 @@ const std::map<std::string, std::string>& golden() {
        "aeaf"},
       {"HelloBody",
        "0000000000000005"},
+      {"AckBody",
+       "0000000000000002"},
       {"LinkStateBody",
        "00000004696e743100000000000000030000000200000004696e743200000004"
        "696e7433b0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacb"

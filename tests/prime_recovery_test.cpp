@@ -1,8 +1,10 @@
 // Proactive-recovery scheduler tests (paper §II): completion gating,
 // the k-cap under transfers that outlast the period, the stale-tick and
-// orphaned-replica regression fixes, leader rejuvenation during a view
+// orphaned-replica regression fixes, the slot of a target restarted
+// behind the scheduler's back, leader rejuvenation during a view
 // change, k=2 staggering on the f=2,k=2 configuration, and chaos-driven
-// partitions mid-transfer healing through the deadline/retry path.
+// partitions mid-transfer healing through the rejoining replica's own
+// retry loop.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -121,8 +123,8 @@ TEST(ProactiveRecoveryTest, StopDuringDowntimeLeavesNoReplicaDown) {
 // Regression (completion accounting): recoveries_completed() counts
 // state transfers that *finished*, not recover() calls. While the
 // rejoining replica is partitioned its transfer cannot finish, so the
-// counter must hold at zero; after healing, the deadline/retry path
-// completes it.
+// counter must hold at zero; after healing, the replica's own retry
+// loop completes it.
 TEST(ProactiveRecoveryTest, CompletionCountsAtTransferCompletion) {
   sim::Simulator sim;
   Cluster cluster(sim, 1, 1);
@@ -131,8 +133,6 @@ TEST(ProactiveRecoveryTest, CompletionCountsAtTransferCompletion) {
   RecoveryConfig rc;
   rc.period = 1 * sim::kSecond;
   rc.downtime = 500 * sim::kMillisecond;
-  rc.transfer_deadline = 1 * sim::kSecond;
-  rc.retry_backoff = 200 * sim::kMillisecond;
   ProactiveRecovery recovery(sim, cluster.replica_ptrs(), rc);
   recovery.start();
 
@@ -155,13 +155,13 @@ TEST(ProactiveRecoveryTest, CompletionCountsAtTransferCompletion) {
 
   // Heal and stop scheduling in the same instant: no new takedowns may
   // start, but the stalled recovery must still be driven to completion
-  // (stop() keeps the deadline/retry chain armed for mid-transfer
-  // targets). Exactly the one transfer finishes.
+  // (a mid-transfer target keeps retrying on its own after stop()).
+  // Exactly the one transfer finishes.
   cluster.fabric().isolate(target, false);
   recovery.stop();
   cluster.run_for(4 * sim::kSecond);
   EXPECT_EQ(recovery.recoveries_completed(), 1u);
-  EXPECT_GE(recovery.stats().retries, 1u);
+  EXPECT_GE(cluster.replica(target).stats().state_reqs_sent, 2u);
   cluster.expect_all_up();
 }
 
@@ -176,8 +176,6 @@ TEST(ProactiveRecoveryTest, TransferOutlastingPeriodNeverExceedsK) {
   RecoveryConfig rc;
   rc.period = 500 * sim::kMillisecond;
   rc.downtime = 100 * sim::kMillisecond;
-  rc.transfer_deadline = 2 * sim::kSecond;
-  rc.retry_backoff = 200 * sim::kMillisecond;
   ProactiveRecovery recovery(sim, cluster.replica_ptrs(), rc);
   recovery.start();
 
@@ -212,6 +210,50 @@ TEST(ProactiveRecoveryTest, TransferOutlastingPeriodNeverExceedsK) {
   cluster.run_for(3 * sim::kSecond);
   cluster.expect_all_up();
   EXPECT_LE(recovery.stats().in_flight_high_water, 1u);
+}
+
+// A target restarted with Replica::start() in the middle of its
+// transfer is up without ever signalling recovery-done. The scheduler
+// must still settle its entry: the slot is released and the cycle
+// takes the next replica down.
+TEST(ProactiveRecoveryTest, TargetRestartedBehindSchedulerReleasesItsSlot) {
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);
+  cluster.run_for(500 * sim::kMillisecond);
+
+  RecoveryConfig rc;
+  rc.period = 1 * sim::kSecond;
+  rc.downtime = 300 * sim::kMillisecond;
+  ProactiveRecovery recovery(sim, cluster.replica_ptrs(), rc);
+  recovery.start();
+
+  // First takedown at +1 s; cut the target off inside its downtime
+  // window so its transfer stalls after the bring-up at +1.3 s.
+  cluster.run_for(1050 * sim::kMillisecond);
+  ReplicaId target = 0;
+  for (ReplicaId i = 0; i < cluster.config().n(); ++i) {
+    if (!cluster.replica(i).running()) target = i;
+  }
+  cluster.fabric().isolate(target, true);
+  cluster.run_for(550 * sim::kMillisecond);
+  ASSERT_TRUE(cluster.replica(target).recovering());
+  ASSERT_EQ(recovery.in_flight(), 1u);
+
+  // Someone else boots it fresh, behind the scheduler's back.
+  cluster.replica(target).start();
+  cluster.fabric().isolate(target, false);
+  EXPECT_EQ(recovery.stats().takedowns, 1u);
+
+  cluster.run_for(12 * sim::kSecond);
+  EXPECT_GE(recovery.recoveries_completed(), 1u) << "the slot was never released";
+  EXPECT_GE(recovery.stats().takedowns, 2u) << "no takedown after the restart";
+  EXPECT_LE(recovery.stats().in_flight_high_water, 1u);
+
+  recovery.stop();
+  cluster.run_for(3 * sim::kSecond);
+  EXPECT_EQ(recovery.in_flight(), 0u);
+  cluster.expect_all_up();
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
 // Rejuvenating the current leader forces a view change; the recovery
@@ -297,8 +339,8 @@ TEST(ProactiveRecoveryTest, KEqualsTwoStaggersWithoutExceedingCap) {
 }
 
 // Chaos partition cutting a replica off mid-state-transfer: the
-// scheduler's deadline/retry/backoff path completes the recovery once
-// the injector heals the partition.
+// rejoining replica's own retry loop completes the recovery once the
+// injector heals the partition.
 TEST(ProactiveRecoveryTest, ChaosPartitionMidTransferHealsViaRetry) {
   sim::Simulator sim;
   Cluster cluster(sim, 1, 1);
@@ -313,8 +355,6 @@ TEST(ProactiveRecoveryTest, ChaosPartitionMidTransferHealsViaRetry) {
   RecoveryConfig rc;
   rc.period = 1 * sim::kSecond;
   rc.downtime = 300 * sim::kMillisecond;
-  rc.transfer_deadline = 500 * sim::kMillisecond;
-  rc.retry_backoff = 200 * sim::kMillisecond;
   ProactiveRecovery recovery(sim, cluster.replica_ptrs(), rc);
 
   // The first takedown (descending order) hits replica n-1 at +1 s and
@@ -332,7 +372,7 @@ TEST(ProactiveRecoveryTest, ChaosPartitionMidTransferHealsViaRetry) {
   cluster.run_for(4 * sim::kSecond);
   EXPECT_EQ(chaos.stats().injected, 1u);
   EXPECT_EQ(recovery.recoveries_completed(), 0u);
-  EXPECT_GE(recovery.stats().retries, 1u);
+  EXPECT_GE(cluster.replica(event.node).stats().state_reqs_sent, 2u);
 
   // Partition healed at +4.25 s; the next retry completes the join.
   cluster.run_for(4 * sim::kSecond);

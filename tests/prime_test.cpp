@@ -772,6 +772,109 @@ TEST(Prime, IsolatedReplicaCatchesUpByStateTransferSoonAfterHeal) {
   EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
+/// Cuts `replica` off the fabric the first time a peer receives its
+/// SnapshotReq: the peers still answer nothing, so the checkpoint it
+/// chose can be garbage-collected everywhere before the heal.
+void isolate_at_first_snapshot_req(Cluster& cluster, ReplicaId replica) {
+  cluster.set_tap([&cluster, replica, armed = true](
+                      ReplicaId, const util::Bytes& bytes) mutable {
+    if (!armed) return;
+    const auto env = Envelope::decode(bytes);
+    if (!env || env->type != MsgType::kSnapshotReq ||
+        env->sender != replica_identity(replica)) {
+      return;
+    }
+    armed = false;
+    cluster.fabric().isolate(replica, true);
+  });
+}
+
+/// Orders `count` updates from client/a at 30 ms spacing.
+void submit_spaced(Cluster& cluster, int count, const std::string& tag) {
+  for (int i = 0; i < count; ++i) {
+    cluster.submit("client/a", tag + std::to_string(i));
+    cluster.run_for(30 * sim::kMillisecond);
+  }
+}
+
+/// After a heal: `replica` has rejoined within `bound`, holds the
+/// peers' history, and orders an update submitted afterwards.
+void expect_rejoined_within(Cluster& cluster, ReplicaId replica,
+                            sim::Time bound) {
+  const ReplicaId peer = replica == 0 ? 1 : 0;
+  cluster.run_for(bound);
+  EXPECT_FALSE(cluster.replica(replica).recovering());
+  EXPECT_EQ(cluster.app(replica).log().size(), cluster.app(peer).log().size());
+  EXPECT_EQ(cluster.replica(replica).applied_seq(),
+            cluster.replica(peer).applied_seq());
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+
+  const std::size_t before = cluster.app(peer).log().size();
+  cluster.submit("client/b", "after");
+  cluster.run_for(1 * sim::kSecond);
+  EXPECT_EQ(cluster.app(replica).log().size(), before + 1);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+}
+
+// A rejoining replica cut off once it has asked for its chosen
+// snapshot, while the others order far past that checkpoint and
+// garbage-collect it (a chaos restart, with no scheduler to re-issue
+// recover()). Its own retry loop polls afresh and installs a checkpoint
+// the peers still hold, soon after the heal.
+TEST(Prime, RejoinWhoseSnapshotWasCollectedRestartsTheRound) {
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);
+  cluster.run_for(500 * sim::kMillisecond);
+  submit_spaced(cluster, 20, "warm");
+
+  const ReplicaId target = 5;
+  isolate_at_first_snapshot_req(cluster, target);
+  cluster.replica(target).shutdown();
+  cluster.replica(target).recover();
+  cluster.run_for(100 * sim::kMillisecond);
+  ASSERT_TRUE(cluster.replica(target).recovering());
+
+  submit_spaced(cluster, 150, "cut");
+  cluster.run_for(300 * sim::kMillisecond);
+  ASSERT_EQ(cluster.app(0).log().size(), 170u);
+  ASSERT_TRUE(cluster.replica(target).recovering());
+  ASSERT_EQ(cluster.replica(target).applied_seq(), 0u);
+
+  cluster.fabric().isolate(target, false);
+  expect_rejoined_within(cluster, target, 1 * sim::kSecond);
+  EXPECT_EQ(cluster.replica(target).stats().state_transfers, 1u);
+  EXPECT_GE(cluster.replica(target).stats().state_reqs_sent, 2u);
+}
+
+// The same stall on the in-place catch-up path: a replica that fell
+// more than one checkpoint interval behind starts a transfer on the
+// heal, and is cut off again right after its SnapshotReq while the
+// others move on and garbage-collect the checkpoint it chose.
+TEST(Prime, CatchUpWhoseSnapshotWasCollectedRestartsTheRound) {
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);
+  cluster.run_for(500 * sim::kMillisecond);
+
+  const ReplicaId target = 5;
+  cluster.fabric().isolate(target, true);
+  submit_spaced(cluster, 4 * static_cast<int>(kCheckpointInterval), "gap");
+  ASSERT_LT(cluster.replica(target).applied_seq() + kCheckpointInterval,
+            cluster.replica(0).applied_seq());
+
+  isolate_at_first_snapshot_req(cluster, target);
+  cluster.fabric().isolate(target, false);
+  submit_spaced(cluster, 150, "cut");
+  ASSERT_FALSE(cluster.replica(target).recovering());
+  ASSERT_EQ(cluster.replica(target).stats().state_transfers, 0u)
+      << "the catch-up was not cut off after its SnapshotReq";
+  ASSERT_LT(cluster.replica(target).applied_seq() + kCheckpointInterval,
+            cluster.replica(0).applied_seq());
+
+  cluster.fabric().isolate(target, false);
+  expect_rejoined_within(cluster, target, 1 * sim::kSecond);
+  EXPECT_EQ(cluster.replica(target).stats().state_transfers, 1u);
+}
+
 // A replica that falls behind by less than one checkpoint interval
 // still finds every slot it missed at its peers, the one-interval slack
 // the garbage collection keeps, and catches up by fetching them.

@@ -389,6 +389,11 @@ struct SendPathFixture : OverlayFixture {
       ASSERT_TRUE(packet);
       const InnerPacket expected{packet->type, packet->link_seq, packet->body};
       EXPECT_EQ(expected.encode(), inner);
+      if (packet->type == PacketType::kAck) {
+        const auto ack = AckBody::decode(packet->body);
+        ASSERT_TRUE(ack);
+        EXPECT_EQ(ack->encode(), packet->body);
+      }
       seen.insert(packet->type);
       ++frames;
     });

@@ -253,6 +253,7 @@ inline std::vector<Sample> all() {
 
   // ---- Spines ----
   out.push_back(sample("HelloBody", spines::HelloBody{5}));
+  out.push_back(sample("AckBody", spines::AckBody{2}));
 
   spines::LinkStateBody lsu;
   lsu.origin = "int1";
