@@ -7,8 +7,9 @@
 // as ground truth, and optionally the committed bound on its reaction
 // time. An experiment is a selection of rows plus one sequencing
 // choice: the rows share one rig in order (a campaign) or each row gets
-// a fresh one (an ablation or a scenario suite). One runner prints every
-// table, reads every bound from the baseline file, and writes one JSON.
+// a fresh one (an ablation or a scenario suite). One runner prints each
+// experiment's table and declares every verdict, bound and counter as a
+// row of one bench::Report, which gates them and writes the JSON.
 //
 //   E3   Fig. 3 + §IV-B: the network campaign against an unhardened and
 //        a hardened deployment, MANA on the operations network's tap.
@@ -19,12 +20,13 @@
 //        with a reaction SLO or an inline bound.
 //   E8   §II / §III-C: MANA scored against every attack's ground truth.
 //
-// Run:  bench_attacks [--baseline=PATH] [--json=PATH] [--trace-out=PATH]
+// Run:  bench_attacks [--baseline=PATH] [--json[=PATH]] [--trace-out=PATH]
 //
 // --baseline defaults to bench/baseline_attacks.json (run from the repo
-// root); a missing bound exits 1. --trace-out writes the obs::Tracer
-// JSONL of the E8 campaign, with attack-begin / attack-end / alert
-// markers next to the deployment's spans.
+// root); every bound is read before anything runs, and a missing one
+// exits 1. --trace-out writes the obs::Tracer JSONL of the E8 campaign,
+// with attack-begin / attack-end / alert markers next to the
+// deployment's spans.
 #include <algorithm>
 #include <functional>
 #include <map>
@@ -238,6 +240,7 @@ struct Rig {
   /// What a man in the middle did with the frames it intercepted.
   std::uint64_t mitm_dropped = 0;
   std::uint64_t mitm_relayed = 0;
+  std::uint64_t arp_restores = 0;  ///< corrective replies (restore_arp)
 
   const char* scenario = nullptr;  ///< the scored row being labeled
   std::vector<AlertKind> expected;
@@ -351,7 +354,7 @@ struct Trial {
 
 struct Outcome {
   bool landed = false;               ///< the attack had its effect
-  std::optional<double> reaction{};  ///< bounded by the row's SLO; -1: timeout
+  std::optional<double> reaction{};  ///< bounded by the row's SLO; none: timeout
   std::uint64_t missed = 0;          ///< updates the attack cost the system
   std::string detail{};
 };
@@ -392,15 +395,15 @@ using net::HostStats;
 using spines::DaemonStats;
 
 /// Probes die at a host firewall, on an unbound port or at a daemon's
-/// link-envelope parse; poisoning replies are accepted or ignored by the
-/// HMI host's static ARP table;
-/// what the poisoning steers to a man in the middle is dropped or
-/// relayed.
+/// link-envelope parse; poisoning and restoring replies are accepted or
+/// ignored by the HMI host's static ARP table; what the poisoning steers
+/// to a man in the middle is dropped or relayed.
 Ledger probe_ledger(const Trial& t) {
   Rig& r = *t.rig;
   const HostStats& hmi = r.hmi_host().stats();
   return {{{"probes_sent", r.sent(&AttackStats::probes_sent)},
            {"arp_poisons_sent", r.sent(&AttackStats::arp_poisons_sent)},
+           {"arp_restores_sent", r.arp_restores},
            {"mitm_intercepted", r.sent(&AttackStats::mitm_intercepted)}},
           {{"dropped_firewall_in", r.hosts(&HostStats::dropped_firewall_in)},
            {"dropped_no_handler", r.hosts(&HostStats::dropped_no_handler)},
@@ -546,6 +549,7 @@ void restore_arp(Rig& r) {
   reply.sender_ip = r.replica(0).ip(1);
   reply.target_mac = victim.mac(0);
   reply.target_ip = victim.ip(0);
+  ++r.arp_restores;
   from.send_frame_raw(0, net::EthernetFrame{from.mac(0), victim.mac(0),
                                             net::EtherType::kArp,
                                             reply.encode()});
@@ -814,16 +818,18 @@ Outcome leader_delay_under(Trial& t) {
       o.missed++;
     }
   }
-  o.reaction = bench::latency_stats(latency_ms).p99_ms;
+  // An update that never executed has no latency: the p99 is then a
+  // timeout, not the p99 of the updates that did.
+  const double p99 = bench::latency_stats(latency_ms).p99_ms;
+  if (o.missed == 0) o.reaction = p99;
   o.landed = !c.view_stable() || o.missed > 0 || c.first_divergence();
-  o.detail = c.view_stable() ? "no false suspicion, p99 " +
-                                   bench::fmt_ms(*o.reaction)
+  o.detail = c.view_stable() ? "no false suspicion, p99 " + bench::fmt_ms(p99)
                              : "FALSELY EVICTED under-threshold leader";
   return o;
 }
 
 /// Runs `byz` on the leader, submitting traffic every 100 ms until a
-/// correct replica reaches view 1 (the reaction, or -1 after 10 s), then
+/// correct replica reaches view 1 (the reaction, or none after 10 s), then
 /// optionally five follow-up updates 100 ms apart that must execute
 /// everywhere within 5 s. `evidence` names the suspicion counter that
 /// must convict the leader.
@@ -833,7 +839,7 @@ Outcome evicted(Trial& t, const prime::ByzantineConfig& byz,
   ByzCluster& c = *(t.cluster = std::make_unique<ByzCluster>(t.sim));
   c.replica(0).set_byzantine(byz);
   const sim::Time t0 = c.sim().now();
-  Outcome o{.reaction = -1.0};
+  Outcome o;
   for (sim::Time next_submit = t0; c.sim().now() < t0 + 10 * sim::kSecond;
        c.run_for(10 * sim::kMillisecond)) {
     if (c.sim().now() >= next_submit) {
@@ -856,10 +862,10 @@ Outcome evicted(Trial& t, const prime::ByzantineConfig& byz,
     const sim::Time deadline = c.sim().now() + 5 * sim::kSecond;
     o.missed = c.executed_everywhere(before + 5, deadline) ? 0 : 1;
   }
-  o.landed = *o.reaction < 0 || !proven || o.missed > 0 || c.first_divergence();
-  o.detail = *o.reaction < 0 ? "leader never evicted"
-             : proven        ? convicted
-                             : unconvicted;
+  o.landed = !o.reaction || !proven || o.missed > 0 || c.first_divergence();
+  o.detail = !o.reaction ? "leader never evicted"
+             : proven    ? convicted
+                         : unconvicted;
   return o;
 }
 
@@ -964,8 +970,8 @@ Outcome mid_soak_compromise(Trial& t) {
     r.run_for(20 * sim::kMillisecond);
   }
   const bool rotated = r.spire.replica(1).view() >= 1;
-  Outcome o{.reaction = rotated ? static_cast<double>(r.sim.now() - t0) / 1000.0
-                                : -1.0};
+  Outcome o;
+  if (rotated) o.reaction = static_cast<double>(r.sim.now() - t0) / 1000.0;
   // Post-rotation soak; the HMI display must converge back onto the
   // field-device ground truth.
   r.run_for(4 * sim::kSecond);
@@ -1071,15 +1077,6 @@ auto flood(std::size_t who, std::uint32_t pps, sim::Time length,
 
 // ---- the table -------------------------------------------------------------
 
-/// Units of an experiment's reaction times.
-struct Unit {
-  const char* json_key;
-  const char* format;       ///< one printed value, with its unit
-  const char* json_format;  ///< one JSON number
-};
-constexpr Unit kMilliseconds{"reaction_ms", "%.1f ms", "%.1f"};
-constexpr Unit kSeconds{"latency_s", "%.2f s", "%.3f"};
-
 struct Experiment {
   const char* id;
   const char* artifact;
@@ -1091,9 +1088,7 @@ struct Experiment {
   std::vector<Column> columns;       ///< for rows that name none
   Words cells;                       ///< defeated / landed
   std::vector<Row> rows;
-  Words verdict = {"PASS", "FAIL"};
-  const char* verdict_header = "verdict";
-  Unit unit = kMilliseconds;
+  const char* unit = "ms";           ///< of the rows' reaction times
   const char* missed_key = nullptr;  ///< baseline bound on missed updates
 };
 
@@ -1186,9 +1181,7 @@ std::vector<Experiment> experiments() {
             member_impersonation, member_ledger, without(&H::sealed_links)},
            {"hardened OS profile", "known-CVE root escalation", os_escalation,
             no_traffic, without(&H::hardened_os)},
-       },
-       .verdict = kYesNo,
-       .verdict_header = "load-bearing"},
+       }},
       {.id = "R1",
        .artifact = "SSIV red-team campaign (adversary v2)",
        .claim = "Every scripted Byzantine-replica and network-stage attack is "
@@ -1280,31 +1273,17 @@ std::vector<Experiment> experiments() {
             {K::kNewSourceMac, K::kArpBindingChange, K::kAnomalousWindow},
             "rogue_probe_latency_s_max"},
        },
-       .unit = kSeconds},
+       .unit = "s"},
   };
 }
 
 // ---- the runner ------------------------------------------------------------
 
+/// One row's outcome and counter deltas under each of its columns.
 struct RowResult {
-  std::vector<Outcome> outcomes;  ///< one per column
-  std::vector<Ledger> moved;      ///< counter deltas, one per column
-  bool pass = true;
+  std::vector<Outcome> outcomes;
+  std::vector<Ledger> moved;
 };
-
-struct ExperimentResult {
-  std::vector<RowResult> rows;
-  std::string mana;       ///< what MANA made of the shared rigs, as printed
-  std::string mana_json;  ///< a scored rig's detector scores
-  std::uint64_t missed = 0;
-  bool pass = true;
-};
-
-std::string format(const char* fmt, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  return buf;
-}
 
 void run_row(const Row& row, Trial& t, RowResult& out) {
   t.before = row.accounting.read(t);
@@ -1318,26 +1297,23 @@ void run_row(const Row& row, Trial& t, RowResult& out) {
   out.moved.push_back(std::move(after));
 }
 
-/// Closes MANA's books on a shared rig: its alerts by kind or, when the
-/// rows carry ground-truth labels, every row's verdict and the detector
-/// scores.
+/// Closes MANA's books on a shared rig. E3 reports its alerts by kind
+/// and requires at least one; E8 takes every row's verdict and detection
+/// latency off the scoreboard, reports each detector's scores and checks
+/// the ensemble's precision and recall floors.
 void close_mana(Rig& rig, const Experiment& e, std::size_t column,
-                bool scored, const bench::Baseline& bounds,
-                const std::string& trace_path, ExperimentResult& result) {
+                bool scored, const std::string& trace_path,
+                std::vector<RowResult>& results, bench::Report& report) {
+  const std::string p = std::string(e.id) + " MANA ";
   if (!scored) {
     rig.ids->flush_until(rig.sim.now());
     std::map<std::string, int> counts;
     for (const auto& a : rig.ids->alerts()) {
       counts[std::string(mana::to_string(a.kind))]++;
     }
-    std::string summary;
-    for (const auto& [kind, count] : counts) {
-      summary += (summary.empty() ? "" : ", ") + kind + " x" +
-                 std::to_string(count);
-    }
-    result.mana += std::string("MANA alerts (") + e.headers[column + 1] +
-                   "): " + (counts.empty() ? "none" : summary) + "\n";
-    result.pass = result.pass && !counts.empty();
+    const std::string col = p + "[" + e.headers[column + 1] + "] ";
+    for (const auto& [kind, count] : counts) report.add(col + kind, count);
+    report.require(col + "raised an alert", !counts.empty());
     return;
   }
   rig.run_for(5 * sim::kSecond);  // drain the last row's windows
@@ -1346,7 +1322,7 @@ void close_mana(Rig& rig, const Experiment& e, std::size_t column,
   for (const auto& outcome : rig.board.outcomes()) {
     for (std::size_t i = 0; i < e.rows.size(); ++i) {
       if (outcome.name != e.rows[i].name) continue;
-      Outcome& o = result.rows[i].outcomes.back();
+      Outcome& o = results[i].outcomes.back();
       o.landed = !outcome.detected;
       if (outcome.detected) {
         o.reaction = static_cast<double>(outcome.latency) / sim::kSecond;
@@ -1355,48 +1331,60 @@ void close_mana(Rig& rig, const Experiment& e, std::size_t column,
     }
   }
   const char* names[] = {"kmeans", "ocsvm", "rules", "ensemble"};
-  result.mana = "detector   TP   FP  precision  recall  F1\n";
-  result.mana_json = ",\"detectors\":{";
   for (int d = 0; d < 4; ++d) {
-    const auto& s = rig.board.score(static_cast<mana::DetectorId>(d));
-    const auto tp = static_cast<unsigned long long>(s.true_positives);
-    const auto fp = static_cast<unsigned long long>(s.false_positives);
-    char line[192];
-    std::snprintf(line, sizeof(line), "%-8s %4llu %4llu  %9.3f  %6.3f  %.3f\n",
-                  names[d], tp, fp, s.precision(), s.recall(), s.f1());
-    result.mana += line;
-    std::snprintf(line, sizeof(line),
-                  "%s\"%s\":{\"true_positives\":%llu,\"false_positives\":%llu,"
-                  "\"precision\":%.4f,\"recall\":%.4f,\"f1\":%.4f}",
-                  d == 0 ? "" : ",", names[d], tp, fp, s.precision(),
-                  s.recall(), s.f1());
-    result.mana_json += line;
+    const auto id = static_cast<mana::DetectorId>(d);
+    const mana::DetectorScore& s = rig.board.score(id);
+    const std::string detector = p + names[d] + " ";
+    report.add(detector + "TP", static_cast<double>(s.true_positives));
+    report.add(detector + "FP", static_cast<double>(s.false_positives));
+    if (id == mana::DetectorId::kEnsemble) {
+      report.check(detector + "precision", s.precision(), bench::Cmp::kGe,
+                   bench::BaselineKey{"precision_min"});
+      report.check(detector + "recall", s.recall(), bench::Cmp::kGe,
+                   bench::BaselineKey{"recall_min"});
+    } else {
+      report.add(detector + "precision", s.precision());
+      report.add(detector + "recall", s.recall());
+    }
+    report.add(detector + "F1", s.f1());
   }
-  result.mana_json += "}";
-  const mana::DetectorScore& ensemble = rig.board.ensemble();
-  char lines[512];
-  std::snprintf(
-      lines, sizeof(lines),
-      "\nquiet phase: %zu windows, %llu alerts; campaign: %llu alerts, mean "
-      "detection latency %.2f s\nensemble precision %.3f (min %.2f), recall "
-      "%.3f (min %.2f)\n",
-      rig.quiet_windows, static_cast<unsigned long long>(rig.quiet_alerts),
-      static_cast<unsigned long long>(rig.board.alerts_seen()),
-      rig.board.mean_latency_us() / 1e6, ensemble.precision(),
-      bounds["precision_min"], ensemble.recall(), bounds["recall_min"]);
-  result.mana += lines;
-  result.pass = result.pass &&
-                ensemble.precision() >= bounds["precision_min"] &&
-                ensemble.recall() >= bounds["recall_min"];
+  report.add(p + "quiet-phase windows", static_cast<double>(rig.quiet_windows));
+  report.add(p + "quiet-phase alerts", static_cast<double>(rig.quiet_alerts));
+  report.add(p + "campaign alerts",
+             static_cast<double>(rig.board.alerts_seen()));
+  report.add(p + "mean detection latency", rig.board.mean_latency_us() / 1e6,
+             "s");
   if (rig.tracer && rig.tracer->tracer().write_jsonl(trace_path)) {
     std::printf("wrote trace %s\n", trace_path.c_str());
   }
 }
 
-ExperimentResult run(const Experiment& e, const bench::Baseline& bounds,
-                     const std::string& trace_path) {
-  ExperimentResult result;
-  result.rows.resize(e.rows.size());
+/// Reports the counters a row moved and, when its ledger has a sent
+/// side, checks that the seen side explains every frame sent.
+void add_ledger_rows(bench::Report& report, const std::string& prefix,
+                     const Ledger& l) {
+  double unexplained = 0;
+  const auto add = [&](const std::vector<Count>& side, double sign) {
+    for (const Count& c : side) {
+      if (c.value != 0) {
+        report.add(prefix + " " + c.name, static_cast<double>(c.value));
+      }
+      unexplained += sign * static_cast<double>(c.value);
+    }
+  };
+  add(l.sent, 1);
+  add(l.seen, -1);
+  if (!l.sent.empty()) {
+    report.check(prefix + " unexplained", unexplained, bench::Cmp::kEq, 0);
+  }
+}
+
+/// Runs every row of `e` under each of its columns and declares, per
+/// row and column, the expected verdict, the reaction SLO and the
+/// counter deltas as report rows.
+std::vector<RowResult> run(const Experiment& e, const std::string& trace_path,
+                           bench::Report& report) {
+  std::vector<RowResult> results(e.rows.size());
   const auto columns = [&](const Row& row) -> const std::vector<Column>& {
     return row.columns.empty() ? e.columns : row.columns;
   };
@@ -1411,10 +1399,12 @@ ExperimentResult run(const Experiment& e, const bench::Baseline& bounds,
         if (i > 0) rig.run_for(rig.spec.gap);
         if (scored) rig.arm(e.rows[i].name, e.rows[i].alerts);
         Trial t{.rig = &rig, .accounting = e.rows[i].accounting};
-        run_row(e.rows[i], t, result.rows[i]);
+        run_row(e.rows[i], t, results[i]);
         rig.close_label();
       }
-      if (rig.ids) close_mana(rig, e, c, scored, bounds, trace_path, result);
+      if (rig.ids) {
+        close_mana(rig, e, c, scored, trace_path, results, report);
+      }
       continue;
     }
     for (std::size_t i = 0; i < e.rows.size(); ++i) {
@@ -1425,145 +1415,76 @@ ExperimentResult run(const Experiment& e, const bench::Baseline& bounds,
                                     false);
       }
       Trial t{.rig = rig.get(), .accounting = row.accounting};
-      run_row(row, t, result.rows[i]);
+      run_row(row, t, results[i]);
     }
   }
+  std::uint64_t missed = 0;
   for (std::size_t i = 0; i < e.rows.size(); ++i) {
     const Row& row = e.rows[i];
-    RowResult& r = result.rows[i];
-    for (std::size_t c = 0; c < r.outcomes.size(); ++c) {
-      const Outcome& o = r.outcomes[c];
-      r.pass = r.pass &&
-               o.landed == (columns(row)[c].expect == Verdict::kLands) &&
-               (row.slo == nullptr ||
-                (o.reaction && *o.reaction <= bounds[row.slo]));
-      result.missed += o.missed;
+    const Words& words = row.words != nullptr ? *row.words : e.cells;
+    for (std::size_t c = 0; c < results[i].outcomes.size(); ++c) {
+      const Outcome& o = results[i].outcomes[c];
+      const bool lands = columns(row)[c].expect == Verdict::kLands;
+      const std::string p = std::string(e.id) + " " + row.name + " [" +
+                            e.headers[c + 1] + "]";
+      report.require(p + " = " + (lands ? words.bad : words.good),
+                     o.landed == lands);
+      if (row.slo != nullptr) {
+        if (o.reaction) {
+          report.check(p + " reaction", *o.reaction, bench::Cmp::kLe,
+                       bench::BaselineKey{row.slo}, e.unit);
+        } else {
+          report.require(p + " reaction (timed out)", false);
+        }
+      }
+      add_ledger_rows(report, p, results[i].moved[c]);
+      missed += o.missed;
     }
-    result.pass = result.pass && r.pass;
   }
   if (e.missed_key != nullptr) {
-    result.pass = result.pass &&
-                  static_cast<double>(result.missed) <= bounds[e.missed_key];
+    report.check(std::string(e.id) + " missed updates",
+                 static_cast<double>(missed), bench::Cmp::kLe,
+                 bench::BaselineKey{e.missed_key});
   }
-  return result;
+  return results;
 }
 
-/// The counters that moved, `sent -> seen`, and how much of what was
-/// sent no seen counter explains.
-std::string ledger_line(const Ledger& l) {
-  std::int64_t unexplained = 0;
-  const auto list = [&](const std::vector<Count>& side, int sign) {
-    std::string out;
-    for (const Count& c : side) {
-      if (c.value == 0) continue;
-      out += (out.empty() ? "" : ", ") + std::string(c.name) + " " +
-             std::to_string(c.value);
-      unexplained += sign * static_cast<std::int64_t>(c.value);
-    }
-    return out.empty() ? std::string("nothing") : out;
-  };
-  if (l.sent.empty()) return list(l.seen, 0);
-  const std::string sent = list(l.sent, 1);
-  const std::string seen = list(l.seen, -1);
-  return sent + " -> " + seen + "; unexplained " + std::to_string(unexplained);
-}
-
-void print(const Experiment& e, const ExperimentResult& result,
-           const bench::Baseline& bounds) {
-  const bool slo = std::any_of(e.rows.begin(), e.rows.end(),
-                               [](const Row& r) { return r.slo != nullptr; });
+/// The paper's view of one experiment: each attack, its primitive, one
+/// outcome cell per hardening set and what the paper reports.
+void print(const Experiment& e, const std::vector<RowResult>& results) {
   const bool paper = std::any_of(
       e.rows.begin(), e.rows.end(), [](const Row& r) { return r.paper; });
   std::vector<std::string> headers = {e.headers[0], "primitive"};
   headers.insert(headers.end(), e.headers.begin() + 1, e.headers.end());
-  if (slo) headers.insert(headers.end(), {"measured", "bound"});
-  if (e.missed_key != nullptr) headers.push_back("missed");
   if (paper) headers.push_back("paper");
-  headers.push_back(e.verdict_header);
 
   bench::Table table(headers);
   for (std::size_t i = 0; i < e.rows.size(); ++i) {
     const Row& row = e.rows[i];
-    const RowResult& r = result.rows[i];
     std::vector<std::string> cells = {row.name, row.attack};
     const Words& words = row.words != nullptr ? *row.words : e.cells;
-    for (const Outcome& o : r.outcomes) {
+    for (const Outcome& o : results[i].outcomes) {
       cells.push_back(std::string(o.landed ? words.bad : words.good) +
                       (o.detail.empty() ? "" : " (" + o.detail + ")"));
     }
-    const Outcome& last = r.outcomes.back();
-    if (slo) {
-      cells.push_back(last.reaction && *last.reaction >= 0
-                          ? format(e.unit.format, *last.reaction)
-                          : "-");
-      cells.push_back(row.slo ? format(e.unit.format, bounds[row.slo]) : "-");
-    }
-    if (e.missed_key != nullptr) cells.push_back(std::to_string(last.missed));
     if (paper) cells.push_back(row.paper ? row.paper : "");
-    cells.push_back(r.pass ? e.verdict.good : e.verdict.bad);
     table.row(cells);
   }
   table.print();
-
-  std::printf("\nwhere each attack went (counter deltas over the row):\n");
-  for (std::size_t i = 0; i < e.rows.size(); ++i) {
-    const RowResult& r = result.rows[i];
-    for (std::size_t c = 0; c < r.moved.size(); ++c) {
-      const std::string column =
-          r.moved.size() > 1 ? std::string(" [") + e.headers[c + 1] + "]" : "";
-      std::printf("  %s%s: %s\n", e.rows[i].name, column.c_str(),
-                  ledger_line(r.moved[c]).c_str());
-    }
-  }
-  if (!result.mana.empty()) std::printf("\n%s", result.mana.c_str());
-  if (e.missed_key != nullptr) {
-    std::printf("\nmissed updates across campaign: %llu (max %g)\n",
-                static_cast<unsigned long long>(result.missed),
-                bounds[e.missed_key]);
-  }
-  std::printf("\nShape check vs paper: %s\n",
-              result.pass ? "HOLDS" : "VIOLATED");
-}
-
-/// {"pass":…,"rows":{"<row>":{"pass":…,"columns":[{"hardening":…,
-/// "landed":…,"<unit>":…,"missed_updates":…,"detail":…,
-/// "accounting":{…}}]}}[,"detectors":{…}]}
-std::string to_json(const Experiment& e, const ExperimentResult& result) {
-  std::string json = std::string("{\"pass\":") +
-                     (result.pass ? "true" : "false") + ",\"rows\":{";
-  for (std::size_t i = 0; i < e.rows.size(); ++i) {
-    const RowResult& r = result.rows[i];
-    json += std::string(i == 0 ? "" : ",") + "\"" + e.rows[i].name +
-            "\":{\"pass\":" + (r.pass ? "true" : "false") + ",\"columns\":[";
-    for (std::size_t c = 0; c < r.outcomes.size(); ++c) {
-      const Outcome& o = r.outcomes[c];
-      json += std::string(c == 0 ? "" : ",") + "{\"hardening\":\"" +
-              e.headers[c + 1] + "\",\"landed\":" +
-              (o.landed ? "true" : "false") + ",\"" + e.unit.json_key +
-              "\":" + format(e.unit.json_format, o.reaction.value_or(0)) +
-              ",\"missed_updates\":" + std::to_string(o.missed) +
-              ",\"detail\":\"" + o.detail + "\",\"accounting\":{";
-      const Ledger& l = r.moved[c];
-      for (const auto* side : {&l.sent, &l.seen}) {
-        for (const Count& n : *side) {
-          json += std::string(json.back() == '{' ? "" : ",") + "\"" + n.name +
-                  "\":" + std::to_string(n.value);
-        }
-      }
-      json += "}}";
-    }
-    json += "]}";
-  }
-  return json + "}" + result.mana_json + "}";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::init_logging(argc, argv);
-  const auto bounds = bench::Baseline::load(bench::flag_value(
-      argc, argv, "--baseline", "bench/baseline_attacks.json"));
-  if (!bounds) return 1;
+  bench::Report report(
+      "attacks",
+      "every red-team attack gets its expected verdict under each hardening "
+      "set, within its committed reaction bound, and every frame it sent is "
+      "accounted for");
+  if (!report.load_baseline(argc, argv, "bench/baseline_attacks.json")) {
+    return 1;
+  }
   const std::string trace_path =
       bench::flag_value(argc, argv, "--trace-out", "");
 
@@ -1571,40 +1492,17 @@ int main(int argc, char** argv) {
   // Every bound is read before anything runs: a missing key exits 1 now.
   for (const Experiment& e : table) {
     for (const Row& row : e.rows) {
-      if (row.slo != nullptr) (void)(*bounds)[row.slo];
+      if (row.slo != nullptr) (void)report.baseline(row.slo);
     }
-    if (e.missed_key != nullptr) (void)(*bounds)[e.missed_key];
+    if (e.missed_key != nullptr) (void)report.baseline(e.missed_key);
   }
-  (void)(*bounds)["precision_min"];
-  (void)(*bounds)["recall_min"];
+  (void)report.baseline("precision_min");
+  (void)report.baseline("recall_min");
 
-  bool all_pass = true;
-  std::string json =
-      "{\"bench\":\"bench_attacks\",\"schema_version\":1,\"experiments\":{";
   for (const Experiment& e : table) {
-    if (&e != &table.front()) std::printf("\n");
     bench::print_header(e.id, e.artifact, e.claim);
-    const ExperimentResult result = run(e, *bounds, trace_path);
-    print(e, result, *bounds);
-    all_pass = all_pass && result.pass;
-    json += std::string(&e == &table.front() ? "" : ",") + "\"" + e.id +
-            "\":" + to_json(e, result);
+    print(e, run(e, trace_path, report));
+    std::printf("\n");
   }
-  json += std::string("},\"all_pass\":") + (all_pass ? "true" : "false") +
-          "}\n";
-
-  const std::string json_path = bench::flag_value(argc, argv, "--json", "");
-  if (!json_path.empty()) {
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::printf("cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  std::printf("\nattack table: %s\n",
-              all_pass ? "EVERY SHAPE HOLDS" : "SHAPE VIOLATIONS");
-  return all_pass ? 0 : 1;
+  return report.finish(argc, argv);
 }

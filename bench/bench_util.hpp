@@ -151,52 +151,6 @@ inline std::string json_quote(std::string_view s) {
   return out + "\"";
 }
 
-/// Committed gate bounds (bench/baseline_*.json): a "key": number
-/// lookup anywhere in the file. A key the file lacks fails the run,
-/// naming the key, so a renamed bound can never silently fall back to
-/// a compiled-in default.
-class Baseline {
- public:
-  /// Reads `path`; nullopt (with a message) if it cannot be opened.
-  static std::optional<Baseline> load(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) {
-      std::printf("baseline %s: cannot open\n", path.c_str());
-      return std::nullopt;
-    }
-    return Baseline(path, std::string(std::istreambuf_iterator<char>(in),
-                                      std::istreambuf_iterator<char>()));
-  }
-
-  /// The number stored under `key`; a dotted key "section.field" finds
-  /// `field` after `section`. Exits with status 1 if absent.
-  [[nodiscard]] double operator[](const char* key) const {
-    std::size_t at = 0;
-    for (std::string_view rest = key; at != std::string::npos;) {
-      const std::size_t dot = rest.find('.');
-      const std::string needle = json_quote(rest.substr(0, dot));
-      at = text_.find(needle, at);
-      if (at != std::string::npos) at += needle.size();
-      if (dot == std::string_view::npos) break;
-      rest.remove_prefix(dot + 1);
-    }
-    const std::size_t colon =
-        at == std::string::npos ? std::string::npos : text_.find(':', at);
-    if (colon == std::string::npos) {
-      std::printf("baseline %s: missing key \"%s\"\n", path_.c_str(), key);
-      std::exit(1);
-    }
-    return std::strtod(text_.c_str() + colon + 1, nullptr);
-  }
-
- private:
-  Baseline(std::string path, std::string text)
-      : path_(std::move(path)), text_(std::move(text)) {}
-
-  std::string path_;
-  std::string text_;
-};
-
 /// Named latency sample series in, one aligned text table
 /// (min/p50/p90/p99/max/mean/samples) out. A Report writes its series
 /// into the bench's --json.
@@ -293,25 +247,52 @@ class Report {
   Report(std::string bench, std::string claim)
       : bench_(std::move(bench)), claim_(std::move(claim)) {}
 
-  /// Loads the committed bounds from --baseline=PATH, or from
-  /// `fallback` when the flag is absent (nullptr: no baseline). False,
-  /// with a message, if the file cannot be read.
+  /// Loads the committed bounds (bench/baseline_*.json) from
+  /// --baseline=PATH, or from `fallback` when the flag is absent
+  /// (nullptr: no baseline). False, with a message, if the file cannot
+  /// be read.
   bool load_baseline(int argc, char** argv, const char* fallback) {
     const char* path = flag_value(argc, argv, "--baseline", fallback);
     if (path == nullptr || path[0] == '\0') return true;
-    baseline_ = Baseline::load(path);
-    return baseline_.has_value();
+    std::ifstream in(path);
+    if (!in) {
+      std::printf("baseline %s: cannot open\n", path);
+      return false;
+    }
+    baseline_path_ = path;
+    baseline_ = std::string(std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>());
+    return true;
   }
   [[nodiscard]] bool has_baseline() const { return baseline_.has_value(); }
 
-  /// The committed number under `key`; a key the baseline lacks (or a
-  /// missing baseline) exits with status 1, naming the key.
+  /// The committed number under `key`, found anywhere in the baseline; a
+  /// dotted key "section.field" finds `field` after `section`. A key the
+  /// baseline lacks (or a missing baseline) exits with status 1, naming
+  /// the key, so a renamed bound never falls back to a compiled-in
+  /// default.
   [[nodiscard]] double baseline(const char* key) const {
     if (!baseline_) {
       std::printf("no baseline loaded for key \"%s\"\n", key);
       std::exit(1);
     }
-    return (*baseline_)[key];
+    std::size_t at = 0;
+    for (std::string_view rest = key; at != std::string::npos;) {
+      const std::size_t dot = rest.find('.');
+      const std::string needle = json_quote(rest.substr(0, dot));
+      at = baseline_->find(needle, at);
+      if (at != std::string::npos) at += needle.size();
+      if (dot == std::string_view::npos) break;
+      rest.remove_prefix(dot + 1);
+    }
+    const std::size_t colon =
+        at == std::string::npos ? std::string::npos : baseline_->find(':', at);
+    if (colon == std::string::npos) {
+      std::printf("baseline %s: missing key \"%s\"\n", baseline_path_.c_str(),
+                  key);
+      std::exit(1);
+    }
+    return std::strtod(baseline_->c_str() + colon + 1, nullptr);
   }
 
   /// A number the bench reports but does not gate.
@@ -475,7 +456,8 @@ class Report {
 
   std::string bench_;
   std::string claim_;
-  std::optional<Baseline> baseline_;
+  std::string baseline_path_;
+  std::optional<std::string> baseline_;  ///< the baseline file's text
   std::vector<Row> rows_;
 };
 

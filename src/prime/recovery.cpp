@@ -56,7 +56,9 @@ void ProactiveRecovery::stop() {
   // window is brought back immediately; one mid-transfer keeps retrying
   // on its own and completes.
   for (auto& [target, entry] : in_flight_) {
-    if (entry.down) bring_up(target, entry);
+    if (!entry.down) continue;
+    entry.cut_short = true;
+    bring_up(target, entry);
   }
 }
 
@@ -159,11 +161,13 @@ void ProactiveRecovery::finish(Replica* target) {
   // recover()) are not ours to account.
   if (it == in_flight_.end()) return;
   const InFlight& entry = it->second;
-  const sim::Time wall = sim_.now() - entry.taken_down_at;
-  ++stats_.completed;
-  stats_.last_recovery_wall = wall;
-  stats_.max_recovery_wall = std::max(stats_.max_recovery_wall, wall);
-  stats_.total_recovery_wall += wall;
+  if (!entry.cut_short) {
+    const sim::Time wall = sim_.now() - entry.taken_down_at;
+    ++stats_.completed;
+    stats_.last_recovery_wall = wall;
+    stats_.max_recovery_wall = std::max(stats_.max_recovery_wall, wall);
+    stats_.total_recovery_wall += wall;
+  }
   stats_.transfer_bytes +=
       target->stats().state_transfer_bytes - entry.bytes_before;
   stats_.state_reqs += target->stats().state_reqs_sent - entry.reqs_before;

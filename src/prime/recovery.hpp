@@ -55,7 +55,7 @@ struct RecoveryConfig {
 /// benches, asserted by tests).
 struct RecoveryStats {
   std::uint64_t takedowns = 0;   ///< shutdowns initiated by the scheduler
-  std::uint64_t completed = 0;   ///< state transfers finished
+  std::uint64_t completed = 0;   ///< full recoveries' transfers finished
   std::uint64_t deferred_ticks = 0;  ///< period ticks gated by the k cap
   std::uint32_t in_flight_high_water = 0;  ///< max simultaneous disturbed
   sim::Time last_recovery_wall = 0;  ///< takedown -> transfer-complete
@@ -82,6 +82,9 @@ class ProactiveRecovery {
   /// abandoned: a target still in its downtime window is recovered
   /// immediately, and one mid-transfer completes through its own retry
   /// loop, so no replica is left shut down by a stop() at any instant.
+  /// A takedown whose downtime stop() cut short counts in `takedowns`
+  /// but not in `completed` or the wall-time stats: it was no full
+  /// rejuvenation.
   void stop();
 
   /// Recoveries whose state transfer finished (not merely started).
@@ -102,6 +105,7 @@ class ProactiveRecovery {
   /// recovery-done signal.
   struct InFlight {
     bool down = true;          ///< still in the downtime window
+    bool cut_short = false;    ///< stop() ended the downtime early
     std::uint64_t attempt = 0; ///< token guarding the downtime lambda
     sim::Time taken_down_at = 0;
     std::uint64_t bytes_before = 0;  ///< replica stat snapshots for deltas

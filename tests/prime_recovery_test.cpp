@@ -1,10 +1,10 @@
 // Proactive-recovery scheduler tests (paper §II): completion gating,
 // the k-cap under transfers that outlast the period, the stale-tick and
-// orphaned-replica regression fixes, the slot of a target restarted
-// behind the scheduler's back, leader rejuvenation during a view
-// change, k=2 staggering on the f=2,k=2 configuration, and chaos-driven
-// partitions mid-transfer healing through the rejoining replica's own
-// retry loop.
+// orphaned-replica regression fixes, a takedown cut short by stop(),
+// the slot of a target restarted behind the scheduler's back, leader
+// rejuvenation during a view change, k=2 staggering on the f=2,k=2
+// configuration, and chaos-driven partitions mid-transfer healing
+// through the rejoining replica's own retry loop.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -116,7 +116,43 @@ TEST(ProactiveRecoveryTest, StopDuringDowntimeLeavesNoReplicaDown) {
   cluster.run_for(3 * sim::kSecond);
 
   cluster.expect_all_up();
+  // The cut-short takedown rejoined, but it was no full rejuvenation.
+  EXPECT_EQ(recovery.recoveries_completed(), 0u);
+  EXPECT_EQ(cluster.first_divergence(), std::nullopt);
+}
+
+// A takedown that fires at the very instant stop() runs (a soak whose
+// last tick lands on its end) skips its downtime: it counts as a
+// takedown, but not as a completed recovery, and its few-hundred-us
+// rejoin stays out of the wall-time stats.
+TEST(ProactiveRecoveryTest, StopAtTakedownInstantCountsNoCompletion) {
+  sim::Simulator sim;
+  Cluster cluster(sim, 1, 1);
+  cluster.run_for(500 * sim::kMillisecond);
+
+  RecoveryConfig rc;
+  rc.period = 2 * sim::kSecond;
+  rc.downtime = 500 * sim::kMillisecond;
+  ProactiveRecovery recovery(sim, cluster.replica_ptrs(), rc);
+  recovery.start();
+
+  // The first takedown (+2 s) completes; the second fires at exactly
+  // +4 s, the instant of stop().
+  cluster.run_for(4 * sim::kSecond);
+  EXPECT_EQ(recovery.stats().takedowns, 2u);
   EXPECT_EQ(recovery.recoveries_completed(), 1u);
+  const sim::Time full_wall = recovery.stats().last_recovery_wall;
+  EXPECT_GE(full_wall, rc.downtime);
+
+  recovery.stop();
+  cluster.run_for(3 * sim::kSecond);
+
+  cluster.expect_all_up();
+  EXPECT_EQ(recovery.in_flight(), 0u);
+  EXPECT_EQ(recovery.stats().takedowns, 2u);
+  EXPECT_EQ(recovery.recoveries_completed(), 1u);
+  EXPECT_EQ(recovery.stats().last_recovery_wall, full_wall);
+  EXPECT_EQ(recovery.stats().total_recovery_wall, full_wall);
   EXPECT_EQ(cluster.first_divergence(), std::nullopt);
 }
 
