@@ -15,6 +15,21 @@ SymmetricKey digest_to_key(const Digest& d) {
 
 util::Bytes key_span(std::string_view s) { return util::to_bytes(s); }
 
+AesKey gcm_key(const SymmetricKey& link_key) {
+  const Digest d = hmac_sha256(link_key, util::to_bytes("enc"));
+  AesKey k{};
+  std::copy_n(d.begin(), k.size(), k.begin());
+  return k;
+}
+
+/// 4 zero bytes || the big-endian nonce counter in the first 8 bytes of
+/// `nonce`.
+GcmIv gcm_iv(std::span<const std::uint8_t> nonce) {
+  GcmIv iv{};
+  std::copy_n(nonce.begin(), SecureChannel::kNonceSize, iv.begin() + 4);
+  return iv;
+}
+
 }  // namespace
 
 Keyring::Keyring(std::string_view master_seed) {
@@ -61,10 +76,7 @@ bool Verifier::verify(std::string_view identity,
   return digest_equal(expected, sig.mac);
 }
 
-SecureChannel::SecureChannel(SymmetricKey key)
-    // Domain-separate the encryption and MAC keys from the link key.
-    : enc_key_(digest_to_key(hmac_sha256(key, util::to_bytes("enc")))),
-      mac_(digest_to_key(hmac_sha256(key, util::to_bytes("mac")))) {}
+SecureChannel::SecureChannel(SymmetricKey key) : key_(gcm_key(key)) {}
 
 void SecureChannel::seal_into(std::span<const std::uint8_t> plaintext,
                               std::span<std::uint8_t> out) {
@@ -72,37 +84,26 @@ void SecureChannel::seal_into(std::span<const std::uint8_t> plaintext,
   if (out.size() < body_len + kTagSize) {
     throw std::length_error("SecureChannel::seal_into: output too short");
   }
-  const std::uint64_t nonce_counter = next_nonce_++;
-  ChaChaNonce nonce{};
+  const std::uint64_t nonce = next_nonce_++;
   for (std::size_t i = 0; i < kNonceSize; ++i) {
-    nonce[i] = static_cast<std::uint8_t>(nonce_counter >> (56 - 8 * i));
+    out[i] = static_cast<std::uint8_t>(nonce >> (56 - 8 * i));
   }
-  std::copy_n(nonce.begin(), kNonceSize, out.begin());
-  chacha20_xor_into(enc_key_, nonce, 1, plaintext,
-                    out.subspan(kNonceSize, plaintext.size()));
-  const Digest tag = mac_.mac(out.first(body_len));
+  const GcmTag tag = aes_gcm_seal(key_, gcm_iv(out), {}, plaintext,
+                                  out.subspan(kNonceSize, plaintext.size()));
   std::copy(tag.begin(), tag.end(), out.subspan(body_len, kTagSize).begin());
 }
 
 bool SecureChannel::open_into(std::span<const std::uint8_t> sealed,
                               std::span<std::uint8_t> out) const {
   if (sealed.size() < kOverhead) return false;
-  const std::size_t body_len = sealed.size() - kTagSize;
-  const std::size_t plain_len = body_len - kNonceSize;
+  const std::size_t plain_len = sealed.size() - kOverhead;
   if (out.size() < plain_len) {
     throw std::length_error("SecureChannel::open_into: output too short");
   }
-  // Encrypt-then-MAC: nothing is decrypted until the tag verifies.
-  const Digest tag = mac_.mac(sealed.first(body_len));
-  Digest provided{};
-  std::copy_n(sealed.subspan(body_len).begin(), kTagSize, provided.begin());
-  if (!digest_equal(tag, provided)) return false;
-
-  ChaChaNonce nonce{};
-  std::copy_n(sealed.begin(), kNonceSize, nonce.begin());
-  chacha20_xor_into(enc_key_, nonce, 1, sealed.subspan(kNonceSize, plain_len),
-                    out.first(plain_len));
-  return true;
+  // aes_gcm_open checks the tag before it decrypts anything.
+  return aes_gcm_open(key_, gcm_iv(sealed), {},
+                      sealed.subspan(kNonceSize, plain_len),
+                      sealed.last<kTagSize>(), out.first(plain_len));
 }
 
 util::Bytes SecureChannel::seal(std::span<const std::uint8_t> plaintext) {

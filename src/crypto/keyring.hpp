@@ -19,7 +19,7 @@
 #include <string>
 #include <string_view>
 
-#include "crypto/chacha20.hpp"
+#include "crypto/aes_gcm.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
@@ -88,17 +88,20 @@ class Verifier {
   std::map<std::string, HmacState, std::less<>> keys_;
 };
 
-/// Authenticated encryption for overlay links:
-/// wire format = u64 nonce-counter || ciphertext || 32-byte HMAC tag.
-/// The tag covers the nonce and the ciphertext (encrypt-then-MAC). The
-/// ChaCha key and the HMAC key schedule are derived once, at
-/// construction, not per packet.
+/// Authenticated encryption for overlay links, AES-128-GCM:
+/// wire format = u64 nonce-counter || ciphertext || 16-byte GCM tag.
+/// The 96-bit IV is 4 zero bytes || the nonce counter, so the tag
+/// covers the nonce as well as the ciphertext. The GCM key (the first
+/// 16 bytes of HMAC(link key, "enc")) is expanded once, at
+/// construction, not per packet. Each channel seals under its own
+/// nonce counter, and a (key, nonce) pair must never seal twice: under
+/// GCM a repeat leaks the hash key and lets an attacker forge packets.
 class SecureChannel {
  public:
   explicit SecureChannel(SymmetricKey key);
 
   static constexpr std::size_t kNonceSize = 8;
-  static constexpr std::size_t kTagSize = 32;
+  static constexpr std::size_t kTagSize = 16;
   static constexpr std::size_t kOverhead = kNonceSize + kTagSize;
 
   /// Encrypts and authenticates `plaintext` into the first
@@ -124,8 +127,7 @@ class SecureChannel {
       std::span<const std::uint8_t> sealed) const;
 
  private:
-  ChaChaKey enc_key_{};
-  HmacState mac_;
+  GcmKey key_;
   std::uint64_t next_nonce_ = 1;
 };
 

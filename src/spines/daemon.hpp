@@ -1,7 +1,7 @@
 // Spines overlay daemon.
 //
 // Implements the properties the paper's deployments rely on (§II, §IV):
-//  * authenticated + encrypted links (per-link keys, encrypt-then-MAC,
+//  * authenticated + encrypted links (per-link keys, AES-128-GCM,
 //    per-direction nonce spaces, replay counters) in intrusion-tolerant
 //    mode — a daemon without the current keys simply cannot join;
 //  * signed link-state flooding with bidirectional edge confirmation,

@@ -5,7 +5,7 @@
 // flooding), Data messages (session traffic), link-level Acks (the
 // per-link ARQ), and signed Area Summaries (reachability across routing
 // area borders). In intrusion-tolerant mode every daemon-to-daemon
-// packet is sealed with the per-link key (encrypt-then-MAC) — the
+// packet is sealed with the per-link key (AES-128-GCM) — the
 // mechanism that made the red team's modified/patched Spines daemons
 // harmless in the excursion (paper §IV-B).
 #pragma once

@@ -12,6 +12,7 @@
 // throw arbitrary garbage at every parser in the system.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -50,22 +51,9 @@ class ByteWriter {
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
-  void u16(std::uint16_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-    buf_.push_back(static_cast<std::uint8_t>(v));
-  }
-
-  void u32(std::uint32_t v) {
-    for (int shift = 24; shift >= 0; shift -= 8) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-    }
-  }
-
-  void u64(std::uint64_t v) {
-    for (int shift = 56; shift >= 0; shift -= 8) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-    }
-  }
+  void u16(std::uint16_t v) { put_be(v); }
+  void u32(std::uint32_t v) { put_be(v); }
+  void u64(std::uint64_t v) { put_be(v); }
 
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -109,6 +97,36 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
+  /// Appends `v` most significant byte first: one capacity check, one
+  /// byte-swapped store. `flatten` inlines the vector's insert, and the
+  /// free space is computed as that insert computes it, so the compiler
+  /// drops the insert's own check and reallocation path.
+  template <class T>
+  [[gnu::flatten]] void put_be(T v) {
+    std::uint8_t be[sizeof(T)];
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      be[i] = static_cast<std::uint8_t>(v >> (8 * (sizeof(T) - 1 - i)));
+    }
+    const std::uint8_t* end = buf_.data() + buf_.size();
+    if (static_cast<std::size_t>(buf_.data() + buf_.capacity() - end) < sizeof(T)) {
+      grow_and_append(be, sizeof(T));
+    } else {
+      buf_.insert(buf_.end(), be, be + sizeof(T));
+    }
+  }
+
+  /// Doubles the capacity, as one-byte appends would, until `n` bytes
+  /// fit, then appends them. (An insert would grow to twice the size,
+  /// and other capacities change the heap's peak.)
+  [[gnu::noinline]] void grow_and_append(const std::uint8_t* bytes,
+                                         std::size_t n) {
+    std::size_t capacity = std::max<std::size_t>(buf_.capacity(), 1);
+    while (capacity - buf_.size() < n) capacity *= 2;
+    buf_.reserve(capacity);
+    buf_.insert(buf_.end(), bytes, bytes + n);
+  }
+
   Bytes buf_;
 };
 

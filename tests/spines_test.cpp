@@ -843,8 +843,11 @@ TEST_F(OverlayFixture, StopResetsPacingStateForCleanRestart) {
 TEST_F(OverlayFixture, CorruptAndRestoreNeverReuseALinkNonce) {
   // A fresh channel under the same deterministic link key restarts its
   // nonce counter at 1, which would re-seal under (key, nonce) pairs
-  // already on the wire: ChaCha20 keystream reuse. The restored daemon
-  // must resume the counters it had before its keys were corrupted.
+  // already on the wire. Under AES-GCM that reuses keystream and, worse,
+  // leaks the GHASH key from the two tags, after which an attacker can
+  // forge packets the link accepts: this test guards authenticity, not
+  // only secrecy. The restored daemon must resume the counters it had
+  // before its keys were corrupted.
   build(2, {{0, 1}});
   enum Phase { kBefore, kCorrupted, kRestored };
   Phase phase = kBefore;
